@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .linalg import RatMatrix, from_vectors
+from .linalg import RatMatrix
 from .partitions import (
     ClassicalType,
     InvalidPartitionError,
@@ -146,7 +146,47 @@ def _sparse_commutator(a: dict, b: dict) -> dict:
     return out
 
 
-class CentralizerModel:
+class StructureTable:
+    """Bracket lookup in ``structure``: basis pairs a < b -> ((c, coeff), ...)."""
+
+    structure: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
+
+    def bracket_vec(self, a: int, b: int) -> tuple[tuple[int, Fraction], ...]:
+        if a == b:
+            return ()
+        if a < b:
+            return self.structure.get((a, b), ())
+        return tuple((c, -v) for c, v in self.structure.get((b, a), ()))
+
+
+def _trace_product(a: RatMatrix, b: RatMatrix) -> Fraction:
+    total = Fraction(0)
+    for i, row in enumerate(a.rows):
+        for j, x in enumerate(row):
+            if x:
+                y = b.rows[j][i]
+                if y:
+                    total += x * y
+    return total
+
+
+def trace_dual(left: list[RatMatrix], right: list[RatMatrix]) -> list[RatMatrix]:
+    """Combinations of ``right`` with tr(left[a] @ dual[b]) = delta_ab."""
+    gram = RatMatrix([[_trace_product(A, B) for B in right] for A in left])
+    ginv = gram.inverse()
+    n = right[0].nrows
+    duals = []
+    for a in range(len(left)):
+        acc = RatMatrix.zeros(n, n)
+        for c, B in enumerate(right):
+            coeff = ginv.rows[c][a]
+            if coeff:
+                acc = acc + B.scale(coeff)
+        duals.append(acc)
+    return duals
+
+
+class CentralizerModel(StructureTable):
     """The centraliser of e in gl_n with exact structure data.
 
     Structure constants come from actual matrix commutators re-read in
@@ -167,18 +207,7 @@ class CentralizerModel:
         self.var_names = tuple(f"x{a + 1}" for a in range(len(self.xi)))
 
         naive_gf = [self.realization.gf_matrix(idx) for idx in self.xi]
-        self.gram = RatMatrix(
-            [[_trace_product(A, B) for B in naive_gf] for A in self.matrices]
-        )
-        ginv = self.gram.inverse()
-        self.gf_dual = []
-        for a in range(len(self.xi)):
-            acc = RatMatrix.zeros(p.n, p.n)
-            for c in range(len(self.xi)):
-                coeff = ginv.rows[c][a]
-                if coeff:
-                    acc = acc + naive_gf[c].scale(coeff)
-            self.gf_dual.append(acc)
+        self.gf_dual = trace_dual(self.matrices, naive_gf)
 
         self.structure: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
         r = len(self.xi)
@@ -237,25 +266,6 @@ class CentralizerModel:
                 acc = acc + self.matrices[a].scale(c)
         return acc
 
-    def bracket_vec(self, a: int, b: int) -> tuple[tuple[int, Fraction], ...]:
-        if a == b:
-            return ()
-        if a < b:
-            return self.structure.get((a, b), ())
-        return tuple((c, -v) for c, v in self.structure.get((b, a), ()))
-
-    def ad_matrix(self, coords) -> RatMatrix:
-        """Matrix of ad(x) on g_e for x given by xi coordinates."""
-        r = self.dim
-        rows = [[Fraction(0)] * r for _ in range(r)]
-        for a, ca in enumerate(coords):
-            if not ca:
-                continue
-            for b in range(r):
-                for c, v in self.bracket_vec(a, b):
-                    rows[c][b] += ca * v
-        return RatMatrix(rows)
-
     def to_json(self) -> dict:
         return {
             "partition": list(self.partition.parts),
@@ -272,17 +282,6 @@ class CentralizerModel:
             "f": _matrix_json(self.realization.f),
             "gf_dual": [_matrix_json(m) for m in self.gf_dual],
         }
-
-
-def _trace_product(a: RatMatrix, b: RatMatrix) -> Fraction:
-    total = Fraction(0)
-    for i, row in enumerate(a.rows):
-        for j, x in enumerate(row):
-            if x:
-                y = b.rows[j][i]
-                if y:
-                    total += x * y
-    return total
 
 
 def _matrix_json(m: RatMatrix) -> list[list[str]]:
@@ -322,18 +321,7 @@ def closed_form_bracket(p: Partition, a: XiIndex, b: XiIndex) -> dict[XiIndex, i
     return out
 
 
-@dataclass
-class GradingActions:
-    h_weights: list[int]
-    rho_exponents: list[int]
-
-
-def grading_actions(m: CentralizerModel) -> GradingActions:
-    """Per-basis weight data: ad(h) eigenvalue and torus exponent j - i."""
-    return GradingActions(h_weights=list(m.h_weights), rho_exponents=list(m.rho_weights))
-
-
-class SubalgebraModel:
+class SubalgebraModel(StructureTable):
     """A Lie subalgebra presented by coordinates inside an ambient model.
 
     Exposes the same bracket interface as CentralizerModel so stabiliser
@@ -343,7 +331,7 @@ class SubalgebraModel:
     def __init__(self, ambient: CentralizerModel, coord_rows: list[list[Fraction]],
                  rank: int, algebra: str, var_prefix: str = "u"):
         self.ambient = ambient
-        self.coords = from_vectors(coord_rows)
+        self.coords = RatMatrix(coord_rows)
         self.dim = len(coord_rows)
         self.rank = rank
         self.algebra = algebra
@@ -379,13 +367,6 @@ class SubalgebraModel:
                 entries = tuple((c, v) for c, v in enumerate(w) if v)
                 if entries:
                     self.structure[(a, b)] = entries
-
-    def bracket_vec(self, a: int, b: int) -> tuple[tuple[int, Fraction], ...]:
-        if a == b:
-            return ()
-        if a < b:
-            return self.structure.get((a, b), ())
-        return tuple((c, -v) for c, v in self.structure.get((b, a), ()))
 
     def restrict_dual(self, ambient_coords) -> list[Fraction]:
         """Restrict a functional on the ambient algebra to this subalgebra."""
@@ -472,19 +453,7 @@ class SymplecticModel:
         ]
         if len(gf_mats) != expected:
             raise ArithmeticError("g_f fixed space has unexpected dimension")
-        gram = RatMatrix([
-            [_trace_product(self.fixed.matrices[a], gf_mats[b]) for b in range(expected)]
-            for a in range(expected)
-        ])
-        ginv = gram.inverse()
-        self.gf_dual = []
-        for a in range(expected):
-            acc = RatMatrix.zeros(n, n)
-            for c in range(expected):
-                coeff = ginv.rows[c][a]
-                if coeff:
-                    acc = acc + gf_mats[c].scale(coeff)
-            self.gf_dual.append(acc)
+        self.gf_dual = trace_dual(self.fixed.matrices, gf_mats)
 
     def sigma(self, mat: RatMatrix) -> RatMatrix:
         return self.J @ mat.transpose() @ self.J
@@ -493,9 +462,6 @@ class SymplecticModel:
     def dim(self) -> int:
         return self.fixed.dim
 
-    def odd_part_matrices(self) -> list[RatMatrix]:
-        return [self.gl.matrix_from_coords(row) for row in self.odd_part_basis]
-
 
 def _half(mat: RatMatrix) -> RatMatrix:
     return mat.scale(Fraction(1, 2))
@@ -503,7 +469,7 @@ def _half(mat: RatMatrix) -> RatMatrix:
 
 def _independent_rows(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     """Row-reduce and keep the nonzero rows (a canonical spanning basis)."""
-    R, pivots = from_vectors(rows).rref()
+    R, pivots = RatMatrix(rows).rref()
     return [R.rows[t] for t in range(len(pivots))]
 
 

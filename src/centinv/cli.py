@@ -3,8 +3,9 @@
 Subcommands: verify (one partition, chosen checks), degrees (just the
 degree table), so-diagnostic (orthogonal minor-degree diagnostic) and
 sweep (all partitions up to a bound).  Exit codes: 0 all certificates
-pass, 1 some check failed, 2 usage error, 3 a symbolic budget refused a
-requested command.
+pass, 1 some check failed, 2 usage error, 3 some certificate is an
+ERROR: a symbolic budget refused a requested command, or a command
+raised an internal ArithmeticError or ValueError.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .partitions import ClassicalType, InvalidPartitionError, Partition, check_valid_for
+from .partitions import InvalidPartitionError, Partition
 from .runner import (
     RunConfig,
     UsageError,
@@ -148,11 +149,7 @@ def main(argv=None) -> int:
             partitions = sweep_partitions(cfg)
             cfg.partitions = [str(p) for p in partitions]
         for p in partitions:
-            if cfg.algebra == "sp":
-                check_valid_for(p, ClassicalType.SP)
-            elif cfg.algebra == "so":
-                check_valid_for(p, ClassicalType.SO)
-            commands_for(cfg, p)  # validate the command list up front
+            commands_for(cfg, p)  # validate the partition and commands up front
     except (InvalidPartitionError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,10 +22,11 @@ from .centralizer import (
     XiIndex,
     _independent_rows,
     commutator,
+    trace_dual,
 )
-from .linalg import RatMatrix, from_vectors
+from .linalg import RatMatrix
 from .partitions import Partition, degrees_gl, degrees_sp
-from .poly import SparsePoly, _MASK, _WIDTH
+from .poly import SparsePoly, _MASK, _WIDTH, _accumulate_product
 
 
 class BudgetExceededError(RuntimeError):
@@ -38,25 +39,6 @@ class BudgetExceededError(RuntimeError):
 
 
 # -- characteristic polynomial over sparse-poly entries -------------------
-
-
-def _accumulate_product(acc: dict, terms: dict, factor: dict, parity: int) -> None:
-    sign = -1 if parity else 1
-    get = acc.get
-    for kb, cb in factor.items():
-        cb = sign * cb
-        for ka, ca in terms.items():
-            k = ka + kb
-            c = ca * cb
-            s = get(k)
-            if s is None:
-                acc[k] = c
-            else:
-                s = s + c
-                if s:
-                    acc[k] = s
-                else:
-                    del acc[k]
 
 
 def char_poly_terms(entries: list[list[dict]], t_key: int) -> dict:
@@ -537,7 +519,7 @@ def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
     # the trace with e is a linear condition on the image of ad f
     cond = [sum(v[i * n + j] * real.e.rows[j][i] for i in range(n) for j in range(n))
             for v in image_basis]
-    coeff_rows = from_vectors([cond])
+    coeff_rows = RatMatrix([cond])
     kernel = coeff_rows.kernel_basis()
     for vec in kernel:
         flat = [sum(c * image_basis[t][pos] for t, c in enumerate(vec) if c)
@@ -546,27 +528,14 @@ def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
     if len(basis_mats) != n * n:
         raise ArithmeticError("adapted basis of gl_n has wrong size")
 
-    gram = RatMatrix([[_tr(a, b) for b in basis_mats] for a in basis_mats])
-    ginv = gram.inverse()
     var_names = model.var_names + ("zf",) + tuple(
         f"w{t + 1}" for t in range(n * n - 1 - r))
-    # order duals to match: zf sits after the centraliser coordinates
-    order = [0] + list(range(1, r + 1)) + list(range(r + 1, n * n))
-    name_of = {0: "zf"}
-    for t in range(1, r + 1):
-        name_of[t] = model.var_names[t - 1]
-    for t in range(r + 1, n * n):
-        name_of[t] = f"w{t - r}"
+    # the dual of f is zf, which sits after the centraliser coordinates
+    slots = [r] + list(range(r)) + list(range(r + 1, n * n))
 
     entries: list[list[dict]] = [[dict() for _ in range(n)] for _ in range(n)]
-    idx_of = {name: i for i, name in enumerate(var_names)}
-    for t in order:
-        dual = RatMatrix.zeros(n, n)
-        for c in range(n * n):
-            coeff = ginv.rows[c][t]
-            if coeff:
-                dual = dual + basis_mats[c].scale(coeff)
-        key = 1 << (_WIDTH * idx_of[name_of[t]])
+    for dual, slot in zip(trace_dual(basis_mats, basis_mats), slots):
+        key = 1 << (_WIDTH * slot)
         for i in range(n):
             for j in range(n):
                 v = dual.rows[i][j]
@@ -596,11 +565,6 @@ def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
             return TopCoefficientResult(False, scalars, f"not proportional at {ell}")
         scalars[ell] = ratio
     return TopCoefficientResult(True, scalars, "")
-
-
-def _tr(a: RatMatrix, b: RatMatrix) -> Fraction:
-    return sum(a.rows[i][j] * b.rows[j][i]
-               for i in range(a.nrows) for j in range(a.ncols) if a.rows[i][j])
 
 
 # -- algebraic independence --------------------------------------------------
@@ -645,7 +609,7 @@ def evaluate_jacobian(polys, variables: tuple[str, ...],
 
 def jacobian_rank_at(sr: SliceRestriction, model, point: dict) -> int:
     rows = evaluate_jacobian(sr.initial, model.var_names, point)
-    return from_vectors(rows).rank()
+    return RatMatrix(rows).rank()
 
 
 def initial_algebra_rank(sr: SliceRestriction, model, seed: int = 0,

@@ -1,23 +1,66 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices carry ``fractions.Fraction`` entries.  Rank is computed by
-fraction-free elimination on denominator-cleared integer rows (fast and
-exact); kernels, inverses and solves go through a rational reduced row
-echelon form.
+Matrices carry ``fractions.Fraction`` entries.  Rank and determinant come
+from one fraction-free (Bareiss) elimination kernel on integer rows, run
+after each row is cleared of its denominators; kernels and inverses go
+through a rational reduced row echelon form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Sequence
 
 
 def _to_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The integers ``den * x`` and ``den``, the least common denominator."""
+    den = lcm(*(x.denominator for x in values))
+    return [int(x * den) for x in values], den
+
+
+def bareiss(rows: list[list[int]]) -> tuple[int, int]:
+    """Rank and determinant of an integer matrix; the rows are consumed.
+
+    Fraction-free elimination (Bareiss, Math. Comp. 22, 1968): each column
+    pivots on the first remaining row with a nonzero entry there, and every
+    division is exact.  The determinant is 0 unless the matrix is square
+    and of full rank.
+    """
+    nr = len(rows)
+    nc = len(rows[0]) if rows else 0
+    rank = 0
+    prev = 1
+    sign = 1
+    col = 0
+    while rank < nr and col < nc:
+        piv = None
+        for i in range(rank, nr):
+            if rows[i][col]:
+                piv = i
+                break
+        if piv is None:
+            col += 1
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            sign = -sign
+        pv = rows[rank][col]
+        for i in range(rank + 1, nr):
+            f = rows[i][col]
+            ri, rp = rows[i], rows[rank]
+            for j in range(col, nc):
+                ri[j] = (ri[j] * pv - f * rp[j]) // prev
+        prev = pv
+        rank += 1
+        col += 1
+    return rank, sign * prev if rank == nr == nc else 0
 
 
 class RatMatrix:
@@ -97,43 +140,9 @@ class RatMatrix:
 
     # -- eliminations --------------------------------------------------
 
-    def _int_rows(self) -> list[list[int]]:
-        """Rows rescaled to integers (row scaling preserves rank and kernel)."""
-        out = []
-        for row in self.rows:
-            den = 1
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
-            out.append([int(x * den) for x in row])
-        return out
-
     def rank(self) -> int:
-        """Exact rank via fraction-free (Bareiss) elimination."""
-        m = self._int_rows()
-        nr, nc = self.nrows, self.ncols
-        rank = 0
-        prev = 1
-        col = 0
-        while rank < nr and col < nc:
-            piv = None
-            for i in range(rank, nr):
-                if m[i][col]:
-                    piv = i
-                    break
-            if piv is None:
-                col += 1
-                continue
-            m[rank], m[piv] = m[piv], m[rank]
-            pv = m[rank][col]
-            for i in range(rank + 1, nr):
-                f = m[i][col]
-                ri, rp = m[i], m[rank]
-                for j in range(col, nc):
-                    ri[j] = (ri[j] * pv - f * rp[j]) // prev
-            prev = pv
-            rank += 1
-            col += 1
-        return rank
+        """Exact rank; scaling a row to integers does not change it."""
+        return bareiss([clear_denominators(row)[0] for row in self.rows])[0]
 
     def rref(self) -> tuple["RatMatrix", list[int]]:
         """Reduced row echelon form and pivot column list."""
@@ -176,37 +185,16 @@ class RatMatrix:
         return basis
 
     def det(self) -> Fraction:
-        """Determinant by fraction-free elimination on cleared rows."""
+        """Determinant of the cleared rows, divided by their denominators."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return Fraction(1)
-        m = []
-        scale = Fraction(1)
+        rows = []
+        scale = 1
         for row in self.rows:
-            den = 1
-            for x in row:
-                den = den * x.denominator // gcd(den, x.denominator)
-            scale /= den
-            m.append([int(x * den) for x in row])
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if not m[k][k]:
-                piv = next((i for i in range(k + 1, n) if m[i][k]), None)
-                if piv is None:
-                    return Fraction(0)
-                m[k], m[piv] = m[piv], m[k]
-                sign = -sign
-            pv = m[k][k]
-            for i in range(k + 1, n):
-                f = m[i][k]
-                ri, rk = m[i], m[k]
-                for j in range(k, n):
-                    ri[j] = (ri[j] * pv - f * rk[j]) // prev
-            prev = pv
-        return scale * sign * m[n - 1][n - 1]
+            ints, den = clear_denominators(row)
+            rows.append(ints)
+            scale *= den
+        return Fraction(bareiss(rows)[1], scale)
 
     def inverse(self) -> "RatMatrix":
         if self.nrows != self.ncols:
@@ -218,38 +206,3 @@ class RatMatrix:
         if pivots[:n] != list(range(n)):
             raise ValueError("matrix is singular")
         return RatMatrix([row[n:] for row in R.rows])
-
-    def solve(self, rhs: Sequence[Fraction]) -> list[Fraction] | None:
-        """One solution of ``self @ x = rhs``, or None when inconsistent."""
-        aug = RatMatrix([row + [b] for row, b in zip(self.copy_rows(), rhs)])
-        R, pivots = aug.rref()
-        if self.ncols in pivots:
-            return None
-        x = [Fraction(0)] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = R.rows[r][self.ncols]
-        return x
-
-
-@dataclass
-class RankKernel:
-    rank: int
-    kernel_basis: list[list[Fraction]]
-
-
-def rank_kernel(m: RatMatrix) -> RankKernel:
-    """Exact rank and kernel basis; rank + dim(kernel) = number of columns."""
-    basis = m.kernel_basis()
-    rank = m.ncols - len(basis)
-    return RankKernel(rank=rank, kernel_basis=basis)
-
-
-def from_vectors(vectors: Iterable[Sequence]) -> RatMatrix:
-    """Stack vectors as matrix rows."""
-    return RatMatrix([list(v) for v in vectors])
-
-
-def row_space_contains(basis_matrix: RatMatrix, vector: Sequence[Fraction]) -> bool:
-    """Whether ``vector`` lies in the row space of ``basis_matrix``."""
-    stacked = RatMatrix(basis_matrix.copy_rows() + [list(vector)])
-    return stacked.rank() == basis_matrix.rank()

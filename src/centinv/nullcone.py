@@ -204,24 +204,6 @@ class TransversalityCertificate:
     conclusion: str = ""
 
 
-def _stage_components(p: Partition, m: int) -> list[Component]:
-    sub = p.prefix(m)
-    if sub.k < 2:
-        return []
-    return [Component(bars) for bars in _compositions(sub.d[-1] + 1, m)]
-
-
-def _stage_space(p: Partition, m: int) -> list[XiIndex]:
-    d = p.d
-    basis = []
-    for i in range(1, m + 1):
-        j = m + 1 - i
-        lo = max(d[j - 1] - d[i - 1], 0)
-        for s in range(lo, d[j - 1] + 1):
-            basis.append(XiIndex(i, j, s))
-    return basis
-
-
 def transversality_certificate(p: Partition, seed: int = 0, attempts: int = 100,
                                verify_support: bool = False,
                                budget: int = 8) -> TransversalityCertificate:
@@ -236,13 +218,14 @@ def transversality_certificate(p: Partition, seed: int = 0, attempts: int = 100,
     """
     rng = random.Random(seed)
     stages: list[StageWitness] = []
+    levels = antidiagonal_spaces(p)
     for m in range(p.k, 0, -1):
         sub = p.prefix(m)
-        space = _stage_space(p, m)
+        space = levels[m - 1].basis
         pos = {idx: t for t, idx in enumerate(space)}
         dm = p.d[m - 1]
         want = dm + 1
-        comps = _stage_components(p, m)
+        comps = enumerate_components(sub).components
         cols_per_comp = []
         for comp in comps:
             cols = [pos[idx] for idx in comp.vanishing(sub)]

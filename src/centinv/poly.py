@@ -40,6 +40,26 @@ def _key_degree(key: int) -> int:
     return deg
 
 
+def _accumulate_product(acc: dict, terms: dict, factor: dict, parity: int) -> None:
+    """Add (-1)^parity * terms * factor into the term dict acc, in place."""
+    sign = -1 if parity else 1
+    get = acc.get
+    for kb, cb in factor.items():
+        cb = sign * cb
+        for ka, ca in terms.items():
+            k = ka + kb
+            c = ca * cb
+            s = get(k)
+            if s is None:
+                acc[k] = c
+            else:
+                s = s + c
+                if s:
+                    acc[k] = s
+                else:
+                    del acc[k]
+
+
 class SparsePoly:
     """Immutable sparse polynomial over an ordered variable tuple."""
 
@@ -106,10 +126,6 @@ class SparsePoly:
             object.__setattr__(self, "_deg", d)
         return self._deg
 
-    def exponent_of(self, key: int, name: str) -> int:
-        idx = _index_map(self.variables)[name]
-        return (key >> (_WIDTH * idx)) & _MASK
-
     def decode(self, key: int) -> tuple[int, ...]:
         return tuple((key >> (_WIDTH * i)) & _MASK for i in range(len(self.variables)))
 
@@ -128,9 +144,6 @@ class SparsePoly:
                 i += 1
             out.append((exps, coeff))
         return out
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get(0, Fraction(0))
 
     def factored_terms(self) -> list[tuple[tuple[tuple[int, int], ...], Fraction]]:
         """Terms with decoded (variable index, exponent) factors; cached."""
@@ -204,20 +217,7 @@ class SparsePoly:
         if len(a) < len(b):
             a, b = b, a
         terms: dict[int, Fraction] = {}
-        get = terms.get
-        for kb, cb in b.items():
-            for ka, ca in a.items():
-                k = ka + kb
-                c = ca * cb
-                s = get(k)
-                if s is None:
-                    terms[k] = c
-                else:
-                    s = s + c
-                    if s:
-                        terms[k] = s
-                    else:
-                        del terms[k]
+        _accumulate_product(terms, a, b, 0)
         return SparsePoly(self.variables, terms)
 
     __rmul__ = __mul__
@@ -260,11 +260,6 @@ class SparsePoly:
             return self
         d = min(_key_degree(k) for k in self.terms)
         return self.homogeneous_component(d)
-
-    def lowest_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return min(_key_degree(k) for k in self.terms)
 
     def substitute(self, assignments: Mapping[str, object]) -> "SparsePoly":
         """Substitute rational values for a subset of the variables."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .centralizer import CentralizerModel, SymplecticModel, XiIndex
-from .linalg import RatMatrix, from_vectors
+from .linalg import RatMatrix, bareiss, clear_denominators
 from .invariants import SliceRestriction, evaluate_jacobian
 
 
@@ -46,7 +46,7 @@ class Functional:
 
 def default_alpha_coefficients(model) -> list[Fraction]:
     """Distinct nonzero block scalars; paired blocks get opposite signs."""
-    p = model.partition if isinstance(model, CentralizerModel) else model.partition
+    p = model.partition
     if isinstance(model, SymplecticModel):
         pairing = model.pairing
         values: dict[int, Fraction] = {}
@@ -88,17 +88,13 @@ def build_beta(model: CentralizerModel) -> Functional:
 
 
 def random_functional(model, rng: random.Random) -> Functional:
-    coords = tuple(Fraction(rng.randint(-10, 10)) for _ in range(model_dim(model)))
+    coords = tuple(Fraction(rng.randint(-10, 10)) for _ in range(model.dim))
     return Functional(coords, "RANDOM")
-
-
-def model_dim(model) -> int:
-    return model.dim if isinstance(model.dim, int) else model.dim()
 
 
 def bracket_form_matrix(model, gamma: Functional) -> RatMatrix:
     """B(gamma)_{ab} = gamma([xi_a, xi_b]); skew-symmetric."""
-    r = model_dim(model)
+    r = model.dim
     rows = [[Fraction(0)] * r for _ in range(r)]
     for (a, b), entries in model.structure.items():
         v = Fraction(0)
@@ -115,7 +111,7 @@ def bracket_form_matrix(model, gamma: Functional) -> RatMatrix:
 def stabilizer_dim(gamma: Functional, model) -> int:
     """Kernel dimension of the bracket form at gamma."""
     B = bracket_form_matrix(model, gamma)
-    return model_dim(model) - B.rank()
+    return model.dim - B.rank()
 
 
 @dataclass
@@ -151,7 +147,7 @@ def alpha_stabilizer_basis_check(model: CentralizerModel, a) -> StabilizerSpanRe
         row = [Fraction(0)] * model.dim
         row[t] = Fraction(1)
         indicator.append(row)
-    stacked = from_vectors(kernel + indicator)
+    stacked = RatMatrix(kernel + indicator)
     if stacked.rank() != expected:
         return StabilizerSpanResult(False, len(kernel), expected, "span mismatch")
     return StabilizerSpanResult(True, len(kernel), expected, "")
@@ -172,7 +168,7 @@ def index_report(model, samples: int = 10, seed: int = 0,
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
-    r = model_dim(model)
+    r = model.dim
     points = list(special) + [random_functional(model, rng) for _ in range(samples)]
     best_rank = 0
     per_point = []
@@ -219,7 +215,7 @@ def plane_regularity_scan(model, gamma1: Functional, gamma2: Functional,
     On a gl model with the diagonal/subdiagonal pair this also verifies
     the weighted torus action rescales them by t and 1 respectively.
     """
-    if from_vectors([gamma1.coords, gamma2.coords]).rank() != 2:
+    if RatMatrix([gamma1.coords, gamma2.coords]).rank() != 2:
         raise ValueError("plane scan needs two independent functionals")
     half = grid // 2
     coords = range(-half, grid - half)
@@ -348,7 +344,7 @@ def choose_generators(sr: SliceRestriction, model, at: Functional) -> list[int]:
     rank = 0
     for ell in range(sr.count):
         cand = rows + [all_rows[ell]]
-        new_rank = from_vectors(cand).rank()
+        new_rank = RatMatrix(cand).rank()
         if new_rank > rank:
             rows.append(all_rows[ell])
             chosen.append(ell)
@@ -361,12 +357,12 @@ def choose_generators(sr: SliceRestriction, model, at: Functional) -> list[int]:
 def differential_criterion(sr: SliceRestriction, model, gamma: Functional,
                            generators: list[int] | None = None) -> DifferentialCriterionResult:
     """Full gradient rank at gamma must happen exactly at minimal stabiliser."""
-    if 2 * sum(sr.degrees) != model_dim(model) + model.rank:
+    if 2 * sum(sr.degrees) != model.dim + model.rank:
         raise ValueError("degree sum does not certify a good system")
     gens = generators if generators is not None else list(range(sr.count))
     rows = evaluate_jacobian([sr.initial[ell] for ell in gens],
                              model.var_names, gamma.point(model))
-    jac_rank = from_vectors(rows).rank()
+    jac_rank = RatMatrix(rows).rank()
     stab = stabilizer_dim(gamma, model)
     return DifferentialCriterionResult(
         provenance=gamma.provenance,
@@ -380,20 +376,7 @@ def differential_criterion(sr: SliceRestriction, model, gamma: Functional,
 # -- singular locus line probes ----------------------------------------------
 
 
-def _poly_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _poly_eval(c: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for v in reversed(c):
-        acc = acc * x + v
-    return acc
-
-
-def _int_trim(c: list[int]) -> list[int]:
+def _trim(c: list) -> list:
     while c and not c[-1]:
         c.pop()
     return c
@@ -413,10 +396,7 @@ def _primitive(c: list[int]) -> list[int]:
 
 
 def _to_primitive_int(c: list[Fraction]) -> list[int]:
-    den = 1
-    for x in c:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return _primitive([int(x * den) for x in c])
+    return _primitive(clear_denominators(c)[0])
 
 
 def _poly_gcd(a_frac: list[Fraction], b_frac: list[Fraction]) -> list[Fraction]:
@@ -435,7 +415,7 @@ def _poly_gcd(a_frac: list[Fraction], b_frac: list[Fraction]) -> list[Fraction]:
         r = list(a)
         # pseudo-remainder: scale so every elimination step stays integral
         for _ in range(da - db + 1):
-            r = _int_trim(r)
+            r = _trim(r)
             if len(r) - 1 < db:
                 break
             top = r[-1]
@@ -443,10 +423,10 @@ def _poly_gcd(a_frac: list[Fraction], b_frac: list[Fraction]) -> list[Fraction]:
             dr = len(r) - 1
             for t in range(db + 1):
                 r[dr - db + t] -= top * b[t]
-            r = _int_trim(r)
+            r = _trim(r)
             if not r:
                 break
-        a, b = b, _primitive(_int_trim(r))
+        a, b = b, _primitive(_trim(r))
     return [Fraction(x) for x in a]
 
 
@@ -466,7 +446,7 @@ def _interpolate(points: list[tuple[Fraction, Fraction]]) -> list[Fraction]:
         f = yi / denom
         for t, b in enumerate(basis):
             coeffs[t] += f * b
-    return _poly_trim(coeffs)
+    return _trim(coeffs)
 
 
 @dataclass
@@ -504,7 +484,7 @@ def _rational_roots(c: list[int]) -> tuple[list[Fraction], bool]:
         for t in range(-64, 65):
             if _int_poly_eval(poly, t, 1) == 0:
                 roots.append(Fraction(t))
-                poly = _deflate(poly, Fraction(t))
+                poly = _deflate(poly, t)
                 changed = True
                 break
     if len(poly) == 1:
@@ -526,21 +506,9 @@ def _rational_roots(c: list[int]) -> tuple[list[Fraction], bool]:
     return sorted(set(roots)), False
 
 
-def _deflate(c: list[int], root: Fraction) -> list[int]:
-    """Divide by (x - root); exact synthetic division."""
-    out: list[Fraction] = []
-    acc = Fraction(0)
-    for coeff in reversed(c):
-        acc = Fraction(coeff) + acc * root
-        out.append(acc)
-    # out holds remainder-first sequence; last element is the remainder
-    assert out[-1] == 0
-    quotient = [Fraction(x) for x in out[:-1]]
-    quotient.reverse()
-    den = 1
-    for x in quotient:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return [int(x * den) for x in quotient]
+def _deflate(c: list[int], root: int) -> list[int]:
+    """Divide by (x - root) for an integer root; the quotient is integral."""
+    return [int(x) for x in _poly_div_exact(c, [Fraction(-root), Fraction(1)])]
 
 
 @dataclass
@@ -552,30 +520,6 @@ class LineProbeReport:
 def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def _int_det(m: list[list[int]]) -> Fraction:
-    """Fraction-free determinant of an integer matrix (rows are consumed)."""
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if piv is None:
-                return Fraction(0)
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pv = m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k]
-            ri, rk = m[i], m[k]
-            for j in range(k, n):
-                ri[j] = (ri[j] * pv - f * rk[j]) // prev
-        prev = pv
-    return Fraction(sign * m[n - 1][n - 1])
 
 
 def singular_locus_probe(model, lines: int = 10, seed: int = 0,
@@ -591,7 +535,7 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0,
     that no parameter value is singular.
     """
     rng = random.Random(seed)
-    r = model_dim(model)
+    r = model.dim
     rho = r - model.rank
     probes: list[LineProbe] = []
     for _ in range(lines):
@@ -602,10 +546,10 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0,
         g0 = random_functional(model, rng)
         g1 = random_functional(model, rng)
         retries = 0
-        while from_vectors([g0.coords, g1.coords]).rank() != 2 and retries < 10:
+        while RatMatrix([g0.coords, g1.coords]).rank() != 2 and retries < 10:
             g1 = random_functional(model, rng)
             retries += 1
-        if from_vectors([g0.coords, g1.coords]).rank() != 2:
+        if RatMatrix([g0.coords, g1.coords]).rank() != 2:
             probes.append(LineProbe(False, None, 0, "degenerate direction"))
             continue
         B0 = [[int(x) for x in row] for row in bracket_form_matrix(model, g0).rows]
@@ -630,7 +574,7 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0,
             nodes = []
             for t in range(rho + 1):
                 comp = [[C0[i][j] + t * C1[i][j] for j in range(rho)] for i in range(rho)]
-                nodes.append((Fraction(t), _int_det(comp)))
+                nodes.append((Fraction(t), bareiss(comp)[1]))
             dpoly = _interpolate(nodes)
             used += 1
             if not dpoly:

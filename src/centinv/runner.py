@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import __version__
@@ -92,21 +92,7 @@ class RunConfig:
     jobs: int = 1
 
     def echo(self) -> dict:
-        return {
-            "algebra": self.algebra,
-            "partitions": list(self.partitions),
-            "commands": list(self.commands),
-            "all_commands": self.all_commands,
-            "seed": self.seed,
-            "budget_n": self.budget_n,
-            "p0_budget": self.p0_budget,
-            "grid": self.grid,
-            "lines": self.lines,
-            "diffcrit_points": self.diffcrit_points,
-            "index_samples": self.index_samples,
-            "max_n": self.max_n,
-            "jobs": self.jobs,
-        }
+        return asdict(self)
 
 
 class UsageError(ValueError):
@@ -114,7 +100,9 @@ class UsageError(ValueError):
 
 
 def commands_for(cfg: RunConfig, p: Partition) -> list[str]:
+    """Commands to run on p; a partition invalid for the type is refused."""
     base = {"gl": GL_COMMANDS, "sp": SP_COMMANDS, "so": SO_COMMANDS}[cfg.algebra]
+    check_valid_for(p, ClassicalType(cfg.algebra))
     if cfg.all_commands:
         chosen = list(base)
         if cfg.algebra == "gl" and p.n > cfg.p0_budget and "p0" in chosen:
@@ -150,9 +138,7 @@ class PartitionContext:
     @property
     def model(self):
         if self.cfg.algebra == "sp":
-            if self._sp is None:
-                self._sp = build_sp_model(self.partition)
-            return self._sp.fixed
+            return self.sp.fixed
         if self._gl is None:
             self._gl = build_gl_model(self.partition)
         return self._gl
@@ -475,10 +461,6 @@ _COMMAND_TABLE = {
 
 def run_partition(p: Partition, cfg: RunConfig) -> tuple[list[Certificate], dict]:
     """All requested certificates for one partition, plus timings."""
-    if cfg.algebra == "sp":
-        check_valid_for(p, ClassicalType.SP)
-    elif cfg.algebra == "so":
-        check_valid_for(p, ClassicalType.SO)
     ctx = PartitionContext(p, cfg)
     certs: list[Certificate] = []
     timings: dict[str, float] = {}

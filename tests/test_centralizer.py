@@ -13,7 +13,6 @@ from centinv.centralizer import (
     closed_form_bracket,
     commutator,
     enumerate_xi,
-    grading_actions,
 )
 from centinv.linalg import RatMatrix
 from centinv.partitions import (
@@ -86,8 +85,6 @@ def test_weights():
     assert m.dim == 8
     a = m.index[XiIndex(1, 2, 0)]
     assert m.h_weights[a] == 0
-    g = grading_actions(m)
-    assert g.h_weights == m.h_weights
     m21 = build_gl_model(Partition.parse("2,1"))
     b = m21.index[XiIndex(2, 1, 1)]
     assert m21.h_weights[b] == 1
