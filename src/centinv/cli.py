@@ -79,6 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the least value of each count option that still yields evidence
+_MINIMA = (("--grid", "grid", 2), ("--lines", "lines", 1), ("--points", "diffcrit_points", 0),
+          ("--samples", "index_samples", 1), ("--max-n", "max_n", 1))
+
+
 def _config_from(args: argparse.Namespace, algebra: str, commands: list[str],
                  all_commands: bool, partitions: list[str],
                  max_n: int | None = None, jobs: int = 1) -> RunConfig:
@@ -129,6 +134,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, dest, least in _MINIMA:
+            if getattr(args, dest, least) < least:
+                raise UsageError(f"{flag} must be at least {least}")
         if args.subcommand == "verify":
             partitions = [Partition.parse(args.partition)]
             commands = args.commands.split(",") if args.commands else []

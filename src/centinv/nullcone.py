@@ -204,9 +204,9 @@ class TransversalityCertificate:
     conclusion: str = ""
 
 
-def transversality_certificate(p: Partition, seed: int = 0, attempts: int = 100,
-                               verify_support: bool = False,
-                               budget: int = 8) -> TransversalityCertificate:
+def transversality_certificate(model: CentralizerModel, sr: SliceRestriction,
+                               seed: int = 0,
+                               attempts: int = 100) -> TransversalityCertificate:
     """Find W = sum of W_m with W_m inside level m meeting no component.
 
     Peels the last block: at stage m a (d_m + 1)-dimensional subspace of
@@ -214,8 +214,11 @@ def transversality_certificate(p: Partition, seed: int = 0, attempts: int = 100,
     at zero, an exact determinant test per component.  Random rational
     subspaces are tried first; the deterministic fallback takes rows of
     a Vandermonde matrix on distinct nodes, whose maximal minors are all
-    nonzero.
+    nonzero.  Every stage m >= 2 also checks the top-block support of the
+    prefix partition: on the given model and slice at m = k, on a model
+    built for the prefix below that.
     """
+    p = model.partition
     rng = random.Random(seed)
     stages: list[StageWitness] = []
     levels = antidiagonal_spaces(p)
@@ -260,9 +263,9 @@ def transversality_certificate(p: Partition, seed: int = 0, attempts: int = 100,
             found = (rows, [])
 
         support_ok = None
-        if verify_support and m >= 2:
-            sub_model = build_gl_model(sub)
-            sub_sr = principal_minor_sums(sub_model, budget=budget)
+        if m >= 2:
+            sub_model = model if m == p.k else build_gl_model(sub)
+            sub_sr = sr if m == p.k else principal_minor_sums(sub_model, budget=sub.n)
             support_ok = top_block_support_check(sub_model, sub_sr).passed
             if not support_ok:
                 return TransversalityCertificate(

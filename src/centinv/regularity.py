@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, isqrt
 
 from .centralizer import CentralizerModel, SymplecticModel, XiIndex
 from .linalg import RatMatrix, bareiss, clear_denominators
@@ -395,18 +395,13 @@ def _primitive(c: list[int]) -> list[int]:
     return c
 
 
-def _to_primitive_int(c: list[Fraction]) -> list[int]:
-    return _primitive(clear_denominators(c)[0])
-
-
-def _poly_gcd(a_frac: list[Fraction], b_frac: list[Fraction]) -> list[Fraction]:
-    """Gcd of rational polynomials via a primitive pseudo-remainder sequence.
+def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of integer polynomials via a primitive pseudo-remainder sequence.
 
     Content is stripped after every pseudo-division step, which keeps the
     integer coefficients from exploding.
     """
-    a = _to_primitive_int(list(a_frac))
-    b = _to_primitive_int(list(b_frac))
+    a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -427,26 +422,75 @@ def _poly_gcd(a_frac: list[Fraction], b_frac: list[Fraction]) -> list[Fraction]:
             if not r:
                 break
         a, b = b, _primitive(_trim(r))
-    return [Fraction(x) for x in a]
+    return a
 
 
-def _interpolate(points: list[tuple[Fraction, Fraction]]) -> list[Fraction]:
-    """Lagrange interpolation; returns coefficient list, low degree first."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = [Fraction(0)] + basis[:]
-            for t in range(len(basis) - 1):
-                basis[t] -= xj * basis[t + 1]
-            denom *= xi - xj
-        f = yi / denom
-        for t, b in enumerate(basis):
-            coeffs[t] += f * b
-    return _trim(coeffs)
+def _poly_div_exact(a: list[int], b: list[int]) -> list[int]:
+    """Quotient a / b over Z; ArithmeticError if a remainder is left.
+
+    For a primitive b that divides a over Q the quotient is integral
+    (Gauss's lemma), so every step divides exactly.
+    """
+    a = list(a)
+    db = len(b) - 1
+    out = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        q, rem = divmod(a[i], b[-1])
+        if rem:
+            raise ArithmeticError("divisor does not divide over the integers")
+        out[i - db] = q
+        if q:
+            for t in range(db + 1):
+                a[i - db + t] -= q * b[t]
+    if any(a[:db]):
+        raise ArithmeticError("division leaves a remainder")
+    return out
+
+
+def _interpolate(values: list[int]) -> list[int]:
+    """Primitive interpolant of the values at t = 0, 1, ..., n; low degree first.
+
+    Lagrange scaled by n!: node i weighs (-1)^(n-i) C(n, i), so
+    n! f(t) = sum_i (-1)^(n-i) C(n, i) values[i] prod_{j != i} (t - j)
+    has integer coefficients and the roots of f.
+    """
+    n = len(values) - 1
+    nodes = [1]  # prod_j (t - j), divided by (t - i) once per node
+    for j in range(n + 1):
+        nodes = [a - j * b for a, b in zip([0] + nodes, nodes + [0])]
+    coeffs = [0] * (n + 1)
+    for i, y in enumerate(values):
+        w = (-1) ** (n - i) * comb(n, i) * y
+        for t, b in enumerate(_poly_div_exact(nodes, [-i, 1])):
+            coeffs[t] += w * b
+    return _primitive(_trim(coeffs))
+
+
+def _rational_roots(c: list[int]) -> tuple[list[Fraction], bool]:
+    """Distinct rational roots; flag says the factorisation was complete.
+
+    Integer roots from a bounded scan are deflated while the degree exceeds
+    two; the linear or quadratic (squarefree) rest is solved exactly.
+    """
+    roots: list[Fraction] = []
+    poly = list(c)
+    while len(poly) > 3:
+        root = next((t for t in range(-64, 65)
+                     if sum(x * t ** i for i, x in enumerate(poly)) == 0), None)
+        if root is None:
+            return sorted(set(roots)), False
+        roots.append(Fraction(root))
+        poly = _poly_div_exact(poly, [-root, 1])
+    if len(poly) == 2:
+        roots.append(Fraction(-poly[0], poly[1]))
+    elif len(poly) == 3:
+        # a negative or non-square discriminant leaves no rational root
+        a0, a1, a2 = poly
+        disc = a1 * a1 - 4 * a0 * a2
+        s = isqrt(disc) if disc >= 0 else -1
+        if s * s == disc:
+            roots += [Fraction(-a1 + s, 2 * a2), Fraction(-a1 - s, 2 * a2)]
+    return sorted(set(roots)), True
 
 
 @dataclass
@@ -455,60 +499,6 @@ class LineProbe:
     singular_values: int | None
     minors_used: int
     detail: str
-
-
-def _int_poly_derivative(c: list[int]) -> list[int]:
-    return [i * c[i] for i in range(1, len(c))]
-
-
-def _int_poly_eval(c: list[int], num: int, den: int) -> int:
-    """den^deg times the value at num/den; integral for integral c."""
-    deg = len(c) - 1
-    return sum(c[i] * num ** i * den ** (deg - i) for i in range(len(c)))
-
-
-def _rational_roots(c: list[int]) -> tuple[list[Fraction], bool]:
-    """Distinct rational roots; flag says the factorisation was complete.
-
-    Linear and quadratic (squarefree) parts are solved exactly; higher
-    degrees are deflated by integer roots from a bounded scan first.
-    """
-    from math import isqrt
-
-    roots: list[Fraction] = []
-    poly = list(c)
-    # deflate integer roots found by a bounded scan
-    changed = True
-    while changed and len(poly) > 3:
-        changed = False
-        for t in range(-64, 65):
-            if _int_poly_eval(poly, t, 1) == 0:
-                roots.append(Fraction(t))
-                poly = _deflate(poly, t)
-                changed = True
-                break
-    if len(poly) == 1:
-        return sorted(set(roots)), True
-    if len(poly) == 2:
-        roots.append(Fraction(-poly[0], poly[1]))
-        return sorted(set(roots)), True
-    if len(poly) == 3:
-        a0, a1, a2 = poly
-        disc = a1 * a1 - 4 * a0 * a2
-        if disc < 0:
-            return sorted(set(roots)), True  # conjugate pair, no real rational roots
-        s = isqrt(disc)
-        if s * s == disc:
-            roots.append(Fraction(-a1 + s, 2 * a2))
-            roots.append(Fraction(-a1 - s, 2 * a2))
-            return sorted(set(roots)), True
-        return sorted(set(roots)), True  # irrational pair; no rational roots
-    return sorted(set(roots)), False
-
-
-def _deflate(c: list[int], root: int) -> list[int]:
-    """Divide by (x - root) for an integer root; the quotient is integral."""
-    return [int(x) for x in _poly_div_exact(c, [Fraction(-root), Fraction(1)])]
 
 
 @dataclass
@@ -533,6 +523,12 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0,
     those minors (Cauchy-Binet), hence divisible by their gcd; driving
     the gcd of a few compressions to a constant therefore certifies
     that no parameter value is singular.
+
+    Everything runs over Z.  One common denominator den clears both
+    bracket forms, and den B(t) has the rank of B(t) for every t; at a
+    rational t = num/d the integer matrix d den B(t) has it too.  The
+    content of a polynomial is irrelevant to its roots, so every
+    polynomial is kept primitive.
     """
     rng = random.Random(seed)
     r = model.dim
@@ -544,94 +540,69 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0,
             probes.append(LineProbe(True, 0, 0, "abelian: empty singular locus"))
             continue
         g0 = random_functional(model, rng)
-        g1 = random_functional(model, rng)
-        retries = 0
-        while RatMatrix([g0.coords, g1.coords]).rank() != 2 and retries < 10:
+        for _ in range(11):
             g1 = random_functional(model, rng)
-            retries += 1
-        if RatMatrix([g0.coords, g1.coords]).rank() != 2:
+            if RatMatrix([g0.coords, g1.coords]).rank() == 2:
+                break
+        else:
             probes.append(LineProbe(False, None, 0, "degenerate direction"))
             continue
-        B0 = [[int(x) for x in row] for row in bracket_form_matrix(model, g0).rows]
-        B1 = [[int(x) for x in row] for row in bracket_form_matrix(model, g1).rows]
+        rows = bracket_form_matrix(model, g0).rows + bracket_form_matrix(model, g1).rows
+        cleared, _ = clear_denominators([x for row in rows for x in row])
+        B0 = [cleared[i:i + r] for i in range(0, r * r, r)]
+        B1 = [cleared[i:i + r] for i in range(r * r, 2 * r * r, r)]
 
-        def b_at(t: int) -> list[list[int]]:
-            return [[B0[i][j] + t * B1[i][j] for j in range(r)] for i in range(r)]
+        def b_at(num: int, den: int = 1) -> list[list[int]]:
+            """den * B(num / den) in integer rows."""
+            return [[den * x + num * y for x, y in zip(r0, r1)] for r0, r1 in zip(B0, B1)]
 
-        generic_ok = any(RatMatrix(b_at(t)).rank() == rho for t in range(3))
-        if not generic_ok:
+        if not any(bareiss(b_at(t))[0] == rho for t in range(3)):
             probes.append(LineProbe(False, None, 0, "line misses the regular locus"))
             continue
 
-        gcd_poly: list[Fraction] | None = None
+        gcd_poly: list[int] | None = None
         used = 0
-        certified = False
         for _ in range(minor_budget):
             U = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rho)]
             V = [[rng.randint(-3, 3) for _ in range(rho)] for _ in range(r)]
             C0 = _int_matmul(_int_matmul(U, B0), V)
             C1 = _int_matmul(_int_matmul(U, B1), V)
-            nodes = []
-            for t in range(rho + 1):
-                comp = [[C0[i][j] + t * C1[i][j] for j in range(rho)] for i in range(rho)]
-                nodes.append((Fraction(t), bareiss(comp)[1]))
-            dpoly = _interpolate(nodes)
+            dpoly = _interpolate([
+                bareiss([[x + t * y for x, y in zip(r0, r1)] for r0, r1 in zip(C0, C1)])[1]
+                for t in range(rho + 1)])
             used += 1
-            if not dpoly:
-                continue
-            gcd_poly = dpoly if gcd_poly is None else _poly_gcd(gcd_poly, dpoly)
-            if gcd_poly and len(gcd_poly) == 1:
-                certified = True
-                break
-        if certified:
-            probes.append(LineProbe(True, 0, used, ""))
-        elif gcd_poly is None:
+            if dpoly:
+                gcd_poly = dpoly if gcd_poly is None else _poly_gcd(gcd_poly, dpoly)
+                if len(gcd_poly) == 1:
+                    break
+        if gcd_poly is None:
             probes.append(LineProbe(False, None, used, "no usable compression found"))
+        elif len(gcd_poly) == 1:
+            probes.append(LineProbe(True, 0, used, ""))
         else:
-            probes.append(_resolve_residual(gcd_poly, B0, B1, rho, used))
+            probes.append(_resolve_residual(gcd_poly, b_at, rho, used))
     return LineProbeReport(probes, all(pr.certified and pr.singular_values == 0
                                        for pr in probes))
 
 
-def _resolve_residual(gcd_poly: list[Fraction], B0, B1, rho: int,
-                      used: int) -> LineProbe:
+def _resolve_residual(gcd_poly: list[int], b_at, rho: int, used: int) -> LineProbe:
     """Classify the roots of a stabilised nonconstant compression gcd.
 
     The true minor gcd divides the residual, so the singular parameters
     are among its roots; exact rank tests at the rational roots decide
     them, and a fully decided residual is an exact count.
     """
-    r = len(B0)
-    g_int = _to_primitive_int(gcd_poly)
-    deriv = _int_poly_derivative(g_int)
-    sf = _to_primitive_int(_poly_div_exact(g_int, _poly_gcd(
-        [Fraction(x) for x in g_int], [Fraction(x) for x in deriv])))
+    deriv = [i * x for i, x in enumerate(gcd_poly)][1:]
+    sf = _poly_div_exact(gcd_poly, _poly_gcd(gcd_poly, deriv))
     degree = len(sf) - 1
     roots, complete = _rational_roots(sf)
     if not complete or len(roots) != degree:
         return LineProbe(False, degree, used,
                          "residual has unresolved (irrational) root candidates")
     for t in roots:
-        mat = RatMatrix([[Fraction(B0[i][j]) + t * B1[i][j] for j in range(r)]
-                         for i in range(r)])
-        if mat.rank() >= rho:
+        if bareiss(b_at(t.numerator, t.denominator))[0] >= rho:
             return LineProbe(False, degree, used,
                              f"spurious shared factor at t={t}; add compressions")
     return LineProbe(True, len(roots), used,
                      "singular parameters confirmed at t in "
                      + "{" + ", ".join(str(t) for t in roots) + "}")
-
-
-def _poly_div_exact(a: list[int], b_frac: list[Fraction]) -> list[Fraction]:
-    """Exact quotient a / b for univariate polynomials (b divides a)."""
-    b = _to_primitive_int(list(b_frac))
-    a_work = [Fraction(x) for x in a]
-    db = len(b) - 1
-    out = [Fraction(0)] * (len(a) - db)
-    for i in range(len(a_work) - 1, db - 1, -1):
-        coeff = a_work[i] / b[-1]
-        out[i - db] = coeff
-        if coeff:
-            for t in range(db + 1):
-                a_work[i - db + t] -= coeff * b[t]
-    return out

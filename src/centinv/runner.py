@@ -397,8 +397,7 @@ def cmd_nullcone(ctx: PartitionContext) -> Certificate:
     sup = top_block_support_check(model, ctx.slice)
     fam = enumerate_components(p)
     zero_ok = component_zero_locus_check(model, ctx.slice)
-    cert = transversality_certificate(
-        p, seed=ctx.cfg.seed, verify_support=True, budget=ctx.cfg.budget_n)
+    cert = transversality_certificate(model, ctx.slice, seed=ctx.cfg.seed)
     reg = regular_sequence_report(p, cert)
     ok = sup.passed and zero_ok and cert.passed and reg.passed
     witnesses = {

@@ -210,7 +210,7 @@ def test_criterion_9_null_cone():
             fam = enumerate_components(p)
             ok &= fam.count == comb(p.d[-1] + p.k, p.k - 1)
             ok &= component_zero_locus_check(m, sr)
-            cert = transversality_certificate(p, seed=SEED, verify_support=True)
+            cert = transversality_certificate(m, sr, seed=SEED)
             ok &= cert.passed and cert.total_dim == n
             ok &= regular_sequence_report(p, cert).passed
     assert report("9 (null-cone geometry, n<=6)", ok)

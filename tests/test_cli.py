@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from centinv.cli import main
 
 
@@ -50,6 +52,30 @@ def test_unknown_command_is_usage_error(capsys):
                  "--commands", "nullcone"])
     assert code == 2
     assert "not available" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--partition", "2,1", "--commands", "lines", "--lines", "0"],
+    ["verify", "--partition", "2,1", "--commands", "lines", "--lines", "-2"],
+    ["verify", "--partition", "2,1", "--commands", "index", "--samples", "0"],
+    ["verify", "--partition", "2,1", "--commands", "plane", "--grid", "1"],
+    ["verify", "--partition", "2,1", "--commands", "diffcrit", "--points", "-1"],
+    ["sweep", "--max-n", "0", "--all"],
+])
+def test_option_without_evidence_is_usage_error(capsys, argv):
+    # each value would sample nothing and so certify nothing
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "must be at least" in captured.err
+    assert captured.out == ""
+
+
+def test_least_sampling_options_still_run(capsys):
+    code, out = run_cli(capsys, "verify", "--partition", "2,1",
+                        "--commands", "index,diffcrit,plane,lines", "--seed", "7",
+                        "--grid", "2", "--points", "0", "--lines", "1", "--samples", "1")
+    assert code == 0
+    assert "4 pass, 0 fail, 0 error" in out
 
 
 def test_budget_exceeded_is_resource_error(capsys):

@@ -104,11 +104,13 @@ def test_components_kill_restricted_invariants(parts):
 @pytest.mark.parametrize("parts", ["2,1", "4", "2,2", "3,2,1", "2,2,2"])
 def test_transversality_certificate(parts):
     p = Partition.parse(parts)
-    cert = transversality_certificate(p, seed=11, verify_support=True)
+    m = build_gl_model(p)
+    cert = transversality_certificate(m, principal_minor_sums(m), seed=11)
     assert cert.passed
     assert cert.total_dim == p.n
     for stage in cert.stages:
         assert all(d != "0" for _, d in stage.component_dets)
+        assert stage.support_checked is (True if stage.block >= 2 else None)
     rep = regular_sequence_report(p, cert)
     assert rep.passed
     assert rep.codimension == p.n
@@ -117,8 +119,8 @@ def test_transversality_certificate(parts):
 
 def test_transversality_vandermonde_fallback():
     # zero random attempts forces the deterministic construction
-    p = Partition.parse("2,2")
-    cert = transversality_certificate(p, seed=0, attempts=0)
+    m = build_gl_model(Partition.parse("2,2"))
+    cert = transversality_certificate(m, principal_minor_sums(m), seed=0, attempts=0)
     assert cert.passed
     assert any(st.used_fallback for st in cert.stages if st.component_dets)
 

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from centinv.centralizer import build_gl_model, build_sp_model
+from centinv.centralizer import SubalgebraModel, build_gl_model, build_sp_model
 from centinv.invariants import principal_minor_sums
 from centinv.partitions import ClassicalType, Partition, partitions_of
 from centinv.regularity import (
@@ -24,6 +25,13 @@ from centinv.regularity import (
     rho_scale,
     singular_locus_probe,
     stabilizer_dim,
+)
+from centinv.regularity import (
+    _interpolate,
+    _poly_div_exact,
+    _poly_gcd,
+    _primitive,
+    _rational_roots,
 )
 
 
@@ -252,3 +260,90 @@ def test_line_probe_sp_clean():
     sp = build_sp_model(Partition.parse("2,1,1"))
     rep = singular_locus_probe(sp.fixed, lines=10, seed=0)
     assert rep.all_clean
+
+
+@pytest.mark.parametrize("s", [5, 100])
+def test_line_probe_ignores_the_basis_scale(s):
+    # a basis scaled by 1/s scales every bracket form by 1/s: the ranks
+    # and the singular parameters along each line stay the same
+    sp = build_sp_model(Partition.parse("2,1,1"))
+    scaled = SubalgebraModel(sp.gl, [[x / s for x in row] for row in sp.sigma_fixed_basis],
+                             rank=2, algebra="sp")
+
+    def per_line(model):
+        rep = singular_locus_probe(model, lines=10, seed=0)
+        return [(pr.certified, pr.singular_values, pr.detail) for pr in rep.lines]
+
+    assert per_line(scaled) == per_line(sp.fixed)
+    assert singular_locus_probe(scaled, lines=10, seed=0).all_clean
+
+
+# -- the integer univariate helpers of the line probe ---------------------------
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def int_polys(min_degree=0, max_degree=5):
+    """Integer coefficient lists, low degree first, with a nonzero leading term."""
+    return st.builds(
+        lambda low, lead: low + [lead],
+        st.lists(st.integers(-30, 30), min_size=min_degree, max_size=max_degree),
+        st.integers(-30, 30).filter(bool))
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_polys(max_degree=7))
+def test_interpolate_recovers_the_primitive_part(f):
+    values = [sum(x * t ** i for i, x in enumerate(f)) for t in range(len(f))]
+    assert _interpolate(values) == _primitive(f)
+    assert _interpolate([0] * len(f)) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_polys(), int_polys(), int_polys(max_degree=3))
+def test_poly_gcd_holds_the_common_factor(a, b, g):
+    ag, bg = poly_mul(a, g), poly_mul(b, g)
+    h = _poly_gcd(ag, bg)
+    assert h == _primitive(h)
+    _poly_div_exact(h, _primitive(g))
+    _poly_div_exact(ag, h)
+    _poly_div_exact(bg, h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_polys(), int_polys(min_degree=1, max_degree=3), st.integers(-50, 50).filter(bool))
+def test_poly_div_exact_rejects_a_non_divisor(q, b, r):
+    b = _primitive(b)
+    a = poly_mul(q, b)
+    assert _poly_div_exact(a, b) == q
+    a[0] += r  # remainder r of degree 0 < deg b
+    with pytest.raises(ArithmeticError):
+        _poly_div_exact(a, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-64, 64), unique=True, max_size=4),
+       st.integers(-99, 99), st.integers(1, 9), st.integers(-99, 99), st.integers(1, 9))
+def test_rational_roots_finds_the_planted_roots(integers, q1, p1, q2, p2):
+    pair = {Fraction(q1, p1), Fraction(q2, p2)}
+    planted = pair | {Fraction(t) for t in integers}
+    assume(len(planted) == len(integers) + 2)
+    f = [1]
+    for t in integers:
+        f = poly_mul(f, [-t, 1])
+    for t in pair:
+        f = poly_mul(f, [-t.numerator, t.denominator])
+    assert _rational_roots(_primitive(f)) == (sorted(planted), True)
+
+
+def test_rational_roots_flags_what_it_cannot_decide():
+    assert _rational_roots([-2, 0, 1]) == ([], True)         # t^2 - 2: irrational pair
+    assert _rational_roots([1, 0, 1]) == ([], True)          # t^2 + 1: no real root
+    assert _rational_roots([-2, 0, 0, 1]) == ([], False)     # t^3 - 2: cubic left over
+    assert _rational_roots([65, -1]) == ([Fraction(65)], True)
