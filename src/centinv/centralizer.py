@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .linalg import RatMatrix
 from .partitions import (
@@ -150,6 +150,17 @@ class StructureTable:
     """Bracket lookup in ``structure``: basis pairs a < b -> ((c, coeff), ...)."""
 
     structure: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
+    _int_structure = None
+
+    def integer_structure(self) -> tuple[list[tuple[int, int, tuple[tuple[int, int], ...]]], int]:
+        """``structure`` cleared once: ([(a, b, ((c, S * coeff), ...)), ...], S)
+        with S > 0 the least common denominator of all the constants; cached."""
+        if self._int_structure is None:
+            S = lcm(*(v.denominator for entries in self.structure.values() for _, v in entries))
+            table = [(a, b, tuple((c, int(v * S)) for c, v in entries))
+                     for (a, b), entries in self.structure.items()]
+            self._int_structure = (table, S)
+        return self._int_structure
 
     def bracket_vec(self, a: int, b: int) -> tuple[tuple[int, Fraction], ...]:
         if a == b:

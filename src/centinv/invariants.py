@@ -24,7 +24,7 @@ from .centralizer import (
     commutator,
     trace_dual,
 )
-from .linalg import RatMatrix
+from .linalg import RatMatrix, bareiss, clear_denominators
 from .partitions import Partition, degrees_gl, degrees_sp
 from .poly import SparsePoly, _MASK, _WIDTH, _accumulate_product
 
@@ -571,45 +571,51 @@ def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
 
 
 def evaluate_jacobian(polys, variables: tuple[str, ...],
-                      point: dict) -> list[list[Fraction]]:
-    """Rows of partial derivatives at a point, one pass per polynomial.
+                      point: dict) -> list[list[int]]:
+    """Integer rows, one pass per polynomial: each row is a positive
+    multiple of the gradient row at the point (positive row multiple;
+    rank only).
 
-    Each monomial is evaluated once and feeds every partial it touches;
-    variables with value zero are handled exactly (a monomial with two
-    zero factors contributes to no partial, one zero factor of exponent
-    one contributes only to that partial).
+    The point is cleared to v / D with integer v and D > 0, and each
+    polynomial's coefficients to integers (``SparsePoly.integer_terms``).
+    Scaling a term of degree k by D^(M - k), M the top degree, turns the
+    row into den * D^(M - 1) times the gradient.  Each monomial is
+    evaluated once and feeds every partial it touches; variables with
+    value zero are handled exactly (a monomial with two zero factors
+    contributes to no partial, one zero factor of exponent one
+    contributes only to that partial).
     """
-    vals = [Fraction(point[name]) for name in variables]
+    vals, D = clear_denominators([Fraction(point[name]) for name in variables])
     rows = []
     for P in polys:
         if P.variables != variables:
             raise ValueError("polynomial is not over the expected coordinates")
-        row = [Fraction(0)] * len(variables)
-        for factors, coeff in P.factored_terms():
+        top = P.total_degree()
+        scale = [D ** (top - k) for k in range(top + 1)]
+        row = [0] * len(variables)
+        for factors, coeff, k in P.integer_terms():
             zeros = [(i, e) for (i, e) in factors if not vals[i]]
             if len(zeros) >= 2:
                 continue
+            prod = coeff * scale[k]
             if len(zeros) == 1:
                 i0, e0 = zeros[0]
                 if e0 == 1:
-                    prod = coeff
                     for i, e in factors:
                         if i != i0:
                             prod *= vals[i] ** e
                     row[i0] += prod
                 continue
-            prod = coeff
             for i, e in factors:
                 prod *= vals[i] ** e
             for i, e in factors:
-                row[i] += prod * e / vals[i]
+                row[i] += prod // vals[i] * e
         rows.append(row)
     return rows
 
 
 def jacobian_rank_at(sr: SliceRestriction, model, point: dict) -> int:
-    rows = evaluate_jacobian(sr.initial, model.var_names, point)
-    return RatMatrix(rows).rank()
+    return bareiss(evaluate_jacobian(sr.initial, model.var_names, point))[0]
 
 
 def initial_algebra_rank(sr: SliceRestriction, model, seed: int = 0,

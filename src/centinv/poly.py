@@ -9,6 +9,7 @@ has an empty term map.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 _WIDTH = 16
@@ -63,13 +64,14 @@ def _accumulate_product(acc: dict, terms: dict, factor: dict, parity: int) -> No
 class SparsePoly:
     """Immutable sparse polynomial over an ordered variable tuple."""
 
-    __slots__ = ("variables", "terms", "_deg", "_factors")
+    __slots__ = ("variables", "terms", "_deg", "_factors", "_ints")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[int, Fraction] | None = None):
         object.__setattr__(self, "variables", tuple(variables))
         object.__setattr__(self, "terms", dict(terms) if terms else {})
         object.__setattr__(self, "_deg", None)
         object.__setattr__(self, "_factors", None)
+        object.__setattr__(self, "_ints", None)
         _index_map(self.variables)
 
     def __setattr__(self, *a):  # pragma: no cover - guard only
@@ -162,6 +164,17 @@ class SparsePoly:
                 out.append((tuple(factors), coeff))
             object.__setattr__(self, "_factors", out)
         return self._factors
+
+    def integer_terms(self) -> list[tuple[tuple[tuple[int, int], ...], int, int]]:
+        """``factored_terms`` as (factors, den * coefficient, degree), where
+        den > 0 is the least common denominator of the coefficients; cached."""
+        if self._ints is None:
+            terms = self.factored_terms()
+            den = lcm(*(c.denominator for _, c in terms))
+            out = [(factors, int(c * den), sum(e for _, e in factors))
+                   for factors, c in terms]
+            object.__setattr__(self, "_ints", out)
+        return self._ints
 
     def max_exponent(self, name: str) -> int:
         idx = _index_map(self.variables)[name]

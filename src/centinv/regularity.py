@@ -3,7 +3,17 @@
 The skew form B(gamma)_{ab} = gamma([xi_a, xi_b]) drives everything:
 stabiliser dimensions are exact kernel dimensions, the index is the
 corank at the best sampled point, and the singular locus is probed by
-exact polynomial gcds of maximal minors along random lines.
+polynomial gcds of maximal minors along random lines.  Ranks come from
+integer rows: the structure constants and the functional are cleared
+once, and a positive multiple of B(gamma) has its rank.
+
+The line probe certifies modulo the prime p = 2^61 - 1.  Each
+compression D_j(t) = det(U B(t) V) is a Z-combination of the maximal
+minors (Cauchy-Binet), so their primitive gcd g divides every D_j, and
+lc(g) divides the leading coefficient det(U B_1 V).  When that is
+nonzero mod p for one D_j, deg(g mod p) = deg g, and a constant gcd of
+the D_j mod p proves g constant: the line misses the singular locus.
+Every other line is decided over Z exactly.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, isqrt
+from operator import mul
 
 from .centralizer import CentralizerModel, SymplecticModel, XiIndex
 from .linalg import RatMatrix, bareiss, clear_denominators
@@ -92,26 +103,41 @@ def random_functional(model, rng: random.Random) -> Functional:
     return Functional(coords, "RANDOM")
 
 
-def bracket_form_matrix(model, gamma: Functional) -> RatMatrix:
-    """B(gamma)_{ab} = gamma([xi_a, xi_b]); skew-symmetric."""
+def _bracket_rows(model, coords: list[int]) -> list[list[int]]:
+    """S * B(gamma) in integer rows for integer coordinates of gamma, S the
+    scale of ``model.integer_structure()`` (positive row multiple; rank only).
+
+    A functional cleared to den * gamma gives rows S * den * B(gamma).
+    """
     r = model.dim
-    rows = [[Fraction(0)] * r for _ in range(r)]
-    for (a, b), entries in model.structure.items():
-        v = Fraction(0)
+    rows = [[0] * r for _ in range(r)]
+    for a, b, entries in model.integer_structure()[0]:
+        v = 0
         for c, coeff in entries:
-            g = gamma.coords[c]
+            g = coords[c]
             if g:
                 v += coeff * g
         if v:
             rows[a][b] = v
             rows[b][a] = -v
-    return RatMatrix(rows)
+    return rows
+
+
+def _form_rank(model, gamma: Functional) -> int:
+    return bareiss(_bracket_rows(model, clear_denominators(gamma.coords)[0]))[0]
+
+
+def bracket_form_matrix(model, gamma: Functional) -> RatMatrix:
+    """B(gamma)_{ab} = gamma([xi_a, xi_b]); skew-symmetric."""
+    coords, den = clear_denominators(gamma.coords)
+    den *= model.integer_structure()[1]
+    return RatMatrix([[Fraction(x, den) for x in row]
+                      for row in _bracket_rows(model, coords)])
 
 
 def stabilizer_dim(gamma: Functional, model) -> int:
     """Kernel dimension of the bracket form at gamma."""
-    B = bracket_form_matrix(model, gamma)
-    return model.dim - B.rank()
+    return model.dim - _form_rank(model, gamma)
 
 
 @dataclass
@@ -174,7 +200,7 @@ def index_report(model, samples: int = 10, seed: int = 0,
     per_point = []
     certificate = None
     for gamma in points:
-        rk = bracket_form_matrix(model, gamma).rank()
+        rk = _form_rank(model, gamma)
         stab = r - rk
         per_point.append((gamma.provenance, stab))
         if rk > best_rank:
@@ -340,13 +366,10 @@ def choose_generators(sr: SliceRestriction, model, at: Functional) -> list[int]:
     """Greedy subfamily whose gradients reach full rank at the given point."""
     all_rows = evaluate_jacobian(sr.initial, model.var_names, at.point(model))
     chosen: list[int] = []
-    rows: list[list[Fraction]] = []
     rank = 0
     for ell in range(sr.count):
-        cand = rows + [all_rows[ell]]
-        new_rank = RatMatrix(cand).rank()
+        new_rank = bareiss([all_rows[i][:] for i in chosen + [ell]])[0]
         if new_rank > rank:
-            rows.append(all_rows[ell])
             chosen.append(ell)
             rank = new_rank
         if rank == model.rank:
@@ -362,7 +385,7 @@ def differential_criterion(sr: SliceRestriction, model, gamma: Functional,
     gens = generators if generators is not None else list(range(sr.count))
     rows = evaluate_jacobian([sr.initial[ell] for ell in gens],
                              model.var_names, gamma.point(model))
-    jac_rank = RatMatrix(rows).rank()
+    jac_rank = bareiss(rows)[0]
     stab = stabilizer_dim(gamma, model)
     return DifferentialCriterionResult(
         provenance=gamma.provenance,
@@ -509,7 +532,153 @@ class LineProbeReport:
 
 def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
+# -- compressions modulo a prime -----------------------------------------------
+
+_PRIME = (1 << 61) - 1
+
+
+def _solve_mod(A: list[list[int]], B: list[list[int]], prime: int):
+    """(det A, A^-1 B) modulo prime by one Gauss-Jordan pass; (0, None)
+    when A is singular modulo prime."""
+    n = len(A)
+    aug = [[x % prime for x in ra] + [x % prime for x in rb] for ra, rb in zip(A, B)]
+    det = 1
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col]), None)
+        if piv is None:
+            return 0, None
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = -det
+        pv = aug[col][col]
+        det = det * pv % prime
+        inv = pow(pv, -1, prime)
+        pr = [x * inv % prime for x in aug[col][col:]]
+        aug[col][col:] = pr
+        for i in range(n):
+            f = aug[i][col]
+            if f and i != col:
+                aug[i][col:] = [(x - f * y) % prime for x, y in zip(aug[i][col:], pr)]
+    return det % prime, [row[n:] for row in aug]
+
+
+def _charpoly_mod(H: list[list[int]], prime: int) -> list[int]:
+    """det(t Id - H) modulo prime, low degree first; H is overwritten.
+
+    H is brought to upper Hessenberg form by similarity transforms, then
+    p_0 = 1 and p_{m+1} = (t - h_mm) p_m
+    - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_i  (Cohen, A Course in
+    Computational Algebraic Number Theory, 2.2.9).
+    """
+    n = len(H)
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if H[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            H[m], H[piv] = H[piv], H[m]
+            for row in H:
+                row[m], row[piv] = row[piv], row[m]
+        inv = pow(H[m][m - 1], -1, prime)
+        pr = H[m][m - 1:]
+        us = []
+        for i in range(m + 1, n):
+            u = H[i][m - 1] * inv % prime
+            if u:
+                H[i][m - 1:] = [(x - u * y) % prime for x, y in zip(H[i][m - 1:], pr)]
+                us.append((i, u))
+        if us:
+            for row in H:
+                row[m] = (row[m] + sum(u * row[i] for i, u in us)) % prime
+    polys = [[1]]
+    for m in range(n):
+        new = [0] + polys[m]
+        h = H[m][m]
+        for k, c in enumerate(polys[m]):
+            new[k] -= h * c
+        prod = 1
+        for i in range(m - 1, -1, -1):
+            prod = prod * H[i + 1][i] % prime
+            if not prod:
+                break
+            coef = H[i][m] * prod % prime
+            if coef:
+                for k, c in enumerate(polys[i]):
+                    new[k] -= coef * c
+        polys.append([x % prime for x in new])
+    return polys[n]
+
+
+def _pencil_mod(C0: list[list[int]], C1: list[list[int]], prime: int) -> list[int] | None:
+    """det(C0 + t C1) modulo prime, low degree first, as
+    det(C1) charpoly(-C1^-1 C0); None when det(C1) = 0 modulo prime."""
+    det1, X = _solve_mod(C1, C0, prime)
+    if X is None:
+        return None
+    # det(C0 + t C1) = det(C1) det(t Id + X) = det(C1) charpoly(-X)
+    chi = _charpoly_mod([[-x % prime for x in row] for row in X], prime)
+    return [det1 * c % prime for c in chi]
+
+
+def _pencil_exact(C0: list[list[int]], C1: list[list[int]]) -> list[int]:
+    """Primitive part of det(C0 + t C1) over Z, from rho + 1 Bareiss
+    determinants and their interpolant."""
+    return _interpolate([
+        bareiss([[x + t * y for x, y in zip(r0, r1)] for r0, r1 in zip(C0, C1)])[1]
+        for t in range(len(C0) + 1)])
+
+
+def _gcd_mod(a: list[int], b: list[int], prime: int) -> list[int]:
+    """A gcd in F_prime[t] of two nonzero trimmed polynomials, low degree first."""
+    while b:
+        a = list(a)
+        inv = pow(b[-1], -1, prime)
+        db = len(b) - 1
+        while len(a) > db:
+            q = a.pop() * inv % prime
+            off = len(a) - db
+            for t in range(db):
+                a[off + t] = (a[off + t] - q * b[t]) % prime
+            _trim(a)
+        a, b = b, a
+    return a
+
+
+def _compress_line(B0: list[list[int]], B1: list[list[int]], rho: int,
+                   rng: random.Random, budget: int, prime: int = _PRIME):
+    """Draw compressions (U B0 V, U B1 V) until their gcd modulo prime is
+    certified constant; returns (certified, the compressions drawn).
+
+    A compression whose C1 is singular modulo prime is interpolated over
+    Z and reduced.  Certification needs the gcd modulo prime to be
+    constant and an anchor: a compression whose degree survives the
+    reduction, which det(C1) != 0 modulo prime guarantees.
+    """
+    r = len(B0)
+    drawn = []
+    gcd_mod: list[int] | None = None
+    anchored = False
+    for _ in range(budget):
+        U = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rho)]
+        V = [[rng.randint(-3, 3) for _ in range(rho)] for _ in range(r)]
+        C0 = _int_matmul(_int_matmul(U, B0), V)
+        C1 = _int_matmul(_int_matmul(U, B1), V)
+        drawn.append((C0, C1))
+        dpoly = _pencil_mod(C0, C1, prime)
+        if dpoly is None:
+            exact = _pencil_exact(C0, C1)
+            dpoly = _trim([x % prime for x in exact])
+            anchored = anchored or (bool(dpoly) and len(dpoly) == len(exact))
+        else:
+            anchored = True
+        if dpoly:
+            gcd_mod = dpoly if gcd_mod is None else _gcd_mod(gcd_mod, dpoly, prime)
+            if len(gcd_mod) == 1 and anchored:
+                return True, drawn
+    return False, drawn
 
 
 def singular_locus_probe(model, lines: int = 10, seed: int = 0,
@@ -518,17 +687,29 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0,
 
     A parameter is singular when the bracket form drops below its
     generic rank rho.  Along a line those parameters are the common
-    roots of all rho x rho minors.  Each interpolated compression
-    det(U B(t) V) with random integer U, V is a linear combination of
-    those minors (Cauchy-Binet), hence divisible by their gcd; driving
-    the gcd of a few compressions to a constant therefore certifies
-    that no parameter value is singular.
+    roots of all rho x rho minors.  Each compression
+    D_j(t) = det(U B(t) V) with random integer U, V is a linear
+    combination of those minors (Cauchy-Binet), hence divisible by their
+    gcd; driving the gcd of a few compressions to a constant therefore
+    certifies that no parameter value is singular.
 
-    Everything runs over Z.  One common denominator den clears both
-    bracket forms, and den B(t) has the rank of B(t) for every t; at a
-    rational t = num/d the integer matrix d den B(t) has it too.  The
-    content of a polynomial is irrelevant to its roots, so every
-    polynomial is kept primitive.
+    Everything runs over Z.  The structure constants and both
+    functionals are cleared by one common scale, and that multiple of
+    B(t) has the rank of B(t) for every t; at a rational t = num/d the
+    integer matrix d den B(t) has it too.
+
+    The gcd is taken modulo the prime p = 2^61 - 1.  Each D_j mod p is
+    det(C1) charpoly(-C1^-1 C0), one Gauss-Jordan pass and one
+    Hessenberg reduction in O(rho^3).  Soundness: the primitive gcd g of
+    the D_j over Z divides every D_j, so g mod p divides their gcd mod
+    p; and g divides a D_j whose leading coefficient det(C1) is nonzero
+    mod p, so lc(g) is nonzero mod p and deg(g mod p) = deg g.  A
+    constant gcd mod p with at least one such D_j therefore proves g
+    constant.  A compression with det(C1) = 0 mod p is interpolated
+    exactly and reduced (its primitive part anchors the same way when
+    its leading coefficient is nonzero mod p); a line whose gcd mod p
+    stays nonconstant through the budget recomputes its compressions
+    over Z, and the exact primitive gcd decides it.
     """
     rng = random.Random(seed)
     r = model.dim
@@ -547,10 +728,9 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0,
         else:
             probes.append(LineProbe(False, None, 0, "degenerate direction"))
             continue
-        rows = bracket_form_matrix(model, g0).rows + bracket_form_matrix(model, g1).rows
-        cleared, _ = clear_denominators([x for row in rows for x in row])
-        B0 = [cleared[i:i + r] for i in range(0, r * r, r)]
-        B1 = [cleared[i:i + r] for i in range(r * r, 2 * r * r, r)]
+        cleared, _ = clear_denominators(g0.coords + g1.coords)
+        B0 = _bracket_rows(model, cleared[:r])
+        B1 = _bracket_rows(model, cleared[r:])
 
         def b_at(num: int, den: int = 1) -> list[list[int]]:
             """den * B(num / den) in integer rows."""
@@ -560,21 +740,16 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0,
             probes.append(LineProbe(False, None, 0, "line misses the regular locus"))
             continue
 
+        clean, drawn = _compress_line(B0, B1, rho, rng, minor_budget)
+        used = len(drawn)
+        if clean:
+            probes.append(LineProbe(True, 0, used, ""))
+            continue
         gcd_poly: list[int] | None = None
-        used = 0
-        for _ in range(minor_budget):
-            U = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rho)]
-            V = [[rng.randint(-3, 3) for _ in range(rho)] for _ in range(r)]
-            C0 = _int_matmul(_int_matmul(U, B0), V)
-            C1 = _int_matmul(_int_matmul(U, B1), V)
-            dpoly = _interpolate([
-                bareiss([[x + t * y for x, y in zip(r0, r1)] for r0, r1 in zip(C0, C1)])[1]
-                for t in range(rho + 1)])
-            used += 1
+        for C0, C1 in drawn:
+            dpoly = _pencil_exact(C0, C1)
             if dpoly:
                 gcd_poly = dpoly if gcd_poly is None else _poly_gcd(gcd_poly, dpoly)
-                if len(gcd_poly) == 1:
-                    break
         if gcd_poly is None:
             probes.append(LineProbe(False, None, used, "no usable compression found"))
         elif len(gcd_poly) == 1:

@@ -9,11 +9,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from centinv.centralizer import XiIndex, build_gl_model, build_sp_model
 from centinv.invariants import (
     BudgetExceededError,
     conjecture_explicit_check,
+    evaluate_jacobian,
     expected_degrees,
     initial_algebra_rank,
     monomial_support_check,
@@ -285,3 +287,59 @@ def test_expected_degrees_dispatch():
     assert expected_degrees(sr) == (1, 1, 2)
     sp = build_sp_model(Partition.parse("2,1,1"))
     assert expected_degrees(symplectic_minor_sums(sp)) == (1, 3)
+
+
+# -- the integer Jacobian rows --------------------------------------------------
+
+JAC_VARS = ("x1", "x2", "x3", "x4")
+
+
+def assert_positive_multiple(row, oracle):
+    """row == lam * oracle for one rational lam > 0."""
+    pivot = next((i for i, o in enumerate(oracle) if o), None)
+    if pivot is None:
+        assert not any(row)
+        return
+    lam = Fraction(row[pivot]) / oracle[pivot]
+    assert lam > 0
+    assert [Fraction(x) for x in row] == [lam * o for o in oracle]
+
+
+def check_jacobian_rows(polys, point):
+    rows = evaluate_jacobian(polys, JAC_VARS, point)
+    assert all(isinstance(x, int) for row in rows for x in row)
+    for P, row in zip(polys, rows):
+        assert_positive_multiple(
+            row, [P.partial_derivative(v).evaluate(point) for v in JAC_VARS])
+
+
+def test_integer_jacobian_zero_factor_branches():
+    # at x1 = x2 = 0: x1*x2*x3 has two zero factors, x1*x3 one of exponent 1,
+    # x1^2*x4 one of exponent 2, and x3^2*x4 none
+    P = SparsePoly.from_exponents(JAC_VARS, [
+        ({"x1": 1, "x2": 1, "x3": 1}, Fraction(2, 3)),
+        ({"x1": 1, "x3": 1}, Fraction(-5, 2)),
+        ({"x1": 2, "x4": 1}, Fraction(7)),
+        ({"x3": 2, "x4": 1}, Fraction(1, 6)),
+        ({}, Fraction(4)),
+    ])
+    point = {"x1": 0, "x2": 0, "x3": Fraction(2, 3), "x4": Fraction(-5, 7)}
+    check_jacobian_rows([P, P.homogeneous_component(3)], point)
+
+
+monomials = st.dictionaries(st.sampled_from(JAC_VARS), st.integers(1, 3), max_size=4)
+coefficients = st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(1, 12))
+coordinates = st.one_of(st.just(Fraction(0)),
+                        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(monomials, coefficients), max_size=8), st.booleans(),
+       st.fixed_dictionaries({v: coordinates for v in JAC_VARS}))
+@example([({"x1": 1, "x2": 1}, Fraction(1)), ({"x1": 1}, Fraction(3, 2))], False,
+         {"x1": Fraction(0), "x2": Fraction(0), "x3": Fraction(1, 2), "x4": Fraction(3)})
+def test_integer_jacobian_rows_are_positive_multiples(terms, homogeneous, point):
+    P = SparsePoly.from_exponents(JAC_VARS, terms)
+    if homogeneous:
+        P = P.homogeneous_component(P.total_degree())
+    check_jacobian_rows([P, P * P], point)

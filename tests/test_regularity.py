@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from centinv.centralizer import SubalgebraModel, build_gl_model, build_sp_model
 from centinv.invariants import principal_minor_sums
@@ -26,8 +26,14 @@ from centinv.regularity import (
     singular_locus_probe,
     stabilizer_dim,
 )
+from centinv.linalg import RatMatrix, bareiss
 from centinv.regularity import (
+    _PRIME,
+    _compress_line,
+    _int_matmul,
     _interpolate,
+    _pencil_exact,
+    _pencil_mod,
     _poly_div_exact,
     _poly_gcd,
     _primitive,
@@ -347,3 +353,139 @@ def test_rational_roots_flags_what_it_cannot_decide():
     assert _rational_roots([1, 0, 1]) == ([], True)          # t^2 + 1: no real root
     assert _rational_roots([-2, 0, 0, 1]) == ([], False)     # t^3 - 2: cubic left over
     assert _rational_roots([65, -1]) == ([Fraction(65)], True)
+
+
+# -- the modular compressions of the line probe ---------------------------------
+
+
+def int_matrices(rows, cols, lo=-5, hi=5):
+    return st.lists(st.lists(st.integers(lo, hi), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def pencils(draw, max_rho=8):
+    """(C0, C1) of size rho <= max_rho; C1 has a zero row when asked to."""
+    rho = draw(st.integers(1, max_rho))
+    C0 = draw(int_matrices(rho, rho))
+    C1 = draw(int_matrices(rho, rho))
+    zero_row = draw(st.booleans())
+    if zero_row:
+        C1[draw(st.integers(0, rho - 1))] = [0] * rho
+    return C0, C1, zero_row
+
+
+@settings(max_examples=150, deadline=None)
+@given(pencils())
+@example(([[1, 2], [3, 4]], [[0, 0], [1, 1]], True))
+@example(([[1, 2], [3, 4]], [[1, 0], [0, 1]], False))
+def test_pencil_mod_matches_the_exact_determinants(pencil):
+    C0, C1, zero_row = pencil
+    rho = len(C0)
+    got = _pencil_mod(C0, C1, _PRIME)
+    if got is None:
+        # only a C1 that is singular modulo the prime takes the exact fallback
+        assert bareiss([row[:] for row in C1])[1] % _PRIME == 0
+        return
+    assert not zero_row
+    assert len(got) == rho + 1
+    for t in range(rho + 1):
+        exact = bareiss([[x + t * y for x, y in zip(r0, r1)] for r0, r1 in zip(C0, C1)])[1]
+        assert sum(c * t ** i for i, c in enumerate(got)) % _PRIME == exact % _PRIME
+
+
+def exact_gcd(drawn):
+    g = None
+    for C0, C1 in drawn:
+        d = _pencil_exact(C0, C1)
+        if d:
+            g = d if g is None else _poly_gcd(g, d)
+    return g
+
+
+small_primes = st.sampled_from([5, 7, 11, 13])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5), st.data(), small_primes, st.integers(-6, 6), st.integers(0, 2 ** 32))
+def test_small_prime_never_certifies_a_planted_singular_parameter(r, data, prime, q, seed):
+    # B(t) = X (Y0 + t Y1) with Y0 + (q/d) Y1 = Z of rank rho - 1: every
+    # compression det(U B(t) V) vanishes at t = q/d.  When the prime
+    # divides d, the factor d t - q is a constant modulo the prime and
+    # only the leading-coefficient anchor keeps it from certifying.
+    d = data.draw(st.sampled_from([1, 2, 3, prime, 2 * prime]))
+    rho = data.draw(st.integers(1, r))
+    X = data.draw(int_matrices(r, rho, -3, 3))
+    W = data.draw(int_matrices(rho, r, -3, 3))
+    Z = data.draw(int_matrices(rho - 1, r, -3, 3)) + [[0] * r]
+    B0 = _int_matmul(X, [[z - q * w for z, w in zip(rz, rw)] for rz, rw in zip(Z, W)])
+    B1 = _int_matmul(X, [[d * w for w in rw] for rw in W])
+    certified, drawn = _compress_line(B0, B1, rho, random.Random(seed), 6, prime)
+    assert not certified
+    assert len(drawn) == 6
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 5), st.data(), small_primes, st.integers(0, 2 ** 32))
+def test_small_prime_certificate_implies_a_constant_exact_gcd(r, data, prime, seed):
+    rho = data.draw(st.integers(1, r))
+    B0 = data.draw(int_matrices(r, r, -2, 2))
+    B1 = data.draw(int_matrices(r, r, -2, 2))
+    certified, drawn = _compress_line(B0, B1, rho, random.Random(seed), 6, prime)
+    if certified:
+        g = exact_gcd(drawn)
+        assert g is not None and len(g) == 1
+
+
+# -- integer bracket forms ------------------------------------------------------
+
+
+def exact_form(model, gamma):
+    """B(gamma) straight from the rational structure constants."""
+    r = model.dim
+    rows = [[Fraction(0)] * r for _ in range(r)]
+    for (a, b), entries in model.structure.items():
+        v = sum((coeff * gamma.coords[c] for c, coeff in entries), Fraction(0))
+        rows[a][b], rows[b][a] = v, -v
+    return RatMatrix(rows)
+
+
+def rational_functionals(model, rng, count=6):
+    out = [random_functional(model, rng) for _ in range(count)]
+    out += [Functional(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                             for _ in range(model.dim)), "RATIONAL")
+            for _ in range(count)]
+    return out
+
+
+def check_integer_form(model, gammas):
+    for gamma in gammas:
+        B = exact_form(model, gamma)
+        assert bracket_form_matrix(model, gamma) == B
+        assert model.dim - stabilizer_dim(gamma, model) == B.rank()
+
+
+@pytest.mark.parametrize("parts", ["2", "2,1,1", "2,2", "4,2", "2,2,1,1", "3,3"])
+def test_integer_form_rank_on_symplectic_fixed_parts(parts):
+    sp = build_sp_model(Partition.parse(parts))
+    rng = random.Random(3)
+    gammas = rational_functionals(sp.fixed, rng) + [restrict_alpha_to_fixed(sp)]
+    check_integer_form(sp.fixed, gammas)
+
+
+@pytest.mark.parametrize("s", [5, 100])
+def test_integer_form_rank_on_a_scaled_basis(s):
+    sp = build_sp_model(Partition.parse("2,1,1"))
+    scaled = SubalgebraModel(sp.gl, [[x / s for x in row] for row in sp.sigma_fixed_basis],
+                             rank=2, algebra="sp")
+    assert scaled.integer_structure()[1] > 1  # the constants are not integral
+    check_integer_form(scaled, rational_functionals(scaled, random.Random(s)))
+
+
+@pytest.mark.parametrize("parts", ["2,1", "3,2", "2,2,1"])
+def test_integer_form_rank_on_rho_scaled_functionals(parts):
+    m = build_gl_model(Partition.parse(parts))
+    rng = random.Random(11)
+    gammas = [rho_scale(m, g, Fraction(-1, 3)) for g in rational_functionals(m, rng, 4)]
+    gammas.append(rho_scale(m, build_alpha(m, default_alpha_coefficients(m)), Fraction(-1, 3)))
+    check_integer_form(m, gammas)
