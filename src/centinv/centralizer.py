@@ -147,27 +147,31 @@ def _sparse_commutator(a: dict, b: dict) -> dict:
 
 
 class StructureTable:
-    """Bracket lookup in ``structure``: basis pairs a < b -> ((c, coeff), ...)."""
+    """Bracket data of a Lie algebra with basis xi_1..xi_r.
+
+    ``structure`` maps basis pairs a < b to the nonzero coordinates
+    ((c, [xi_a, xi_b]_c), ...).  Every computation reads the one derived
+    view ``integer_rows()``; ``structure`` itself stays the exact
+    ``Fraction`` record that the JSON dump and the reference brackets use.
+    """
 
     structure: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
-    _int_structure = None
+    _int_rows = None
 
-    def integer_structure(self) -> tuple[list[tuple[int, int, tuple[tuple[int, int], ...]]], int]:
-        """``structure`` cleared once: ([(a, b, ((c, S * coeff), ...)), ...], S)
-        with S > 0 the least common denominator of all the constants; cached."""
-        if self._int_structure is None:
+    def integer_rows(self) -> tuple[tuple, int]:
+        """(rows, S) with rows[a][b] = ((c, S * [xi_a, xi_b]_c), ...) for every
+        ordered pair, antisymmetry applied (rows[a][a] and zero brackets are
+        empty), and S > 0 the least common denominator of the constants.
+        Built on first use and cached on the model."""
+        if self._int_rows is None:
             S = lcm(*(v.denominator for entries in self.structure.values() for _, v in entries))
-            table = [(a, b, tuple((c, int(v * S)) for c, v in entries))
-                     for (a, b), entries in self.structure.items()]
-            self._int_structure = (table, S)
-        return self._int_structure
-
-    def bracket_vec(self, a: int, b: int) -> tuple[tuple[int, Fraction], ...]:
-        if a == b:
-            return ()
-        if a < b:
-            return self.structure.get((a, b), ())
-        return tuple((c, -v) for c, v in self.structure.get((b, a), ()))
+            r = len(self.var_names)
+            rows = [[()] * r for _ in range(r)]
+            for (a, b), entries in self.structure.items():
+                rows[a][b] = tuple((c, int(v * S)) for c, v in entries)
+                rows[b][a] = tuple((c, -x) for c, x in rows[a][b])
+            self._int_rows = (tuple(map(tuple, rows)), S)
+        return self._int_rows
 
 
 def _trace_product(a: RatMatrix, b: RatMatrix) -> Fraction:

@@ -79,9 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the least value of each count option that still yields evidence
+# the least value of each count option: below it the sampling options give
+# certificates no evidence, --max-n leaves nothing to sweep and --jobs no worker
 _MINIMA = (("--grid", "grid", 2), ("--lines", "lines", 1), ("--points", "diffcrit_points", 0),
-          ("--samples", "index_samples", 1), ("--max-n", "max_n", 1))
+          ("--samples", "index_samples", 1), ("--max-n", "max_n", 1), ("--jobs", "jobs", 1))
 
 
 def _config_from(args: argparse.Namespace, algebra: str, commands: list[str],

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 
 from .centralizer import (
     CentralizerModel,
@@ -25,7 +26,7 @@ from .centralizer import (
     trace_dual,
 )
 from .linalg import RatMatrix, bareiss, clear_denominators
-from .partitions import Partition, degrees_gl, degrees_sp
+from .partitions import Partition
 from .poly import SparsePoly, _MASK, _WIDTH, _accumulate_product
 
 
@@ -197,67 +198,69 @@ def symplectic_minor_sums(sp: SymplecticModel, budget: int = 8) -> SliceRestrict
     )
 
 
-def expected_degrees(sr: SliceRestriction) -> tuple[int, ...]:
-    if sr.algebra == "gl":
-        return degrees_gl(sr.partition).degrees
-    return degrees_sp(sr.partition).degrees
-
-
 # -- Poisson structure ------------------------------------------------------
 
 
 def poisson_bracket(P: SparsePoly, Q: SparsePoly, model) -> SparsePoly:
-    """Linear Poisson bracket of S(g_e): {x_a, x_b} = [xi_a, xi_b] coordinates."""
+    """Linear Poisson bracket of S(g_e): {x_a, x_b} = [xi_a, xi_b] coordinates.
+
+    The exact ``Fraction`` reference: it reads ``model.structure`` through
+    polynomial arithmetic and shares no code with ``coordinate_bracket_with``.
+    """
     names = model.var_names
     if P.variables != names or Q.variables != names:
         raise ValueError("polynomials are not over the model coordinates")
     dP = [P.partial_derivative(v) for v in names]
     dQ = [Q.partial_derivative(v) for v in names]
-    acc: dict[int, Fraction] = {}
-    r = len(names)
-    for a in range(r):
-        if dP[a].is_zero() and dQ[a].is_zero():
-            continue
-        for b in range(a + 1, r):
-            vec = model.bracket_vec(a, b)
-            if not vec:
-                continue
-            wedge = dP[a] * dQ[b] - dP[b] * dQ[a]
-            if wedge.is_zero():
-                continue
-            for c, coeff in vec:
-                key_c = 1 << (_WIDTH * c)
-                for k, v in wedge.terms.items():
-                    key = k + key_c
-                    s = acc.get(key, Fraction(0)) + coeff * v
-                    if s:
-                        acc[key] = s
-                    else:
-                        acc.pop(key, None)
-    return SparsePoly(names, acc)
+    out = SparsePoly(names)
+    for (a, b), entries in model.structure.items():
+        bracket = SparsePoly(names, {1 << (_WIDTH * c): v for c, v in entries})
+        out = out + (dP[a] * dQ[b] - dP[b] * dQ[a]) * bracket
+    return out
 
 
 def coordinate_bracket_with(model, a: int, Q: SparsePoly) -> SparsePoly:
-    """{x_a, Q} without building the full wedge: ad-derivation of Q."""
-    names = model.var_names
-    acc: dict[int, Fraction] = {}
-    for b in range(len(names)):
-        vec = model.bracket_vec(a, b)
-        if not vec:
-            continue
-        dQ = Q.partial_derivative(names[b])
-        if dQ.is_zero():
-            continue
-        for c, coeff in vec:
-            key_c = 1 << (_WIDTH * c)
-            for k, v in dQ.terms.items():
-                key = k + key_c
-                s = acc.get(key, Fraction(0)) + coeff * v
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-    return SparsePoly(names, acc)
+    """{x_a, Q} = sum_b dQ/dx_b * [xi_a, xi_b] in one pass over Q's terms.
+
+    Runs on the cleared table ``model.integer_rows()`` (scale S) and Q's
+    cleared coefficients (scale den), so the sum is S * den * {x_a, Q} in
+    integers; a nonzero result is divided back once.
+    """
+    rows, S = model.integer_rows()
+    row = rows[a]
+    acc: dict[int, int] = {}
+    for key, (factors, coeff, _) in zip(Q.terms, Q.integer_terms()):
+        for b, e in factors:
+            base, w = key - (1 << (_WIDTH * b)), e * coeff
+            for c, v in row[b]:
+                k = base + (1 << (_WIDTH * c))
+                acc[k] = acc.get(k, 0) + w * v
+    acc = {k: v for k, v in acc.items() if v}
+    if acc:
+        den = S * lcm(*(c.denominator for c in Q.terms.values()))
+        acc = {k: Fraction(v, den) for k, v in acc.items()}
+    return SparsePoly(model.var_names, acc)
+
+
+def coadjoint_exp(model, a: int, gamma: list[int]) -> list[Fraction]:
+    """exp(-ad xi_a)^T gamma for a nilpotent ad xi_a and an integer gamma.
+
+    (ad xi_a)^T gamma is the functional b -> gamma([xi_a, xi_b]), so on
+    the cleared table the finite series is sum_k (-1)^k v_k / (k! S^k)
+    with v_0 = gamma and v_{k+1}[b] = sum_c rows[a][b]_c * v_k[c]; it is
+    summed over the common denominator k! S^k as it goes.
+    """
+    rows, S = model.integer_rows()
+    row = rows[a]
+    num, den, v, k = list(gamma), 1, gamma, 0
+    while True:
+        v = [sum(coeff * v[c] for c, coeff in entries) for entries in row]
+        if not any(v):
+            return [Fraction(x, den) for x in num]
+        k += 1
+        sign = -1 if k % 2 else 1
+        num = [k * S * x + sign * y for x, y in zip(num, v)]
+        den *= k * S
 
 
 @dataclass
@@ -272,9 +275,11 @@ def verify_centrality(sr: SliceRestriction, model, seed: int = 0,
                       group_points: int = 5) -> CentralityResult:
     """Exact {x_a, initial_ell} = 0 for all a, ell, plus a group-level probe.
 
-    The group probe conjugates random points by exp(ad x) for fixed-space
-    elements x of positive ad(h) weight (nilpotent, so the exponential is
-    a finite rational sum) and compares values.
+    Both read the model's one cleared structure table: the brackets through
+    ``coordinate_bracket_with``, and the probe, which moves random integer
+    points by exp(-ad x)^T for up to three basis elements x of positive
+    ad(h) weight (nilpotent, so ``coadjoint_exp`` is a finite rational
+    series) and compares the values of each initial term.
     """
     labels = getattr(model, "labels")
     for ell, F in enumerate(sr.initial, start=1):
@@ -291,39 +296,15 @@ def verify_centrality(sr: SliceRestriction, model, seed: int = 0,
         positive = [a for a, w in enumerate(weights) if w > 0]
         r = len(model.var_names)
         for a in positive[:3]:
-            A = _ad_matrix(model, a)
-            # exp(-A), exact because ad of a positive-weight element is nilpotent
-            M = RatMatrix.identity(r)
-            term = RatMatrix.identity(r)
-            fact = 1
-            step = 0
-            while True:
-                step += 1
-                term = term @ A
-                if term.is_zero():
-                    break
-                fact *= step
-                M = M + term.scale(Fraction(-1 if step % 2 else 1, fact))
-            Mt = M.transpose()
             for _ in range(group_points):
-                gamma = [Fraction(rng.randint(-10, 10)) for _ in range(r)]
-                moved = Mt.apply(gamma)
-                point = dict(zip(model.var_names, gamma))
-                moved_point = dict(zip(model.var_names, moved))
+                gamma = [rng.randint(-10, 10) for _ in range(r)]
+                point = {v: Fraction(g) for v, g in zip(model.var_names, gamma)}
+                moved_point = dict(zip(model.var_names, coadjoint_exp(model, a, gamma)))
                 checked += 1
                 for ell, F in enumerate(sr.initial, start=1):
                     if F.evaluate(point) != F.evaluate(moved_point):
                         group_failures.append((labels[a], ell))
     return CentralityResult(not group_failures, None, checked, group_failures)
-
-
-def _ad_matrix(model, a: int) -> RatMatrix:
-    r = len(model.var_names)
-    rows = [[Fraction(0)] * r for _ in range(r)]
-    for b in range(r):
-        for c, v in model.bracket_vec(a, b):
-            rows[c][b] = v
-    return RatMatrix(rows)
 
 
 # -- monomial support -------------------------------------------------------

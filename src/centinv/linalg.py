@@ -93,10 +93,6 @@ class RatMatrix:
     def __eq__(self, other) -> bool:
         return isinstance(other, RatMatrix) and self.rows == other.rows
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         return RatMatrix(
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]

@@ -105,21 +105,21 @@ def random_functional(model, rng: random.Random) -> Functional:
 
 def _bracket_rows(model, coords: list[int]) -> list[list[int]]:
     """S * B(gamma) in integer rows for integer coordinates of gamma, S the
-    scale of ``model.integer_structure()`` (positive row multiple; rank only).
+    scale of ``model.integer_rows()`` (positive row multiple; rank only).
 
     A functional cleared to den * gamma gives rows S * den * B(gamma).
     """
-    r = model.dim
+    table = model.integer_rows()[0]
+    r = len(table)
     rows = [[0] * r for _ in range(r)]
-    for a, b, entries in model.integer_structure()[0]:
-        v = 0
-        for c, coeff in entries:
-            g = coords[c]
-            if g:
-                v += coeff * g
-        if v:
-            rows[a][b] = v
-            rows[b][a] = -v
+    for a, row in enumerate(table):
+        for b in range(a + 1, r):
+            v = 0
+            for c, coeff in row[b]:
+                v += coeff * coords[c]
+            if v:
+                rows[a][b] = v
+                rows[b][a] = -v
     return rows
 
 
@@ -130,7 +130,7 @@ def _form_rank(model, gamma: Functional) -> int:
 def bracket_form_matrix(model, gamma: Functional) -> RatMatrix:
     """B(gamma)_{ab} = gamma([xi_a, xi_b]); skew-symmetric."""
     coords, den = clear_denominators(gamma.coords)
-    den *= model.integer_structure()[1]
+    den *= model.integer_rows()[1]
     return RatMatrix([[Fraction(x, den) for x in row]
                       for row in _bracket_rows(model, coords)])
 

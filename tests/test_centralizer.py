@@ -134,14 +134,20 @@ def test_closed_form_bracket_matches_matrix_commutators(n):
         for a, ia in enumerate(m.xi):
             for b, ib in enumerate(m.xi):
                 closed = closed_form_bracket(p, ia, ib)
-                from_matrix = {m.xi[c]: v for c, v in m.bracket_vec(a, b)}
+                from_matrix = {m.xi[c]: v for c, v in table_bracket(m, a, b).items()}
                 assert {k: Fraction(v) for k, v in closed.items()} == from_matrix, (p, ia, ib)
+
+
+def table_bracket(m, a: int, b: int) -> dict[int, Fraction]:
+    """[xi_a, xi_b] as read from the cleared table the computations use."""
+    rows, S = m.integer_rows()
+    return {c: Fraction(v, S) for c, v in rows[a][b]}
 
 
 def _bracket(m, vec_a: dict, b: int) -> dict:
     out: dict[int, Fraction] = {}
     for a, va in vec_a.items():
-        for c, v in m.bracket_vec(a, b):
+        for c, v in table_bracket(m, a, b).items():
             s = out.get(c, Fraction(0)) + va * v
             if s:
                 out[c] = s
@@ -153,7 +159,7 @@ def _bracket(m, vec_a: dict, b: int) -> dict:
 def _jacobi_defect(m, a: int, b: int, c: int) -> dict:
     total: dict[int, Fraction] = {}
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-        inner = dict(m.bracket_vec(y, z))
+        inner = table_bracket(m, y, z)
         outer = _bracket(m, {k: -v for k, v in inner.items()}, x)
         for k, v in outer.items():
             s = total.get(k, Fraction(0)) + v
@@ -186,10 +192,13 @@ def test_jacobi_sampled_larger():
 def test_antisymmetry():
     m = build_gl_model(Partition.parse("3,2,1"))
     for a in range(m.dim):
+        assert not table_bracket(m, a, a)
         for b in range(m.dim):
-            left = dict(m.bracket_vec(a, b))
-            right = {c: -v for c, v in m.bracket_vec(b, a)}
+            left = table_bracket(m, a, b)
+            right = {c: -v for c, v in table_bracket(m, b, a).items()}
             assert left == right
+            if a < b:
+                assert left == dict(m.structure.get((a, b), ()))
 
 
 def test_bracket_example_with_shift_overflow():

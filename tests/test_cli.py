@@ -61,9 +61,11 @@ def test_unknown_command_is_usage_error(capsys):
     ["verify", "--partition", "2,1", "--commands", "plane", "--grid", "1"],
     ["verify", "--partition", "2,1", "--commands", "diffcrit", "--points", "-1"],
     ["sweep", "--max-n", "0", "--all"],
+    ["sweep", "--max-n", "2", "--all", "--jobs", "0"],
 ])
 def test_option_without_evidence_is_usage_error(capsys, argv):
-    # each value would sample nothing and so certify nothing
+    # each value would sample nothing and so certify nothing, or (--jobs) run
+    # the sweep on no worker
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "must be at least" in captured.err

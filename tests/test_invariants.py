@@ -5,18 +5,20 @@ never touches the subset dynamic programme, and against frozen values
 derived by hand for the two-block partition.
 """
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from centinv.centralizer import XiIndex, build_gl_model, build_sp_model
+from centinv.centralizer import SubalgebraModel, XiIndex, build_gl_model, build_sp_model
 from centinv.invariants import (
     BudgetExceededError,
+    coadjoint_exp,
     conjecture_explicit_check,
+    coordinate_bracket_with,
     evaluate_jacobian,
-    expected_degrees,
     initial_algebra_rank,
     monomial_support_check,
     poisson_bracket,
@@ -26,6 +28,7 @@ from centinv.invariants import (
     top_coefficient_crosscheck,
     verify_centrality,
 )
+from centinv.linalg import RatMatrix
 from centinv.partitions import Partition, degrees_gl, partitions_of
 from centinv.poly import SparsePoly
 
@@ -154,8 +157,9 @@ def test_poisson_bracket_on_coordinates_is_structure_constants():
             Q = SparsePoly.variable(names, names[b])
             br = poisson_bracket(P, Q, m)
             expected = SparsePoly(names)
-            for c, v in m.bracket_vec(a, b):
-                expected = expected + SparsePoly.variable(names, names[c]) * v
+            rows, S = m.integer_rows()
+            for c, v in rows[a][b]:
+                expected = expected + SparsePoly.variable(names, names[c]) * Fraction(v, S)
             assert br == expected
 
 
@@ -281,14 +285,6 @@ def test_symplectic_slice_odd_sums_vanish_and_degrees():
         assert res.passed
 
 
-def test_expected_degrees_dispatch():
-    m = build_gl_model(Partition.parse("2,1"))
-    sr = principal_minor_sums(m)
-    assert expected_degrees(sr) == (1, 1, 2)
-    sp = build_sp_model(Partition.parse("2,1,1"))
-    assert expected_degrees(symplectic_minor_sums(sp)) == (1, 3)
-
-
 # -- the integer Jacobian rows --------------------------------------------------
 
 JAC_VARS = ("x1", "x2", "x3", "x4")
@@ -343,3 +339,88 @@ def test_integer_jacobian_rows_are_positive_multiples(terms, homogeneous, point)
     if homogeneous:
         P = P.homogeneous_component(P.total_degree())
     check_jacobian_rows([P, P * P], point)
+
+
+# -- brackets and the group probe on the cleared structure table --------------
+
+
+@functools.cache
+def bracket_model(name: str):
+    """gl models, and the sp 2,1,1 fixed part with its basis scaled by 1/5
+    so that the structure constants are not integral (S > 1)."""
+    if name == "sp 2,1,1 / 5":
+        sp = build_sp_model(Partition.parse("2,1,1"))
+        return SubalgebraModel(sp.gl, [[x / 5 for x in row] for row in sp.sigma_fixed_basis],
+                               rank=2, algebra="sp")
+    return build_gl_model(Partition.parse(name.split()[1]))
+
+
+def reference_coordinate_bracket(model, a: int, Q: SparsePoly) -> SparsePoly:
+    """sum_b dQ/dx_b * sum_c [xi_a, xi_b]_c x_c from the Fraction constants."""
+    names = model.var_names
+    out = SparsePoly(names)
+    for (x, y), entries in model.structure.items():
+        if a not in (x, y):
+            continue
+        b, sign = (y, 1) if x == a else (x, -1)
+        dQ = Q.partial_derivative(names[b])
+        for c, v in entries:
+            out = out + dQ * SparsePoly.variable(names, names[c]) * (sign * v)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["gl 2,1", "gl 3,2,1", "sp 2,1,1 / 5"]), st.data())
+def test_coordinate_bracket_matches_fraction_reference(name, data):
+    model = bracket_model(name)
+    names = model.var_names
+    assert name.startswith("gl") or model.integer_rows()[1] > 1
+    a = data.draw(st.integers(0, model.dim - 1), label="a")
+    terms = data.draw(st.lists(st.tuples(
+        st.dictionaries(st.sampled_from(names), st.integers(1, 3), min_size=1, max_size=3),
+        st.builds(Fraction, st.integers(-20, 20).filter(bool), st.integers(2, 12))),
+        min_size=1, max_size=6), label="terms")
+    Q = SparsePoly.from_exponents(names, terms)
+    expected = reference_coordinate_bracket(model, a, Q)
+    assume(not expected.is_zero())
+    got = coordinate_bracket_with(model, a, Q)
+    assert got == expected
+    assert str(got) == str(expected)
+
+
+def exp_minus_ad_transpose(model, a: int) -> RatMatrix:
+    """The dense oracle: exp(-A)^T with A[c][b] = [xi_a, xi_b]_c, summed
+    until a power of A vanishes."""
+    r = model.dim
+    A = [[Fraction(0)] * r for _ in range(r)]
+    for (x, y), entries in model.structure.items():
+        for c, v in entries:
+            if x == a:
+                A[c][y] += v
+            if y == a:
+                A[c][x] -= v
+    A = RatMatrix(A)
+    M = term = RatMatrix.identity(r)
+    step = 0
+    while True:
+        step += 1
+        term = (term @ A).scale(Fraction(-1, step))
+        if term.is_zero():
+            return M.transpose()
+        M = M + term
+
+
+@pytest.mark.parametrize("name", ["gl 3,2,1", "sp 2,2,1,1", "sp 2,1,1 / 5"])
+def test_coadjoint_series_matches_dense_exponential(name):
+    if name == "sp 2,2,1,1":
+        model = build_sp_model(Partition.parse("2,2,1,1")).fixed
+    else:
+        model = bracket_model(name)
+    positive = [a for a, w in enumerate(model.h_weights) if w > 0]
+    assert positive
+    rng = random.Random(13)
+    for a in positive:
+        Mt = exp_minus_ad_transpose(model, a)
+        for _ in range(4):
+            gamma = [rng.randint(-10, 10) for _ in range(model.dim)]
+            assert coadjoint_exp(model, a, gamma) == Mt.apply([Fraction(g) for g in gamma])

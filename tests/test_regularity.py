@@ -478,7 +478,7 @@ def test_integer_form_rank_on_a_scaled_basis(s):
     sp = build_sp_model(Partition.parse("2,1,1"))
     scaled = SubalgebraModel(sp.gl, [[x / s for x in row] for row in sp.sigma_fixed_basis],
                              rank=2, algebra="sp")
-    assert scaled.integer_structure()[1] > 1  # the constants are not integral
+    assert scaled.integer_rows()[1] > 1  # the constants are not integral
     check_integer_form(scaled, rational_functionals(scaled, random.Random(s)))
 
 
