@@ -1,12 +1,15 @@
 """Initial components of adjoint invariants on the slice e + g_f.
 
 The sums of principal minors of a generic slice point are expanded
-exactly (characteristic-polynomial coefficients via a subset dynamic
-programme over columns); their lowest-degree homogeneous parts are the
-distinguished elements of S(g_e) whose structural properties the rest
-of the toolkit certifies: Poisson centrality, monomial support, the
-signed-permutation expansion, and agreement with the top coefficient of
-the expansion of an invariant along the opposite nilpotent.
+exactly: characteristic-polynomial coefficients via a subset dynamic
+programme over columns, run on integers.  The slice entries are cleared
+once by D, the lcm of their denominators, and each coefficient of
+e_l(M) = e_l(DM) / D^l is divided back once.  Their lowest-degree
+homogeneous parts are the distinguished elements of S(g_e) whose
+structural properties the rest of the toolkit certifies: Poisson
+centrality, monomial support, the signed-permutation expansion, and
+agreement with the top coefficient of the expansion of an invariant
+along the opposite nilpotent.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .centralizer import (
 )
 from .linalg import RatMatrix, bareiss, clear_denominators
 from .partitions import Partition
-from .poly import SparsePoly, _MASK, _WIDTH, _accumulate_product
+from .poly import SparsePoly, _MASK, _MAX_EXP, _WIDTH, _accumulate_product, _key_degree
 
 
 class BudgetExceededError(RuntimeError):
@@ -46,7 +49,9 @@ def char_poly_terms(entries: list[list[dict]], t_key: int) -> dict:
     """Term dict of det(t*Id - M) for a matrix of term-dict entries.
 
     Rows and columns are permuted symmetrically so sparse rows are
-    expanded first; the expansion runs over column subsets.
+    expanded first; the expansion runs over column subsets.  The ``t``
+    diagonal and the seed are ``int``, so integer entries keep every
+    product on ZZ (``principal_minor_sum_polys`` clears them first).
     """
     n = len(entries)
     order = sorted(range(n), key=lambda i: sum(1 for j in range(n) if entries[i][j]))
@@ -56,12 +61,12 @@ def char_poly_terms(entries: list[list[dict]], t_key: int) -> dict:
         for j in order:
             ent = {k: -c for k, c in entries[i][j].items()}
             if i == j:
-                ent[t_key] = ent.get(t_key, Fraction(0)) + 1
+                ent[t_key] = ent.get(t_key, 0) + 1
                 if not ent[t_key]:
                     del ent[t_key]
             row.append(ent)
         A.append(row)
-    level: dict[int, dict] = {0: {0: Fraction(1)}}
+    level: dict[int, dict] = {0: {0: 1}}
     for j in range(1, n + 1):
         nxt: dict[int, dict] = {}
         row = A[j - 1]
@@ -85,12 +90,22 @@ def principal_minor_sum_polys(entries: list[list[dict]],
     """All n sums of principal minors of the matrix, as polynomials.
 
     ``variables`` lists the coordinate names; the characteristic
-    variable is appended internally and eliminated again.
+    variable is appended internally and eliminated again.  The expansion
+    runs on D * M, D the lcm of the entry denominators, and the l-th sum
+    is e_l(DM) / D^l.
     """
     n = len(entries)
     t_index = len(variables)
     t_key = 1 << (_WIDTH * t_index)
-    char_terms = char_poly_terms(entries, t_key)
+    # every product is of n entries of degree <= top (t counts as 1), so
+    # the packed degrees stay below _MAX_EXP as _key_degree needs
+    top = max((_key_degree(k) for row in entries for ent in row for k in ent), default=0)
+    if n * max(top, 1) >= _MAX_EXP:
+        raise ValueError("minor sums exceed the packed-exponent capacity")
+    D = lcm(*(c.denominator for row in entries for ent in row for c in ent.values()))
+    cleared = [[{k: c.numerator * (D // c.denominator) for k, c in ent.items()}
+                for ent in row] for row in entries]
+    char_terms = char_poly_terms(cleared, t_key)
     shift = _WIDTH * t_index
     buckets: list[dict] = [dict() for _ in range(n + 1)]
     for k, c in char_terms.items():
@@ -98,8 +113,9 @@ def principal_minor_sum_polys(entries: list[list[dict]],
         buckets[power][k - (power << shift)] = c
     out = []
     for ell in range(1, n + 1):
-        sign = -1 if ell % 2 else 1
-        out.append(SparsePoly(variables, {k: sign * c for k, c in buckets[n - ell].items()}))
+        sign, scale = (-1 if ell % 2 else 1), D ** ell
+        out.append(SparsePoly(variables, {k: Fraction(sign * c, scale)
+                                          for k, c in buckets[n - ell].items()}))
     return out
 
 
@@ -140,13 +156,18 @@ def _slice_entries(e: RatMatrix, duals: list[RatMatrix],
 
 
 def _kazhdan_check(poly: SparsePoly, weights, expected: int) -> bool:
-    """Every monomial satisfies sum_a m_a (wt_a + 2) = 2 * expected."""
-    for exps, _ in poly.monomials():
-        total = 0
-        for name, e in exps.items():
-            a = int(name[1:]) - 1
-            total += e * (weights[a] + 2)
-        if total != 2 * expected:
+    """Every monomial satisfies sum_a m_a (wt_a + 2) = 2 * expected.
+
+    Read straight from the packed keys: with masks[c] the lanes of the
+    coordinates of weight c - 2, ``_key_degree(key & masks[c])`` is their
+    degree, so each monomial costs one mask per distinct weight.
+    """
+    masks: dict[int, int] = {}
+    for a, w in enumerate(weights):
+        masks[w + 2] = masks.get(w + 2, 0) | (_MASK << (_WIDTH * a))
+    target = 2 * expected
+    for key in poly.terms:
+        if sum(c * _key_degree(key & mask) for c, mask in masks.items()) != target:
             return False
     return True
 
@@ -279,7 +300,8 @@ def verify_centrality(sr: SliceRestriction, model, seed: int = 0,
     ``coordinate_bracket_with``, and the probe, which moves random integer
     points by exp(-ad x)^T for up to three basis elements x of positive
     ad(h) weight (nilpotent, so ``coadjoint_exp`` is a finite rational
-    series) and compares the values of each initial term.
+    series) and compares the values of each initial term on integers: the
+    moved point is cleared to v / L and ``_value_changes`` scales by L^M.
     """
     labels = getattr(model, "labels")
     for ell, F in enumerate(sr.initial, start=1):
@@ -298,13 +320,30 @@ def verify_centrality(sr: SliceRestriction, model, seed: int = 0,
         for a in positive[:3]:
             for _ in range(group_points):
                 gamma = [rng.randint(-10, 10) for _ in range(r)]
-                point = {v: Fraction(g) for v, g in zip(model.var_names, gamma)}
-                moved_point = dict(zip(model.var_names, coadjoint_exp(model, a, gamma)))
+                moved, L = clear_denominators(coadjoint_exp(model, a, gamma))
                 checked += 1
                 for ell, F in enumerate(sr.initial, start=1):
-                    if F.evaluate(point) != F.evaluate(moved_point):
+                    if _value_changes(F, gamma, moved, L):
                         group_failures.append((labels[a], ell))
     return CentralityResult(not group_failures, None, checked, group_failures)
+
+
+def _cleared_value(F: SparsePoly, vals: list[int], L: int) -> int:
+    """den * L^M * F(vals / L) in integers: den clears F's coefficients
+    (``integer_terms``), M = F.total_degree(), a degree-k term takes L^(M - k)."""
+    top = F.total_degree()
+    total = 0
+    for factors, coeff, k in F.integer_terms():
+        term = coeff * L ** (top - k)
+        for i, e in factors:
+            term *= vals[i] ** e
+        total += term
+    return total
+
+
+def _value_changes(F: SparsePoly, gamma: list[int], moved: list[int], L: int) -> bool:
+    """F(gamma) != F(moved / L) for integer points, decided on integers."""
+    return L ** F.total_degree() * _cleared_value(F, gamma, 1) != _cleared_value(F, moved, L)
 
 
 # -- monomial support -------------------------------------------------------
@@ -328,15 +367,16 @@ def monomial_support_check(sr: SliceRestriction, model: CentralizerModel) -> Mon
     """
     per_ell: list[list[dict]] = []
     violations: list[tuple] = []
+    names = model.var_names
     for ell, F in enumerate(sr.initial, start=1):
         rows = []
-        for exps, coeff in F.monomials():
+        for powers, coeff in F.factored_terms():
+            exps = {names[a]: e for a, e in powers}
             factors = []
-            for name, e in sorted(exps.items(), key=lambda kv: int(kv[0][1:])):
-                a = int(name[1:]) - 1
+            for a, e in powers:
                 idx = model.xi[a]
                 if e != 1:
-                    violations.append((ell, name, "repeated factor"))
+                    violations.append((ell, names[a], "repeated factor"))
                 factors.extend([idx] * e)
             lowers = [ix.i for ix in factors]
             uppers = sorted(ix.j for ix in factors)
@@ -532,10 +572,10 @@ def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
         if K != ell - sr.degrees[ell - 1]:
             return TopCoefficientResult(False, scalars,
                                         f"f-degree {K} at minor sum {ell}")
-        for exps, _ in p0.monomials():
-            if any(name.startswith("w") or name == "zf" for name in exps):
-                return TopCoefficientResult(False, scalars,
-                                            f"top coefficient of {ell} leaves the centraliser")
+        # zf and the w coordinates are the lanes from r on
+        if any(k >> (_WIDTH * r) for k in p0.terms):
+            return TopCoefficientResult(False, scalars,
+                                        f"top coefficient of {ell} leaves the centraliser")
         reduced = SparsePoly(model.var_names, dict(p0.terms))
         F = sr.initial[ell - 1]
         key0 = next(iter(F.terms))

@@ -2,8 +2,9 @@
 
 A polynomial is a map from monomials to nonzero coefficients.  Monomials
 are packed into a single integer, 16 bits of exponent per variable, so
-that monomial multiplication is integer addition.  The zero polynomial
-has an empty term map.
+that monomial multiplication is integer addition.  Total degrees stay
+below ``_MAX_EXP``, which makes the degree of a key its residue modulo
+2^16 - 1.  The zero polynomial has an empty term map.
 """
 
 from __future__ import annotations
@@ -34,11 +35,14 @@ def _index_map(variables: tuple[str, ...]) -> dict[str, int]:
 
 
 def _key_degree(key: int) -> int:
-    deg = 0
-    while key:
-        deg += key & _MASK
-        key >>= _WIDTH
-    return deg
+    """Total degree of a packed monomial, the sum of its 16-bit lanes.
+
+    Since 2^16 = 1 mod 2^16 - 1, that sum is ``key % _MASK``; it is exact
+    while the total degree stays below ``_MAX_EXP`` (< 2^16 - 1), the bound
+    that ``from_exponents``, ``__mul__`` and the slice expansion of
+    ``invariants.principal_minor_sum_polys`` check.
+    """
+    return key % _MASK
 
 
 def _accumulate_product(acc: dict, terms: dict, factor: dict, parity: int) -> None:
@@ -102,13 +106,16 @@ class SparsePoly:
         idx = _index_map(variables)
         terms: dict[int, Fraction] = {}
         for exps, coeff in entries:
-            key = 0
+            key = deg = 0
             for name, e in exps.items():
                 if name not in idx:
                     raise VariableMismatchError(f"unknown variable {name!r}")
                 if not 0 <= e < _MAX_EXP:
                     raise ValueError(f"exponent {e} out of range")
                 key += e << (_WIDTH * idx[name])
+                deg += e
+            if deg >= _MAX_EXP:
+                raise ValueError(f"total degree {deg} out of range")
             c = terms.get(key, Fraction(0)) + Fraction(coeff)
             if c:
                 terms[key] = c
@@ -130,22 +137,6 @@ class SparsePoly:
 
     def decode(self, key: int) -> tuple[int, ...]:
         return tuple((key >> (_WIDTH * i)) & _MASK for i in range(len(self.variables)))
-
-    def monomials(self) -> list[tuple[dict[str, int], Fraction]]:
-        """Terms as ({variable: exponent}, coefficient) pairs."""
-        out = []
-        for key, coeff in self.terms.items():
-            exps = {}
-            k = key
-            i = 0
-            while k:
-                e = k & _MASK
-                if e:
-                    exps[self.variables[i]] = e
-                k >>= _WIDTH
-                i += 1
-            out.append((exps, coeff))
-        return out
 
     def factored_terms(self) -> list[tuple[tuple[tuple[int, int], ...], Fraction]]:
         """Terms with decoded (variable index, exponent) factors; cached."""

@@ -8,6 +8,7 @@ derived by hand for the two-block partition.
 import functools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -15,6 +16,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from centinv.centralizer import SubalgebraModel, XiIndex, build_gl_model, build_sp_model
 from centinv.invariants import (
     BudgetExceededError,
+    _cleared_value,
+    _value_changes,
+    char_poly_terms,
     coadjoint_exp,
     conjecture_explicit_check,
     coordinate_bracket_with,
@@ -22,15 +26,16 @@ from centinv.invariants import (
     initial_algebra_rank,
     monomial_support_check,
     poisson_bracket,
+    principal_minor_sum_polys,
     principal_minor_sums,
     signed_permutation_sum,
     symplectic_minor_sums,
     top_coefficient_crosscheck,
     verify_centrality,
 )
-from centinv.linalg import RatMatrix
+from centinv.linalg import RatMatrix, clear_denominators
 from centinv.partitions import Partition, degrees_gl, partitions_of
-from centinv.poly import SparsePoly
+from centinv.poly import _WIDTH, SparsePoly
 
 
 def slice_entry_polys(model):
@@ -112,11 +117,11 @@ def test_initial_term_quadratic_coefficients_nonzero():
     b = m.index[XiIndex(2, 2, 0)]
     c = m.index[XiIndex(1, 2, 0)]
     d = m.index[XiIndex(2, 1, 1)]
-    mono = {m.var_names[a]: 1, m.var_names[b]: 1}
-    mono2 = {m.var_names[c]: 1, m.var_names[d]: 1}
-    coeffs = {frozenset(exps.items()): coeff for exps, coeff in top.monomials()}
-    assert coeffs[frozenset(mono.items())] != 0
-    assert coeffs[frozenset(mono2.items())] != 0
+    mono = tuple(sorted([(a, 1), (b, 1)]))
+    mono2 = tuple(sorted([(c, 1), (d, 1)]))
+    coeffs = dict(top.factored_terms())
+    assert coeffs[mono] != 0
+    assert coeffs[mono2] != 0
     assert len(coeffs) == 2
 
 
@@ -133,12 +138,12 @@ def test_regular_case_single_coordinates():
     m = build_gl_model(Partition.parse("4"))
     sr = principal_minor_sums(m)
     for ell, F in enumerate(sr.initial, start=1):
-        monos = F.monomials()
+        monos = F.factored_terms()
         assert len(monos) == 1
-        exps, _ = monos[0]
-        (name, e), = exps.items()
+        factors, _ = monos[0]
+        (a, e), = factors
         assert e == 1
-        assert m.xi[int(name[1:]) - 1] == XiIndex(1, 1, ell - 1)
+        assert m.xi[a] == XiIndex(1, 1, ell - 1)
 
 
 def test_budget_refusal():
@@ -424,3 +429,140 @@ def test_coadjoint_series_matches_dense_exponential(name):
         for _ in range(4):
             gamma = [rng.randint(-10, 10) for _ in range(model.dim)]
             assert coadjoint_exp(model, a, gamma) == Mt.apply([Fraction(g) for g in gamma])
+
+
+def test_integer_group_probe_matches_fraction_evaluation():
+    # a non-central F: the probe must find moved values that differ
+    m = build_gl_model(Partition.parse("2,1"))
+    sr = principal_minor_sums(m)
+    F = sr.initial[2] + SparsePoly.variable(m.var_names, "x3")
+    rng = random.Random(3)
+    changed = 0
+    for a in [a for a, w in enumerate(m.h_weights) if w > 0]:
+        for _ in range(10):
+            gamma = [rng.randint(-10, 10) for _ in range(m.dim)]
+            moved = coadjoint_exp(m, a, gamma)
+            before = F.evaluate(dict(zip(m.var_names, map(Fraction, gamma))))
+            after = F.evaluate(dict(zip(m.var_names, moved)))
+            assert _value_changes(F, gamma, *clear_denominators(moved)) == (before != after)
+            changed += before != after
+    assert changed
+
+
+@functools.cache
+def probe_invariant(name: str) -> SparsePoly:
+    """A top initial term, fixed by the model's coadjoint group.  The sp
+    2,1,1 one also serves that model with its basis scaled by 1/5: it is
+    homogeneous, so the scaling only multiplies it by a constant."""
+    if name.startswith("sp"):
+        return symplectic_minor_sums(build_sp_model(Partition.parse("2,1,1"))).initial[-1]
+    return principal_minor_sums(bracket_model(name)).initial[-1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["gl 3,2,1", "sp 2,1,1 / 5"]), st.data())
+def test_cleared_group_probe_values(name, data):
+    """den * L^M * F(v / L) on integers equals the Fraction value, for
+    perturbed (non-central, possibly inhomogeneous) F at moved points; the
+    unperturbed invariant never changes value (on sp, L > 1 occurs)."""
+    model = bracket_model(name)
+    names = model.var_names
+    invariant = probe_invariant(name)
+    F = invariant + SparsePoly.from_exponents(names, data.draw(st.lists(st.tuples(
+        st.dictionaries(st.sampled_from(names), st.integers(1, 3), max_size=3), coefficients),
+        min_size=1, max_size=6), label="terms"))
+    positive = [a for a, w in enumerate(model.h_weights) if w > 0]
+    a = data.draw(st.sampled_from(positive), label="a")
+    gamma = data.draw(st.lists(st.integers(-10, 10), min_size=model.dim,
+                               max_size=model.dim), label="gamma")
+    moved = coadjoint_exp(model, a, gamma)
+    v, L = clear_denominators(moved)
+    den = lcm(*(c.denominator for c in F.terms.values()))
+    top = F.total_degree()
+    before = F.evaluate(dict(zip(names, map(Fraction, gamma))))
+    after = F.evaluate(dict(zip(names, moved)))
+    assert _cleared_value(F, gamma, 1) == before * den
+    assert _cleared_value(F, v, L) == after * den * L ** top
+    assert _value_changes(F, gamma, v, L) == (before != after)
+    assert not _value_changes(invariant, gamma, v, L)
+
+
+# -- the integer subset expansion against Fraction references -----------------
+
+
+MINOR_VARS = ("y1", "y2", "y3")
+
+
+def fraction_minor_sums(entries, variables):
+    """The subset expansion of det(t Id - M) with every product in Fraction,
+    rows in their own order; e_l is (-1)^l times the t^(n-l) coefficient."""
+    n = len(entries)
+    shift = _WIDTH * len(variables)
+    A = [[{k: -c for k, c in entries[i][j].items()} for j in range(n)] for i in range(n)]
+    for i in range(n):
+        A[i][i][1 << shift] = Fraction(1)
+    level = {0: {0: Fraction(1)}}
+    for i in range(n):
+        nxt = {}
+        for mask, poly in level.items():
+            for c in range(n):
+                if mask >> c & 1:
+                    continue
+                # choosing column c after the columns in mask adds one
+                # inversion per used column to its right
+                sign = -1 if (mask >> (c + 1)).bit_count() % 2 else 1
+                acc = nxt.setdefault(mask | 1 << c, {})
+                for ka, ca in poly.items():
+                    for kb, cb in A[i][c].items():
+                        acc[ka + kb] = acc.get(ka + kb, Fraction(0)) + sign * ca * cb
+        level = nxt
+    char = {k: c for k, c in level[(1 << n) - 1].items() if c}
+    return [SparsePoly(variables, {k - ((n - ell) << shift): (-1) ** ell * c
+                                   for k, c in char.items() if k >> shift == n - ell})
+            for ell in range(1, n + 1)]
+
+
+minor_monomials = st.dictionaries(st.integers(0, len(MINOR_VARS) - 1), st.integers(1, 2),
+                                  max_size=2)
+
+
+def term_dict(monos):
+    out = {}
+    for exps, c in monos:
+        key = sum(e << (_WIDTH * i) for i, e in exps.items())
+        out[key] = out.get(key, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.lists(st.tuples(minor_monomials, coefficients), max_size=3)
+             .map(term_dict), min_size=n, max_size=n), min_size=n, max_size=n)))
+@example([[{0: Fraction(1, 2)}, {}], [{1: Fraction(-3, 4)}, {1 << _WIDTH: Fraction(5, 6)}]])
+def test_integer_minor_sums_match_fraction_expansion(entries):
+    assume(any(c.denominator > 1 for row in entries for ent in row for c in ent.values()))
+    got = principal_minor_sum_polys(entries, MINOR_VARS)
+    assert got == fraction_minor_sums(entries, MINOR_VARS)
+    assert all(type(c) is Fraction for P in got for c in P.terms.values())
+    # on cleared entries every product of the expansion stays an int
+    cleared = [[{k: int(c * lcm(*range(1, 13))) for k, c in ent.items()} for ent in row]
+               for row in entries]
+    t_key = 1 << (_WIDTH * len(MINOR_VARS))
+    assert all(type(c) is int for c in char_poly_terms(cleared, t_key).values())
+
+
+numeric_entries = st.one_of(st.just(Fraction(0)), coefficients)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(numeric_entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_minor_sums_match_sympy_charpoly(rows):
+    sympy = pytest.importorskip("sympy")
+    n = len(rows)
+    entries = [[{0: c} if c else {} for c in row] for row in rows]
+    got = [P.terms.get(0, Fraction(0)) for P in principal_minor_sum_polys(entries, ())]
+    M = sympy.Matrix([[sympy.Rational(c.numerator, c.denominator) for c in row] for row in rows])
+    coeffs = M.charpoly().all_coeffs()
+    assert got == [(-1) ** ell * Fraction(int(coeffs[ell].p), int(coeffs[ell].q))
+                   for ell in range(1, n + 1)]

@@ -53,9 +53,9 @@ def test_restriction_of_top_term_lives_on_top_level():
     sr = principal_minor_sums(m)
     restricted = restrict_to_V(sr, m)
     top_level = {idx for idx in m.xi if idx.i + idx.j == m.partition.k + 1}
-    for exps, _ in restricted[3].monomials():
-        for name in exps:
-            assert m.xi[int(name[1:]) - 1] in top_level
+    for factors, _ in restricted[3].factored_terms():
+        for a, _ in factors:
+            assert m.xi[a] in top_level
 
 
 @pytest.mark.parametrize("parts", ["2,1", "3,2", "5", "2,2,1", "3,3,2"])

@@ -3,9 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from centinv.poly import SparsePoly, VariableMismatchError
+from centinv.poly import _MASK, _MAX_EXP, _WIDTH, SparsePoly, VariableMismatchError, _key_degree
 
 VARS = ("x1", "x2", "x3")
 
@@ -121,3 +121,37 @@ def test_power():
     p = x("x1") + x("x2")
     assert p ** 0 == SparsePoly.constant(VARS, 1)
     assert p ** 3 == p * p * p
+
+
+def _within_degree_bound(exps):
+    """Cap each exponent so that the total stays below _MAX_EXP."""
+    left = _MAX_EXP - 1
+    out = []
+    for e in exps:
+        out.append(min(e, left))
+        left -= out[-1]
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, _MAX_EXP - 1), min_size=1, max_size=64)
+       .map(_within_degree_bound))
+@example([_MAX_EXP - 1])
+@example([0] * 63 + [_MAX_EXP - 1])
+@example([_MASK // 128] * 64)
+def test_key_degree_is_the_lane_sum(exps):
+    key = sum(e << (_WIDTH * i) for i, e in enumerate(exps))
+    lanes = sum((key >> (_WIDTH * i)) & _MASK for i in range(len(exps)))
+    assert _key_degree(key) == lanes == sum(exps)
+
+
+def test_from_exponents_refuses_total_degree_at_the_bound():
+    half = _MAX_EXP // 2
+    with pytest.raises(ValueError):
+        SparsePoly.from_exponents(VARS, [({"x1": half, "x2": half}, Fraction(1))])
+    # each exponent is in range, and the lanes sum past 2^16 - 1
+    big = _MAX_EXP - 1
+    with pytest.raises(ValueError):
+        SparsePoly.from_exponents(VARS, [({"x1": big, "x2": big, "x3": big}, Fraction(1))])
+    P = SparsePoly.from_exponents(VARS, [({"x1": half, "x2": half - 1}, Fraction(1))])
+    assert P.total_degree() == _MAX_EXP - 1
