@@ -7,6 +7,14 @@ generators to zero), build the trace-dual basis of g_f, and extract
 exact structure constants from matrix commutators.  A symplectic
 variant equips the space with an invariant skew form and cuts the
 centraliser down to its sigma-fixed part.
+
+Every matrix is sparse, a ``{(row, col): value}`` dict without zeros.
+The trace pairing of the xi basis with g_f is read from the entries'
+positions and solved by one sparse elimination (``linalg.sparse_rref``);
+on gl its Gram matrix is a scaled permutation, so this costs one step per
+basis element.  The skew form J is a signed permutation, so
+sigma(x) = J x^T J relabels entries with signs, and a bracket in the
+sigma-fixed part is re-expanded from its pivot coordinates alone.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from .linalg import RatMatrix
+from .linalg import sparse_inverse, sparse_rref
 from .partitions import (
     ClassicalType,
     InvalidPartitionError,
@@ -65,85 +73,77 @@ class JordanRealization:
                 self.basis_labels.append((i, j))
         self.pos = {lab: t for t, lab in enumerate(self.basis_labels)}
         d = p.d
-        n = self.n
-        e = [[Fraction(0)] * n for _ in range(n)]
-        h = [[Fraction(0)] * n for _ in range(n)]
-        f = [[Fraction(0)] * n for _ in range(n)]
+        self.e: dict[tuple[int, int], int] = {}
+        self.h: dict[tuple[int, int], int] = {}
+        self.f: dict[tuple[int, int], int] = {}
         for (i, j), col in self.pos.items():
             di = d[i - 1]
             if j < di:
-                e[self.pos[(i, j + 1)]][col] = Fraction(1)
-            h[col][col] = Fraction(2 * j - di)
+                self.e[(self.pos[(i, j + 1)], col)] = 1
+            if 2 * j != di:
+                self.h[(col, col)] = 2 * j - di
             if j > 0:
-                f[self.pos[(i, j - 1)]][col] = Fraction(j * (di - j + 1))
-        self.e = RatMatrix(e)
-        self.h = RatMatrix(h)
-        self.f = RatMatrix(f)
+                self.f[(self.pos[(i, j - 1)], col)] = j * (di - j + 1)
 
-    def xi_matrix(self, idx: XiIndex) -> RatMatrix:
+    def xi_matrix(self, idx: XiIndex) -> dict[tuple[int, int], int]:
         """Matrix of xi[i,j,s]: e^m.w_i -> e^(s+m).w_j."""
         d = self.partition.d
-        n = self.n
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for t in range(d[idx.i - 1] + 1):
-            if idx.s + t <= d[idx.j - 1]:
-                m[self.pos[(idx.j, idx.s + t)]][self.pos[(idx.i, t)]] = Fraction(1)
-        return RatMatrix(m)
+        pos = self.pos
+        top = min(d[idx.i - 1], d[idx.j - 1] - idx.s)
+        return {(pos[(idx.j, idx.s + t)], pos[(idx.i, t)]): 1 for t in range(top + 1)}
 
-    def gf_matrix(self, idx: XiIndex) -> RatMatrix:
+    def gf_matrix(self, idx: XiIndex) -> dict[tuple[int, int], Fraction]:
         """Matrix of the analogous g_f element built on f and e^{d_i}.w_i.
 
         It sends f^m.(e^{d_i}.w_i) to f^(s+m).(e^{d_j}.w_j); powers of f
         on the reversed chain carry the coefficients m! d! / (d-m)!.
         """
         d = self.partition.d
-        n = self.n
 
         def chain_coeff(block: int, m: int) -> int:
             db = d[block - 1]
             return factorial(m) * factorial(db) // factorial(db - m)
 
-        mat = [[Fraction(0)] * n for _ in range(n)]
         di, dj = d[idx.i - 1], d[idx.j - 1]
-        for m in range(di + 1):
-            if idx.s + m > dj:
-                continue
-            src = self.pos[(idx.i, di - m)]
-            dst = self.pos[(idx.j, dj - idx.s - m)]
-            mat[dst][src] = Fraction(chain_coeff(idx.j, idx.s + m), chain_coeff(idx.i, m))
-        return RatMatrix(mat)
+        return {
+            (self.pos[(idx.j, dj - idx.s - m)], self.pos[(idx.i, di - m)]):
+                Fraction(chain_coeff(idx.j, idx.s + m), chain_coeff(idx.i, m))
+            for m in range(min(di, dj - idx.s) + 1)
+        }
 
 
-def commutator(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    return a @ b - b @ a
+def _accumulate(out: dict, key, value) -> None:
+    s = out.get(key, 0) + value
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def _combination(terms) -> dict:
+    """Sum of c * m over the pairs (c, m), m a sparse vector or matrix."""
+    out: dict = {}
+    for c, m in terms:
+        for key, v in m.items():
+            _accumulate(out, key, c * v)
+    return out
+
+
+def _sparse_product(a: dict, b: dict, sign: int = 1, out: dict | None = None) -> dict:
+    """out + sign * (a @ b) for matrices given as {(row, col): value} dicts."""
+    b_rows: dict[int, list] = {}
+    for (k, j), v in b.items():
+        b_rows.setdefault(k, []).append((j, v))
+    out = {} if out is None else out
+    for (i, k), va in a.items():
+        for j, vb in b_rows.get(k, ()):
+            _accumulate(out, (i, j), sign * va * vb)
+    return out
 
 
 def _sparse_commutator(a: dict, b: dict) -> dict:
     """[a, b] for matrices given as {(row, col): value} dicts."""
-    b_rows: dict[int, list] = {}
-    a_rows: dict[int, list] = {}
-    for (i, j), v in b.items():
-        b_rows.setdefault(i, []).append((j, v))
-    for (i, j), v in a.items():
-        a_rows.setdefault(i, []).append((j, v))
-    out: dict[tuple[int, int], Fraction] = {}
-    for (i, k), va in a.items():
-        for j, vb in b_rows.get(k, ()):
-            key = (i, j)
-            s = out.get(key, 0) + va * vb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    for (i, k), vb in b.items():
-        for j, va in a_rows.get(k, ()):
-            key = (i, j)
-            s = out.get(key, 0) - vb * va
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
+    return _sparse_product(b, a, -1, _sparse_product(a, b))
 
 
 class StructureTable:
@@ -174,31 +174,30 @@ class StructureTable:
         return self._int_rows
 
 
-def _trace_product(a: RatMatrix, b: RatMatrix) -> Fraction:
-    total = Fraction(0)
-    for i, row in enumerate(a.rows):
-        for j, x in enumerate(row):
-            if x:
-                y = b.rows[j][i]
-                if y:
-                    total += x * y
-    return total
+def trace_dual(left: list[dict], right: list[dict]) -> list[dict]:
+    """Combinations of ``right`` with tr(left[a] @ dual[b]) = delta_ab.
 
-
-def trace_dual(left: list[RatMatrix], right: list[RatMatrix]) -> list[RatMatrix]:
-    """Combinations of ``right`` with tr(left[a] @ dual[b]) = delta_ab."""
-    gram = RatMatrix([[_trace_product(A, B) for B in right] for A in left])
-    ginv = gram.inverse()
-    n = right[0].nrows
-    duals = []
-    for a in range(len(left)):
-        acc = RatMatrix.zeros(n, n)
-        for c, B in enumerate(right):
-            coeff = ginv.rows[c][a]
-            if coeff:
-                acc = acc + B.scale(coeff)
-        duals.append(acc)
-    return duals
+    The Gram matrix tr(left[a] @ right[c]) is read through an index of the
+    entries of ``right`` by transposed position and inverted by one sparse
+    elimination.  On gl it is a scaled permutation, so both steps are
+    linear in the dimension.
+    """
+    at: dict[tuple[int, int], list] = {}
+    for c, B in enumerate(right):
+        for (i, j), v in B.items():
+            at.setdefault((j, i), []).append((c, v))
+    gram = []
+    for A in left:
+        row: dict[int, Fraction] = {}
+        for key, x in A.items():
+            for c, y in at.get(key, ()):
+                _accumulate(row, c, x * y)
+        gram.append(row)
+    columns: list[list] = [[] for _ in left]
+    for c, row in enumerate(sparse_inverse(gram)):
+        for a, x in row.items():
+            columns[a].append((x, right[c]))
+    return [_combination(col) for col in columns]
 
 
 class CentralizerModel(StructureTable):
@@ -211,41 +210,29 @@ class CentralizerModel(StructureTable):
 
     def __init__(self, p: Partition):
         self.partition = p
-        self.realization = JordanRealization(p)
+        self.realization = real = JordanRealization(p)
         self.xi = enumerate_xi(p)
         self.labels = [idx.label() for idx in self.xi]
         self.index = {idx: a for a, idx in enumerate(self.xi)}
-        self.matrices = [self.realization.xi_matrix(idx) for idx in self.xi]
+        self.matrices = [real.xi_matrix(idx) for idx in self.xi]
         d = p.d
         self.h_weights = [d[x.i - 1] - d[x.j - 1] + 2 * x.s for x in self.xi]
         self.rho_weights = [x.j - x.i for x in self.xi]
         self.var_names = tuple(f"x{a + 1}" for a in range(len(self.xi)))
+        # the coefficient on xi[i,j,s] is the entry sending w_i to e^s.w_j
+        self.read_at = [(real.pos[(idx.j, idx.s)], real.pos[(idx.i, 0)]) for idx in self.xi]
+        self._coord_at = {rc: a for a, rc in enumerate(self.read_at)}
 
-        naive_gf = [self.realization.gf_matrix(idx) for idx in self.xi]
-        self.gf_dual = trace_dual(self.matrices, naive_gf)
+        self.gf_dual = trace_dual(self.matrices, [real.gf_matrix(idx) for idx in self.xi])
 
         self.structure: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
         r = len(self.xi)
-        sparse = []
-        for mat in self.matrices:
-            entries = {}
-            for i, row in enumerate(mat.rows):
-                for j, v in enumerate(row):
-                    if v:
-                        entries[(i, j)] = v
-            sparse.append(entries)
-        pos = self.realization.pos
-        read_at = [(pos[(idx.j, idx.s)], pos[(idx.i, 0)]) for idx in self.xi]
         for a in range(r):
             for b in range(a + 1, r):
-                com = _sparse_commutator(sparse[a], sparse[b])
-                if not com:
-                    continue
-                entries = tuple(
-                    (c, com[rc]) for c, rc in enumerate(read_at) if rc in com and com[rc]
-                )
-                if entries:
-                    self.structure[(a, b)] = entries
+                com = self.coords_of(_sparse_commutator(self.matrices[a], self.matrices[b]))
+                if com:
+                    self.structure[(a, b)] = tuple(
+                        (c, Fraction(v)) for c, v in sorted(com.items()))
 
     # -- basics ----------------------------------------------------------
 
@@ -262,24 +249,14 @@ class CentralizerModel(StructureTable):
     def algebra(self) -> str:
         return "gl"
 
-    def coords_of(self, mat: RatMatrix) -> list[Fraction]:
-        """Coefficients of a centraliser element in the xi basis.
+    def coords_of(self, mat: dict) -> dict[int, Fraction]:
+        """Nonzero coefficients {a: c} of a centraliser element in the xi
+        basis, read from the entries at ``read_at``."""
+        at = self._coord_at
+        return {at[key]: v for key, v in mat.items() if key in at}
 
-        The coefficient on xi[i,j,s] is the matrix entry sending w_i to
-        e^s.w_j, read directly from column w_i.
-        """
-        pos = self.realization.pos
-        return [
-            mat.rows[pos[(idx.j, idx.s)]][pos[(idx.i, 0)]]
-            for idx in self.xi
-        ]
-
-    def matrix_from_coords(self, coords) -> RatMatrix:
-        acc = RatMatrix.zeros(self.partition.n, self.partition.n)
-        for a, c in enumerate(coords):
-            if c:
-                acc = acc + self.matrices[a].scale(c)
-        return acc
+    def matrix_from_coords(self, coords) -> dict:
+        return _combination((c, self.matrices[a]) for a, c in enumerate(coords) if c)
 
     def to_json(self) -> dict:
         return {
@@ -292,15 +269,15 @@ class CentralizerModel(StructureTable):
                 for (a, b), entries in sorted(self.structure.items())
                 for c, v in entries
             ],
-            "e": _matrix_json(self.realization.e),
-            "h": _matrix_json(self.realization.h),
-            "f": _matrix_json(self.realization.f),
-            "gf_dual": [_matrix_json(m) for m in self.gf_dual],
+            "e": self._matrix_json(self.realization.e),
+            "h": self._matrix_json(self.realization.h),
+            "f": self._matrix_json(self.realization.f),
+            "gf_dual": [self._matrix_json(m) for m in self.gf_dual],
         }
 
-
-def _matrix_json(m: RatMatrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.rows]
+    def _matrix_json(self, m: dict) -> list[list[str]]:
+        n = self.partition.n
+        return [[str(m.get((i, j), 0)) for j in range(n)] for i in range(n)]
 
 
 def build_gl_model(p: Partition) -> CentralizerModel:
@@ -341,12 +318,14 @@ class SubalgebraModel(StructureTable):
 
     Exposes the same bracket interface as CentralizerModel so stabiliser
     and index computations run unchanged on the symplectic centraliser.
+    A bracket is re-expanded in this basis from its ambient coordinates
+    at the pivot columns of ``coord_rows`` only.
     """
 
     def __init__(self, ambient: CentralizerModel, coord_rows: list[list[Fraction]],
                  rank: int, algebra: str, var_prefix: str = "u"):
         self.ambient = ambient
-        self.coords = RatMatrix(coord_rows)
+        self.coords = coord_rows
         self.dim = len(coord_rows)
         self.rank = rank
         self.algebra = algebra
@@ -365,30 +344,45 @@ class SubalgebraModel(StructureTable):
         self.h_weights = weights
         self.rho_weights = None
 
-        # pivot columns make re-expansion in this basis a square solve
-        _, pivots = self.coords.rref()
+        # pivot columns make re-expansion in this basis a square solve:
+        # w = (C^-1)^T v for C[t][k] = coord_rows[t][pivots[k]]
+        pivots = [min(row) for row in sparse_rref(dict(enumerate(row)) for row in coord_rows)]
         if len(pivots) != self.dim:
             raise ValueError("subalgebra coordinate rows are dependent")
-        self._pivots = pivots
-        pivot_cols = RatMatrix([[row[c] for c in pivots] for row in coord_rows])
-        self._pivot_inv = pivot_cols.transpose().inverse()
+        solve = sparse_inverse([{k: row[c] for k, c in enumerate(pivots) if row[c]}
+                                for row in coord_rows])
+        read = [ambient.read_at[c] for c in pivots]
 
         self.structure: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
         for a in range(self.dim):
             for b in range(a + 1, self.dim):
-                mat = commutator(self.matrices[a], self.matrices[b])
-                vec = ambient.coords_of(mat)
-                w = self._pivot_inv.apply([vec[c] for c in pivots])
-                entries = tuple((c, v) for c, v in enumerate(w) if v)
-                if entries:
-                    self.structure[(a, b)] = entries
+                com = _sparse_commutator(self.matrices[a], self.matrices[b])
+                w = _combination((com[key], solve[k]) for k, key in enumerate(read) if key in com)
+                if w:
+                    self.structure[(a, b)] = tuple(sorted(w.items()))
 
     def restrict_dual(self, ambient_coords) -> list[Fraction]:
         """Restrict a functional on the ambient algebra to this subalgebra."""
         return [
             sum(c * g for c, g in zip(row, ambient_coords) if c)
-            for row in self.coords.rows
+            for row in self.coords
         ]
+
+
+def check_symplectic_form(J: dict, real: JordanRealization) -> None:
+    """Raise ArithmeticError unless J is skew, J^2 = -Id and e, h, f are
+    symplectic: x^T J + J x = 0, that is J x symmetric, J being skew."""
+    if any(J.get((j, i), 0) != -v for (i, j), v in J.items()):
+        raise ArithmeticError("the form is not skew")
+    if _sparse_product(J, J) != {(i, i): -1 for i in range(real.n)}:
+        raise ArithmeticError("the form does not square to -Id")
+    for name in ("e", "h", "f"):
+        Jx = _sparse_product(J, getattr(real, name))
+        if any(Jx.get((j, i), 0) != v for (i, j), v in Jx.items()):
+            raise ArithmeticError(f"{name} is not symplectic for the form")
+
+
+_HALF = Fraction(1, 2)
 
 
 class SymplecticModel:
@@ -397,7 +391,8 @@ class SymplecticModel:
     The form is (e^s.w_i, e^t.w_{i'}) = (-1)^t eps_i delta_{s+t, d_i}
     with eps chosen so the Gram matrix J is skew; then J^2 = -Id, the
     whole sl2 triple is symplectic and sigma(x) = J x^T J fixes exactly
-    the symplectic elements.
+    the symplectic elements.  J has one entry per row, so with J^2 = -Id
+    it is a signed permutation and sigma relabels entries with signs.
     """
 
     def __init__(self, p: Partition):
@@ -422,32 +417,30 @@ class SymplecticModel:
                 eps[i] = -1
         self.epsilon = eps
 
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        J: dict[tuple[int, int], int] = {}
         for (i, s), col in real.pos.items():
             ip = self.pairing[i]
-            di = d[i - 1]
-            t = di - s
+            t = d[i - 1] - s
             if 0 <= t <= d[ip - 1]:
-                rows[col][real.pos[(ip, t)]] = Fraction((-1) ** t * eps[i])
-        self.J = RatMatrix(rows)
-        assert (self.J + self.J.transpose()).is_zero(), "form must be skew"
-        assert (self.J @ self.J + RatMatrix.identity(n)).is_zero()
-        assert (real.e.transpose() @ self.J + self.J @ real.e).is_zero()
-        assert (real.f.transpose() @ self.J + self.J @ real.f).is_zero()
-        assert (real.h.transpose() @ self.J + self.J @ real.h).is_zero()
+                J[(col, real.pos[(ip, t)])] = (-1) ** t * eps[i]
+        check_symplectic_form(J, real)
+        self.J = J
+        self._row_of = {i: (j, v) for (i, j), v in J.items()}
+        self._col_of = {j: (i, v) for (i, j), v in J.items()}
 
         self.pairing_constants = {
-            i: self.J.rows[real.pos[(i, d[i - 1])]][real.pos[(self.pairing[i], 0)]]
+            i: J.get((real.pos[(i, d[i - 1])], real.pos[(self.pairing[i], 0)]), 0)
             for i in range(1, p.k + 1)
         }
 
         fixed_rows, odd_rows = [], []
         for a, mat in enumerate(self.gl.matrices):
-            sig = self.sigma(mat)
-            fixed_rows.append(self.gl.coords_of(_half(mat + sig)))
-            odd_rows.append(self.gl.coords_of(_half(mat - sig)))
-        self.sigma_fixed_basis = _independent_rows(fixed_rows)
-        self.odd_part_basis = _independent_rows(odd_rows)
+            sig = self.gl.coords_of(self.sigma(mat))
+            fixed_rows.append(_combination(((_HALF, {a: 1}), (_HALF, sig))))
+            odd_rows.append(_combination(((_HALF, {a: 1}), (-_HALF, sig))))
+        r = self.gl.dim
+        self.sigma_fixed_basis = _dense_rows(sparse_rref(fixed_rows), r)
+        self.odd_part_basis = _dense_rows(sparse_rref(odd_rows), r)
         expected = dim_centralizer_so_sp(p, ClassicalType.SP)
         if len(self.sigma_fixed_basis) != expected:
             raise ArithmeticError(
@@ -457,35 +450,40 @@ class SymplecticModel:
             self.gl, self.sigma_fixed_basis, rank=p.n // 2, algebra="sp")
 
         # trace-dual basis of g_f cap sp for the symplectic slice
-        naive_gf = [self.gl.realization.gf_matrix(idx) for idx in self.gl.xi]
         gf_fixed_flat = []
-        for mat in naive_gf:
-            sym = _half(mat + self.sigma(mat))
-            gf_fixed_flat.append([x for row in sym.rows for x in row])
-        gf_mats = [
-            RatMatrix([row[t * n:(t + 1) * n] for t in range(n)])
-            for row in _independent_rows(gf_fixed_flat)
-        ]
+        for idx in self.gl.xi:
+            mat = real.gf_matrix(idx)
+            sym = _combination(((_HALF, mat), (_HALF, self.sigma(mat))))
+            gf_fixed_flat.append({i * n + j: v for (i, j), v in sym.items()})
+        gf_mats = [{divmod(k, n): v for k, v in row.items()}
+                   for row in sparse_rref(gf_fixed_flat)]
         if len(gf_mats) != expected:
             raise ArithmeticError("g_f fixed space has unexpected dimension")
         self.gf_dual = trace_dual(self.fixed.matrices, gf_mats)
 
-    def sigma(self, mat: RatMatrix) -> RatMatrix:
-        return self.J @ mat.transpose() @ self.J
+    def sigma(self, mat: dict) -> dict:
+        """J mat^T J: the entry (i, j) moves to (a, b) with J[a, j] and
+        J[i, b] its only nonzeros in column j and row i."""
+        out = {}
+        for (i, j), v in mat.items():
+            a, sa = self._col_of[j]
+            b, sb = self._row_of[i]
+            out[(a, b)] = sa * sb * v
+        return out
 
     @property
     def dim(self) -> int:
         return self.fixed.dim
 
 
-def _half(mat: RatMatrix) -> RatMatrix:
-    return mat.scale(Fraction(1, 2))
-
-
-def _independent_rows(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Row-reduce and keep the nonzero rows (a canonical spanning basis)."""
-    R, pivots = RatMatrix(rows).rref()
-    return [R.rows[t] for t in range(len(pivots))]
+def _dense_rows(rows: list[dict], width: int) -> list[list[Fraction]]:
+    out = []
+    for row in rows:
+        dense = [Fraction(0)] * width
+        for c, v in row.items():
+            dense[c] = v
+        out.append(dense)
+    return out
 
 
 def build_sp_model(p: Partition) -> SymplecticModel:

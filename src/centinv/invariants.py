@@ -24,11 +24,11 @@ from .centralizer import (
     CentralizerModel,
     SymplecticModel,
     XiIndex,
-    _independent_rows,
-    commutator,
+    _combination,
+    _sparse_commutator,
     trace_dual,
 )
-from .linalg import RatMatrix, bareiss, clear_denominators
+from .linalg import RatMatrix, bareiss, clear_denominators, sparse_rref
 from .partitions import Partition
 from .poly import SparsePoly, _MASK, _MAX_EXP, _WIDTH, _accumulate_product, _key_degree
 
@@ -139,19 +139,16 @@ class SliceRestriction:
         return len(self.full)
 
 
-def _slice_entries(e: RatMatrix, duals: list[RatMatrix],
-                   n: int) -> list[list[dict]]:
+def _slice_entries(e: dict, duals: list[dict], n: int) -> list[list[dict]]:
+    """Term dicts of e + sum_a x_a duals[a], entry by entry, from the
+    sparse matrices: the constant first, then the coordinates in order."""
     entries: list[list[dict]] = [[dict() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            ent = entries[i][j]
-            c = e.rows[i][j]
-            if c:
-                ent[0] = c
-            for a, mat in enumerate(duals):
-                v = mat.rows[i][j]
-                if v:
-                    ent[1 << (_WIDTH * a)] = v
+    for (i, j), c in e.items():
+        entries[i][j][0] = c
+    for a, mat in enumerate(duals):
+        key = 1 << (_WIDTH * a)
+        for (i, j), v in mat.items():
+            entries[i][j][key] = v
     return entries
 
 
@@ -517,7 +514,7 @@ def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
     real = model.realization
     r = model.dim
 
-    if real.e.is_zero():
+    if not real.e:
         # zero nilpotent: the slice is the whole algebra and the initial
         # terms are the minor sums themselves; there is no f direction
         scalars = {}
@@ -529,39 +526,24 @@ def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
         return TopCoefficientResult(True, scalars, "zero nilpotent: identity check")
 
     basis_mats = [real.f] + list(model.matrices)
-    # complement: e-orthogonal part of the image of ad f
-    image_rows = []
-    for i in range(n):
-        for j in range(n):
-            E = RatMatrix([[Fraction(1) if (a, b) == (i, j) else Fraction(0)
-                            for b in range(n)] for a in range(n)])
-            image_rows.append([x for row in commutator(real.f, E).rows for x in row])
-    image_basis = _independent_rows(image_rows)
+    # complement: e-orthogonal part of the image of ad f, flattened to i*n + j
+    image = sparse_rref(
+        {i * n + j: v for (i, j), v in _sparse_commutator(real.f, {(a, b): 1}).items()}
+        for a in range(n) for b in range(n))
     # the trace with e is a linear condition on the image of ad f
-    cond = [sum(v[i * n + j] * real.e.rows[j][i] for i in range(n) for j in range(n))
-            for v in image_basis]
-    coeff_rows = RatMatrix([cond])
-    kernel = coeff_rows.kernel_basis()
-    for vec in kernel:
-        flat = [sum(c * image_basis[t][pos] for t, c in enumerate(vec) if c)
-                for pos in range(n * n)]
-        basis_mats.append(RatMatrix([flat[t * n:(t + 1) * n] for t in range(n)]))
+    cond = [sum(v * real.e.get((k % n, k // n), 0) for k, v in row.items())
+            for row in image]
+    for vec in RatMatrix([cond]).kernel_basis():
+        flat = _combination((c, image[t]) for t, c in enumerate(vec) if c)
+        basis_mats.append({divmod(k, n): v for k, v in flat.items()})
     if len(basis_mats) != n * n:
         raise ArithmeticError("adapted basis of gl_n has wrong size")
 
     var_names = model.var_names + ("zf",) + tuple(
         f"w{t + 1}" for t in range(n * n - 1 - r))
     # the dual of f is zf, which sits after the centraliser coordinates
-    slots = [r] + list(range(r)) + list(range(r + 1, n * n))
-
-    entries: list[list[dict]] = [[dict() for _ in range(n)] for _ in range(n)]
-    for dual, slot in zip(trace_dual(basis_mats, basis_mats), slots):
-        key = 1 << (_WIDTH * slot)
-        for i in range(n):
-            for j in range(n):
-                v = dual.rows[i][j]
-                if v:
-                    entries[i][j][key] = v
+    duals = trace_dual(basis_mats, basis_mats)
+    entries = _slice_entries({}, duals[1:r + 1] + duals[:1] + duals[r + 1:], n)
     polys = principal_minor_sum_polys(entries, var_names)
 
     scalars: dict[int, Fraction] = {}
@@ -572,7 +554,8 @@ def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
         if K != ell - sr.degrees[ell - 1]:
             return TopCoefficientResult(False, scalars,
                                         f"f-degree {K} at minor sum {ell}")
-        # zf and the w coordinates are the lanes from r on
+        # the coefficient of zf^K has no zf (lane r), so a key with a
+        # lane from r on holds a w coordinate
         if any(k >> (_WIDTH * r) for k in p0.terms):
             return TopCoefficientResult(False, scalars,
                                         f"top coefficient of {ell} leaves the centraliser")

@@ -1,16 +1,17 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Matrices carry ``fractions.Fraction`` entries.  Rank and determinant come
-from one fraction-free (Bareiss) elimination kernel on integer rows, run
-after each row is cleared of its denominators; kernels and inverses go
-through a rational reduced row echelon form.
+Dense matrices carry ``fractions.Fraction`` entries.  Rank and determinant
+come from one fraction-free (Bareiss) elimination kernel on integer rows,
+run after each row is cleared of its denominators.  Row spaces, kernels
+and inverses go through one sparse reduced row echelon form on rows given
+as ``{column: value}`` dicts, which touches only nonzero entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 def _to_fraction(x) -> Fraction:
@@ -63,6 +64,63 @@ def bareiss(rows: list[list[int]]) -> tuple[int, int]:
     return rank, sign * prev if rank == nr == nc else 0
 
 
+def sparse_rref(rows: Iterable[Mapping[int, Fraction]]) -> list[dict[int, Fraction]]:
+    """Reduced row echelon form of sparse rows ``{column: value}``.
+
+    Returns the nonzero rows sorted by pivot, each with pivot entry 1 and
+    zeros in every other row's pivot column; this is the unique reduced
+    form of the row space.  Rows are inserted one at a time: a new row is
+    reduced by the stored rows at its pivot columns, its least column
+    becomes its pivot, and that column is cleared from the stored rows
+    that hold it (``holders`` indexes them).  Only nonzero entries are
+    touched, so a monomial matrix costs one step per row.
+    """
+    basis: dict[int, dict] = {}
+    holders: dict[int, set[int]] = {}
+    for row in rows:
+        v = {c: x for c, x in row.items() if x}
+        for q in [c for c in v if c in basis]:
+            _subtract(v, v[q], basis[q])
+        if not v:
+            continue
+        p = min(v)
+        if v[p] != 1:
+            inv = 1 / Fraction(v[p])
+            v = {c: x * inv for c, x in v.items()}
+        for q in list(holders.get(p, ())):
+            _subtract(basis[q], basis[q][p], v, holders, q)
+        basis[p] = v
+        for c in v:
+            holders.setdefault(c, set()).add(p)
+    return [basis[p] for p in sorted(basis)]
+
+
+def _subtract(target: dict, factor, row: dict, holders=None, owner=None) -> None:
+    """target -= factor * row, dropping zeros; keeps ``holders`` in step."""
+    for c, x in row.items():
+        y = target.get(c, 0) - factor * x
+        if y:
+            if holders is not None and c not in target:
+                holders.setdefault(c, set()).add(owner)
+            target[c] = y
+        else:
+            del target[c]
+            if holders is not None:
+                holders[c].discard(owner)
+
+
+def sparse_inverse(rows: list[Mapping[int, Fraction]]) -> list[dict[int, Fraction]]:
+    """Rows of the inverse of a square sparse matrix given by its rows.
+
+    One ``sparse_rref`` of [A | I]; raises ValueError if A is singular.
+    """
+    n = len(rows)
+    reduced = sparse_rref({**row, n + r: 1} for r, row in enumerate(rows))
+    if [min(row) for row in reduced] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [{c - n: x for c, x in row.items() if c >= n} for row in reduced]
+
+
 class RatMatrix:
     """A rows x cols matrix of exact rationals."""
 
@@ -75,108 +133,20 @@ class RatMatrix:
         if any(len(r) != self.ncols for r in self.rows):
             raise ValueError("ragged rows")
 
-    # -- construction -------------------------------------------------
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "RatMatrix":
-        return cls([[0] * ncols for _ in range(nrows)])
-
-    def copy_rows(self) -> list[list[Fraction]]:
-        return [row[:] for row in self.rows]
-
-    # -- basic algebra ------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RatMatrix) and self.rows == other.rows
-
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __neg__(self) -> "RatMatrix":
-        return RatMatrix([[-a for a in row] for row in self.rows])
-
-    def scale(self, c) -> "RatMatrix":
-        c = _to_fraction(c)
-        return RatMatrix([[c * a for a in row] for row in self.rows])
-
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matrix product")
-        ot = list(zip(*other.rows))
-        out = []
-        for row in self.rows:
-            out.append(
-                [sum(a * b for a, b in zip(row, col) if a) for col in ot]
-            )
-        return RatMatrix(out)
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix([list(col) for col in zip(*self.rows)]) if self.rows else self
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self.rows for x in row)
-
-    def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        return [sum(a * v for a, v in zip(row, vec) if a) for row in self.rows]
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
-        return f"RatMatrix[{body}]"
-
-    # -- eliminations --------------------------------------------------
-
     def rank(self) -> int:
         """Exact rank; scaling a row to integers does not change it."""
         return bareiss([clear_denominators(row)[0] for row in self.rows])[0]
 
-    def rref(self) -> tuple["RatMatrix", list[int]]:
-        """Reduced row echelon form and pivot column list."""
-        m = self.copy_rows()
-        nr, nc = self.nrows, self.ncols
-        pivots: list[int] = []
-        r = 0
-        for col in range(nc):
-            piv = None
-            for i in range(r, nr):
-                if m[i][col]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            pv = m[r][col]
-            m[r] = [x / pv for x in m[r]]
-            for i in range(nr):
-                if i != r and m[i][col]:
-                    f = m[i][col]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(col)
-            r += 1
-            if r == nr:
-                break
-        return RatMatrix(m), pivots
-
     def kernel_basis(self) -> list[list[Fraction]]:
         """Basis of the right kernel; rank + len(kernel) == ncols."""
-        R, pivots = self.rref()
-        free = [j for j in range(self.ncols) if j not in pivots]
+        reduced = sparse_rref(dict(enumerate(row)) for row in self.rows)
+        pivots = [min(row) for row in reduced]
         basis = []
-        for j in free:
+        for j in sorted(set(range(self.ncols)) - set(pivots)):
             v = [Fraction(0)] * self.ncols
             v[j] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -R.rows[r][j]
+            for row, pc in zip(reduced, pivots):
+                v[pc] = -row.get(j, Fraction(0))
             basis.append(v)
         return basis
 
@@ -191,14 +161,3 @@ class RatMatrix:
             rows.append(ints)
             scale *= den
         return Fraction(bareiss(rows)[1], scale)
-
-    def inverse(self) -> "RatMatrix":
-        if self.nrows != self.ncols:
-            raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        aug = RatMatrix([row + ident for row, ident in
-                         zip(self.copy_rows(), RatMatrix.identity(n).rows)])
-        R, pivots = aug.rref()
-        if pivots[:n] != list(range(n)):
-            raise ValueError("matrix is singular")
-        return RatMatrix([row[n:] for row in R.rows])

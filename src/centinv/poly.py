@@ -262,8 +262,14 @@ class SparsePoly:
         """Initial term: homogeneous part of minimal degree; 0 stays 0."""
         if not self.terms:
             return self
-        d = min(_key_degree(k) for k in self.terms)
-        return self.homogeneous_component(d)
+        low, terms = _MASK, {}  # above every k % _MASK
+        for k, c in self.terms.items():
+            d = _key_degree(k)
+            if d < low:
+                low, terms = d, {k: c}
+            elif d == low:
+                terms[k] = c
+        return SparsePoly(self.variables, terms)
 
     def substitute(self, assignments: Mapping[str, object]) -> "SparsePoly":
         """Substitute rational values for a subset of the variables."""

@@ -298,11 +298,11 @@ def build_beta_prime_sum(sp: SymplecticModel) -> BetaPrimeResult:
         inext = sp.pairing[i + 1]
         if ip == i + 1:
             continue
-        num = sp.J.rows[real.pos[(i + 1, 0)]][real.pos[(inext, d[i])]]
-        den = sp.J.rows[real.pos[(i, d[i - 1])]][real.pos[(ip, 0)]]
+        num = sp.J.get((real.pos[(i + 1, 0)], real.pos[(inext, d[i])]), 0)
+        den = sp.J.get((real.pos[(i, d[i - 1])], real.pos[(ip, 0)]), 0)
         idx = XiIndex(ip, inext, d[i])
         a = gl.index[idx]
-        coeff = -num / den
+        coeff = Fraction(-num, den)
         coords[a] += coeff
         exponent = 1 + gl.rho_weights[a]
         if exponent < 2:

@@ -1,17 +1,35 @@
 """Centraliser models: bases, structure constants, gradings, symplectic form."""
 
+import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from dense_oracle import (
+    DenseGlModel,
+    DenseSpModel,
+    add,
+    commutator,
+    dense,
+    identity,
+    is_zero,
+    matmul,
+    scale,
+    sub,
+    subalgebra_structure,
+    trace_product,
+    transpose,
+)
 
 from centinv.centralizer import (
     JordanRealization,
+    SubalgebraModel,
     XiIndex,
     build_gl_model,
     build_sp_model,
+    check_symplectic_form,
     closed_form_bracket,
-    commutator,
     enumerate_xi,
 )
 from centinv.linalg import RatMatrix
@@ -29,9 +47,10 @@ from centinv.regularity import build_alpha, default_alpha_coefficients
 def test_sl2_relations():
     for s in ("2,1", "3,2,2", "4,1", "5"):
         r = JordanRealization(Partition.parse(s))
-        assert (commutator(r.e, r.f) - r.h).is_zero()
-        assert (commutator(r.h, r.e) - r.e.scale(2)).is_zero()
-        assert (commutator(r.h, r.f) + r.f.scale(2)).is_zero()
+        e, h, f = (dense(m, r.n) for m in (r.e, r.h, r.f))
+        assert is_zero(sub(commutator(e, f), h))
+        assert is_zero(sub(commutator(h, e), scale(e, 2)))
+        assert is_zero(add(commutator(h, f), scale(f, 2)))
 
 
 def test_h_acts_with_lowest_weight_on_generators():
@@ -39,7 +58,7 @@ def test_h_acts_with_lowest_weight_on_generators():
     r = JordanRealization(p)
     for i, di in enumerate(p.d, start=1):
         col = r.pos[(i, 0)]
-        column = [r.h.rows[t][col] for t in range(p.n)]
+        column = [r.h.get((t, col), 0) for t in range(p.n)]
         assert column[col] == -di
         assert all(not v for t, v in enumerate(column) if t != col)
 
@@ -55,7 +74,7 @@ def test_xi_matrices_commute_with_e():
         p = Partition.parse(s)
         r = JordanRealization(p)
         for idx in enumerate_xi(p):
-            assert commutator(r.e, r.xi_matrix(idx)).is_zero()
+            assert is_zero(commutator(dense(r.e, r.n), dense(r.xi_matrix(idx), r.n)))
 
 
 def test_gf_matrices_commute_with_f():
@@ -63,7 +82,7 @@ def test_gf_matrices_commute_with_f():
         p = Partition.parse(s)
         r = JordanRealization(p)
         for idx in enumerate_xi(p):
-            assert commutator(r.f, r.gf_matrix(idx)).is_zero()
+            assert is_zero(commutator(dense(r.f, r.n), dense(r.gf_matrix(idx), r.n)))
 
 
 def test_example_basis_for_21():
@@ -102,21 +121,19 @@ def test_trace_duality():
         n = m.partition.n
         for a in range(m.dim):
             for b in range(m.dim):
-                t = sum(m.matrices[a].rows[i][j] * m.gf_dual[b].rows[j][i]
+                t = sum(m.matrices[a].get((i, j), 0) * m.gf_dual[b].get((j, i), 0)
                         for i in range(n) for j in range(n))
                 assert t == (1 if a == b else 0)
 
 
 def test_trace_pairing_nondegenerate_up_to_10():
-    from centinv.centralizer import _trace_product
-
     for n in range(1, 11):
         for p in partitions_of(n):
             real = JordanRealization(p)
             xi = enumerate_xi(p)
-            mats = [real.xi_matrix(i) for i in xi]
-            gfs = [real.gf_matrix(i) for i in xi]
-            gram = RatMatrix([[_trace_product(a, b) for b in gfs] for a in mats])
+            mats = [dense(real.xi_matrix(i), n) for i in xi]
+            gfs = [dense(real.gf_matrix(i), n) for i in xi]
+            gram = RatMatrix([[trace_product(a, b) for b in gfs] for a in mats])
             assert gram.rank() == len(xi), p
 
 
@@ -216,22 +233,24 @@ def test_symplectic_model_invariants():
         p = Partition.parse(s)
         sp = build_sp_model(p)
         n = p.n
-        assert (sp.J + sp.J.transpose()).is_zero()
-        assert (sp.J @ sp.J + RatMatrix.identity(n)).is_zero()
-        e = sp.gl.realization.e
-        assert (e.transpose() @ sp.J + sp.J @ e).is_zero()
+        J = dense(sp.J, n)
+        assert is_zero(add(J, transpose(J)))
+        assert is_zero(add(matmul(J, J), identity(n)))
+        e = dense(sp.gl.realization.e, n)
+        assert is_zero(add(matmul(transpose(e), J), matmul(J, e)))
         assert sp.dim == dim_centralizer_so_sp(p, ClassicalType.SP)
         # paired chains only pair with their partner
         real = sp.gl.realization
         for (i, s1), col in real.pos.items():
             for (j, s2), col2 in real.pos.items():
-                if sp.J.rows[col][col2]:
+                if J[col][col2]:
                     assert j == sp.pairing[i]
         for mat in sp.fixed.matrices:
-            assert (mat.transpose() @ sp.J + sp.J @ mat).is_zero()
+            mat = dense(mat, n)
+            assert is_zero(add(matmul(transpose(mat), J), matmul(J, mat)))
         for row in sp.odd_part_basis:
             mat = sp.gl.matrix_from_coords(row)
-            assert (sp.sigma(mat) + mat).is_zero()
+            assert is_zero(add(dense(sp.sigma(mat), n), dense(mat, n)))
 
 
 def test_sp_examples():
@@ -256,3 +275,62 @@ def test_model_json_shape():
     assert dump["basis"][0] == "xi[1,1,0]"
     assert all(len(row) == 4 for row in dump["structure"])
     assert dump["partition"] == [2, 1]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sparse_gl_build_matches_dense_oracle(n):
+    for p in partitions_of(n):
+        assert json.dumps(build_gl_model(p).to_json()) == json.dumps(DenseGlModel(p).to_json()), p
+
+
+@pytest.mark.parametrize("n", (2, 4, 6, 8))
+def test_sparse_sp_build_matches_dense_oracle(n):
+    for p in partitions_of(n, ClassicalType.SP):
+        sp, oracle = build_sp_model(p), DenseSpModel(p)
+        assert sp.sigma_fixed_basis == oracle.sigma_fixed_basis, p
+        assert sp.odd_part_basis == oracle.odd_part_basis, p
+        assert sp.fixed.structure == oracle.fixed_structure, p
+        assert sp.pairing_constants == oracle.pairing_constants, p
+        assert [dense(m, n) for m in sp.gf_dual] == oracle.gf_dual, p
+        assert [dense(m, n) for m in sp.fixed.matrices] == oracle.fixed_matrices, p
+
+
+def test_scaled_subalgebra_matches_dense_oracle():
+    p = Partition.parse("2,1,1")
+    sp, oracle = build_sp_model(p), DenseSpModel(p)
+    rows = [[x / 5 for x in row] for row in sp.sigma_fixed_basis]
+    scaled = SubalgebraModel(sp.gl, rows, rank=2, algebra="sp")
+    assert scaled.integer_rows()[1] > 1
+    assert scaled.structure == subalgebra_structure(oracle.gl, rows)[1]
+
+
+def test_subalgebra_rejects_dependent_rows():
+    sp = build_sp_model(Partition.parse("2,2"))
+    rows = sp.sigma_fixed_basis
+    with pytest.raises(ValueError):
+        SubalgebraModel(sp.gl, rows + [[2 * x for x in rows[0]]], rank=2, algebra="sp")
+
+
+def test_flipped_form_sign_raises():
+    """Each check on J is an explicit ArithmeticError, kept under python -O:
+    one flipped entry of J breaks skewness; flipping a pair (i, j), (j, i)
+    of 3,3 keeps J skew with J^2 = -Id but e is no longer symplectic."""
+    for s in ("2", "2,2", "3,3", "2,1,1", "4,2"):
+        sp = build_sp_model(Partition.parse(s))
+        check_symplectic_form(sp.J, sp.gl.realization)
+        for (i, j), v in sp.J.items():
+            with pytest.raises(ArithmeticError, match="not skew"):
+                check_symplectic_form({**sp.J, (i, j): -v}, sp.gl.realization)
+    sp = build_sp_model(Partition.parse("3,3"))
+    real = sp.gl.realization
+    for (i, j), v in sp.J.items():
+        with pytest.raises(ArithmeticError, match="e is not symplectic"):
+            check_symplectic_form({**sp.J, (i, j): -v, (j, i): v}, real)
+    with pytest.raises(ArithmeticError, match="square"):
+        check_symplectic_form({(0, 1): 2, (1, 0): -2}, JordanRealization(Partition.parse("2")))
+    (c, _), hc = next(iter(real.h.items()))
+    (fi, fj), fv = next(iter(real.f.items()))
+    for name, broken in (("h", {**real.h, (c, c): -hc}), ("f", {**real.f, (fi, fj): -fv})):
+        triple = {"n": real.n, "e": real.e, "h": real.h, "f": real.f, name: broken}
+        with pytest.raises(ArithmeticError, match=f"{name} is not symplectic"):
+            check_symplectic_form(sp.J, SimpleNamespace(**triple))

@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from dense_oracle import add, apply, dense, identity, is_zero, matmul, scale, transpose
 from hypothesis import assume, example, given, settings, strategies as st
 
 from centinv.centralizer import SubalgebraModel, XiIndex, build_gl_model, build_sp_model
@@ -33,7 +34,7 @@ from centinv.invariants import (
     top_coefficient_crosscheck,
     verify_centrality,
 )
-from centinv.linalg import RatMatrix, clear_denominators
+from centinv.linalg import clear_denominators
 from centinv.partitions import Partition, degrees_gl, partitions_of
 from centinv.poly import _WIDTH, SparsePoly
 
@@ -41,14 +42,15 @@ from centinv.poly import _WIDTH, SparsePoly
 def slice_entry_polys(model):
     """Matrix entries of e + generic dual element, as polynomials."""
     n = model.partition.n
-    e = model.realization.e
+    e = dense(model.realization.e, n)
+    duals = [dense(mat, n) for mat in model.gf_dual]
     out = []
     for i in range(n):
         row = []
         for j in range(n):
-            p = SparsePoly.constant(model.var_names, e.rows[i][j])
-            for a, mat in enumerate(model.gf_dual):
-                v = mat.rows[i][j]
+            p = SparsePoly.constant(model.var_names, e[i][j])
+            for a, mat in enumerate(duals):
+                v = mat[i][j]
                 if v:
                     p = p + SparsePoly.variable(model.var_names, model.var_names[a]) * v
             row.append(p)
@@ -263,6 +265,32 @@ def test_top_coefficient_crosscheck(parts):
     assert all(v != 0 for v in res.scalars.values())
 
 
+@pytest.mark.parametrize("parts", ["2,1", "3,1", "2,1,1"])
+def test_top_coefficient_leaving_the_centraliser_is_refused(parts, monkeypatch):
+    """A term zf^K * w1 planted in a minor sum over gl_n puts the first
+    complement coordinate into the top coefficient in zf; the crosscheck
+    must refuse it.  The coefficient of zf^K never holds zf itself, so w1,
+    the lane just above zf, is the nearest lane a plant can reach."""
+    import centinv.invariants as inv
+
+    m = build_gl_model(Partition.parse(parts))
+    sr = principal_minor_sums(m)
+    expand = inv.principal_minor_sum_polys
+    for ell in range(1, m.partition.n + 1):
+        def planted(entries, variables):
+            polys = expand(entries, variables)
+            top = {"zf": ell - sr.degrees[ell - 1], "w1": 1}
+            polys[ell - 1] = polys[ell - 1] + SparsePoly.from_exponents(
+                variables, [(top, Fraction(3, 2))])
+            return polys
+
+        monkeypatch.setattr(inv, "principal_minor_sum_polys", planted)
+        res = top_coefficient_crosscheck(m, sr)
+        assert not res.passed
+        assert res.detail == f"top coefficient of {ell} leaves the centraliser"
+        assert sorted(res.scalars) == list(range(1, ell))
+
+
 def test_top_coefficient_budget():
     m = build_gl_model(Partition.parse("3,2"))
     sr = principal_minor_sums(m)
@@ -393,7 +421,7 @@ def test_coordinate_bracket_matches_fraction_reference(name, data):
     assert str(got) == str(expected)
 
 
-def exp_minus_ad_transpose(model, a: int) -> RatMatrix:
+def exp_minus_ad_transpose(model, a: int) -> list[list[Fraction]]:
     """The dense oracle: exp(-A)^T with A[c][b] = [xi_a, xi_b]_c, summed
     until a power of A vanishes."""
     r = model.dim
@@ -404,15 +432,14 @@ def exp_minus_ad_transpose(model, a: int) -> RatMatrix:
                 A[c][y] += v
             if y == a:
                 A[c][x] -= v
-    A = RatMatrix(A)
-    M = term = RatMatrix.identity(r)
+    M = term = identity(r)
     step = 0
     while True:
         step += 1
-        term = (term @ A).scale(Fraction(-1, step))
-        if term.is_zero():
-            return M.transpose()
-        M = M + term
+        term = scale(matmul(term, A), Fraction(-1, step))
+        if is_zero(term):
+            return transpose(M)
+        M = add(M, term)
 
 
 @pytest.mark.parametrize("name", ["gl 3,2,1", "sp 2,2,1,1", "sp 2,1,1 / 5"])
@@ -428,7 +455,7 @@ def test_coadjoint_series_matches_dense_exponential(name):
         Mt = exp_minus_ad_transpose(model, a)
         for _ in range(4):
             gamma = [rng.randint(-10, 10) for _ in range(model.dim)]
-            assert coadjoint_exp(model, a, gamma) == Mt.apply([Fraction(g) for g in gamma])
+            assert coadjoint_exp(model, a, gamma) == apply(Mt, [Fraction(g) for g in gamma])
 
 
 def test_integer_group_probe_matches_fraction_evaluation():

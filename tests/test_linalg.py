@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from centinv.linalg import RatMatrix, bareiss
+from dense_oracle import apply, identity, inverse, matmul, rref, zeros
+
+from centinv.linalg import RatMatrix, bareiss, sparse_inverse, sparse_rref
 
 
 def naive_fraction_free_rank(rows):
@@ -45,13 +47,13 @@ def test_rank_kernel_matches_oracle(nr, nc, data):
     assert rank == naive_fraction_free_rank(rows)
     assert rank + len(kernel) == nc
     for vec in kernel:
-        assert all(not x for x in m.apply(vec))
+        assert all(not x for x in apply(m.rows, vec))
 
 
 def test_identity_and_zero():
-    ident = RatMatrix.identity(3)
+    ident = RatMatrix(identity(3))
     assert ident.rank() == 3 and ident.kernel_basis() == []
-    z = RatMatrix.zeros(2, 5)
+    z = RatMatrix(zeros(2, 5))
     assert z.rank() == 0 and len(z.kernel_basis()) == 5
 
 
@@ -61,13 +63,56 @@ def test_rational_entries():
     assert m.det() == 0
     m2 = RatMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 2]])
     assert m2.det() == Fraction(1, 2)
-    inv = m2.inverse()
-    assert (m2 @ inv) == RatMatrix.identity(2)
+    inv = sparse_inverse([dict(enumerate(row)) for row in m2.rows])
+    assert matmul(m2.rows, to_dense(inv, 2)) == identity(2)
 
 
 def test_inverse_rejects_singular():
     with pytest.raises(ValueError):
-        RatMatrix([[1, 2], [2, 4]]).inverse()
+        sparse_inverse([{0: 1, 1: 2}, {0: 2, 1: 4}])
+
+
+def to_dense(rows, nc):
+    return [[Fraction(row.get(c, 0)) for c in range(nc)] for row in rows]
+
+
+sparse_rows = st.integers(1, 7).flatmap(lambda nc: st.lists(
+    st.dictionaries(st.integers(0, nc - 1),
+                    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)), max_size=nc),
+    max_size=7).map(lambda rows: (rows, nc)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_rows)
+def test_sparse_rref_matches_dense_gauss_jordan(case):
+    rows, nc = case
+    reduced = sparse_rref(rows)
+    expected, pivots = rref(to_dense(rows, nc)) if rows else ([], [])
+    assert to_dense(reduced, nc) == expected[:len(pivots)]
+    assert [min(row) for row in reduced] == pivots
+    assert all(0 not in row.values() for row in reduced)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_sparse_inverse_matches_dense_inverse(n, data):
+    """Monomial matrices (the gl trace pairing) and random ones; a singular
+    matrix raises in both."""
+    if data.draw(st.booleans(), label="monomial"):
+        perm = data.draw(st.permutations(range(n)), label="perm")
+        rows = [{perm[i]: Fraction(data.draw(st.integers(1, 5)) * data.draw(st.sampled_from([-1, 1])),
+                                   data.draw(st.integers(1, 4)))} for i in range(n)]
+    else:
+        rows = [dict(enumerate(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
+                for _ in range(n)]
+    dense_rows = to_dense(rows, n)
+    if RatMatrix(dense_rows).rank() < n:
+        with pytest.raises(ValueError):
+            sparse_inverse(rows)
+        return
+    inv = sparse_inverse(rows)
+    assert to_dense(inv, n) == inverse(dense_rows)
+    assert matmul(dense_rows, to_dense(inv, n)) == identity(n)
 
 
 @settings(max_examples=40, deadline=None)

@@ -461,7 +461,7 @@ def rational_functionals(model, rng, count=6):
 def check_integer_form(model, gammas):
     for gamma in gammas:
         B = exact_form(model, gamma)
-        assert bracket_form_matrix(model, gamma) == B
+        assert bracket_form_matrix(model, gamma).rows == B.rows
         assert model.dim - stabilizer_dim(gamma, model) == B.rank()
 
 
