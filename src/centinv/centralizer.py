@@ -323,14 +323,14 @@ class SubalgebraModel(StructureTable):
     """
 
     def __init__(self, ambient: CentralizerModel, coord_rows: list[list[Fraction]],
-                 rank: int, algebra: str, var_prefix: str = "u"):
+                 rank: int, algebra: str):
         self.ambient = ambient
         self.coords = coord_rows
         self.dim = len(coord_rows)
         self.rank = rank
         self.algebra = algebra
-        self.labels = [f"{var_prefix}[{t + 1}]" for t in range(self.dim)]
-        self.var_names = tuple(f"{var_prefix}{t + 1}" for t in range(self.dim))
+        self.labels = [f"u[{t + 1}]" for t in range(self.dim)]
+        self.var_names = tuple(f"u{t + 1}" for t in range(self.dim))
         self.matrices = [ambient.matrix_from_coords(row) for row in coord_rows]
         # row-reduced rows stay ad(h) homogeneous: coordinates of distinct
         # weights have disjoint support, so eliminations never mix them

@@ -3,14 +3,16 @@
 Subcommands: verify (one partition, chosen checks), degrees (just the
 degree table), so-diagnostic (orthogonal minor-degree diagnostic) and
 sweep (all partitions up to a bound).  Exit codes: 0 all certificates
-pass, 1 some check failed, 2 usage error, 3 some certificate is an
-ERROR: a symbolic budget refused a requested command, or a command
+pass, 1 some check failed, 2 usage error or an --out path that cannot
+be opened for writing (refused before the run), 3 some certificate is
+an ERROR: a symbolic budget refused a requested command, or a command
 raised an internal ArithmeticError or ValueError.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -159,17 +161,15 @@ def main(argv=None) -> int:
             cfg.partitions = [str(p) for p in partitions]
         for p in partitions:
             commands_for(cfg, p)  # validate the partition and commands up front
-    except (InvalidPartitionError, UsageError) as exc:
+        # an unwritable --out is refused before the run, not after it
+        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+    except (InvalidPartitionError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    report = build_report(cfg, partitions)
-    text = render(report, args.format)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with out as fh:
+        report = build_report(cfg, partitions)
+        fh.write(render(report, args.format))
     return exit_code(report)
 
 

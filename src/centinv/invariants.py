@@ -289,16 +289,16 @@ class CentralityResult:
     group_failures: list
 
 
-def verify_centrality(sr: SliceRestriction, model, seed: int = 0,
-                      group_points: int = 5) -> CentralityResult:
+def verify_centrality(sr: SliceRestriction, model, seed: int = 0) -> CentralityResult:
     """Exact {x_a, initial_ell} = 0 for all a, ell, plus a group-level probe.
 
     Both read the model's one cleared structure table: the brackets through
     ``coordinate_bracket_with``, and the probe, which moves random integer
     points by exp(-ad x)^T for up to three basis elements x of positive
     ad(h) weight (nilpotent, so ``coadjoint_exp`` is a finite rational
-    series) and compares the values of each initial term on integers: the
-    moved point is cleared to v / L and ``_value_changes`` scales by L^M.
+    series), five points each, and compares the values of each initial
+    term on integers: the moved point is cleared to v / L and
+    ``_value_changes`` scales by L^M.
     """
     labels = getattr(model, "labels")
     for ell, F in enumerate(sr.initial, start=1):
@@ -315,7 +315,7 @@ def verify_centrality(sr: SliceRestriction, model, seed: int = 0,
         positive = [a for a, w in enumerate(weights) if w > 0]
         r = len(model.var_names)
         for a in positive[:3]:
-            for _ in range(group_points):
+            for _ in range(5):
                 gamma = [rng.randint(-10, 10) for _ in range(r)]
                 moved, L = clear_denominators(coadjoint_exp(model, a, gamma))
                 checked += 1
@@ -498,7 +498,6 @@ class TopCoefficientResult:
 
 
 def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
-                               ells: list[int] | None = None,
                                budget: int = 4) -> TopCoefficientResult:
     """Compare initial terms with top coefficients along the f direction.
 
@@ -518,7 +517,7 @@ def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
         # zero nilpotent: the slice is the whole algebra and the initial
         # terms are the minor sums themselves; there is no f direction
         scalars = {}
-        for ell in (ells or range(1, n + 1)):
+        for ell in range(1, n + 1):
             if sr.full[ell - 1] != sr.initial[ell - 1]:
                 return TopCoefficientResult(False, scalars,
                                             f"minor sum {ell} is not homogeneous")
@@ -547,7 +546,7 @@ def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
     polys = principal_minor_sum_polys(entries, var_names)
 
     scalars: dict[int, Fraction] = {}
-    for ell in (ells or range(1, n + 1)):
+    for ell in range(1, n + 1):
         P = polys[ell - 1]
         K = P.max_exponent("zf")
         p0 = P.coefficient_of("zf", K)
@@ -622,12 +621,12 @@ def jacobian_rank_at(sr: SliceRestriction, model, point: dict) -> int:
     return bareiss(evaluate_jacobian(sr.initial, model.var_names, point))[0]
 
 
-def initial_algebra_rank(sr: SliceRestriction, model, seed: int = 0,
-                         samples: int = 3) -> int:
-    """Generic rank of the Jacobian of the initial terms (expected: rank)."""
+def initial_algebra_rank(sr: SliceRestriction, model, seed: int = 0) -> int:
+    """Generic rank of the Jacobian of the initial terms (expected: rank),
+    the best of three random points."""
     rng = random.Random(seed)
     best = 0
-    for _ in range(samples):
+    for _ in range(3):
         point = {v: Fraction(rng.randint(-10, 10)) for v in model.var_names}
         best = max(best, jacobian_rank_at(sr, model, point))
     return best

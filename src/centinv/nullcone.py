@@ -6,7 +6,10 @@ antidiagonal; peeling blocks from the last one upward this produces the
 component decomposition of the restricted zero locus and an explicit
 n-dimensional subspace meeting the null-cone only at the origin, which
 is exactly the codimension statement making the initial terms a regular
-sequence.
+sequence.  Every stage of that peeling reads the partition's own slice:
+a prefix of the first m blocks is checked on the restriction to levels
+1..m, with no model or slice of its own.  Setting coordinates to zero is
+a lane mask on the packed keys, which drops every term touching them.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .centralizer import CentralizerModel, XiIndex, build_gl_model
-from .invariants import SliceRestriction, principal_minor_sums
+from .centralizer import CentralizerModel, XiIndex
+from .invariants import SliceRestriction
 from .linalg import RatMatrix
 from .partitions import Partition
-from .poly import SparsePoly
+from .poly import _MASK, _WIDTH, SparsePoly
 
 
 @dataclass
@@ -44,32 +47,35 @@ def antidiagonal_spaces(p: Partition) -> list[AntiDiagonalSpace]:
     return spaces
 
 
-def restriction_kill_set(p: Partition) -> list[XiIndex]:
-    """Indices outside the direct sum of the first k antidiagonal levels."""
-    keep = {idx for sp in antidiagonal_spaces(p)[: p.k] for idx in sp.basis}
-    from .centralizer import enumerate_xi
-    return [idx for idx in enumerate_xi(p) if idx not in keep]
+def _lane_mask(model: CentralizerModel, indices) -> int:
+    """Packed-key mask covering the exponent lanes of the given coordinates."""
+    mask = 0
+    for idx in indices:
+        mask |= _MASK << (_WIDTH * model.index[idx])
+    return mask
 
 
-def restrict_to_V(sr: SliceRestriction, model: CentralizerModel) -> list[SparsePoly]:
-    """Initial terms with every coordinate of level above k set to zero."""
-    kill = {model.var_names[model.index[idx]]: 0 for idx in restriction_kill_set(model.partition)}
-    return [F.substitute(kill) for F in sr.initial]
+def restrict_to_V(sr: SliceRestriction, model: CentralizerModel,
+                  m: int | None = None) -> list[SparsePoly]:
+    """Initial terms with every coordinate of level above m (default k) set
+    to zero: the terms whose keys touch such a lane are dropped."""
+    m = model.partition.k if m is None else m
+    kill = _lane_mask(model, (idx for idx in model.xi if idx.i + idx.j > m + 1))
+    return [SparsePoly(F.variables, {key: c for key, c in F.terms.items() if not key & kill})
+            for F in sr.initial]
 
 
 # -- the top-block support --------------------------------------------------
 
 
 def _antidiag_monomial_key(model: CentralizerModel, shifts: tuple[int, ...]) -> int | None:
-    """Packed key of prod_i xi[k+1-i, i, d_i - s_i], or None when a factor dies."""
-    from .poly import _WIDTH
-    p = model.partition
-    d = p.d
+    """Packed key of prod_i xi[m+1-i, i, d_i - s_i] for m = len(shifts), or
+    None when a factor dies."""
+    d = model.partition.d
+    m = len(shifts)
     key = 0
     for i, s_i in enumerate(shifts, start=1):
-        shift_val = d[i - 1] - s_i
-        idx = XiIndex(p.k + 1 - i, i, shift_val)
-        a = model.index.get(idx)
+        a = model.index.get(XiIndex(m + 1 - i, i, d[i - 1] - s_i))
         if a is None:
             return None
         key += 1 << (_WIDTH * a)
@@ -83,22 +89,24 @@ class SupportCheckResult:
     detail: str
 
 
-def top_block_support_check(model: CentralizerModel,
-                            sr: SliceRestriction) -> SupportCheckResult:
-    """Restrictions of the top d_k+1 initial terms live on level k exactly.
+def top_block_support_check(model: CentralizerModel, sr: SliceRestriction,
+                            m: int | None = None) -> SupportCheckResult:
+    """Restrictions of the top d_m+1 initial terms of the first m blocks
+    (default all k) live on level m exactly.
 
-    For 0 <= q <= d_k the restriction of initial term n-q must be a sum
-    over all shift patterns of total q of the antidiagonal monomials,
-    every coefficient nonzero.
+    For 0 <= q <= d_m the restriction to levels 1..m of initial term
+    n_m - q, n_m = p_1 + ... + p_m, must be a sum over all shift patterns
+    of total q of the antidiagonal monomials, every coefficient nonzero.
     """
     p = model.partition
-    restricted = restrict_to_V(sr, model)
-    dk = p.d[-1]
+    m = p.k if m is None else m
+    restricted = restrict_to_V(sr, model, m)
+    n_m = sum(p.parts[:m])
     per_q = []
-    for q in range(dk + 1):
-        poly = restricted[p.n - q - 1]
+    for q in range(p.d[m - 1] + 1):
+        poly = restricted[n_m - q - 1]
         expected: dict[int, tuple[int, ...]] = {}
-        for bars in _compositions(q, p.k):
+        for bars in _compositions(q, m):
             key = _antidiag_monomial_key(model, bars)
             if key is None:
                 return SupportCheckResult(False, per_q, f"missing factor at q={q}")
@@ -166,16 +174,17 @@ def enumerate_components(p: Partition) -> ComponentFamily:
 
 
 def component_zero_locus_check(model: CentralizerModel, sr: SliceRestriction) -> bool:
-    """Every component kills all of the restricted top initial terms."""
+    """Every component kills all of the restricted top initial terms: each
+    of their terms touches a lane of the component's vanishing set."""
     p = model.partition
     if p.k < 2:
         return True
     restricted = restrict_to_V(sr, model)
     dk = p.d[-1]
     for comp in enumerate_components(p).components:
-        kill = {model.var_names[model.index[idx]]: 0 for idx in comp.vanishing(p)}
+        kill = _lane_mask(model, comp.vanishing(p))
         for q in range(dk + 1):
-            if not restricted[p.n - q - 1].substitute(kill).is_zero():
+            if any(not key & kill for key in restricted[p.n - q - 1].terms):
                 return False
     return True
 
@@ -215,8 +224,17 @@ def transversality_certificate(model: CentralizerModel, sr: SliceRestriction,
     subspaces are tried first; the deterministic fallback takes rows of
     a Vandermonde matrix on distinct nodes, whose maximal minors are all
     nonzero.  Every stage m >= 2 also checks the top-block support of the
-    prefix partition: on the given model and slice at m = k, on a model
-    built for the prefix below that.
+    prefix partition p_1, ..., p_m on the given slice, as
+    ``top_block_support_check(model, sr, m)``.  The prefix's minor sums
+    are the partition's own with every coordinate outside blocks 1..m set
+    to zero.  On gl the trace dual of xi[i,j,s] is a multiple of the g_f
+    element on the same two blocks, and that multiple depends only on
+    d_i, d_j and s.  So on the first m blocks the slice matrix is
+    block-diagonal: the prefix's slice matrix M_top, then the nilpotent
+    Jordan blocks m+1..k, and e_l(M) = e_l(M_top).  Both initial terms
+    have the degree min { s : l <= p_1 + ... + p_s } for l <= n_m, so the
+    restricted initial terms are the prefix's, and levels 1..m only hold
+    coordinates with i, j <= m.
     """
     p = model.partition
     rng = random.Random(seed)
@@ -264,9 +282,7 @@ def transversality_certificate(model: CentralizerModel, sr: SliceRestriction,
 
         support_ok = None
         if m >= 2:
-            sub_model = model if m == p.k else build_gl_model(sub)
-            sub_sr = sr if m == p.k else principal_minor_sums(sub_model, budget=sub.n)
-            support_ok = top_block_support_check(sub_model, sub_sr).passed
+            support_ok = top_block_support_check(model, sr, m).passed
             if not support_ok:
                 return TransversalityCertificate(
                     p, False, 0, stages, f"support check failed at block {m}")

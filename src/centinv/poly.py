@@ -271,41 +271,6 @@ class SparsePoly:
                 terms[k] = c
         return SparsePoly(self.variables, terms)
 
-    def substitute(self, assignments: Mapping[str, object]) -> "SparsePoly":
-        """Substitute rational values for a subset of the variables."""
-        idx = _index_map(self.variables)
-        subs: dict[int, Fraction] = {}
-        for name, value in assignments.items():
-            if name not in idx:
-                raise VariableMismatchError(f"unknown variable {name!r}")
-            subs[idx[name]] = Fraction(value)
-        terms: dict[int, Fraction] = {}
-        for k, c in self.terms.items():
-            key = 0
-            coeff = c
-            kk = k
-            i = 0
-            while kk:
-                e = kk & _MASK
-                if e:
-                    if i in subs:
-                        v = subs[i]
-                        if not v:
-                            coeff = Fraction(0)
-                            break
-                        coeff *= v ** e
-                    else:
-                        key += e << (_WIDTH * i)
-                kk >>= _WIDTH
-                i += 1
-            if coeff:
-                s = terms.get(key, Fraction(0)) + coeff
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
-        return SparsePoly(self.variables, terms)
-
     def evaluate(self, point: Mapping[str, object]) -> Fraction:
         """Evaluate at a full point; missing variables are reported by name."""
         idx = _index_map(self.variables)

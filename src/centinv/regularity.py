@@ -681,8 +681,7 @@ def _compress_line(B0: list[list[int]], B1: list[list[int]], rho: int,
     return False, drawn
 
 
-def singular_locus_probe(model, lines: int = 10, seed: int = 0,
-                         minor_budget: int = 12) -> LineProbeReport:
+def singular_locus_probe(model, lines: int = 10, seed: int = 0) -> LineProbeReport:
     """Count singular parameter values on random lines in the dual space.
 
     A parameter is singular when the bracket form drops below its
@@ -708,7 +707,7 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0,
     constant.  A compression with det(C1) = 0 mod p is interpolated
     exactly and reduced (its primitive part anchors the same way when
     its leading coefficient is nonzero mod p); a line whose gcd mod p
-    stays nonconstant through the budget recomputes its compressions
+    stays nonconstant through 12 compressions recomputes them
     over Z, and the exact primitive gcd decides it.
     """
     rng = random.Random(seed)
@@ -740,7 +739,7 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0,
             probes.append(LineProbe(False, None, 0, "line misses the regular locus"))
             continue
 
-        clean, drawn = _compress_line(B0, B1, rho, rng, minor_budget)
+        clean, drawn = _compress_line(B0, B1, rho, rng, budget=12)
         used = len(drawn)
         if clean:
             probes.append(LineProbe(True, 0, used, ""))

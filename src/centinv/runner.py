@@ -12,6 +12,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import __version__
 from .certificates import ERROR, FAIL, PASS, Certificate
@@ -124,65 +125,44 @@ class PartitionContext:
     def __init__(self, p: Partition, cfg: RunConfig):
         self.partition = p
         self.cfg = cfg
-        self._gl = None
-        self._sp = None
-        self._slice = None
-        self._alpha = None
-        self._beta = None
-        self._generators = None
 
     @property
     def algebra(self) -> str:
         return self.cfg.algebra
 
-    @property
+    @cached_property
     def model(self):
         if self.cfg.algebra == "sp":
             return self.sp.fixed
-        if self._gl is None:
-            self._gl = build_gl_model(self.partition)
-        return self._gl
+        return build_gl_model(self.partition)
 
-    @property
+    @cached_property
     def sp(self):
-        if self._sp is None:
-            self._sp = build_sp_model(self.partition)
-        return self._sp
+        return build_sp_model(self.partition)
 
-    @property
+    @cached_property
     def slice(self):
-        if self._slice is None:
-            if self.cfg.algebra == "sp":
-                self._slice = symplectic_minor_sums(self.sp, budget=self.cfg.budget_n)
-            else:
-                self._slice = principal_minor_sums(self.model, budget=self.cfg.budget_n)
-        return self._slice
+        if self.cfg.algebra == "sp":
+            return symplectic_minor_sums(self.sp, budget=self.cfg.budget_n)
+        return principal_minor_sums(self.model, budget=self.cfg.budget_n)
 
-    @property
+    @cached_property
     def alpha(self) -> Functional:
-        if self._alpha is None:
-            if self.cfg.algebra == "sp":
-                self._alpha = restrict_alpha_to_fixed(self.sp)
-            else:
-                self._alpha = build_alpha(self.model, default_alpha_coefficients(self.model))
-        return self._alpha
+        if self.cfg.algebra == "sp":
+            return restrict_alpha_to_fixed(self.sp)
+        return build_alpha(self.model, default_alpha_coefficients(self.model))
 
-    @property
+    @cached_property
     def beta(self) -> Functional | None:
         if self.partition.k < 2:
             return None
-        if self._beta is None:
-            if self.cfg.algebra == "sp":
-                self._beta = build_beta_prime_sum(self.sp).restricted
-            else:
-                self._beta = build_beta(self.model)
-        return self._beta
+        if self.cfg.algebra == "sp":
+            return build_beta_prime_sum(self.sp).restricted
+        return build_beta(self.model)
 
-    @property
+    @cached_property
     def generators(self) -> list[int]:
-        if self._generators is None:
-            self._generators = choose_generators(self.slice, self.model, self.alpha)
-        return self._generators
+        return choose_generators(self.slice, self.model, self.alpha)
 
 
 def _cert(ctx: PartitionContext, claim: str, ok: bool, witnesses: dict) -> Certificate:

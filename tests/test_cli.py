@@ -116,6 +116,21 @@ def test_json_format(capsys, tmp_path):
     assert claims == ["degree-table", "index-equals-rank"]
 
 
+def test_unwritable_out_is_usage_error_before_the_run(capsys, tmp_path, monkeypatch):
+    def no_run(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr("centinv.cli.build_report", no_run)
+    target = tmp_path / "missing" / "x.json"
+    code = main(["verify", "--partition", "2,1", "--commands", "degrees",
+                 "--out", str(target)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(target) in captured.err
+    assert captured.out == ""
+    assert not target.parent.exists()
+
+
 def test_sweep_small(capsys):
     code, out = run_cli(capsys, "sweep", "--type", "gl", "--max-n", "3",
                         "--commands", "degrees,stabilizers,index", "--seed", "7")

@@ -1,5 +1,8 @@
 """Null-cone restrictions, components and the transversal subspace."""
 
+import copy
+from dataclasses import replace
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -16,7 +19,7 @@ from centinv.nullcone import (
     transversality_certificate,
 )
 from centinv.partitions import Partition, partitions_of
-from centinv.poly import SparsePoly
+from centinv.poly import _MASK, _WIDTH, SparsePoly
 
 
 def test_antidiagonal_spaces_cover_everything():
@@ -151,3 +154,124 @@ def test_support_components_and_restrictions_are_consistent():
                 parent[i] -= 1
                 parents.add(str(tuple(parent)))
         assert parents & level_sets[p.d[-1]], comp
+
+
+# -- prefix stages on the partition's own slice -------------------------------
+
+
+def _relabel(poly, sub_model, model):
+    """A polynomial of the prefix model rewritten in the partition's coordinates."""
+    lanes = [model.index[idx] for idx in sub_model.xi]
+    terms = {sum(e << (_WIDTH * lanes[a]) for a, e in factors): c
+             for factors, c in poly.factored_terms()}
+    return SparsePoly(model.var_names, terms)
+
+
+def _on_blocks(poly, model, m):
+    """poly with every coordinate outside blocks 1..m set to zero."""
+    kill = sum(_MASK << (_WIDTH * a) for a, idx in enumerate(model.xi) if max(idx.i, idx.j) > m)
+    return SparsePoly(poly.variables, {k: c for k, c in poly.terms.items() if not k & kill})
+
+
+@pytest.mark.parametrize("parts", [str(p) for n in range(3, 7) for p in partitions_of(n)
+                                   if p.k >= 3])
+def test_prefix_stage_reads_the_partitions_own_slice(parts):
+    # the reference is a model and slice built for the prefix itself
+    p = Partition.parse(parts)
+    model = build_gl_model(p)
+    sr = principal_minor_sums(model)
+    for m in range(2, p.k):
+        sub_model = build_gl_model(p.prefix(m))
+        sub_sr = principal_minor_sums(sub_model)
+        got = top_block_support_check(model, sr, m)
+        ref = top_block_support_check(sub_model, sub_sr)
+        assert (got.passed, got.per_q, got.detail) == (ref.passed, ref.per_q, ref.detail)
+        assert got.passed
+        n_m = p.prefix(m).n
+        for ell in range(1, p.n + 1):
+            full = _on_blocks(sr.full[ell - 1], model, m)
+            initial = _on_blocks(sr.initial[ell - 1], model, m)
+            if ell <= n_m:
+                assert full == _relabel(sub_sr.full[ell - 1], sub_model, model)
+                assert initial == _relabel(sub_sr.initial[ell - 1], sub_model, model)
+            else:
+                assert full.is_zero() and initial.is_zero()
+
+
+# -- failure branches on planted terms ------------------------------------------
+
+
+def _planted(sr, ell, terms):
+    """sr with initial term ell replaced by one holding the given terms."""
+    initial = list(sr.initial)
+    initial[ell - 1] = SparsePoly(sr.var_names, terms)
+    return replace(sr, initial=initial)
+
+
+def _key(model, *indices):
+    return sum(1 << (_WIDTH * model.index[idx]) for idx in indices)
+
+
+def test_component_check_fails_on_a_term_avoiding_a_vanishing_set():
+    p = Partition.parse("3,2")
+    m = build_gl_model(p)
+    sr = principal_minor_sums(m)
+    comp = enumerate_components(p).components[0]
+    top = antidiagonal_spaces(p)[p.k - 1].basis
+    idx = next(idx for idx in top if idx not in comp.vanishing(p))
+    top_term = sr.initial[p.n - 1]
+    key = _key(m, idx, idx)
+    assert key not in top_term.terms
+    bad = _planted(sr, p.n, {**top_term.terms, key: Fraction(1)})
+    assert not component_zero_locus_check(m, bad)
+    # a planted term touching every vanishing set is still killed
+    touching = _key(m, *(c.vanishing(p)[0] for c in enumerate_components(p).components))
+    assert component_zero_locus_check(m, _planted(sr, p.n, {**top_term.terms, touching: 1}))
+
+
+def test_support_check_reports_an_extra_monomial():
+    p = Partition.parse("3,2")
+    m = build_gl_model(p)
+    sr = principal_minor_sums(m)
+    idx = antidiagonal_spaces(p)[p.k - 1].basis[0]
+    terms = dict(sr.initial[p.n - 1].terms)
+    terms[_key(m, idx, idx)] = Fraction(1)
+    res = top_block_support_check(m, _planted(sr, p.n, terms))
+    assert not res.passed
+    assert res.detail == "support mismatch at q=0: 2 monomials, expected 1"
+
+
+def test_support_check_reports_a_zero_coefficient():
+    p = Partition.parse("3,2")
+    m = build_gl_model(p)
+    sr = principal_minor_sums(m)
+    # a stored zero coefficient is never produced by arithmetic, only planted
+    terms = dict.fromkeys(sr.initial[p.n - 1].terms, Fraction(0))
+    res = top_block_support_check(m, _planted(sr, p.n, terms))
+    assert not res.passed
+    assert res.detail == "zero coefficient at q=0"
+
+
+def test_support_check_reports_a_missing_factor():
+    p = Partition.parse("3,2")
+    m = copy.copy(build_gl_model(p))
+    sr = principal_minor_sums(m)
+    m.index = {idx: a for idx, a in m.index.items() if idx != XiIndex(2, 1, p.d[0])}
+    res = top_block_support_check(m, sr)
+    assert not res.passed
+    assert res.detail == "missing factor at q=0"
+
+
+def test_transversality_reads_prefix_stages_from_the_given_slice():
+    p = Partition.parse("3,2,1")
+    m = build_gl_model(p)
+    sr = principal_minor_sums(m)
+    n_2 = p.prefix(2).n
+    idx = XiIndex(1, 2, p.d[1])
+    assert idx.i + idx.j == 3  # level 2, kept by the stage-2 restriction
+    terms = {**sr.initial[n_2 - 1].terms, _key(m, idx, idx): Fraction(1)}
+    cert = transversality_certificate(m, _planted(sr, n_2, terms), seed=11)
+    assert not cert.passed
+    assert cert.conclusion == "support check failed at block 2"
+    assert [st.block for st in cert.stages] == [3]
+    assert transversality_certificate(m, sr, seed=11).passed

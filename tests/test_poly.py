@@ -64,19 +64,6 @@ def test_homogeneous_component():
     assert p.homogeneous_component(5).is_zero()
 
 
-def test_substitute_partial():
-    p = x("x1") * x("x2") + x("x3")
-    q = p.substitute({"x1": 2})
-    assert q == x("x2") * 2 + x("x3")
-    assert p.substitute({"x2": 0}) == x("x3")
-
-
-def test_substitute_unknown_variable_named():
-    with pytest.raises(VariableMismatchError) as err:
-        x("x1").substitute({"y9": 1})
-    assert "y9" in str(err.value)
-
-
 def test_evaluate_and_missing_variable():
     p = x("x1") * x("x2") + x("x3")
     assert p.evaluate({"x1": 2, "x2": 3, "x3": Fraction(1, 2)}) == Fraction(13, 2)
