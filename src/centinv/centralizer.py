@@ -245,10 +245,6 @@ class CentralizerModel(StructureTable):
         """Index of g_e: n for gl_n."""
         return self.partition.n
 
-    @property
-    def algebra(self) -> str:
-        return "gl"
-
     def coords_of(self, mat: dict) -> dict[int, Fraction]:
         """Nonzero coefficients {a: c} of a centraliser element in the xi
         basis, read from the entries at ``read_at``."""
@@ -323,12 +319,11 @@ class SubalgebraModel(StructureTable):
     """
 
     def __init__(self, ambient: CentralizerModel, coord_rows: list[list[Fraction]],
-                 rank: int, algebra: str):
+                 rank: int):
         self.ambient = ambient
         self.coords = coord_rows
         self.dim = len(coord_rows)
         self.rank = rank
-        self.algebra = algebra
         self.labels = [f"u[{t + 1}]" for t in range(self.dim)]
         self.var_names = tuple(f"u{t + 1}" for t in range(self.dim))
         self.matrices = [ambient.matrix_from_coords(row) for row in coord_rows]
@@ -406,23 +401,12 @@ class SymplecticModel:
         d = p.d
 
         self.pairing = pairing_map(p, ClassicalType.SP)
-        eps: dict[int, int] = {}
-        for i in range(1, p.k + 1):
-            ip = self.pairing[i]
-            if ip == i:
-                eps[i] = 1
-            elif i < ip:
-                eps[i] = 1
-            else:
-                eps[i] = -1
-        self.epsilon = eps
-
         J: dict[tuple[int, int], int] = {}
         for (i, s), col in real.pos.items():
             ip = self.pairing[i]
             t = d[i - 1] - s
             if 0 <= t <= d[ip - 1]:
-                J[(col, real.pos[(ip, t)])] = (-1) ** t * eps[i]
+                J[(col, real.pos[(ip, t)])] = (-1) ** t * (1 if i <= ip else -1)
         check_symplectic_form(J, real)
         self.J = J
         self._row_of = {i: (j, v) for (i, j), v in J.items()}
@@ -446,8 +430,7 @@ class SymplecticModel:
             raise ArithmeticError(
                 f"fixed space has dim {len(self.sigma_fixed_basis)}, expected {expected}")
 
-        self.fixed = SubalgebraModel(
-            self.gl, self.sigma_fixed_basis, rank=p.n // 2, algebra="sp")
+        self.fixed = SubalgebraModel(self.gl, self.sigma_fixed_basis, rank=p.n // 2)
 
         # trace-dual basis of g_f cap sp for the symplectic slice
         gf_fixed_flat = []

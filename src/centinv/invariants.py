@@ -23,13 +23,13 @@ from math import lcm
 from .centralizer import (
     CentralizerModel,
     SymplecticModel,
-    XiIndex,
     _combination,
     _sparse_commutator,
     trace_dual,
+    xi_shift_range,
 )
 from .linalg import RatMatrix, bareiss, clear_denominators, sparse_rref
-from .partitions import Partition
+from .partitions import vectors_with_total
 from .poly import SparsePoly, _MASK, _MAX_EXP, _WIDTH, _accumulate_product, _key_degree
 
 
@@ -126,8 +126,6 @@ def principal_minor_sum_polys(entries: list[list[dict]],
 class SliceRestriction:
     """Minor sums restricted to the slice, with their initial terms."""
 
-    partition: Partition
-    algebra: str
     var_names: tuple[str, ...]
     full: list[SparsePoly]
     initial: list[SparsePoly]
@@ -182,10 +180,8 @@ def principal_minor_sums(model: CentralizerModel, budget: int = 8) -> SliceRestr
         _kazhdan_check(q, model.h_weights, ell)
         for ell, q in enumerate(polys, start=1)
     ]
-    return SliceRestriction(
-        partition=p, algebra="gl", var_names=model.var_names,
-        full=polys, initial=initial, degrees=degrees, kazhdan_homogeneous=kazh,
-    )
+    return SliceRestriction(var_names=model.var_names, full=polys, initial=initial,
+                            degrees=degrees, kazhdan_homogeneous=kazh)
 
 
 def symplectic_minor_sums(sp: SymplecticModel, budget: int = 8) -> SliceRestriction:
@@ -210,10 +206,8 @@ def symplectic_minor_sums(sp: SymplecticModel, budget: int = 8) -> SliceRestrict
         weights is not None and _kazhdan_check(q, weights, 2 * i)
         for i, q in enumerate(even, start=1)
     ]
-    return SliceRestriction(
-        partition=p, algebra="sp", var_names=fixed.var_names,
-        full=even, initial=initial, degrees=degrees, kazhdan_homogeneous=kazh,
-    )
+    return SliceRestriction(var_names=fixed.var_names, full=even, initial=initial,
+                            degrees=degrees, kazhdan_homogeneous=kazh)
 
 
 # -- Poisson structure ------------------------------------------------------
@@ -400,65 +394,30 @@ def monomial_support_check(sr: SliceRestriction, model: CentralizerModel) -> Mon
 # -- signed permutation expansion -------------------------------------------
 
 
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
-
-
 def signed_permutation_sum(model: CentralizerModel, ell: int, m: int) -> SparsePoly:
     """Sum of sgn(sigma) * prod xi_i^{sigma(i), s_i} over supports of size m.
 
     Runs over subsets I of blocks with |I| = m, permutations sigma of I,
-    and shift vectors with total ell - m, all factors admissible.
+    and shift vectors with total ell - m, all factors admissible; the
+    sign is the parity of the inversions of sigma.
     """
     p = model.partition
-    d = p.d
-    target = ell - m
+    blocks = range(1, p.k + 1)
+    shift_range = {(i, j): xi_shift_range(p, i, j) for i in blocks for j in blocks}
+    lane = {(x.i, x.j, x.s): 1 << (_WIDTH * a) for a, x in enumerate(model.xi)}
+    signed = [(perm, (-1) ** sum(a > b for a, b in combinations(perm, 2)))
+              for perm in permutations(range(m))]
     acc: dict[int, Fraction] = {}
-    for I in combinations(range(1, p.k + 1), m):
-        for perm in permutations(range(m)):
-            sign = _perm_sign(perm)
-            ranges = []
-            for t in range(m):
-                i, j = I[t], I[perm[t]]
-                lo = max(d[j - 1] - d[i - 1], 0)
-                ranges.append((i, j, lo, d[j - 1]))
-            lo_suffix = [0] * (m + 1)
-            hi_suffix = [0] * (m + 1)
-            for t in range(m - 1, -1, -1):
-                lo_suffix[t] = lo_suffix[t + 1] + ranges[t][2]
-                hi_suffix[t] = hi_suffix[t + 1] + ranges[t][3]
-
-            def rec(t: int, remaining: int, key: int):
-                if t == m:
-                    s = acc.get(key, Fraction(0)) + sign
-                    if s:
-                        acc[key] = s
-                    else:
-                        acc.pop(key, None)
-                    return
-                i, j, lo, hi = ranges[t]
-                for s_val in range(lo, hi + 1):
-                    rest = remaining - s_val
-                    if rest < lo_suffix[t + 1] or rest > hi_suffix[t + 1]:
-                        continue
-                    a = model.index[XiIndex(i, j, s_val)]
-                    rec(t + 1, rest, key + (1 << (_WIDTH * a)))
-
-            if lo_suffix[0] <= target <= hi_suffix[0]:
-                rec(0, target, 0)
+    for I in combinations(blocks, m):
+        for perm, sign in signed:
+            pairs = [(I[t], I[perm[t]]) for t in range(m)]
+            for shifts in vectors_with_total([shift_range[ij] for ij in pairs], ell - m):
+                key = sum(lane[i, j, s] for (i, j), s in zip(pairs, shifts))
+                c = acc.get(key, Fraction(0)) + sign
+                if c:
+                    acc[key] = c
+                else:
+                    acc.pop(key, None)
     return SparsePoly(model.var_names, acc)
 
 

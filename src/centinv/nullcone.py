@@ -25,7 +25,7 @@ from math import comb
 from .centralizer import CentralizerModel, XiIndex, build_gl_model  # noqa: F401
 from .invariants import SliceRestriction
 from .linalg import RatMatrix
-from .partitions import Partition
+from .partitions import Partition, vectors_with_total
 from .poly import _WIDTH, SparsePoly
 
 
@@ -100,7 +100,7 @@ def top_block_support_check(model: CentralizerModel, sr: SliceRestriction,
     for q in range(p.d[m - 1] + 1):
         poly = restricted[n_m - q - 1]
         expected: dict[int, tuple[int, ...]] = {}
-        for bars in _compositions(q, m):
+        for bars in vectors_with_total([range(q + 1)] * m, q):
             key = _antidiag_monomial_key(model, bars)
             if key is None:
                 return SupportCheckResult(False, per_q, f"missing factor at q={q}")
@@ -115,16 +115,6 @@ def top_block_support_check(model: CentralizerModel, sr: SliceRestriction,
             return SupportCheckResult(False, per_q, f"zero coefficient at q={q}")
         per_q.append({"q": q, "coefficients": coeffs})
     return SupportCheckResult(True, per_q, "")
-
-
-def _compositions(total: int, slots: int):
-    """All nonnegative integer tuples of the given length summing to total."""
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
 
 
 # -- component decomposition -------------------------------------------------
@@ -162,7 +152,7 @@ def enumerate_components(p: Partition) -> ComponentFamily:
     if p.k < 2:
         return ComponentFamily(level=0, components=[])
     dk = p.d[-1]
-    comps = [Component(bars) for bars in _compositions(dk + 1, p.k)]
+    comps = [Component(bars) for bars in vectors_with_total([range(dk + 2)] * p.k, dk + 1)]
     assert len(comps) == comb(dk + p.k, p.k - 1)
     return ComponentFamily(level=dk, components=comps)
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from itertools import product
+from typing import Iterator, Sequence
 
 
 class InvalidPartitionError(ValueError):
@@ -159,9 +160,7 @@ def degrees_gl(p: Partition) -> DegreeTable:
     equals (dim_centralizer_gl + n) / 2.
     """
     degrees = []
-    cum = 0
     for s, part in enumerate(p.parts, start=1):
-        cum += part
         degrees.extend([s] * part)
     table = DegreeTable(tuple(degrees))
     assert len(degrees) == p.n
@@ -278,3 +277,9 @@ def partitions_of(n: int, valid_for: ClassicalType = ClassicalType.GL) -> Iterat
     for p in rec(n, n, []):
         if is_valid_for(p, valid_for):
             yield p
+
+
+def vectors_with_total(ranges: Sequence[range], total: int) -> Iterator[tuple[int, ...]]:
+    """Integer vectors with entry t in ranges[t] and the given total, in
+    lexicographic order."""
+    return (v for v in product(*ranges) if sum(v) == total)

@@ -36,10 +36,6 @@ class Functional:
     coords: tuple[Fraction, ...]
     provenance: str = "EXPLICIT"
 
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
     def is_zero(self) -> bool:
         return all(not c for c in self.coords)
 
@@ -149,7 +145,13 @@ class StabilizerSpanResult:
 
 
 def alpha_stabilizer_basis_check(model: CentralizerModel, a) -> StabilizerSpanResult:
-    """Kernel of B(alpha) must equal the span of the block-diagonal basis."""
+    """Kernel of B(alpha) must equal the span of the block-diagonal basis.
+
+    Two checks suffice: the kernel has len(diag) vectors and each is
+    supported on the diagonal coordinates.  The ``kernel_basis`` vectors
+    are independent, so len(diag) of them inside the diagonal span
+    already span all of it; no rank test of the two spans is needed.
+    """
     alpha = build_alpha(model, a)
     vals = [Fraction(x) for x in a]
     if len(set(vals)) != len(vals) or any(not v for v in vals):
@@ -167,15 +169,6 @@ def alpha_stabilizer_basis_check(model: CentralizerModel, a) -> StabilizerSpanRe
                 return StabilizerSpanResult(
                     False, len(kernel), expected,
                     f"kernel leaves the diagonal span at {model.labels[c]}")
-    # containment the other way is now a rank statement
-    indicator = []
-    for t in diag:
-        row = [Fraction(0)] * model.dim
-        row[t] = Fraction(1)
-        indicator.append(row)
-    stacked = RatMatrix(kernel + indicator)
-    if stacked.rank() != expected:
-        return StabilizerSpanResult(False, len(kernel), expected, "span mismatch")
     return StabilizerSpanResult(True, len(kernel), expected, "")
 
 
@@ -709,6 +702,14 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0) -> LineProbeRepo
     its leading coefficient is nonzero mod p); a line whose gcd mod p
     stays nonconstant through 12 compressions recomputes them
     over Z, and the exact primitive gcd decides it.
+
+    No generic-rank test of the line comes first.  A compression D_j
+    that is not identically zero proves rank B(t) >= rho at all but
+    finitely many t, and both routes to a certificate need one: the
+    modular route an anchor with det(C1) != 0 mod p, the exact route a
+    nonzero pencil to take the gcd over.  A line inside the singular
+    locus makes every D_j vanish, so it is never certified and ends as
+    "no usable compression found".
     """
     rng = random.Random(seed)
     r = model.dim
@@ -734,10 +735,6 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0) -> LineProbeRepo
         def b_at(num: int, den: int = 1) -> list[list[int]]:
             """den * B(num / den) in integer rows."""
             return [[den * x + num * y for x, y in zip(r0, r1)] for r0, r1 in zip(B0, B1)]
-
-        if not any(bareiss(b_at(t))[0] == rho for t in range(3)):
-            probes.append(LineProbe(False, None, 0, "line misses the regular locus"))
-            continue
 
         clean, drawn = _compress_line(B0, B1, rho, rng, budget=12)
         used = len(drawn)

@@ -7,12 +7,14 @@ resource ERROR certificate while the rest of the run continues.
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 
 from . import __version__
 from .certificates import ERROR, FAIL, PASS, Certificate
@@ -72,8 +74,7 @@ SP_COMMANDS = (
 )
 SO_COMMANDS = ("so-diagnostic",)
 
-SYMBOLIC_COMMANDS = {"degrees-symbolic", "centrality", "support", "conjecture",
-                     "diffcrit", "nullcone"}
+SYMBOLIC_COMMANDS = {"centrality", "support", "conjecture", "diffcrit", "nullcone"}
 
 
 @dataclass
@@ -460,30 +461,17 @@ def run_partition(p: Partition, cfg: RunConfig) -> tuple[list[Certificate], dict
     return certs, timings
 
 
-def _sweep_worker(args) -> tuple[str, list[dict], dict]:
-    parts, cfg_echo = args
-    cfg = RunConfig(**cfg_echo)
-    p = Partition.parse(parts)
-    certs, timings = run_partition(p, cfg)
-    return parts, [c.to_json() for c in certs], timings
-
-
 def build_report(cfg: RunConfig, partitions: list[Partition]) -> dict:
     """Run every partition and assemble the deterministic report."""
-    cert_rows: list[dict] = []
-    timing_rows: dict[str, dict] = {}
     if cfg.jobs > 1 and len(partitions) > 1:
-        args = [(str(p), cfg.echo()) for p in partitions]
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_sweep_worker, args))
-        for parts, certs, timings in results:
-            cert_rows.extend(certs)
-            timing_rows[parts] = timings
+        # spawn: forking a process that may already run threads is unsafe
+        with ProcessPoolExecutor(max_workers=cfg.jobs,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            results = list(pool.map(run_partition, partitions, repeat(cfg)))
     else:
-        for p in partitions:
-            certs, timings = run_partition(p, cfg)
-            cert_rows.extend(c.to_json() for c in certs)
-            timing_rows[str(p)] = timings
+        results = [run_partition(p, cfg) for p in partitions]
+    cert_rows = [c.to_json() for certs, _ in results for c in certs]
+    timing_rows = {str(p): timings for p, (_, timings) in zip(partitions, results)}
     statuses = [c["status"] for c in cert_rows]
     report = {
         "schema_version": 1,

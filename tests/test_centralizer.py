@@ -299,7 +299,7 @@ def test_scaled_subalgebra_matches_dense_oracle():
     p = Partition.parse("2,1,1")
     sp, oracle = build_sp_model(p), DenseSpModel(p)
     rows = [[x / 5 for x in row] for row in sp.sigma_fixed_basis]
-    scaled = SubalgebraModel(sp.gl, rows, rank=2, algebra="sp")
+    scaled = SubalgebraModel(sp.gl, rows, rank=2)
     assert scaled.integer_rows()[1] > 1
     assert scaled.structure == subalgebra_structure(oracle.gl, rows)[1]
 
@@ -308,7 +308,7 @@ def test_subalgebra_rejects_dependent_rows():
     sp = build_sp_model(Partition.parse("2,2"))
     rows = sp.sigma_fixed_basis
     with pytest.raises(ValueError):
-        SubalgebraModel(sp.gl, rows + [[2 * x for x in rows[0]]], rank=2, algebra="sp")
+        SubalgebraModel(sp.gl, rows + [[2 * x for x in rows[0]]], rank=2)
 
 
 def test_flipped_form_sign_raises():

@@ -256,6 +256,65 @@ def test_signed_sum_for_two_blocks_by_hand():
     assert S == x["x2"] * x["x5"] - x["x3"] * x["x4"]
 
 
+def _signed_sum_by_recursion(model, ell, m):
+    """Reference: the signed sum built by a pruned recursion over the
+    shifts, with the sign from the cycle type of sigma."""
+    from itertools import combinations, permutations
+
+    def perm_sign(perm):
+        sign, seen = 1, [False] * len(perm)
+        for i in range(len(perm)):
+            j, clen = i, 0
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                clen += 1
+            if clen and clen % 2 == 0:
+                sign = -sign
+        return sign
+
+    d = model.partition.d
+    acc = {}
+    for I in combinations(range(1, model.partition.k + 1), m):
+        for perm in permutations(range(m)):
+            sign = perm_sign(perm)
+            ranges = [(I[t], I[perm[t]], max(d[I[perm[t]] - 1] - d[I[t] - 1], 0),
+                       d[I[perm[t]] - 1]) for t in range(m)]
+            lo = [sum(r[2] for r in ranges[t:]) for t in range(m + 1)]
+            hi = [sum(r[3] for r in ranges[t:]) for t in range(m + 1)]
+
+            def rec(t, remaining, key):
+                if t == m:
+                    c = acc.get(key, Fraction(0)) + sign
+                    if c:
+                        acc[key] = c
+                    else:
+                        acc.pop(key, None)
+                    return
+                i, j, low, high = ranges[t]
+                for s in range(low, high + 1):
+                    if lo[t + 1] <= remaining - s <= hi[t + 1]:
+                        a = model.index[XiIndex(i, j, s)]
+                        rec(t + 1, remaining - s, key + (1 << (_WIDTH * a)))
+
+            if lo[0] <= ell - m <= hi[0]:
+                rec(0, ell - m, 0)
+    return SparsePoly(model.var_names, acc)
+
+
+def test_signed_sum_matches_the_recursive_reference():
+    # every gl partition with n <= 6, every ell and 1 <= m <= min(ell, k);
+    # the term order is compared too, since it is the report's order
+    for n in range(1, 7):
+        for p in partitions_of(n):
+            model = build_gl_model(p)
+            for ell in range(1, n + 1):
+                for m in range(1, min(ell, p.k) + 1):
+                    got = signed_permutation_sum(model, ell, m)
+                    want = _signed_sum_by_recursion(model, ell, m)
+                    assert list(got.terms.items()) == list(want.terms.items()), (p, ell, m)
+
+
 @pytest.mark.parametrize("parts", ["2", "2,1", "2,2", "3,1", "2,1,1"])
 def test_top_coefficient_crosscheck(parts):
     m = build_gl_model(Partition.parse(parts))
@@ -384,7 +443,7 @@ def bracket_model(name: str):
     if name == "sp 2,1,1 / 5":
         sp = build_sp_model(Partition.parse("2,1,1"))
         return SubalgebraModel(sp.gl, [[x / 5 for x in row] for row in sp.sigma_fixed_basis],
-                               rank=2, algebra="sp")
+                               rank=2)
     return build_gl_model(Partition.parse(name.split()[1]))
 
 

@@ -1,6 +1,9 @@
 """Partition combinatorics: dimensions, degree tables, the so diagnostic."""
 
+from math import comb
+
 import pytest
+from hypothesis import given, strategies as st
 
 from centinv.partitions import (
     ClassicalType,
@@ -16,6 +19,7 @@ from centinv.partitions import (
     pairing_map,
     partitions_of,
     so_good_system_diagnostic,
+    vectors_with_total,
 )
 
 
@@ -147,3 +151,34 @@ def test_partitions_of_counts():
 
 def test_degree_table_str():
     assert str(DegreeTable((1, 1, 2))) == "(1, 1, 2)"
+
+
+def _count_with_total(ranges, total):
+    """Number of vectors in the ranges with the given total, by counting
+    the ways to reach each partial sum."""
+    ways = {0: 1}
+    for r in ranges:
+        nxt = {}
+        for acc, c in ways.items():
+            for v in r:
+                nxt[acc + v] = nxt.get(acc + v, 0) + c
+        ways = nxt
+    return ways.get(total, 0)
+
+
+@given(st.lists(st.tuples(st.integers(-2, 3), st.integers(0, 4)), min_size=1, max_size=4),
+       st.integers(-3, 12))
+def test_vectors_with_total_are_complete_and_lexicographic(bounds, total):
+    ranges = [range(lo, lo + width) for lo, width in bounds]
+    got = list(vectors_with_total(ranges, total))
+    assert all(sum(v) == total and all(x in r for x, r in zip(v, ranges)) for v in got)
+    assert got == sorted(set(got))
+    assert len(got) == _count_with_total(ranges, total)
+
+
+@pytest.mark.parametrize("slots", [1, 2, 3, 5])
+@pytest.mark.parametrize("total", [0, 1, 4])
+def test_vectors_with_total_counts_compositions(slots, total):
+    got = list(vectors_with_total([range(total + 1)] * slots, total))
+    assert len(got) == comb(total + slots - 1, slots - 1)
+    assert got == sorted(got)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from centinv.centralizer import SubalgebraModel, build_gl_model, build_sp_model
+from centinv.centralizer import SubalgebraModel, XiIndex, build_gl_model, build_sp_model
 from centinv.invariants import principal_minor_sums
 from centinv.partitions import ClassicalType, Partition, partitions_of
 from centinv.regularity import (
@@ -268,13 +268,39 @@ def test_line_probe_sp_clean():
     assert rep.all_clean
 
 
+@pytest.mark.parametrize("parts, scalars", [("2,2", [1, 1]), ("2,2,1", [1, 1, 2]),
+                                             ("2,1,1", [1, 2, 2])])
+def test_line_probe_never_certifies_a_line_in_the_singular_locus(parts, scalars, monkeypatch):
+    # alpha with equal scalars on two blocks of one size is not regular, and
+    # the trace form vanishes on [g_e, g_e], so B(g0 + t g1) = B(g0) has rank
+    # below rho for every t and every compression of the line is zero
+    import centinv.regularity as reg
+
+    p = Partition.parse(parts)
+    m = build_gl_model(p)
+    g0 = build_alpha(m, scalars)
+    trace = [Fraction(0)] * m.dim
+    for i in range(1, p.k + 1):
+        trace[m.index[XiIndex(i, i, 0)]] = Fraction(p.parts[i - 1])
+    g1 = Functional(tuple(trace), "TRACE")
+    assert stabilizer_dim(g0, m) > m.rank
+    assert bracket_form_matrix(m, g1).rank() == 0
+    drawn = iter([g0, g1] * 2)
+    monkeypatch.setattr(reg, "random_functional", lambda model, rng: next(drawn))
+    rep = singular_locus_probe(m, lines=2, seed=0)
+    assert not rep.all_clean
+    for pr in rep.lines:
+        assert (pr.certified, pr.singular_values, pr.detail) == (
+            False, None, "no usable compression found")
+
+
 @pytest.mark.parametrize("s", [5, 100])
 def test_line_probe_ignores_the_basis_scale(s):
     # a basis scaled by 1/s scales every bracket form by 1/s: the ranks
     # and the singular parameters along each line stay the same
     sp = build_sp_model(Partition.parse("2,1,1"))
     scaled = SubalgebraModel(sp.gl, [[x / s for x in row] for row in sp.sigma_fixed_basis],
-                             rank=2, algebra="sp")
+                             rank=2)
 
     def per_line(model):
         rep = singular_locus_probe(model, lines=10, seed=0)
@@ -477,7 +503,7 @@ def test_integer_form_rank_on_symplectic_fixed_parts(parts):
 def test_integer_form_rank_on_a_scaled_basis(s):
     sp = build_sp_model(Partition.parse("2,1,1"))
     scaled = SubalgebraModel(sp.gl, [[x / s for x in row] for row in sp.sigma_fixed_basis],
-                             rank=2, algebra="sp")
+                             rank=2)
     assert scaled.integer_rows()[1] > 1  # the constants are not integral
     check_integer_form(scaled, rational_functionals(scaled, random.Random(s)))
 
