@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -50,8 +51,9 @@ class Partition:
     def k(self) -> int:
         return len(self.parts)
 
-    @property
+    @cached_property
     def d(self) -> tuple[int, ...]:
+        # cached in the instance __dict__; eq and hash read only parts
         return tuple(p - 1 for p in self.parts)
 
     def __str__(self) -> str:

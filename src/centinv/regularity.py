@@ -7,13 +7,13 @@ polynomial gcds of maximal minors along random lines.  Ranks come from
 integer rows: the structure constants and the functional are cleared
 once, and a positive multiple of B(gamma) has its rank.
 
-The line probe certifies modulo the prime p = 2^61 - 1.  Each
-compression D_j(t) = det(U B(t) V) is a Z-combination of the maximal
-minors (Cauchy-Binet), so their primitive gcd g divides every D_j, and
-lc(g) divides the leading coefficient det(U B_1 V).  When that is
-nonzero mod p for one D_j, deg(g mod p) = deg g, and a constant gcd of
-the D_j mod p proves g constant: the line misses the singular locus.
-Every other line is decided over Z exactly.
+The line probe certifies modulo the prime p = 2^30 - 35, one 30-bit
+CPython digit.  Each compression D_j(t) = det(U B(t) V) is a
+Z-combination of the maximal minors (Cauchy-Binet), so their primitive
+gcd g divides every D_j, and lc(g) divides the leading coefficient
+det(U B_1 V).  When that is nonzero mod p for one D_j, deg(g mod p) =
+deg g, and a constant gcd of the D_j mod p proves g constant: the line
+misses the singular locus.  Every other line is decided over Z exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd, isqrt
-from operator import mul
 
 from .centralizer import CentralizerModel, SymplecticModel, XiIndex
 from .linalg import RatMatrix, bareiss, clear_denominators
@@ -239,12 +238,17 @@ def plane_regularity_scan(model, gamma1: Functional, gamma2: Functional,
     half = grid // 2
     coords = range(-half, grid - half)
     failures = []
+    # B(c gamma) = c B(gamma): one rank per primitive direction, sign normalised
+    stab_of: dict[tuple[int, int], int] = {}
     for x in coords:
         for y in coords:
             if x == 0 and y == 0:
                 continue
-            gamma = gamma1.scale(x).plus(gamma2.scale(y), f"({x},{y})")
-            stab = stabilizer_dim(gamma, model)
+            g = gcd(x, y) if (x, y) > (0, 0) else -gcd(x, y)
+            dx, dy = x // g, y // g
+            if (dx, dy) not in stab_of:
+                stab_of[dx, dy] = stabilizer_dim(gamma1.scale(dx).plus(gamma2.scale(dy)), model)
+            stab = stab_of[dx, dy]
             if stab != model.rank:
                 failures.append((str(x), str(y), stab))
     rho_ok = None
@@ -523,14 +527,32 @@ class LineProbeReport:
     all_clean: bool
 
 
-def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    bt = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+def _lane_width(*mats: list[list[int]]) -> int:
+    # |(U B V)_ij| <= 9 sum|B| for U, V drawn from [-3, 3] in _compress_line; +1 sign bit
+    return (9 * sum(abs(x) for B in mats for row in B for x in row)).bit_length() + 1
+
+
+def _compress(U: list[list[int]], B: list[list[int]], V: list[list[int]],
+              w: int) -> list[list[int]]:
+    """U B V exactly; each row of V, of B V and of the product is one int
+    of signed w-bit lanes (w from ``_lane_width``)."""
+    packed = [sum(x << (w * j) for j, x in enumerate(row)) for row in V]
+    bv = [sum(b * packed[j] for j, b in enumerate(row) if b) for row in B]
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    out = []
+    for urow in U:
+        acc = sum(u * x for u, x in zip(urow, bv) if u)
+        row = []
+        for _ in V[0]:
+            row.append(((acc + half) & mask) - half)  # the low lane, signed
+            acc = (acc - row[-1]) >> w                # and its borrow
+        out.append(row)
+    return out
 
 
 # -- compressions modulo a prime -----------------------------------------------
 
-_PRIME = (1 << 61) - 1
+_PRIME = (1 << 30) - 35  # the largest prime below 2^30
 
 
 def _solve_mod(A: list[list[int]], B: list[list[int]], prime: int):
@@ -654,11 +676,12 @@ def _compress_line(B0: list[list[int]], B1: list[list[int]], rho: int,
     drawn = []
     gcd_mod: list[int] | None = None
     anchored = False
+    w = _lane_width(B0, B1)
     for _ in range(budget):
         U = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rho)]
         V = [[rng.randint(-3, 3) for _ in range(rho)] for _ in range(r)]
-        C0 = _int_matmul(_int_matmul(U, B0), V)
-        C1 = _int_matmul(_int_matmul(U, B1), V)
+        C0 = _compress(U, B0, V, w)
+        C1 = _compress(U, B1, V, w)
         drawn.append((C0, C1))
         dpoly = _pencil_mod(C0, C1, prime)
         if dpoly is None:
@@ -690,17 +713,19 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0) -> LineProbeRepo
     B(t) has the rank of B(t) for every t; at a rational t = num/d the
     integer matrix d den B(t) has it too.
 
-    The gcd is taken modulo the prime p = 2^61 - 1.  Each D_j mod p is
-    det(C1) charpoly(-C1^-1 C0), one Gauss-Jordan pass and one
-    Hessenberg reduction in O(rho^3).  Soundness: the primitive gcd g of
-    the D_j over Z divides every D_j, so g mod p divides their gcd mod
-    p; and g divides a D_j whose leading coefficient det(C1) is nonzero
-    mod p, so lc(g) is nonzero mod p and deg(g mod p) = deg g.  A
-    constant gcd mod p with at least one such D_j therefore proves g
-    constant.  A compression with det(C1) = 0 mod p is interpolated
-    exactly and reduced (its primitive part anchors the same way when
-    its leading coefficient is nonzero mod p); a line whose gcd mod p
-    stays nonconstant through 12 compressions recomputes them
+    The gcd is taken modulo the prime p = 2^30 - 35; CPython stores ints
+    in 30-bit digits, so every residue is one digit.  Each D_j mod p is
+    det(C1) charpoly(-C1^-1 C0), one Gauss-Jordan pass and one Hessenberg
+    reduction in O(rho^3).  Soundness holds for every prime p (a smaller
+    one only sends about 1/p of the compressions to the exact route): the
+    primitive gcd g of the D_j over Z divides every D_j, so g mod p
+    divides their gcd mod p; and g divides a D_j whose leading
+    coefficient det(C1) is nonzero mod p, so lc(g) is nonzero mod p and
+    deg(g mod p) = deg g.  A constant gcd mod p with at least one such
+    D_j therefore proves g constant.  A compression with det(C1) = 0 mod
+    p is interpolated exactly and reduced (its primitive part anchors the
+    same way when its leading coefficient is nonzero mod p); a line whose
+    gcd mod p stays nonconstant through 12 compressions recomputes them
     over Z, and the exact primitive gcd decides it.
 
     No generic-rank test of the line comes first.  A compression D_j

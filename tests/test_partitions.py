@@ -1,5 +1,6 @@
 """Partition combinatorics: dimensions, degree tables, the so diagnostic."""
 
+import pickle
 from math import comb
 
 import pytest
@@ -32,6 +33,15 @@ def test_parse_normalises():
         Partition.parse("")
     with pytest.raises(InvalidPartitionError):
         Partition.parse("a,b")
+
+
+def test_d_is_computed_once_and_pickles():
+    p = Partition.parse("4,2,2,1")
+    assert p.d is p.d
+    assert p.d == (3, 1, 1, 0)
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and hash(q) == hash(p) and q.d == p.d
+    assert Partition.parse("4,2,2,1") == p
 
 
 def test_dim_centralizer_gl_examples():

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -29,9 +31,10 @@ from centinv.regularity import (
 from centinv.linalg import RatMatrix, bareiss
 from centinv.regularity import (
     _PRIME,
+    _compress,
     _compress_line,
-    _int_matmul,
     _interpolate,
+    _lane_width,
     _pencil_exact,
     _pencil_mod,
     _poly_div_exact,
@@ -175,6 +178,61 @@ def test_plane_scan_gl():
     scan = plane_regularity_scan(
         m32, build_alpha(m32, default_alpha_coefficients(m32)), build_beta(m32), grid=7)
     assert scan.passed
+
+
+def per_point_failures(model, gamma1, gamma2, grid=7):
+    """The plane scan's failures with one rank per grid point (reference)."""
+    half = grid // 2
+    coords = range(-half, grid - half)
+    failures = []
+    for x in coords:
+        for y in coords:
+            if x or y:
+                stab = stabilizer_dim(gamma1.scale(x).plus(gamma2.scale(y)), model)
+                if stab != model.rank:
+                    failures.append((str(x), str(y), stab))
+    return failures
+
+
+def check_scan_against_per_point(model, gamma1, gamma2, rho_ok):
+    scan = plane_regularity_scan(model, gamma1, gamma2, grid=7)
+    failures = per_point_failures(model, gamma1, gamma2)
+    assert scan.failures == failures
+    assert scan.passed == (not failures)
+    assert scan.rho_eigenvector_check is rho_ok
+    return scan
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_plane_scan_matches_the_per_point_scan_gl(n):
+    for p in partitions_of(n):
+        if p.k < 2:
+            continue
+        m = build_gl_model(p)
+        beta = build_beta(m)
+        a = default_alpha_coefficients(m)
+        check_scan_against_per_point(m, build_alpha(m, a), beta, True)
+        # two equal block scalars: alpha itself is singular
+        check_scan_against_per_point(m, build_alpha(m, [a[0]] + a[:-1]), beta, True)
+
+
+def test_plane_scan_fails_exactly_on_the_alpha_line():
+    m = build_gl_model(Partition.parse("1,1,1"))
+    scan = check_scan_against_per_point(m, build_alpha(m, [1, 1, 2]), build_beta(m), True)
+    assert not scan.passed
+    assert [(x, y) for x, y, _ in scan.failures] == [
+        ("-3", "0"), ("-2", "0"), ("-1", "0"), ("1", "0"), ("2", "0"), ("3", "0")]
+
+
+def test_plane_scan_matches_the_per_point_scan_sp():
+    for n in range(1, 4):
+        for p in partitions_of(2 * n, ClassicalType.SP):
+            if p.k < 2:
+                continue
+            sp = build_sp_model(p)
+            check_scan_against_per_point(
+                sp.fixed, restrict_alpha_to_fixed(sp),
+                build_beta_prime_sum(sp).restricted, None)
 
 
 def test_plane_scan_rejects_dependent_pair():
@@ -418,6 +476,34 @@ def test_pencil_mod_matches_the_exact_determinants(pencil):
     for t in range(rho + 1):
         exact = bareiss([[x + t * y for x, y in zip(r0, r1)] for r0, r1 in zip(C0, C1)])[1]
         assert sum(c * t ** i for i, c in enumerate(got)) % _PRIME == exact % _PRIME
+
+
+def _int_matmul(a, b):
+    bt = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
+@st.composite
+def compressions(draw):
+    """(U, B, V) with general B up to 2^40 and U, V in the draw range [-3, 3]."""
+    r = draw(st.integers(1, 8))
+    rho = draw(st.integers(1, r))
+    return (draw(int_matrices(rho, r, -3, 3)), draw(int_matrices(r, r, -2 ** 40, 2 ** 40)),
+            draw(int_matrices(r, rho, -3, 3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(compressions())
+# every entry at its maximum with one sign: C_ij = 9 sum|B|, the lane bound
+@example(([[3] * 8] * 8, [[2 ** 40] * 8] * 8, [[3] * 8] * 8))
+def test_packed_compression_is_the_plain_product(uvb):
+    U, B, V = uvb
+    assert _compress(U, B, V, _lane_width(B)) == _int_matmul(_int_matmul(U, B), V)
+
+
+def test_prime_is_one_digit_and_prime():
+    assert _PRIME < 2 ** 30
+    assert all(_PRIME % q for q in range(2, isqrt(_PRIME) + 1))
 
 
 def exact_gcd(drawn):
