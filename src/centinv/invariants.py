@@ -3,8 +3,9 @@
 The sums of principal minors of a generic slice point are expanded
 exactly: characteristic-polynomial coefficients via a subset dynamic
 programme over columns, run on integers.  The slice entries are cleared
-once by D, the lcm of their denominators, and each coefficient of
-e_l(M) = e_l(DM) / D^l is divided back once.  Their lowest-degree
+once by D, the lcm of their denominators, and e_l(M) = e_l(DM) / D^l is
+handed to ``SparsePoly`` as integer numerators over D^l, the format every
+integer kernel here reads back without clearing.  Their lowest-degree
 homogeneous parts are the distinguished elements of S(g_e) whose
 structural properties the rest of the toolkit certifies: Poisson
 centrality, monomial support, the signed-permutation expansion, and
@@ -92,7 +93,7 @@ def principal_minor_sum_polys(entries: list[list[dict]],
     ``variables`` lists the coordinate names; the characteristic
     variable is appended internally and eliminated again.  The expansion
     runs on D * M, D the lcm of the entry denominators, and the l-th sum
-    is e_l(DM) / D^l.
+    is e_l(DM) over the denominator D^l.
     """
     n = len(entries)
     t_index = len(variables)
@@ -107,16 +108,12 @@ def principal_minor_sum_polys(entries: list[list[dict]],
                 for ent in row] for row in entries]
     char_terms = char_poly_terms(cleared, t_key)
     shift = _WIDTH * t_index
+    # e_l(DM) is (-1)^l times the coefficient of t^(n - l)
     buckets: list[dict] = [dict() for _ in range(n + 1)]
     for k, c in char_terms.items():
         power = (k >> shift) & _MASK
-        buckets[power][k - (power << shift)] = c
-    out = []
-    for ell in range(1, n + 1):
-        sign, scale = (-1 if ell % 2 else 1), D ** ell
-        out.append(SparsePoly(variables, {k: Fraction(sign * c, scale)
-                                          for k, c in buckets[n - ell].items()}))
-    return out
+        buckets[power][k - (power << shift)] = -c if (n - power) % 2 else c
+    return [SparsePoly(variables, buckets[n - ell], D ** ell) for ell in range(1, n + 1)]
 
 
 # -- slice restrictions ----------------------------------------------------
@@ -216,7 +213,7 @@ def symplectic_minor_sums(sp: SymplecticModel, budget: int = 8) -> SliceRestrict
 def poisson_bracket(P: SparsePoly, Q: SparsePoly, model) -> SparsePoly:
     """Linear Poisson bracket of S(g_e): {x_a, x_b} = [xi_a, xi_b] coordinates.
 
-    The exact ``Fraction`` reference: it reads ``model.structure`` through
+    The exact reference: it reads the rational ``model.structure`` through
     polynomial arithmetic and shares no code with ``coordinate_bracket_with``.
     """
     names = model.var_names
@@ -226,8 +223,9 @@ def poisson_bracket(P: SparsePoly, Q: SparsePoly, model) -> SparsePoly:
     dQ = [Q.partial_derivative(v) for v in names]
     out = SparsePoly(names)
     for (a, b), entries in model.structure.items():
-        bracket = SparsePoly(names, {1 << (_WIDTH * c): v for c, v in entries})
-        out = out + (dP[a] * dQ[b] - dP[b] * dQ[a]) * bracket
+        cross = dP[a] * dQ[b] - dP[b] * dQ[a]
+        for c, v in entries:
+            out = out + cross * SparsePoly(names, {1 << (_WIDTH * c): 1}).scalar_mul(v)
     return out
 
 
@@ -235,23 +233,19 @@ def coordinate_bracket_with(model, a: int, Q: SparsePoly) -> SparsePoly:
     """{x_a, Q} = sum_b dQ/dx_b * [xi_a, xi_b] in one pass over Q's terms.
 
     Runs on the cleared table ``model.integer_rows()`` (scale S) and Q's
-    cleared coefficients (scale den), so the sum is S * den * {x_a, Q} in
-    integers; a nonzero result is divided back once.
+    numerators (over ``Q.den``), so the integer sum is the numerator of
+    {x_a, Q} over S * Q.den.
     """
     rows, S = model.integer_rows()
     row = rows[a]
     acc: dict[int, int] = {}
-    for key, (factors, coeff, _) in zip(Q.terms, Q.integer_terms()):
+    for key, (factors, coeff, _) in zip(Q.terms, Q.factored_terms()):
         for b, e in factors:
             base, w = key - (1 << (_WIDTH * b)), e * coeff
             for c, v in row[b]:
                 k = base + (1 << (_WIDTH * c))
                 acc[k] = acc.get(k, 0) + w * v
-    acc = {k: v for k, v in acc.items() if v}
-    if acc:
-        den = S * lcm(*(c.denominator for c in Q.terms.values()))
-        acc = {k: Fraction(v, den) for k, v in acc.items()}
-    return SparsePoly(model.var_names, acc)
+    return SparsePoly(model.var_names, acc, S * Q.den)
 
 
 def coadjoint_exp(model, a: int, gamma: list[int]) -> list[Fraction]:
@@ -320,11 +314,11 @@ def verify_centrality(sr: SliceRestriction, model, seed: int = 0) -> CentralityR
 
 
 def _cleared_value(F: SparsePoly, vals: list[int], L: int) -> int:
-    """den * L^M * F(vals / L) in integers: den clears F's coefficients
-    (``integer_terms``), M = F.total_degree(), a degree-k term takes L^(M - k)."""
+    """F.den * L^M * F(vals / L) in integers, from F's numerators
+    (``factored_terms``): M = F.total_degree(), a degree-k term takes L^(M - k)."""
     top = F.total_degree()
     total = 0
-    for factors, coeff, k in F.integer_terms():
+    for factors, coeff, k in F.factored_terms():
         term = coeff * L ** (top - k)
         for i, e in factors:
             term *= vals[i] ** e
@@ -361,7 +355,7 @@ def monomial_support_check(sr: SliceRestriction, model: CentralizerModel) -> Mon
     names = model.var_names
     for ell, F in enumerate(sr.initial, start=1):
         rows = []
-        for powers, coeff in F.factored_terms():
+        for key, (powers, _, _) in zip(F.terms, F.factored_terms()):
             exps = {names[a]: e for a, e in powers}
             factors = []
             for a, e in powers:
@@ -385,7 +379,7 @@ def monomial_support_check(sr: SliceRestriction, model: CentralizerModel) -> Mon
                 "I": sorted(set(lowers)),
                 "sigma": {ix.i: ix.j for ix in factors},
                 "shifts": {ix.i: ix.s for ix in factors},
-                "coeff": str(coeff),
+                "coeff": str(F.coefficient(key)),
             })
         per_ell.append(rows)
     return MonomialSupportReport(per_ell=per_ell, violations=violations)
@@ -407,17 +401,13 @@ def signed_permutation_sum(model: CentralizerModel, ell: int, m: int) -> SparseP
     lane = {(x.i, x.j, x.s): 1 << (_WIDTH * a) for a, x in enumerate(model.xi)}
     signed = [(perm, (-1) ** sum(a > b for a, b in combinations(perm, 2)))
               for perm in permutations(range(m))]
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, int] = {}
     for I in combinations(blocks, m):
         for perm, sign in signed:
             pairs = [(I[t], I[perm[t]]) for t in range(m)]
             for shifts in vectors_with_total([shift_range[ij] for ij in pairs], ell - m):
                 key = sum(lane[i, j, s] for (i, j), s in zip(pairs, shifts))
-                c = acc.get(key, Fraction(0)) + sign
-                if c:
-                    acc[key] = c
-                else:
-                    acc.pop(key, None)
+                acc[key] = acc.get(key, 0) + sign
     return SparsePoly(model.var_names, acc)
 
 
@@ -439,7 +429,7 @@ def conjecture_explicit_check(sr: SliceRestriction, model: CentralizerModel) -> 
         key0 = next(iter(S.terms))
         if key0 not in F.terms:
             return ProportionalityResult(False, ratios + [None], ell)
-        ratio = F.terms[key0] / S.terms[key0]
+        ratio = F.coefficient(key0) / S.coefficient(key0)
         if S.scalar_mul(ratio) != F:
             return ProportionalityResult(False, ratios + [None], ell)
         ratios.append(ratio)
@@ -517,12 +507,12 @@ def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
         if any(k >> (_WIDTH * r) for k in p0.terms):
             return TopCoefficientResult(False, scalars,
                                         f"top coefficient of {ell} leaves the centraliser")
-        reduced = SparsePoly(model.var_names, dict(p0.terms))
+        reduced = SparsePoly(model.var_names, p0.terms, p0.den)
         F = sr.initial[ell - 1]
         key0 = next(iter(F.terms))
         if key0 not in reduced.terms:
             return TopCoefficientResult(False, scalars, f"support mismatch at {ell}")
-        ratio = reduced.terms[key0] / F.terms[key0]
+        ratio = reduced.coefficient(key0) / F.coefficient(key0)
         if F.scalar_mul(ratio) != reduced:
             return TopCoefficientResult(False, scalars, f"not proportional at {ell}")
         scalars[ell] = ratio
@@ -539,9 +529,9 @@ def evaluate_jacobian(polys, variables: tuple[str, ...],
     rank only).
 
     The point is cleared to v / D with integer v and D > 0, and each
-    polynomial's coefficients to integers (``SparsePoly.integer_terms``).
+    polynomial is read as its numerators (``SparsePoly.factored_terms``).
     Scaling a term of degree k by D^(M - k), M the top degree, turns the
-    row into den * D^(M - 1) times the gradient.  Each monomial is
+    row into P.den * D^(M - 1) times the gradient.  Each monomial is
     evaluated once and feeds every partial it touches; variables with
     value zero are handled exactly (a monomial with two zero factors
     contributes to no partial, one zero factor of exponent one
@@ -555,7 +545,7 @@ def evaluate_jacobian(polys, variables: tuple[str, ...],
         top = P.total_degree()
         scale = [D ** (top - k) for k in range(top + 1)]
         row = [0] * len(variables)
-        for factors, coeff, k in P.integer_terms():
+        for factors, coeff, k in P.factored_terms():
             zeros = [(i, e) for (i, e) in factors if not vals[i]]
             if len(zeros) >= 2:
                 continue

@@ -1,16 +1,21 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial is a map from monomials to nonzero coefficients.  Monomials
-are packed into a single integer, 16 bits of exponent per variable, so
-that monomial multiplication is integer addition.  Total degrees stay
-below ``_MAX_EXP``, which makes the degree of a key its residue modulo
-2^16 - 1.  The zero polynomial has an empty term map.
+A polynomial stores integer numerators over one common denominator
+``den > 0``: ``terms`` maps monomials to nonzero numerators, and the
+constructor keeps the pair canonical (no zero numerator, gcd(den,
+numerators) = 1), so equal polynomials have equal ``terms`` and ``den``.
+The integer kernels read the numerators (``factored_terms``); a rational
+coefficient is ``coefficient(key)``.  Monomials are packed into a single
+integer, 16 bits of exponent per variable, so that monomial
+multiplication is integer addition.  Total degrees stay below
+``_MAX_EXP``, which makes the degree of a key its residue modulo
+2^16 - 1.  The zero polynomial has an empty term map and ``den`` 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 _WIDTH = 16
@@ -39,7 +44,7 @@ def _key_degree(key: int) -> int:
 
     Since 2^16 = 1 mod 2^16 - 1, that sum is ``key % _MASK``; it is exact
     while the total degree stays below ``_MAX_EXP`` (< 2^16 - 1), the bound
-    that ``from_exponents``, ``__mul__`` and the slice expansion of
+    that ``__mul__`` and the slice expansion of
     ``invariants.principal_minor_sum_polys`` check.
     """
     return key % _MASK
@@ -66,62 +71,32 @@ def _accumulate_product(acc: dict, terms: dict, factor: dict, parity: int) -> No
 
 
 class SparsePoly:
-    """Immutable sparse polynomial over an ordered variable tuple."""
+    """Immutable sparse polynomial over an ordered variable tuple: integer
+    numerators ``terms`` over the denominator ``den``."""
 
-    __slots__ = ("variables", "terms", "_deg", "_factors", "_ints")
+    __slots__ = ("variables", "terms", "den", "_deg", "_factors")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[int, Fraction] | None = None):
+    def __init__(self, variables: Sequence[str], terms: Mapping[int, int] | None = None,
+                 den: int = 1):
+        """Drops zero numerators and divides out gcd(den, numerators); a
+        denominator below 1 is a ValueError, a non-integer numerator or
+        denominator a TypeError."""
+        if den <= 0:
+            raise ValueError(f"denominator {den} is not positive")
+        terms = {k: c for k, c in terms.items() if c} if terms else {}
+        g = gcd(den, *terms.values())
+        if g != 1:
+            terms = {k: c // g for k, c in terms.items()}
+            den //= g
         object.__setattr__(self, "variables", tuple(variables))
-        object.__setattr__(self, "terms", dict(terms) if terms else {})
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "_deg", None)
         object.__setattr__(self, "_factors", None)
-        object.__setattr__(self, "_ints", None)
         _index_map(self.variables)
 
     def __setattr__(self, *a):  # pragma: no cover - guard only
         raise AttributeError("SparsePoly is immutable")
-
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, variables: Sequence[str]) -> "SparsePoly":
-        return cls(variables)
-
-    @classmethod
-    def constant(cls, variables: Sequence[str], value) -> "SparsePoly":
-        c = Fraction(value)
-        return cls(variables, {0: c} if c else {})
-
-    @classmethod
-    def variable(cls, variables: Sequence[str], name: str) -> "SparsePoly":
-        idx = _index_map(tuple(variables)).get(name)
-        if idx is None:
-            raise VariableMismatchError(f"unknown variable {name!r}")
-        return cls(variables, {1 << (_WIDTH * idx): Fraction(1)})
-
-    @classmethod
-    def from_exponents(cls, variables: Sequence[str],
-                       entries: Iterable[tuple[Mapping[str, int], Fraction]]) -> "SparsePoly":
-        variables = tuple(variables)
-        idx = _index_map(variables)
-        terms: dict[int, Fraction] = {}
-        for exps, coeff in entries:
-            key = deg = 0
-            for name, e in exps.items():
-                if name not in idx:
-                    raise VariableMismatchError(f"unknown variable {name!r}")
-                if not 0 <= e < _MAX_EXP:
-                    raise ValueError(f"exponent {e} out of range")
-                key += e << (_WIDTH * idx[name])
-                deg += e
-            if deg >= _MAX_EXP:
-                raise ValueError(f"total degree {deg} out of range")
-            c = terms.get(key, Fraction(0)) + Fraction(coeff)
-            if c:
-                terms[key] = c
-            else:
-                terms.pop(key, None)
-        return cls(variables, terms)
 
     # -- inspection -----------------------------------------------------
 
@@ -138,8 +113,13 @@ class SparsePoly:
     def decode(self, key: int) -> tuple[int, ...]:
         return tuple((key >> (_WIDTH * i)) & _MASK for i in range(len(self.variables)))
 
-    def factored_terms(self) -> list[tuple[tuple[tuple[int, int], ...], Fraction]]:
-        """Terms with decoded (variable index, exponent) factors; cached."""
+    def coefficient(self, key: int) -> Fraction:
+        """The rational coefficient of a packed monomial (0 if absent)."""
+        return Fraction(self.terms.get(key, 0), self.den)
+
+    def factored_terms(self) -> list[tuple[tuple[tuple[int, int], ...], int, int]]:
+        """Terms as (decoded (variable index, exponent) factors, numerator,
+        degree), in ``terms`` order; cached."""
         if self._factors is None:
             out = []
             for key, coeff in self.terms.items():
@@ -152,24 +132,19 @@ class SparsePoly:
                         factors.append((i, e))
                     kk >>= _WIDTH
                     i += 1
-                out.append((tuple(factors), coeff))
+                out.append((tuple(factors), coeff, _key_degree(key)))
             object.__setattr__(self, "_factors", out)
         return self._factors
 
-    def integer_terms(self) -> list[tuple[tuple[tuple[int, int], ...], int, int]]:
-        """``factored_terms`` as (factors, den * coefficient, degree), where
-        den > 0 is the least common denominator of the coefficients; cached."""
-        if self._ints is None:
-            terms = self.factored_terms()
-            den = lcm(*(c.denominator for _, c in terms))
-            out = [(factors, int(c * den), sum(e for _, e in factors))
-                   for factors, c in terms]
-            object.__setattr__(self, "_ints", out)
-        return self._ints
+    def _shift(self, name: str) -> int:
+        """Bit offset of a variable's lane; unknown names are refused."""
+        idx = _index_map(self.variables).get(name)
+        if idx is None:
+            raise VariableMismatchError(f"unknown variable {name!r}")
+        return _WIDTH * idx
 
     def max_exponent(self, name: str) -> int:
-        idx = _index_map(self.variables)[name]
-        shift = _WIDTH * idx
+        shift = self._shift(name)
         return max(((k >> shift) & _MASK for k in self.terms), default=0)
 
     # -- arithmetic -------------------------------------------------------
@@ -180,77 +155,51 @@ class SparsePoly:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SparsePoly) and self.variables == other.variables
-                and self.terms == other.terms)
+                and self.den == other.den and self.terms == other.terms)
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_same_vars(other)
-        terms = dict(self.terms)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        terms = {k: a * c for k, c in self.terms.items()}
         for k, c in other.terms.items():
-            s = terms.get(k)
-            if s is None:
-                terms[k] = c
-            else:
-                s = s + c
-                if s:
-                    terms[k] = s
-                else:
-                    del terms[k]
-        return SparsePoly(self.variables, terms)
+            terms[k] = terms.get(k, 0) + b * c
+        return SparsePoly(self.variables, terms, den)
 
     def __neg__(self) -> "SparsePoly":
-        return SparsePoly(self.variables, {k: -c for k, c in self.terms.items()})
+        return SparsePoly(self.variables, {k: -c for k, c in self.terms.items()}, self.den)
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
 
     def scalar_mul(self, value) -> "SparsePoly":
         c = Fraction(value)
-        if not c:
-            return SparsePoly(self.variables)
-        return SparsePoly(self.variables, {k: c * v for k, v in self.terms.items()})
+        return SparsePoly(self.variables, {k: c.numerator * v for k, v in self.terms.items()},
+                          self.den * c.denominator)
 
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
             return self.scalar_mul(other)
         self._check_same_vars(other)
-        if not self.terms or not other.terms:
-            return SparsePoly(self.variables)
         if self.total_degree() + other.total_degree() >= _MAX_EXP:
             raise ValueError("product degree exceeds packed-exponent capacity")
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
-        terms: dict[int, Fraction] = {}
+        terms: dict[int, int] = {}
         _accumulate_product(terms, a, b, 0)
-        return SparsePoly(self.variables, terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "SparsePoly":
-        if n < 0:
-            raise ValueError("negative power")
-        result = SparsePoly.constant(self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return SparsePoly(self.variables, terms, self.den * other.den)
 
     # -- calculus and structure -------------------------------------------
 
     def partial_derivative(self, name: str) -> "SparsePoly":
-        idx = _index_map(self.variables).get(name)
-        if idx is None:
-            raise VariableMismatchError(f"unknown variable {name!r}")
-        shift = _WIDTH * idx
-        terms: dict[int, Fraction] = {}
+        shift = self._shift(name)
+        terms: dict[int, int] = {}
         for k, c in self.terms.items():
             e = (k >> shift) & _MASK
             if e:
                 terms[k - (1 << shift)] = c * e
-        return SparsePoly(self.variables, terms)
+        return SparsePoly(self.variables, terms, self.den)
 
     def without(self, positions: Iterable[int]) -> "SparsePoly":
         """The variables at the given positions set to zero: the terms
@@ -258,13 +207,8 @@ class SparsePoly:
         kill = 0
         for i in positions:
             kill |= _MASK << (_WIDTH * i)
-        return SparsePoly(self.variables, {k: c for k, c in self.terms.items() if not k & kill})
-
-    def homogeneous_component(self, degree: int) -> "SparsePoly":
-        return SparsePoly(
-            self.variables,
-            {k: c for k, c in self.terms.items() if _key_degree(k) == degree},
-        )
+        return SparsePoly(self.variables,
+                          {k: c for k, c in self.terms.items() if not k & kill}, self.den)
 
     def lowest_degree_component(self) -> "SparsePoly":
         """Initial term: homogeneous part of minimal degree; 0 stays 0."""
@@ -277,7 +221,7 @@ class SparsePoly:
                 low, terms = d, {k: c}
             elif d == low:
                 terms[k] = c
-        return SparsePoly(self.variables, terms)
+        return SparsePoly(self.variables, terms, self.den)
 
     def evaluate(self, point: Mapping[str, object]) -> Fraction:
         """Evaluate at a full point; missing variables are reported by name."""
@@ -287,7 +231,7 @@ class SparsePoly:
             if name not in idx:
                 raise VariableMismatchError(f"unknown variable {name!r}")
             values[idx[name]] = Fraction(value)
-        total = Fraction(0)
+        total = 0
         for k, c in self.terms.items():
             term = c
             kk = k
@@ -302,17 +246,16 @@ class SparsePoly:
                 kk >>= _WIDTH
                 i += 1
             total += term
-        return total
+        return Fraction(total, self.den)
 
     def coefficient_of(self, name: str, power: int) -> "SparsePoly":
         """Coefficient of ``name ** power`` as a polynomial in the rest."""
-        idx = _index_map(self.variables)[name]
-        shift = _WIDTH * idx
+        shift = self._shift(name)
         terms = {}
         for k, c in self.terms.items():
             if (k >> shift) & _MASK == power:
                 terms[k - (power << shift)] = c
-        return SparsePoly(self.variables, terms)
+        return SparsePoly(self.variables, terms, self.den)
 
     # -- canonical rendering ------------------------------------------------
 
@@ -324,7 +267,7 @@ class SparsePoly:
             return "0"
         parts = []
         for key in sorted(self.terms, key=self._sort_key, reverse=True):
-            coeff = self.terms[key]
+            coeff = self.coefficient(key)
             factors = []
             for i, e in enumerate(self.decode(key)):
                 if e == 1:

@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from poly_oracle import from_fractions, to_fractions, variable
 
 from centinv.centralizer import XiIndex, build_gl_model
 from centinv.invariants import principal_minor_sums
@@ -39,8 +40,8 @@ def test_restriction_for_two_blocks():
     sr = principal_minor_sums(m)
     restricted = restrict_to_V(sr, m)
     names = m.var_names
-    x3 = SparsePoly.variable(names, names[m.index[XiIndex(1, 2, 0)]])
-    x4 = SparsePoly.variable(names, names[m.index[XiIndex(2, 1, 1)]])
+    x3 = variable(names, names[m.index[XiIndex(1, 2, 0)]])
+    x4 = variable(names, names[m.index[XiIndex(2, 1, 1)]])
     assert restricted[2] == x3 * x4
 
 
@@ -56,7 +57,7 @@ def test_restriction_of_top_term_lives_on_top_level():
     sr = principal_minor_sums(m)
     restricted = restrict_to_V(sr, m)
     top_level = {idx for idx in m.xi if idx.i + idx.j == m.partition.k + 1}
-    for factors, _ in restricted[3].factored_terms():
+    for factors, _, _ in restricted[3].factored_terms():
         for a, _ in factors:
             assert m.xi[a] in top_level
 
@@ -163,8 +164,8 @@ def _relabel(poly, sub_model, model):
     """A polynomial of the prefix model rewritten in the partition's coordinates."""
     lanes = [model.index[idx] for idx in sub_model.xi]
     terms = {sum(e << (_WIDTH * lanes[a]) for a, e in factors): c
-             for factors, c in poly.factored_terms()}
-    return SparsePoly(model.var_names, terms)
+             for factors, c, _ in poly.factored_terms()}
+    return SparsePoly(model.var_names, terms, poly.den)
 
 
 def _on_blocks(poly, model, m):
@@ -201,9 +202,10 @@ def test_prefix_stage_reads_the_partitions_own_slice(parts):
 
 
 def _planted(sr, ell, terms):
-    """sr with initial term ell replaced by one holding the given terms."""
+    """sr with initial term ell replaced by one holding the given
+    {key: rational coefficient} terms."""
     initial = list(sr.initial)
-    initial[ell - 1] = SparsePoly(sr.var_names, terms)
+    initial[ell - 1] = from_fractions(sr.var_names, terms)
     return replace(sr, initial=initial)
 
 
@@ -221,11 +223,11 @@ def test_component_check_fails_on_a_term_avoiding_a_vanishing_set():
     top_term = sr.initial[p.n - 1]
     key = _key(m, idx, idx)
     assert key not in top_term.terms
-    bad = _planted(sr, p.n, {**top_term.terms, key: Fraction(1)})
+    bad = _planted(sr, p.n, {**to_fractions(top_term), key: Fraction(1)})
     assert not component_zero_locus_check(m, bad)
     # a planted term touching every vanishing set is still killed
     touching = _key(m, *(c.vanishing(p)[0] for c in enumerate_components(p).components))
-    assert component_zero_locus_check(m, _planted(sr, p.n, {**top_term.terms, touching: 1}))
+    assert component_zero_locus_check(m, _planted(sr, p.n, {**to_fractions(top_term), touching: 1}))
 
 
 def test_support_check_reports_an_extra_monomial():
@@ -233,7 +235,7 @@ def test_support_check_reports_an_extra_monomial():
     m = build_gl_model(p)
     sr = principal_minor_sums(m)
     idx = antidiagonal_spaces(p)[p.k - 1].basis[0]
-    terms = dict(sr.initial[p.n - 1].terms)
+    terms = to_fractions(sr.initial[p.n - 1])
     terms[_key(m, idx, idx)] = Fraction(1)
     res = top_block_support_check(m, _planted(sr, p.n, terms))
     assert not res.passed
@@ -244,11 +246,12 @@ def test_support_check_reports_a_zero_coefficient():
     p = Partition.parse("3,2")
     m = build_gl_model(p)
     sr = principal_minor_sums(m)
-    # a stored zero coefficient is never produced by arithmetic, only planted
+    # the constructor drops zero coefficients, so the planted term is the
+    # zero polynomial and its support is empty
     terms = dict.fromkeys(sr.initial[p.n - 1].terms, Fraction(0))
     res = top_block_support_check(m, _planted(sr, p.n, terms))
     assert not res.passed
-    assert res.detail == "zero coefficient at q=0"
+    assert res.detail == "support mismatch at q=0: 0 monomials, expected 1"
 
 
 def test_support_check_reports_a_missing_factor():
@@ -268,7 +271,7 @@ def test_transversality_reads_prefix_stages_from_the_given_slice():
     n_2 = p.prefix(2).n
     idx = XiIndex(1, 2, p.d[1])
     assert idx.i + idx.j == 3  # level 2, kept by the stage-2 restriction
-    terms = {**sr.initial[n_2 - 1].terms, _key(m, idx, idx): Fraction(1)}
+    terms = {**to_fractions(sr.initial[n_2 - 1]), _key(m, idx, idx): Fraction(1)}
     cert = transversality_certificate(m, _planted(sr, n_2, terms), seed=11)
     assert not cert.passed
     assert cert.conclusion == "support check failed at block 2"
