@@ -280,35 +280,6 @@ def build_gl_model(p: Partition) -> CentralizerModel:
     return CentralizerModel(p)
 
 
-def closed_form_bracket(p: Partition, a: XiIndex, b: XiIndex) -> dict[XiIndex, int]:
-    """Bracket of two basis elements by delta contraction.
-
-    [xi_i^{j,s}, xi_p^{q,u}] = delta_{i,q} xi_p^{j,u+s} - delta_{j,p} xi_i^{q,u+s},
-    where a factor whose shift exceeds the top admissible value for its
-    upper block is zero.  A shift below the lower admissible bound never
-    arises from valid operands; it is reported loudly if it ever does.
-    """
-    d = p.d
-    out: dict[XiIndex, int] = {}
-
-    def emit(low: int, up: int, shift: int, sign: int) -> None:
-        if shift > d[up - 1]:
-            return
-        if shift < max(d[up - 1] - d[low - 1], 0):
-            raise ArithmeticError(
-                f"bracket produced under-range shift {shift} for xi[{low},{up},.]")
-        idx = XiIndex(low, up, shift)
-        out[idx] = out.get(idx, 0) + sign
-        if not out[idx]:
-            del out[idx]
-
-    if a.i == b.j:
-        emit(b.i, a.j, b.s + a.s, +1)
-    if a.j == b.i:
-        emit(a.i, b.j, b.s + a.s, -1)
-    return out
-
-
 class SubalgebraModel(StructureTable):
     """A Lie subalgebra presented by coordinates inside an ambient model.
 
@@ -411,11 +382,6 @@ class SymplecticModel:
         self.J = J
         self._row_of = {i: (j, v) for (i, j), v in J.items()}
         self._col_of = {j: (i, v) for (i, j), v in J.items()}
-
-        self.pairing_constants = {
-            i: J.get((real.pos[(i, d[i - 1])], real.pos[(self.pairing[i], 0)]), 0)
-            for i in range(1, p.k + 1)
-        }
 
         fixed_rows, odd_rows = [], []
         for a, mat in enumerate(self.gl.matrices):

@@ -522,31 +522,32 @@ def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
 # -- algebraic independence --------------------------------------------------
 
 
-def evaluate_jacobian(polys, variables: tuple[str, ...],
-                      point: dict) -> list[list[int]]:
+def evaluate_jacobian(polys, nums, den: int = 1) -> list[list[int]]:
     """Integer rows, one pass per polynomial: each row is a positive
-    multiple of the gradient row at the point (positive row multiple;
-    rank only).
+    multiple of the gradient row at the point nums / den (positive row
+    multiple; rank only).
 
-    The point is cleared to v / D with integer v and D > 0, and each
-    polynomial is read as its numerators (``SparsePoly.factored_terms``).
-    Scaling a term of degree k by D^(M - k), M the top degree, turns the
-    row into P.den * D^(M - 1) times the gradient.  Each monomial is
+    The point comes as integer numerators over one denominator D = den > 0,
+    the form of a ``regularity.Functional``, and each polynomial is read
+    as its numerators (``SparsePoly.factored_terms``).  A polynomial over
+    a different number of coordinates is a ValueError.  Scaling a term of
+    degree k by D^(M - k), M the top degree, turns the row into
+    P.den * D^(M - 1) times the gradient.  Each monomial is
     evaluated once and feeds every partial it touches; variables with
     value zero are handled exactly (a monomial with two zero factors
     contributes to no partial, one zero factor of exponent one
     contributes only to that partial).
     """
-    vals, D = clear_denominators([Fraction(point[name]) for name in variables])
     rows = []
     for P in polys:
-        if P.variables != variables:
-            raise ValueError("polynomial is not over the expected coordinates")
+        if len(P.variables) != len(nums):
+            raise ValueError(f"polynomial in {len(P.variables)} coordinates "
+                             f"at a point with {len(nums)}")
         top = P.total_degree()
-        scale = [D ** (top - k) for k in range(top + 1)]
-        row = [0] * len(variables)
+        scale = [den ** (top - k) for k in range(top + 1)]
+        row = [0] * len(nums)
         for factors, coeff, k in P.factored_terms():
-            zeros = [(i, e) for (i, e) in factors if not vals[i]]
+            zeros = [(i, e) for (i, e) in factors if not nums[i]]
             if len(zeros) >= 2:
                 continue
             prod = coeff * scale[k]
@@ -555,19 +556,15 @@ def evaluate_jacobian(polys, variables: tuple[str, ...],
                 if e0 == 1:
                     for i, e in factors:
                         if i != i0:
-                            prod *= vals[i] ** e
+                            prod *= nums[i] ** e
                     row[i0] += prod
                 continue
             for i, e in factors:
-                prod *= vals[i] ** e
+                prod *= nums[i] ** e
             for i, e in factors:
-                row[i] += prod // vals[i] * e
+                row[i] += prod // nums[i] * e
         rows.append(row)
     return rows
-
-
-def jacobian_rank_at(sr: SliceRestriction, model, point: dict) -> int:
-    return bareiss(evaluate_jacobian(sr.initial, model.var_names, point))[0]
 
 
 def initial_algebra_rank(sr: SliceRestriction, model, seed: int = 0) -> int:
@@ -576,6 +573,6 @@ def initial_algebra_rank(sr: SliceRestriction, model, seed: int = 0) -> int:
     rng = random.Random(seed)
     best = 0
     for _ in range(3):
-        point = {v: Fraction(rng.randint(-10, 10)) for v in model.var_names}
-        best = max(best, jacobian_rank_at(sr, model, point))
+        nums = [rng.randint(-10, 10) for _ in model.var_names]
+        best = max(best, bareiss(evaluate_jacobian(sr.initial, nums))[0])
     return best

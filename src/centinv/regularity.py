@@ -3,9 +3,12 @@
 The skew form B(gamma)_{ab} = gamma([xi_a, xi_b]) drives everything:
 stabiliser dimensions are exact kernel dimensions, the index is the
 corank at the best sampled point, and the singular locus is probed by
-polynomial gcds of maximal minors along random lines.  Ranks come from
-integer rows: the structure constants and the functional are cleared
-once, and a positive multiple of B(gamma) has its rank.
+polynomial gcds of maximal minors along random lines.  A point gamma is
+a ``Functional``: integer numerators over one positive denominator.
+Ranks come from integer rows: the structure constants are cleared once,
+and with the numerators of gamma they give a positive multiple of
+B(gamma), which has its rank.  The Jacobian kernel reads the same
+numerators (``evaluate_jacobian(polys, nums, den)``).
 
 The line probe certifies modulo the prime p = 2^30 - 35, one 30-bit
 CPython digit.  Each compression D_j(t) = det(U B(t) V) is a
@@ -30,24 +33,40 @@ from .invariants import SliceRestriction, evaluate_jacobian
 
 @dataclass(frozen=True)
 class Functional:
-    """Point of the dual space in coordinates dual to the model basis."""
+    """Point of the dual space in coordinates dual to the model basis:
+    integer numerators ``nums`` over one denominator ``den > 0``.
 
-    coords: tuple[Fraction, ...]
+    ``__post_init__`` is the one check and brings the point to lowest
+    terms, gcd(den, nums) = 1, so ``==`` compares points exactly.  A
+    ``den <= 0`` is a ValueError, a non-integer entry a TypeError (from
+    the gcd).  The kernels read ``nums``, a positive multiple of the
+    point; ``coords`` is the one rational read.
+    """
+
+    nums: tuple[int, ...]
     provenance: str = "EXPLICIT"
+    den: int = 1
+
+    def __post_init__(self):
+        if self.den <= 0:
+            raise ValueError(f"denominator {self.den} is not positive")
+        g = gcd(self.den, *self.nums)
+        if g != 1:
+            object.__setattr__(self, "nums", tuple(x // g for x in self.nums))
+            object.__setattr__(self, "den", self.den // g)
+
+    @classmethod
+    def of(cls, values, provenance: str = "EXPLICIT") -> "Functional":
+        """The point with the given rational coordinates."""
+        nums, den = clear_denominators(values)
+        return cls(tuple(nums), provenance, den)
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def is_zero(self) -> bool:
-        return all(not c for c in self.coords)
-
-    def point(self, model) -> dict[str, Fraction]:
-        return dict(zip(model.var_names, self.coords))
-
-    def scale(self, c) -> "Functional":
-        c = Fraction(c)
-        return Functional(tuple(c * x for x in self.coords), self.provenance)
-
-    def plus(self, other: "Functional", provenance: str = "EXPLICIT") -> "Functional":
-        return Functional(
-            tuple(a + b for a, b in zip(self.coords, other.coords)), provenance)
+        return not any(self.nums)
 
 
 def default_alpha_coefficients(model) -> list[Fraction]:
@@ -73,12 +92,12 @@ def build_alpha(model: CentralizerModel, a) -> Functional:
     p = model.partition
     if len(a) != p.k:
         raise ValueError(f"need {p.k} block scalars, got {len(a)}")
-    coords = [Fraction(0)] * model.dim
+    coords: list = [0] * model.dim
     for i in range(1, p.k + 1):
         idx = model.index[XiIndex(i, i, p.d[i - 1])]
         coords[idx] = Fraction(a[i - 1])
     tag = "ALPHA(" + ",".join(str(Fraction(x)) for x in a) + ")"
-    return Functional(tuple(coords), tag)
+    return Functional.of(coords, tag)
 
 
 def build_beta(model: CentralizerModel) -> Functional:
@@ -86,23 +105,21 @@ def build_beta(model: CentralizerModel) -> Functional:
     p = model.partition
     if p.k < 2:
         raise ValueError("the subdiagonal functional needs at least two blocks")
-    coords = [Fraction(0)] * model.dim
+    nums = [0] * model.dim
     for i in range(1, p.k):
-        idx = model.index[XiIndex(i + 1, i, p.d[i - 1])]
-        coords[idx] = Fraction(1)
-    return Functional(tuple(coords), "BETA")
+        nums[model.index[XiIndex(i + 1, i, p.d[i - 1])]] = 1
+    return Functional(tuple(nums), "BETA")
 
 
 def random_functional(model, rng: random.Random) -> Functional:
-    coords = tuple(Fraction(rng.randint(-10, 10)) for _ in range(model.dim))
-    return Functional(coords, "RANDOM")
+    return Functional(tuple(rng.randint(-10, 10) for _ in range(model.dim)), "RANDOM")
 
 
-def _bracket_rows(model, coords: list[int]) -> list[list[int]]:
+def _bracket_rows(model, nums) -> list[list[int]]:
     """S * B(gamma) in integer rows for integer coordinates of gamma, S the
     scale of ``model.integer_rows()`` (positive row multiple; rank only).
 
-    A functional cleared to den * gamma gives rows S * den * B(gamma).
+    The numerators of a functional give rows S * den * B(gamma).
     """
     table = model.integer_rows()[0]
     r = len(table)
@@ -111,7 +128,7 @@ def _bracket_rows(model, coords: list[int]) -> list[list[int]]:
         for b in range(a + 1, r):
             v = 0
             for c, coeff in row[b]:
-                v += coeff * coords[c]
+                v += coeff * nums[c]
             if v:
                 rows[a][b] = v
                 rows[b][a] = -v
@@ -119,15 +136,14 @@ def _bracket_rows(model, coords: list[int]) -> list[list[int]]:
 
 
 def _form_rank(model, gamma: Functional) -> int:
-    return bareiss(_bracket_rows(model, clear_denominators(gamma.coords)[0]))[0]
+    return bareiss(_bracket_rows(model, gamma.nums))[0]
 
 
 def bracket_form_matrix(model, gamma: Functional) -> RatMatrix:
     """B(gamma)_{ab} = gamma([xi_a, xi_b]); skew-symmetric."""
-    coords, den = clear_denominators(gamma.coords)
-    den *= model.integer_rows()[1]
+    den = gamma.den * model.integer_rows()[1]
     return RatMatrix([[Fraction(x, den) for x in row]
-                      for row in _bracket_rows(model, coords)])
+                      for row in _bracket_rows(model, gamma.nums)])
 
 
 def stabilizer_dim(gamma: Functional, model) -> int:
@@ -208,16 +224,6 @@ def index_report(model, samples: int = 10, seed: int = 0,
     )
 
 
-def rho_scale(model: CentralizerModel, gamma: Functional, t: Fraction) -> Functional:
-    """The contraction action: coordinate at xi[i,j,s] scales by t^(1 + j - i)."""
-    t = Fraction(t)
-    if not t:
-        raise ValueError("the torus parameter must be nonzero")
-    coords = tuple(
-        c * t ** (1 + model.rho_weights[a]) for a, c in enumerate(gamma.coords))
-    return Functional(coords, f"RHO({t})*{gamma.provenance}")
-
-
 @dataclass
 class PlaneScanResult:
     passed: bool
@@ -233,12 +239,14 @@ def plane_regularity_scan(model, gamma1: Functional, gamma2: Functional,
     On a gl model with the diagonal/subdiagonal pair this also verifies
     the weighted torus action rescales them by t and 1 respectively.
     """
-    if RatMatrix([gamma1.coords, gamma2.coords]).rank() != 2:
+    if bareiss([list(gamma1.nums), list(gamma2.nums)])[0] != 2:
         raise ValueError("plane scan needs two independent functionals")
     half = grid // 2
     coords = range(-half, grid - half)
     failures = []
-    # B(c gamma) = c B(gamma): one rank per primitive direction, sign normalised
+    # B(c gamma) = c B(gamma): one rank per primitive direction, sign
+    # normalised, at the positive multiple den1 den2 (dx gamma1 + dy gamma2)
+    d1, d2 = gamma1.den, gamma2.den
     stab_of: dict[tuple[int, int], int] = {}
     for x in coords:
         for y in coords:
@@ -247,19 +255,21 @@ def plane_regularity_scan(model, gamma1: Functional, gamma2: Functional,
             g = gcd(x, y) if (x, y) > (0, 0) else -gcd(x, y)
             dx, dy = x // g, y // g
             if (dx, dy) not in stab_of:
-                stab_of[dx, dy] = stabilizer_dim(gamma1.scale(dx).plus(gamma2.scale(dy)), model)
+                point = Functional(tuple(dx * d2 * a + dy * d1 * b
+                                         for a, b in zip(gamma1.nums, gamma2.nums)))
+                stab_of[dx, dy] = stabilizer_dim(point, model)
             stab = stab_of[dx, dy]
             if stab != model.rank:
                 failures.append((str(x), str(y), stab))
     rho_ok = None
-    if (getattr(model, "rho_weights", None) is not None
+    weights = model.rho_weights
+    if (weights is not None
             and gamma1.provenance.startswith("ALPHA") and gamma2.provenance == "BETA"):
-        rho_ok = True
-        for t in (Fraction(2), Fraction(-3), Fraction(1, 2)):
-            if rho_scale(model, gamma1, t).coords != gamma1.scale(t).coords:
-                rho_ok = False
-            if rho_scale(model, gamma2, t).coords != gamma2.coords:
-                rho_ok = False
+        # rho(t) scales the coordinate of weight w by t^(1 + w): gamma1 is
+        # scaled by t exactly when its support has weight 0, gamma2 fixed
+        # exactly when its support has weight -1
+        rho_ok = (all(weights[a] == 0 for a, x in enumerate(gamma1.nums) if x)
+                  and all(weights[a] == -1 for a, x in enumerate(gamma2.nums) if x))
     return PlaneScanResult(not failures, grid, failures, rho_ok)
 
 
@@ -284,8 +294,7 @@ def build_beta_prime_sum(sp: SymplecticModel) -> BetaPrimeResult:
     if p.k < 2:
         raise ValueError("the subdiagonal functional needs at least two blocks")
     gl = sp.gl
-    beta = build_beta(gl)
-    coords = list(beta.coords)
+    coords: list = list(build_beta(gl).nums)
     d = p.d
     real = gl.realization
     gamma_terms = []
@@ -308,18 +317,13 @@ def build_beta_prime_sum(sp: SymplecticModel) -> BetaPrimeResult:
             "i": i, "coordinate": idx.label(), "coefficient": str(coeff),
             "torus_exponent": exponent,
         })
-    ambient = Functional(tuple(coords), "BETA_PRIME_SUM")
-    vanish = all(
-        sum(c * g for c, g in zip(row, ambient.coords) if c) == 0
-        for row in sp.odd_part_basis
-    )
-    restricted = Functional(tuple(sp.fixed.restrict_dual(ambient.coords)),
-                            "BETA_PRIME_SUM")
+    ambient = Functional.of(coords, "BETA_PRIME_SUM")
+    restricted = Functional.of(sp.fixed.restrict_dual(ambient.coords), "BETA_PRIME_SUM")
     return BetaPrimeResult(
         ambient=ambient,
         restricted=restricted,
         gamma_terms=gamma_terms,
-        vanishes_on_odd_part=vanish,
+        vanishes_on_odd_part=vanishes_on_odd_part(sp, ambient),
         torus_exponents_ok=torus_ok,
         nonzero=not ambient.is_zero(),
     )
@@ -330,17 +334,13 @@ def restrict_alpha_to_fixed(sp: SymplecticModel, a=None) -> Functional:
     if a is None:
         a = default_alpha_coefficients(sp)
     alpha = build_alpha(sp.gl, a)
-    return Functional(tuple(sp.fixed.restrict_dual(alpha.coords)), alpha.provenance)
+    return Functional.of(sp.fixed.restrict_dual(alpha.coords), alpha.provenance)
 
 
-def alpha_vanishes_on_odd_part(sp: SymplecticModel, a=None) -> bool:
-    if a is None:
-        a = default_alpha_coefficients(sp)
-    alpha = build_alpha(sp.gl, a)
-    return all(
-        sum(c * g for c, g in zip(row, alpha.coords) if c) == 0
-        for row in sp.odd_part_basis
-    )
+def vanishes_on_odd_part(sp: SymplecticModel, gamma: Functional) -> bool:
+    """Whether a functional on the full centraliser kills its sigma-odd part."""
+    return all(sum(c * g for c, g in zip(row, gamma.nums) if c) == 0
+               for row in sp.odd_part_basis)
 
 
 # -- differential criterion ---------------------------------------------------
@@ -361,7 +361,7 @@ class DifferentialCriterionResult:
 
 def choose_generators(sr: SliceRestriction, model, at: Functional) -> list[int]:
     """Greedy subfamily whose gradients reach full rank at the given point."""
-    all_rows = evaluate_jacobian(sr.initial, model.var_names, at.point(model))
+    all_rows = evaluate_jacobian(sr.initial, at.nums, at.den)
     chosen: list[int] = []
     rank = 0
     for ell in range(sr.count):
@@ -380,8 +380,7 @@ def differential_criterion(sr: SliceRestriction, model, gamma: Functional,
     if 2 * sum(sr.degrees) != model.dim + model.rank:
         raise ValueError("degree sum does not certify a good system")
     gens = generators if generators is not None else list(range(sr.count))
-    rows = evaluate_jacobian([sr.initial[ell] for ell in gens],
-                             model.var_names, gamma.point(model))
+    rows = evaluate_jacobian([sr.initial[ell] for ell in gens], gamma.nums, gamma.den)
     jac_rank = bareiss(rows)[0]
     stab = stabilizer_dim(gamma, model)
     return DifferentialCriterionResult(
@@ -708,10 +707,12 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0) -> LineProbeRepo
     gcd; driving the gcd of a few compressions to a constant therefore
     certifies that no parameter value is singular.
 
-    Everything runs over Z.  The structure constants and both
-    functionals are cleared by one common scale, and that multiple of
-    B(t) has the rank of B(t) for every t; at a rational t = num/d the
-    integer matrix d den B(t) has it too.
+    Everything runs over Z.  B0 and B1 are the integer rows of the
+    numerators of g0 and g1 (``_bracket_rows``), positive multiples of
+    B(g0) and B(g1); at a rational t = num/d the integer matrix
+    d B0 + num B1 is a positive multiple of a point of the line, so it
+    has that point's rank.  (``random_functional`` draws integer points,
+    den 1, so the parameter is t itself.)
 
     The gcd is taken modulo the prime p = 2^30 - 35; CPython stores ints
     in 30-bit digits, so every residue is one digit.  Each D_j mod p is
@@ -748,14 +749,13 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0) -> LineProbeRepo
         g0 = random_functional(model, rng)
         for _ in range(11):
             g1 = random_functional(model, rng)
-            if RatMatrix([g0.coords, g1.coords]).rank() == 2:
+            if bareiss([list(g0.nums), list(g1.nums)])[0] == 2:
                 break
         else:
             probes.append(LineProbe(False, None, 0, "degenerate direction"))
             continue
-        cleared, _ = clear_denominators(g0.coords + g1.coords)
-        B0 = _bracket_rows(model, cleared[:r])
-        B1 = _bracket_rows(model, cleared[r:])
+        B0 = _bracket_rows(model, g0.nums)
+        B1 = _bracket_rows(model, g1.nums)
 
         def b_at(num: int, den: int = 1) -> list[list[int]]:
             """den * B(num / den) in integer rows."""

@@ -12,7 +12,6 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 
@@ -48,9 +47,9 @@ from .partitions import (
     so_good_system_diagnostic,
 )
 from .regularity import (
+    BetaPrimeResult,
     Functional,
     alpha_stabilizer_basis_check,
-    alpha_vanishes_on_odd_part,
     build_alpha,
     build_beta,
     build_beta_prime_sum,
@@ -63,6 +62,7 @@ from .regularity import (
     restrict_alpha_to_fixed,
     singular_locus_probe,
     stabilizer_dim,
+    vanishes_on_odd_part,
 )
 
 GL_COMMANDS = (
@@ -154,11 +154,16 @@ class PartitionContext:
         return build_alpha(self.model, default_alpha_coefficients(self.model))
 
     @cached_property
+    def beta_prime(self) -> BetaPrimeResult:
+        """The corrected subdiagonal functional of the sp model (k >= 2)."""
+        return build_beta_prime_sum(self.sp)
+
+    @cached_property
     def beta(self) -> Functional | None:
         if self.partition.k < 2:
             return None
         if self.cfg.algebra == "sp":
-            return build_beta_prime_sum(self.sp).restricted
+            return self.beta_prime.restricted
         return build_beta(self.model)
 
     @cached_property
@@ -281,10 +286,11 @@ def cmd_stabilizers(ctx: PartitionContext) -> Certificate:
         else:
             witnesses["beta_stabilizer_dim"] = None
     else:
-        witnesses["alpha_vanishes_on_odd_part"] = alpha_vanishes_on_odd_part(ctx.sp)
+        witnesses["alpha_vanishes_on_odd_part"] = vanishes_on_odd_part(
+            ctx.sp, build_alpha(ctx.sp.gl, default_alpha_coefficients(ctx.sp)))
         ok = ok and witnesses["alpha_vanishes_on_odd_part"]
         if p.k >= 2:
-            bp = build_beta_prime_sum(ctx.sp)
+            bp = ctx.beta_prime
             witnesses["beta_prime_terms"] = bp.gamma_terms
             witnesses["beta_prime_vanishes_on_odd_part"] = bp.vanishes_on_odd_part
             witnesses["beta_prime_torus_exponents_ok"] = bp.torus_exponents_ok
@@ -320,7 +326,7 @@ def cmd_diffcrit(ctx: PartitionContext) -> Certificate:
     model = ctx.model
     gens = ctx.generators
     rng = random.Random(ctx.cfg.seed)
-    points = [ctx.alpha, Functional(tuple(Fraction(0) for _ in range(model.dim)), "ZERO")]
+    points = [ctx.alpha, Functional((0,) * model.dim, "ZERO")]
     points += [random_functional(model, rng) for _ in range(ctx.cfg.diffcrit_points)]
     failures = []
     for gamma in points:
@@ -346,8 +352,7 @@ def cmd_plane(ctx: PartitionContext) -> Certificate:
     if ctx.partition.k < 2:
         rng = random.Random(ctx.cfg.seed)
         dims = [stabilizer_dim(random_functional(model, rng), model) for _ in range(5)]
-        dims.append(stabilizer_dim(
-            Functional(tuple(Fraction(0) for _ in range(model.dim)), "ZERO"), model))
+        dims.append(stabilizer_dim(Functional((0,) * model.dim, "ZERO"), model))
         ok = all(d == model.rank for d in dims)
         return _cert(ctx, "plane-regularity", ok,
                      {"single_block": True, "stabilizer_dims": dims})

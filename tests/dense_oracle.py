@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from centinv.centralizer import JordanRealization, enumerate_xi
+from centinv.centralizer import JordanRealization, XiIndex, enumerate_xi
 from centinv.partitions import ClassicalType, dim_centralizer_so_sp, pairing_map
 
 # -- dense matrix algebra -----------------------------------------------------
@@ -153,6 +153,35 @@ def gf_matrix(real: JordanRealization, idx):
     return mat
 
 
+def closed_form_bracket(p, a: XiIndex, b: XiIndex) -> dict[XiIndex, int]:
+    """Bracket of two basis elements by delta contraction.
+
+    [xi_i^{j,s}, xi_p^{q,u}] = delta_{i,q} xi_p^{j,u+s} - delta_{j,p} xi_i^{q,u+s},
+    where a factor whose shift exceeds the top admissible value for its
+    upper block is zero.  A shift below the lower admissible bound never
+    arises from valid operands; it is reported loudly if it ever does.
+    """
+    d = p.d
+    out: dict[XiIndex, int] = {}
+
+    def emit(low: int, up: int, shift: int, sign: int) -> None:
+        if shift > d[up - 1]:
+            return
+        if shift < max(d[up - 1] - d[low - 1], 0):
+            raise ArithmeticError(
+                f"bracket produced under-range shift {shift} for xi[{low},{up},.]")
+        idx = XiIndex(low, up, shift)
+        out[idx] = out.get(idx, 0) + sign
+        if not out[idx]:
+            del out[idx]
+
+    if a.i == b.j:
+        emit(b.i, a.j, b.s + a.s, +1)
+    if a.j == b.i:
+        emit(a.i, b.j, b.s + a.s, -1)
+    return out
+
+
 class DenseGlModel:
     """The gl centraliser model with dense matrices throughout."""
 
@@ -251,10 +280,6 @@ class DenseSpModel:
             if 0 <= t <= d[ip - 1]:
                 J[col][real.pos[(ip, t)]] = Fraction((-1) ** t * eps[i])
         self.J = J
-        self.pairing_constants = {
-            i: J[real.pos[(i, d[i - 1])]][real.pos[(self.pairing[i], 0)]]
-            for i in range(1, p.k + 1)
-        }
         half = Fraction(1, 2)
         fixed_rows, odd_rows = [], []
         for mat in gl.matrices:

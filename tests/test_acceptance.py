@@ -6,7 +6,6 @@ Each test prints a single PASS/FAIL line for its criterion; run with
 
 import json
 import random
-from fractions import Fraction
 
 from centinv.centralizer import build_gl_model, build_sp_model
 from centinv.invariants import (
@@ -133,7 +132,7 @@ def test_criterion_5_differential_criterion():
             m = build_gl_model(p)
             sr = principal_minor_sums(m)
             alpha = build_alpha(m, default_alpha_coefficients(m))
-            zero = Functional(tuple(Fraction(0) for _ in range(m.dim)), "ZERO")
+            zero = Functional((0,) * m.dim, "ZERO")
             rng = random.Random(SEED)
             points = [alpha, zero] + [random_functional(m, rng) for _ in range(50)]
             for gamma in points:

@@ -402,7 +402,7 @@ def assert_positive_multiple(row, oracle):
 
 
 def check_jacobian_rows(polys, point):
-    rows = evaluate_jacobian(polys, JAC_VARS, point)
+    rows = evaluate_jacobian(polys, *clear_denominators([Fraction(point[v]) for v in JAC_VARS]))
     assert all(isinstance(x, int) for row in rows for x in row)
     for P, row in zip(polys, rows):
         assert_positive_multiple(
@@ -421,6 +421,14 @@ def test_integer_jacobian_zero_factor_branches():
     ])
     point = {"x1": 0, "x2": 0, "x3": Fraction(2, 3), "x4": Fraction(-5, 7)}
     check_jacobian_rows([P, homogeneous_component(P, 3)], point)
+
+
+def test_integer_jacobian_rejects_a_point_of_another_length():
+    P = from_exponents(JAC_VARS, [({"x1": 1, "x4": 2}, Fraction(1))])
+    with pytest.raises(ValueError):
+        evaluate_jacobian([P], [1, 2, 3])
+    with pytest.raises(ValueError):
+        evaluate_jacobian([P], [1, 2, 3, 4, 5], 2)
 
 
 monomials = st.dictionaries(st.sampled_from(JAC_VARS), st.integers(1, 3), max_size=4)

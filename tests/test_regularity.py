@@ -24,7 +24,6 @@ from centinv.regularity import (
     plane_regularity_scan,
     random_functional,
     restrict_alpha_to_fixed,
-    rho_scale,
     singular_locus_probe,
     stabilizer_dim,
 )
@@ -45,7 +44,48 @@ from centinv.regularity import (
 
 
 def zero_functional(model):
-    return Functional(tuple(Fraction(0) for _ in range(model.dim)), "ZERO")
+    return Functional((0,) * model.dim, "ZERO")
+
+
+def rho_scale(model, gamma, t):
+    """The contraction action: coordinate at xi[i,j,s] scales by t^(1 + j - i)."""
+    t = Fraction(t)
+    return Functional.of([c * t ** (1 + w) for c, w in zip(gamma.coords, model.rho_weights)],
+                         f"RHO({t})*{gamma.provenance}")
+
+
+def combination(x, gamma1, y, gamma2):
+    """The point x gamma1 + y gamma2."""
+    return Functional.of([x * a + y * b for a, b in zip(gamma1.coords, gamma2.coords)])
+
+
+def test_functional_is_stored_in_lowest_terms():
+    g = Functional((2, -4, 0, 6), "X", den=4)
+    assert (g.nums, g.den, g.provenance) == ((1, -2, 0, 3), 2, "X")
+    assert g.coords == (Fraction(1, 2), Fraction(-1), Fraction(0), Fraction(3, 2))
+    assert g == Functional((1, -2, 0, 3), "X", den=2)
+    zero = Functional((0, 0), den=5)
+    assert (zero.nums, zero.den) == ((0, 0), 1) and zero.is_zero()
+    assert Functional.of([Fraction(1, 2), Fraction(1, 3)]) == Functional((3, 2), den=6)
+
+
+def test_functional_rejects_a_bad_denominator_or_entry():
+    for den in (0, -3):
+        with pytest.raises(ValueError):
+            Functional((1, 2), den=den)
+    # the old rational form fails loudly instead of being read as numerators
+    with pytest.raises(TypeError):
+        Functional((Fraction(1, 2), Fraction(1)), "OLD")
+    with pytest.raises(TypeError):
+        Functional((1, 2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(), max_size=8))
+def test_functional_of_reads_back_its_coordinates(values):
+    g = Functional.of(values)
+    assert g.coords == tuple(values)
+    assert g.den > 0 and all(isinstance(x, int) for x in g.nums)
 
 
 def test_alpha_coordinates():
@@ -134,7 +174,7 @@ def test_rho_eigenvalues_of_alpha_and_beta():
     alpha = build_alpha(m, default_alpha_coefficients(m))
     beta = build_beta(m)
     for t in (Fraction(2), Fraction(1, 2)):
-        assert rho_scale(m, alpha, t).coords == alpha.scale(t).coords
+        assert rho_scale(m, alpha, t).coords == tuple(t * c for c in alpha.coords)
         assert rho_scale(m, beta, t).coords == beta.coords
 
 
@@ -188,7 +228,7 @@ def per_point_failures(model, gamma1, gamma2, grid=7):
     for x in coords:
         for y in coords:
             if x or y:
-                stab = stabilizer_dim(gamma1.scale(x).plus(gamma2.scale(y)), model)
+                stab = stabilizer_dim(combination(x, gamma1, y, gamma2), model)
                 if stab != model.rank:
                     failures.append((str(x), str(y), stab))
     return failures
@@ -224,6 +264,45 @@ def test_plane_scan_fails_exactly_on_the_alpha_line():
         ("-3", "0"), ("-2", "0"), ("-1", "0"), ("1", "0"), ("2", "0"), ("3", "0")]
 
 
+def test_plane_scan_of_rational_points_fails_on_their_own_lines():
+    # on gl_3 a diagonal point is singular where two entries agree; for
+    # x diag(1, 2, 3)/2 + y diag(0, 1, 3)/3 that is y = -x and y = -3x/2
+    m = build_gl_model(Partition.parse("1,1,1"))
+    gamma1 = build_alpha(m, [Fraction(1, 2), 1, Fraction(3, 2)])
+    gamma2 = build_alpha(m, [0, Fraction(1, 3), 1])
+    assert (gamma1.den, gamma2.den) == (2, 3)
+    scan = check_scan_against_per_point(m, gamma1, gamma2, None)
+    assert sorted((int(x), int(y)) for x, y, _ in scan.failures) == [
+        (-3, 3), (-2, 2), (-2, 3), (-1, 1), (1, -1), (2, -3), (2, -2), (3, -3)]
+
+
+def rho_scale_torus_check(model, gamma1, gamma2):
+    """The torus check as rho(t) comparisons at three t (reference)."""
+    return all(rho_scale(model, gamma1, t).coords == tuple(t * c for c in gamma1.coords)
+               and rho_scale(model, gamma2, t).coords == gamma2.coords
+               for t in (Fraction(2), Fraction(-3), Fraction(1, 2)))
+
+
+def test_torus_check_matches_the_rho_scale_comparison():
+    rng = random.Random(5)
+    verdicts = []
+    for n in range(2, 7):
+        for p in partitions_of(n):
+            if p.k < 2:
+                continue
+            m = build_gl_model(p)
+            alpha, beta = build_alpha(m, default_alpha_coefficients(m)), build_beta(m)
+            pairs = [(alpha, beta),
+                     (alpha, Functional(random_functional(m, rng).nums, "BETA")),
+                     (Functional(random_functional(m, rng).nums, alpha.provenance), beta)]
+            for gamma1, gamma2 in pairs:
+                # a grid of one point holds only the origin: the torus check alone
+                scan = plane_regularity_scan(m, gamma1, gamma2, grid=1)
+                assert scan.rho_eigenvector_check is rho_scale_torus_check(m, gamma1, gamma2), p
+                verdicts.append(scan.rho_eigenvector_check)
+    assert True in verdicts and False in verdicts
+
+
 def test_plane_scan_matches_the_per_point_scan_sp():
     for n in range(1, 4):
         for p in partitions_of(2 * n, ClassicalType.SP):
@@ -239,7 +318,7 @@ def test_plane_scan_rejects_dependent_pair():
     m = build_gl_model(Partition.parse("2,1"))
     alpha = build_alpha(m, default_alpha_coefficients(m))
     with pytest.raises(ValueError):
-        plane_regularity_scan(m, alpha, alpha.scale(2), grid=5)
+        plane_regularity_scan(m, alpha, Functional(tuple(2 * x for x in alpha.nums)), grid=5)
 
 
 def test_beta_prime_sum():
@@ -337,9 +416,9 @@ def test_line_probe_never_certifies_a_line_in_the_singular_locus(parts, scalars,
     p = Partition.parse(parts)
     m = build_gl_model(p)
     g0 = build_alpha(m, scalars)
-    trace = [Fraction(0)] * m.dim
+    trace = [0] * m.dim
     for i in range(1, p.k + 1):
-        trace[m.index[XiIndex(i, i, 0)]] = Fraction(p.parts[i - 1])
+        trace[m.index[XiIndex(i, i, 0)]] = p.parts[i - 1]
     g1 = Functional(tuple(trace), "TRACE")
     assert stabilizer_dim(g0, m) > m.rank
     assert bracket_form_matrix(m, g1).rank() == 0
@@ -564,8 +643,8 @@ def exact_form(model, gamma):
 
 def rational_functionals(model, rng, count=6):
     out = [random_functional(model, rng) for _ in range(count)]
-    out += [Functional(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12))
-                             for _ in range(model.dim)), "RATIONAL")
+    out += [Functional.of([Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                           for _ in range(model.dim)], "RATIONAL")
             for _ in range(count)]
     return out
 
