@@ -29,7 +29,7 @@ from .centralizer import (
     trace_dual,
     xi_shift_range,
 )
-from .linalg import RatMatrix, bareiss, clear_denominators, sparse_rref
+from .linalg import RatMatrix, bareiss, sparse_rref
 from .partitions import vectors_with_total
 from .poly import SparsePoly, _MASK, _MAX_EXP, _WIDTH, _accumulate_product, _key_degree
 
@@ -248,13 +248,13 @@ def coordinate_bracket_with(model, a: int, Q: SparsePoly) -> SparsePoly:
     return SparsePoly(model.var_names, acc, S * Q.den)
 
 
-def coadjoint_exp(model, a: int, gamma: list[int]) -> list[Fraction]:
-    """exp(-ad xi_a)^T gamma for a nilpotent ad xi_a and an integer gamma.
+def coadjoint_exp(model, a: int, gamma: list[int]) -> tuple[list[int], int]:
+    """(nums, den) of exp(-ad xi_a)^T gamma, ad xi_a nilpotent, gamma integer.
 
     (ad xi_a)^T gamma is the functional b -> gamma([xi_a, xi_b]), so on
     the cleared table the finite series is sum_k (-1)^k v_k / (k! S^k)
     with v_0 = gamma and v_{k+1}[b] = sum_c rows[a][b]_c * v_k[c]; it is
-    summed over the common denominator k! S^k as it goes.
+    summed over the common denominator k! S^k as it goes, unreduced.
     """
     rows, S = model.integer_rows()
     row = rows[a]
@@ -262,7 +262,7 @@ def coadjoint_exp(model, a: int, gamma: list[int]) -> list[Fraction]:
     while True:
         v = [sum(coeff * v[c] for c, coeff in entries) for entries in row]
         if not any(v):
-            return [Fraction(x, den) for x in num]
+            return num, den
         k += 1
         sign = -1 if k % 2 else 1
         num = [k * S * x + sign * y for x, y in zip(num, v)]
@@ -285,8 +285,8 @@ def verify_centrality(sr: SliceRestriction, model, seed: int = 0) -> CentralityR
     points by exp(-ad x)^T for up to three basis elements x of positive
     ad(h) weight (nilpotent, so ``coadjoint_exp`` is a finite rational
     series), five points each, and compares the values of each initial
-    term on integers: the moved point is cleared to v / L and
-    ``_value_changes`` scales by L^M.
+    term on integers: the moved point is v / L as ``coadjoint_exp``
+    returns it, and ``_value_changes`` scales by L^M.
     """
     labels = getattr(model, "labels")
     for ell, F in enumerate(sr.initial, start=1):
@@ -305,7 +305,7 @@ def verify_centrality(sr: SliceRestriction, model, seed: int = 0) -> CentralityR
         for a in positive[:3]:
             for _ in range(5):
                 gamma = [rng.randint(-10, 10) for _ in range(r)]
-                moved, L = clear_denominators(coadjoint_exp(model, a, gamma))
+                moved, L = coadjoint_exp(model, a, gamma)
                 checked += 1
                 for ell, F in enumerate(sr.initial, start=1):
                     if _value_changes(F, gamma, moved, L):

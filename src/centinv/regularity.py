@@ -17,6 +17,8 @@ gcd g divides every D_j, and lc(g) divides the leading coefficient
 det(U B_1 V).  When that is nonzero mod p for one D_j, deg(g mod p) =
 deg g, and a constant gcd of the D_j mod p proves g constant: the line
 misses the singular locus.  Every other line is decided over Z exactly.
+The kernels mod p hold each row (solve) or column (Hessenberg) in one int
+of nonnegative lanes, below rho p^2 + p and rho^2 p^3 + rho p^2 + p.
 """
 
 from __future__ import annotations
@@ -531,22 +533,39 @@ def _lane_width(*mats: list[list[int]]) -> int:
     return (9 * sum(abs(x) for B in mats for row in B for x in row)).bit_length() + 1
 
 
+def _pack(values: list[int], w: int) -> int:
+    """One int holding the values in w-bit lanes, values[0] lowest."""
+    acc = 0
+    for x in reversed(values):
+        acc = (acc << w) + x
+    return acc
+
+
+def _unpack(acc: int, w: int, count: int) -> list[int]:
+    """The count lowest w-bit lanes of acc >= 0."""
+    mask = (1 << w) - 1
+    return [(acc >> (w * j)) & mask for j in range(count)]
+
+
 def _compress(U: list[list[int]], B: list[list[int]], V: list[list[int]],
               w: int) -> list[list[int]]:
     """U B V exactly; each row of V, of B V and of the product is one int
-    of signed w-bit lanes (w from ``_lane_width``)."""
-    packed = [sum(x << (w * j) for j, x in enumerate(row)) for row in V]
+    of signed w-bit lanes (w from ``_lane_width``), read with a bias."""
+    packed = [_pack(row, w) for row in V]
     bv = [sum(b * packed[j] for j, b in enumerate(row) if b) for row in B]
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    out = []
-    for urow in U:
-        acc = sum(u * x for u, x in zip(urow, bv) if u)
-        row = []
-        for _ in V[0]:
-            row.append(((acc + half) & mask) - half)  # the low lane, signed
-            acc = (acc - row[-1]) >> w                # and its borrow
-        out.append(row)
-    return out
+    half, rho = 1 << (w - 1), len(V[0])
+    bias = _pack([half] * rho, w)
+    return [[x - half for x in _unpack(sum(u * x for u, x in zip(urow, bv) if u) + bias, w, rho)]
+            for urow in U]
+
+
+def _draw(bits) -> int:
+    """``Random.randint(-3, 3)`` from the same ``getrandbits(3)`` calls:
+    CPython draws 3 bits and rejects 7 (``_randbelow_with_getrandbits``)."""
+    r = bits(3)
+    while r == 7:
+        r = bits(3)
+    return r - 3
 
 
 # -- compressions modulo a prime -----------------------------------------------
@@ -556,74 +575,91 @@ _PRIME = (1 << 30) - 35  # the largest prime below 2^30
 
 def _solve_mod(A: list[list[int]], B: list[list[int]], prime: int):
     """(det A, A^-1 B) modulo prime by one Gauss-Jordan pass; (0, None)
-    when A is singular modulo prime."""
+    when A is singular modulo prime.  Only the pivot row is reduced; the
+    others take row += (prime - f) pivot_row, below prime^2 per lane, at
+    most n times in between, so lanes stay below n prime^2 + prime.
+    """
     n = len(A)
-    aug = [[x % prime for x in ra] + [x % prime for x in rb] for ra, rb in zip(A, B)]
+    w = (n * prime * prime + prime).bit_length() + 1
+    mask = (1 << w) - 1
+    rows = [_pack([x % prime for x in ra + rb], w) for ra, rb in zip(A, B)]
     det = 1
     for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col]), None)
+        shift = w * col
+        fs = [((row >> shift) & mask) % prime for row in rows]
+        piv = next((i for i in range(col, n) if fs[i]), None)
         if piv is None:
             return 0, None
         if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
+            rows[col], rows[piv] = rows[piv], rows[col]
+            fs[col], fs[piv] = fs[piv], fs[col]
             det = -det
-        pv = aug[col][col]
-        det = det * pv % prime
-        inv = pow(pv, -1, prime)
-        pr = [x * inv % prime for x in aug[col][col:]]
-        aug[col][col:] = pr
-        for i in range(n):
-            f = aug[i][col]
+        det = det * fs[col] % prime
+        inv = pow(fs[col], -1, prime)
+        pr = _pack([x * inv % prime for x in _unpack(rows[col] >> shift, w, 2 * n - col)], w)
+        rows[col] = pr = pr << shift
+        for i, f in enumerate(fs):
             if f and i != col:
-                aug[i][col:] = [(x - f * y) % prime for x, y in zip(aug[i][col:], pr)]
-    return det % prime, [row[n:] for row in aug]
+                rows[i] += (prime - f) * pr
+    return det % prime, [[x % prime for x in _unpack(row >> (w * n), w, n)] for row in rows]
 
 
 def _charpoly_mod(H: list[list[int]], prime: int) -> list[int]:
-    """det(t Id - H) modulo prime, low degree first; H is overwritten.
+    """det(t Id - H) modulo prime, low degree first.
 
     H is brought to upper Hessenberg form by similarity transforms, then
     p_0 = 1 and p_{m+1} = (t - h_mm) p_m
     - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_i  (Cohen, A Course in
     Computational Algebraic Number Theory, 2.2.9).
+
+    Columns of H and the p_m are packed.  Step m reduces column m - 1, then
+    final in rows up to m, adds below prime^2 per lane to later columns and
+    u_i times those to column m: lanes stay below n^2 prime^3 + n prime^2 + prime.
     """
     n = len(H)
+    w = (n * n * prime ** 3 + n * prime * prime + prime).bit_length() + 1
+    mask = (1 << w) - 1
+    cols = [_pack([x % prime for x in col], w) for col in zip(*H)]
+    hess = []  # hess[j]: rows 0 .. j + 1 of the reduced column j
     for m in range(1, n - 1):
-        piv = next((i for i in range(m, n) if H[i][m - 1]), None)
-        if piv is None:
-            continue
+        lanes = [x % prime for x in _unpack(cols[m - 1], w, n)]
+        piv = next((i for i in range(m, n) if lanes[i]), m)
+        sm = w * m
         if piv != m:
-            H[m], H[piv] = H[piv], H[m]
-            for row in H:
-                row[m], row[piv] = row[piv], row[m]
-        inv = pow(H[m][m - 1], -1, prime)
-        pr = H[m][m - 1:]
-        us = []
-        for i in range(m + 1, n):
-            u = H[i][m - 1] * inv % prime
-            if u:
-                H[i][m - 1:] = [(x - u * y) % prime for x, y in zip(H[i][m - 1:], pr)]
-                us.append((i, u))
+            # rows m and piv (final in the columns before m), then the columns
+            lanes[m], lanes[piv] = lanes[piv], lanes[m]
+            cols[m], cols[piv] = cols[piv], cols[m]
+            for j in range(m, n):
+                a, b = (cols[j] >> sm) & mask, (cols[j] >> (w * piv)) & mask
+                cols[j] += ((b - a) << sm) + ((a - b) << (w * piv))
+        hess.append(lanes[:m + 1])
+        if not lanes[m]:
+            continue
+        inv = pow(lanes[m], -1, prime)
+        us = [(i, x * inv % prime) for i, x in enumerate(lanes) if i > m and x]
         if us:
-            for row in H:
-                row[m] = (row[m] + sum(u * row[i] for i, u in us)) % prime
-    polys = [[1]]
+            neg = sum((prime - u) << (w * i) for i, u in us)
+            for j in range(m, n):
+                s = ((cols[j] >> sm) & mask) % prime
+                if s:
+                    cols[j] += s * neg
+            cols[m] += sum(u * cols[i] for i, u in us)
+    for j in range(len(hess), n):
+        hess.append([x % prime for x in _unpack(cols[j], w, min(j + 2, n))])
+    polys, out = [1], [1]
     for m in range(n):
-        new = [0] + polys[m]
-        h = H[m][m]
-        for k, c in enumerate(polys[m]):
-            new[k] -= h * c
+        new = (polys[m] << w) + (prime - hess[m][m]) * polys[m]
         prod = 1
         for i in range(m - 1, -1, -1):
-            prod = prod * H[i + 1][i] % prime
+            prod = prod * hess[i][i + 1] % prime
             if not prod:
                 break
-            coef = H[i][m] * prod % prime
+            coef = hess[m][i] * prod % prime
             if coef:
-                for k, c in enumerate(polys[i]):
-                    new[k] -= coef * c
-        polys.append([x % prime for x in new])
-    return polys[n]
+                new += (prime - coef) * polys[i]
+        out = [x % prime for x in _unpack(new, w, m + 2)]
+        polys.append(_pack(out, w))
+    return out
 
 
 def _pencil_mod(C0: list[list[int]], C1: list[list[int]], prime: int) -> list[int] | None:
@@ -676,9 +712,10 @@ def _compress_line(B0: list[list[int]], B1: list[list[int]], rho: int,
     gcd_mod: list[int] | None = None
     anchored = False
     w = _lane_width(B0, B1)
+    bits = rng.getrandbits
     for _ in range(budget):
-        U = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rho)]
-        V = [[rng.randint(-3, 3) for _ in range(rho)] for _ in range(r)]
+        U = [[_draw(bits) for _ in range(r)] for _ in range(rho)]
+        V = [[_draw(bits) for _ in range(rho)] for _ in range(r)]
         C0 = _compress(U, B0, V, w)
         C1 = _compress(U, B1, V, w)
         drawn.append((C0, C1))
@@ -717,7 +754,10 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0) -> LineProbeRepo
     The gcd is taken modulo the prime p = 2^30 - 35; CPython stores ints
     in 30-bit digits, so every residue is one digit.  Each D_j mod p is
     det(C1) charpoly(-C1^-1 C0), one Gauss-Jordan pass and one Hessenberg
-    reduction in O(rho^3).  Soundness holds for every prime p (a smaller
+    reduction.  The pass holds each row of [C1 | C0] in one int of lanes
+    below rho p^2 + p, the reduction each column in lanes below
+    rho^2 p^3 + rho p^2 + p: a step is O(rho) int operations, not O(rho^2)
+    on residues.  Soundness holds for every prime p (a smaller
     one only sends about 1/p of the compressions to the exact route): the
     primitive gcd g of the D_j over Z divides every D_j, so g mod p
     divides their gcd mod p; and g divides a D_j whose leading

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from centinv.partitions import Partition
+from centinv.centralizer import build_gl_model, build_sp_model
+from centinv.partitions import ClassicalType, Partition, partitions_of
+from centinv.regularity import singular_locus_probe
 from centinv.runner import RunConfig, build_report
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -22,3 +24,15 @@ def test_report_matches_golden(algebra, parts):
     name = f"{algebra}_{parts.replace(',', '_')}.json"
     golden = json.loads((GOLDEN_DIR / name).read_text())
     assert json.dumps(report, sort_keys=True) == json.dumps(golden, sort_keys=True)
+
+
+def test_line_probes_match_golden():
+    """Every LineProbe of gl n <= 6 and sp 2n <= 6 at seeds 0 and 7, with
+    the number of compressions drawn, which the reports leave out."""
+    models = {f"gl {p}": build_gl_model(p) for n in range(1, 7) for p in partitions_of(n)}
+    models.update({f"sp {p}": build_sp_model(p).fixed
+                   for n in range(1, 4) for p in partitions_of(2 * n, ClassicalType.SP)})
+    got = {f"{name} seed {seed}": [[pr.certified, pr.singular_values, pr.minors_used, pr.detail]
+                                   for pr in singular_locus_probe(model, lines=10, seed=seed).lines]
+           for name, model in models.items() for seed in (0, 7)}
+    assert got == json.loads((GOLDEN_DIR / "line_probes.json").read_text())

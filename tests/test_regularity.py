@@ -30,8 +30,11 @@ from centinv.regularity import (
 from centinv.linalg import RatMatrix, bareiss
 from centinv.regularity import (
     _PRIME,
+    _charpoly_mod,
     _compress,
     _compress_line,
+    _draw,
+    _gcd_mod,
     _interpolate,
     _lane_width,
     _pencil_exact,
@@ -40,6 +43,8 @@ from centinv.regularity import (
     _poly_gcd,
     _primitive,
     _rational_roots,
+    _solve_mod,
+    _trim,
 )
 
 
@@ -527,7 +532,7 @@ def int_matrices(rows, cols, lo=-5, hi=5):
 
 
 @st.composite
-def pencils(draw, max_rho=8):
+def pencils(draw, max_rho=16):
     """(C0, C1) of size rho <= max_rho; C1 has a zero row when asked to."""
     rho = draw(st.integers(1, max_rho))
     C0 = draw(int_matrices(rho, rho))
@@ -562,6 +567,119 @@ def _int_matmul(a, b):
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
+def _solve_mod_reference(A, B, prime):
+    """(det A, A^-1 B) modulo prime by one scalar Gauss-Jordan pass; (0, None)
+    when A is singular modulo prime."""
+    n = len(A)
+    aug = [[x % prime for x in ra] + [x % prime for x in rb] for ra, rb in zip(A, B)]
+    det = 1
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col]), None)
+        if piv is None:
+            return 0, None
+        if piv != col:
+            aug[col], aug[piv] = aug[piv], aug[col]
+            det = -det
+        pv = aug[col][col]
+        det = det * pv % prime
+        inv = pow(pv, -1, prime)
+        pr = [x * inv % prime for x in aug[col][col:]]
+        aug[col][col:] = pr
+        for i in range(n):
+            f = aug[i][col]
+            if f and i != col:
+                aug[i][col:] = [(x - f * y) % prime for x, y in zip(aug[i][col:], pr)]
+    return det % prime, [row[n:] for row in aug]
+
+
+def _charpoly_mod_reference(H, prime):
+    """det(t Id - H) modulo prime for residues H, low degree first, by a
+    scalar Hessenberg reduction; H is overwritten."""
+    n = len(H)
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if H[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            H[m], H[piv] = H[piv], H[m]
+            for row in H:
+                row[m], row[piv] = row[piv], row[m]
+        inv = pow(H[m][m - 1], -1, prime)
+        pr = H[m][m - 1:]
+        us = []
+        for i in range(m + 1, n):
+            u = H[i][m - 1] * inv % prime
+            if u:
+                H[i][m - 1:] = [(x - u * y) % prime for x, y in zip(H[i][m - 1:], pr)]
+                us.append((i, u))
+        if us:
+            for row in H:
+                row[m] = (row[m] + sum(u * row[i] for i, u in us)) % prime
+    polys = [[1]]
+    for m in range(n):
+        new = [0] + polys[m]
+        h = H[m][m]
+        for k, c in enumerate(polys[m]):
+            new[k] -= h * c
+        prod = 1
+        for i in range(m - 1, -1, -1):
+            prod = prod * H[i + 1][i] % prime
+            if not prod:
+                break
+            coef = H[i][m] * prod % prime
+            if coef:
+                for k, c in enumerate(polys[i]):
+                    new[k] -= coef * c
+        polys.append([x % prime for x in new])
+    return polys[n]
+
+
+def check_packed_kernels(A, B, H, prime):
+    assert _solve_mod(A, B, prime) == _solve_mod_reference(A, B, prime)
+    residues = [[x % prime for x in row] for row in H]
+    assert _charpoly_mod(residues, prime) == _charpoly_mod_reference(residues, prime)
+
+
+@st.composite
+def modular_kernel_inputs(draw):
+    """(A, B, H, prime): the prime of the probe with rho <= 32, or a small
+    prime, whose zero pivots force row and column swaps and empty
+    eliminations; some entries are zero, the rest up to p - 1 in size."""
+    prime = draw(st.sampled_from([_PRIME, 5, 7, 11, 13]))
+    rho = draw(st.sampled_from(range(1, 33 if prime == _PRIME else 13)))  # uniform sizes
+    hi = draw(st.sampled_from([1, 3, prime - 1]))
+    zeros = draw(st.sampled_from([0.0, 0.3, 0.7]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def matrix():
+        return [[0 if rng.random() < zeros else rng.randint(-hi, hi) for _ in range(rho)]
+                for _ in range(rho)]
+
+    return matrix(), matrix(), matrix(), prime
+
+
+def random_residues(rho, seed):
+    rng = random.Random(seed)
+    return [[rng.randrange(_PRIME) for _ in range(rho)] for _ in range(rho)]
+
+
+def off_diagonal_p_minus_1(rho, diagonal):
+    return [[_PRIME - 1 if i != j else diagonal for j in range(rho)] for i in range(rho)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(modular_kernel_inputs())
+# rho = 56, the pencil size of 1^8
+@example((random_residues(56, 0), random_residues(56, 1), random_residues(56, 2), _PRIME))
+# every residue at p - 1, the largest lanes; then A = I - J modulo p, with
+# det 1 - rho != 0, so the solve runs every step on them
+@example((off_diagonal_p_minus_1(56, _PRIME - 1),) * 3 + (_PRIME,))
+@example((off_diagonal_p_minus_1(56, 0), off_diagonal_p_minus_1(56, _PRIME - 1),
+          off_diagonal_p_minus_1(56, 0), _PRIME))
+def test_packed_kernels_match_the_scalar_references(inputs):
+    check_packed_kernels(*inputs)
+
+
 @st.composite
 def compressions(draw):
     """(U, B, V) with general B up to 2^40 and U, V in the draw range [-3, 3]."""
@@ -575,6 +693,8 @@ def compressions(draw):
 @given(compressions())
 # every entry at its maximum with one sign: C_ij = 9 sum|B|, the lane bound
 @example(([[3] * 8] * 8, [[2 ** 40] * 8] * 8, [[3] * 8] * 8))
+# and with the other: C_ij = -9 sum|B|, the lowest lane the bias reads back
+@example(([[3] * 8] * 8, [[-2 ** 40] * 8] * 8, [[3] * 8] * 8))
 def test_packed_compression_is_the_plain_product(uvb):
     U, B, V = uvb
     assert _compress(U, B, V, _lane_width(B)) == _int_matmul(_int_matmul(U, B), V)
@@ -626,6 +746,55 @@ def test_small_prime_certificate_implies_a_constant_exact_gcd(r, data, prime, se
     if certified:
         g = exact_gcd(drawn)
         assert g is not None and len(g) == 1
+
+
+def test_draw_is_randint_on_the_same_generator_state():
+    for seed in range(200):
+        plain, packed = random.Random(seed), random.Random(seed)
+        bits = packed.getrandbits
+        assert [plain.randint(-3, 3) for _ in range(500)] == [_draw(bits) for _ in range(500)]
+        assert plain.random() == packed.random()
+
+
+def compress_line_reference(B0, B1, rho, rng, budget, prime):
+    """``_compress_line`` from ``randint`` draws, plain products and the scalar kernels."""
+    r = len(B0)
+    drawn = []
+    gcd_mod = None
+    anchored = False
+    for _ in range(budget):
+        U = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rho)]
+        V = [[rng.randint(-3, 3) for _ in range(rho)] for _ in range(r)]
+        C0 = _int_matmul(_int_matmul(U, B0), V)
+        C1 = _int_matmul(_int_matmul(U, B1), V)
+        drawn.append((C0, C1))
+        det1, X = _solve_mod_reference(C1, C0, prime)
+        if X is None:
+            exact = _pencil_exact(C0, C1)
+            dpoly = _trim([x % prime for x in exact])
+            anchored = anchored or (bool(dpoly) and len(dpoly) == len(exact))
+        else:
+            chi = _charpoly_mod_reference([[-x % prime for x in row] for row in X], prime)
+            dpoly = [det1 * c % prime for c in chi]
+            anchored = True
+        if dpoly:
+            gcd_mod = dpoly if gcd_mod is None else _gcd_mod(gcd_mod, dpoly, prime)
+            if len(gcd_mod) == 1 and anchored:
+                return True, drawn
+    return False, drawn
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.data(), st.sampled_from([_PRIME, 5, 7, 11, 13]),
+       st.integers(0, 2 ** 32))
+def test_compress_line_matches_the_reference_loop(r, data, prime, seed):
+    rho = data.draw(st.integers(1, r))
+    B0 = data.draw(int_matrices(r, r, -40, 40))
+    B1 = data.draw(int_matrices(r, r, -40, 40))
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert (_compress_line(B0, B1, rho, rng, 6, prime)
+            == compress_line_reference(B0, B1, rho, ref, 6, prime))
+    assert rng.random() == ref.random()
 
 
 # -- integer bracket forms ------------------------------------------------------
