@@ -3,10 +3,11 @@
 From a partition we realise the nilpotent e in Jordan form together
 with an sl2 triple (e, h, f), enumerate the standard basis xi[i,j,s] of
 the centraliser g_e (the map sending w_i to e^s.w_j and the other block
-generators to zero), build the trace-dual basis of g_f, and extract
-exact structure constants from matrix commutators.  A symplectic
-variant equips the space with an invariant skew form and cuts the
-centraliser down to its sigma-fixed part.
+generators to zero), build the trace-dual basis of g_f, and read the
+structure constants off matrix commutators once, into integer rows over
+one denominator (``StructureTable``); on gl they are integers.  A
+symplectic variant equips the space with an invariant skew form and cuts
+the centraliser down to its sigma-fixed part.
 
 Every matrix is sparse, a ``{(row, col): value}`` dict without zeros.
 The trace pairing of the xi basis with g_f is read from the entries'
@@ -149,29 +150,27 @@ def _sparse_commutator(a: dict, b: dict) -> dict:
 class StructureTable:
     """Bracket data of a Lie algebra with basis xi_1..xi_r.
 
-    ``structure`` maps basis pairs a < b to the nonzero coordinates
-    ((c, [xi_a, xi_b]_c), ...).  Every computation reads the one derived
-    view ``integer_rows()``; ``structure`` itself stays the exact
-    ``Fraction`` record that the JSON dump and the reference brackets use.
+    ``rows[a][b] = ((c, S * [xi_a, xi_b]_c), ...)`` for every ordered pair,
+    with c increasing: integer numerators over the one denominator
+    ``S > 0``, the least common denominator of the constants, so
+    gcd(S, numerators) = 1.  The rows are antisymmetric, and rows[a][a] and
+    zero brackets are empty.  Every bracket computation reads them.
     """
 
-    structure: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
-    _int_rows = None
+    rows: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+    S: int
 
-    def integer_rows(self) -> tuple[tuple, int]:
-        """(rows, S) with rows[a][b] = ((c, S * [xi_a, xi_b]_c), ...) for every
-        ordered pair, antisymmetry applied (rows[a][a] and zero brackets are
-        empty), and S > 0 the least common denominator of the constants.
-        Built on first use and cached on the model."""
-        if self._int_rows is None:
-            S = lcm(*(v.denominator for entries in self.structure.values() for _, v in entries))
-            r = len(self.var_names)
-            rows = [[()] * r for _ in range(r)]
-            for (a, b), entries in self.structure.items():
-                rows[a][b] = tuple((c, int(v * S)) for c, v in entries)
-                rows[b][a] = tuple((c, -x) for c, x in rows[a][b])
-            self._int_rows = (tuple(map(tuple, rows)), S)
-        return self._int_rows
+    def _fill_rows(self, brackets) -> None:
+        """Set ``rows`` and ``S`` from the pairs ((a, b), {c: value}), a < b,
+        values int or Fraction; empty brackets may be left out."""
+        brackets = [(a, b, sorted(w.items())) for (a, b), w in brackets if w]
+        self.S = S = lcm(*(v.denominator for _, _, w in brackets for _, v in w))
+        r = self.dim
+        rows = [[()] * r for _ in range(r)]
+        for a, b, w in brackets:
+            row = rows[a][b] = tuple([(c, v.numerator * (S // v.denominator)) for c, v in w])
+            rows[b][a] = tuple([(c, -x) for c, x in row])
+        self.rows = tuple(map(tuple, rows))
 
 
 def trace_dual(left: list[dict], right: list[dict]) -> list[dict]:
@@ -225,14 +224,9 @@ class CentralizerModel(StructureTable):
 
         self.gf_dual = trace_dual(self.matrices, [real.gf_matrix(idx) for idx in self.xi])
 
-        self.structure: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
-        r = len(self.xi)
-        for a in range(r):
-            for b in range(a + 1, r):
-                com = self.coords_of(_sparse_commutator(self.matrices[a], self.matrices[b]))
-                if com:
-                    self.structure[(a, b)] = tuple(
-                        (c, Fraction(v)) for c, v in sorted(com.items()))
+        mats = self.matrices
+        self._fill_rows(((a, b), self.coords_of(_sparse_commutator(mats[a], mats[b])))
+                        for a in range(len(mats)) for b in range(a + 1, len(mats)))
 
     # -- basics ----------------------------------------------------------
 
@@ -245,14 +239,15 @@ class CentralizerModel(StructureTable):
         """Index of g_e: n for gl_n."""
         return self.partition.n
 
-    def coords_of(self, mat: dict) -> dict[int, Fraction]:
+    def coords_of(self, mat: dict) -> dict:
         """Nonzero coefficients {a: c} of a centraliser element in the xi
         basis, read from the entries at ``read_at``."""
         at = self._coord_at
         return {at[key]: v for key, v in mat.items() if key in at}
 
-    def matrix_from_coords(self, coords) -> dict:
-        return _combination((c, self.matrices[a]) for a, c in enumerate(coords) if c)
+    def matrix_from_coords(self, coords: dict) -> dict:
+        """The matrix of the element with xi coordinates ``{a: c}``."""
+        return _combination((c, self.matrices[a]) for a, c in coords.items())
 
     def to_json(self) -> dict:
         return {
@@ -261,9 +256,10 @@ class CentralizerModel(StructureTable):
             "h_weights": self.h_weights,
             "rho_weights": self.rho_weights,
             "structure": [
-                [a, b, c, str(v)]
-                for (a, b), entries in sorted(self.structure.items())
-                for c, v in entries
+                [a, b, c, str(Fraction(x, self.S))]
+                for a, row in enumerate(self.rows)
+                for b in range(a + 1, len(row))
+                for c, x in row[b]
             ],
             "e": self._matrix_json(self.realization.e),
             "h": self._matrix_json(self.realization.h),
@@ -285,13 +281,12 @@ class SubalgebraModel(StructureTable):
 
     Exposes the same bracket interface as CentralizerModel so stabiliser
     and index computations run unchanged on the symplectic centraliser.
-    A bracket is re-expanded in this basis from its ambient coordinates
-    at the pivot columns of ``coord_rows`` only.
+    The basis is given by sparse ambient coordinate rows ``{column: value}``
+    without zeros.  A bracket is re-expanded in this basis from its
+    ambient coordinates at the pivot columns of ``coord_rows`` only.
     """
 
-    def __init__(self, ambient: CentralizerModel, coord_rows: list[list[Fraction]],
-                 rank: int):
-        self.ambient = ambient
+    def __init__(self, ambient: CentralizerModel, coord_rows: list[dict], rank: int):
         self.coords = coord_rows
         self.dim = len(coord_rows)
         self.rank = rank
@@ -300,39 +295,30 @@ class SubalgebraModel(StructureTable):
         self.matrices = [ambient.matrix_from_coords(row) for row in coord_rows]
         # row-reduced rows stay ad(h) homogeneous: coordinates of distinct
         # weights have disjoint support, so eliminations never mix them
-        weights = []
-        for row in coord_rows:
-            seen = {ambient.h_weights[c] for c, v in enumerate(row) if v}
-            if len(seen) != 1:
-                weights = None
-                break
-            weights.append(seen.pop())
-        self.h_weights = weights
+        weights = [{ambient.h_weights[c] for c in row} for row in coord_rows]
+        self.h_weights = ([w.pop() for w in weights] if all(len(w) == 1 for w in weights)
+                          else None)
         self.rho_weights = None
 
         # pivot columns make re-expansion in this basis a square solve:
         # w = (C^-1)^T v for C[t][k] = coord_rows[t][pivots[k]]
-        pivots = [min(row) for row in sparse_rref(dict(enumerate(row)) for row in coord_rows)]
+        pivots = [min(row) for row in sparse_rref(coord_rows)]
         if len(pivots) != self.dim:
             raise ValueError("subalgebra coordinate rows are dependent")
-        solve = sparse_inverse([{k: row[c] for k, c in enumerate(pivots) if row[c]}
+        solve = sparse_inverse([{k: row[c] for k, c in enumerate(pivots) if c in row}
                                 for row in coord_rows])
         read = [ambient.read_at[c] for c in pivots]
 
-        self.structure: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
-        for a in range(self.dim):
-            for b in range(a + 1, self.dim):
-                com = _sparse_commutator(self.matrices[a], self.matrices[b])
-                w = _combination((com[key], solve[k]) for k, key in enumerate(read) if key in com)
-                if w:
-                    self.structure[(a, b)] = tuple(sorted(w.items()))
+        def bracket(a: int, b: int) -> dict:
+            com = _sparse_commutator(self.matrices[a], self.matrices[b])
+            return _combination((com[key], solve[k]) for k, key in enumerate(read) if key in com)
+
+        self._fill_rows(((a, b), bracket(a, b))
+                        for a in range(self.dim) for b in range(a + 1, self.dim))
 
     def restrict_dual(self, ambient_coords) -> list[Fraction]:
         """Restrict a functional on the ambient algebra to this subalgebra."""
-        return [
-            sum(c * g for c, g in zip(row, ambient_coords) if c)
-            for row in self.coords
-        ]
+        return [sum(v * ambient_coords[c] for c, v in row.items()) for row in self.coords]
 
 
 def check_symplectic_form(J: dict, real: JordanRealization) -> None:
@@ -368,7 +354,6 @@ class SymplecticModel:
         self.partition = p
         self.gl = build_gl_model(p)
         real = self.gl.realization
-        n = p.n
         d = p.d
 
         self.pairing = pairing_map(p, ClassicalType.SP)
@@ -388,9 +373,8 @@ class SymplecticModel:
             sig = self.gl.coords_of(self.sigma(mat))
             fixed_rows.append(_combination(((_HALF, {a: 1}), (_HALF, sig))))
             odd_rows.append(_combination(((_HALF, {a: 1}), (-_HALF, sig))))
-        r = self.gl.dim
-        self.sigma_fixed_basis = _dense_rows(sparse_rref(fixed_rows), r)
-        self.odd_part_basis = _dense_rows(sparse_rref(odd_rows), r)
+        self.sigma_fixed_basis = sparse_rref(fixed_rows)
+        self.odd_part_basis = sparse_rref(odd_rows)
         expected = dim_centralizer_so_sp(p, ClassicalType.SP)
         if len(self.sigma_fixed_basis) != expected:
             raise ArithmeticError(
@@ -398,14 +382,10 @@ class SymplecticModel:
 
         self.fixed = SubalgebraModel(self.gl, self.sigma_fixed_basis, rank=p.n // 2)
 
-        # trace-dual basis of g_f cap sp for the symplectic slice
-        gf_fixed_flat = []
-        for idx in self.gl.xi:
-            mat = real.gf_matrix(idx)
-            sym = _combination(((_HALF, mat), (_HALF, self.sigma(mat))))
-            gf_fixed_flat.append({i * n + j: v for (i, j), v in sym.items()})
-        gf_mats = [{divmod(k, n): v for k, v in row.items()}
-                   for row in sparse_rref(gf_fixed_flat)]
+        # trace-dual basis of g_f cap sp for the symplectic slice; the
+        # elimination pivots on (row, col) keys in row-major order
+        gf_mats = sparse_rref(_combination(((_HALF, mat), (_HALF, self.sigma(mat))))
+                              for mat in map(real.gf_matrix, self.gl.xi))
         if len(gf_mats) != expected:
             raise ArithmeticError("g_f fixed space has unexpected dimension")
         self.gf_dual = trace_dual(self.fixed.matrices, gf_mats)
@@ -423,16 +403,6 @@ class SymplecticModel:
     @property
     def dim(self) -> int:
         return self.fixed.dim
-
-
-def _dense_rows(rows: list[dict], width: int) -> list[list[Fraction]]:
-    out = []
-    for row in rows:
-        dense = [Fraction(0)] * width
-        for c, v in row.items():
-            dense[c] = v
-        out.append(dense)
-    return out
 
 
 def build_sp_model(p: Partition) -> SymplecticModel:

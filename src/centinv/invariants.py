@@ -213,8 +213,9 @@ def symplectic_minor_sums(sp: SymplecticModel, budget: int = 8) -> SliceRestrict
 def poisson_bracket(P: SparsePoly, Q: SparsePoly, model) -> SparsePoly:
     """Linear Poisson bracket of S(g_e): {x_a, x_b} = [xi_a, xi_b] coordinates.
 
-    The exact reference: it reads the rational ``model.structure`` through
-    polynomial arithmetic and shares no code with ``coordinate_bracket_with``.
+    The polynomial reference: it reads the structure rows ``model.rows``
+    over ``model.S`` through polynomial arithmetic and shares no code with
+    ``coordinate_bracket_with``.
     """
     names = model.var_names
     if P.variables != names or Q.variables != names:
@@ -222,22 +223,23 @@ def poisson_bracket(P: SparsePoly, Q: SparsePoly, model) -> SparsePoly:
     dP = [P.partial_derivative(v) for v in names]
     dQ = [Q.partial_derivative(v) for v in names]
     out = SparsePoly(names)
-    for (a, b), entries in model.structure.items():
-        cross = dP[a] * dQ[b] - dP[b] * dQ[a]
-        for c, v in entries:
-            out = out + cross * SparsePoly(names, {1 << (_WIDTH * c): 1}).scalar_mul(v)
+    for a, row in enumerate(model.rows):
+        for b in range(a + 1, len(row)):
+            if row[b]:
+                cross = dP[a] * dQ[b] - dP[b] * dQ[a]
+                bracket = SparsePoly(names, {1 << (_WIDTH * c): v for c, v in row[b]}, model.S)
+                out = out + cross * bracket
     return out
 
 
 def coordinate_bracket_with(model, a: int, Q: SparsePoly) -> SparsePoly:
     """{x_a, Q} = sum_b dQ/dx_b * [xi_a, xi_b] in one pass over Q's terms.
 
-    Runs on the cleared table ``model.integer_rows()`` (scale S) and Q's
+    Runs on the structure rows ``model.rows`` (over ``model.S``) and Q's
     numerators (over ``Q.den``), so the integer sum is the numerator of
     {x_a, Q} over S * Q.den.
     """
-    rows, S = model.integer_rows()
-    row = rows[a]
+    row, S = model.rows[a], model.S
     acc: dict[int, int] = {}
     for key, (factors, coeff, _) in zip(Q.terms, Q.factored_terms()):
         for b, e in factors:
@@ -252,12 +254,11 @@ def coadjoint_exp(model, a: int, gamma: list[int]) -> tuple[list[int], int]:
     """(nums, den) of exp(-ad xi_a)^T gamma, ad xi_a nilpotent, gamma integer.
 
     (ad xi_a)^T gamma is the functional b -> gamma([xi_a, xi_b]), so on
-    the cleared table the finite series is sum_k (-1)^k v_k / (k! S^k)
+    the structure rows the finite series is sum_k (-1)^k v_k / (k! S^k)
     with v_0 = gamma and v_{k+1}[b] = sum_c rows[a][b]_c * v_k[c]; it is
     summed over the common denominator k! S^k as it goes, unreduced.
     """
-    rows, S = model.integer_rows()
-    row = rows[a]
+    row, S = model.rows[a], model.S
     num, den, v, k = list(gamma), 1, gamma, 0
     while True:
         v = [sum(coeff * v[c] for c, coeff in entries) for entries in row]
@@ -280,7 +281,7 @@ class CentralityResult:
 def verify_centrality(sr: SliceRestriction, model, seed: int = 0) -> CentralityResult:
     """Exact {x_a, initial_ell} = 0 for all a, ell, plus a group-level probe.
 
-    Both read the model's one cleared structure table: the brackets through
+    Both read the model's structure rows: the brackets through
     ``coordinate_bracket_with``, and the probe, which moves random integer
     points by exp(-ad x)^T for up to three basis elements x of positive
     ad(h) weight (nilpotent, so ``coadjoint_exp`` is a finite rational
@@ -474,16 +475,13 @@ def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
         return TopCoefficientResult(True, scalars, "zero nilpotent: identity check")
 
     basis_mats = [real.f] + list(model.matrices)
-    # complement: e-orthogonal part of the image of ad f, flattened to i*n + j
-    image = sparse_rref(
-        {i * n + j: v for (i, j), v in _sparse_commutator(real.f, {(a, b): 1}).items()}
-        for a in range(n) for b in range(n))
+    # complement: e-orthogonal part of the image of ad f
+    image = sparse_rref(_sparse_commutator(real.f, {(a, b): 1})
+                        for a in range(n) for b in range(n))
     # the trace with e is a linear condition on the image of ad f
-    cond = [sum(v * real.e.get((k % n, k // n), 0) for k, v in row.items())
-            for row in image]
-    for vec in RatMatrix([cond]).kernel_basis():
-        flat = _combination((c, image[t]) for t, c in enumerate(vec) if c)
-        basis_mats.append({divmod(k, n): v for k, v in flat.items()})
+    cond = [sum(v * real.e.get((j, i), 0) for (i, j), v in row.items()) for row in image]
+    basis_mats += [_combination((c, image[t]) for t, c in enumerate(vec) if c)
+                   for vec in RatMatrix([cond]).kernel_basis()]
     if len(basis_mats) != n * n:
         raise ArithmeticError("adapted basis of gl_n has wrong size")
 

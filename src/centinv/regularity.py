@@ -5,10 +5,10 @@ stabiliser dimensions are exact kernel dimensions, the index is the
 corank at the best sampled point, and the singular locus is probed by
 polynomial gcds of maximal minors along random lines.  A point gamma is
 a ``Functional``: integer numerators over one positive denominator.
-Ranks come from integer rows: the structure constants are cleared once,
-and with the numerators of gamma they give a positive multiple of
-B(gamma), which has its rank.  The Jacobian kernel reads the same
-numerators (``evaluate_jacobian(polys, nums, den)``).
+Ranks come from integer rows: the model's structure rows (integer
+numerators over one denominator S) and the numerators of gamma give a
+positive multiple of B(gamma), which has its rank.  The Jacobian kernel
+reads the same numerators (``evaluate_jacobian(polys, nums, den)``).
 
 The line probe certifies modulo the prime p = 2^30 - 35, one 30-bit
 CPython digit.  Each compression D_j(t) = det(U B(t) V) is a
@@ -118,12 +118,13 @@ def random_functional(model, rng: random.Random) -> Functional:
 
 
 def _bracket_rows(model, nums) -> list[list[int]]:
-    """S * B(gamma) in integer rows for integer coordinates of gamma, S the
-    scale of ``model.integer_rows()`` (positive row multiple; rank only).
+    """S * B(gamma) in integer rows for integer coordinates of gamma, read
+    from the structure rows ``model.rows`` over ``model.S`` (positive row
+    multiple; rank only).
 
     The numerators of a functional give rows S * den * B(gamma).
     """
-    table = model.integer_rows()[0]
+    table = model.rows
     r = len(table)
     rows = [[0] * r for _ in range(r)]
     for a, row in enumerate(table):
@@ -143,7 +144,7 @@ def _form_rank(model, gamma: Functional) -> int:
 
 def bracket_form_matrix(model, gamma: Functional) -> RatMatrix:
     """B(gamma)_{ab} = gamma([xi_a, xi_b]); skew-symmetric."""
-    den = gamma.den * model.integer_rows()[1]
+    den = gamma.den * model.S
     return RatMatrix([[Fraction(x, den) for x in row]
                       for row in _bracket_rows(model, gamma.nums)])
 
@@ -341,7 +342,7 @@ def restrict_alpha_to_fixed(sp: SymplecticModel, a=None) -> Functional:
 
 def vanishes_on_odd_part(sp: SymplecticModel, gamma: Functional) -> bool:
     """Whether a functional on the full centraliser kills its sigma-odd part."""
-    return all(sum(c * g for c, g in zip(row, gamma.nums) if c) == 0
+    return all(sum(v * gamma.nums[c] for c, v in row.items()) == 0
                for row in sp.odd_part_basis)
 
 
@@ -612,14 +613,15 @@ def _charpoly_mod(H: list[list[int]], prime: int) -> list[int]:
     - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_i  (Cohen, A Course in
     Computational Algebraic Number Theory, 2.2.9).
 
-    Columns of H and the p_m are packed.  Step m reduces column m - 1, then
-    final in rows up to m, adds below prime^2 per lane to later columns and
-    u_i times those to column m: lanes stay below n^2 prime^3 + n prime^2 + prime.
+    H^T has the same polynomial, so the rows of H are packed as its columns,
+    and so are the p_m.  Step m reduces column m - 1, then final in rows up
+    to m, adds below prime^2 per lane to later columns and u_i times those
+    to column m: lanes stay below n^2 prime^3 + n prime^2 + prime.
     """
     n = len(H)
     w = (n * n * prime ** 3 + n * prime * prime + prime).bit_length() + 1
     mask = (1 << w) - 1
-    cols = [_pack([x % prime for x in col], w) for col in zip(*H)]
+    cols = [_pack([x % prime for x in row], w) for row in H]
     hess = []  # hess[j]: rows 0 .. j + 1 of the reduced column j
     for m in range(1, n - 1):
         lanes = [x % prime for x in _unpack(cols[m - 1], w, n)]
@@ -663,14 +665,17 @@ def _charpoly_mod(H: list[list[int]], prime: int) -> list[int]:
 
 
 def _pencil_mod(C0: list[list[int]], C1: list[list[int]], prime: int) -> list[int] | None:
-    """det(C0 + t C1) modulo prime, low degree first, as
-    det(C1) charpoly(-C1^-1 C0); None when det(C1) = 0 modulo prime."""
+    """det(C0 + t C1) modulo prime, low degree first, from det(C1) and the
+    characteristic polynomial of X = C1^-1 C0; None when det(C1) = 0
+    modulo prime."""
     det1, X = _solve_mod(C1, C0, prime)
     if X is None:
         return None
-    # det(C0 + t C1) = det(C1) det(t Id + X) = det(C1) charpoly(-X)
-    chi = _charpoly_mod([[-x % prime for x in row] for row in X], prime)
-    return [det1 * c % prime for c in chi]
+    # det(C0 + t C1) = det(C1) det(t Id + X), and [t^k] det(t Id + X) is
+    # (-1)^(rho - k) [t^k] det(t Id - X)
+    rho = len(X)
+    return [(det1 if (rho - k) % 2 == 0 else prime - det1) * c % prime
+            for k, c in enumerate(_charpoly_mod(X, prime))]
 
 
 def _pencil_exact(C0: list[list[int]], C1: list[list[int]]) -> list[int]:

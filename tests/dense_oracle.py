@@ -44,10 +44,23 @@ def scale(a, c):
     return [[c * x for x in row] for row in a]
 
 
+_ZERO = Fraction(0)
+
+
 def matmul(a, b):
-    cols = list(zip(*b))
-    return [[sum((x * y for x, y in zip(row, col) if x), Fraction(0)) for col in cols]
-            for row in a]
+    """a @ b, accumulated row by row; the nonzero entries of each row of a
+    and of b are listed once."""
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [_ZERO] * width
+        for k, x in enumerate(row):
+            if x:
+                for j, y in b_rows[k]:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def transpose(a):
@@ -55,7 +68,9 @@ def transpose(a):
 
 
 def apply(a, vec):
-    return [sum((x * v for x, v in zip(row, vec) if x), Fraction(0)) for row in a]
+    """a @ vec; the nonzero entries of vec are listed once."""
+    nz = [(k, v) for k, v in enumerate(vec) if v]
+    return [sum((row[k] * v for k, v in nz), _ZERO) for row in a]
 
 
 def is_zero(a) -> bool:
@@ -124,6 +139,20 @@ def trace_dual(left, right):
 
 
 # -- the models, built densely ------------------------------------------------
+
+
+def structure_of(model) -> dict:
+    """A model's structure constants in this module's format,
+    {(a, b): ((c, [xi_a, xi_b]_c), ...)} for a < b with nonzero bracket,
+    read from its integer structure rows over their denominator S."""
+    S = model.S
+    return {(a, b): tuple((c, Fraction(x, S)) for c, x in row[b])
+            for a, row in enumerate(model.rows) for b in range(a + 1, len(row)) if row[b]}
+
+
+def sparse_rows(rows) -> list[dict]:
+    """The ``{column: value}`` rows of dense rows, zeros dropped."""
+    return [{c: x for c, x in enumerate(row) if x} for row in rows]
 
 
 def xi_matrix(real: JordanRealization, idx):

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -17,6 +18,8 @@ from dense_oracle import (
     is_zero,
     matmul,
     scale,
+    sparse_rows,
+    structure_of,
     sub,
     subalgebra_structure,
     trace_product,
@@ -96,7 +99,7 @@ def test_example_basis_for_21():
 def test_regular_case_is_abelian():
     m = build_gl_model(Partition.parse("4"))
     assert m.dim == 4
-    assert not m.structure
+    assert not structure_of(m)
 
 
 def test_weights():
@@ -156,9 +159,8 @@ def test_closed_form_bracket_matches_matrix_commutators(n):
 
 
 def table_bracket(m, a: int, b: int) -> dict[int, Fraction]:
-    """[xi_a, xi_b] as read from the cleared table the computations use."""
-    rows, S = m.integer_rows()
-    return {c: Fraction(v, S) for c, v in rows[a][b]}
+    """[xi_a, xi_b] as read from the structure rows the computations use."""
+    return {c: Fraction(v, m.S) for c, v in m.rows[a][b]}
 
 
 def _bracket(m, vec_a: dict, b: int) -> dict:
@@ -207,7 +209,8 @@ def test_jacobi_sampled_larger():
 
 
 def test_antisymmetry():
-    m = build_gl_model(Partition.parse("3,2,1"))
+    p = Partition.parse("3,2,1")
+    m, oracle = build_gl_model(p), DenseGlModel(p)
     for a in range(m.dim):
         assert not table_bracket(m, a, a)
         for b in range(m.dim):
@@ -215,7 +218,7 @@ def test_antisymmetry():
             right = {c: -v for c, v in table_bracket(m, b, a).items()}
             assert left == right
             if a < b:
-                assert left == dict(m.structure.get((a, b), ()))
+                assert left == dict(oracle.structure.get((a, b), ()))
 
 
 def test_bracket_example_with_shift_overflow():
@@ -266,7 +269,7 @@ def test_alpha_with_opposite_pair_signs_kills_odd_part():
         sp = build_sp_model(Partition.parse(s))
         alpha = build_alpha(sp.gl, default_alpha_coefficients(sp))
         for row in sp.odd_part_basis:
-            assert sum(c * g for c, g in zip(row, alpha.coords)) == 0
+            assert sum(v * alpha.coords[c] for c, v in row.items()) == 0
 
 
 def test_model_json_shape():
@@ -287,27 +290,67 @@ def test_sparse_gl_build_matches_dense_oracle(n):
 def test_sparse_sp_build_matches_dense_oracle(n):
     for p in partitions_of(n, ClassicalType.SP):
         sp, oracle = build_sp_model(p), DenseSpModel(p)
-        assert sp.sigma_fixed_basis == oracle.sigma_fixed_basis, p
-        assert sp.odd_part_basis == oracle.odd_part_basis, p
-        assert sp.fixed.structure == oracle.fixed_structure, p
+        assert sp.sigma_fixed_basis == sparse_rows(oracle.sigma_fixed_basis), p
+        assert sp.odd_part_basis == sparse_rows(oracle.odd_part_basis), p
+        assert structure_of(sp.fixed) == oracle.fixed_structure, p
         assert [dense(m, n) for m in sp.gf_dual] == oracle.gf_dual, p
         assert [dense(m, n) for m in sp.fixed.matrices] == oracle.fixed_matrices, p
 
 
 def test_scaled_subalgebra_matches_dense_oracle():
-    p = Partition.parse("2,1,1")
+    scaled, oracle_structure = model_and_oracle_structure("sp 2,1,1 / 5")
+    assert scaled.S > 1
+    assert structure_of(scaled) == oracle_structure
+
+
+TABLE_MODELS = ([f"gl {p}" for n in range(1, 6) for p in partitions_of(n)]
+                + [f"sp {p}" for n in (2, 4, 6) for p in partitions_of(n, ClassicalType.SP)]
+                + ["sp 2,1,1 / 5"])
+
+
+def model_and_oracle_structure(name: str):
+    """The model of a table test and its dense oracle's structure constants;
+    "sp 2,1,1 / 5" is the fixed part on its basis scaled by 1/5 (S > 1)."""
+    kind, parts = name.split(" ", 1)
+    p = Partition.parse(parts.split(" /")[0])
+    if kind == "gl":
+        return build_gl_model(p), DenseGlModel(p).structure
     sp, oracle = build_sp_model(p), DenseSpModel(p)
-    rows = [[x / 5 for x in row] for row in sp.sigma_fixed_basis]
-    scaled = SubalgebraModel(sp.gl, rows, rank=2)
-    assert scaled.integer_rows()[1] > 1
-    assert scaled.structure == subalgebra_structure(oracle.gl, rows)[1]
+    if parts.endswith(" / 5"):
+        scaled = SubalgebraModel(sp.gl, [{c: x / 5 for c, x in row.items()}
+                                         for row in sp.sigma_fixed_basis], rank=2)
+        rows = [[x / 5 for x in row] for row in oracle.sigma_fixed_basis]
+        return scaled, subalgebra_structure(oracle.gl, rows)[1]
+    return sp.fixed, oracle.fixed_structure
+
+
+@pytest.mark.parametrize("name", TABLE_MODELS)
+def test_structure_rows_are_one_antisymmetric_table_over_s(name):
+    m, oracle_structure = model_and_oracle_structure(name)
+    r = m.dim
+    assert len(m.rows) == r and all(len(row) == r for row in m.rows)
+    numerators = []
+    for a in range(r):
+        assert m.rows[a][a] == ()
+        for b in range(r):
+            entries = m.rows[a][b]
+            assert entries == tuple((c, -x) for c, x in m.rows[b][a])
+            assert [c for c, _ in entries] == sorted({c for c, _ in entries})
+            numerators += [x for _, x in entries]
+    assert all(type(x) is int and x for x in numerators) and type(m.S) is int and m.S > 0
+    assert gcd(m.S, *numerators) == 1
+    if name.startswith("gl"):
+        assert m.S == 1  # matrix units bracket to integer combinations
+    if name.endswith(" / 5"):
+        assert m.S > 1
+    assert structure_of(m) == oracle_structure
 
 
 def test_subalgebra_rejects_dependent_rows():
     sp = build_sp_model(Partition.parse("2,2"))
     rows = sp.sigma_fixed_basis
     with pytest.raises(ValueError):
-        SubalgebraModel(sp.gl, rows + [[2 * x for x in rows[0]]], rank=2)
+        SubalgebraModel(sp.gl, rows + [{c: 2 * x for c, x in rows[0].items()}], rank=2)
 
 
 def test_flipped_form_sign_raises():

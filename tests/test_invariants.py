@@ -11,7 +11,17 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from dense_oracle import add, apply, dense, identity, is_zero, matmul, scale, transpose
+from dense_oracle import (
+    add,
+    apply,
+    dense,
+    identity,
+    is_zero,
+    matmul,
+    scale,
+    structure_of,
+    transpose,
+)
 from hypothesis import assume, example, given, settings, strategies as st
 from poly_oracle import (
     constant,
@@ -172,9 +182,8 @@ def test_poisson_bracket_on_coordinates_is_structure_constants():
             Q = variable(names, names[b])
             br = poisson_bracket(P, Q, m)
             expected = SparsePoly(names)
-            rows, S = m.integer_rows()
-            for c, v in rows[a][b]:
-                expected = expected + variable(names, names[c]) * Fraction(v, S)
+            for c, v in m.rows[a][b]:
+                expected = expected + variable(names, names[c]) * Fraction(v, m.S)
             assert br == expected
 
 
@@ -449,7 +458,7 @@ def test_integer_jacobian_rows_are_positive_multiples(terms, homogeneous, point)
     check_jacobian_rows([P, P * P], point)
 
 
-# -- brackets and the group probe on the cleared structure table --------------
+# -- brackets and the group probe on the structure rows ------------------------
 
 
 @functools.cache
@@ -458,8 +467,8 @@ def bracket_model(name: str):
     so that the structure constants are not integral (S > 1)."""
     if name == "sp 2,1,1 / 5":
         sp = build_sp_model(Partition.parse("2,1,1"))
-        return SubalgebraModel(sp.gl, [[x / 5 for x in row] for row in sp.sigma_fixed_basis],
-                               rank=2)
+        return SubalgebraModel(sp.gl, [{c: x / 5 for c, x in row.items()}
+                                       for row in sp.sigma_fixed_basis], rank=2)
     return build_gl_model(Partition.parse(name.split()[1]))
 
 
@@ -467,7 +476,7 @@ def reference_coordinate_bracket(model, a: int, Q: SparsePoly) -> SparsePoly:
     """sum_b dQ/dx_b * sum_c [xi_a, xi_b]_c x_c from the Fraction constants."""
     names = model.var_names
     out = SparsePoly(names)
-    for (x, y), entries in model.structure.items():
+    for (x, y), entries in structure_of(model).items():
         if a not in (x, y):
             continue
         b, sign = (y, 1) if x == a else (x, -1)
@@ -482,7 +491,7 @@ def reference_coordinate_bracket(model, a: int, Q: SparsePoly) -> SparsePoly:
 def test_coordinate_bracket_matches_fraction_reference(name, data):
     model = bracket_model(name)
     names = model.var_names
-    assert name.startswith("gl") or model.integer_rows()[1] > 1
+    assert name.startswith("gl") or model.S > 1
     a = data.draw(st.integers(0, model.dim - 1), label="a")
     terms = data.draw(st.lists(st.tuples(
         st.dictionaries(st.sampled_from(names), st.integers(1, 3), min_size=1, max_size=3),
@@ -501,7 +510,7 @@ def exp_minus_ad_transpose(model, a: int) -> list[list[Fraction]]:
     until a power of A vanishes."""
     r = model.dim
     A = [[Fraction(0)] * r for _ in range(r)]
-    for (x, y), entries in model.structure.items():
+    for (x, y), entries in structure_of(model).items():
         for c, v in entries:
             if x == a:
                 A[c][y] += v

@@ -93,6 +93,23 @@ def test_sparse_rref_matches_dense_gauss_jordan(case):
     assert all(0 not in row.values() for row in reduced)
 
 
+matrix_rows = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(lambda shape: st.lists(
+    st.dictionaries(st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1)),
+                    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+                    max_size=shape[0] * shape[1]),
+    max_size=7).map(lambda rows: (rows, shape[1])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_rows)
+def test_sparse_rref_on_matrix_keys_is_the_flattened_result(case):
+    """(i, j) keys pivot in the order of i * n + j: eliminating matrices as
+    {(i, j): value} rows gives the flattened result, mapped back."""
+    rows, n = case
+    flat = sparse_rref({i * n + j: v for (i, j), v in row.items()} for row in rows)
+    assert sparse_rref(rows) == [{divmod(k, n): v for k, v in row.items()} for row in flat]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 6), st.data())
 def test_sparse_inverse_matches_dense_inverse(n, data):
