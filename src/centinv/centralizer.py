@@ -334,9 +334,6 @@ def check_symplectic_form(J: dict, real: JordanRealization) -> None:
             raise ArithmeticError(f"{name} is not symplectic for the form")
 
 
-_HALF = Fraction(1, 2)
-
-
 class SymplecticModel:
     """Skew form, involution and sigma-fixed centraliser for sp_{2n}.
 
@@ -371,8 +368,8 @@ class SymplecticModel:
         fixed_rows, odd_rows = [], []
         for a, mat in enumerate(self.gl.matrices):
             sig = self.gl.coords_of(self.sigma(mat))
-            fixed_rows.append(_combination(((_HALF, {a: 1}), (_HALF, sig))))
-            odd_rows.append(_combination(((_HALF, {a: 1}), (-_HALF, sig))))
+            fixed_rows.append(_combination(((1, {a: 1}), (1, sig))))
+            odd_rows.append(_combination(((1, {a: 1}), (-1, sig))))
         self.sigma_fixed_basis = sparse_rref(fixed_rows)
         self.odd_part_basis = sparse_rref(odd_rows)
         expected = dim_centralizer_so_sp(p, ClassicalType.SP)
@@ -384,7 +381,7 @@ class SymplecticModel:
 
         # trace-dual basis of g_f cap sp for the symplectic slice; the
         # elimination pivots on (row, col) keys in row-major order
-        gf_mats = sparse_rref(_combination(((_HALF, mat), (_HALF, self.sigma(mat))))
+        gf_mats = sparse_rref(_combination(((1, mat), (1, self.sigma(mat))))
                               for mat in map(real.gf_matrix, self.gl.xi))
         if len(gf_mats) != expected:
             raise ArithmeticError("g_f fixed space has unexpected dimension")

@@ -481,7 +481,7 @@ def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
     # the trace with e is a linear condition on the image of ad f
     cond = [sum(v * real.e.get((j, i), 0) for (i, j), v in row.items()) for row in image]
     basis_mats += [_combination((c, image[t]) for t, c in enumerate(vec) if c)
-                   for vec in RatMatrix([cond]).kernel_basis()]
+                   for vec in RatMatrix.of([cond]).kernel_basis()]
     if len(basis_mats) != n * n:
         raise ArithmeticError("adapted basis of gl_n has wrong size")
 

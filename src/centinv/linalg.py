@@ -1,23 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices carry ``fractions.Fraction`` entries.  Rank and determinant
-come from one fraction-free (Bareiss) elimination kernel on integer rows,
-run after each row is cleared of its denominators.  Row spaces, kernels
-and inverses go through one sparse reduced row echelon form on rows given
-as ``{column: value}`` dicts, which touches only nonzero entries.
+A dense matrix (``RatMatrix``) holds integer rows over one positive
+denominator.  Rank and determinant come from one fraction-free (Bareiss)
+elimination kernel on those integer rows.  Row spaces, kernels and
+inverses go through one sparse reduced row echelon form on rows given as
+``{column: value}`` dicts, which touches only nonzero entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import chain, islice
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
-
-
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
 
 
 def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -122,20 +117,38 @@ def sparse_inverse(rows: list[Mapping[int, Fraction]]) -> list[dict[int, Fractio
 
 
 class RatMatrix:
-    """A rows x cols matrix of exact rationals."""
+    """A rows x cols matrix of exact rationals: the integer ``rows`` over
+    one denominator ``den > 0``.
 
-    __slots__ = ("rows", "nrows", "ncols")
+    ``den`` is a common denominator, not reduced to lowest terms, so the
+    rows keep the scale the caller built them at.  The constructor takes
+    ownership of the row lists and does not copy them.  A ``den <= 0`` is
+    a ValueError, a non-integer entry a TypeError (from the gcd).
+    """
 
-    def __init__(self, rows: Sequence[Sequence]):
-        self.rows = [[_to_fraction(x) for x in row] for row in rows]
-        self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.ncols for r in self.rows):
+    __slots__ = ("rows", "den", "nrows", "ncols")
+
+    def __init__(self, rows: list[list[int]], den: int = 1):
+        if den <= 0:
+            raise ValueError(f"denominator {den} is not positive")
+        gcd(den, *chain.from_iterable(rows))
+        self.rows = rows
+        self.den = den
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else 0
+        if any(len(r) != self.ncols for r in rows):
             raise ValueError("ragged rows")
 
+    @classmethod
+    def of(cls, values: Sequence[Sequence]) -> "RatMatrix":
+        """The matrix with the given rational rows, cleared once."""
+        nums, den = clear_denominators(list(chain.from_iterable(values)))
+        flat = iter(nums)
+        return cls([list(islice(flat, len(row))) for row in values], den)
+
     def rank(self) -> int:
-        """Exact rank; scaling a row to integers does not change it."""
-        return bareiss([clear_denominators(row)[0] for row in self.rows])[0]
+        """Exact rank, that of the integer rows."""
+        return bareiss([row[:] for row in self.rows])[0]
 
     def kernel_basis(self) -> list[list[Fraction]]:
         """Basis of the right kernel; rank + len(kernel) == ncols."""
@@ -151,13 +164,7 @@ class RatMatrix:
         return basis
 
     def det(self) -> Fraction:
-        """Determinant of the cleared rows, divided by their denominators."""
+        """Determinant of the integer rows over den ** n."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        rows = []
-        scale = 1
-        for row in self.rows:
-            ints, den = clear_denominators(row)
-            rows.append(ints)
-            scale *= den
-        return Fraction(bareiss(rows)[1], scale)
+        return Fraction(bareiss([row[:] for row in self.rows])[1], self.den ** self.nrows)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 
 # build_gl_model is not called here; it stays imported because the
@@ -241,15 +240,14 @@ def transversality_certificate(model: CentralizerModel, sr: SliceRestriction,
         if comps:
             for _ in range(attempts):
                 tries += 1
-                rows = [[Fraction(rng.randint(-5, 5)) for _ in space] for _ in range(want)]
+                rows = [[rng.randint(-5, 5) for _ in space] for _ in range(want)]
                 dets = _component_dets(rows, cols_per_comp)
                 if dets is not None:
                     found = (rows, dets)
                     break
             if found is None:
                 used_fallback = True
-                rows = [[Fraction((c + 1) ** t) for c in range(len(space))]
-                        for t in range(want)]
+                rows = [[(c + 1) ** t for c in range(len(space))] for t in range(want)]
                 dets = _component_dets(rows, cols_per_comp)
                 if dets is None:
                     return TransversalityCertificate(
@@ -258,8 +256,7 @@ def transversality_certificate(model: CentralizerModel, sr: SliceRestriction,
                 found = (rows, dets)
         else:
             # single block: the whole level is transversal
-            rows = [[Fraction(1) if c == t else Fraction(0) for c in range(len(space))]
-                    for t in range(want)]
+            rows = [[int(c == t) for c in range(len(space))] for t in range(want)]
             found = (rows, [])
 
         support_ok = None
@@ -293,8 +290,8 @@ def transversality_certificate(model: CentralizerModel, sr: SliceRestriction,
     return cert
 
 
-def _component_dets(rows: list[list[Fraction]],
-                    cols_per_comp: list[list[int]]) -> list[Fraction] | None:
+def _component_dets(rows: list[list[int]],
+                    cols_per_comp: list[list[int]]) -> list | None:
     dets = []
     for cols in cols_per_comp:
         sub = RatMatrix([[row[c] for c in cols] for row in rows])
@@ -310,8 +307,6 @@ class RegularSequenceReport:
     partition: Partition
     passed: bool
     codimension: int
-    generators: int
-    ambient_matrix_dim: int
     tangent_cone_dim: int
     detail: str
 
@@ -324,7 +319,7 @@ def regular_sequence_report(p: Partition,
     nilpotent inside the full matrix nilpotent variety.
     """
     if not cert.passed:
-        return RegularSequenceReport(p, False, 0, p.n, p.n * p.n, 0,
+        return RegularSequenceReport(p, False, 0, 0,
                                      "missing transversality certificate")
     n = p.n
     r = sum((2 * i - 1) * part for i, part in enumerate(p.parts, start=1))
@@ -332,8 +327,6 @@ def regular_sequence_report(p: Partition,
         partition=p,
         passed=True,
         codimension=n,
-        generators=n,
-        ambient_matrix_dim=n * n,
         tangent_cone_dim=n * n - n,
         detail=f"every component has codimension {n} = number of generators; "
                f"tangent cone dimension (n^2 - r) + (r - n) = {n * n - n} with r = {r}",

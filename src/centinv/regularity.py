@@ -5,10 +5,12 @@ stabiliser dimensions are exact kernel dimensions, the index is the
 corank at the best sampled point, and the singular locus is probed by
 polynomial gcds of maximal minors along random lines.  A point gamma is
 a ``Functional``: integer numerators over one positive denominator.
-Ranks come from integer rows: the model's structure rows (integer
-numerators over one denominator S) and the numerators of gamma give a
-positive multiple of B(gamma), which has its rank.  The Jacobian kernel
-reads the same numerators (``evaluate_jacobian(polys, nums, den)``).
+``bracket_form_matrix`` is the one builder of B(gamma): the model's
+structure rows (integer numerators over one denominator S) and the
+numerators of gamma give the integer rows S * den * B(gamma) of a
+``RatMatrix`` over den * S.  Ranks, kernels and the line probe read
+those rows.  The Jacobian kernel reads the same numerators
+(``evaluate_jacobian(polys, nums, den)``).
 
 The line probe certifies modulo the prime p = 2^30 - 35, one 30-bit
 CPython digit.  Each compression D_j(t) = det(U B(t) V) is a
@@ -117,13 +119,14 @@ def random_functional(model, rng: random.Random) -> Functional:
     return Functional(tuple(rng.randint(-10, 10) for _ in range(model.dim)), "RANDOM")
 
 
-def _bracket_rows(model, nums) -> list[list[int]]:
-    """S * B(gamma) in integer rows for integer coordinates of gamma, read
-    from the structure rows ``model.rows`` over ``model.S`` (positive row
-    multiple; rank only).
+def bracket_form_matrix(model, gamma: Functional) -> RatMatrix:
+    """B(gamma)_{ab} = gamma([xi_a, xi_b]); skew-symmetric.
 
-    The numerators of a functional give rows S * den * B(gamma).
+    The one builder of the form: the structure rows ``model.rows`` over
+    ``model.S`` and the numerators of gamma give the integer rows
+    S * den * B(gamma), over the denominator den * S.
     """
+    nums = gamma.nums
     table = model.rows
     r = len(table)
     rows = [[0] * r for _ in range(r)]
@@ -135,30 +138,18 @@ def _bracket_rows(model, nums) -> list[list[int]]:
             if v:
                 rows[a][b] = v
                 rows[b][a] = -v
-    return rows
-
-
-def _form_rank(model, gamma: Functional) -> int:
-    return bareiss(_bracket_rows(model, gamma.nums))[0]
-
-
-def bracket_form_matrix(model, gamma: Functional) -> RatMatrix:
-    """B(gamma)_{ab} = gamma([xi_a, xi_b]); skew-symmetric."""
-    den = gamma.den * model.S
-    return RatMatrix([[Fraction(x, den) for x in row]
-                      for row in _bracket_rows(model, gamma.nums)])
+    return RatMatrix(rows, gamma.den * model.S)
 
 
 def stabilizer_dim(gamma: Functional, model) -> int:
     """Kernel dimension of the bracket form at gamma."""
-    return model.dim - _form_rank(model, gamma)
+    return model.dim - bracket_form_matrix(model, gamma).rank()
 
 
 @dataclass
 class StabilizerSpanResult:
     passed: bool
     kernel_dim: int
-    expected_dim: int
     detail: str
 
 
@@ -174,20 +165,17 @@ def alpha_stabilizer_basis_check(model: CentralizerModel, a) -> StabilizerSpanRe
     vals = [Fraction(x) for x in a]
     if len(set(vals)) != len(vals) or any(not v for v in vals):
         raise ValueError("block scalars must be distinct and nonzero")
-    B = bracket_form_matrix(model, alpha)
-    kernel = B.kernel_basis()
+    kernel = bracket_form_matrix(model, alpha).kernel_basis()
     diag = [t for t, idx in enumerate(model.xi) if idx.i == idx.j]
-    expected = len(diag)
-    if len(kernel) != expected:
-        return StabilizerSpanResult(False, len(kernel), expected, "kernel dimension")
+    if len(kernel) != len(diag):
+        return StabilizerSpanResult(False, len(kernel), "kernel dimension")
     diag_set = set(diag)
     for vec in kernel:
         for c, v in enumerate(vec):
             if v and c not in diag_set:
                 return StabilizerSpanResult(
-                    False, len(kernel), expected,
-                    f"kernel leaves the diagonal span at {model.labels[c]}")
-    return StabilizerSpanResult(True, len(kernel), expected, "")
+                    False, len(kernel), f"kernel leaves the diagonal span at {model.labels[c]}")
+    return StabilizerSpanResult(True, len(kernel), "")
 
 
 @dataclass
@@ -211,7 +199,7 @@ def index_report(model, samples: int = 10, seed: int = 0,
     per_point = []
     certificate = None
     for gamma in points:
-        rk = _form_rank(model, gamma)
+        rk = bracket_form_matrix(model, gamma).rank()
         stab = r - rk
         per_point.append((gamma.provenance, stab))
         if rk > best_rank:
@@ -417,42 +405,9 @@ def _primitive(c: list[int]) -> list[int]:
     return c
 
 
-def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd of integer polynomials via a primitive pseudo-remainder sequence.
-
-    Content is stripped after every pseudo-division step, which keeps the
-    integer coefficients from exploding.
-    """
-    a, b = _primitive(a), _primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        da, db = len(a) - 1, len(b) - 1
-        lead = b[-1]
-        r = list(a)
-        # pseudo-remainder: scale so every elimination step stays integral
-        for _ in range(da - db + 1):
-            r = _trim(r)
-            if len(r) - 1 < db:
-                break
-            top = r[-1]
-            r = [lead * x for x in r]
-            dr = len(r) - 1
-            for t in range(db + 1):
-                r[dr - db + t] -= top * b[t]
-            r = _trim(r)
-            if not r:
-                break
-        a, b = b, _primitive(_trim(r))
-    return a
-
-
-def _poly_div_exact(a: list[int], b: list[int]) -> list[int]:
-    """Quotient a / b over Z; ArithmeticError if a remainder is left.
-
-    For a primitive b that divides a over Q the quotient is integral
-    (Gauss's lemma), so every step divides exactly.
-    """
+def _divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and trimmed remainder of a by b over Z, low degree first;
+    ArithmeticError when a quotient coefficient is not an integer."""
     a = list(a)
     db = len(b) - 1
     out = [0] * (len(a) - db)
@@ -464,9 +419,35 @@ def _poly_div_exact(a: list[int], b: list[int]) -> list[int]:
         if q:
             for t in range(db + 1):
                 a[i - db + t] -= q * b[t]
-    if any(a[:db]):
+    return out, _trim(a[:db])
+
+
+def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of integer polynomials via a primitive pseudo-remainder sequence.
+
+    Each step divides lc(b)^(deg a - deg b + 1) a by b, which leaves an
+    integer quotient, and strips the content of the remainder, which keeps
+    the integer coefficients from exploding.
+    """
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        scale = b[-1] ** (len(a) - len(b) + 1)
+        a, b = b, _primitive(_divmod([scale * x for x in a], b)[1])
+    return a
+
+
+def _poly_div_exact(a: list[int], b: list[int]) -> list[int]:
+    """Quotient a / b over Z; ArithmeticError if a remainder is left.
+
+    For a primitive b that divides a over Q the quotient is integral
+    (Gauss's lemma), so every step divides exactly.
+    """
+    q, rem = _divmod(a, b)
+    if rem:
         raise ArithmeticError("division leaves a remainder")
-    return out
+    return q
 
 
 def _interpolate(values: list[int]) -> list[int]:
@@ -749,9 +730,9 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0) -> LineProbeRepo
     gcd; driving the gcd of a few compressions to a constant therefore
     certifies that no parameter value is singular.
 
-    Everything runs over Z.  B0 and B1 are the integer rows of the
-    numerators of g0 and g1 (``_bracket_rows``), positive multiples of
-    B(g0) and B(g1); at a rational t = num/d the integer matrix
+    Everything runs over Z.  B0 and B1 are the integer rows of
+    ``bracket_form_matrix`` at g0 and g1, positive multiples of B(g0) and
+    B(g1) at the same scale S; at a rational t = num/d the integer matrix
     d B0 + num B1 is a positive multiple of a point of the line, so it
     has that point's rank.  (``random_functional`` draws integer points,
     den 1, so the parameter is t itself.)
@@ -799,8 +780,8 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0) -> LineProbeRepo
         else:
             probes.append(LineProbe(False, None, 0, "degenerate direction"))
             continue
-        B0 = _bracket_rows(model, g0.nums)
-        B1 = _bracket_rows(model, g1.nums)
+        B0 = bracket_form_matrix(model, g0).rows
+        B1 = bracket_form_matrix(model, g1).rows
 
         def b_at(num: int, den: int = 1) -> list[list[int]]:
             """den * B(num / den) in integer rows."""

@@ -181,14 +181,20 @@ def _cert(ctx: PartitionContext, claim: str, ok: bool, witnesses: dict) -> Certi
     )
 
 
-def _resource_error(ctx: PartitionContext, claim: str, exc: BudgetExceededError) -> Certificate:
+def _error(ctx: PartitionContext, claim: str, exc: Exception) -> Certificate:
+    """ERROR certificate: a budget refusal is a resource error, any other
+    exception an internal one."""
+    if isinstance(exc, BudgetExceededError):
+        kind, witnesses = "resource", {"reason": str(exc), "n": exc.n, "budget": exc.budget}
+    else:
+        kind, witnesses = "internal", {"reason": f"{type(exc).__name__}: {exc}"}
     return Certificate(
         claim=claim,
         status=ERROR,
         partition=str(ctx.partition),
         algebra=ctx.algebra,
-        witnesses={"reason": str(exc), "n": exc.n, "budget": exc.budget},
-        error_kind="resource",
+        witnesses=witnesses,
+        error_kind=kind,
     )
 
 
@@ -453,15 +459,10 @@ def run_partition(p: Partition, cfg: RunConfig) -> tuple[list[Certificate], dict
         start = time.perf_counter()
         try:
             certs.append(_COMMAND_TABLE[name](ctx))
-        except BudgetExceededError as exc:
-            certs.append(_resource_error(ctx, name, exc))
-        except (ArithmeticError, ValueError) as exc:
-            # a violated construction invariant is itself a reportable outcome
-            certs.append(Certificate(
-                claim=name, status=ERROR, partition=str(p), algebra=ctx.algebra,
-                witnesses={"reason": f"{type(exc).__name__}: {exc}"},
-                error_kind="internal",
-            ))
+        except (BudgetExceededError, ArithmeticError, ValueError) as exc:
+            # a budget refusal or a violated construction invariant is itself
+            # a reportable outcome
+            certs.append(_error(ctx, name, exc))
         timings[name] = time.perf_counter() - start
     return certs, timings
 

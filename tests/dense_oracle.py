@@ -106,6 +106,44 @@ def rref(rows):
     return m, pivots
 
 
+def rank(a) -> int:
+    return len(rref(a)[1])
+
+
+def det(a) -> Fraction:
+    """Determinant of a square matrix by Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in a]
+    n = len(m)
+    d = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            d = -d
+        d *= m[col][col]
+        for i in range(col + 1, n):
+            f = m[i][col] / m[col][col]
+            m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return d
+
+
+def kernel(a):
+    """Right kernel from the reduced row echelon form: one vector per free
+    column, in increasing order, with 1 there and 0 at the other free columns."""
+    reduced, pivots = rref(a)
+    nc = len(a[0])
+    basis = []
+    for j in sorted(set(range(nc)) - set(pivots)):
+        v = [Fraction(0)] * nc
+        v[j] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[j]
+        basis.append(v)
+    return basis
+
+
 def inverse(a):
     n = len(a)
     reduced, pivots = rref([list(row) + ident for row, ident in zip(a, identity(n))])

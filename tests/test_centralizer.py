@@ -136,7 +136,7 @@ def test_trace_pairing_nondegenerate_up_to_10():
             xi = enumerate_xi(p)
             mats = [dense(real.xi_matrix(i), n) for i in xi]
             gfs = [dense(real.gf_matrix(i), n) for i in xi]
-            gram = RatMatrix([[trace_product(a, b) for b in gfs] for a in mats])
+            gram = RatMatrix.of([[trace_product(a, b) for b in gfs] for a in mats])
             assert gram.rank() == len(xi), p
 
 
@@ -317,9 +317,9 @@ def model_and_oracle_structure(name: str):
         return build_gl_model(p), DenseGlModel(p).structure
     sp, oracle = build_sp_model(p), DenseSpModel(p)
     if parts.endswith(" / 5"):
-        scaled = SubalgebraModel(sp.gl, [{c: x / 5 for c, x in row.items()}
+        scaled = SubalgebraModel(sp.gl, [{c: Fraction(x, 5) for c, x in row.items()}
                                          for row in sp.sigma_fixed_basis], rank=2)
-        rows = [[x / 5 for x in row] for row in oracle.sigma_fixed_basis]
+        rows = [[Fraction(x, 5) for x in row] for row in oracle.sigma_fixed_basis]
         return scaled, subalgebra_structure(oracle.gl, rows)[1]
     return sp.fixed, oracle.fixed_structure
 

@@ -195,3 +195,25 @@ def test_parallel_sweep_matches_serial(tmp_path, capsys):
     b = json.loads(parallel.read_text())
     a["config"]["jobs"] = b["config"]["jobs"] = 1
     assert strip_timings(a) == strip_timings(b)
+
+
+def test_error_certificates_keep_their_kind_and_witnesses(monkeypatch):
+    """A budget refusal is a resource ERROR with n and the budget; any
+    ArithmeticError/ValueError of a command an internal ERROR with its type."""
+    import centinv.runner as runner
+    from centinv.partitions import Partition
+
+    def broken(ctx):
+        raise ArithmeticError("table is not antisymmetric")
+
+    monkeypatch.setitem(runner._COMMAND_TABLE, "index", broken)
+    cfg = runner.RunConfig(partitions=["3,3,3"], commands=["centrality", "index"], budget_n=8)
+    certs, _ = runner.run_partition(Partition.parse("3,3,3"), cfg)
+    common = {"status": "ERROR", "partition": "3,3,3", "algebra": "gl", "tolerance": "exact"}
+    assert [c.to_json() for c in certs] == [
+        {"claim": "centrality", **common, "error_kind": "resource",
+         "witnesses": {"reason": "slice expansion needs n=9 but the budget is 8",
+                       "n": 9, "budget": 8}},
+        {"claim": "index", **common, "error_kind": "internal",
+         "witnesses": {"reason": "ArithmeticError: table is not antisymmetric"}},
+    ]

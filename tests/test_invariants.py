@@ -467,7 +467,7 @@ def bracket_model(name: str):
     so that the structure constants are not integral (S > 1)."""
     if name == "sp 2,1,1 / 5":
         sp = build_sp_model(Partition.parse("2,1,1"))
-        return SubalgebraModel(sp.gl, [{c: x / 5 for c, x in row.items()}
+        return SubalgebraModel(sp.gl, [{c: Fraction(x, 5) for c, x in row.items()}
                                        for row in sp.sigma_fixed_basis], rank=2)
     return build_gl_model(Partition.parse(name.split()[1]))
 

@@ -3,9 +3,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from dense_oracle import apply, identity, inverse, matmul, rref, zeros
+from dense_oracle import apply, det, identity, inverse, kernel, matmul, rank, rref, zeros
 
 from centinv.linalg import RatMatrix, bareiss, sparse_inverse, sparse_rref
 
@@ -51,20 +51,57 @@ def test_rank_kernel_matches_oracle(nr, nc, data):
 
 
 def test_identity_and_zero():
-    ident = RatMatrix(identity(3))
+    ident = RatMatrix.of(identity(3))
     assert ident.rank() == 3 and ident.kernel_basis() == []
-    z = RatMatrix(zeros(2, 5))
+    z = RatMatrix.of(zeros(2, 5))
     assert z.rank() == 0 and len(z.kernel_basis()) == 5
 
 
 def test_rational_entries():
-    m = RatMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
+    m = RatMatrix.of([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
+    assert (m.rows, m.den) == ([[3, 2], [9, 6]], 6)
     assert m.rank() == 1
     assert m.det() == 0
-    m2 = RatMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 2]])
-    assert m2.det() == Fraction(1, 2)
-    inv = sparse_inverse([dict(enumerate(row)) for row in m2.rows])
-    assert matmul(m2.rows, to_dense(inv, 2)) == identity(2)
+    rows2 = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 2]]
+    assert RatMatrix.of(rows2).det() == Fraction(1, 2)
+    inv = sparse_inverse([dict(enumerate(row)) for row in rows2])
+    assert matmul(rows2, to_dense(inv, 2)) == identity(2)
+
+
+def test_entries_are_integers_over_a_positive_denominator():
+    with pytest.raises(TypeError):
+        RatMatrix([[1, Fraction(1, 2)]])
+    with pytest.raises(TypeError):
+        RatMatrix([[1, 2.0]])
+    for den in (0, -3):
+        with pytest.raises(ValueError):
+            RatMatrix([[1, 2]], den)
+    with pytest.raises(ValueError):
+        RatMatrix([[1, 2], [3]])
+    # a common denominator, kept as given: the rows keep their scale
+    m = RatMatrix([[2, 4], [6, 8]], 2)
+    assert (m.rows, m.den) == ([[2, 4], [6, 8]], 2)
+    assert m.det() == Fraction(-8, 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.data())
+def test_cleared_rational_matrix_matches_dense_oracle(nr, nc, square, data):
+    """RatMatrix.of clears rational rows to integers over one den > 1; rank,
+    determinant and kernel basis are those of the Fraction rows."""
+    entries = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    rows = [[data.draw(entries) for _ in range(nc)] for _ in range(nc if square else nr)]
+    m = RatMatrix.of(rows)
+    assume(m.den > 1)
+    assert all(type(x) is int for row in m.rows for x in row)
+    assert [[Fraction(x, m.den) for x in row] for row in m.rows] == rows
+    assert m.rank() == rank(rows)
+    assert m.kernel_basis() == kernel(rows)
+    if len(rows) == nc:
+        assert m.det() == det(rows)
+    else:
+        with pytest.raises(ValueError):
+            m.det()
 
 
 def test_inverse_rejects_singular():
@@ -123,7 +160,7 @@ def test_sparse_inverse_matches_dense_inverse(n, data):
         rows = [dict(enumerate(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
                 for _ in range(n)]
     dense_rows = to_dense(rows, n)
-    if RatMatrix(dense_rows).rank() < n:
+    if RatMatrix.of(dense_rows).rank() < n:
         with pytest.raises(ValueError):
             sparse_inverse(rows)
         return

@@ -34,6 +34,7 @@ from centinv.regularity import (
     _charpoly_mod,
     _compress,
     _compress_line,
+    _divmod,
     _draw,
     _gcd_mod,
     _interpolate,
@@ -442,7 +443,7 @@ def test_line_probe_ignores_the_basis_scale(s):
     # a basis scaled by 1/s scales every bracket form by 1/s: the ranks
     # and the singular parameters along each line stay the same
     sp = build_sp_model(Partition.parse("2,1,1"))
-    scaled = SubalgebraModel(sp.gl, [{c: x / s for c, x in row.items()}
+    scaled = SubalgebraModel(sp.gl, [{c: Fraction(x, s) for c, x in row.items()}
                                      for row in sp.sigma_fixed_basis], rank=2)
 
     def per_line(model):
@@ -498,6 +499,7 @@ def test_poly_div_exact_rejects_a_non_divisor(q, b, r):
     a = poly_mul(q, b)
     assert _poly_div_exact(a, b) == q
     a[0] += r  # remainder r of degree 0 < deg b
+    assert _divmod(a, b) == (q, [r])
     with pytest.raises(ArithmeticError):
         _poly_div_exact(a, b)
 
@@ -802,13 +804,13 @@ def test_compress_line_matches_the_reference_loop(r, data, prime, seed):
 
 
 def exact_form(model, gamma):
-    """B(gamma) straight from the rational structure constants."""
+    """B(gamma) straight from the rational structure constants, in Fraction rows."""
     r = model.dim
     rows = [[Fraction(0)] * r for _ in range(r)]
     for (a, b), entries in structure_of(model).items():
         v = sum((coeff * gamma.coords[c] for c, coeff in entries), Fraction(0))
         rows[a][b], rows[b][a] = v, -v
-    return RatMatrix(rows)
+    return rows
 
 
 def rational_functionals(model, rng, count=6):
@@ -821,9 +823,11 @@ def rational_functionals(model, rng, count=6):
 
 def check_integer_form(model, gammas):
     for gamma in gammas:
-        B = exact_form(model, gamma)
-        assert bracket_form_matrix(model, gamma).rows == B.rows
-        assert model.dim - stabilizer_dim(gamma, model) == B.rank()
+        exact = exact_form(model, gamma)
+        B = bracket_form_matrix(model, gamma)
+        assert B.den == gamma.den * model.S
+        assert [[Fraction(x, B.den) for x in row] for row in B.rows] == exact
+        assert model.dim - stabilizer_dim(gamma, model) == RatMatrix.of(exact).rank()
 
 
 @pytest.mark.parametrize("parts", ["2", "2,1,1", "2,2", "4,2", "2,2,1,1", "3,3"])
@@ -837,7 +841,7 @@ def test_integer_form_rank_on_symplectic_fixed_parts(parts):
 @pytest.mark.parametrize("s", [5, 100])
 def test_integer_form_rank_on_a_scaled_basis(s):
     sp = build_sp_model(Partition.parse("2,1,1"))
-    scaled = SubalgebraModel(sp.gl, [{c: x / s for c, x in row.items()}
+    scaled = SubalgebraModel(sp.gl, [{c: Fraction(x, s) for c, x in row.items()}
                                      for row in sp.sigma_fixed_basis], rank=2)
     assert scaled.S > 1  # the constants are not integral
     check_integer_form(scaled, rational_functionals(scaled, random.Random(s)))
