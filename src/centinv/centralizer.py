@@ -249,28 +249,6 @@ class CentralizerModel(StructureTable):
         """The matrix of the element with xi coordinates ``{a: c}``."""
         return _combination((c, self.matrices[a]) for a, c in coords.items())
 
-    def to_json(self) -> dict:
-        return {
-            "partition": list(self.partition.parts),
-            "basis": self.labels,
-            "h_weights": self.h_weights,
-            "rho_weights": self.rho_weights,
-            "structure": [
-                [a, b, c, str(Fraction(x, self.S))]
-                for a, row in enumerate(self.rows)
-                for b in range(a + 1, len(row))
-                for c, x in row[b]
-            ],
-            "e": self._matrix_json(self.realization.e),
-            "h": self._matrix_json(self.realization.h),
-            "f": self._matrix_json(self.realization.f),
-            "gf_dual": [self._matrix_json(m) for m in self.gf_dual],
-        }
-
-    def _matrix_json(self, m: dict) -> list[list[str]]:
-        n = self.partition.n
-        return [[str(m.get((i, j), 0)) for j in range(n)] for i in range(n)]
-
 
 def build_gl_model(p: Partition) -> CentralizerModel:
     return CentralizerModel(p)

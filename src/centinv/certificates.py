@@ -36,12 +36,7 @@ class Certificate:
     partition: str
     algebra: str
     witnesses: dict = field(default_factory=dict)
-    tolerance: str = "exact"
     error_kind: str | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
 
     def to_json(self) -> dict:
         out = {
@@ -49,7 +44,7 @@ class Certificate:
             "status": self.status,
             "partition": self.partition,
             "algebra": self.algebra,
-            "tolerance": self.tolerance,
+            "tolerance": "exact",
             "witnesses": jsonable(self.witnesses),
         }
         if self.error_kind:

@@ -29,7 +29,7 @@ from .centralizer import (
     trace_dual,
     xi_shift_range,
 )
-from .linalg import RatMatrix, bareiss, sparse_rref
+from .linalg import bareiss, sparse_rref
 from .partitions import vectors_with_total
 from .poly import SparsePoly, _MASK, _MAX_EXP, _WIDTH, _accumulate_product, _key_degree
 
@@ -337,7 +337,7 @@ def _value_changes(F: SparsePoly, gamma: list[int], moved: list[int], L: int) ->
 
 @dataclass
 class MonomialSupportReport:
-    per_ell: list[list[dict]]
+    monomials_per_invariant: list[int]
     violations: list[tuple]
 
     @property
@@ -350,40 +350,33 @@ def monomial_support_check(sr: SliceRestriction, model: CentralizerModel) -> Mon
 
     Each monomial must be squarefree with pairwise distinct lower block
     indices I, upper indices permuting I, and ad(h) weight 2(ell - |I|).
+    A monomial of degree k is read through per-coordinate tables (lower
+    index i, upper index j and h-weight of xi[i,j,s]): its lower indices
+    are distinct when k of them are, which also rules out a squared
+    factor, and then the upper indices permute them when they sort alike.
     """
-    per_ell: list[list[dict]] = []
-    violations: list[tuple] = []
+    lower = [x.i for x in model.xi]
+    upper = [x.j for x in model.xi]
+    weights = model.h_weights
     names = model.var_names
+    violations: list[tuple] = []
     for ell, F in enumerate(sr.initial, start=1):
-        rows = []
-        for key, (powers, _, _) in zip(F.terms, F.factored_terms()):
-            exps = {names[a]: e for a, e in powers}
-            factors = []
-            for a, e in powers:
-                idx = model.xi[a]
-                if e != 1:
-                    violations.append((ell, names[a], "repeated factor"))
-                factors.extend([idx] * e)
-            lowers = [ix.i for ix in factors]
-            uppers = sorted(ix.j for ix in factors)
-            weight = sum(model.h_weights[model.index[ix]] for ix in factors)
-            ok_distinct = len(set(lowers)) == len(lowers)
-            ok_perm = uppers == sorted(set(lowers))
-            ok_weight = weight == 2 * (ell - len(factors))
-            if not ok_distinct:
-                violations.append((ell, str(exps), "lower indices repeat"))
-            if not ok_perm:
-                violations.append((ell, str(exps), "upper indices are not a permutation"))
-            if not ok_weight:
-                violations.append((ell, str(exps), f"weight {weight} != {2 * (ell - len(factors))}"))
-            rows.append({
-                "I": sorted(set(lowers)),
-                "sigma": {ix.i: ix.j for ix in factors},
-                "shifts": {ix.i: ix.s for ix in factors},
-                "coeff": str(F.coefficient(key)),
-            })
-        per_ell.append(rows)
-    return MonomialSupportReport(per_ell=per_ell, violations=violations)
+        for factors, _, k in F.factored_terms():
+            lows = sorted({lower[a] for a, _ in factors})
+            distinct = len(lows) == k
+            perm = distinct and sorted(upper[a] for a, _ in factors) == lows
+            weight = sum(weights[a] * e for a, e in factors)
+            if perm and weight == 2 * (ell - k):
+                continue
+            violations += [(ell, names[a], "repeated factor") for a, e in factors if e != 1]
+            exps = str({names[a]: e for a, e in factors})
+            if not distinct:
+                violations.append((ell, exps, "lower indices repeat"))
+            if not perm:
+                violations.append((ell, exps, "upper indices are not a permutation"))
+            if weight != 2 * (ell - k):
+                violations.append((ell, exps, f"weight {weight} != {2 * (ell - k)}"))
+    return MonomialSupportReport([len(F.terms) for F in sr.initial], violations)
 
 
 # -- signed permutation expansion -------------------------------------------
@@ -480,8 +473,14 @@ def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
                         for a in range(n) for b in range(n))
     # the trace with e is a linear condition on the image of ad f
     cond = [sum(v * real.e.get((j, i), 0) for (i, j), v in row.items()) for row in image]
-    basis_mats += [_combination((c, image[t]) for t, c in enumerate(vec) if c)
-                   for vec in RatMatrix.of([cond]).kernel_basis()]
+    # its kernel: e_j - (cond_j / cond_p) e_p for j != p, p the first nonzero
+    # entry.  cond is never zero: at [f, h] it takes tr(e [f, h]) = tr(h^2) > 0.
+    # A zero cond would give every e_j, and the size check below would raise
+    p = next((t for t, c in enumerate(cond) if c), len(cond))
+    for j, c in enumerate(cond):
+        if j != p:
+            pivot = [(-Fraction(c) / cond[p], image[p])] if c else []
+            basis_mats.append(_combination(pivot + [(Fraction(1), image[j])]))
     if len(basis_mats) != n * n:
         raise ArithmeticError("adapted basis of gl_n has wrong size")
 

@@ -2,15 +2,15 @@
 
 A dense matrix (``RatMatrix``) holds integer rows over one positive
 denominator.  Rank and determinant come from one fraction-free (Bareiss)
-elimination kernel on those integer rows.  Row spaces, kernels and
-inverses go through one sparse reduced row echelon form on rows given as
+elimination kernel on those integer rows.  Row spaces and inverses go
+through one sparse reduced row echelon form on rows given as
 ``{column: value}`` dicts, which touches only nonzero entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -139,29 +139,9 @@ class RatMatrix:
         if any(len(r) != self.ncols for r in rows):
             raise ValueError("ragged rows")
 
-    @classmethod
-    def of(cls, values: Sequence[Sequence]) -> "RatMatrix":
-        """The matrix with the given rational rows, cleared once."""
-        nums, den = clear_denominators(list(chain.from_iterable(values)))
-        flat = iter(nums)
-        return cls([list(islice(flat, len(row))) for row in values], den)
-
     def rank(self) -> int:
         """Exact rank, that of the integer rows."""
         return bareiss([row[:] for row in self.rows])[0]
-
-    def kernel_basis(self) -> list[list[Fraction]]:
-        """Basis of the right kernel; rank + len(kernel) == ncols."""
-        reduced = sparse_rref(dict(enumerate(row)) for row in self.rows)
-        pivots = [min(row) for row in reduced]
-        basis = []
-        for j in sorted(set(range(self.ncols)) - set(pivots)):
-            v = [Fraction(0)] * self.ncols
-            v[j] = Fraction(1)
-            for row, pc in zip(reduced, pivots):
-                v[pc] = -row.get(j, Fraction(0))
-            basis.append(v)
-        return basis
 
     def det(self) -> Fraction:
         """Determinant of the integer rows over den ** n."""

@@ -78,7 +78,6 @@ def _antidiag_monomial_key(model: CentralizerModel, shifts: tuple[int, ...]) -> 
 @dataclass
 class SupportCheckResult:
     passed: bool
-    per_q: list[dict]
     detail: str
 
 
@@ -95,23 +94,18 @@ def top_block_support_check(model: CentralizerModel, sr: SliceRestriction,
     m = p.k if m is None else m
     restricted = restrict_to_V(sr, model, m)
     n_m = sum(p.parts[:m])
-    per_q = []
     for q in range(p.d[m - 1] + 1):
-        poly = restricted[n_m - q - 1]
-        expected: dict[int, tuple[int, ...]] = {}
+        expected = set()
         for bars in vectors_with_total([range(q + 1)] * m, q):
             key = _antidiag_monomial_key(model, bars)
             if key is None:
-                return SupportCheckResult(False, per_q, f"missing factor at q={q}")
-            expected[key] = bars
-        got = set(poly.terms)
-        if got != set(expected):
+                return SupportCheckResult(False, f"missing factor at q={q}")
+            expected.add(key)
+        got = restricted[n_m - q - 1].terms.keys()
+        if got != expected:
             return SupportCheckResult(
-                False, per_q,
-                f"support mismatch at q={q}: {len(got)} monomials, expected {len(expected)}")
-        coeffs = {str(expected[k]): str(poly.coefficient(k)) for k in expected}
-        per_q.append({"q": q, "coefficients": coeffs})
-    return SupportCheckResult(True, per_q, "")
+                False, f"support mismatch at q={q}: {len(got)} monomials, expected {len(expected)}")
+    return SupportCheckResult(True, "")
 
 
 # -- component decomposition -------------------------------------------------
@@ -132,7 +126,6 @@ class Component:
 
 @dataclass
 class ComponentFamily:
-    level: int
     components: list[Component]
 
     @property
@@ -147,11 +140,11 @@ def enumerate_components(p: Partition) -> ComponentFamily:
     block means the null-cone is just the origin and the family is empty.
     """
     if p.k < 2:
-        return ComponentFamily(level=0, components=[])
+        return ComponentFamily([])
     dk = p.d[-1]
     comps = [Component(bars) for bars in vectors_with_total([range(dk + 2)] * p.k, dk + 1)]
     assert len(comps) == comb(dk + p.k, p.k - 1)
-    return ComponentFamily(level=dk, components=comps)
+    return ComponentFamily(comps)
 
 
 def component_zero_locus_check(model: CentralizerModel, sr: SliceRestriction) -> bool:
@@ -187,7 +180,6 @@ class StageWitness:
 
 @dataclass
 class TransversalityCertificate:
-    partition: Partition
     passed: bool
     total_dim: int
     stages: list[StageWitness] = field(default_factory=list)
@@ -251,8 +243,7 @@ def transversality_certificate(model: CentralizerModel, sr: SliceRestriction,
                 dets = _component_dets(rows, cols_per_comp)
                 if dets is None:
                     return TransversalityCertificate(
-                        p, False, 0, stages,
-                        f"no transversal subspace at block {m}")
+                        False, 0, stages, f"no transversal subspace at block {m}")
                 found = (rows, dets)
         else:
             # single block: the whole level is transversal
@@ -264,7 +255,7 @@ def transversality_certificate(model: CentralizerModel, sr: SliceRestriction,
             support_ok = top_block_support_check(model, sr, m).passed
             if not support_ok:
                 return TransversalityCertificate(
-                    p, False, 0, stages, f"support check failed at block {m}")
+                    False, 0, stages, f"support check failed at block {m}")
 
         rows, dets = found
         stages.append(StageWitness(
@@ -281,7 +272,7 @@ def transversality_certificate(model: CentralizerModel, sr: SliceRestriction,
     total = sum(d + 1 for d in p.d)
     assert total == p.n
     cert = TransversalityCertificate(
-        p, True, total, stages,
+        True, total, stages,
         conclusion=(
             f"an {p.n}-dimensional subspace meets the null-cone only at 0, so the "
             f"null-cone has codimension {p.n} and the {p.n} initial terms form a "
@@ -304,30 +295,21 @@ def _component_dets(rows: list[list[int]],
 
 @dataclass
 class RegularSequenceReport:
-    partition: Partition
     passed: bool
     codimension: int
     tangent_cone_dim: int
-    detail: str
 
 
 def regular_sequence_report(p: Partition,
                             cert: TransversalityCertificate) -> RegularSequenceReport:
     """Codimension-n null-cone makes the n initial terms a regular sequence.
 
+    Every component then has codimension n, the number of generators.
     Also records the induced tangent-cone dimension n^2 - n at the
-    nilpotent inside the full matrix nilpotent variety.
+    nilpotent inside the full matrix nilpotent variety: (n^2 - r) + (r - n)
+    with r = sum_i (2i - 1) p_i.
     """
     if not cert.passed:
-        return RegularSequenceReport(p, False, 0, 0,
-                                     "missing transversality certificate")
+        return RegularSequenceReport(False, 0, 0)
     n = p.n
-    r = sum((2 * i - 1) * part for i, part in enumerate(p.parts, start=1))
-    return RegularSequenceReport(
-        partition=p,
-        passed=True,
-        codimension=n,
-        tangent_cone_dim=n * n - n,
-        detail=f"every component has codimension {n} = number of generators; "
-               f"tangent cone dimension (n^2 - r) + (r - n) = {n * n - n} with r = {r}",
-    )
+    return RegularSequenceReport(passed=True, codimension=n, tangent_cone_dim=n * n - n)

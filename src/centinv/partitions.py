@@ -204,7 +204,6 @@ def even_index_degree_sum_so(p: Partition) -> int:
 
 @dataclass(frozen=True)
 class SODiagnostic:
-    partition: Partition
     dim_centralizer: int
     rank: int
     even_degree_sum: int
@@ -253,7 +252,6 @@ def so_good_system_diagnostic(p: Partition) -> SODiagnostic:
         and all(di % 2 == 0 for di in d[2:])
     )
     return SODiagnostic(
-        partition=p,
         dim_centralizer=dim,
         rank=rank,
         even_degree_sum=even_sum,

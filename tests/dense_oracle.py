@@ -311,6 +311,34 @@ class DenseGlModel:
         }
 
 
+def model_json(model) -> dict:
+    """The JSON data of a sparse gl model (``centralizer.CentralizerModel``),
+    in the layout of ``DenseGlModel.to_json``: basis, gradings, structure
+    constants as rationals, and e, h, f and the g_f duals as dense matrices."""
+    n = model.partition.n
+
+    def js(m):
+        return [[str(m.get((i, j), 0)) for j in range(n)] for i in range(n)]
+
+    real = model.realization
+    return {
+        "partition": list(model.partition.parts),
+        "basis": model.labels,
+        "h_weights": model.h_weights,
+        "rho_weights": model.rho_weights,
+        "structure": [
+            [a, b, c, str(Fraction(x, model.S))]
+            for a, row in enumerate(model.rows)
+            for b in range(a + 1, len(row))
+            for c, x in row[b]
+        ],
+        "e": js(real.e),
+        "h": js(real.h),
+        "f": js(real.f),
+        "gf_dual": [js(m) for m in model.gf_dual],
+    }
+
+
 def subalgebra_structure(ambient: DenseGlModel, coord_rows):
     """Structure constants of the span of ``coord_rows`` by dense commutators
     and a dense inverse of the pivot block."""

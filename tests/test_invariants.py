@@ -5,6 +5,7 @@ never touches the subset dynamic programme, and against frozen values
 derived by hand for the two-block partition.
 """
 
+import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -29,6 +30,7 @@ from poly_oracle import (
     from_fractions,
     homogeneous_component,
     power,
+    to_fractions,
     variable,
 )
 
@@ -230,7 +232,6 @@ def test_centrality_detects_noninvariant():
     sr = principal_minor_sums(m)
     broken = list(sr.initial)
     broken[2] = broken[2] + variable(m.var_names, "x3")
-    import dataclasses
     bad = dataclasses.replace(sr, initial=broken)
     res = verify_centrality(bad, m, seed=3)
     assert not res.passed
@@ -249,11 +250,47 @@ def test_monomial_support_weights_example():
     m = build_gl_model(Partition.parse("2,1"))
     sr = principal_minor_sums(m)
     report = monomial_support_check(sr, m)
-    for row in report.per_ell[2]:
-        assert sorted(row["I"]) == [1, 2]
-        weight = sum(m.h_weights[m.index[XiIndex(i, row["sigma"][i], row["shifts"][i])]]
-                     for i in row["I"])
+    assert report.passed
+    assert report.monomials_per_invariant == [len(F.terms) for F in sr.initial] == [2, 1, 2]
+    for factors, _, _ in sr.initial[2].factored_terms():
+        xis = [m.xi[a] for a, e in factors for _ in range(e)]
+        I = sorted(x.i for x in xis)
+        sigma = {x.i: x.j for x in xis}
+        shifts = {x.i: x.s for x in xis}
+        assert I == [1, 2] and sorted(sigma.values()) == I
+        weight = sum(m.h_weights[m.index[XiIndex(i, sigma[i], shifts[i])]] for i in I)
         assert weight == 2 * (3 - 2)
+
+
+def test_monomial_support_reports_planted_violations():
+    # four monomials planted into the l = 3 term -x2*x5 + x3*x4 of 2,1, on
+    # xi[1,1,0], xi[1,1,1], xi[1,2,0], xi[2,1,1], xi[2,2,0] of h-weights
+    # 0, 2, 1, 1, 0; the expected list is the row-by-row check's output
+    m = build_gl_model(Partition.parse("2,1"))
+    sr = principal_minor_sums(m)
+    x = {name: 1 << (_WIDTH * a) for a, name in enumerate(m.var_names)}
+    planted = {
+        2 * x["x1"] + x["x5"]: 1,  # a squared factor
+        x["x2"] + x["x3"]: 1,      # lower index 1 twice
+        x["x3"] + x["x5"]: 1,      # upper indices 2, 2
+        x["x1"] + x["x5"]: 1,      # the identity permutation, of weight 0
+    }
+    initial = list(sr.initial)
+    initial[2] = from_fractions(m.var_names, {**to_fractions(sr.initial[2]), **planted})
+    report = monomial_support_check(dataclasses.replace(sr, initial=initial), m)
+    assert not report.passed
+    assert report.monomials_per_invariant == [2, 1, 6]
+    assert report.violations == [
+        (3, "x1", "repeated factor"),
+        (3, "{'x1': 2, 'x5': 1}", "lower indices repeat"),
+        (3, "{'x1': 2, 'x5': 1}", "upper indices are not a permutation"),
+        (3, "{'x2': 1, 'x3': 1}", "lower indices repeat"),
+        (3, "{'x2': 1, 'x3': 1}", "upper indices are not a permutation"),
+        (3, "{'x2': 1, 'x3': 1}", "weight 3 != 2"),
+        (3, "{'x3': 1, 'x5': 1}", "upper indices are not a permutation"),
+        (3, "{'x3': 1, 'x5': 1}", "weight 1 != 2"),
+        (3, "{'x1': 1, 'x5': 1}", "weight 0 != 2"),
+    ]
 
 
 @pytest.mark.parametrize("parts", ["2,1", "3", "2,2", "2,1,1", "3,2"])

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dense_oracle import apply, det, identity, inverse, kernel, matmul, rank, rref, zeros
 
-from centinv.linalg import RatMatrix, bareiss, sparse_inverse, sparse_rref
+from centinv.linalg import RatMatrix, bareiss, clear_denominators, sparse_inverse, sparse_rref
 
 
 def naive_fraction_free_rank(rows):
@@ -40,30 +40,39 @@ small_entries = st.integers(min_value=-9, max_value=9)
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 8), st.integers(1, 8), st.data())
 def test_rank_kernel_matches_oracle(nr, nc, data):
+    """The rank is the oracles': the naive elimination's, and nc minus the
+    dimension of the dense oracle's kernel, which the integer rows annihilate."""
     rows = [[data.draw(small_entries) for _ in range(nc)] for _ in range(nr)]
     m = RatMatrix(rows)
     rank = m.rank()
-    kernel = m.kernel_basis()
+    oracle_kernel = kernel(rows)
     assert rank == naive_fraction_free_rank(rows)
-    assert rank + len(kernel) == nc
-    for vec in kernel:
+    assert rank + len(oracle_kernel) == nc
+    for vec in oracle_kernel:
         assert all(not x for x in apply(m.rows, vec))
 
 
+def cleared(rows) -> RatMatrix:
+    """The RatMatrix of rational rows, cleared once by the lcm of their
+    denominators."""
+    nums, den = clear_denominators([x for row in rows for x in row])
+    nc = len(rows[0]) if rows else 0
+    return RatMatrix([nums[i * nc:(i + 1) * nc] for i in range(len(rows))], den)
+
+
 def test_identity_and_zero():
-    ident = RatMatrix.of(identity(3))
-    assert ident.rank() == 3 and ident.kernel_basis() == []
-    z = RatMatrix.of(zeros(2, 5))
-    assert z.rank() == 0 and len(z.kernel_basis()) == 5
+    ident = cleared(identity(3))
+    assert ident.rank() == 3 and ident.det() == 1
+    assert cleared(zeros(2, 5)).rank() == 0
 
 
 def test_rational_entries():
-    m = RatMatrix.of([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
+    m = cleared([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
     assert (m.rows, m.den) == ([[3, 2], [9, 6]], 6)
     assert m.rank() == 1
     assert m.det() == 0
     rows2 = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 2]]
-    assert RatMatrix.of(rows2).det() == Fraction(1, 2)
+    assert cleared(rows2).det() == det(rows2) == Fraction(1, 2)
     inv = sparse_inverse([dict(enumerate(row)) for row in rows2])
     assert matmul(rows2, to_dense(inv, 2)) == identity(2)
 
@@ -87,16 +96,15 @@ def test_entries_are_integers_over_a_positive_denominator():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.data())
 def test_cleared_rational_matrix_matches_dense_oracle(nr, nc, square, data):
-    """RatMatrix.of clears rational rows to integers over one den > 1; rank,
-    determinant and kernel basis are those of the Fraction rows."""
+    """Rational rows cleared to integers over one den > 1; rank and
+    determinant are those of the Fraction rows."""
     entries = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
     rows = [[data.draw(entries) for _ in range(nc)] for _ in range(nc if square else nr)]
-    m = RatMatrix.of(rows)
+    m = cleared(rows)
     assume(m.den > 1)
     assert all(type(x) is int for row in m.rows for x in row)
     assert [[Fraction(x, m.den) for x in row] for row in m.rows] == rows
     assert m.rank() == rank(rows)
-    assert m.kernel_basis() == kernel(rows)
     if len(rows) == nc:
         assert m.det() == det(rows)
     else:
@@ -160,7 +168,7 @@ def test_sparse_inverse_matches_dense_inverse(n, data):
         rows = [dict(enumerate(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))))
                 for _ in range(n)]
     dense_rows = to_dense(rows, n)
-    if RatMatrix.of(dense_rows).rank() < n:
+    if rank(dense_rows) < n:
         with pytest.raises(ValueError):
             sparse_inverse(rows)
         return

@@ -19,7 +19,7 @@ from centinv.nullcone import (
     top_block_support_check,
     transversality_certificate,
 )
-from centinv.partitions import Partition, partitions_of
+from centinv.partitions import Partition, partitions_of, vectors_with_total
 from centinv.poly import _WIDTH, SparsePoly
 
 
@@ -68,10 +68,10 @@ def test_top_block_support(parts):
     sr = principal_minor_sums(m)
     res = top_block_support_check(m, sr)
     assert res.passed, res.detail
-    dk = m.partition.d[-1]
-    assert len(res.per_q) == dk + 1
-    for q, row in enumerate(res.per_q):
-        assert len(row["coefficients"]) == comb(q + m.partition.k - 1, m.partition.k - 1)
+    p = m.partition
+    restricted = restrict_to_V(sr, m)
+    for q in range(p.d[-1] + 1):
+        assert len(restricted[p.n - q - 1].terms) == comb(q + p.k - 1, p.k - 1)
 
 
 def test_component_enumeration_counts():
@@ -133,7 +133,7 @@ def test_regular_sequence_report_requires_certificate():
     p = Partition.parse("2,1")
     from centinv.nullcone import TransversalityCertificate
 
-    missing = TransversalityCertificate(p, False, 0, [], "missing")
+    missing = TransversalityCertificate(False, 0, [], "missing")
     rep = regular_sequence_report(p, missing)
     assert not rep.passed
 
@@ -144,8 +144,11 @@ def test_support_components_and_restrictions_are_consistent():
     p = Partition.parse("3,2")
     m = build_gl_model(p)
     sr = principal_minor_sums(m)
-    res = top_block_support_check(m, sr)
-    level_sets = {q: set(row["coefficients"]) for q, row in enumerate(res.per_q)}
+    assert top_block_support_check(m, sr).passed
+    # the passed check makes the shift patterns of total d_k index the
+    # monomials of the restricted top invariant
+    dk = p.d[-1]
+    top_bars = set(vectors_with_total([range(dk + 1)] * p.k, dk))
     fam = enumerate_components(p)
     for comp in fam.components:
         parents = set()
@@ -153,8 +156,8 @@ def test_support_components_and_restrictions_are_consistent():
             if comp.shifts[i] > 0:
                 parent = list(comp.shifts)
                 parent[i] -= 1
-                parents.add(str(tuple(parent)))
-        assert parents & level_sets[p.d[-1]], comp
+                parents.add(tuple(parent))
+        assert parents & top_bars, comp
 
 
 # -- prefix stages on the partition's own slice -------------------------------
@@ -185,7 +188,7 @@ def test_prefix_stage_reads_the_partitions_own_slice(parts):
         sub_sr = principal_minor_sums(sub_model)
         got = top_block_support_check(model, sr, m)
         ref = top_block_support_check(sub_model, sub_sr)
-        assert (got.passed, got.per_q, got.detail) == (ref.passed, ref.per_q, ref.detail)
+        assert (got.passed, got.detail) == (ref.passed, ref.detail)
         assert got.passed
         n_m = p.prefix(m).n
         for ell in range(1, p.n + 1):

@@ -1,12 +1,13 @@
 """Regular functionals, stabilisers, index and singular-locus probes."""
 
+import copy
 import random
 from fractions import Fraction
 from math import isqrt
 from operator import mul
 
 import pytest
-from dense_oracle import structure_of
+from dense_oracle import kernel, rank, structure_of
 from hypothesis import assume, example, given, settings, strategies as st
 
 from centinv.centralizer import SubalgebraModel, XiIndex, build_gl_model, build_sp_model
@@ -28,7 +29,7 @@ from centinv.regularity import (
     singular_locus_probe,
     stabilizer_dim,
 )
-from centinv.linalg import RatMatrix, bareiss
+from centinv.linalg import bareiss
 from centinv.regularity import (
     _PRIME,
     _charpoly_mod,
@@ -143,6 +144,56 @@ def test_alpha_stabilizer_is_diagonal_span(parts):
     res = alpha_stabilizer_basis_check(m, default_alpha_coefficients(m))
     assert res.passed
     assert res.kernel_dim == p.n
+
+
+def kernel_route(model, a):
+    """(passed, kernel_dim) of the alpha check through an explicit kernel
+    basis of B(alpha) (the dense oracle's): len(diag) vectors, each
+    supported on the diagonal coordinates."""
+    kern = kernel(exact_form(model, build_alpha(model, a)))
+    diag = {t for t, idx in enumerate(model.xi) if idx.i == idx.j}
+    inside = all(not v for vec in kern for c, v in enumerate(vec) if c not in diag)
+    return len(kern) == len(diag) and inside, len(kern)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_alpha_stabilizer_check_matches_the_kernel_route(n):
+    for p in partitions_of(n):
+        m = build_gl_model(p)
+        default = default_alpha_coefficients(m)
+        for a in (default, default[1:] + default[:1]):
+            res = alpha_stabilizer_basis_check(m, a)
+            assert (res.passed, res.kernel_dim) == kernel_route(m, a) == (True, n), (p, a)
+
+
+def with_brackets(model, edits):
+    """A copy of the model with [xi_a, xi_b] = sum_c x_c xi_c for each
+    (a, b): {c: x_c} in edits; the rows stay antisymmetric."""
+    rows = [list(row) for row in model.rows]
+    for (a, b), bracket in edits.items():
+        rows[a][b] = tuple(sorted(bracket.items()))
+        rows[b][a] = tuple((c, -x) for c, x in rows[a][b])
+    planted = copy.copy(model)
+    planted.rows = tuple(map(tuple, rows))
+    return planted
+
+
+def test_alpha_stabilizer_check_fails_on_planted_brackets():
+    # on 2,1 with alpha = (1, 2), B(alpha) is nonzero only at
+    # xi[1,2,0], xi[2,1,1]: rank 2, kernel the diagonal span of dimension 3
+    m = build_gl_model(Partition.parse("2,1"))
+    a = [1, 2]
+    t, u, v = (m.index[XiIndex(*x)] for x in ((1, 1, 0), (1, 2, 0), (2, 1, 1)))
+    top = m.index[XiIndex(1, 1, 1)]  # alpha is 1 there
+    assert m.S == 1 and m.rows[u][v]
+    # [xi[1,1,0], xi[1,2,0]] gains xi[1,1,1]: the diagonal column t is
+    # nonzero while the rank stays 2, so the kernel has the right dimension
+    leaves = with_brackets(m, {(t, u): {top: 1}})
+    # [xi[1,2,0], xi[2,1,1]] = 0: B(alpha) = 0 and the kernel is everything
+    oversized = with_brackets(m, {(u, v): {}})
+    for model, dim in ((leaves, 3), (oversized, m.dim)):
+        res = alpha_stabilizer_basis_check(model, a)
+        assert (res.passed, res.kernel_dim) == kernel_route(model, a) == (False, dim)
 
 
 def test_alpha_stabilizer_check_needs_distinct_scalars():
@@ -827,7 +878,7 @@ def check_integer_form(model, gammas):
         B = bracket_form_matrix(model, gamma)
         assert B.den == gamma.den * model.S
         assert [[Fraction(x, B.den) for x in row] for row in B.rows] == exact
-        assert model.dim - stabilizer_dim(gamma, model) == RatMatrix.of(exact).rank()
+        assert model.dim - stabilizer_dim(gamma, model) == rank(exact)
 
 
 @pytest.mark.parametrize("parts", ["2", "2,1,1", "2,2", "4,2", "2,2,1,1", "3,3"])
