@@ -11,6 +11,14 @@ structural properties the rest of the toolkit certifies: Poisson
 centrality, monomial support, the signed-permutation expansion, and
 agreement with the top coefficient of the expansion of an invariant
 along the opposite nilpotent.
+
+The gradient rows of the initial terms at a point come from
+``jacobian_rows`` by one of two routes, picked per call from a cost
+estimate of the input: ``evaluate_jacobian`` expands the terms, and
+``slice_matrix_rows`` reads them off the n x n slice matrix, which the
+``SliceRestriction`` keeps, by Faddeev-LeVerrier at l - d_l + 1
+interpolation nodes.  Both give integer rows that are positive multiples
+of the gradient rows, so every rank is the same on either route.
 """
 
 from __future__ import annotations
@@ -18,8 +26,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
-from math import lcm
+from math import comb, lcm
+from operator import mul
 
 from .centralizer import (
     CentralizerModel,
@@ -121,17 +131,32 @@ def principal_minor_sum_polys(entries: list[list[dict]],
 
 @dataclass
 class SliceRestriction:
-    """Minor sums restricted to the slice, with their initial terms."""
+    """Minor sums restricted to the slice, with their initial terms.
+
+    It keeps the slice it was built from: the n x n matrix
+    e + sum_a x_a gf_dual[a], whose sums of principal minors of the sizes
+    ``minor_sizes`` are ``full``; ``jacobian_rows`` reads them.
+    """
 
     var_names: tuple[str, ...]
     full: list[SparsePoly]
     initial: list[SparsePoly]
     degrees: list[int]
     kazhdan_homogeneous: list[bool]
+    e: dict
+    gf_dual: list[dict]
+    n: int
+    minor_sizes: list[int]
 
     @property
     def count(self) -> int:
         return len(self.full)
+
+    @cached_property
+    def cleared_duals(self) -> tuple[int, list[dict]]:
+        """(L, [L * gf_dual[a]]): L the lcm of the denominators, entries int."""
+        L = lcm(*(v.denominator for mat in self.gf_dual for v in mat.values()))
+        return L, [{ij: int(v * L) for ij, v in mat.items()} for mat in self.gf_dual]
 
 
 def _slice_entries(e: dict, duals: list[dict], n: int) -> list[list[dict]]:
@@ -178,7 +203,9 @@ def principal_minor_sums(model: CentralizerModel, budget: int = 8) -> SliceRestr
         for ell, q in enumerate(polys, start=1)
     ]
     return SliceRestriction(var_names=model.var_names, full=polys, initial=initial,
-                            degrees=degrees, kazhdan_homogeneous=kazh)
+                            degrees=degrees, kazhdan_homogeneous=kazh,
+                            e=model.realization.e, gf_dual=model.gf_dual, n=p.n,
+                            minor_sizes=list(range(1, p.n + 1)))
 
 
 def symplectic_minor_sums(sp: SymplecticModel, budget: int = 8) -> SliceRestriction:
@@ -204,7 +231,9 @@ def symplectic_minor_sums(sp: SymplecticModel, budget: int = 8) -> SliceRestrict
         for i, q in enumerate(even, start=1)
     ]
     return SliceRestriction(var_names=fixed.var_names, full=even, initial=initial,
-                            degrees=degrees, kazhdan_homogeneous=kazh)
+                            degrees=degrees, kazhdan_homogeneous=kazh,
+                            e=sp.gl.realization.e, gf_dual=sp.gf_dual, n=p.n,
+                            minor_sizes=list(range(2, p.n + 1, 2)))
 
 
 # -- Poisson structure ------------------------------------------------------
@@ -564,6 +593,106 @@ def evaluate_jacobian(polys, nums, den: int = 1) -> list[list[int]]:
     return rows
 
 
+def _exact_div(a: int, b: int) -> int:
+    q, rem = divmod(a, b)
+    if rem:
+        raise ArithmeticError(f"{b} does not divide {a}")
+    return q
+
+
+def _lagrange_at_zero(m: int) -> tuple[int, ...]:
+    """Weights of g(0) = sum_s w_s g(s) over the nodes s = 1..m, deg g < m:
+    prod_{j != s} j / (j - s) = (-1)^(s-1) C(m, s), already integers."""
+    return tuple((-1) ** (s - 1) * comb(m, s) for s in range(1, m + 1))
+
+
+def _faddeev_leverrier(Z: list[list[int]], top: int) -> list[list[list[int]]]:
+    """[M_1, ..., M_top] for an integer n x n matrix Z: M_1 = I and
+    M_(k+1) = M_k Z - (tr(M_k Z) / k) I, so M_l = (-1)^(l-1) P_(l-1)(Z)
+    and tr(M_k Z) / k = (-1)^(k-1) e_k(Z); each division is exact."""
+    n = len(Z)
+    columns = list(zip(*Z))
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    chain = [M]
+    for k in range(1, top):
+        M = [[sum(map(mul, row, col)) for col in columns] for row in M]
+        coeff = -_exact_div(sum(M[i][i] for i in range(n)), k)
+        for i in range(n):
+            M[i][i] += coeff
+        chain.append(M)
+    return chain
+
+
+def _node_count(sr: SliceRestriction, which) -> int:
+    """m = max (l - d_l + 1) over the requested minor sizes l and degrees d_l."""
+    return max(sr.minor_sizes[t] - sr.degrees[t] + 1 for t in which)
+
+
+def _slice_matrix_cheaper(sr: SliceRestriction, which) -> bool:
+    """The route rule: m n^4 against the terms times the degree of the
+    requested initial terms, both read off the input."""
+    if any(sr.degrees[t] < 1 for t in which):
+        return False
+    work = sum(len(sr.initial[t].terms) * sr.degrees[t] for t in which)
+    return _node_count(sr, which) * sr.n ** 4 < work
+
+
+def slice_matrix_rows(sr: SliceRestriction, which, nums, den: int = 1) -> list[list[int]]:
+    """The gradients of the initial terms ``which`` at nums / den, read off
+    the n x n slice matrix; positive row multiples, as ``evaluate_jacobian``.
+
+    With c_k the degree-k part of F_l = e_l(e + X), X = sum_b x_b f_b, and
+    P_{l-1}(Y) = sum_j (-1)^j e_{l-1-j}(Y) Y^j, the identity
+    d e_l(Y)(W) = tr(P_{l-1}(Y) W) gives
+    tr(P_{l-1}(e + sX) f_a) = sum_{k = d_l}^{l} s^(k-1) D_a c_k, D_a the
+    partial in x_a; the parts below d_l vanish, so
+    g(s) = tr(P_{l-1}(e + sX) f_a) / s^(d_l - 1) has degree <= l - d_l
+    and g(0) = D_a c_{d_l}, the gradient of the initial term.  It is
+    interpolated at s = 1..m, m = ``_node_count``.  On integers, with L the
+    lcm of the dual denominators and c = den * L, each node forms
+    Z = c e + s sum_a nums_a (L f_a) = c (e + sX), and Faddeev-LeVerrier
+    gives M_l = (-1)^(l-1) P_{l-1}(Z) = (-1)^(l-1) c^(l-1) P_{l-1}(e + sX)
+    with exact divisions.  The trace tr(M_l L f_a) is an integer polynomial
+    in s divisible by s^(d_l - 1), so row a is
+    sum_s w_s (-1)^(l-1) tr(M_l L f_a) / s^(d_l - 1) = c^(l-1) L D_a c_{d_l}.
+    """
+    L, duals = sr.cleared_duals
+    if len(nums) != len(duals):
+        raise ValueError(f"slice in {len(duals)} coordinates at a point with {len(nums)}")
+    n, c = sr.n, den * L
+    sizes = [sr.minor_sizes[t] for t in which]
+    lows = [sr.degrees[t] for t in which]
+    m = _node_count(sr, which)
+    N = [[0] * n for _ in range(n)]
+    for x, mat in zip(nums, duals):
+        if x:
+            for (i, j), v in mat.items():
+                N[i][j] += x * v
+    rows = [[0] * len(duals) for _ in which]
+    for s, w in zip(range(1, m + 1), _lagrange_at_zero(m)):
+        Z = [[s * v for v in row] for row in N]
+        for (i, j), v in sr.e.items():
+            Z[i][j] += c * v
+        chain = _faddeev_leverrier(Z, max(sizes))
+        for row, ell, d in zip(rows, sizes, lows):
+            M, scale, sign = chain[ell - 1], s ** (d - 1), (-1) ** (ell - 1) * w
+            for a, mat in enumerate(duals):
+                trace = sum(M[j][i] * v for (i, j), v in mat.items())
+                row[a] += sign * _exact_div(trace, scale)
+    return rows
+
+
+def jacobian_rows(sr: SliceRestriction, which, nums, den: int = 1) -> list[list[int]]:
+    """Rows for the initial terms ``sr.initial[t]``, t in ``which``, at the
+    point nums / den, each a positive multiple of the gradient row, from
+    ``slice_matrix_rows`` where ``_slice_matrix_cheaper`` says so and from
+    the term expansion ``evaluate_jacobian`` elsewhere."""
+    which = list(which)
+    if which and _slice_matrix_cheaper(sr, which):
+        return slice_matrix_rows(sr, which, nums, den)
+    return evaluate_jacobian([sr.initial[t] for t in which], nums, den)
+
+
 def initial_algebra_rank(sr: SliceRestriction, model, seed: int = 0) -> int:
     """Generic rank of the Jacobian of the initial terms (expected: rank),
     the best of three random points."""
@@ -571,5 +700,5 @@ def initial_algebra_rank(sr: SliceRestriction, model, seed: int = 0) -> int:
     best = 0
     for _ in range(3):
         nums = [rng.randint(-10, 10) for _ in model.var_names]
-        best = max(best, bareiss(evaluate_jacobian(sr.initial, nums))[0])
+        best = max(best, bareiss(jacobian_rows(sr, range(sr.count), nums))[0])
     return best

@@ -9,8 +9,9 @@ a ``Functional``: integer numerators over one positive denominator.
 structure rows (integer numerators over one denominator S) and the
 numerators of gamma give the integer rows S * den * B(gamma) of a
 ``RatMatrix`` over den * S.  Ranks and the line probe read those rows.
-The Jacobian kernel reads the same numerators
-(``evaluate_jacobian(polys, nums, den)``).
+The Jacobian rows read the same numerators
+(``invariants.jacobian_rows(sr, which, nums, den)``, which picks the
+term expansion or the slice-matrix route per call).
 
 The line probe certifies modulo the prime p = 2^30 - 35, one 30-bit
 CPython digit.  Each compression D_j(t) = det(U B(t) V) is a
@@ -32,7 +33,7 @@ from math import comb, gcd, isqrt
 
 from .centralizer import CentralizerModel, SymplecticModel, XiIndex
 from .linalg import RatMatrix, bareiss, clear_denominators
-from .invariants import SliceRestriction, evaluate_jacobian
+from .invariants import SliceRestriction, jacobian_rows
 
 
 @dataclass(frozen=True)
@@ -341,7 +342,7 @@ class DifferentialCriterionResult:
 
 def choose_generators(sr: SliceRestriction, model, at: Functional) -> list[int]:
     """Greedy subfamily whose gradients reach full rank at the given point."""
-    all_rows = evaluate_jacobian(sr.initial, at.nums, at.den)
+    all_rows = jacobian_rows(sr, range(sr.count), at.nums, at.den)
     chosen: list[int] = []
     rank = 0
     for ell in range(sr.count):
@@ -360,7 +361,7 @@ def differential_criterion(sr: SliceRestriction, model, gamma: Functional,
     if 2 * sum(sr.degrees) != model.dim + model.rank:
         raise ValueError("degree sum does not certify a good system")
     gens = generators if generators is not None else list(range(sr.count))
-    rows = evaluate_jacobian([sr.initial[ell] for ell in gens], gamma.nums, gamma.den)
+    rows = jacobian_rows(sr, gens, gamma.nums, gamma.den)
     jac_rank = bareiss(rows)[0]
     stab = stabilizer_dim(gamma, model)
     return DifferentialCriterionResult(

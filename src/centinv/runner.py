@@ -275,14 +275,16 @@ def cmd_stabilizers(ctx: PartitionContext) -> Certificate:
     p = ctx.partition
     model = ctx.model
     witnesses: dict = {}
-    ok = True
-    alpha = ctx.alpha
-    stab_alpha = stabilizer_dim(alpha, model)
+    if ctx.algebra == "gl":
+        # B(alpha) at the default scalars, ranked once for both witnesses
+        span = alpha_stabilizer_basis_check(model, default_alpha_coefficients(model))
+        stab_alpha = span.kernel_dim
+    else:
+        stab_alpha = stabilizer_dim(ctx.alpha, model)
     witnesses["alpha_stabilizer_dim"] = stab_alpha
     witnesses["expected"] = model.rank
-    ok = ok and stab_alpha == model.rank
+    ok = stab_alpha == model.rank
     if ctx.algebra == "gl":
-        span = alpha_stabilizer_basis_check(model, default_alpha_coefficients(model))
         witnesses["alpha_stabilizer_is_diagonal_span"] = span.passed
         ok = ok and span.passed
         if p.k >= 2:

@@ -35,9 +35,13 @@ from poly_oracle import (
 )
 
 from centinv.centralizer import SubalgebraModel, XiIndex, build_gl_model, build_sp_model
+from centinv import invariants
 from centinv.invariants import (
     BudgetExceededError,
     _cleared_value,
+    _exact_div,
+    _faddeev_leverrier,
+    _slice_matrix_cheaper,
     _value_changes,
     char_poly_terms,
     coadjoint_exp,
@@ -45,17 +49,20 @@ from centinv.invariants import (
     coordinate_bracket_with,
     evaluate_jacobian,
     initial_algebra_rank,
+    jacobian_rows,
     monomial_support_check,
     poisson_bracket,
     principal_minor_sum_polys,
     principal_minor_sums,
     signed_permutation_sum,
+    slice_matrix_rows,
     symplectic_minor_sums,
     top_coefficient_crosscheck,
     verify_centrality,
 )
 from centinv.linalg import clear_denominators
-from centinv.partitions import Partition, degrees_gl, partitions_of
+from centinv.partitions import ClassicalType, Partition, degrees_gl, partitions_of
+from centinv.regularity import build_alpha, default_alpha_coefficients, restrict_alpha_to_fixed
 from centinv.poly import _WIDTH, SparsePoly
 
 
@@ -493,6 +500,121 @@ def test_integer_jacobian_rows_are_positive_multiples(terms, homogeneous, point)
     if homogeneous:
         P = homogeneous_component(P, P.total_degree())
     check_jacobian_rows([P, P * P], point)
+
+
+# -- the slice-matrix route to the Jacobian rows --------------------------------
+
+ROUTE_SLICES = ([f"gl {p}" for n in range(1, 7) for p in partitions_of(n)]
+                + [f"sp {p}" for n in (2, 4, 6) for p in partitions_of(n, ClassicalType.SP)])
+
+
+@functools.cache
+def route_case(name: str):
+    """The slice restriction of ``"gl 3,1"`` or ``"sp 2,2"`` and its ALPHA point."""
+    algebra, parts = name.split()
+    p = Partition.parse(parts)
+    if algebra == "sp":
+        sp = build_sp_model(p)
+        return symplectic_minor_sums(sp), restrict_alpha_to_fixed(sp)
+    model = build_gl_model(p)
+    return principal_minor_sums(model), build_alpha(model, default_alpha_coefficients(model))
+
+
+def route_points(name: str, randoms: int) -> list[tuple[list[int], int]]:
+    """ALPHA, ZERO, then ``randoms`` integer points and as many rational
+    points with den > 1 and some zero coordinates."""
+    sr, alpha = route_case(name)
+    r = len(sr.var_names)
+    rng = random.Random(name)
+    points = [(list(alpha.nums), alpha.den), ([0] * r, 1)]
+    for _ in range(randoms):
+        points.append(([rng.randint(-10, 10) for _ in range(r)], 1))
+        points.append(([rng.choice((0, rng.randint(-9, 9))) for _ in range(r)],
+                       rng.randint(2, 12)))
+    return points
+
+
+def assert_routes_agree(name: str, points) -> None:
+    """Every slice-matrix row is a positive multiple of the expansion row,
+    with the same signs, for all initial terms and for two of them."""
+    sr, _ = route_case(name)
+    subsets = [list(range(sr.count))] + ([[sr.count - 1, 0]] if sr.count > 1 else [])
+    for nums, den in points:
+        for which in subsets:
+            got = slice_matrix_rows(sr, which, nums, den)
+            want = evaluate_jacobian([sr.initial[t] for t in which], nums, den)
+            assert len(got) == len(want)
+            for row, oracle in zip(got, want):
+                assert all(type(x) is int for x in row)
+                assert [(x > 0) - (x < 0) for x in row] == [(o > 0) - (o < 0) for o in oracle]
+                assert_positive_multiple(row, oracle)
+
+
+@pytest.mark.parametrize("name", ROUTE_SLICES)
+def test_slice_matrix_rows_match_the_expansion(name):
+    assert_routes_agree(name, route_points(name, 3))
+
+
+@pytest.mark.parametrize("name", ["gl 1,1,1,1,1,1,1", "gl 2,1,1,1,1,1"])
+def test_slice_matrix_rows_match_the_expansion_at_n_7(name):
+    # ALPHA, ZERO and one rational point with zero coordinates
+    alpha, zero, _, rational = route_points(name, 1)
+    assert_routes_agree(name, [alpha, zero, rational])
+
+
+def test_route_rule_takes_the_slice_matrix_only_where_it_is_cheaper():
+    # m n^4 against terms times degree: 625 < 1305 at 1^5, 1296 < 9786 at
+    # 1^6 and 1296 < 2844 at sp 1^6; everywhere else up to n = 6 the expansion
+    slices = {name: route_case(name)[0] for name in ROUTE_SLICES}
+    chosen = {name for name, sr in slices.items() if _slice_matrix_cheaper(sr, range(sr.count))}
+    assert chosen == {"gl 1,1,1,1,1", "gl 1,1,1,1,1,1", "sp 1,1,1,1,1,1"}
+    for name in ("gl 2,1,1,1,1", "gl 1,1,1,1", "gl 4", "gl 5", "gl 6", "sp 6"):
+        assert name in ROUTE_SLICES and name not in chosen
+
+
+def test_jacobian_rows_dispatch(monkeypatch):
+    # the expansion route returns evaluate_jacobian's rows as they are
+    sr, alpha = route_case("gl 2,1,1,1,1")
+    assert (jacobian_rows(sr, [0, 5], alpha.nums, alpha.den)
+            == evaluate_jacobian([sr.initial[0], sr.initial[5]], alpha.nums, alpha.den))
+    # the slice-matrix route never expands
+    sr, alpha = route_case("gl 1,1,1,1,1,1")
+    expected = slice_matrix_rows(sr, range(sr.count), alpha.nums, alpha.den)
+
+    def refuse(*args):
+        raise AssertionError("expanded on the slice-matrix route")
+
+    monkeypatch.setattr(invariants, "evaluate_jacobian", refuse)
+    assert jacobian_rows(sr, range(sr.count), alpha.nums, alpha.den) == expected
+
+
+def test_slice_matrix_rows_reject_a_point_of_another_length():
+    sr, _ = route_case("gl 2,1")
+    with pytest.raises(ValueError):
+        slice_matrix_rows(sr, [0], [1, 2, 3])
+    with pytest.raises(ArithmeticError):
+        _exact_div(7, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_faddeev_leverrier_matches_sympy_charpoly(Z):
+    sympy = pytest.importorskip("sympy")
+    n = len(Z)
+    A = sympy.Matrix(Z)
+    # all_coeffs()[k] is the coefficient of t^(n-k), that is (-1)^k e_k(Z)
+    e = [(-1) ** k * c for k, c in enumerate(A.charpoly().all_coeffs())]
+    chain = _faddeev_leverrier(Z, n + 1)
+    assert len(chain) == n + 1
+    for ell, M in enumerate(chain, start=1):
+        assert all(type(x) is int for row in M for x in row)
+        P = sympy.zeros(n, n)
+        for j in range(ell):
+            P += (-1) ** j * e[ell - 1 - j] * A ** j
+        assert sympy.Matrix(M) == (-1) ** (ell - 1) * P
+    # Cayley-Hamilton: P_n(Z) = (-1)^n chi(Z) = 0
+    assert not any(x for row in chain[n] for x in row)
 
 
 # -- brackets and the group probe on the structure rows ------------------------
