@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from functools import cached_property
+from math import factorial, gcd, lcm
 
-from .linalg import sparse_inverse, sparse_rref
+from .linalg import _subtract, sparse_inverse, sparse_rref
 from .partitions import (
     ClassicalType,
     InvalidPartitionError,
@@ -171,6 +172,50 @@ class StructureTable:
             row = rows[a][b] = tuple([(c, v.numerator * (S // v.denominator)) for c, v in w])
             rows[b][a] = tuple([(c, -x) for c, x in row])
         self.rows = tuple(map(tuple, rows))
+
+    @cached_property
+    def lie_generators(self) -> tuple[int, ...]:
+        """Increasing coordinates a whose xi_a generate the algebra as a
+        Lie algebra, chosen greedily in coordinate order.
+
+        xi_a is kept when it is not in the span of the subalgebra generated
+        so far.  That span is closed incrementally on integer vectors: each
+        new vector is reduced once against echelon rows keyed by their
+        least column, and bracketed once with each earlier vector through
+        ``rows`` (the common factor S drops out of a span).
+        """
+        rows, dim = self.rows, self.dim
+        echelon: dict[int, dict] = {}
+        span: list[dict] = []
+        gens: list[int] = []
+
+        def add(v: dict) -> bool:
+            while v:
+                c = min(v)
+                if c not in echelon:
+                    g = gcd(*v.values())
+                    echelon[c] = {k: x // g for k, x in v.items()}
+                    span.append(echelon[c])
+                    return True
+                row = echelon[c]
+                v, q = {k: row[c] * x for k, x in v.items()}, v[c]
+                _subtract(v, q, row)
+            return False
+
+        for a in range(dim):
+            if len(span) < dim and add({a: 1}):
+                gens.append(a)
+                i = len(span) - 1
+                while i < len(span) < dim:
+                    for u in span[:i]:
+                        br: dict[int, int] = {}
+                        for b, x in span[i].items():
+                            for c, y in u.items():
+                                for k, z in rows[b][c]:
+                                    br[k] = br.get(k, 0) + x * y * z
+                        add({k: z for k, z in br.items() if z})
+                    i += 1
+        return tuple(gens)
 
 
 def trace_dual(left: list[dict], right: list[dict]) -> list[dict]:

@@ -307,8 +307,25 @@ class CentralityResult:
     group_failures: list
 
 
+def _first_noncentral(sr: SliceRestriction, model, coords) -> tuple | None:
+    """(label, ell, bracket) of the first nonzero {x_a, initial_ell}, ell
+    outer and a in ``coords`` inner, or None."""
+    for ell, F in enumerate(sr.initial, start=1):
+        for a in coords:
+            br = coordinate_bracket_with(model, a, F)
+            if not br.is_zero():
+                return model.labels[a], ell, str(br)
+    return None
+
+
 def verify_centrality(sr: SliceRestriction, model, seed: int = 0) -> CentralityResult:
     """Exact {x_a, initial_ell} = 0 for all a, ell, plus a group-level probe.
+
+    F -> {x, F} is a derivation and ad [x, y] = [ad x, ad y], so the x
+    with {x, F} = 0 form a Lie subalgebra, and the brackets with the
+    coordinates ``model.lie_generators`` prove centrality for every
+    coordinate.  If one of them is nonzero, every coordinate is rescanned
+    in the order (ell, a), so the failure is the first one in that order.
 
     Both read the model's structure rows: the brackets through
     ``coordinate_bracket_with``, and the probe, which moves random integer
@@ -318,12 +335,9 @@ def verify_centrality(sr: SliceRestriction, model, seed: int = 0) -> CentralityR
     term on integers: the moved point is v / L as ``coadjoint_exp``
     returns it, and ``_value_changes`` scales by L^M.
     """
-    labels = getattr(model, "labels")
-    for ell, F in enumerate(sr.initial, start=1):
-        for a in range(len(model.var_names)):
-            br = coordinate_bracket_with(model, a, F)
-            if not br.is_zero():
-                return CentralityResult(False, (labels[a], ell, str(br)), 0, [])
+    if _first_noncentral(sr, model, model.lie_generators):
+        failing = _first_noncentral(sr, model, range(len(model.var_names)))
+        return CentralityResult(False, failing, 0, [])
 
     rng = random.Random(seed)
     weights = model.h_weights
@@ -339,7 +353,7 @@ def verify_centrality(sr: SliceRestriction, model, seed: int = 0) -> CentralityR
                 checked += 1
                 for ell, F in enumerate(sr.initial, start=1):
                     if _value_changes(F, gamma, moved, L):
-                        group_failures.append((labels[a], ell))
+                        group_failures.append((model.labels[a], ell))
     return CentralityResult(not group_failures, None, checked, group_failures)
 
 

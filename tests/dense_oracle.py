@@ -188,6 +188,45 @@ def structure_of(model) -> dict:
             for a, row in enumerate(model.rows) for b in range(a + 1, len(row)) if row[b]}
 
 
+def generated_subalgebra(model, gens) -> list[list[Fraction]]:
+    """Reduced echelon rows spanning the subalgebra that the xi_g, g in
+    ``gens``, generate, read from ``structure_of(model)``.
+
+    It is the least subspace that holds the xi_g and is stable under
+    ad xi_g for every g in ``gens`` (the right-normed brackets
+    [xi_g1, [xi_g2, ... xi_gk]] span it), grown one vector at a time.
+    """
+    r = model.dim
+    table = structure_of(model)
+    basis: dict[int, list[Fraction]] = {}
+
+    def ad(v, g):
+        out = [Fraction(0)] * r
+        for a, x in enumerate(v):
+            key, sign = ((a, g), 1) if a < g else ((g, a), -1)
+            for c, y in table.get(key, ()) if x else ():
+                out[c] += sign * x * y
+        return out
+
+    todo = [[Fraction(int(a == g)) for a in range(r)] for g in gens]
+    while todo:
+        v = todo.pop()
+        w = v
+        for p, row in basis.items():
+            if w[p]:
+                w = [x - w[p] * y for x, y in zip(w, row)]
+        p = next((c for c, x in enumerate(w) if x), None)
+        if p is None:
+            continue
+        w = [x / w[p] for x in w]
+        for q, row in basis.items():
+            if row[p]:
+                basis[q] = [x - row[p] * y for x, y in zip(row, w)]
+        basis[p] = w
+        todo += [ad(v, g) for g in gens]
+    return [basis[p] for p in sorted(basis)]
+
+
 def sparse_rows(rows) -> list[dict]:
     """The ``{column: value}`` rows of dense rows, zeros dropped."""
     return [{c: x for c, x in enumerate(row) if x} for row in rows]

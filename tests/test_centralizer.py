@@ -14,6 +14,7 @@ from dense_oracle import (
     closed_form_bracket,
     commutator,
     dense,
+    generated_subalgebra,
     identity,
     is_zero,
     matmul,
@@ -345,6 +346,35 @@ def test_structure_rows_are_one_antisymmetric_table_over_s(name):
     if name.endswith(" / 5"):
         assert m.S > 1
     assert structure_of(m) == oracle_structure
+
+
+GENERATOR_MODELS = ([f"gl {p}" for n in range(1, 7) for p in partitions_of(n)]
+                    + [f"sp {p}" for n in (2, 4, 6) for p in partitions_of(n, ClassicalType.SP)])
+
+
+@pytest.mark.parametrize("name", GENERATOR_MODELS)
+def test_lie_generators_generate_greedily_in_coordinate_order(name):
+    """The xi_g generate g_e (rank of their closure = dim), and coordinate a
+    is kept exactly when xi_a is not in what the earlier generators generate."""
+    m = model_and_oracle_structure(name)[0]
+    gens = m.lie_generators
+    assert all(type(g) is int for g in gens) and list(gens) == sorted(set(gens))
+    assert len(generated_subalgebra(m, gens)) == m.dim
+    below: list = []
+    for a in range(m.dim):
+        unit = [Fraction(int(c == a)) for c in range(m.dim)]
+        assert (a in gens) == (rank(below + [unit]) > len(below)), (name, a)
+        if a in gens:
+            below = generated_subalgebra(m, gens[:gens.index(a) + 1])
+
+
+@pytest.mark.parametrize("n, count", [(6, 11), (7, 13), (8, 15)])
+def test_lie_generators_of_gl_n(n, count):
+    """At 1^n the generators are the xi[1, j] and the xi[i, 1]: 2n - 1 of
+    the n^2 coordinates, increasing."""
+    m = build_gl_model(Partition.parse(",".join(["1"] * n)))
+    assert len(m.lie_generators) == count and m.dim == n * n
+    assert m.lie_generators == tuple(range(n + 1)) + tuple(range(2 * n, n * n, n))
 
 
 def test_subalgebra_rejects_dependent_rows():

@@ -16,9 +16,11 @@ from dense_oracle import (
     add,
     apply,
     dense,
+    generated_subalgebra,
     identity,
     is_zero,
     matmul,
+    rank,
     scale,
     structure_of,
     transpose,
@@ -243,6 +245,77 @@ def test_centrality_detects_noninvariant():
     res = verify_centrality(bad, m, seed=3)
     assert not res.passed
     assert res.failing is not None
+
+
+def _full_scan_failure(sr, m):
+    """The first nonzero {x_a, initial_ell} over every coordinate a, ell
+    outer: the witness of the scan without generators."""
+    for ell, F in enumerate(sr.initial, start=1):
+        for a in range(m.dim):
+            br = coordinate_bracket_with(m, a, F)
+            if not br.is_zero():
+                return m.labels[a], ell, str(br)
+    return None
+
+
+def _centrality_model(name):
+    kind, parts = name.split()
+    if kind == "gl":
+        m = build_gl_model(Partition.parse(parts))
+        return m, principal_minor_sums(m)
+    sp = build_sp_model(Partition.parse(parts))
+    return sp.fixed, symplectic_minor_sums(sp)
+
+
+def _perturbed(sr, m):
+    """sr with one initial term plus one monomial, x_b or x_b x_c, for every
+    term and coordinate b."""
+    for i, F in enumerate(sr.initial):
+        for b in range(m.dim):
+            for c in (None, m.dim - 1 - b):
+                key = (1 << (_WIDTH * b)) + (0 if c is None else 1 << (_WIDTH * c))
+                broken = list(sr.initial)
+                broken[i] = F + SparsePoly(F.variables, {key: 1})
+                yield dataclasses.replace(sr, initial=broken)
+
+
+def _check_against_full_scan(sr, m) -> int:
+    """verify_centrality against the full scan on every perturbation; the
+    number of failures that sit at a coordinate outside m.lie_generators."""
+    off_generators = 0
+    for bad in _perturbed(sr, m):
+        res = verify_centrality(bad, m, seed=3)
+        expected = _full_scan_failure(bad, m)
+        assert (res.passed, res.failing) == (expected is None, expected)
+        if expected is not None:
+            off_generators += m.labels.index(expected[0]) not in m.lie_generators
+    return off_generators
+
+
+@pytest.mark.parametrize("name", ["gl 2,1", "gl 1,1,1", "gl 3,2,1", "gl 2,2,1,1",
+                                  "sp 2,1,1", "sp 3,3", "sp 2,2,1,1"])
+def test_centrality_witness_is_the_full_scan_failure(name):
+    """Under the greedy coordinate order the first failing coordinate is a
+    generator: the earlier coordinates stabilise F, so does the subalgebra
+    they generate, and it holds every coordinate that is not kept."""
+    m, sr = _centrality_model(name)
+    assert _check_against_full_scan(sr, m) == 0
+
+
+@pytest.mark.parametrize("name", ["gl 1,1,1", "gl 2,2,1", "sp 3,3", "sp 2,2,1,1"])
+def test_centrality_rescans_for_a_generating_set_in_another_order(name):
+    """Generators chosen greedily from the last coordinate down: a failure
+    can sit at a coordinate outside them, and the rescan still reports the
+    full scan's first failure."""
+    m, sr = _centrality_model(name)
+    gens: list[int] = []
+    for a in reversed(range(m.dim)):
+        span = generated_subalgebra(m, gens)
+        if rank(span + [[Fraction(int(c == a)) for c in range(m.dim)]]) > len(span):
+            gens.append(a)
+    m.lie_generators = tuple(gens)
+    assert len(generated_subalgebra(m, gens)) == m.dim
+    assert _check_against_full_scan(sr, m) > 0
 
 
 @pytest.mark.parametrize("parts", ["2,1", "2,2", "3,2,1", "5"])
