@@ -8,7 +8,11 @@ a ``Functional``: integer numerators over one positive denominator.
 ``bracket_form_matrix`` is the one builder of B(gamma): the model's
 structure rows (integer numerators over one denominator S) and the
 numerators of gamma give the integer rows S * den * B(gamma) of a
-``RatMatrix`` over den * S.  Ranks and the line probe read those rows.
+``RatMatrix`` over den * S, marked skew.  Ranks and the line probe read
+those rows.  Every rank of a bracket form, here and at the rational roots
+of the line probe, is the Pfaffian elimination ``linalg.pfaffian_rank``,
+exact by the Pfaffian form of Sylvester's identity; Jacobian ranks,
+compressions and their determinants stay on ``bareiss``.
 The Jacobian rows read the same numerators
 (``invariants.jacobian_rows(sr, which, nums, den)``, which picks the
 term expansion or the slice-matrix route per call).
@@ -32,7 +36,7 @@ from fractions import Fraction
 from math import comb, gcd, isqrt
 
 from .centralizer import CentralizerModel, SymplecticModel, XiIndex
-from .linalg import RatMatrix, bareiss, clear_denominators
+from .linalg import RatMatrix, bareiss, clear_denominators, pfaffian_rank
 from .invariants import SliceRestriction, jacobian_rows
 
 
@@ -125,7 +129,10 @@ def bracket_form_matrix(model, gamma: Functional) -> RatMatrix:
 
     The one builder of the form: the structure rows ``model.rows`` over
     ``model.S`` and the numerators of gamma give the integer rows
-    S * den * B(gamma), over the denominator den * S.
+    S * den * B(gamma), over the denominator den * S.  The matrix is
+    marked ``skew``, so its rank is the fraction-free Pfaffian
+    elimination ``linalg.pfaffian_rank``, not ``bareiss``: its entries
+    are Pfaffians of principal submatrices, and each division is exact.
     """
     nums = gamma.nums
     table = model.rows
@@ -139,7 +146,9 @@ def bracket_form_matrix(model, gamma: Functional) -> RatMatrix:
             if v:
                 rows[a][b] = v
                 rows[b][a] = -v
-    return RatMatrix(rows, gamma.den * model.S)
+    form = RatMatrix(rows, gamma.den * model.S)
+    form.skew = True
+    return form
 
 
 def stabilizer_dim(gamma: Functional, model) -> int:
@@ -811,7 +820,7 @@ def _resolve_residual(gcd_poly: list[int], b_at, rho: int, used: int) -> LinePro
         return LineProbe(False, degree, used,
                          "residual has unresolved (irrational) root candidates")
     for t in roots:
-        if bareiss(b_at(t.numerator, t.denominator))[0] >= rho:
+        if pfaffian_rank(b_at(t.numerator, t.denominator)) >= rho:
             return LineProbe(False, degree, used,
                              f"spurious shared factor at t={t}; add compressions")
     return LineProbe(True, len(roots), used,

@@ -1,5 +1,6 @@
 """Exact linear algebra: agreement with a naive elimination oracle."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,26 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dense_oracle import apply, det, identity, inverse, kernel, matmul, rank, rref, zeros
 
-from centinv.linalg import RatMatrix, bareiss, clear_denominators, sparse_inverse, sparse_rref
+from centinv.centralizer import build_gl_model, build_sp_model
+from centinv.linalg import (
+    RatMatrix,
+    bareiss,
+    clear_denominators,
+    pfaffian_rank,
+    sparse_inverse,
+    sparse_rref,
+)
+from centinv.partitions import ClassicalType, partitions_of
+from centinv.regularity import (
+    Functional,
+    bracket_form_matrix,
+    build_alpha,
+    build_beta,
+    build_beta_prime_sum,
+    default_alpha_coefficients,
+    random_functional,
+    restrict_alpha_to_fixed,
+)
 
 
 def naive_fraction_free_rank(rows):
@@ -204,3 +224,84 @@ def test_det_by_permutation_expansion(n, data):
         expected += term
     assert m.det() == expected
     assert bareiss([row[:] for row in rows])[1] == expected
+
+
+big_entries = st.integers(-2**40, 2**40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12), st.integers(0, 6), st.data())
+def test_pfaffian_rank_matches_dense_oracle(n, k, data):
+    """Skew forms sum_k (x y^T - y x^T) with entries up to 2^40 in x and y,
+    zero rows and columns at random indices, then a random symmetric
+    permutation: the rank is the dense oracle's, and the rows stay as given."""
+    a = [[0] * n for _ in range(n)]
+    for _ in range(k):
+        x = data.draw(st.lists(big_entries, min_size=n, max_size=n), label="x")
+        y = data.draw(st.lists(big_entries, min_size=n, max_size=n), label="y")
+        for i in range(n):
+            for j in range(n):
+                a[i][j] += x[i] * y[j] - y[i] * x[j]
+    zero = data.draw(st.sets(st.integers(0, n - 1)) if n else st.just(set()), label="zero")
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    a = [[0 if perm[i] in zero or perm[j] in zero else a[perm[i]][perm[j]]
+          for j in range(n)] for i in range(n)]
+    given_rows = [row[:] for row in a]
+    r = pfaffian_rank(a)
+    assert a == given_rows
+    assert r == rank(a) <= 2 * k
+    assert r % 2 == 0
+
+
+def bracket_form_points(model, alpha, beta, rng):
+    """ALPHA, BETA (when there are two blocks), ZERO, and random integer and
+    rational points, some with zero coordinates."""
+    points = [alpha, Functional((0,) * model.dim, "ZERO")]
+    if beta is not None:
+        points.append(beta)
+    for _ in range(3):
+        points.append(random_functional(model, rng))
+        nums = tuple(rng.randint(-10, 10) if rng.random() < 0.7 else 0 for _ in range(model.dim))
+        points.append(Functional(nums, "RANDOM", rng.randint(2, 12)))
+    return points
+
+
+def bracket_form_cases():
+    rng = random.Random(19)
+    for n in range(1, 7):
+        for p in partitions_of(n):
+            m = build_gl_model(p)
+            beta = build_beta(m) if p.k >= 2 else None
+            yield m, bracket_form_points(m, build_alpha(m, default_alpha_coefficients(m)),
+                                         beta, rng)
+    for n in range(1, 4):
+        for p in partitions_of(2 * n, ClassicalType.SP):
+            sp = build_sp_model(p)
+            beta = build_beta_prime_sum(sp).restricted if p.k >= 2 else None
+            yield sp.fixed, bracket_form_points(sp.fixed, restrict_alpha_to_fixed(sp), beta, rng)
+
+
+def test_bracket_form_rank_is_the_bareiss_rank():
+    """Every bracket form of gl n <= 6 and sp 2n <= 6 is ranked by the
+    Pfaffian kernel, which gives the Bareiss rank and leaves .rows as built."""
+    forms = 0
+    for model, points in bracket_form_cases():
+        for gamma in points:
+            form = bracket_form_matrix(model, gamma)
+            assert form.skew
+            row_lists = list(form.rows)
+            given_rows = [row[:] for row in form.rows]
+            assert form.rank() == bareiss([row[:] for row in form.rows])[0], gamma.provenance
+            assert form.rows == given_rows
+            assert all(a is b for a, b in zip(form.rows, row_lists))
+            forms += 1
+    assert forms == 378  # 43 models, 8 points each and BETA on the 34 with two blocks
+
+
+def test_only_a_form_marked_skew_takes_the_pfaffian_kernel():
+    """The upper triangle of [[0, 1], [0, 0]] is that of a rank-2 skew form;
+    unmarked, the matrix is ranked by Bareiss."""
+    m = RatMatrix([[0, 1], [0, 0]])
+    assert not m.skew
+    assert m.rank() == 1
+    assert pfaffian_rank(m.rows) == 2
