@@ -4,8 +4,8 @@ From a partition we realise the nilpotent e in Jordan form together
 with an sl2 triple (e, h, f), enumerate the standard basis xi[i,j,s] of
 the centraliser g_e (the map sending w_i to e^s.w_j and the other block
 generators to zero), build the trace-dual basis of g_f, and read the
-structure constants off matrix commutators once, into integer rows over
-one denominator (``StructureTable``); on gl they are integers.  A
+structure constants off matrix commutators once, into an integer table
+(``StructureTable``); a constant that is not an integer is refused.  A
 symplectic variant equips the space with an invariant skew form and cuts
 the centraliser down to its sigma-fixed part.
 
@@ -14,8 +14,9 @@ The trace pairing of the xi basis with g_f is read from the entries'
 positions and solved by one sparse elimination (``linalg.sparse_rref``);
 on gl its Gram matrix is a scaled permutation, so this costs one step per
 basis element.  The skew form J is a signed permutation, so
-sigma(x) = J x^T J relabels entries with signs, and a bracket in the
-sigma-fixed part is re-expanded from its pivot coordinates alone.
+sigma(x) = J x^T J relabels entries with signs.  The sigma-fixed basis is
+in reduced echelon form, so a bracket there is read off at the pivot
+positions alone, the same way as on gl.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
 from .linalg import _subtract, sparse_inverse, sparse_rref
 from .partitions import (
@@ -149,28 +150,41 @@ def _sparse_commutator(a: dict, b: dict) -> dict:
 
 
 class StructureTable:
-    """Bracket data of a Lie algebra with basis xi_1..xi_r.
+    """Bracket data of a Lie algebra with basis xi_1..xi_r, the sparse
+    ``matrices``; xi_c has entry 1 at the position ``read_at[c]`` and 0 at
+    every other ``read_at`` position, so an element's coordinate c is its
+    entry there (``coords_of``).
 
-    ``rows[a][b] = ((c, S * [xi_a, xi_b]_c), ...)`` for every ordered pair,
-    with c increasing: integer numerators over the one denominator
-    ``S > 0``, the least common denominator of the constants, so
-    gcd(S, numerators) = 1.  The rows are antisymmetric, and rows[a][a] and
-    zero brackets are empty.  Every bracket computation reads them.
+    ``rows[a][b] = ((c, [xi_a, xi_b]_c), ...)`` for every ordered pair,
+    with c increasing and every constant an integer.  The rows are
+    antisymmetric, and rows[a][a] and zero brackets are empty.  Every
+    bracket computation reads them.
     """
 
     rows: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
-    S: int
 
-    def _fill_rows(self, brackets) -> None:
-        """Set ``rows`` and ``S`` from the pairs ((a, b), {c: value}), a < b,
-        values int or Fraction; empty brackets may be left out."""
-        brackets = [(a, b, sorted(w.items())) for (a, b), w in brackets if w]
-        self.S = S = lcm(*(v.denominator for _, _, w in brackets for _, v in w))
-        r = self.dim
+    def coords_of(self, mat: dict) -> dict:
+        """Nonzero coefficients {c: x} of an element of the algebra in this
+        basis, read from the entries at ``read_at``."""
+        at = self._coord_at
+        return {at[key]: v for key, v in mat.items() if key in at}
+
+    def _fill_rows(self) -> None:
+        """Set ``rows`` from the commutators of ``matrices``; ArithmeticError
+        when a structure constant is not an integer."""
+        self._coord_at = {rc: c for c, rc in enumerate(self.read_at)}
+        mats, r = self.matrices, self.dim
         rows = [[()] * r for _ in range(r)]
-        for a, b, w in brackets:
-            row = rows[a][b] = tuple([(c, v.numerator * (S // v.denominator)) for c, v in w])
-            rows[b][a] = tuple([(c, -x) for c, x in row])
+        for a in range(r):
+            for b in range(a + 1, r):
+                w = self.coords_of(_sparse_commutator(mats[a], mats[b]))
+                if not w:
+                    continue
+                if any(v.denominator != 1 for v in w.values()):
+                    raise ArithmeticError(f"[{self.labels[a]}, {self.labels[b]}] "
+                                          "has a structure constant that is not an integer")
+                row = rows[a][b] = tuple([(c, w[c].numerator) for c in sorted(w)])
+                rows[b][a] = tuple([(c, -x) for c, x in row])
         self.rows = tuple(map(tuple, rows))
 
     @cached_property
@@ -182,7 +196,7 @@ class StructureTable:
         so far.  That span is closed incrementally on integer vectors: each
         new vector is reduced once against echelon rows keyed by their
         least column, and bracketed once with each earlier vector through
-        ``rows`` (the common factor S drops out of a span).
+        ``rows``.
         """
         rows, dim = self.rows, self.dim
         echelon: dict[int, dict] = {}
@@ -265,13 +279,8 @@ class CentralizerModel(StructureTable):
         self.var_names = tuple(f"x{a + 1}" for a in range(len(self.xi)))
         # the coefficient on xi[i,j,s] is the entry sending w_i to e^s.w_j
         self.read_at = [(real.pos[(idx.j, idx.s)], real.pos[(idx.i, 0)]) for idx in self.xi]
-        self._coord_at = {rc: a for a, rc in enumerate(self.read_at)}
-
         self.gf_dual = trace_dual(self.matrices, [real.gf_matrix(idx) for idx in self.xi])
-
-        mats = self.matrices
-        self._fill_rows(((a, b), self.coords_of(_sparse_commutator(mats[a], mats[b])))
-                        for a in range(len(mats)) for b in range(a + 1, len(mats)))
+        self._fill_rows()
 
     # -- basics ----------------------------------------------------------
 
@@ -283,12 +292,6 @@ class CentralizerModel(StructureTable):
     def rank(self) -> int:
         """Index of g_e: n for gl_n."""
         return self.partition.n
-
-    def coords_of(self, mat: dict) -> dict:
-        """Nonzero coefficients {a: c} of a centraliser element in the xi
-        basis, read from the entries at ``read_at``."""
-        at = self._coord_at
-        return {at[key]: v for key, v in mat.items() if key in at}
 
     def matrix_from_coords(self, coords: dict) -> dict:
         """The matrix of the element with xi coordinates ``{a: c}``."""
@@ -305,39 +308,29 @@ class SubalgebraModel(StructureTable):
     Exposes the same bracket interface as CentralizerModel so stabiliser
     and index computations run unchanged on the symplectic centraliser.
     The basis is given by sparse ambient coordinate rows ``{column: value}``
-    without zeros.  A bracket is re-expanded in this basis from its
-    ambient coordinates at the pivot columns of ``coord_rows`` only.
+    without zeros, in reduced echelon form: row t is 1 at its pivot
+    column, its least one, and 0 at every other pivot column.  So a
+    bracket is read off at the ambient positions of the pivots, and each
+    row must be ad(h) homogeneous; ValueError otherwise.
     """
 
     def __init__(self, ambient: CentralizerModel, coord_rows: list[dict], rank: int):
+        if sparse_rref(coord_rows) != coord_rows:
+            raise ValueError("subalgebra coordinate rows are not in reduced echelon form")
         self.coords = coord_rows
         self.dim = len(coord_rows)
         self.rank = rank
         self.labels = [f"u[{t + 1}]" for t in range(self.dim)]
         self.var_names = tuple(f"u{t + 1}" for t in range(self.dim))
         self.matrices = [ambient.matrix_from_coords(row) for row in coord_rows]
-        # row-reduced rows stay ad(h) homogeneous: coordinates of distinct
-        # weights have disjoint support, so eliminations never mix them
-        weights = [{ambient.h_weights[c] for c in row} for row in coord_rows]
-        self.h_weights = ([w.pop() for w in weights] if all(len(w) == 1 for w in weights)
-                          else None)
+        self.read_at = [ambient.read_at[min(row)] for row in coord_rows]
+        # holds for the sigma-fixed part: sigma fixes h, so it commutes with ad h
+        self.h_weights = [ambient.h_weights[min(row)] for row in coord_rows]
+        if any(ambient.h_weights[c] != w for row, w in zip(coord_rows, self.h_weights)
+               for c in row):
+            raise ValueError("a subalgebra coordinate row is not ad(h) homogeneous")
         self.rho_weights = None
-
-        # pivot columns make re-expansion in this basis a square solve:
-        # w = (C^-1)^T v for C[t][k] = coord_rows[t][pivots[k]]
-        pivots = [min(row) for row in sparse_rref(coord_rows)]
-        if len(pivots) != self.dim:
-            raise ValueError("subalgebra coordinate rows are dependent")
-        solve = sparse_inverse([{k: row[c] for k, c in enumerate(pivots) if c in row}
-                                for row in coord_rows])
-        read = [ambient.read_at[c] for c in pivots]
-
-        def bracket(a: int, b: int) -> dict:
-            com = _sparse_commutator(self.matrices[a], self.matrices[b])
-            return _combination((com[key], solve[k]) for k, key in enumerate(read) if key in com)
-
-        self._fill_rows(((a, b), bracket(a, b))
-                        for a in range(self.dim) for b in range(a + 1, self.dim))
+        self._fill_rows()
 
     def restrict_dual(self, ambient_coords) -> list[Fraction]:
         """Restrict a functional on the ambient algebra to this subalgebra."""

@@ -10,14 +10,15 @@ homogeneous parts are the distinguished elements of S(g_e) whose
 structural properties the rest of the toolkit certifies: Poisson
 centrality, monomial support, the signed-permutation expansion, and
 agreement with the top coefficient of the expansion of an invariant
-along the opposite nilpotent.
+along the opposite nilpotent.  The brackets they need read the model's
+integer structure table ``rows``.
 
-The gradient rows of the initial terms at a point come from
-``jacobian_rows`` by one of two routes, picked per call from a cost
-estimate of the input: ``evaluate_jacobian`` expands the terms, and
-``slice_matrix_rows`` reads them off the n x n slice matrix, which the
-``SliceRestriction`` keeps, by Faddeev-LeVerrier at l - d_l + 1
-interpolation nodes.  Both give integer rows that are positive multiples
+The gradient rows of all initial terms at a point nums / den come from
+``jacobian_rows(sr, nums, den=1)`` by one of two routes, picked per call
+from a cost estimate of the input: ``evaluate_jacobian`` expands the
+terms, and ``slice_matrix_rows`` reads them off the n x n slice matrix,
+which the ``SliceRestriction`` keeps, by Faddeev-LeVerrier at
+l - d_l + 1 interpolation nodes.  Both give integer rows that are positive multiples
 of the gradient rows, so every rank is the same on either route.
 """
 
@@ -225,11 +226,7 @@ def symplectic_minor_sums(sp: SymplecticModel, budget: int = 8) -> SliceRestrict
     even = [polys[2 * i - 1] for i in range(1, p.n // 2 + 1)]
     initial = [q.lowest_degree_component() for q in even]
     degrees = [q.total_degree() for q in initial]
-    weights = fixed.h_weights
-    kazh = [
-        weights is not None and _kazhdan_check(q, weights, 2 * i)
-        for i, q in enumerate(even, start=1)
-    ]
+    kazh = [_kazhdan_check(q, fixed.h_weights, 2 * i) for i, q in enumerate(even, start=1)]
     return SliceRestriction(var_names=fixed.var_names, full=even, initial=initial,
                             degrees=degrees, kazhdan_homogeneous=kazh,
                             e=sp.gl.realization.e, gf_dual=sp.gf_dual, n=p.n,
@@ -242,8 +239,8 @@ def symplectic_minor_sums(sp: SymplecticModel, budget: int = 8) -> SliceRestrict
 def poisson_bracket(P: SparsePoly, Q: SparsePoly, model) -> SparsePoly:
     """Linear Poisson bracket of S(g_e): {x_a, x_b} = [xi_a, xi_b] coordinates.
 
-    The polynomial reference: it reads the structure rows ``model.rows``
-    over ``model.S`` through polynomial arithmetic and shares no code with
+    The polynomial reference: it reads the integer structure rows
+    ``model.rows`` through polynomial arithmetic and shares no code with
     ``coordinate_bracket_with``.
     """
     names = model.var_names
@@ -256,7 +253,7 @@ def poisson_bracket(P: SparsePoly, Q: SparsePoly, model) -> SparsePoly:
         for b in range(a + 1, len(row)):
             if row[b]:
                 cross = dP[a] * dQ[b] - dP[b] * dQ[a]
-                bracket = SparsePoly(names, {1 << (_WIDTH * c): v for c, v in row[b]}, model.S)
+                bracket = SparsePoly(names, {1 << (_WIDTH * c): v for c, v in row[b]})
                 out = out + cross * bracket
     return out
 
@@ -264,11 +261,11 @@ def poisson_bracket(P: SparsePoly, Q: SparsePoly, model) -> SparsePoly:
 def coordinate_bracket_with(model, a: int, Q: SparsePoly) -> SparsePoly:
     """{x_a, Q} = sum_b dQ/dx_b * [xi_a, xi_b] in one pass over Q's terms.
 
-    Runs on the structure rows ``model.rows`` (over ``model.S``) and Q's
-    numerators (over ``Q.den``), so the integer sum is the numerator of
-    {x_a, Q} over S * Q.den.
+    Runs on the integer structure rows ``model.rows`` and Q's numerators
+    (over ``Q.den``), so the integer sum is the numerator of {x_a, Q} over
+    Q.den.
     """
-    row, S = model.rows[a], model.S
+    row = model.rows[a]
     acc: dict[int, int] = {}
     for key, (factors, coeff, _) in zip(Q.terms, Q.factored_terms()):
         for b, e in factors:
@@ -276,18 +273,18 @@ def coordinate_bracket_with(model, a: int, Q: SparsePoly) -> SparsePoly:
             for c, v in row[b]:
                 k = base + (1 << (_WIDTH * c))
                 acc[k] = acc.get(k, 0) + w * v
-    return SparsePoly(model.var_names, acc, S * Q.den)
+    return SparsePoly(model.var_names, acc, Q.den)
 
 
 def coadjoint_exp(model, a: int, gamma: list[int]) -> tuple[list[int], int]:
     """(nums, den) of exp(-ad xi_a)^T gamma, ad xi_a nilpotent, gamma integer.
 
     (ad xi_a)^T gamma is the functional b -> gamma([xi_a, xi_b]), so on
-    the structure rows the finite series is sum_k (-1)^k v_k / (k! S^k)
+    the integer structure rows the finite series is sum_k (-1)^k v_k / k!
     with v_0 = gamma and v_{k+1}[b] = sum_c rows[a][b]_c * v_k[c]; it is
-    summed over the common denominator k! S^k as it goes, unreduced.
+    summed over the common denominator k! as it goes, unreduced.
     """
-    row, S = model.rows[a], model.S
+    row = model.rows[a]
     num, den, v, k = list(gamma), 1, gamma, 0
     while True:
         v = [sum(coeff * v[c] for c, coeff in entries) for entries in row]
@@ -295,8 +292,8 @@ def coadjoint_exp(model, a: int, gamma: list[int]) -> tuple[list[int], int]:
             return num, den
         k += 1
         sign = -1 if k % 2 else 1
-        num = [k * S * x + sign * y for x, y in zip(num, v)]
-        den *= k * S
+        num = [k * x + sign * y for x, y in zip(num, v)]
+        den *= k
 
 
 @dataclass
@@ -340,20 +337,18 @@ def verify_centrality(sr: SliceRestriction, model, seed: int = 0) -> CentralityR
         return CentralityResult(False, failing, 0, [])
 
     rng = random.Random(seed)
-    weights = model.h_weights
     group_failures: list = []
     checked = 0
-    if weights is not None:
-        positive = [a for a, w in enumerate(weights) if w > 0]
-        r = len(model.var_names)
-        for a in positive[:3]:
-            for _ in range(5):
-                gamma = [rng.randint(-10, 10) for _ in range(r)]
-                moved, L = coadjoint_exp(model, a, gamma)
-                checked += 1
-                for ell, F in enumerate(sr.initial, start=1):
-                    if _value_changes(F, gamma, moved, L):
-                        group_failures.append((model.labels[a], ell))
+    positive = [a for a, w in enumerate(model.h_weights) if w > 0]
+    r = len(model.var_names)
+    for a in positive[:3]:
+        for _ in range(5):
+            gamma = [rng.randint(-10, 10) for _ in range(r)]
+            moved, L = coadjoint_exp(model, a, gamma)
+            checked += 1
+            for ell, F in enumerate(sr.initial, start=1):
+                if _value_changes(F, gamma, moved, L):
+                    group_failures.append((model.labels[a], ell))
     return CentralityResult(not group_failures, None, checked, group_failures)
 
 
@@ -637,23 +632,23 @@ def _faddeev_leverrier(Z: list[list[int]], top: int) -> list[list[list[int]]]:
     return chain
 
 
-def _node_count(sr: SliceRestriction, which) -> int:
-    """m = max (l - d_l + 1) over the requested minor sizes l and degrees d_l."""
-    return max(sr.minor_sizes[t] - sr.degrees[t] + 1 for t in which)
+def _node_count(sr: SliceRestriction) -> int:
+    """m = max (l - d_l + 1) over the minor sizes l and degrees d_l."""
+    return max(ell - d + 1 for ell, d in zip(sr.minor_sizes, sr.degrees))
 
 
-def _slice_matrix_cheaper(sr: SliceRestriction, which) -> bool:
+def _slice_matrix_cheaper(sr: SliceRestriction) -> bool:
     """The route rule: m n^4 against the terms times the degree of the
-    requested initial terms, both read off the input."""
-    if any(sr.degrees[t] < 1 for t in which):
+    initial terms, both read off the input."""
+    if any(d < 1 for d in sr.degrees):
         return False
-    work = sum(len(sr.initial[t].terms) * sr.degrees[t] for t in which)
-    return _node_count(sr, which) * sr.n ** 4 < work
+    work = sum(len(F.terms) * d for F, d in zip(sr.initial, sr.degrees))
+    return _node_count(sr) * sr.n ** 4 < work
 
 
-def slice_matrix_rows(sr: SliceRestriction, which, nums, den: int = 1) -> list[list[int]]:
-    """The gradients of the initial terms ``which`` at nums / den, read off
-    the n x n slice matrix; positive row multiples, as ``evaluate_jacobian``.
+def slice_matrix_rows(sr: SliceRestriction, nums, den: int = 1) -> list[list[int]]:
+    """The gradients of the initial terms at nums / den, read off the
+    n x n slice matrix; positive row multiples, as ``evaluate_jacobian``.
 
     With c_k the degree-k part of F_l = e_l(e + X), X = sum_b x_b f_b, and
     P_{l-1}(Y) = sum_j (-1)^j e_{l-1-j}(Y) Y^j, the identity
@@ -674,21 +669,19 @@ def slice_matrix_rows(sr: SliceRestriction, which, nums, den: int = 1) -> list[l
     if len(nums) != len(duals):
         raise ValueError(f"slice in {len(duals)} coordinates at a point with {len(nums)}")
     n, c = sr.n, den * L
-    sizes = [sr.minor_sizes[t] for t in which]
-    lows = [sr.degrees[t] for t in which]
-    m = _node_count(sr, which)
+    m = _node_count(sr)
     N = [[0] * n for _ in range(n)]
     for x, mat in zip(nums, duals):
         if x:
             for (i, j), v in mat.items():
                 N[i][j] += x * v
-    rows = [[0] * len(duals) for _ in which]
+    rows = [[0] * len(duals) for _ in sr.degrees]
     for s, w in zip(range(1, m + 1), _lagrange_at_zero(m)):
         Z = [[s * v for v in row] for row in N]
         for (i, j), v in sr.e.items():
             Z[i][j] += c * v
-        chain = _faddeev_leverrier(Z, max(sizes))
-        for row, ell, d in zip(rows, sizes, lows):
+        chain = _faddeev_leverrier(Z, max(sr.minor_sizes))
+        for row, ell, d in zip(rows, sr.minor_sizes, sr.degrees):
             M, scale, sign = chain[ell - 1], s ** (d - 1), (-1) ** (ell - 1) * w
             for a, mat in enumerate(duals):
                 trace = sum(M[j][i] * v for (i, j), v in mat.items())
@@ -696,15 +689,14 @@ def slice_matrix_rows(sr: SliceRestriction, which, nums, den: int = 1) -> list[l
     return rows
 
 
-def jacobian_rows(sr: SliceRestriction, which, nums, den: int = 1) -> list[list[int]]:
-    """Rows for the initial terms ``sr.initial[t]``, t in ``which``, at the
-    point nums / den, each a positive multiple of the gradient row, from
-    ``slice_matrix_rows`` where ``_slice_matrix_cheaper`` says so and from
-    the term expansion ``evaluate_jacobian`` elsewhere."""
-    which = list(which)
-    if which and _slice_matrix_cheaper(sr, which):
-        return slice_matrix_rows(sr, which, nums, den)
-    return evaluate_jacobian([sr.initial[t] for t in which], nums, den)
+def jacobian_rows(sr: SliceRestriction, nums, den: int = 1) -> list[list[int]]:
+    """Rows for the initial terms at the point nums / den, each a positive
+    multiple of the gradient row, from ``slice_matrix_rows`` where
+    ``_slice_matrix_cheaper`` says so and from the term expansion
+    ``evaluate_jacobian`` elsewhere."""
+    if _slice_matrix_cheaper(sr):
+        return slice_matrix_rows(sr, nums, den)
+    return evaluate_jacobian(sr.initial, nums, den)
 
 
 def initial_algebra_rank(sr: SliceRestriction, model, seed: int = 0) -> int:
@@ -714,5 +706,5 @@ def initial_algebra_rank(sr: SliceRestriction, model, seed: int = 0) -> int:
     best = 0
     for _ in range(3):
         nums = [rng.randint(-10, 10) for _ in model.var_names]
-        best = max(best, bareiss(jacobian_rows(sr, range(sr.count), nums))[0])
+        best = max(best, bareiss(jacobian_rows(sr, nums))[0])
     return best

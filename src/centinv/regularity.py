@@ -6,16 +6,17 @@ corank at the best sampled point, and the singular locus is probed by
 polynomial gcds of maximal minors along random lines.  A point gamma is
 a ``Functional``: integer numerators over one positive denominator.
 ``bracket_form_matrix`` is the one builder of B(gamma): the model's
-structure rows (integer numerators over one denominator S) and the
-numerators of gamma give the integer rows S * den * B(gamma) of a
-``RatMatrix`` over den * S, marked skew.  Ranks and the line probe read
-those rows.  Every rank of a bracket form, here and at the rational roots
-of the line probe, is the Pfaffian elimination ``linalg.pfaffian_rank``,
-exact by the Pfaffian form of Sylvester's identity; Jacobian ranks,
-compressions and their determinants stay on ``bareiss``.
+integer structure rows and the numerators of gamma give the integer rows
+den * B(gamma) of a ``RatMatrix`` over den, marked skew.  Ranks and the
+line probe read those rows.  Every rank of a bracket form, here and at
+the rational roots of the line probe, is the Pfaffian elimination
+``linalg.pfaffian_rank``, exact by the Pfaffian form of Sylvester's
+identity; Jacobian ranks, compressions and their determinants stay on
+``bareiss``.
 The Jacobian rows read the same numerators
-(``invariants.jacobian_rows(sr, which, nums, den)``, which picks the
-term expansion or the slice-matrix route per call).
+(``invariants.jacobian_rows(sr, nums, den=1)``, which picks the term
+expansion or the slice-matrix route per call), one row for each of the
+rank-many initial terms.
 
 The line probe certifies modulo the prime p = 2^30 - 35, one 30-bit
 CPython digit.  Each compression D_j(t) = det(U B(t) V) is a
@@ -127,12 +128,12 @@ def random_functional(model, rng: random.Random) -> Functional:
 def bracket_form_matrix(model, gamma: Functional) -> RatMatrix:
     """B(gamma)_{ab} = gamma([xi_a, xi_b]); skew-symmetric.
 
-    The one builder of the form: the structure rows ``model.rows`` over
-    ``model.S`` and the numerators of gamma give the integer rows
-    S * den * B(gamma), over the denominator den * S.  The matrix is
-    marked ``skew``, so its rank is the fraction-free Pfaffian
-    elimination ``linalg.pfaffian_rank``, not ``bareiss``: its entries
-    are Pfaffians of principal submatrices, and each division is exact.
+    Every B(gamma) is made here: the integer structure rows ``model.rows``
+    and the numerators of gamma give the integer rows den * B(gamma), over
+    the denominator den.  The matrix is marked ``skew``, so its rank is
+    the fraction-free Pfaffian elimination ``linalg.pfaffian_rank``, not
+    ``bareiss``: its entries are Pfaffians of principal submatrices, and
+    each division is exact.
     """
     nums = gamma.nums
     table = model.rows
@@ -146,7 +147,7 @@ def bracket_form_matrix(model, gamma: Functional) -> RatMatrix:
             if v:
                 rows[a][b] = v
                 rows[b][a] = -v
-    form = RatMatrix(rows, gamma.den * model.S)
+    form = RatMatrix(rows, gamma.den)
     form.skew = True
     return form
 
@@ -349,29 +350,23 @@ class DifferentialCriterionResult:
         return self.rank_full == self.stabilizer_minimal
 
 
-def choose_generators(sr: SliceRestriction, model, at: Functional) -> list[int]:
-    """Greedy subfamily whose gradients reach full rank at the given point."""
-    all_rows = jacobian_rows(sr, range(sr.count), at.nums, at.den)
-    chosen: list[int] = []
-    rank = 0
-    for ell in range(sr.count):
-        new_rank = bareiss([all_rows[i][:] for i in chosen + [ell]])[0]
-        if new_rank > rank:
-            chosen.append(ell)
-            rank = new_rank
-        if rank == model.rank:
-            break
-    return chosen if rank == model.rank else list(range(sr.count))
+def choose_generators(sr: SliceRestriction, model) -> list[int]:
+    """The initial terms the differential criterion reads: all of them.
+
+    The slice gives exactly ind g_e = ``model.rank`` of them, the family of
+    the criterion; any other count is a ValueError.
+    """
+    if sr.count != model.rank:
+        raise ValueError(f"{sr.count} initial terms for an index of {model.rank}")
+    return list(range(sr.count))
 
 
-def differential_criterion(sr: SliceRestriction, model, gamma: Functional,
-                           generators: list[int] | None = None) -> DifferentialCriterionResult:
+def differential_criterion(sr: SliceRestriction, model,
+                           gamma: Functional) -> DifferentialCriterionResult:
     """Full gradient rank at gamma must happen exactly at minimal stabiliser."""
     if 2 * sum(sr.degrees) != model.dim + model.rank:
         raise ValueError("degree sum does not certify a good system")
-    gens = generators if generators is not None else list(range(sr.count))
-    rows = jacobian_rows(sr, gens, gamma.nums, gamma.den)
-    jac_rank = bareiss(rows)[0]
+    jac_rank = bareiss(jacobian_rows(sr, gamma.nums, gamma.den))[0]
     stab = stabilizer_dim(gamma, model)
     return DifferentialCriterionResult(
         jacobian_rank=jac_rank,
@@ -729,11 +724,11 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0) -> LineProbeRepo
     certifies that no parameter value is singular.
 
     Everything runs over Z.  B0 and B1 are the integer rows of
-    ``bracket_form_matrix`` at g0 and g1, positive multiples of B(g0) and
-    B(g1) at the same scale S; at a rational t = num/d the integer matrix
-    d B0 + num B1 is a positive multiple of a point of the line, so it
-    has that point's rank.  (``random_functional`` draws integer points,
-    den 1, so the parameter is t itself.)
+    ``bracket_form_matrix`` at g0 and g1, which are B(g0) and B(g1)
+    themselves: the structure rows are integers, and ``random_functional``
+    draws integer points, den 1, so the parameter is t itself.  At a
+    rational t = num/d the integer matrix d B0 + num B1 is a positive
+    multiple of a point of the line, so it has that point's rank.
 
     The gcd is taken modulo the prime p = 2^30 - 35; CPython stores ints
     in 30-bit digits, so every residue is one digit.  Each D_j mod p is

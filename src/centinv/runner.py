@@ -168,7 +168,7 @@ class PartitionContext:
 
     @cached_property
     def generators(self) -> list[int]:
-        return choose_generators(self.slice, self.model, self.alpha)
+        return choose_generators(self.slice, self.model)
 
 
 def _cert(ctx: PartitionContext, claim: str, ok: bool, witnesses: dict) -> Certificate:
@@ -338,7 +338,7 @@ def cmd_diffcrit(ctx: PartitionContext) -> Certificate:
     points += [random_functional(model, rng) for _ in range(ctx.cfg.diffcrit_points)]
     failures = []
     for gamma in points:
-        res = differential_criterion(ctx.slice, model, gamma, generators=gens)
+        res = differential_criterion(ctx.slice, model, gamma)
         if not res.passed:
             failures.append({
                 "point": gamma.provenance,

@@ -182,9 +182,8 @@ def trace_dual(left, right):
 def structure_of(model) -> dict:
     """A model's structure constants in this module's format,
     {(a, b): ((c, [xi_a, xi_b]_c), ...)} for a < b with nonzero bracket,
-    read from its integer structure rows over their denominator S."""
-    S = model.S
-    return {(a, b): tuple((c, Fraction(x, S)) for c, x in row[b])
+    read from its integer structure rows."""
+    return {(a, b): tuple((c, Fraction(x)) for c, x in row[b])
             for a, row in enumerate(model.rows) for b in range(a + 1, len(row)) if row[b]}
 
 
@@ -366,7 +365,7 @@ def model_json(model) -> dict:
         "h_weights": model.h_weights,
         "rho_weights": model.rho_weights,
         "structure": [
-            [a, b, c, str(Fraction(x, model.S))]
+            [a, b, c, str(x)]
             for a, row in enumerate(model.rows)
             for b in range(a + 1, len(row))
             for c, x in row[b]

@@ -3,7 +3,6 @@
 import json
 import random
 from fractions import Fraction
-from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -24,7 +23,6 @@ from dense_oracle import (
     sparse_rows,
     structure_of,
     sub,
-    subalgebra_structure,
     trace_product,
     transpose,
 )
@@ -38,6 +36,7 @@ from centinv.centralizer import (
     check_symplectic_form,
     enumerate_xi,
 )
+from centinv.linalg import sparse_rref
 from centinv.partitions import (
     ClassicalType,
     InvalidPartitionError,
@@ -162,7 +161,7 @@ def test_closed_form_bracket_matches_matrix_commutators(n):
 
 def table_bracket(m, a: int, b: int) -> dict[int, Fraction]:
     """[xi_a, xi_b] as read from the structure rows the computations use."""
-    return {c: Fraction(v, m.S) for c, v in m.rows[a][b]}
+    return {c: Fraction(v) for c, v in m.rows[a][b]}
 
 
 def _bracket(m, vec_a: dict, b: int) -> dict:
@@ -299,31 +298,17 @@ def test_sparse_sp_build_matches_dense_oracle(n):
         assert [dense(m, n) for m in sp.fixed.matrices] == oracle.fixed_matrices, p
 
 
-def test_scaled_subalgebra_matches_dense_oracle():
-    scaled, oracle_structure = model_and_oracle_structure("sp 2,1,1 / 5")
-    assert scaled.S > 1
-    assert structure_of(scaled) == oracle_structure
-
-
 TABLE_MODELS = ([f"gl {p}" for n in range(1, 6) for p in partitions_of(n)]
-                + [f"sp {p}" for n in (2, 4, 6) for p in partitions_of(n, ClassicalType.SP)]
-                + ["sp 2,1,1 / 5"])
+                + [f"sp {p}" for n in (2, 4, 6) for p in partitions_of(n, ClassicalType.SP)])
 
 
 def model_and_oracle_structure(name: str):
-    """The model of a table test and its dense oracle's structure constants;
-    "sp 2,1,1 / 5" is the fixed part on its basis scaled by 1/5 (S > 1)."""
+    """The model of a table test and its dense oracle's structure constants."""
     kind, parts = name.split(" ", 1)
-    p = Partition.parse(parts.split(" /")[0])
+    p = Partition.parse(parts)
     if kind == "gl":
         return build_gl_model(p), DenseGlModel(p).structure
-    sp, oracle = build_sp_model(p), DenseSpModel(p)
-    if parts.endswith(" / 5"):
-        scaled = SubalgebraModel(sp.gl, [{c: Fraction(x, 5) for c, x in row.items()}
-                                         for row in sp.sigma_fixed_basis], rank=2)
-        rows = [[Fraction(x, 5) for x in row] for row in oracle.sigma_fixed_basis]
-        return scaled, subalgebra_structure(oracle.gl, rows)[1]
-    return sp.fixed, oracle.fixed_structure
+    return build_sp_model(p).fixed, DenseSpModel(p).fixed_structure
 
 
 @pytest.mark.parametrize("name", TABLE_MODELS)
@@ -339,12 +324,7 @@ def test_structure_rows_are_one_antisymmetric_table_over_s(name):
             assert entries == tuple((c, -x) for c, x in m.rows[b][a])
             assert [c for c, _ in entries] == sorted({c for c, _ in entries})
             numerators += [x for _, x in entries]
-    assert all(type(x) is int and x for x in numerators) and type(m.S) is int and m.S > 0
-    assert gcd(m.S, *numerators) == 1
-    if name.startswith("gl"):
-        assert m.S == 1  # matrix units bracket to integer combinations
-    if name.endswith(" / 5"):
-        assert m.S > 1
+    assert all(type(x) is int and x for x in numerators)
     assert structure_of(m) == oracle_structure
 
 
@@ -382,6 +362,53 @@ def test_subalgebra_rejects_dependent_rows():
     rows = sp.sigma_fixed_basis
     with pytest.raises(ValueError):
         SubalgebraModel(sp.gl, rows + [{c: 2 * x for c, x in rows[0].items()}], rank=2)
+
+
+def test_subalgebra_refuses_a_basis_out_of_echelon_form():
+    # the fixed part of 2,1,1 on its basis scaled by 1/5: the same span,
+    # but its brackets can no longer be read off at the pivot positions
+    sp = build_sp_model(Partition.parse("2,1,1"))
+    scaled = [{c: Fraction(x, 5) for c, x in row.items()} for row in sp.sigma_fixed_basis]
+    with pytest.raises(ValueError, match="echelon"):
+        SubalgebraModel(sp.gl, scaled, rank=2)
+
+
+def test_subalgebra_refuses_a_row_of_two_ad_h_weights():
+    sp = build_sp_model(Partition.parse("2,1,1"))
+    rows = [dict(row) for row in sp.sigma_fixed_basis]
+    pivots = {min(row) for row in rows}
+    weights = sp.gl.h_weights
+    # a column right of a pivot, of another weight, that no row pivots on
+    t, c = next((t, c) for t, row in enumerate(rows) for c in range(min(row) + 1, sp.gl.dim)
+                if c not in pivots and weights[c] != weights[min(row)])
+    rows[t][c] = 1
+    assert sparse_rref(rows) == rows
+    with pytest.raises(ValueError, match="homogeneous"):
+        SubalgebraModel(sp.gl, rows, rank=2)
+
+
+def test_non_integer_structure_constants_are_refused(monkeypatch):
+    # halved matrices bracket to a quarter of a bracket, read as c / 4
+    xi_matrix = JordanRealization.xi_matrix
+    monkeypatch.setattr(JordanRealization, "xi_matrix", lambda real, idx: {
+        key: Fraction(v, 2) for key, v in xi_matrix(real, idx).items()})
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        build_gl_model(Partition.parse("2,1"))
+
+
+def test_every_sp_model_up_to_2n_10_builds():
+    """52 models, past the dense oracle (2n <= 8) and the benchmark
+    (2n <= 6): integer structure rows, a sigma-fixed basis in reduced
+    echelon form with entries +-1, and one ad(h) weight per basis row."""
+    parts = [p for n in (2, 4, 6, 8, 10) for p in partitions_of(n, ClassicalType.SP)]
+    assert len(parts) == 52
+    for p in parts:
+        sp = build_sp_model(p)
+        fixed = sp.fixed
+        assert all(type(x) is int for row in fixed.rows for entries in row for _, x in entries)
+        assert sparse_rref(sp.sigma_fixed_basis) == sp.sigma_fixed_basis, p
+        assert {abs(x) for row in sp.sigma_fixed_basis for x in row.values()} == {1}, p
+        assert type(fixed.h_weights) is list and len(fixed.h_weights) == fixed.dim
 
 
 def test_flipped_form_sign_raises():

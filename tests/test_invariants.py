@@ -36,7 +36,7 @@ from poly_oracle import (
     variable,
 )
 
-from centinv.centralizer import SubalgebraModel, XiIndex, build_gl_model, build_sp_model
+from centinv.centralizer import XiIndex, build_gl_model, build_sp_model
 from centinv import invariants
 from centinv.invariants import (
     BudgetExceededError,
@@ -194,7 +194,7 @@ def test_poisson_bracket_on_coordinates_is_structure_constants():
             br = poisson_bracket(P, Q, m)
             expected = SparsePoly(names)
             for c, v in m.rows[a][b]:
-                expected = expected + variable(names, names[c]) * Fraction(v, m.S)
+                expected = expected + variable(names, names[c]) * Fraction(v)
             assert br == expected
 
 
@@ -609,18 +609,16 @@ def route_points(name: str, randoms: int) -> list[tuple[list[int], int]]:
 
 def assert_routes_agree(name: str, points) -> None:
     """Every slice-matrix row is a positive multiple of the expansion row,
-    with the same signs, for all initial terms and for two of them."""
+    with the same signs, for all initial terms."""
     sr, _ = route_case(name)
-    subsets = [list(range(sr.count))] + ([[sr.count - 1, 0]] if sr.count > 1 else [])
     for nums, den in points:
-        for which in subsets:
-            got = slice_matrix_rows(sr, which, nums, den)
-            want = evaluate_jacobian([sr.initial[t] for t in which], nums, den)
-            assert len(got) == len(want)
-            for row, oracle in zip(got, want):
-                assert all(type(x) is int for x in row)
-                assert [(x > 0) - (x < 0) for x in row] == [(o > 0) - (o < 0) for o in oracle]
-                assert_positive_multiple(row, oracle)
+        got = slice_matrix_rows(sr, nums, den)
+        want = evaluate_jacobian(sr.initial, nums, den)
+        assert len(got) == len(want) == sr.count
+        for row, oracle in zip(got, want):
+            assert all(type(x) is int for x in row)
+            assert [(x > 0) - (x < 0) for x in row] == [(o > 0) - (o < 0) for o in oracle]
+            assert_positive_multiple(row, oracle)
 
 
 @pytest.mark.parametrize("name", ROUTE_SLICES)
@@ -639,7 +637,7 @@ def test_route_rule_takes_the_slice_matrix_only_where_it_is_cheaper():
     # m n^4 against terms times degree: 625 < 1305 at 1^5, 1296 < 9786 at
     # 1^6 and 1296 < 2844 at sp 1^6; everywhere else up to n = 6 the expansion
     slices = {name: route_case(name)[0] for name in ROUTE_SLICES}
-    chosen = {name for name, sr in slices.items() if _slice_matrix_cheaper(sr, range(sr.count))}
+    chosen = {name for name, sr in slices.items() if _slice_matrix_cheaper(sr)}
     assert chosen == {"gl 1,1,1,1,1", "gl 1,1,1,1,1,1", "sp 1,1,1,1,1,1"}
     for name in ("gl 2,1,1,1,1", "gl 1,1,1,1", "gl 4", "gl 5", "gl 6", "sp 6"):
         assert name in ROUTE_SLICES and name not in chosen
@@ -648,23 +646,23 @@ def test_route_rule_takes_the_slice_matrix_only_where_it_is_cheaper():
 def test_jacobian_rows_dispatch(monkeypatch):
     # the expansion route returns evaluate_jacobian's rows as they are
     sr, alpha = route_case("gl 2,1,1,1,1")
-    assert (jacobian_rows(sr, [0, 5], alpha.nums, alpha.den)
-            == evaluate_jacobian([sr.initial[0], sr.initial[5]], alpha.nums, alpha.den))
+    assert (jacobian_rows(sr, alpha.nums, alpha.den)
+            == evaluate_jacobian(sr.initial, alpha.nums, alpha.den))
     # the slice-matrix route never expands
     sr, alpha = route_case("gl 1,1,1,1,1,1")
-    expected = slice_matrix_rows(sr, range(sr.count), alpha.nums, alpha.den)
+    expected = slice_matrix_rows(sr, alpha.nums, alpha.den)
 
     def refuse(*args):
         raise AssertionError("expanded on the slice-matrix route")
 
     monkeypatch.setattr(invariants, "evaluate_jacobian", refuse)
-    assert jacobian_rows(sr, range(sr.count), alpha.nums, alpha.den) == expected
+    assert jacobian_rows(sr, alpha.nums, alpha.den) == expected
 
 
 def test_slice_matrix_rows_reject_a_point_of_another_length():
     sr, _ = route_case("gl 2,1")
     with pytest.raises(ValueError):
-        slice_matrix_rows(sr, [0], [1, 2, 3])
+        slice_matrix_rows(sr, [1, 2, 3])
     with pytest.raises(ArithmeticError):
         _exact_div(7, 2)
 
@@ -695,13 +693,11 @@ def test_faddeev_leverrier_matches_sympy_charpoly(Z):
 
 @functools.cache
 def bracket_model(name: str):
-    """gl models, and the sp 2,1,1 fixed part with its basis scaled by 1/5
-    so that the structure constants are not integral (S > 1)."""
-    if name == "sp 2,1,1 / 5":
-        sp = build_sp_model(Partition.parse("2,1,1"))
-        return SubalgebraModel(sp.gl, [{c: Fraction(x, 5) for c, x in row.items()}
-                                       for row in sp.sigma_fixed_basis], rank=2)
-    return build_gl_model(Partition.parse(name.split()[1]))
+    """The gl model, or the sp fixed part, named like "gl 3,2,1" or "sp 2,1,1"."""
+    kind, parts = name.split()
+    if kind == "sp":
+        return build_sp_model(Partition.parse(parts)).fixed
+    return build_gl_model(Partition.parse(parts))
 
 
 def reference_coordinate_bracket(model, a: int, Q: SparsePoly) -> SparsePoly:
@@ -719,11 +715,10 @@ def reference_coordinate_bracket(model, a: int, Q: SparsePoly) -> SparsePoly:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(["gl 2,1", "gl 3,2,1", "sp 2,1,1 / 5"]), st.data())
+@given(st.sampled_from(["gl 2,1", "gl 3,2,1", "sp 2,1,1"]), st.data())
 def test_coordinate_bracket_matches_fraction_reference(name, data):
     model = bracket_model(name)
     names = model.var_names
-    assert name.startswith("gl") or model.S > 1
     a = data.draw(st.integers(0, model.dim - 1), label="a")
     terms = data.draw(st.lists(st.tuples(
         st.dictionaries(st.sampled_from(names), st.integers(1, 3), min_size=1, max_size=3),
@@ -758,12 +753,9 @@ def exp_minus_ad_transpose(model, a: int) -> list[list[Fraction]]:
         M = add(M, term)
 
 
-@pytest.mark.parametrize("name", ["gl 3,2,1", "sp 2,2,1,1", "sp 2,1,1 / 5"])
+@pytest.mark.parametrize("name", ["gl 3,2,1", "sp 2,2,1,1"])
 def test_coadjoint_series_matches_dense_exponential(name):
-    if name == "sp 2,2,1,1":
-        model = build_sp_model(Partition.parse("2,2,1,1")).fixed
-    else:
-        model = bracket_model(name)
+    model = bracket_model(name)
     positive = [a for a, w in enumerate(model.h_weights) if w > 0]
     assert positive
     rng = random.Random(13)
@@ -795,20 +787,19 @@ def test_integer_group_probe_matches_fraction_evaluation():
 
 @functools.cache
 def probe_invariant(name: str) -> SparsePoly:
-    """A top initial term, fixed by the model's coadjoint group.  The sp
-    2,1,1 one also serves that model with its basis scaled by 1/5: it is
-    homogeneous, so the scaling only multiplies it by a constant."""
-    if name.startswith("sp"):
-        return symplectic_minor_sums(build_sp_model(Partition.parse("2,1,1"))).initial[-1]
+    """A top initial term, fixed by the model's coadjoint group."""
+    kind, parts = name.split()
+    if kind == "sp":
+        return symplectic_minor_sums(build_sp_model(Partition.parse(parts))).initial[-1]
     return principal_minor_sums(bracket_model(name)).initial[-1]
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(["gl 3,2,1", "sp 2,1,1 / 5"]), st.data())
+@given(st.sampled_from(["gl 3,2,1", "sp 2,1,1"]), st.data())
 def test_cleared_group_probe_values(name, data):
     """den * L^M * F(v / L) on integers equals the Fraction value, for
     perturbed (non-central, possibly inhomogeneous) F at moved points; the
-    unperturbed invariant never changes value (on sp, L > 1 occurs)."""
+    unperturbed invariant never changes value (L = 2 occurs on both models)."""
     model = bracket_model(name)
     names = model.var_names
     invariant = probe_invariant(name)

@@ -10,8 +10,8 @@ import pytest
 from dense_oracle import kernel, rank, structure_of
 from hypothesis import assume, example, given, settings, strategies as st
 
-from centinv.centralizer import SubalgebraModel, XiIndex, build_gl_model, build_sp_model
-from centinv.invariants import principal_minor_sums
+from centinv.centralizer import XiIndex, build_gl_model, build_sp_model
+from centinv.invariants import principal_minor_sums, symplectic_minor_sums
 from centinv.partitions import ClassicalType, Partition, partitions_of
 from centinv.regularity import (
     Functional,
@@ -20,6 +20,7 @@ from centinv.regularity import (
     build_alpha,
     build_beta,
     build_beta_prime_sum,
+    choose_generators,
     default_alpha_coefficients,
     differential_criterion,
     index_report,
@@ -185,7 +186,7 @@ def test_alpha_stabilizer_check_fails_on_planted_brackets():
     a = [1, 2]
     t, u, v = (m.index[XiIndex(*x)] for x in ((1, 1, 0), (1, 2, 0), (2, 1, 1)))
     top = m.index[XiIndex(1, 1, 1)]  # alpha is 1 there
-    assert m.S == 1 and m.rows[u][v]
+    assert m.rows[u][v]
     # [xi[1,1,0], xi[1,2,0]] gains xi[1,1,1]: the diagonal column t is
     # nonzero while the rank stays 2, so the kernel has the right dimension
     leaves = with_brackets(m, {(t, u): {top: 1}})
@@ -421,6 +422,18 @@ def test_differential_criterion_cases():
         assert differential_criterion(sr, m, gamma).passed
 
 
+def test_choose_generators_takes_rank_many_initial_terms():
+    m = build_gl_model(Partition.parse("2,1"))
+    sr = principal_minor_sums(m)
+    assert choose_generators(sr, m) == list(range(m.rank))
+    sp = build_sp_model(Partition.parse("2,2,1,1"))
+    assert choose_generators(symplectic_minor_sums(sp), sp.fixed) == [0, 1, 2]
+    extra = copy.copy(sr)
+    extra.full = sr.full + sr.full[-1:]
+    with pytest.raises(ValueError):
+        choose_generators(extra, m)
+
+
 def test_differential_criterion_needs_good_degree_sum():
     import dataclasses
 
@@ -487,22 +500,6 @@ def test_line_probe_never_certifies_a_line_in_the_singular_locus(parts, scalars,
     for pr in rep.lines:
         assert (pr.certified, pr.singular_values, pr.detail) == (
             False, None, "no usable compression found")
-
-
-@pytest.mark.parametrize("s", [5, 100])
-def test_line_probe_ignores_the_basis_scale(s):
-    # a basis scaled by 1/s scales every bracket form by 1/s: the ranks
-    # and the singular parameters along each line stay the same
-    sp = build_sp_model(Partition.parse("2,1,1"))
-    scaled = SubalgebraModel(sp.gl, [{c: Fraction(x, s) for c, x in row.items()}
-                                     for row in sp.sigma_fixed_basis], rank=2)
-
-    def per_line(model):
-        rep = singular_locus_probe(model, lines=10, seed=0)
-        return [(pr.certified, pr.singular_values, pr.detail) for pr in rep.lines]
-
-    assert per_line(scaled) == per_line(sp.fixed)
-    assert singular_locus_probe(scaled, lines=10, seed=0).all_clean
 
 
 # -- the integer univariate helpers of the line probe ---------------------------
@@ -876,7 +873,7 @@ def check_integer_form(model, gammas):
     for gamma in gammas:
         exact = exact_form(model, gamma)
         B = bracket_form_matrix(model, gamma)
-        assert B.den == gamma.den * model.S
+        assert B.den == gamma.den
         assert [[Fraction(x, B.den) for x in row] for row in B.rows] == exact
         assert model.dim - stabilizer_dim(gamma, model) == rank(exact)
 
@@ -887,15 +884,6 @@ def test_integer_form_rank_on_symplectic_fixed_parts(parts):
     rng = random.Random(3)
     gammas = rational_functionals(sp.fixed, rng) + [restrict_alpha_to_fixed(sp)]
     check_integer_form(sp.fixed, gammas)
-
-
-@pytest.mark.parametrize("s", [5, 100])
-def test_integer_form_rank_on_a_scaled_basis(s):
-    sp = build_sp_model(Partition.parse("2,1,1"))
-    scaled = SubalgebraModel(sp.gl, [{c: Fraction(x, s) for c, x in row.items()}
-                                     for row in sp.sigma_fixed_basis], rank=2)
-    assert scaled.S > 1  # the constants are not integral
-    check_integer_form(scaled, rational_functionals(scaled, random.Random(s)))
 
 
 @pytest.mark.parametrize("parts", ["2,1", "3,2", "2,2,1"])
