@@ -6,7 +6,8 @@ programme over columns, run on integers.  The slice entries are cleared
 once by D, the lcm of their denominators, and e_l(M) = e_l(DM) / D^l is
 handed to ``SparsePoly`` as integer numerators over D^l, the format every
 integer kernel here reads back without clearing.  Their lowest-degree
-homogeneous parts are the distinguished elements of S(g_e) whose
+homogeneous parts (a homogeneous sum is its own, and degrees and Kazhdan
+weights are read off the packed keys in C) are the distinguished elements of S(g_e) whose
 structural properties the rest of the toolkit certifies: Poisson
 centrality, monomial support, the signed-permutation expansion, and
 agreement with the top coefficient of the expansion of an invariant
@@ -107,8 +108,8 @@ def principal_minor_sum_polys(entries: list[list[dict]],
     is e_l(DM) over the denominator D^l.
     """
     n = len(entries)
-    t_index = len(variables)
-    t_key = 1 << (_WIDTH * t_index)
+    shift = _WIDTH * len(variables)
+    t_key = 1 << shift
     # every product is of n entries of degree <= top (t counts as 1), so
     # the packed degrees stay below _MAX_EXP as _key_degree needs
     top = max((_key_degree(k) for row in entries for ent in row for k in ent), default=0)
@@ -117,13 +118,14 @@ def principal_minor_sum_polys(entries: list[list[dict]],
     D = lcm(*(c.denominator for row in entries for ent in row for c in ent.values()))
     cleared = [[{k: c.numerator * (D // c.denominator) for k, c in ent.items()}
                 for ent in row] for row in entries]
-    char_terms = char_poly_terms(cleared, t_key)
-    shift = _WIDTH * t_index
-    # e_l(DM) is (-1)^l times the coefficient of t^(n - l)
+    # e_l(DM) is (-1)^l times the coefficient of t^(n - l); t is the top
+    # lane, and k - t^power allocates a smaller int than k & (t_key - 1)
+    sign = [(-1) ** (n - power) for power in range(n + 1)]
+    tpow = [power << shift for power in range(n + 1)]
     buckets: list[dict] = [dict() for _ in range(n + 1)]
-    for k, c in char_terms.items():
-        power = (k >> shift) & _MASK
-        buckets[power][k - (power << shift)] = -c if (n - power) % 2 else c
+    for k, c in char_poly_terms(cleared, t_key).items():
+        power = k >> shift
+        buckets[power][k - tpow[power]] = sign[power] * c
     return [SparsePoly(variables, buckets[n - ell], D ** ell) for ell in range(1, n + 1)]
 
 
@@ -173,21 +175,24 @@ def _slice_entries(e: dict, duals: list[dict], n: int) -> list[list[dict]]:
     return entries
 
 
-def _kazhdan_check(poly: SparsePoly, weights, expected: int) -> bool:
+def _kazhdan_check(poly: SparsePoly, initial: SparsePoly, weights, expected: int) -> bool:
     """Every monomial satisfies sum_a m_a (wt_a + 2) = 2 * expected.
 
-    Read straight from the packed keys: with masks[c] the lanes of the
-    coordinates of weight c - 2, ``_key_degree(key & masks[c])`` is their
-    degree, so each monomial costs one mask per distinct weight.
+    With masks[c] the lanes of weight c - 2, ``_key_degree(key & masks[c])``
+    is their degree.  With one class the sum is c * degree, read off the
+    cached degrees of ``poly`` and its ``initial`` term; otherwise the sums
+    are formed in C.
     """
     masks: dict[int, int] = {}
     for a, w in enumerate(weights):
         masks[w + 2] = masks.get(w + 2, 0) | (_MASK << (_WIDTH * a))
     target = 2 * expected
-    for key in poly.terms:
-        if sum(c * _key_degree(key & mask) for c, mask in masks.items()) != target:
-            return False
-    return True
+    d = poly.total_degree()
+    if len(masks) == 1:
+        return d == initial.total_degree() and (d < 0 or next(iter(masks)) * d == target)
+    sums = [map(c.__mul__, map(_MASK.__rmod__, map(mask.__and__, poly.terms)))
+            for c, mask in masks.items()]
+    return set(map(sum, zip(*sums))) <= {target}
 
 
 def principal_minor_sums(model: CentralizerModel, budget: int = 8) -> SliceRestriction:
@@ -199,10 +204,8 @@ def principal_minor_sums(model: CentralizerModel, budget: int = 8) -> SliceRestr
     polys = principal_minor_sum_polys(entries, model.var_names)
     initial = [q.lowest_degree_component() for q in polys]
     degrees = [q.total_degree() for q in initial]
-    kazh = [
-        _kazhdan_check(q, model.h_weights, ell)
-        for ell, q in enumerate(polys, start=1)
-    ]
+    kazh = [_kazhdan_check(q, q0, model.h_weights, ell)
+            for ell, (q, q0) in enumerate(zip(polys, initial), start=1)]
     return SliceRestriction(var_names=model.var_names, full=polys, initial=initial,
                             degrees=degrees, kazhdan_homogeneous=kazh,
                             e=model.realization.e, gf_dual=model.gf_dual, n=p.n,
@@ -226,7 +229,8 @@ def symplectic_minor_sums(sp: SymplecticModel, budget: int = 8) -> SliceRestrict
     even = [polys[2 * i - 1] for i in range(1, p.n // 2 + 1)]
     initial = [q.lowest_degree_component() for q in even]
     degrees = [q.total_degree() for q in initial]
-    kazh = [_kazhdan_check(q, fixed.h_weights, 2 * i) for i, q in enumerate(even, start=1)]
+    kazh = [_kazhdan_check(q, q0, fixed.h_weights, 2 * i)
+            for i, (q, q0) in enumerate(zip(even, initial), start=1)]
     return SliceRestriction(var_names=fixed.var_names, full=even, initial=initial,
                             degrees=degrees, kazhdan_homogeneous=kazh,
                             e=sp.gl.realization.e, gf_dual=sp.gf_dual, n=p.n,
@@ -420,19 +424,30 @@ def monomial_support_check(sr: SliceRestriction, model: CentralizerModel) -> Mon
 # -- signed permutation expansion -------------------------------------------
 
 
+def _permutation_sign(perm: tuple[int, ...]) -> int:
+    """sgn of a permutation of range(m): (-1)^(m - number of cycles)."""
+    seen, parity = set(), len(perm)
+    for i in perm:
+        if i not in seen:
+            parity -= 1
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return -1 if parity & 1 else 1
+
+
 def signed_permutation_sum(model: CentralizerModel, ell: int, m: int) -> SparsePoly:
     """Sum of sgn(sigma) * prod xi_i^{sigma(i), s_i} over supports of size m.
 
     Runs over subsets I of blocks with |I| = m, permutations sigma of I,
     and shift vectors with total ell - m, all factors admissible; the
-    sign is the parity of the inversions of sigma.
+    sign is (-1)^(m - number of cycles of sigma).
     """
     p = model.partition
     blocks = range(1, p.k + 1)
     shift_range = {(i, j): xi_shift_range(p, i, j) for i in blocks for j in blocks}
     lane = {(x.i, x.j, x.s): 1 << (_WIDTH * a) for a, x in enumerate(model.xi)}
-    signed = [(perm, (-1) ** sum(a > b for a, b in combinations(perm, 2)))
-              for perm in permutations(range(m))]
+    signed = [(perm, _permutation_sign(perm)) for perm in permutations(range(m))]
     acc: dict[int, int] = {}
     for I in combinations(blocks, m):
         for perm, sign in signed:

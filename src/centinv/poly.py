@@ -9,18 +9,23 @@ coefficient is ``coefficient(key)``.  Monomials are packed into a single
 integer, 16 bits of exponent per variable, so that monomial
 multiplication is integer addition.  Total degrees stay below
 ``_MAX_EXP``, which makes the degree of a key its residue modulo
-2^16 - 1.  The zero polynomial has an empty term map and ``den`` 1.
+2^16 - 1, read for all terms by one C-level ``map``.  The zero
+polynomial has an empty term map and ``den`` 1.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 _WIDTH = 16
 _MASK = (1 << _WIDTH) - 1
 _MAX_EXP = 1 << (_WIDTH - 1)
+# a big-endian key's bytes give its lanes top lane first
+_BIG_ENDIAN = sys.byteorder == "big"
 
 _INDEX_CACHE: dict[tuple[str, ...], dict[str, int]] = {}
 
@@ -45,7 +50,8 @@ def _key_degree(key: int) -> int:
     Since 2^16 = 1 mod 2^16 - 1, that sum is ``key % _MASK``; it is exact
     while the total degree stays below ``_MAX_EXP`` (< 2^16 - 1), the bound
     that ``__mul__`` and the slice expansion of
-    ``invariants.principal_minor_sum_polys`` check.
+    ``invariants.principal_minor_sum_polys`` check; over many keys it is
+    ``map(_MASK.__rmod__, keys)``.
     """
     return key % _MASK
 
@@ -78,12 +84,15 @@ class SparsePoly:
 
     def __init__(self, variables: Sequence[str], terms: Mapping[int, int] | None = None,
                  den: int = 1):
-        """Drops zero numerators and divides out gcd(den, numerators); a
-        denominator below 1 is a ValueError, a non-integer numerator or
-        denominator a TypeError."""
+        """Owns a copy of ``terms``, drops zero numerators and divides out
+        gcd(den, numerators); a denominator below 1 is a ValueError, a
+        non-integer numerator or denominator a TypeError."""
         if den <= 0:
             raise ValueError(f"denominator {den} is not positive")
-        terms = {k: c for k, c in terms.items() if c} if terms else {}
+        if terms:
+            terms = {k: c for k, c in terms.items() if c} if 0 in terms.values() else dict(terms)
+        else:
+            terms = {}
         g = gcd(den, *terms.values())
         if g != 1:
             terms = {k: c // g for k, c in terms.items()}
@@ -106,7 +115,7 @@ class SparsePoly:
     def total_degree(self) -> int:
         """Max monomial degree; the zero polynomial reports -1."""
         if self._deg is None:
-            d = max((_key_degree(k) for k in self.terms), default=-1)
+            d = max(map(_MASK.__rmod__, self.terms), default=-1)
             object.__setattr__(self, "_deg", d)
         return self._deg
 
@@ -119,20 +128,17 @@ class SparsePoly:
 
     def factored_terms(self) -> list[tuple[tuple[tuple[int, int], ...], int, int]]:
         """Terms as (decoded (variable index, exponent) factors, numerator,
-        degree), in ``terms`` order; cached."""
+        degree), in ``terms`` order; cached.  A key's bytes are cast to
+        its 16-bit lanes, and ``compress`` keeps the nonzero ones."""
         if self._factors is None:
+            size, lanes = 2 * len(self.variables), range(len(self.variables))
             out = []
             for key, coeff in self.terms.items():
-                factors = []
-                kk = key
-                i = 0
-                while kk:
-                    e = kk & _MASK
-                    if e:
-                        factors.append((i, e))
-                    kk >>= _WIDTH
-                    i += 1
-                out.append((tuple(factors), coeff, _key_degree(key)))
+                exps = memoryview(key.to_bytes(size, sys.byteorder)).cast("H")
+                if _BIG_ENDIAN:
+                    exps = exps[::-1]
+                out.append((tuple(zip(compress(lanes, exps), compress(exps, exps))),
+                            coeff, key % _MASK))
             object.__setattr__(self, "_factors", out)
         return self._factors
 
@@ -211,17 +217,19 @@ class SparsePoly:
                           {k: c for k, c in self.terms.items() if not k & kill}, self.den)
 
     def lowest_degree_component(self) -> "SparsePoly":
-        """Initial term: homogeneous part of minimal degree; 0 stays 0."""
+        """Initial term: homogeneous part of minimal degree; 0 stays 0.  A
+        homogeneous polynomial is its own.  Caches both total degrees."""
         if not self.terms:
             return self
-        low, terms = _MASK, {}  # above every k % _MASK
-        for k, c in self.terms.items():
-            d = _key_degree(k)
-            if d < low:
-                low, terms = d, {k: c}
-            elif d == low:
-                terms[k] = c
-        return SparsePoly(self.variables, terms, self.den)
+        degrees = set(map(_MASK.__rmod__, self.terms))
+        low = min(degrees)
+        object.__setattr__(self, "_deg", max(degrees))
+        if low == self._deg:
+            return self
+        part = SparsePoly(self.variables, dict(compress(
+            self.terms.items(), map(low.__eq__, map(_MASK.__rmod__, self.terms)))), self.den)
+        object.__setattr__(part, "_deg", low)
+        return part
 
     def evaluate(self, point: Mapping[str, object]) -> Fraction:
         """Evaluate at a full point; missing variables are reported by name."""

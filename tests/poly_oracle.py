@@ -11,7 +11,7 @@ constructor, so the canonical form is the package's own.
 from fractions import Fraction
 from math import lcm
 
-from centinv.poly import _MAX_EXP, _WIDTH, SparsePoly, VariableMismatchError, _index_map, _key_degree
+from centinv.poly import _MASK, _MAX_EXP, _WIDTH, SparsePoly, VariableMismatchError, _index_map, _key_degree
 
 
 def from_fractions(variables, terms) -> SparsePoly:
@@ -79,3 +79,50 @@ def power(P: SparsePoly, n: int) -> SparsePoly:
 def homogeneous_component(P: SparsePoly, degree: int) -> SparsePoly:
     return SparsePoly(P.variables,
                       {k: c for k, c in P.terms.items() if _key_degree(k) == degree}, P.den)
+
+
+def lowest_degree_component(P: SparsePoly) -> SparsePoly:
+    """The initial term of P by one pass over its terms, keeping the terms
+    of the least degree seen so far; 0 stays 0."""
+    if not P.terms:
+        return P
+    low, terms = _MAX_EXP, {}
+    for k, c in P.terms.items():
+        d = _key_degree(k)
+        if d < low:
+            low, terms = d, {k: c}
+        elif d == low:
+            terms[k] = c
+    return SparsePoly(P.variables, terms, P.den)
+
+
+def total_degree(P: SparsePoly) -> int:
+    """The largest term degree of P, -1 for 0, without the cached value."""
+    return max((_key_degree(k) for k in P.terms), default=-1)
+
+
+def kazhdan_check(P: SparsePoly, weights, expected: int) -> bool:
+    """Every monomial m of P satisfies sum_a m_a (weights[a] + 2) = 2 * expected,
+    term by term and lane by lane."""
+    for key in P.terms:
+        weighted = sum(((key >> (_WIDTH * a)) & _MASK) * (w + 2)
+                       for a, w in enumerate(weights))
+        if weighted != 2 * expected:
+            return False
+    return True
+
+
+def decode(P: SparsePoly) -> list:
+    """``factored_terms`` of P lane by lane with shifts: the nonzero
+    (variable index, exponent) pairs of each key, its numerator and degree."""
+    out = []
+    for key, coeff in P.terms.items():
+        factors = []
+        kk, i = key, 0
+        while kk:
+            if kk & _MASK:
+                factors.append((i, kk & _MASK))
+            kk >>= _WIDTH
+            i += 1
+        out.append((tuple(factors), coeff, _key_degree(key)))
+    return out

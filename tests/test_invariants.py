@@ -26,6 +26,7 @@ from dense_oracle import (
     transpose,
 )
 from hypothesis import assume, example, given, settings, strategies as st
+import poly_oracle
 from poly_oracle import (
     constant,
     from_exponents,
@@ -43,6 +44,8 @@ from centinv.invariants import (
     _cleared_value,
     _exact_div,
     _faddeev_leverrier,
+    _kazhdan_check,
+    _permutation_sign,
     _slice_matrix_cheaper,
     _value_changes,
     char_poly_terms,
@@ -449,6 +452,15 @@ def test_signed_sum_matches_the_recursive_reference():
                     assert list(got.terms.items()) == list(want.terms.items()), (p, ell, m)
 
 
+def test_permutation_sign_is_the_inversion_parity():
+    from itertools import combinations, permutations
+
+    for m in range(9):
+        for perm in permutations(range(m)):
+            inversions = sum(a > b for a, b in combinations(perm, 2))
+            assert _permutation_sign(perm) == (-1) ** inversions, perm
+
+
 @pytest.mark.parametrize("parts", ["2", "2,1", "2,2", "3,1", "2,1,1"])
 def test_top_coefficient_crosscheck(parts):
     m = build_gl_model(Partition.parse(parts))
@@ -509,6 +521,75 @@ def test_symplectic_slice_odd_sums_vanish_and_degrees():
         assert all(sr.kazhdan_homogeneous)
         res = verify_centrality(sr, sp.fixed, seed=5)
         assert res.passed
+
+
+# -- degrees, Kazhdan check and decode against the term-by-term oracles -------
+
+KAZHDAN_VARS = ("x1", "x2", "x3")
+
+
+@pytest.mark.parametrize("weights,terms,expected,verdict", [
+    # one weight class: c * degree = 2 * expected on a homogeneous polynomial
+    ([0, 0, 0], [({"x1": 1, "x2": 1}, 1), ({"x3": 2}, 1)], 2, True),
+    ([0, 0, 0], [({"x1": 1, "x2": 1}, 1), ({"x3": 2}, 1)], 3, False),
+    ([0, 0, 0], [({"x1": 1, "x2": 1}, 1), ({"x1": 1}, 1)], 2, False),
+    ([0, 0, 0], [({"x1": 1, "x2": 1}, 1), ({"x1": 1}, 1)], 1, False),
+    ([2, 2, 2], [({"x1": 2}, 1)], 4, True),
+    ([2, 2, 2], [({"x1": 2}, 1), ({"x2": 1}, 1)], 4, False),
+    # several classes: weighted, not total, degree decides
+    ([0, 2, 2], [({"x1": 2}, 1), ({"x2": 1}, 1)], 2, True),
+    ([0, 2, 2], [({"x1": 2}, 1), ({"x2": 1, "x3": 1}, 1)], 2, False),
+    ([0, 2, 2], [({"x1": 2}, 1), ({"x2": 1, "x3": 1}, 1)], 4, False),
+    ([0, 2, 2], [({"x1": 1, "x2": 1}, 1), ({"x2": 1, "x3": 1}, 1)], 3, False),
+    ([0, 2, 2], [({"x1": 1, "x2": 1}, 1), ({"x2": 1, "x3": 1}, 1)], 4, False),
+    ([0, 2, 4], [({"x1": 1, "x3": 1}, 1), ({"x2": 2}, 1), ({"x1": 4}, 1)], 4, True),
+    ([0, 0, 0], [], 3, True),
+    ([0, 2, 2], [], 3, True),
+])
+def test_kazhdan_check_on_planted_polynomials(weights, terms, expected, verdict):
+    P = from_exponents(KAZHDAN_VARS, terms)
+    assert poly_oracle.kazhdan_check(P, weights, expected) is verdict
+    for first in ("initial", "degree"):
+        Q = SparsePoly(P.variables, P.terms, P.den)
+        if first == "degree":
+            Q.total_degree()
+        assert _kazhdan_check(Q, Q.lowest_degree_component(), weights, expected) is verdict
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([0, 1, 2, 4]), min_size=3, max_size=3),
+       st.lists(st.tuples(st.lists(st.integers(0, 3), min_size=3, max_size=3),
+                          st.integers(-3, 3)), max_size=5),
+       st.integers(0, 8))
+def test_kazhdan_check_matches_the_oracle(weights, terms, expected):
+    P = from_exponents(KAZHDAN_VARS, [(dict(zip(KAZHDAN_VARS, e)), c) for e, c in terms])
+    assert (_kazhdan_check(P, P.lowest_degree_component(), weights, expected)
+            == poly_oracle.kazhdan_check(P, weights, expected))
+
+
+ORACLE_SLICES = ([f"gl {p}" for n in range(1, 8) for p in partitions_of(n)]
+                 + [f"sp {p}" for n in (2, 4, 6, 8) for p in partitions_of(n, ClassicalType.SP)])
+
+
+@pytest.mark.parametrize("name", ORACLE_SLICES)
+def test_slice_degrees_kazhdan_and_decode_match_the_oracles(name):
+    algebra, parts = name.split()
+    p = Partition.parse(parts)
+    if algebra == "sp":
+        model = build_sp_model(p)
+        sr, weights, sizes = symplectic_minor_sums(model), model.fixed.h_weights, range(2, p.n + 1, 2)
+    else:
+        model = build_gl_model(p)
+        sr, weights, sizes = principal_minor_sums(model), model.h_weights, range(1, p.n + 1)
+    for F, low, d, kazh, size in zip(sr.full, sr.initial, sr.degrees,
+                                     sr.kazhdan_homogeneous, sizes, strict=True):
+        want = poly_oracle.lowest_degree_component(F)
+        assert low == want
+        assert d == low.total_degree() == poly_oracle.total_degree(want)
+        assert F.total_degree() == poly_oracle.total_degree(F)
+        assert kazh is poly_oracle.kazhdan_check(F, weights, size)
+        assert F.factored_terms() == poly_oracle.decode(F)
+        assert low.factored_terms() == poly_oracle.decode(low)
 
 
 # -- the integer Jacobian rows --------------------------------------------------

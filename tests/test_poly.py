@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+import poly_oracle
 from poly_oracle import (
     constant,
     from_exponents,
@@ -285,3 +286,76 @@ def test_format_agrees_with_fraction_arithmetic(A, B, c, point, name, pw, killed
                      {k - (pw << shift): v for k, v in A.items() if (k >> shift) & _MASK == pw})
     # numerators and denominator scaled by one m > 0 are the same polynomial
     assert SparsePoly(VARS, {k: m * v for k, v in P.terms.items()}, m * P.den) == P
+
+
+# -- degrees and decode read in C, against the term-by-term oracles ---------
+
+
+def fresh(P):
+    """A copy of P with no cached degree or decode."""
+    return SparsePoly(P.variables, P.terms, P.den)
+
+
+def test_a_homogeneous_polynomial_is_its_own_initial_term():
+    P = x("x1") * x("x2") * 3 - power(x("x3"), 2)
+    assert P.lowest_degree_component() is P
+    assert P.total_degree() == 2
+    Q = P + x("x2")
+    low = Q.lowest_degree_component()
+    assert low is not Q and low == x("x2")
+    assert (low.total_degree(), Q.total_degree()) == (1, 2)
+
+
+def test_constructor_owns_a_copy_of_the_terms():
+    # gcd 1 and no zero numerator, then a zero and a gcd of 2 to divide out
+    for terms in ({1: 3, 1 << _WIDTH: 4}, {1: 2, 1 << _WIDTH: 0, 2: 6}):
+        given_terms = dict(terms)
+        P = SparsePoly(VARS, given_terms, 4)
+        assert P.terms is not given_terms
+        given_terms[3] = 1
+        assert 3 not in P.terms and 0 not in P.terms.values()
+        assert P == from_fractions(VARS, {k: Fraction(c, 4) for k, c in terms.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_degrees_and_initial_term_match_the_oracle(data):
+    P = random_poly(data, nterms=6)
+    if data.draw(st.booleans()):
+        P = homogeneous_component(P, data.draw(st.integers(0, 9)))
+    for first in ("initial", "degree"):
+        Q = fresh(P)
+        if first == "degree":
+            assert Q.total_degree() == poly_oracle.total_degree(P)
+        low = Q.lowest_degree_component()
+        assert low == poly_oracle.lowest_degree_component(P)
+        assert (low is Q) == (not P.terms or low.terms == P.terms)
+        assert low.total_degree() == poly_oracle.total_degree(low)
+        assert Q.total_degree() == poly_oracle.total_degree(P)
+
+
+# a planted key per case: exponents in lane 0 only, in the top lane only, and
+# above 255 (a byte, not a lane, would split them), with lanes left empty between
+DECODE_VARS = tuple(f"y{i}" for i in range(6))
+PLANTED_KEYS = {
+    3: ((0, 3),),
+    7 << (_WIDTH * 5): ((5, 7),),
+    300 | (256 << (_WIDTH * 2)) | (1 << (_WIDTH * 5)): ((0, 300), (2, 256), (5, 1)),
+    (_MAX_EXP - 1) << (_WIDTH * 4): ((4, _MAX_EXP - 1),),
+    0: (),
+}
+
+
+def test_decode_of_planted_keys():
+    P = SparsePoly(DECODE_VARS, dict.fromkeys(PLANTED_KEYS, 5))
+    got = P.factored_terms()
+    assert got == poly_oracle.decode(P)
+    assert got == [(factors, 5, sum(e for _, e in factors))
+                   for factors in PLANTED_KEYS.values()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_decode_matches_the_oracle(data):
+    P = random_poly(data, nterms=6, max_exp=600)
+    assert P.factored_terms() == poly_oracle.decode(P)
