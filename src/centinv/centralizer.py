@@ -332,9 +332,17 @@ class SubalgebraModel(StructureTable):
         self.rho_weights = None
         self._fill_rows()
 
-    def restrict_dual(self, ambient_coords) -> list[Fraction]:
-        """Restrict a functional on the ambient algebra to this subalgebra."""
-        return [sum(v * ambient_coords[c] for c, v in row.items()) for row in self.coords]
+    def restrict_dual(self, nums) -> tuple[int, ...]:
+        """Restrict a functional on the ambient algebra, the integer
+        coordinates ``nums``, to this subalgebra; ArithmeticError unless
+        every restricted coordinate is an integer."""
+        out = []
+        for row in self.coords:
+            value = sum(v * nums[c] for c, v in row.items())
+            if value.denominator != 1:
+                raise ArithmeticError(f"restricted coordinate {value} is not an integer")
+            out.append(int(value))
+        return tuple(out)
 
 
 def check_symplectic_form(J: dict, real: JordanRealization) -> None:

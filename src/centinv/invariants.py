@@ -14,8 +14,8 @@ agreement with the top coefficient of the expansion of an invariant
 along the opposite nilpotent.  The brackets they need read the model's
 integer structure table ``rows``.
 
-The gradient rows of all initial terms at a point nums / den come from
-``jacobian_rows(sr, nums, den=1)`` by one of two routes, picked per call
+The gradient rows of all initial terms at an integer point nums come from
+``jacobian_rows(sr, nums)`` by one of two routes, picked per call
 from a cost estimate of the input: ``evaluate_jacobian`` expands the
 terms, and ``slice_matrix_rows`` reads them off the n x n slice matrix,
 which the ``SliceRestriction`` keeps, by Faddeev-LeVerrier at
@@ -572,35 +572,31 @@ def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
 # -- algebraic independence --------------------------------------------------
 
 
-def evaluate_jacobian(polys, nums, den: int = 1) -> list[list[int]]:
+def evaluate_jacobian(polys, nums) -> list[list[int]]:
     """Integer rows, one pass per polynomial: each row is a positive
-    multiple of the gradient row at the point nums / den (positive row
+    multiple of the gradient row at the integer point nums (positive row
     multiple; rank only).
 
-    The point comes as integer numerators over one denominator D = den > 0,
-    the form of a ``regularity.Functional``, and each polynomial is read
-    as its numerators (``SparsePoly.factored_terms``).  A polynomial over
-    a different number of coordinates is a ValueError.  Scaling a term of
-    degree k by D^(M - k), M the top degree, turns the row into
-    P.den * D^(M - 1) times the gradient.  Each monomial is
-    evaluated once and feeds every partial it touches; variables with
-    value zero are handled exactly (a monomial with two zero factors
-    contributes to no partial, one zero factor of exponent one
-    contributes only to that partial).
+    The point comes as the integers of a ``regularity.Functional``, and
+    each polynomial is read as its numerators
+    (``SparsePoly.factored_terms``), so the row is P.den times the
+    gradient.  A polynomial over a different number of coordinates is a
+    ValueError.  Each monomial is evaluated once and feeds every partial
+    it touches; variables with value zero are handled exactly (a monomial
+    with two zero factors contributes to no partial, one zero factor of
+    exponent one contributes only to that partial).
     """
     rows = []
     for P in polys:
         if len(P.variables) != len(nums):
             raise ValueError(f"polynomial in {len(P.variables)} coordinates "
                              f"at a point with {len(nums)}")
-        top = P.total_degree()
-        scale = [den ** (top - k) for k in range(top + 1)]
         row = [0] * len(nums)
-        for factors, coeff, k in P.factored_terms():
+        for factors, coeff, _ in P.factored_terms():
             zeros = [(i, e) for (i, e) in factors if not nums[i]]
             if len(zeros) >= 2:
                 continue
-            prod = coeff * scale[k]
+            prod = coeff
             if len(zeros) == 1:
                 i0, e0 = zeros[0]
                 if e0 == 1:
@@ -661,9 +657,10 @@ def _slice_matrix_cheaper(sr: SliceRestriction) -> bool:
     return _node_count(sr) * sr.n ** 4 < work
 
 
-def slice_matrix_rows(sr: SliceRestriction, nums, den: int = 1) -> list[list[int]]:
-    """The gradients of the initial terms at nums / den, read off the
-    n x n slice matrix; positive row multiples, as ``evaluate_jacobian``.
+def slice_matrix_rows(sr: SliceRestriction, nums) -> list[list[int]]:
+    """The gradients of the initial terms at the integer point nums, read
+    off the n x n slice matrix; positive row multiples, as
+    ``evaluate_jacobian``.
 
     With c_k the degree-k part of F_l = e_l(e + X), X = sum_b x_b f_b, and
     P_{l-1}(Y) = sum_j (-1)^j e_{l-1-j}(Y) Y^j, the identity
@@ -673,17 +670,17 @@ def slice_matrix_rows(sr: SliceRestriction, nums, den: int = 1) -> list[list[int
     g(s) = tr(P_{l-1}(e + sX) f_a) / s^(d_l - 1) has degree <= l - d_l
     and g(0) = D_a c_{d_l}, the gradient of the initial term.  It is
     interpolated at s = 1..m, m = ``_node_count``.  On integers, with L the
-    lcm of the dual denominators and c = den * L, each node forms
-    Z = c e + s sum_a nums_a (L f_a) = c (e + sX), and Faddeev-LeVerrier
-    gives M_l = (-1)^(l-1) P_{l-1}(Z) = (-1)^(l-1) c^(l-1) P_{l-1}(e + sX)
+    lcm of the dual denominators, each node forms
+    Z = L e + s sum_a nums_a (L f_a) = L (e + sX), and Faddeev-LeVerrier
+    gives M_l = (-1)^(l-1) P_{l-1}(Z) = (-1)^(l-1) L^(l-1) P_{l-1}(e + sX)
     with exact divisions.  The trace tr(M_l L f_a) is an integer polynomial
     in s divisible by s^(d_l - 1), so row a is
-    sum_s w_s (-1)^(l-1) tr(M_l L f_a) / s^(d_l - 1) = c^(l-1) L D_a c_{d_l}.
+    sum_s w_s (-1)^(l-1) tr(M_l L f_a) / s^(d_l - 1) = L^l D_a c_{d_l}.
     """
     L, duals = sr.cleared_duals
     if len(nums) != len(duals):
         raise ValueError(f"slice in {len(duals)} coordinates at a point with {len(nums)}")
-    n, c = sr.n, den * L
+    n = sr.n
     m = _node_count(sr)
     N = [[0] * n for _ in range(n)]
     for x, mat in zip(nums, duals):
@@ -694,7 +691,7 @@ def slice_matrix_rows(sr: SliceRestriction, nums, den: int = 1) -> list[list[int
     for s, w in zip(range(1, m + 1), _lagrange_at_zero(m)):
         Z = [[s * v for v in row] for row in N]
         for (i, j), v in sr.e.items():
-            Z[i][j] += c * v
+            Z[i][j] += L * v
         chain = _faddeev_leverrier(Z, max(sr.minor_sizes))
         for row, ell, d in zip(rows, sr.minor_sizes, sr.degrees):
             M, scale, sign = chain[ell - 1], s ** (d - 1), (-1) ** (ell - 1) * w
@@ -704,14 +701,14 @@ def slice_matrix_rows(sr: SliceRestriction, nums, den: int = 1) -> list[list[int
     return rows
 
 
-def jacobian_rows(sr: SliceRestriction, nums, den: int = 1) -> list[list[int]]:
-    """Rows for the initial terms at the point nums / den, each a positive
+def jacobian_rows(sr: SliceRestriction, nums) -> list[list[int]]:
+    """Rows for the initial terms at the integer point nums, each a positive
     multiple of the gradient row, from ``slice_matrix_rows`` where
     ``_slice_matrix_cheaper`` says so and from the term expansion
     ``evaluate_jacobian`` elsewhere."""
     if _slice_matrix_cheaper(sr):
-        return slice_matrix_rows(sr, nums, den)
-    return evaluate_jacobian(sr.initial, nums, den)
+        return slice_matrix_rows(sr, nums)
+    return evaluate_jacobian(sr.initial, nums)
 
 
 def initial_algebra_rank(sr: SliceRestriction, model, seed: int = 0) -> int:

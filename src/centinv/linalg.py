@@ -1,10 +1,9 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the integers and the rationals.
 
-A dense matrix (``RatMatrix``) holds integer rows over one positive
-denominator.  Ranks and determinants come from two fraction-free
-elimination kernels on those integer rows.  ``bareiss`` (Sylvester's
-identity for minors) gives determinants and the rank of every matrix
-that is not marked skew.  ``pfaffian_rank`` gives the rank of a
+A dense matrix (``RatMatrix``) holds integer rows.  Ranks and
+determinants come from two fraction-free elimination kernels on them.
+``bareiss`` (Sylvester's identity for minors) gives determinants and the
+rank of every matrix that is not marked skew.  ``pfaffian_rank`` gives the rank of a
 skew-symmetric one, the bracket form B(gamma): it pivots on two rows at
 a time and reads one triangle, and its entries are Pfaffians of
 principal submatrices, with about half the bits of the Bareiss minors at
@@ -18,14 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
-
-
-def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The integers ``den * x`` and ``den``, the least common denominator."""
-    den = lcm(*(x.denominator for x in values))
-    return [int(x * den) for x in values], den
+from math import gcd
+from typing import Iterable, Mapping
 
 
 def bareiss(rows: list[list[int]]) -> tuple[int, int]:
@@ -158,13 +151,11 @@ def sparse_inverse(rows: list[Mapping[int, Fraction]]) -> list[dict[int, Fractio
 
 
 class RatMatrix:
-    """A rows x cols matrix of exact rationals: the integer ``rows`` over
-    one denominator ``den > 0``.
+    """A rows x cols matrix of the integer ``rows``.
 
-    ``den`` is a common denominator, not reduced to lowest terms, so the
-    rows keep the scale the caller built them at.  The constructor takes
-    ownership of the row lists and does not copy them.  A ``den <= 0`` is
-    a ValueError, a non-integer entry a TypeError (from the gcd).
+    The constructor takes ownership of the row lists and does not copy
+    them.  A non-integer entry is a TypeError (from the gcd), ragged rows
+    a ValueError.
 
     ``skew`` is False here; the builder of a skew-symmetric matrix
     (``regularity.bracket_form_matrix``) sets it, and ``rank`` then runs
@@ -172,14 +163,11 @@ class RatMatrix:
     determinant runs ``bareiss``.  The content is not tested for skewness.
     """
 
-    __slots__ = ("rows", "den", "nrows", "ncols", "skew")
+    __slots__ = ("rows", "nrows", "ncols", "skew")
 
-    def __init__(self, rows: list[list[int]], den: int = 1):
-        if den <= 0:
-            raise ValueError(f"denominator {den} is not positive")
-        gcd(den, *chain.from_iterable(rows))
+    def __init__(self, rows: list[list[int]]):
+        gcd(*chain.from_iterable(rows))
         self.rows = rows
-        self.den = den
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
         if any(len(r) != self.ncols for r in rows):
@@ -192,8 +180,8 @@ class RatMatrix:
             return pfaffian_rank(self.rows)
         return bareiss([row[:] for row in self.rows])[0]
 
-    def det(self) -> Fraction:
-        """Determinant of the integer rows over den ** n."""
+    def det(self) -> int:
+        """Determinant of the integer rows."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        return Fraction(bareiss([row[:] for row in self.rows])[1], self.den ** self.nrows)
+        return bareiss([row[:] for row in self.rows])[1]

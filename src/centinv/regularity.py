@@ -4,17 +4,18 @@ The skew form B(gamma)_{ab} = gamma([xi_a, xi_b]) drives everything:
 stabiliser dimensions are exact kernel dimensions, the index is the
 corank at the best sampled point, and the singular locus is probed by
 polynomial gcds of maximal minors along random lines.  A point gamma is
-a ``Functional``: integer numerators over one positive denominator.
-``bracket_form_matrix`` is the one builder of B(gamma): the model's
-integer structure rows and the numerators of gamma give the integer rows
-den * B(gamma) of a ``RatMatrix`` over den, marked skew.  Ranks and the
-line probe read those rows.  Every rank of a bracket form, here and at
-the rational roots of the line probe, is the Pfaffian elimination
-``linalg.pfaffian_rank``, exact by the Pfaffian form of Sylvester's
-identity; Jacobian ranks, compressions and their determinants stay on
-``bareiss``.
-The Jacobian rows read the same numerators
-(``invariants.jacobian_rows(sr, nums, den=1)``, which picks the term
+a ``Functional``, an integer vector: every certificate here reads a rank
+of B(gamma) or of the Jacobian of homogeneous terms, which no positive
+scaling of gamma changes, so a rational point is read at an integer
+multiple.  ``bracket_form_matrix`` is the one builder of B(gamma): the
+model's integer structure rows and gamma give the integer rows of a
+``RatMatrix``, marked skew.  Ranks and the line probe read those rows.
+Every rank of a bracket form, here and at the rational roots of the line
+probe, is the Pfaffian elimination ``linalg.pfaffian_rank``, exact by
+the Pfaffian form of Sylvester's identity; Jacobian ranks, compressions
+and their determinants stay on ``bareiss``.
+The Jacobian rows read the same integers
+(``invariants.jacobian_rows(sr, nums)``, which picks the term
 expansion or the slice-matrix route per call), one row for each of the
 rank-many initial terms.
 
@@ -37,77 +38,57 @@ from fractions import Fraction
 from math import comb, gcd, isqrt
 
 from .centralizer import CentralizerModel, SymplecticModel, XiIndex
-from .linalg import RatMatrix, bareiss, clear_denominators, pfaffian_rank
+from .linalg import RatMatrix, bareiss, pfaffian_rank
 from .invariants import SliceRestriction, jacobian_rows
 
 
 @dataclass(frozen=True)
 class Functional:
-    """Point of the dual space in coordinates dual to the model basis:
-    integer numerators ``nums`` over one denominator ``den > 0``.
+    """Point of the dual space: the integer coordinates ``nums``, dual to
+    the model basis.
 
-    ``__post_init__`` is the one check and brings the point to lowest
-    terms, gcd(den, nums) = 1, so ``==`` compares points exactly.  A
-    ``den <= 0`` is a ValueError, a non-integer entry a TypeError (from
-    the gcd).  The kernels read ``nums``, a positive multiple of the
-    point; ``coords`` is the one rational read.
+    ``__post_init__`` is the one check: a non-integer entry is a
+    TypeError (from the gcd), under ``-O`` too.
     """
 
     nums: tuple[int, ...]
     provenance: str = "EXPLICIT"
-    den: int = 1
 
     def __post_init__(self):
-        if self.den <= 0:
-            raise ValueError(f"denominator {self.den} is not positive")
-        g = gcd(self.den, *self.nums)
-        if g != 1:
-            object.__setattr__(self, "nums", tuple(x // g for x in self.nums))
-            object.__setattr__(self, "den", self.den // g)
-
-    @classmethod
-    def of(cls, values, provenance: str = "EXPLICIT") -> "Functional":
-        """The point with the given rational coordinates."""
-        nums, den = clear_denominators(values)
-        return cls(tuple(nums), provenance, den)
-
-    @property
-    def coords(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.den) for x in self.nums)
+        gcd(*self.nums)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
 
 
-def default_alpha_coefficients(model) -> list[Fraction]:
+def default_alpha_coefficients(model) -> list[int]:
     """Distinct nonzero block scalars; paired blocks get opposite signs."""
     p = model.partition
     if isinstance(model, SymplecticModel):
         pairing = model.pairing
-        values: dict[int, Fraction] = {}
+        values: dict[int, int] = {}
         nxt = 1
         for i in range(1, p.k + 1):
             ip = pairing[i]
             if ip == i or i < ip:
-                values[i] = Fraction(nxt)
+                values[i] = nxt
                 nxt += 1
             if ip != i and i < ip:
                 values[ip] = -values[i]
         return [values[i] for i in range(1, p.k + 1)]
-    return [Fraction(i) for i in range(1, p.k + 1)]
+    return list(range(1, p.k + 1))
 
 
 def build_alpha(model: CentralizerModel, a) -> Functional:
-    """Functional with coefficient a_i on the coordinate of xi[i,i,d_i]."""
+    """Functional with the integer coefficient a_i on the coordinate of
+    xi[i,i,d_i]."""
     p = model.partition
     if len(a) != p.k:
         raise ValueError(f"need {p.k} block scalars, got {len(a)}")
-    coords: list = [0] * model.dim
+    nums = [0] * model.dim
     for i in range(1, p.k + 1):
-        idx = model.index[XiIndex(i, i, p.d[i - 1])]
-        coords[idx] = Fraction(a[i - 1])
-    tag = "ALPHA(" + ",".join(str(Fraction(x)) for x in a) + ")"
-    return Functional.of(coords, tag)
+        nums[model.index[XiIndex(i, i, p.d[i - 1])]] = a[i - 1]
+    return Functional(tuple(nums), "ALPHA(" + ",".join(map(str, a)) + ")")
 
 
 def build_beta(model: CentralizerModel) -> Functional:
@@ -129,11 +110,10 @@ def bracket_form_matrix(model, gamma: Functional) -> RatMatrix:
     """B(gamma)_{ab} = gamma([xi_a, xi_b]); skew-symmetric.
 
     Every B(gamma) is made here: the integer structure rows ``model.rows``
-    and the numerators of gamma give the integer rows den * B(gamma), over
-    the denominator den.  The matrix is marked ``skew``, so its rank is
-    the fraction-free Pfaffian elimination ``linalg.pfaffian_rank``, not
-    ``bareiss``: its entries are Pfaffians of principal submatrices, and
-    each division is exact.
+    and the integer gamma give the integer rows of B(gamma).  The matrix
+    is marked ``skew``, so its rank is the fraction-free Pfaffian
+    elimination ``linalg.pfaffian_rank``, not ``bareiss``: its entries are
+    Pfaffians of principal submatrices, and each division is exact.
     """
     nums = gamma.nums
     table = model.rows
@@ -147,7 +127,7 @@ def bracket_form_matrix(model, gamma: Functional) -> RatMatrix:
             if v:
                 rows[a][b] = v
                 rows[b][a] = -v
-    form = RatMatrix(rows, gamma.den)
+    form = RatMatrix(rows)
     form.skew = True
     return form
 
@@ -171,8 +151,7 @@ def alpha_stabilizer_basis_check(model: CentralizerModel, a) -> StabilizerSpanRe
     dim - rank = len(diag), which makes the two equal.
     """
     alpha = build_alpha(model, a)
-    vals = [Fraction(x) for x in a]
-    if len(set(vals)) != len(vals) or any(not v for v in vals):
+    if len(set(a)) != len(a) or not all(a):
         raise ValueError("block scalars must be distinct and nonzero")
     B = bracket_form_matrix(model, alpha)
     kernel_dim = model.dim - B.rank()
@@ -239,8 +218,7 @@ def plane_regularity_scan(model, gamma1: Functional, gamma2: Functional,
     coords = range(-half, grid - half)
     failures = []
     # B(c gamma) = c B(gamma): one rank per primitive direction, sign
-    # normalised, at the positive multiple den1 den2 (dx gamma1 + dy gamma2)
-    d1, d2 = gamma1.den, gamma2.den
+    # normalised
     stab_of: dict[tuple[int, int], int] = {}
     for x in coords:
         for y in coords:
@@ -249,7 +227,7 @@ def plane_regularity_scan(model, gamma1: Functional, gamma2: Functional,
             g = gcd(x, y) if (x, y) > (0, 0) else -gcd(x, y)
             dx, dy = x // g, y // g
             if (dx, dy) not in stab_of:
-                point = Functional(tuple(dx * d2 * a + dy * d1 * b
+                point = Functional(tuple(dx * a + dy * b
                                          for a, b in zip(gamma1.nums, gamma2.nums)))
                 stab_of[dx, dy] = stabilizer_dim(point, model)
             stab = stab_of[dx, dy]
@@ -281,13 +259,15 @@ def build_beta_prime_sum(sp: SymplecticModel) -> BetaPrimeResult:
 
     For every i < k whose partner is not i+1 a correction supported on
     xi[i', (i+1)', d_{i+1}] is added so the sum kills the sigma-odd part;
-    the correction terms scale with torus exponent at least 2.
+    the correction terms scale with torus exponent at least 2.  J is a
+    signed permutation, so each correction is an integer; a J entry read
+    here other than 1 or -1 is an ArithmeticError.
     """
     p = sp.partition
     if p.k < 2:
         raise ValueError("the subdiagonal functional needs at least two blocks")
     gl = sp.gl
-    coords: list = list(build_beta(gl).nums)
+    nums = list(build_beta(gl).nums)
     d = p.d
     real = gl.realization
     gamma_terms = []
@@ -299,10 +279,12 @@ def build_beta_prime_sum(sp: SymplecticModel) -> BetaPrimeResult:
             continue
         num = sp.J.get((real.pos[(i + 1, 0)], real.pos[(inext, d[i])]), 0)
         den = sp.J.get((real.pos[(i, d[i - 1])], real.pos[(ip, 0)]), 0)
+        if num not in (1, -1) or den not in (1, -1):
+            raise ArithmeticError(f"J entries {num}, {den} at block {i} are not 1 or -1")
         idx = XiIndex(ip, inext, d[i])
         a = gl.index[idx]
-        coeff = Fraction(-num, den)
-        coords[a] += coeff
+        coeff = -num * den  # -num / den, den being 1 or -1
+        nums[a] += coeff
         exponent = 1 + gl.rho_weights[a]
         if exponent < 2:
             torus_ok = False
@@ -310,8 +292,8 @@ def build_beta_prime_sum(sp: SymplecticModel) -> BetaPrimeResult:
             "i": i, "coordinate": idx.label(), "coefficient": str(coeff),
             "torus_exponent": exponent,
         })
-    ambient = Functional.of(coords, "BETA_PRIME_SUM")
-    restricted = Functional.of(sp.fixed.restrict_dual(ambient.coords), "BETA_PRIME_SUM")
+    ambient = Functional(tuple(nums), "BETA_PRIME_SUM")
+    restricted = Functional(sp.fixed.restrict_dual(ambient.nums), "BETA_PRIME_SUM")
     return BetaPrimeResult(
         restricted=restricted,
         gamma_terms=gamma_terms,
@@ -326,7 +308,7 @@ def restrict_alpha_to_fixed(sp: SymplecticModel, a=None) -> Functional:
     if a is None:
         a = default_alpha_coefficients(sp)
     alpha = build_alpha(sp.gl, a)
-    return Functional.of(sp.fixed.restrict_dual(alpha.coords), alpha.provenance)
+    return Functional(sp.fixed.restrict_dual(alpha.nums), alpha.provenance)
 
 
 def vanishes_on_odd_part(sp: SymplecticModel, gamma: Functional) -> bool:
@@ -366,7 +348,7 @@ def differential_criterion(sr: SliceRestriction, model,
     """Full gradient rank at gamma must happen exactly at minimal stabiliser."""
     if 2 * sum(sr.degrees) != model.dim + model.rank:
         raise ValueError("degree sum does not certify a good system")
-    jac_rank = bareiss(jacobian_rows(sr, gamma.nums, gamma.den))[0]
+    jac_rank = bareiss(jacobian_rows(sr, gamma.nums))[0]
     stab = stabilizer_dim(gamma, model)
     return DifferentialCriterionResult(
         jacobian_rank=jac_rank,
@@ -725,8 +707,8 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0) -> LineProbeRepo
 
     Everything runs over Z.  B0 and B1 are the integer rows of
     ``bracket_form_matrix`` at g0 and g1, which are B(g0) and B(g1)
-    themselves: the structure rows are integers, and ``random_functional``
-    draws integer points, den 1, so the parameter is t itself.  At a
+    themselves: the structure rows and the points are integers, so the
+    parameter is t itself.  At a
     rational t = num/d the integer matrix d B0 + num B1 is a positive
     multiple of a point of the line, so it has that point's rank.
 

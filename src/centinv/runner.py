@@ -323,7 +323,7 @@ def cmd_index(ctx: PartitionContext) -> Certificate:
         "sampled_max_rank": rep.sampled_max_rank,
         "vinberg_bound": rep.vinberg_bound,
         "certificate_point": rep.certificate_point.provenance if rep.certificate_point else None,
-        "certificate_coords": ([str(c) for c in rep.certificate_point.coords]
+        "certificate_coords": ([str(c) for c in rep.certificate_point.nums]
                                if rep.certificate_point else None),
         "stabilizer_dims": [[tag, dim] for tag, dim in rep.per_point],
     }

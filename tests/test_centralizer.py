@@ -270,7 +270,7 @@ def test_alpha_with_opposite_pair_signs_kills_odd_part():
         sp = build_sp_model(Partition.parse(s))
         alpha = build_alpha(sp.gl, default_alpha_coefficients(sp))
         for row in sp.odd_part_basis:
-            assert sum(v * alpha.coords[c] for c, v in row.items()) == 0
+            assert sum(v * alpha.nums[c] for c, v in row.items()) == 0
 
 
 def test_model_json_shape():

@@ -65,7 +65,7 @@ from centinv.invariants import (
     top_coefficient_crosscheck,
     verify_centrality,
 )
-from centinv.linalg import clear_denominators
+from centinv.linalg import bareiss
 from centinv.partitions import ClassicalType, Partition, degrees_gl, partitions_of
 from centinv.regularity import build_alpha, default_alpha_coefficients, restrict_alpha_to_fixed
 from centinv.poly import _WIDTH, SparsePoly
@@ -609,11 +609,15 @@ def assert_positive_multiple(row, oracle):
 
 
 def check_jacobian_rows(polys, point):
-    rows = evaluate_jacobian(polys, *clear_denominators([Fraction(point[v]) for v in JAC_VARS]))
+    """The rows at the integer multiple lcm(denominators) * point of a
+    rational point are positive multiples of the gradients there."""
+    den = lcm(*(Fraction(x).denominator for x in point.values()))
+    nums = {v: int(Fraction(point[v]) * den) for v in JAC_VARS}
+    rows = evaluate_jacobian(polys, [nums[v] for v in JAC_VARS])
     assert all(isinstance(x, int) for row in rows for x in row)
     for P, row in zip(polys, rows):
         assert_positive_multiple(
-            row, [P.partial_derivative(v).evaluate(point) for v in JAC_VARS])
+            row, [P.partial_derivative(v).evaluate(nums) for v in JAC_VARS])
 
 
 def test_integer_jacobian_zero_factor_branches():
@@ -635,7 +639,7 @@ def test_integer_jacobian_rejects_a_point_of_another_length():
     with pytest.raises(ValueError):
         evaluate_jacobian([P], [1, 2, 3])
     with pytest.raises(ValueError):
-        evaluate_jacobian([P], [1, 2, 3, 4, 5], 2)
+        evaluate_jacobian([P], [1, 2, 3, 4, 5])
 
 
 monomials = st.dictionaries(st.sampled_from(JAC_VARS), st.integers(1, 3), max_size=4)
@@ -674,17 +678,16 @@ def route_case(name: str):
     return principal_minor_sums(model), build_alpha(model, default_alpha_coefficients(model))
 
 
-def route_points(name: str, randoms: int) -> list[tuple[list[int], int]]:
-    """ALPHA, ZERO, then ``randoms`` integer points and as many rational
-    points with den > 1 and some zero coordinates."""
+def route_points(name: str, randoms: int) -> list[list[int]]:
+    """ALPHA, ZERO, then ``randoms`` integer points and as many with some
+    zero coordinates."""
     sr, alpha = route_case(name)
     r = len(sr.var_names)
     rng = random.Random(name)
-    points = [(list(alpha.nums), alpha.den), ([0] * r, 1)]
+    points = [list(alpha.nums), [0] * r]
     for _ in range(randoms):
-        points.append(([rng.randint(-10, 10) for _ in range(r)], 1))
-        points.append(([rng.choice((0, rng.randint(-9, 9))) for _ in range(r)],
-                       rng.randint(2, 12)))
+        points.append([rng.randint(-10, 10) for _ in range(r)])
+        points.append([rng.choice((0, rng.randint(-9, 9))) for _ in range(r)])
     return points
 
 
@@ -692,9 +695,9 @@ def assert_routes_agree(name: str, points) -> None:
     """Every slice-matrix row is a positive multiple of the expansion row,
     with the same signs, for all initial terms."""
     sr, _ = route_case(name)
-    for nums, den in points:
-        got = slice_matrix_rows(sr, nums, den)
-        want = evaluate_jacobian(sr.initial, nums, den)
+    for nums in points:
+        got = slice_matrix_rows(sr, nums)
+        want = evaluate_jacobian(sr.initial, nums)
         assert len(got) == len(want) == sr.count
         for row, oracle in zip(got, want):
             assert all(type(x) is int for x in row)
@@ -709,9 +712,9 @@ def test_slice_matrix_rows_match_the_expansion(name):
 
 @pytest.mark.parametrize("name", ["gl 1,1,1,1,1,1,1", "gl 2,1,1,1,1,1"])
 def test_slice_matrix_rows_match_the_expansion_at_n_7(name):
-    # ALPHA, ZERO and one rational point with zero coordinates
-    alpha, zero, _, rational = route_points(name, 1)
-    assert_routes_agree(name, [alpha, zero, rational])
+    # ALPHA, ZERO and one point with zero coordinates
+    alpha, zero, _, sparse = route_points(name, 1)
+    assert_routes_agree(name, [alpha, zero, sparse])
 
 
 def test_route_rule_takes_the_slice_matrix_only_where_it_is_cheaper():
@@ -727,17 +730,35 @@ def test_route_rule_takes_the_slice_matrix_only_where_it_is_cheaper():
 def test_jacobian_rows_dispatch(monkeypatch):
     # the expansion route returns evaluate_jacobian's rows as they are
     sr, alpha = route_case("gl 2,1,1,1,1")
-    assert (jacobian_rows(sr, alpha.nums, alpha.den)
-            == evaluate_jacobian(sr.initial, alpha.nums, alpha.den))
+    assert jacobian_rows(sr, alpha.nums) == evaluate_jacobian(sr.initial, alpha.nums)
     # the slice-matrix route never expands
     sr, alpha = route_case("gl 1,1,1,1,1,1")
-    expected = slice_matrix_rows(sr, alpha.nums, alpha.den)
+    expected = slice_matrix_rows(sr, alpha.nums)
 
     def refuse(*args):
         raise AssertionError("expanded on the slice-matrix route")
 
     monkeypatch.setattr(invariants, "evaluate_jacobian", refuse)
-    assert jacobian_rows(sr, alpha.nums, alpha.den) == expected
+    assert jacobian_rows(sr, alpha.nums) == expected
+
+
+@pytest.mark.parametrize("name", [f"gl {p}" for n in range(1, 6) for p in partitions_of(n)]
+                         + [f"sp {p}" for n in (2, 4, 6) for p in partitions_of(n, ClassicalType.SP)])
+def test_jacobian_rows_of_an_integer_multiple(name):
+    """The initial term of degree d is homogeneous, so on both routes its
+    row at c gamma is c^(d - 1) times its row at gamma, and the Jacobian
+    rank at c gamma is the rank at gamma."""
+    sr, _ = route_case(name)
+    assert all(d >= 1 for d in sr.degrees)
+    for route in (slice_matrix_rows, lambda sr, nums: evaluate_jacobian(sr.initial, nums)):
+        for nums in route_points(name, 2):
+            rows = route(sr, nums)
+            rank = bareiss([row[:] for row in rows])[0]
+            for c in (2, 3, 6):
+                multiple = route(sr, [c * x for x in nums])
+                assert multiple == [[c ** (d - 1) * x for x in row]
+                                    for row, d in zip(rows, sr.degrees)]
+                assert bareiss(multiple)[0] == rank
 
 
 def test_slice_matrix_rows_reject_a_point_of_another_length():

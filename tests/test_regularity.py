@@ -2,8 +2,10 @@
 
 import copy
 import random
+import re
+from dataclasses import fields
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 
 import pytest
@@ -56,64 +58,74 @@ def zero_functional(model):
     return Functional((0,) * model.dim, "ZERO")
 
 
-def rho_scale(model, gamma, t):
+def cleared(values, provenance="EXPLICIT"):
+    """The integer point lcm(denominators) * values: a positive multiple of
+    the rational point, which has its ranks."""
+    den = lcm(*(Fraction(x).denominator for x in values))
+    return Functional(tuple(int(x * den) for x in values), provenance)
+
+
+def rho_coords(model, gamma, t):
     """The contraction action: coordinate at xi[i,j,s] scales by t^(1 + j - i)."""
     t = Fraction(t)
-    return Functional.of([c * t ** (1 + w) for c, w in zip(gamma.coords, model.rho_weights)],
-                         f"RHO({t})*{gamma.provenance}")
+    return tuple(c * t ** (1 + w) for c, w in zip(gamma.nums, model.rho_weights))
+
+
+def rho_scale(model, gamma, t):
+    """rho(t) gamma, cleared to an integer point."""
+    return cleared(rho_coords(model, gamma, t), f"RHO({Fraction(t)})*{gamma.provenance}")
+
+
+def scaled(c, gamma):
+    """The integer multiple c gamma."""
+    return Functional(tuple(c * x for x in gamma.nums), gamma.provenance)
 
 
 def combination(x, gamma1, y, gamma2):
     """The point x gamma1 + y gamma2."""
-    return Functional.of([x * a + y * b for a, b in zip(gamma1.coords, gamma2.coords)])
+    return Functional(tuple(x * a + y * b for a, b in zip(gamma1.nums, gamma2.nums)))
 
 
-def test_functional_is_stored_in_lowest_terms():
-    g = Functional((2, -4, 0, 6), "X", den=4)
-    assert (g.nums, g.den, g.provenance) == ((1, -2, 0, 3), 2, "X")
-    assert g.coords == (Fraction(1, 2), Fraction(-1), Fraction(0), Fraction(3, 2))
-    assert g == Functional((1, -2, 0, 3), "X", den=2)
-    zero = Functional((0, 0), den=5)
-    assert (zero.nums, zero.den) == ((0, 0), 1) and zero.is_zero()
-    assert Functional.of([Fraction(1, 2), Fraction(1, 3)]) == Functional((3, 2), den=6)
+def test_functional_is_an_integer_vector():
+    g = Functional((2, -4, 0, 6), "X")
+    assert (g.nums, g.provenance) == ((2, -4, 0, 6), "X")
+    assert [f.name for f in fields(Functional)] == ["nums", "provenance"]
+    # a point is not brought to lowest terms: a multiple is another point
+    assert g != Functional((1, -2, 0, 3), "X")
+    assert Functional((0, 0)).is_zero() and not g.is_zero()
 
 
 def test_functional_rejects_a_bad_denominator_or_entry():
-    for den in (0, -3):
-        with pytest.raises(ValueError):
-            Functional((1, 2), den=den)
-    # the old rational form fails loudly instead of being read as numerators
+    # a rational entry fails loudly instead of being read as an integer;
+    # the check is a gcd, not an assert, so it holds under python -O
+    with pytest.raises(TypeError):
+        Functional((Fraction(1, 2), 0))
     with pytest.raises(TypeError):
         Functional((Fraction(1, 2), Fraction(1)), "OLD")
     with pytest.raises(TypeError):
         Functional((1, 2.0))
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.fractions(), max_size=8))
-def test_functional_of_reads_back_its_coordinates(values):
-    g = Functional.of(values)
-    assert g.coords == tuple(values)
-    assert g.den > 0 and all(isinstance(x, int) for x in g.nums)
-
-
 def test_alpha_coordinates():
     m = build_gl_model(Partition.parse("2,1"))
     alpha = build_alpha(m, [1, 2])
-    nz = {m.labels[a]: c for a, c in enumerate(alpha.coords) if c}
+    nz = {m.labels[a]: c for a, c in enumerate(alpha.nums) if c}
     assert nz == {"xi[1,1,1]": 1, "xi[2,2,0]": 2}
+    assert alpha.provenance == "ALPHA(1,2)"
     with pytest.raises(ValueError):
         build_alpha(m, [1])
+    with pytest.raises(TypeError):
+        build_alpha(m, [Fraction(1, 2), 1])
 
 
 def test_beta_coordinates():
     m = build_gl_model(Partition.parse("2,1"))
     beta = build_beta(m)
-    nz = {m.labels[a]: c for a, c in enumerate(beta.coords) if c}
+    nz = {m.labels[a]: c for a, c in enumerate(beta.nums) if c}
     assert nz == {"xi[2,1,1]": 1}
     m2 = build_gl_model(Partition.parse("3,2,2"))
     beta2 = build_beta(m2)
-    nz2 = {m2.labels[a]: c for a, c in enumerate(beta2.coords) if c}
+    nz2 = {m2.labels[a]: c for a, c in enumerate(beta2.nums) if c}
     assert nz2 == {"xi[2,1,2]": 1, "xi[3,2,1]": 1}
     with pytest.raises(ValueError):
         build_beta(build_gl_model(Partition.parse("4")))
@@ -233,8 +245,8 @@ def test_rho_eigenvalues_of_alpha_and_beta():
     alpha = build_alpha(m, default_alpha_coefficients(m))
     beta = build_beta(m)
     for t in (Fraction(2), Fraction(1, 2)):
-        assert rho_scale(m, alpha, t).coords == tuple(t * c for c in alpha.coords)
-        assert rho_scale(m, beta, t).coords == beta.coords
+        assert rho_coords(m, alpha, t) == tuple(t * c for c in alpha.nums)
+        assert rho_coords(m, beta, t) == beta.nums
 
 
 @pytest.mark.parametrize("parts", ["2,1", "4", "3,2"])
@@ -323,22 +335,23 @@ def test_plane_scan_fails_exactly_on_the_alpha_line():
         ("-3", "0"), ("-2", "0"), ("-1", "0"), ("1", "0"), ("2", "0"), ("3", "0")]
 
 
-def test_plane_scan_of_rational_points_fails_on_their_own_lines():
+def test_plane_scan_of_integer_multiples_fails_on_the_same_lines():
     # on gl_3 a diagonal point is singular where two entries agree; for
-    # x diag(1, 2, 3)/2 + y diag(0, 1, 3)/3 that is y = -x and y = -3x/2
+    # x diag(1, 2, 3) + y diag(0, 1, 3) that is y = -x, y = -2x/3 and
+    # y = -x/2, and the scan of (c gamma1, c gamma2) fails on the same lines
     m = build_gl_model(Partition.parse("1,1,1"))
-    gamma1 = build_alpha(m, [Fraction(1, 2), 1, Fraction(3, 2)])
-    gamma2 = build_alpha(m, [0, Fraction(1, 3), 1])
-    assert (gamma1.den, gamma2.den) == (2, 3)
-    scan = check_scan_against_per_point(m, gamma1, gamma2, None)
-    assert sorted((int(x), int(y)) for x, y, _ in scan.failures) == [
-        (-3, 3), (-2, 2), (-2, 3), (-1, 1), (1, -1), (2, -3), (2, -2), (3, -3)]
+    gamma1, gamma2 = build_alpha(m, [1, 2, 3]), build_alpha(m, [0, 1, 3])
+    for c in (1, 2, 3, 6):
+        scan = check_scan_against_per_point(m, scaled(c, gamma1), scaled(c, gamma2), None)
+        assert sorted((int(x), int(y)) for x, y, _ in scan.failures) == [
+            (-3, 2), (-3, 3), (-2, 1), (-2, 2), (-1, 1),
+            (1, -1), (2, -2), (2, -1), (3, -3), (3, -2)]
 
 
 def rho_scale_torus_check(model, gamma1, gamma2):
     """The torus check as rho(t) comparisons at three t (reference)."""
-    return all(rho_scale(model, gamma1, t).coords == tuple(t * c for c in gamma1.coords)
-               and rho_scale(model, gamma2, t).coords == gamma2.coords
+    return all(rho_coords(model, gamma1, t) == tuple(t * c for c in gamma1.nums)
+               and rho_coords(model, gamma2, t) == gamma2.nums
                for t in (Fraction(2), Fraction(-3), Fraction(1, 2)))
 
 
@@ -856,15 +869,17 @@ def exact_form(model, gamma):
     r = model.dim
     rows = [[Fraction(0)] * r for _ in range(r)]
     for (a, b), entries in structure_of(model).items():
-        v = sum((coeff * gamma.coords[c] for c, coeff in entries), Fraction(0))
+        v = sum((coeff * gamma.nums[c] for c, coeff in entries), Fraction(0))
         rows[a][b], rows[b][a] = v, -v
     return rows
 
 
 def rational_functionals(model, rng, count=6):
+    """Random integer points, then random rational points read at their
+    cleared integer multiples."""
     out = [random_functional(model, rng) for _ in range(count)]
-    out += [Functional.of([Fraction(rng.randint(-9, 9), rng.randint(1, 12))
-                           for _ in range(model.dim)], "RATIONAL")
+    out += [cleared([Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                     for _ in range(model.dim)], "RATIONAL")
             for _ in range(count)]
     return out
 
@@ -873,8 +888,7 @@ def check_integer_form(model, gammas):
     for gamma in gammas:
         exact = exact_form(model, gamma)
         B = bracket_form_matrix(model, gamma)
-        assert B.den == gamma.den
-        assert [[Fraction(x, B.den) for x in row] for row in B.rows] == exact
+        assert B.rows == exact
         assert model.dim - stabilizer_dim(gamma, model) == rank(exact)
 
 
@@ -893,3 +907,96 @@ def test_integer_form_rank_on_rho_scaled_functionals(parts):
     gammas = [rho_scale(m, g, Fraction(-1, 3)) for g in rational_functionals(m, rng, 4)]
     gammas.append(rho_scale(m, build_alpha(m, default_alpha_coefficients(m)), Fraction(-1, 3)))
     check_integer_form(m, gammas)
+
+
+# -- scale invariance and refusals ---------------------------------------------
+
+SCALE_MODELS = ([f"gl {p}" for n in range(1, 6) for p in partitions_of(n)]
+                + [f"sp {p}" for n in (2, 4, 6) for p in partitions_of(n, ClassicalType.SP)])
+
+
+@pytest.mark.parametrize("name", SCALE_MODELS)
+def test_stabilizer_dim_of_an_integer_multiple(name):
+    """B(c gamma) = c B(gamma), so every integer multiple of a point has its
+    stabiliser: ALPHA, BETA or BETA_PRIME_SUM, ZERO and random points."""
+    algebra, parts = name.split()
+    p = Partition.parse(parts)
+    if algebra == "sp":
+        sp = build_sp_model(p)
+        model, points = sp.fixed, [restrict_alpha_to_fixed(sp)]
+        if p.k >= 2:
+            points.append(build_beta_prime_sum(sp).restricted)
+    else:
+        model = build_gl_model(p)
+        points = [build_alpha(model, default_alpha_coefficients(model))]
+        if p.k >= 2:
+            points.append(build_beta(model))
+    rng = random.Random(name)
+    points += [zero_functional(model)] + [random_functional(model, rng) for _ in range(3)]
+    for gamma in points:
+        base = stabilizer_dim(gamma, model)
+        for c in (2, 3, 6):
+            assert stabilizer_dim(scaled(c, gamma), model) == base, (gamma.provenance, c)
+
+
+def planted_fixed_part(sp, nums):
+    """A copy of sp whose first sigma-fixed row gains 1/2 at a coordinate
+    where the ambient point nums is odd."""
+    c = next(c for c, x in enumerate(nums) if x % 2)
+    fixed = copy.copy(sp.fixed)
+    fixed.coords = [dict(row) for row in sp.fixed.coords]
+    fixed.coords[0][c] = fixed.coords[0].get(c, 0) + Fraction(1, 2)
+    planted = copy.copy(sp)
+    planted.fixed = fixed
+    return planted
+
+
+def test_restrict_dual_refuses_a_non_integer_coordinate(monkeypatch):
+    import centinv.runner as runner
+    from centinv.runner import RunConfig, run_partition
+
+    p = Partition.parse("2,1,1")
+    sp = build_sp_model(p)
+    alpha = build_alpha(sp.gl, default_alpha_coefficients(sp))
+    restricted = sp.fixed.restrict_dual(alpha.nums)
+    assert type(restricted) is tuple and all(type(x) is int for x in restricted)
+    planted = planted_fixed_part(sp, alpha.nums)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        planted.fixed.restrict_dual(alpha.nums)
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        restrict_alpha_to_fixed(planted)
+    # through the runner the refusal is an internal ERROR certificate
+    monkeypatch.setattr(runner, "build_sp_model", lambda q: planted)
+    certs, _ = run_partition(p, RunConfig(algebra="sp", commands=["stabilizers"]))
+    [cert] = [c.to_json() for c in certs]
+    assert (cert["claim"], cert["status"], cert["error_kind"]) == (
+        "stabilizers", "ERROR", "internal")
+    assert re.fullmatch(r"ArithmeticError: restricted coordinate -?\d+/2 is not an integer",
+                        cert["witnesses"]["reason"])
+
+
+def planted_J(sp, entry, value):
+    """A copy of sp whose J entry read by the first beta' correction is
+    ``value`` (None: missing); ``entry`` names the numerator or divisor."""
+    p, real = sp.partition, sp.gl.realization
+    i = next(i for i in range(1, p.k) if sp.pairing[i] != i + 1)
+    key = {"numerator": (real.pos[(i + 1, 0)], real.pos[(sp.pairing[i + 1], p.d[i])]),
+           "divisor": (real.pos[(i, p.d[i - 1])], real.pos[(sp.pairing[i], 0)])}[entry]
+    J = dict(sp.J)
+    assert J[key] in (1, -1)
+    if value is None:
+        del J[key]
+    else:
+        J[key] = value
+    planted = copy.copy(sp)
+    planted.J = J
+    return planted
+
+
+@pytest.mark.parametrize("entry", ["numerator", "divisor"])
+@pytest.mark.parametrize("value", [2, -2, None])
+def test_beta_prime_sum_refuses_a_J_entry_other_than_a_sign(entry, value):
+    sp = build_sp_model(Partition.parse("2,1,1"))
+    assert len(build_beta_prime_sum(sp).gamma_terms) == 1
+    with pytest.raises(ArithmeticError, match="not 1 or -1"):
+        build_beta_prime_sum(planted_J(sp, entry, value))
