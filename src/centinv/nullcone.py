@@ -6,10 +6,12 @@ antidiagonal; peeling blocks from the last one upward this produces the
 component decomposition of the restricted zero locus and an explicit
 n-dimensional subspace meeting the null-cone only at the origin, which
 is exactly the codimension statement making the initial terms a regular
-sequence.  Every stage of that peeling reads the partition's own slice:
-a prefix of the first m blocks is checked on the restriction to levels
-1..m, with no model or slice of its own.  Setting coordinates to zero is
-``SparsePoly.without``, which drops every term touching them.
+sequence; ``runner.cmd_nullcone`` gives that argument where it reads the
+codimension off ``TransversalityCertificate.total_dim``.  Every stage of
+that peeling reads the partition's own slice: a prefix of the first m
+blocks is checked on the restriction to levels 1..m, with no model or
+slice of its own.  Setting coordinates to zero is ``SparsePoly.without``,
+which drops every term touching them.
 """
 
 from __future__ import annotations
@@ -28,14 +30,9 @@ from .partitions import Partition, vectors_with_total
 from .poly import _WIDTH, SparsePoly
 
 
-@dataclass
-class AntiDiagonalSpace:
-    level: int
-    basis: list[XiIndex]
-
-
-def antidiagonal_spaces(p: Partition) -> list[AntiDiagonalSpace]:
-    """Levels 1..2k-1; level m holds the indices with i + j = m + 1."""
+def antidiagonal_spaces(p: Partition) -> list[list[XiIndex]]:
+    """Bases of levels 1..2k-1 (entry m - 1 is level m); level m holds the
+    indices with i + j = m + 1."""
     d = p.d
     spaces = []
     for m in range(1, 2 * p.k):
@@ -45,7 +42,7 @@ def antidiagonal_spaces(p: Partition) -> list[AntiDiagonalSpace]:
             lo = max(d[j - 1] - d[i - 1], 0)
             for s in range(lo, d[j - 1] + 1):
                 basis.append(XiIndex(i, j, s))
-        spaces.append(AntiDiagonalSpace(m, basis))
+        spaces.append(basis)
     return spaces
 
 
@@ -124,27 +121,18 @@ class Component:
         return out
 
 
-@dataclass
-class ComponentFamily:
-    components: list[Component]
-
-    @property
-    def count(self) -> int:
-        return len(self.components)
-
-
-def enumerate_components(p: Partition) -> ComponentFamily:
+def enumerate_components(p: Partition) -> list[Component]:
     """Components of the restricted zero locus on the top antidiagonal.
 
     They are indexed by the shift patterns of total d_k + 1; a single
-    block means the null-cone is just the origin and the family is empty.
+    block means the null-cone is just the origin and there are none.
     """
     if p.k < 2:
-        return ComponentFamily([])
+        return []
     dk = p.d[-1]
     comps = [Component(bars) for bars in vectors_with_total([range(dk + 2)] * p.k, dk + 1)]
     assert len(comps) == comb(dk + p.k, p.k - 1)
-    return ComponentFamily(comps)
+    return comps
 
 
 def component_zero_locus_check(model: CentralizerModel, sr: SliceRestriction) -> bool:
@@ -155,7 +143,7 @@ def component_zero_locus_check(model: CentralizerModel, sr: SliceRestriction) ->
         return True
     restricted = restrict_to_V(sr, model)
     dk = p.d[-1]
-    for comp in enumerate_components(p).components:
+    for comp in enumerate_components(p):
         killed = [model.index[idx] for idx in comp.vanishing(p)]
         for q in range(dk + 1):
             if not restricted[p.n - q - 1].without(killed).is_zero():
@@ -170,8 +158,8 @@ def component_zero_locus_check(model: CentralizerModel, sr: SliceRestriction) ->
 class StageWitness:
     block: int
     space_dim: int
-    basis_labels: list[str]
-    w_rows: list[list[str]]
+    basis: list[str]
+    subspace_rows: list[list[str]]
     component_dets: list[tuple[str, str]]
     attempts: int
     used_fallback: bool
@@ -180,6 +168,8 @@ class StageWitness:
 
 @dataclass
 class TransversalityCertificate:
+    """``total_dim`` is n on a pass and 0 on a failure; ``runner.cmd_nullcone``
+    reads the codimension and the tangent-cone dimension off it."""
     passed: bool
     total_dim: int
     stages: list[StageWitness] = field(default_factory=list)
@@ -215,40 +205,36 @@ def transversality_certificate(model: CentralizerModel, sr: SliceRestriction,
     levels = antidiagonal_spaces(p)
     for m in range(p.k, 0, -1):
         sub = p.prefix(m)
-        space = levels[m - 1].basis
+        space = levels[m - 1]
         pos = {idx: t for t, idx in enumerate(space)}
         dm = p.d[m - 1]
         want = dm + 1
-        comps = enumerate_components(sub).components
+        comps = enumerate_components(sub)
         cols_per_comp = []
         for comp in comps:
             cols = [pos[idx] for idx in comp.vanishing(sub)]
             assert len(cols) == want
             cols_per_comp.append(cols)
 
-        found = None
         used_fallback = False
         tries = 0
         if comps:
-            for _ in range(attempts):
+            dets = None
+            while dets is None and tries < attempts:
                 tries += 1
                 rows = [[rng.randint(-5, 5) for _ in space] for _ in range(want)]
                 dets = _component_dets(rows, cols_per_comp)
-                if dets is not None:
-                    found = (rows, dets)
-                    break
-            if found is None:
+            if dets is None:
                 used_fallback = True
                 rows = [[(c + 1) ** t for c in range(len(space))] for t in range(want)]
                 dets = _component_dets(rows, cols_per_comp)
                 if dets is None:
                     return TransversalityCertificate(
                         False, 0, stages, f"no transversal subspace at block {m}")
-                found = (rows, dets)
         else:
             # single block: the whole level is transversal
             rows = [[int(c == t) for c in range(len(space))] for t in range(want)]
-            found = (rows, [])
+            dets = []
 
         support_ok = None
         if m >= 2:
@@ -257,12 +243,11 @@ def transversality_certificate(model: CentralizerModel, sr: SliceRestriction,
                 return TransversalityCertificate(
                     False, 0, stages, f"support check failed at block {m}")
 
-        rows, dets = found
         stages.append(StageWitness(
             block=m,
             space_dim=len(space),
-            basis_labels=[idx.label() for idx in space],
-            w_rows=[[str(x) for x in row] for row in rows],
+            basis=[idx.label() for idx in space],
+            subspace_rows=[[str(x) for x in row] for row in rows],
             component_dets=[(str(c.shifts), str(d)) for c, d in zip(comps, dets)],
             attempts=tries,
             used_fallback=used_fallback,
@@ -271,14 +256,13 @@ def transversality_certificate(model: CentralizerModel, sr: SliceRestriction,
 
     total = sum(d + 1 for d in p.d)
     assert total == p.n
-    cert = TransversalityCertificate(
+    return TransversalityCertificate(
         True, total, stages,
         conclusion=(
             f"an {p.n}-dimensional subspace meets the null-cone only at 0, so the "
             f"null-cone has codimension {p.n} and the {p.n} initial terms form a "
             "regular sequence"),
     )
-    return cert
 
 
 def _component_dets(rows: list[list[int]],
@@ -292,24 +276,3 @@ def _component_dets(rows: list[list[int]],
         dets.append(d)
     return dets
 
-
-@dataclass
-class RegularSequenceReport:
-    passed: bool
-    codimension: int
-    tangent_cone_dim: int
-
-
-def regular_sequence_report(p: Partition,
-                            cert: TransversalityCertificate) -> RegularSequenceReport:
-    """Codimension-n null-cone makes the n initial terms a regular sequence.
-
-    Every component then has codimension n, the number of generators.
-    Also records the induced tangent-cone dimension n^2 - n at the
-    nilpotent inside the full matrix nilpotent variety: (n^2 - r) + (r - n)
-    with r = sum_i (2i - 1) p_i.
-    """
-    if not cert.passed:
-        return RegularSequenceReport(False, 0, 0)
-    n = p.n
-    return RegularSequenceReport(passed=True, codimension=n, tangent_cone_dim=n * n - n)

@@ -165,7 +165,6 @@ class IndexReport:
     sampled_max_rank: int
     index_estimate: int
     certificate_point: Functional | None
-    vinberg_bound: int
     per_point: list[tuple[str, int]] = field(default_factory=list)
 
 
@@ -192,7 +191,6 @@ def index_report(model, samples: int = 10, seed: int = 0,
         sampled_max_rank=best_rank,
         index_estimate=r - best_rank,
         certificate_point=certificate,
-        vinberg_bound=model.rank,
         per_point=per_point,
     )
 
@@ -200,7 +198,6 @@ def index_report(model, samples: int = 10, seed: int = 0,
 @dataclass
 class PlaneScanResult:
     passed: bool
-    grid: int
     failures: list[tuple[str, str, int]]
     rho_eigenvector_check: bool | None
 
@@ -242,7 +239,7 @@ def plane_regularity_scan(model, gamma1: Functional, gamma2: Functional,
         # exactly when its support has weight -1
         rho_ok = (all(weights[a] == 0 for a, x in enumerate(gamma1.nums) if x)
                   and all(weights[a] == -1 for a, x in enumerate(gamma2.nums) if x))
-    return PlaneScanResult(not failures, grid, failures, rho_ok)
+    return PlaneScanResult(not failures, failures, rho_ok)
 
 
 @dataclass

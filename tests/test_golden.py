@@ -12,7 +12,8 @@ from centinv.runner import RunConfig, build_report
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-CASES = [("gl", "2,1"), ("gl", "2,2"), ("gl", "3,1"), ("gl", "3,2,1"), ("sp", "2,1,1")]
+CASES = [("gl", "2,1"), ("gl", "2,2"), ("gl", "3,1"), ("gl", "3,2,1"), ("sp", "2,1,1"),
+         ("so", "5,3,2,2"), ("so", "3,1,1")]
 
 
 @pytest.mark.parametrize("algebra,parts", CASES)

@@ -8,19 +8,22 @@ from math import comb
 import pytest
 from poly_oracle import from_fractions, to_fractions, variable
 
+from centinv import runner
+from centinv.certificates import FAIL, PASS
 from centinv.centralizer import XiIndex, build_gl_model
 from centinv.invariants import principal_minor_sums
 from centinv.nullcone import (
+    TransversalityCertificate,
     antidiagonal_spaces,
     component_zero_locus_check,
     enumerate_components,
-    regular_sequence_report,
     restrict_to_V,
     top_block_support_check,
     transversality_certificate,
 )
 from centinv.partitions import Partition, partitions_of, vectors_with_total
 from centinv.poly import _WIDTH, SparsePoly
+from centinv.runner import RunConfig, run_partition
 
 
 def test_antidiagonal_spaces_cover_everything():
@@ -29,10 +32,10 @@ def test_antidiagonal_spaces_cover_everything():
         spaces = antidiagonal_spaces(p)
         assert len(spaces) == 2 * p.k - 1
         from centinv.centralizer import enumerate_xi
-        allidx = [idx for sp in spaces for idx in sp.basis]
+        allidx = [idx for basis in spaces for idx in basis]
         assert sorted(allidx) == sorted(enumerate_xi(p))
-        for sp in spaces:
-            assert all(idx.i + idx.j == sp.level + 1 for idx in sp.basis)
+        for level, basis in enumerate(spaces, start=1):
+            assert all(idx.i + idx.j == level + 1 for idx in basis)
 
 
 def test_restriction_for_two_blocks():
@@ -75,22 +78,20 @@ def test_top_block_support(parts):
 
 
 def test_component_enumeration_counts():
-    assert enumerate_components(Partition.parse("2,2")).count == 3
-    assert enumerate_components(Partition.parse("2,1")).count == 2
-    assert enumerate_components(Partition.parse("6")).count == 0
+    assert len(enumerate_components(Partition.parse("2,2"))) == 3
+    assert len(enumerate_components(Partition.parse("2,1"))) == 2
+    assert enumerate_components(Partition.parse("6")) == []
     for n in range(2, 9):
         for p in partitions_of(n):
-            fam = enumerate_components(p)
             if p.k >= 2:
-                assert fam.count == comb(p.d[-1] + p.k, p.k - 1)
+                assert len(enumerate_components(p)) == comb(p.d[-1] + p.k, p.k - 1)
 
 
 def test_components_have_admissible_vanishing_sets():
     p = Partition.parse("3,2,2")
-    fam = enumerate_components(p)
     from centinv.centralizer import enumerate_xi
     valid = set(enumerate_xi(p))
-    for comp in fam.components:
+    for comp in enumerate_components(p):
         assert sum(comp.shifts) == p.d[-1] + 1
         vanishing = comp.vanishing(p)
         assert len(vanishing) == p.d[-1] + 1
@@ -115,10 +116,10 @@ def test_transversality_certificate(parts):
     for stage in cert.stages:
         assert all(d != "0" for _, d in stage.component_dets)
         assert stage.support_checked is (True if stage.block >= 2 else None)
-    rep = regular_sequence_report(p, cert)
-    assert rep.passed
-    assert rep.codimension == p.n
-    assert rep.tangent_cone_dim == p.n * p.n - p.n
+    [nc] = run_partition(p, RunConfig(commands=["nullcone"], seed=11))[0]
+    assert nc.status == PASS
+    assert (nc.witnesses["codimension"], nc.witnesses["tangent_cone_dim"]) == \
+        (p.n, p.n * p.n - p.n)
 
 
 def test_transversality_vandermonde_fallback():
@@ -129,13 +130,15 @@ def test_transversality_vandermonde_fallback():
     assert any(st.used_fallback for st in cert.stages if st.component_dets)
 
 
-def test_regular_sequence_report_requires_certificate():
-    p = Partition.parse("2,1")
-    from centinv.nullcone import TransversalityCertificate
-
+def test_nullcone_command_fails_without_a_transversality_certificate(monkeypatch):
     missing = TransversalityCertificate(False, 0, [], "missing")
-    rep = regular_sequence_report(p, missing)
-    assert not rep.passed
+    monkeypatch.setattr(runner, "transversality_certificate", lambda *a, **k: missing)
+    certs, _ = run_partition(Partition.parse("2,1"), RunConfig(commands=["nullcone"]))
+    [cert] = [c.to_json() for c in certs]
+    w = cert["witnesses"]
+    assert cert["status"] == FAIL
+    assert (w["transversal_dim"], w["codimension"], w["tangent_cone_dim"]) == (0, 0, 0)
+    assert w["support_check"] and w["components_kill_restrictions"]
 
 
 def test_support_components_and_restrictions_are_consistent():
@@ -149,8 +152,7 @@ def test_support_components_and_restrictions_are_consistent():
     # monomials of the restricted top invariant
     dk = p.d[-1]
     top_bars = set(vectors_with_total([range(dk + 1)] * p.k, dk))
-    fam = enumerate_components(p)
-    for comp in fam.components:
+    for comp in enumerate_components(p):
         parents = set()
         for i in range(p.k):
             if comp.shifts[i] > 0:
@@ -220,8 +222,8 @@ def test_component_check_fails_on_a_term_avoiding_a_vanishing_set():
     p = Partition.parse("3,2")
     m = build_gl_model(p)
     sr = principal_minor_sums(m)
-    comp = enumerate_components(p).components[0]
-    top = antidiagonal_spaces(p)[p.k - 1].basis
+    comp = enumerate_components(p)[0]
+    top = antidiagonal_spaces(p)[p.k - 1]
     idx = next(idx for idx in top if idx not in comp.vanishing(p))
     top_term = sr.initial[p.n - 1]
     key = _key(m, idx, idx)
@@ -229,7 +231,7 @@ def test_component_check_fails_on_a_term_avoiding_a_vanishing_set():
     bad = _planted(sr, p.n, {**to_fractions(top_term), key: Fraction(1)})
     assert not component_zero_locus_check(m, bad)
     # a planted term touching every vanishing set is still killed
-    touching = _key(m, *(c.vanishing(p)[0] for c in enumerate_components(p).components))
+    touching = _key(m, *(c.vanishing(p)[0] for c in enumerate_components(p)))
     assert component_zero_locus_check(m, _planted(sr, p.n, {**to_fractions(top_term), touching: 1}))
 
 
@@ -237,7 +239,7 @@ def test_support_check_reports_an_extra_monomial():
     p = Partition.parse("3,2")
     m = build_gl_model(p)
     sr = principal_minor_sums(m)
-    idx = antidiagonal_spaces(p)[p.k - 1].basis[0]
+    idx = antidiagonal_spaces(p)[p.k - 1][0]
     terms = to_fractions(sr.initial[p.n - 1])
     terms[_key(m, idx, idx)] = Fraction(1)
     res = top_block_support_check(m, _planted(sr, p.n, terms))
