@@ -1,11 +1,14 @@
 """Initial components of adjoint invariants on the slice e + g_f.
 
 The sums of principal minors of a generic slice point are expanded
-exactly: characteristic-polynomial coefficients via a subset dynamic
-programme over columns, run on integers.  The slice entries are cleared
-once by D, the lcm of their denominators, and e_l(M) = e_l(DM) / D^l is
-handed to ``SparsePoly`` as integer numerators over D^l, the format every
-integer kernel here reads back without clearing.  Their lowest-degree
+exactly, on integers: det(t Id - M) by Laplace along its top half of
+rows, each half's minors by a subset expansion over columns, the lower
+half only on column sets that a nonzero upper minor leaves free, and each
+product of two matched minors sorted by its power of t straight into
+e_l(M).  The slice entries are cleared once by D, the lcm of their
+denominators, and e_l(M) = e_l(DM) / D^l is handed to ``SparsePoly`` as
+integer numerators over D^l, the format every integer kernel here reads
+back without clearing.  Their lowest-degree
 homogeneous parts (a homogeneous sum is its own, and degrees and Kazhdan
 weights are read off the packed keys in C) are the distinguished elements of S(g_e) whose
 structural properties the rest of the toolkit certifies: Poisson
@@ -58,44 +61,97 @@ class BudgetExceededError(RuntimeError):
 # -- characteristic polynomial over sparse-poly entries -------------------
 
 
-def char_poly_terms(entries: list[list[dict]], t_key: int) -> dict:
-    """Term dict of det(t*Id - M) for a matrix of term-dict entries.
+def _minors(A: list[list[dict]], rows: range, viable: set | None = None) -> dict[int, dict]:
+    """{column mask: det of A[rows, mask]} over the nonzero minors.
 
-    Rows and columns are permuted symmetrically so sparse rows are
-    expanded first; the expansion runs over column subsets.  The ``t``
-    diagonal and the seed are ``int``, so integer entries keep every
-    product on ZZ (``principal_minor_sum_polys`` clears them first).
+    The rows are expanded one at a time over their nonzero cells; placing
+    column c after the columns already used gives one inversion per used
+    column to its right.  With ``viable`` given, a partial column set
+    outside it is dropped.
     """
-    n = len(entries)
-    order = sorted(range(n), key=lambda i: sum(1 for j in range(n) if entries[i][j]))
-    A: list[list[dict]] = []
-    for i in order:
-        row = []
-        for j in order:
-            ent = {k: -c for k, c in entries[i][j].items()}
-            if i == j:
-                ent[t_key] = ent.get(t_key, 0) + 1
-                if not ent[t_key]:
-                    del ent[t_key]
-            row.append(ent)
-        A.append(row)
     level: dict[int, dict] = {0: {0: 1}}
-    for j in range(1, n + 1):
+    for i in rows:
+        # -(bit << 1) masks the columns to the right of the cell's
+        cells = [(1 << c, -(2 << c), ent) for c, ent in enumerate(A[i]) if ent]
         nxt: dict[int, dict] = {}
-        row = A[j - 1]
         for mask, poly in level.items():
-            for c in range(n):
-                bit = 1 << c
+            for bit, right, ent in cells:
                 if mask & bit:
                     continue
-                ent = row[c]
-                if not ent:
+                new = mask | bit
+                if viable is not None and new not in viable:
                     continue
-                pos = (mask & (bit - 1)).bit_count() + 1
-                acc = nxt.setdefault(mask | bit, {})
-                _accumulate_product(acc, poly, ent, (j + pos) & 1)
+                acc = nxt.get(new)
+                if acc is None:
+                    acc = nxt[new] = {}
+                _accumulate_product(acc, poly, ent, (mask & right).bit_count() & 1)
         level = {m: t for m, t in nxt.items() if t}
-    return level.get((1 << n) - 1, {})
+    return level
+
+
+def _by_power(terms: dict, shift: int) -> dict[int, dict]:
+    """Split a term dict by the power of t, the lane from ``shift`` on,
+    into {power: term dict without t}."""
+    out: dict[int, dict] = {}
+    for k, c in terms.items():
+        power = k >> shift
+        part = out.get(power)
+        if part is None:
+            part = out[power] = {}
+        part[k - (power << shift)] = c
+    return out
+
+
+def char_poly_terms(entries: list[list[dict]], t_key: int) -> list[dict]:
+    """Term dicts of e_0(M), ..., e_n(M) for a matrix of term-dict entries.
+
+    e_l(M) is (-1)^l times the coefficient of t^(n - l) in det(t*Id - M),
+    t the lane of ``t_key``, which no entry may carry.  Rows and columns
+    are permuted symmetrically so sparse rows come first, and A = M - t*Id
+    (sharing the off-diagonal entries) is expanded by Laplace along its top
+    h = n // 2 rows: det A = sum_T (-1)^cross(T) top(T) * bottom(T^c), the
+    minors of the top rows on the columns T and of the other rows on the
+    rest, cross(T) the number of pairs u < v with v in T and u not.  The
+    bottom rows expand only column sets inside the complement of some
+    nonzero top minor.  Each matched pair is split by the power of t, and
+    the product of the parts of powers a and b goes straight to e_l,
+    l = n - a - b, with sign (-1)^(cross + a + b), which folds in
+    det(t*Id - M) = (-1)^n det A.  The ``t`` diagonal and the seed are
+    ``int``, so integer entries keep every product on ZZ
+    (``principal_minor_sum_polys`` clears them first).
+    """
+    n = len(entries)
+    shift = t_key.bit_length() - 1
+    order = sorted(range(n), key=lambda i: sum(1 for j in range(n) if entries[i][j]))
+    A: list[list[dict]] = []
+    for pos, i in enumerate(order):
+        row = [entries[i][j] for j in order]
+        row[pos] = {**entries[i][i], t_key: -1}
+        A.append(row)
+    h = n // 2
+    full = (1 << n) - 1
+    top = _minors(A, range(h))
+    # every submask of every complement, so each partial bottom set is tested
+    viable = set()
+    for T in top:
+        comp = sub = full ^ T
+        while True:
+            viable.add(sub)
+            if not sub:
+                break
+            sub = (sub - 1) & comp
+    bottom = _minors(A, range(h, n), viable)
+    out: list[dict] = [dict() for _ in range(n + 1)]
+    for T, upper in top.items():
+        lower = bottom.get(full ^ T)
+        if lower is None:
+            continue
+        cross = sum((~T & ((1 << v) - 1)).bit_count() for v in range(n) if T >> v & 1)
+        lows = _by_power(lower, shift).items()
+        for a, ua in _by_power(upper, shift).items():
+            for b, lb in lows:
+                _accumulate_product(out[n - a - b], lb, ua, (cross + a + b) & 1)
+    return out
 
 
 def principal_minor_sum_polys(entries: list[list[dict]],
@@ -103,30 +159,23 @@ def principal_minor_sum_polys(entries: list[list[dict]],
     """All n sums of principal minors of the matrix, as polynomials.
 
     ``variables`` lists the coordinate names; the characteristic
-    variable is appended internally and eliminated again.  The expansion
-    runs on D * M, D the lcm of the entry denominators, and the l-th sum
-    is e_l(DM) over the denominator D^l.
+    variable t takes the lane after them inside ``char_poly_terms``,
+    whose output does not carry it.  The expansion runs on D * M, D
+    the lcm of the entry denominators, and the l-th sum is e_l(DM) over
+    the denominator D^l.
     """
     n = len(entries)
-    shift = _WIDTH * len(variables)
-    t_key = 1 << shift
+    t_key = 1 << (_WIDTH * len(variables))
     # every product is of n entries of degree <= top (t counts as 1), so
     # the packed degrees stay below _MAX_EXP as _key_degree needs
     top = max((_key_degree(k) for row in entries for ent in row for k in ent), default=0)
     if n * max(top, 1) >= _MAX_EXP:
         raise ValueError("minor sums exceed the packed-exponent capacity")
     D = lcm(*(c.denominator for row in entries for ent in row for c in ent.values()))
-    cleared = [[{k: c.numerator * (D // c.denominator) for k, c in ent.items()}
+    cleared = [[{k: c.numerator * (D // c.denominator) for k, c in ent.items()} if ent else ent
                 for ent in row] for row in entries]
-    # e_l(DM) is (-1)^l times the coefficient of t^(n - l); t is the top
-    # lane, and k - t^power allocates a smaller int than k & (t_key - 1)
-    sign = [(-1) ** (n - power) for power in range(n + 1)]
-    tpow = [power << shift for power in range(n + 1)]
-    buckets: list[dict] = [dict() for _ in range(n + 1)]
-    for k, c in char_poly_terms(cleared, t_key).items():
-        power = k >> shift
-        buckets[power][k - tpow[power]] = sign[power] * c
-    return [SparsePoly(variables, buckets[n - ell], D ** ell) for ell in range(1, n + 1)]
+    sums = char_poly_terms(cleared, t_key)
+    return [SparsePoly(variables, sums[ell], D ** ell) for ell in range(1, n + 1)]
 
 
 # -- slice restrictions ----------------------------------------------------

@@ -4,14 +4,26 @@ The package builds its polynomials from integer numerators over one
 denominator and never calls these.  The tests use them to state
 polynomials by name, by exponents or by plain ``{key: Fraction}``
 coefficient maps, which is the reference format the integer form is
-checked against.  Every result goes through the ``SparsePoly``
-constructor, so the canonical form is the package's own.
+checked against.  ``char_poly_terms`` and ``minor_sum_polys`` expand
+det(t Id - M) in one subset pass over the columns, the reference for the
+Laplace split of ``centinv.invariants.char_poly_terms``.  Every result
+goes through the ``SparsePoly`` constructor, so the canonical form is the
+package's own.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from centinv.poly import _MASK, _MAX_EXP, _WIDTH, SparsePoly, VariableMismatchError, _index_map, _key_degree
+from centinv.poly import (
+    _MASK,
+    _MAX_EXP,
+    _WIDTH,
+    SparsePoly,
+    VariableMismatchError,
+    _accumulate_product,
+    _index_map,
+    _key_degree,
+)
 
 
 def from_fractions(variables, terms) -> SparsePoly:
@@ -126,3 +138,61 @@ def decode(P: SparsePoly) -> list:
             i += 1
         out.append((tuple(factors), coeff, _key_degree(key)))
     return out
+
+
+def char_poly_terms(entries, t_key) -> dict:
+    """Term dict of det(t Id - M), t the lane of ``t_key``, by one subset
+    expansion over the columns, rows taken sparse first."""
+    n = len(entries)
+    order = sorted(range(n), key=lambda i: sum(1 for j in range(n) if entries[i][j]))
+    A = []
+    for i in order:
+        row = []
+        for j in order:
+            ent = {k: -c for k, c in entries[i][j].items()}
+            if i == j:
+                ent[t_key] = ent.get(t_key, 0) + 1
+                if not ent[t_key]:
+                    del ent[t_key]
+            row.append(ent)
+        A.append(row)
+    level = {0: {0: 1}}
+    for j in range(1, n + 1):
+        nxt = {}
+        row = A[j - 1]
+        for mask, poly in level.items():
+            for c in range(n):
+                bit = 1 << c
+                if mask & bit:
+                    continue
+                ent = row[c]
+                if not ent:
+                    continue
+                pos = (mask & (bit - 1)).bit_count() + 1
+                acc = nxt.setdefault(mask | bit, {})
+                _accumulate_product(acc, poly, ent, (j + pos) & 1)
+        level = {m: t for m, t in nxt.items() if t}
+    return level.get((1 << n) - 1, {})
+
+
+def char_poly_buckets(entries, t_key) -> list:
+    """[term dict of e_l(M) for l = 0..n] from ``char_poly_terms``:
+    e_l is (-1)^l times the coefficient of t^(n - l)."""
+    n = len(entries)
+    shift = t_key.bit_length() - 1
+    out = [{} for _ in range(n + 1)]
+    for k, c in char_poly_terms(entries, t_key).items():
+        power = k >> shift
+        out[n - power][k - (power << shift)] = (-1) ** (n - power) * c
+    return out
+
+
+def minor_sum_polys(entries, variables) -> list:
+    """The n sums of principal minors of a matrix of {key: Fraction} entries,
+    cleared by D, the lcm of the denominators, and expanded in one pass."""
+    n = len(entries)
+    D = lcm(*(c.denominator for row in entries for ent in row for c in ent.values()))
+    cleared = [[{k: c.numerator * (D // c.denominator) for k, c in ent.items()}
+                for ent in row] for row in entries]
+    sums = char_poly_buckets(cleared, 1 << (_WIDTH * len(variables)))
+    return [SparsePoly(variables, sums[ell], D ** ell) for ell in range(1, n + 1)]

@@ -7,6 +7,7 @@ derived by hand for the two-block partition.
 
 import dataclasses
 import functools
+import json
 import random
 from fractions import Fraction
 from math import lcm
@@ -46,6 +47,7 @@ from centinv.invariants import (
     _faddeev_leverrier,
     _kazhdan_check,
     _permutation_sign,
+    _slice_entries,
     _slice_matrix_cheaper,
     _value_changes,
     char_poly_terms,
@@ -68,6 +70,7 @@ from centinv.invariants import (
 from centinv.linalg import bareiss
 from centinv.partitions import ClassicalType, Partition, degrees_gl, partitions_of
 from centinv.regularity import build_alpha, default_alpha_coefficients, restrict_alpha_to_fixed
+from centinv.runner import RunConfig, build_report
 from centinv.poly import _WIDTH, SparsePoly
 
 
@@ -987,7 +990,98 @@ def test_integer_minor_sums_match_fraction_expansion(entries):
     cleared = [[{k: int(c * lcm(*range(1, 13))) for k, c in ent.items()} for ent in row]
                for row in entries]
     t_key = 1 << (_WIDTH * len(MINOR_VARS))
-    assert all(type(c) is int for c in char_poly_terms(cleared, t_key).values())
+    assert all(type(c) is int for bucket in char_poly_terms(cleared, t_key)
+               for c in bucket.values())
+
+
+@st.composite
+def laplace_matrices(draw):
+    """Square integer term-dict matrices, n = 1..6: sparse with some rows and
+    columns zeroed, dense (every entry nonzero), or with a constant Jordan
+    superdiagonal on top of sparse entries."""
+    n = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["sparse", "dense", "jordan"]))
+    monos = st.lists(st.tuples(minor_monomials, st.integers(-3, 3).filter(bool)), max_size=2)
+    if shape == "dense":
+        entry = monos.map(term_dict).map(lambda ent: ent or {0: 1})
+    else:
+        entry = monos.map(term_dict)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    if shape == "jordan":
+        for i in range(n - 1):
+            rows[i][i + 1] = {0: 1}
+    if shape != "dense":
+        index = st.integers(0, n - 1)
+        for i in draw(st.sets(index, max_size=2)):
+            rows[i] = [{} for _ in range(n)]
+        for j in draw(st.sets(index, max_size=2)):
+            for row in rows:
+                row[j] = {}
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(laplace_matrices())
+@example([[{}, {}, {}], [{}, {}, {}], [{}, {}, {}]])
+@example([[{1: 2}, {0: 1}, {}, {}], [{}, {1: 2}, {0: 1}, {}],
+          [{}, {}, {1: 2}, {0: 1}], [{1 << _WIDTH: -1}, {}, {}, {1: 2}]])
+def test_laplace_expansion_matches_the_one_pass_oracle(rows):
+    """Every e_l bucket of the split expansion equals the one-pass subset
+    expansion's coefficient of t^(n - l) times (-1)^l, term for term."""
+    t_key = 1 << (_WIDTH * len(MINOR_VARS))
+    got = char_poly_terms(rows, t_key)
+    assert got == poly_oracle.char_poly_buckets(rows, t_key)
+    assert got[0] == {0: 1}
+    assert all(type(c) is int for bucket in got for c in bucket.values())
+
+
+def _slice_of(name):
+    """(entries, variable names) of the slice e + g_f of a "gl"/"sp" partition."""
+    algebra, parts = name.split()
+    p = Partition.parse(parts)
+    if algebra == "sp":
+        sp = build_sp_model(p)
+        return _slice_entries(sp.gl.realization.e, sp.gf_dual, p.n), sp.fixed.var_names
+    m = build_gl_model(p)
+    return _slice_entries(m.realization.e, m.gf_dual, p.n), m.var_names
+
+
+@pytest.mark.parametrize("name", ORACLE_SLICES)
+def test_slice_minor_sums_match_the_one_pass_oracle(name):
+    entries, names = _slice_of(name)
+    got = principal_minor_sum_polys(entries, names)
+    want = poly_oracle.minor_sum_polys(entries, names)
+    assert [P.terms for P in got] == [Q.terms for Q in want]
+    assert [P.den for P in got] == [Q.den for Q in want]
+
+
+ORDER_COMMANDS = ["degrees", "centrality", "support", "conjecture", "p0", "diffcrit", "nullcone"]
+
+
+@pytest.mark.parametrize("parts", ["2,1", "2,2", "3,2,1"])
+def test_term_order_does_not_reach_the_certificates(parts, monkeypatch):
+    """The expansion fixes the term dicts but not their insertion order: with
+    every minor sum's terms reversed (so ``full``, ``initial`` and the p0
+    expansion all read them backwards) the report is the same."""
+    # p0 expands all of gl_n, so its budget is raised to reach n = 6
+    cfg = RunConfig(algebra="gl", partitions=[parts], commands=ORDER_COMMANDS, seed=7,
+                    p0_budget=6)
+
+    def report():
+        out = build_report(cfg, [Partition.parse(parts)])
+        out.pop("timings")
+        return json.dumps(out)
+
+    want = report()
+    expand = invariants.principal_minor_sum_polys
+    monkeypatch.setattr(invariants, "principal_minor_sum_polys", lambda entries, names: [
+        SparsePoly(P.variables, dict(reversed(P.terms.items())), P.den)
+        for P in expand(entries, names)])
+    sr = principal_minor_sums(build_gl_model(Partition.parse(parts)))
+    top = expand(*_slice_of(f"gl {parts}"))[-1]
+    assert list(sr.full[-1].terms) == list(reversed(top.terms)) != list(top.terms)
+    assert report() == want
+    assert [c["status"] for c in json.loads(want)["certificates"]] == ["PASS"] * len(ORDER_COMMANDS)
 
 
 numeric_entries = st.one_of(st.just(Fraction(0)), coefficients)
