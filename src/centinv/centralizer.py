@@ -3,11 +3,12 @@
 From a partition we realise the nilpotent e in Jordan form together
 with an sl2 triple (e, h, f), enumerate the standard basis xi[i,j,s] of
 the centraliser g_e (the map sending w_i to e^s.w_j and the other block
-generators to zero), build the trace-dual basis of g_f, and read the
-structure constants off matrix commutators once, into an integer table
-(``StructureTable``); a constant that is not an integer is refused.  A
-symplectic variant equips the space with an invariant skew form and cuts
-the centraliser down to its sigma-fixed part.
+generators to zero).  The trace-dual basis of g_f and the integer table
+of structure constants (``StructureTable``), read off matrix commutators,
+are built on first read, so a certificate that never reads them never
+builds them; a constant that is not an integer is refused.  A symplectic
+variant equips the space with an invariant skew form and cuts the
+centraliser down to its sigma-fixed part.
 
 Every matrix is sparse, a ``{(row, col): value}`` dict without zeros.
 The trace pairing of the xi basis with g_f is read from the entries'
@@ -158,10 +159,8 @@ class StructureTable:
     ``rows[a][b] = ((c, [xi_a, xi_b]_c), ...)`` for every ordered pair,
     with c increasing and every constant an integer.  The rows are
     antisymmetric, and rows[a][a] and zero brackets are empty.  Every
-    bracket computation reads them.
+    bracket computation reads them; they are formed on first read.
     """
-
-    rows: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
     def coords_of(self, mat: dict) -> dict:
         """Nonzero coefficients {c: x} of an element of the algebra in this
@@ -169,10 +168,14 @@ class StructureTable:
         at = self._coord_at
         return {at[key]: v for key, v in mat.items() if key in at}
 
-    def _fill_rows(self) -> None:
-        """Set ``rows`` from the commutators of ``matrices``; ArithmeticError
+    @cached_property
+    def _coord_at(self) -> dict[tuple[int, int], int]:
+        return {rc: c for c, rc in enumerate(self.read_at)}
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """The table from the commutators of ``matrices``; ArithmeticError
         when a structure constant is not an integer."""
-        self._coord_at = {rc: c for c, rc in enumerate(self.read_at)}
         mats, r = self.matrices, self.dim
         rows = [[()] * r for _ in range(r)]
         for a in range(r):
@@ -185,7 +188,7 @@ class StructureTable:
                                           "has a structure constant that is not an integer")
                 row = rows[a][b] = tuple([(c, w[c].numerator) for c in sorted(w)])
                 rows[b][a] = tuple([(c, -x) for c, x in row])
-        self.rows = tuple(map(tuple, rows))
+        return tuple(map(tuple, rows))
 
     @cached_property
     def lie_generators(self) -> tuple[int, ...]:
@@ -279,8 +282,12 @@ class CentralizerModel(StructureTable):
         self.var_names = tuple(f"x{a + 1}" for a in range(len(self.xi)))
         # the coefficient on xi[i,j,s] is the entry sending w_i to e^s.w_j
         self.read_at = [(real.pos[(idx.j, idx.s)], real.pos[(idx.i, 0)]) for idx in self.xi]
-        self.gf_dual = trace_dual(self.matrices, [real.gf_matrix(idx) for idx in self.xi])
-        self._fill_rows()
+
+    @cached_property
+    def gf_dual(self) -> list[dict]:
+        """The basis of g_f trace-dual to the xi basis."""
+        real = self.realization
+        return trace_dual(self.matrices, [real.gf_matrix(idx) for idx in self.xi])
 
     # -- basics ----------------------------------------------------------
 
@@ -330,7 +337,6 @@ class SubalgebraModel(StructureTable):
                for c in row):
             raise ValueError("a subalgebra coordinate row is not ad(h) homogeneous")
         self.rho_weights = None
-        self._fill_rows()
 
     def restrict_dual(self, nums) -> tuple[int, ...]:
         """Restrict a functional on the ambient algebra, the integer
@@ -403,13 +409,16 @@ class SymplecticModel:
 
         self.fixed = SubalgebraModel(self.gl, self.sigma_fixed_basis, rank=p.n // 2)
 
-        # trace-dual basis of g_f cap sp for the symplectic slice; the
-        # elimination pivots on (row, col) keys in row-major order
+    @cached_property
+    def gf_dual(self) -> list[dict]:
+        """Trace-dual basis of g_f cap sp for the symplectic slice;
+        ArithmeticError unless g_f cap sp has the dimension of the fixed
+        part.  The elimination pivots on (row, col) keys in row-major order."""
         gf_mats = sparse_rref(_combination(((1, mat), (1, self.sigma(mat))))
-                              for mat in map(real.gf_matrix, self.gl.xi))
-        if len(gf_mats) != expected:
+                              for mat in map(self.gl.realization.gf_matrix, self.gl.xi))
+        if len(gf_mats) != self.dim:
             raise ArithmeticError("g_f fixed space has unexpected dimension")
-        self.gf_dual = trace_dual(self.fixed.matrices, gf_mats)
+        return trace_dual(self.fixed.matrices, gf_mats)
 
     def sigma(self, mat: dict) -> dict:
         """J mat^T J: the entry (i, j) moves to (a, b) with J[a, j] and

@@ -4,9 +4,10 @@ Subcommands: verify (one partition, chosen checks), degrees (just the
 degree table), so-diagnostic (orthogonal minor-degree diagnostic) and
 sweep (all partitions up to a bound).  Exit codes: 0 all certificates
 pass, 1 some check failed, 2 usage error or an --out path that cannot
-be opened for writing (refused before the run), 3 some certificate is
-an ERROR: a symbolic budget refused a requested command, or a command
-raised an internal ArithmeticError or ValueError.
+be opened for writing (refused before the run), 3 some certificate is a
+resource ERROR (a symbolic budget refused a requested command) and none
+is an internal one, 4 some certificate is an internal ERROR (a command
+raised an ArithmeticError or ValueError).
 """
 
 from __future__ import annotations

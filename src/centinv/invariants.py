@@ -244,21 +244,28 @@ def _kazhdan_check(poly: SparsePoly, initial: SparsePoly, weights, expected: int
     return set(map(sum, zip(*sums))) <= {target}
 
 
+def _restriction(table, e: dict, gf_dual: list[dict], n: int, sizes: list[int],
+                 polys: list[SparsePoly]) -> SliceRestriction:
+    """The minor sums ``polys`` of the sizes ``sizes`` on the slice
+    e + sum_a x_a gf_dual[a] in the coordinates of ``table``, with their
+    initial terms; each size is also its sum's Kazhdan degree."""
+    initial = [q.lowest_degree_component() for q in polys]
+    kazh = [_kazhdan_check(q, q0, table.h_weights, ell)
+            for ell, q, q0 in zip(sizes, polys, initial)]
+    return SliceRestriction(var_names=table.var_names, full=polys, initial=initial,
+                            degrees=[q.total_degree() for q in initial],
+                            kazhdan_homogeneous=kazh, e=e, gf_dual=gf_dual, n=n,
+                            minor_sizes=sizes)
+
+
 def principal_minor_sums(model: CentralizerModel, budget: int = 8) -> SliceRestriction:
     """Expand the n minor sums on e + g_f in the trace-dual coordinates."""
     p = model.partition
     if p.n > budget:
         raise BudgetExceededError(p.n, budget, "slice expansion")
-    entries = _slice_entries(model.realization.e, model.gf_dual, p.n)
-    polys = principal_minor_sum_polys(entries, model.var_names)
-    initial = [q.lowest_degree_component() for q in polys]
-    degrees = [q.total_degree() for q in initial]
-    kazh = [_kazhdan_check(q, q0, model.h_weights, ell)
-            for ell, (q, q0) in enumerate(zip(polys, initial), start=1)]
-    return SliceRestriction(var_names=model.var_names, full=polys, initial=initial,
-                            degrees=degrees, kazhdan_homogeneous=kazh,
-                            e=model.realization.e, gf_dual=model.gf_dual, n=p.n,
-                            minor_sizes=list(range(1, p.n + 1)))
+    e, gf_dual = model.realization.e, model.gf_dual
+    polys = principal_minor_sum_polys(_slice_entries(e, gf_dual, p.n), model.var_names)
+    return _restriction(model, e, gf_dual, p.n, list(range(1, p.n + 1)), polys)
 
 
 def symplectic_minor_sums(sp: SymplecticModel, budget: int = 8) -> SliceRestriction:
@@ -269,21 +276,12 @@ def symplectic_minor_sums(sp: SymplecticModel, budget: int = 8) -> SliceRestrict
     p = sp.partition
     if p.n > budget:
         raise BudgetExceededError(p.n, budget, "symplectic slice expansion")
-    fixed = sp.fixed
-    entries = _slice_entries(sp.gl.realization.e, sp.gf_dual, p.n)
-    polys = principal_minor_sum_polys(entries, fixed.var_names)
+    e, gf_dual = sp.gl.realization.e, sp.gf_dual
+    polys = principal_minor_sum_polys(_slice_entries(e, gf_dual, p.n), sp.fixed.var_names)
     for ell in range(1, p.n + 1, 2):
         if not polys[ell - 1].is_zero():
             raise ArithmeticError(f"odd minor sum {ell} does not vanish on the sp slice")
-    even = [polys[2 * i - 1] for i in range(1, p.n // 2 + 1)]
-    initial = [q.lowest_degree_component() for q in even]
-    degrees = [q.total_degree() for q in initial]
-    kazh = [_kazhdan_check(q, q0, fixed.h_weights, 2 * i)
-            for i, (q, q0) in enumerate(zip(even, initial), start=1)]
-    return SliceRestriction(var_names=fixed.var_names, full=even, initial=initial,
-                            degrees=degrees, kazhdan_homogeneous=kazh,
-                            e=sp.gl.realization.e, gf_dual=sp.gf_dual, n=p.n,
-                            minor_sizes=list(range(2, p.n + 1, 2)))
+    return _restriction(sp.fixed, e, gf_dual, p.n, list(range(2, p.n + 1, 2)), polys[1::2])
 
 
 # -- Poisson structure ------------------------------------------------------

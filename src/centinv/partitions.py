@@ -181,27 +181,6 @@ def degrees_sp(p: Partition) -> DegreeTable:
     return table
 
 
-def even_index_degree_sum_so(p: Partition) -> int:
-    """Sum of gl degrees at even indices up to 2*floor(n/2), via the pairing.
-
-    Splits the labelled Young diagram sum into paired columns (i' = i+1)
-    and unpaired ones, by parity of the block index.
-    """
-    pairing = pairing_map(p, ClassicalType.SO)
-    d = p.d
-    total = 0
-    for i in range(1, p.k + 1):
-        ip = pairing[i]
-        if ip == i + 1:
-            total += (2 * i + 1) * (d[i - 1] + 1) // 2
-        elif ip == i:
-            if i % 2 == 1:
-                total += i * d[i - 1] // 2
-            else:
-                total += i * (d[i - 1] + 2) // 2
-    return total
-
-
 @dataclass(frozen=True)
 class SODiagnostic:
     dim_centralizer: int
@@ -223,7 +202,8 @@ def so_good_system_diagnostic(p: Partition) -> SODiagnostic:
     check_valid_for(p, ClassicalType.SO)
     n = p.n
     rank = n // 2
-    even_sum = even_index_degree_sum_so(p)
+    # the gl degrees at the even indices 2, 4, ..., 2 * (n // 2)
+    even_sum = sum(degrees_gl(p).degrees[1::2])
     adjusted = even_sum
     if n % 2 == 0:
         # the top minor restricts to the square of the pfaffian

@@ -479,6 +479,10 @@ def build_report(cfg: RunConfig, partitions: list[Partition]) -> dict:
 
 
 def exit_code(report: dict) -> int:
+    """4 on an internal ERROR, else 3 on a resource ERROR, else 1 on a
+    FAIL, else 0."""
+    if any(c.get("error_kind") == "internal" for c in report["certificates"]):
+        return 4
     if report["summary"]["error"]:
         return 3
     if report["summary"]["fail"]:

@@ -46,6 +46,7 @@ from centinv.partitions import (
     partitions_of,
 )
 from centinv.regularity import build_alpha, default_alpha_coefficients
+from centinv.runner import _COMMAND_TABLE, PartitionContext, RunConfig, cmd_degrees, commands_for
 
 
 def test_sl2_relations():
@@ -392,8 +393,29 @@ def test_non_integer_structure_constants_are_refused(monkeypatch):
     xi_matrix = JordanRealization.xi_matrix
     monkeypatch.setattr(JordanRealization, "xi_matrix", lambda real, idx: {
         key: Fraction(v, 2) for key, v in xi_matrix(real, idx).items()})
+    model = build_gl_model(Partition.parse("2,1"))
     with pytest.raises(ArithmeticError, match="not an integer"):
-        build_gl_model(Partition.parse("2,1"))
+        model.rows
+
+
+def test_degrees_never_builds_the_structure_rows():
+    """The degree certificate reads the slice and its g_f dual only, so the
+    bracket table is never formed on a gl model."""
+    ctx = PartitionContext(Partition.parse("3,2,1"), RunConfig())
+    assert cmd_degrees(ctx).status == "PASS"
+    assert "gf_dual" in vars(ctx.model) and "rows" not in vars(ctx.model)
+
+
+def test_sp_run_never_builds_the_ambient_table_or_dual():
+    """Every sp certificate reads the sigma-fixed table and the sp dual;
+    the ambient gl model keeps neither its own table nor its own dual."""
+    p = Partition.parse("2,1,1")
+    cfg = RunConfig(algebra="sp", all_commands=True, seed=7)
+    ctx = PartitionContext(p, cfg)
+    for name in commands_for(cfg, p):
+        _COMMAND_TABLE[name](ctx)
+    assert "rows" in vars(ctx.sp.fixed) and "gf_dual" in vars(ctx.sp)
+    assert not {"rows", "gf_dual"} & set(vars(ctx.sp.gl))
 
 
 def test_every_sp_model_up_to_2n_10_builds():

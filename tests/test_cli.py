@@ -95,6 +95,31 @@ def test_budget_error_does_not_stop_other_commands(capsys):
     assert "[PASS] index-equals-rank" in out
 
 
+@pytest.fixture
+def broken_index(monkeypatch):
+    """The index command raises an internal ArithmeticError."""
+    import centinv.runner as runner
+
+    def broken(ctx):
+        raise ArithmeticError("table is not antisymmetric")
+
+    monkeypatch.setitem(runner._COMMAND_TABLE, "index", broken)
+
+
+def test_internal_error_exits_4(capsys, broken_index):
+    code, out = run_cli(capsys, "verify", "--type", "gl", "--partition", "2,1",
+                        "--commands", "degrees,index")
+    assert code == 4
+    assert "1 pass, 0 fail, 1 error" in out
+
+
+def test_internal_error_wins_over_resource_error(capsys, broken_index):
+    code, out = run_cli(capsys, "verify", "--type", "gl", "--partition", "3,3,3",
+                        "--commands", "centrality,index", "--budget-n", "8")
+    assert code == 4
+    assert "0 pass, 0 fail, 2 error" in out
+
+
 def test_all_skips_over_budget_symbolics(capsys):
     code, out = run_cli(capsys, "verify", "--type", "gl", "--partition", "2,2,1",
                         "--all", "--seed", "0")

@@ -15,7 +15,6 @@ from centinv.partitions import (
     degrees_sp,
     dim_centralizer_gl,
     dim_centralizer_so_sp,
-    even_index_degree_sum_so,
     is_valid_for,
     pairing_map,
     partitions_of,
@@ -132,15 +131,6 @@ def test_so_diagnostic_good_cases():
     assert diag.verdict == "GOOD_SYSTEM_FROM_MINORS"
     ones = so_good_system_diagnostic(Partition(tuple([1] * 5)))
     assert ones.verdict == "GOOD_SYSTEM_FROM_MINORS"
-
-
-def test_even_degree_sum_matches_direct_reading():
-    # the closed pairing formula must agree with summing the gl table directly
-    for n in range(1, 13):
-        for p in partitions_of(n, ClassicalType.SO):
-            table = degrees_gl(p).degrees
-            direct = sum(table[2 * j - 1] for j in range(1, n // 2 + 1))
-            assert even_index_degree_sum_so(p) == direct, p
 
 
 def test_even_top_row_hypotheses_force_equality():
