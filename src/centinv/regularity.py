@@ -19,15 +19,13 @@ The Jacobian rows read the same integers
 expansion or the slice-matrix route per call), one row for each of the
 rank-many initial terms.
 
-The line probe certifies modulo the prime p = 2^30 - 35, one 30-bit
-CPython digit.  Each compression D_j(t) = det(U B(t) V) is a
-Z-combination of the maximal minors (Cauchy-Binet), so their primitive
-gcd g divides every D_j, and lc(g) divides the leading coefficient
-det(U B_1 V).  When that is nonzero mod p for one D_j, deg(g mod p) =
-deg g, and a constant gcd of the D_j mod p proves g constant: the line
-misses the singular locus.  Every other line is decided over Z exactly.
-The kernels mod p hold each row (solve) or column (Hessenberg) in one int
-of nonnegative lanes, below rho p^2 + p and rho^2 p^3 + rho p^2 + p.
+The line probe certifies modulo p = 2^30 - 35, or else over Z
+(``singular_locus_probe``), building, solving and Hessenberg-reducing
+each compression in one w-bit lane layout per line.  Pivot rows, X
+and the recurrence polynomials are folded, x -> (x & lo) +
+35 ((x >> 30) & hi), below q = 2^31; w covers the solve, 2 bias + rho p q,
+the Hessenberg step, q + rho p^2 + rho p (q + rho p^2), and the
+recurrence, q + (rho+1) p q.
 """
 
 from __future__ import annotations
@@ -482,11 +480,6 @@ class LineProbeReport:
     all_clean: bool
 
 
-def _lane_width(*mats: list[list[int]]) -> int:
-    # |(U B V)_ij| <= 9 sum|B| for U, V drawn from [-3, 3] in _compress_line; +1 sign bit
-    return (9 * sum(abs(x) for B in mats for row in B for x in row)).bit_length() + 1
-
-
 def _pack(values: list[int], w: int) -> int:
     """One int holding the values in w-bit lanes, values[0] lowest."""
     acc = 0
@@ -499,18 +492,6 @@ def _unpack(acc: int, w: int, count: int) -> list[int]:
     """The count lowest w-bit lanes of acc >= 0."""
     mask = (1 << w) - 1
     return [(acc >> (w * j)) & mask for j in range(count)]
-
-
-def _compress(U: list[list[int]], B: list[list[int]], V: list[list[int]],
-              w: int) -> list[list[int]]:
-    """U B V exactly; each row of V, of B V and of the product is one int
-    of signed w-bit lanes (w from ``_lane_width``), read with a bias."""
-    packed = [_pack(row, w) for row in V]
-    bv = [sum(b * packed[j] for j, b in enumerate(row) if b) for row in B]
-    half, rho = 1 << (w - 1), len(V[0])
-    bias = _pack([half] * rho, w)
-    return [[x - half for x in _unpack(sum(u * x for u, x in zip(urow, bv) if u) + bias, w, rho)]
-            for urow in U]
 
 
 def _draw(bits) -> int:
@@ -527,20 +508,66 @@ def _draw(bits) -> int:
 _PRIME = (1 << 30) - 35  # the largest prime below 2^30
 
 
-def _solve_mod(A: list[list[int]], B: list[list[int]], prime: int):
-    """(det A, A^-1 B) modulo prime by one Gauss-Jordan pass; (0, None)
-    when A is singular modulo prime.  Only the pivot row is reduced; the
-    others take row += (prime - f) pivot_row, below prime^2 per lane, at
-    most n times in between, so lanes stay below n prime^2 + prime.
-    """
-    n = len(A)
-    w = (n * prime * prime + prime).bit_length() + 1
+class _Lanes:
+    """A line's lane layout (``singular_locus_probe``) and B1, B0."""
+
+    def __init__(self, B0, B1, rho: int, prime: int):
+        p, k = prime, prime.bit_length()
+        q = 2 << k
+        self.rho, self.prime, self.k, self.c = rho, p, k, (1 << k) - p
+        self.bias = bias = p * (9 * sum(abs(x) for B in (B0, B1) for r in B for x in r) // p + 1)
+        self.nz = [[[(j, b) for j, b in enumerate(r) if b] for r in rs] for rs in zip(B1, B0)]
+        solve, hess, poly = 2 * bias + rho * p * q, q + rho * p * p, q + (rho + 1) * p * q
+        self.w = w = max(solve, hess + rho * p * hess, poly).bit_length() + 1
+        self.lo = _pack([(1 << k) - 1] * 2 * rho, w)
+        self.hi = _pack([(1 << (w - k)) - 1] * 2 * rho, w)
+        self.row_folds, self.unit_folds, self.poly_folds = map(self.folds, (solve, p * q, poly))
+
+    def folds(self, bound: int) -> int:
+        """Folds taking every lane of at most bound below q."""
+        n = 0
+        while bound >> (self.k + 1):
+            bound = (1 << self.k) - 1 + self.c * (bound >> self.k)
+            n += 1
+        return n
+
+    def fold(self, x: int, times: int) -> int:
+        for _ in range(times):
+            x = (x & self.lo) + self.c * ((x >> self.k) & self.hi)
+        return x
+
+    def compress(self, U, V) -> list[int]:
+        """The packed rows of [U B1 V | U B0 V], U and V in [-3, 3]."""
+        w, rho = self.w, self.rho
+        vs = [_pack(row, w) for row in V]
+        bv = [sum(b * vs[j] for j, b in n1) + (sum(b * vs[j] for j, b in n0) << w * rho)
+              for n1, n0 in self.nz]
+        bias = _pack([self.bias] * 2 * rho, w)
+        out = []
+        for urow in U:
+            acc = [0] * 7  # acc[u]: the rows of B V weighed by u
+            for u, x in zip(urow, bv):
+                acc[u] += x
+            out.append(3 * (acc[3] - acc[-3]) + 2 * (acc[2] - acc[-2]) + acc[1] - acc[-1] + bias)
+        return out
+
+    def decode(self, rows: list[int]):
+        """Exact (C0, C1) of packed rows."""
+        n = self.rho
+        lanes = [[x - self.bias for x in _unpack(row, self.w, 2 * n)] for row in rows]
+        return [r[n:] for r in lanes], [r[:n] for r in lanes]
+
+
+def _solve_mod(rows: list[int], lanes: _Lanes):
+    """(det C1, X = C1^-1 C0) mod p by Gauss-Jordan on packed rows of
+    [C1 | C0], X folded; (0, None) if C1 is singular.  Each step drops its
+    pivot lane."""
+    p, w = lanes.prime, lanes.w
     mask = (1 << w) - 1
-    rows = [_pack([x % prime for x in ra + rb], w) for ra, rb in zip(A, B)]
+    n = len(rows)
     det = 1
     for col in range(n):
-        shift = w * col
-        fs = [((row >> shift) & mask) % prime for row in rows]
+        fs = [(row & mask) % p for row in rows]
         piv = next((i for i in range(col, n) if fs[i]), None)
         if piv is None:
             return 0, None
@@ -548,87 +575,68 @@ def _solve_mod(A: list[list[int]], B: list[list[int]], prime: int):
             rows[col], rows[piv] = rows[piv], rows[col]
             fs[col], fs[piv] = fs[piv], fs[col]
             det = -det
-        det = det * fs[col] % prime
-        inv = pow(fs[col], -1, prime)
-        pr = _pack([x * inv % prime for x in _unpack(rows[col] >> shift, w, 2 * n - col)], w)
-        rows[col] = pr = pr << shift
-        for i, f in enumerate(fs):
-            if f and i != col:
-                rows[i] += (prime - f) * pr
-    return det % prime, [[x % prime for x in _unpack(row >> (w * n), w, n)] for row in rows]
+        det = det * fs[col] % p
+        rows[col] = pr = lanes.fold(lanes.fold(rows[col], lanes.row_folds)
+                                    * pow(fs[col], -1, p), lanes.unit_folds)
+        fs[col] = 0  # the pivot row is pr
+        rows = [(row + (p - f) * pr if f else row) >> w for row, f in zip(rows, fs)]
+    return det % p, [lanes.fold(row, lanes.row_folds) for row in rows]
 
 
-def _charpoly_mod(H: list[list[int]], prime: int) -> list[int]:
-    """det(t Id - H) modulo prime, low degree first.
+def _charpoly_mod(cols: list[int], lanes: _Lanes) -> list[int]:
+    """det(t Id - X) modulo p, low degree first, for X in packed rows.
 
-    H is brought to upper Hessenberg form by similarity transforms, then
+    X is brought to upper Hessenberg form by similarity transforms, then
     p_0 = 1 and p_{m+1} = (t - h_mm) p_m
     - sum_{i<m} h_im (h_{i+1,i} ... h_{m,m-1}) p_i  (Cohen, A Course in
     Computational Algebraic Number Theory, 2.2.9).
 
-    H^T has the same polynomial, so the rows of H are packed as its columns,
-    and so are the p_m.  Step m reduces column m - 1, then final in rows up
-    to m, adds below prime^2 per lane to later columns and u_i times those
-    to column m: lanes stay below n^2 prime^3 + n prime^2 + prime.
+    X^T has the same polynomial, so the rows of X are its columns, and
+    the p_m are packed the same way.  Step m reads column m - 1, then final
+    in rows up to m.
     """
-    n = len(H)
-    w = (n * n * prime ** 3 + n * prime * prime + prime).bit_length() + 1
+    p, w = lanes.prime, lanes.w
+    n = len(cols)
     mask = (1 << w) - 1
-    cols = [_pack([x % prime for x in row], w) for row in H]
     hess = []  # hess[j]: rows 0 .. j + 1 of the reduced column j
     for m in range(1, n - 1):
-        lanes = [x % prime for x in _unpack(cols[m - 1], w, n)]
-        piv = next((i for i in range(m, n) if lanes[i]), m)
+        col = [x % p for x in _unpack(cols[m - 1], w, n)]
+        piv = next((i for i in range(m, n) if col[i]), m)
         sm = w * m
         if piv != m:
             # rows m and piv (final in the columns before m), then the columns
-            lanes[m], lanes[piv] = lanes[piv], lanes[m]
+            col[m], col[piv] = col[piv], col[m]
             cols[m], cols[piv] = cols[piv], cols[m]
             for j in range(m, n):
                 a, b = (cols[j] >> sm) & mask, (cols[j] >> (w * piv)) & mask
                 cols[j] += ((b - a) << sm) + ((a - b) << (w * piv))
-        hess.append(lanes[:m + 1])
-        if not lanes[m]:
+        hess.append(col[:m + 1])
+        if not col[m]:
             continue
-        inv = pow(lanes[m], -1, prime)
-        us = [(i, x * inv % prime) for i, x in enumerate(lanes) if i > m and x]
+        inv = pow(col[m], -1, p)
+        us = [(i, x * inv % p) for i, x in enumerate(col) if i > m and x]
         if us:
-            neg = sum((prime - u) << (w * i) for i, u in us)
+            neg = sum((p - u) << (w * i) for i, u in us)
             for j in range(m, n):
-                s = ((cols[j] >> sm) & mask) % prime
+                s = ((cols[j] >> sm) & mask) % p
                 if s:
                     cols[j] += s * neg
             cols[m] += sum(u * cols[i] for i, u in us)
     for j in range(len(hess), n):
-        hess.append([x % prime for x in _unpack(cols[j], w, min(j + 2, n))])
-    polys, out = [1], [1]
+        hess.append([x % p for x in _unpack(cols[j], w, min(j + 2, n))])
+    polys = [1]
     for m in range(n):
-        new = (polys[m] << w) + (prime - hess[m][m]) * polys[m]
+        new = (polys[m] << w) + (p - hess[m][m]) * polys[m]
         prod = 1
         for i in range(m - 1, -1, -1):
-            prod = prod * hess[i][i + 1] % prime
+            prod = prod * hess[i][i + 1] % p
             if not prod:
                 break
-            coef = hess[m][i] * prod % prime
+            coef = hess[m][i] * prod % p
             if coef:
-                new += (prime - coef) * polys[i]
-        out = [x % prime for x in _unpack(new, w, m + 2)]
-        polys.append(_pack(out, w))
-    return out
-
-
-def _pencil_mod(C0: list[list[int]], C1: list[list[int]], prime: int) -> list[int] | None:
-    """det(C0 + t C1) modulo prime, low degree first, from det(C1) and the
-    characteristic polynomial of X = C1^-1 C0; None when det(C1) = 0
-    modulo prime."""
-    det1, X = _solve_mod(C1, C0, prime)
-    if X is None:
-        return None
-    # det(C0 + t C1) = det(C1) det(t Id + X), and [t^k] det(t Id + X) is
-    # (-1)^(rho - k) [t^k] det(t Id - X)
-    rho = len(X)
-    return [(det1 if (rho - k) % 2 == 0 else prime - det1) * c % prime
-            for k, c in enumerate(_charpoly_mod(X, prime))]
+                new += (p - coef) * polys[i]
+        polys.append(lanes.fold(new, lanes.poly_folds))
+    return [x % p for x in _unpack(polys[n], w, n + 1)]
 
 
 def _pencil_exact(C0: list[list[int]], C1: list[list[int]]) -> list[int]:
@@ -658,31 +666,30 @@ def _gcd_mod(a: list[int], b: list[int], prime: int) -> list[int]:
 def _compress_line(B0: list[list[int]], B1: list[list[int]], rho: int,
                    rng: random.Random, budget: int, prime: int = _PRIME):
     """Draw compressions (U B0 V, U B1 V) until their gcd modulo prime is
-    certified constant; returns (certified, the compressions drawn).
-
-    A compression whose C1 is singular modulo prime is interpolated over
-    Z and reduced.  Certification needs the gcd modulo prime to be
-    constant and an anchor: a compression whose degree survives the
+    certified constant; returns (certified, the (lanes, packed rows) drawn).
+    Certification needs an anchor: a compression whose degree survives the
     reduction, which det(C1) != 0 modulo prime guarantees.
     """
     r = len(B0)
     drawn = []
     gcd_mod: list[int] | None = None
     anchored = False
-    w = _lane_width(B0, B1)
+    lanes = _Lanes(B0, B1, rho, prime)
     bits = rng.getrandbits
     for _ in range(budget):
         U = [[_draw(bits) for _ in range(r)] for _ in range(rho)]
         V = [[_draw(bits) for _ in range(rho)] for _ in range(r)]
-        C0 = _compress(U, B0, V, w)
-        C1 = _compress(U, B1, V, w)
-        drawn.append((C0, C1))
-        dpoly = _pencil_mod(C0, C1, prime)
-        if dpoly is None:
-            exact = _pencil_exact(C0, C1)
+        rows = lanes.compress(U, V)
+        drawn.append((lanes, rows))
+        det1, X = _solve_mod(list(rows), lanes)
+        if X is None:
+            exact = _pencil_exact(*lanes.decode(rows))
             dpoly = _trim([x % prime for x in exact])
             anchored = anchored or (bool(dpoly) and len(dpoly) == len(exact))
         else:
+            # [t^k] det(t Id + X) = (-1)^(rho - k) [t^k] det(t Id - X)
+            dpoly = [(det1 if (rho - k) % 2 == 0 else prime - det1) * c % prime
+                     for k, c in enumerate(_charpoly_mod(X, lanes))]
             anchored = True
         if dpoly:
             gcd_mod = dpoly if gcd_mod is None else _gcd_mod(gcd_mod, dpoly, prime)
@@ -694,46 +701,44 @@ def _compress_line(B0: list[list[int]], B1: list[list[int]], rho: int,
 def singular_locus_probe(model, lines: int = 10, seed: int = 0) -> LineProbeReport:
     """Count singular parameter values on random lines in the dual space.
 
-    A parameter is singular when the bracket form drops below its
-    generic rank rho.  Along a line those parameters are the common
-    roots of all rho x rho minors.  Each compression
-    D_j(t) = det(U B(t) V) with random integer U, V is a linear
-    combination of those minors (Cauchy-Binet), hence divisible by their
-    gcd; driving the gcd of a few compressions to a constant therefore
-    certifies that no parameter value is singular.
+    A parameter is singular when the bracket form drops below its generic
+    rank rho; along a line those are the common roots of all rho x rho
+    minors.  Each compression D_j(t) = det(U B(t) V) with random integer
+    U, V is a Z-combination of those minors (Cauchy-Binet), hence
+    divisible by their gcd, so a constant gcd of a few compressions
+    certifies that no parameter value is singular.  B0 and B1 are the
+    integer rows of ``bracket_form_matrix`` at g0 and g1; at a rational
+    t = num/d the integer matrix d B0 + num B1 is a positive multiple of a
+    point of the line, so it has that point's rank.
 
-    Everything runs over Z.  B0 and B1 are the integer rows of
-    ``bracket_form_matrix`` at g0 and g1, which are B(g0) and B(g1)
-    themselves: the structure rows and the points are integers, so the
-    parameter is t itself.  At a
-    rational t = num/d the integer matrix d B0 + num B1 is a positive
-    multiple of a point of the line, so it has that point's rank.
+    The gcd is taken modulo p = 2^30 - 35, one 30-bit CPython digit.
+    Soundness holds for every prime (a smaller one sends about 1/p of the
+    compressions to the exact route): the primitive gcd g of the D_j over
+    Z divides every D_j, so g mod p divides their gcd mod p; and g divides
+    a D_j whose leading coefficient det(C1) is nonzero mod p, so
+    deg(g mod p) = deg g.  A constant gcd mod p with one such D_j
+    therefore proves g constant.  A compression with det(C1) = 0 mod p
+    is interpolated over Z and reduced (it anchors the same way when its
+    leading coefficient survives); a line whose gcd mod p stays
+    nonconstant through 12 compressions is decided by the exact primitive
+    gcd of the same compressions.
 
-    The gcd is taken modulo the prime p = 2^30 - 35; CPython stores ints
-    in 30-bit digits, so every residue is one digit.  Each D_j mod p is
-    det(C1) charpoly(-C1^-1 C0), one Gauss-Jordan pass and one Hessenberg
-    reduction.  The pass holds each row of [C1 | C0] in one int of lanes
-    below rho p^2 + p, the reduction each column in lanes below
-    rho^2 p^3 + rho p^2 + p: a step is O(rho) int operations, not O(rho^2)
-    on residues.  Soundness holds for every prime p (a smaller
-    one only sends about 1/p of the compressions to the exact route): the
-    primitive gcd g of the D_j over Z divides every D_j, so g mod p
-    divides their gcd mod p; and g divides a D_j whose leading
-    coefficient det(C1) is nonzero mod p, so lc(g) is nonzero mod p and
-    deg(g mod p) = deg g.  A constant gcd mod p with at least one such
-    D_j therefore proves g constant.  A compression with det(C1) = 0 mod
-    p is interpolated exactly and reduced (its primitive part anchors the
-    same way when its leading coefficient is nonzero mod p); a line whose
-    gcd mod p stays nonconstant through 12 compressions recomputes them
-    over Z, and the exact primitive gcd decides it.
+    Each D_j mod p is det(C1) charpoly(-C1^-1 C0): a Gauss-Jordan pass
+    and a Hessenberg reduction on one int per row of [C1 | C0], then of X,
+    so a step is O(rho) int operations.  A lane holds an entry plus a
+    bias, a multiple of p above 9 sum|B| >= |C_ij|.  The fold
+    x -> (x & lo) + c ((x >> k) & hi), k = p.bit_length(), c = 2^k - p,
+    keeps each lane's residue; a fixed number of folds brings pivot
+    rows, X and the recurrence polynomials below q = 2^(k+1).  Lanes stay
+    at most 2 bias + rho p q in the solve, q + rho p^2 + rho p (q + rho p^2)
+    in the Hessenberg step and q + (rho+1) p q in the recurrence; the
+    width w is the bit length of the largest plus a guard bit.
 
-    No generic-rank test of the line comes first.  A compression D_j
-    that is not identically zero proves rank B(t) >= rho at all but
-    finitely many t, and both routes to a certificate need one: the
-    modular route an anchor with det(C1) != 0 mod p, the exact route a
-    nonzero pencil to take the gcd over.  A line inside the singular
-    locus makes every D_j vanish, so it is never certified and ends as
-    "no usable compression found".
+    No generic-rank test of the line comes first: both routes to a
+    certificate need a D_j that is not identically zero, which proves
+    rank B(t) >= rho at all but finitely many t.  A line inside the
+    singular locus makes every D_j vanish and ends as "no usable
+    compression found".
     """
     rng = random.Random(seed)
     r = model.dim
@@ -765,8 +770,8 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0) -> LineProbeRepo
             probes.append(LineProbe(True, 0, used, ""))
             continue
         gcd_poly: list[int] | None = None
-        for C0, C1 in drawn:
-            dpoly = _pencil_exact(C0, C1)
+        for lanes, rows in drawn:
+            dpoly = _pencil_exact(*lanes.decode(rows))
             if dpoly:
                 gcd_poly = dpoly if gcd_poly is None else _poly_gcd(gcd_poly, dpoly)
         if gcd_poly is None:

@@ -35,22 +35,22 @@ from centinv.regularity import (
 from centinv.linalg import bareiss
 from centinv.regularity import (
     _PRIME,
+    _Lanes,
     _charpoly_mod,
-    _compress,
     _compress_line,
     _divmod,
     _draw,
     _gcd_mod,
     _interpolate,
-    _lane_width,
+    _pack,
     _pencil_exact,
-    _pencil_mod,
     _poly_div_exact,
     _poly_gcd,
     _primitive,
     _rational_roots,
     _solve_mod,
     _trim,
+    _unpack,
 )
 
 
@@ -607,14 +607,59 @@ def pencils(draw, max_rho=16):
     return C0, C1, zero_row
 
 
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def packed(A, B, prime):
+    """The lanes of the pencil (B, A) and the packed rows of [A | B]: the
+    compression with U = V = Id."""
+    lanes = _Lanes(B, A, len(A), prime)
+    return lanes, lanes.compress(identity(len(A)), identity(len(A)))
+
+
+def lanes_of(x, lanes):
+    """Every w-bit lane of x >= 0."""
+    return _unpack(x, lanes.w, max(1, -(-x.bit_length() // lanes.w)))
+
+
+_fold = _Lanes.fold
+
+
+def checked_fold(self, x, times):
+    """``_Lanes.fold`` that checks every fold of the kernels: each lane keeps
+    its residue and lands below q = 2^(k+1)."""
+    y = _fold(self, x, times)
+    before, after = lanes_of(x, self), lanes_of(y, self)
+    after += [0] * (len(before) - len(after))
+    assert len(after) == len(before)
+    assert all(b < 2 << self.k and a % self.prime == b % self.prime
+               for a, b in zip(before, after))
+    return y
+
+
+def packed_pencil(C0, C1, prime):
+    """det(C0 + t C1) modulo prime, low degree first, from the packed solve
+    and Hessenberg step; None when det(C1) = 0 modulo prime."""
+    lanes, rows = packed(C1, C0, prime)
+    det1, X = _solve_mod(rows, lanes)
+    if X is None:
+        return None
+    rho = len(C0)
+    return [(det1 if (rho - k) % 2 == 0 else prime - det1) * c % prime
+            for k, c in enumerate(_charpoly_mod(X, lanes))]
+
+
 @settings(max_examples=150, deadline=None)
 @given(pencils())
 @example(([[1, 2], [3, 4]], [[0, 0], [1, 1]], True))
 @example(([[1, 2], [3, 4]], [[1, 0], [0, 1]], False))
-def test_pencil_mod_matches_the_exact_determinants(pencil):
+def test_packed_pencil_matches_the_exact_determinants(pencil):
     C0, C1, zero_row = pencil
     rho = len(C0)
-    got = _pencil_mod(C0, C1, _PRIME)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Lanes, "fold", checked_fold)
+        got = packed_pencil(C0, C1, _PRIME)
     if got is None:
         # only a C1 that is singular modulo the prime takes the exact fallback
         assert bareiss([row[:] for row in C1])[1] % _PRIME == 0
@@ -699,9 +744,34 @@ def _charpoly_mod_reference(H, prime):
 
 
 def check_packed_kernels(A, B, H, prime):
-    assert _solve_mod(A, B, prime) == _solve_mod_reference(A, B, prime)
-    residues = [[x % prime for x in row] for row in H]
-    assert _charpoly_mod(residues, prime) == _charpoly_mod_reference(residues, prime)
+    """The packed solve of [A | B] and the Hessenberg step, on X and on H,
+    against the scalar references, with every fold checked."""
+    rho, q = len(A), 2 << prime.bit_length()
+    lanes, rows = packed(A, B, prime)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Lanes, "fold", checked_fold)
+        det, X = _solve_mod(rows, lanes)
+        ref_det, ref_X = _solve_mod_reference(A, B, prime)
+        assert det == ref_det
+        if ref_X is None:
+            assert X is None
+        else:
+            # X is handed over folded: every lane below q
+            x_lanes = [_unpack(row, lanes.w, rho) for row in X]
+            assert row_lanes_below(X, lanes, rho, q)
+            assert [[x % prime for x in row] for row in x_lanes] == ref_X
+            assert _charpoly_mod(X, lanes) == _charpoly_mod_reference(ref_X, prime)
+        residues = [[x % prime for x in row] for row in H]
+        # every lane of H at its largest representative below q
+        top = [[x + (q - 1 - x) // prime * prime for x in row] for row in residues]
+        assert (_charpoly_mod([_pack(row, lanes.w) for row in top], lanes)
+                == _charpoly_mod_reference(residues, prime))
+
+
+def row_lanes_below(rows, lanes, count, bound):
+    """Whether every row holds count lanes, each below bound."""
+    return all(row >> (lanes.w * count) == 0 and max(_unpack(row, lanes.w, count)) < bound
+               for row in rows)
 
 
 @st.composite
@@ -746,22 +816,56 @@ def test_packed_kernels_match_the_scalar_references(inputs):
 
 @st.composite
 def compressions(draw):
-    """(U, B, V) with general B up to 2^40 and U, V in the draw range [-3, 3]."""
+    """(U, B0, B1, V) with general B0, B1 up to 2^40 and U, V in the draw
+    range [-3, 3]."""
     r = draw(st.integers(1, 8))
     rho = draw(st.integers(1, r))
     return (draw(int_matrices(rho, r, -3, 3)), draw(int_matrices(r, r, -2 ** 40, 2 ** 40)),
-            draw(int_matrices(r, rho, -3, 3)))
+            draw(int_matrices(r, r, -2 ** 40, 2 ** 40)), draw(int_matrices(r, rho, -3, 3)))
+
+
+ZERO_8 = [[0] * 8] * 8
 
 
 @settings(max_examples=150, deadline=None)
 @given(compressions())
-# every entry at its maximum with one sign: C_ij = 9 sum|B|, the lane bound
-@example(([[3] * 8] * 8, [[2 ** 40] * 8] * 8, [[3] * 8] * 8))
+# every entry at its maximum with one sign: C_ij = 9 sum|B|, the top lane
+# below 2 bias, in C0 and in C1
+@example(([[3] * 8] * 8, [[2 ** 40] * 8] * 8, ZERO_8, [[3] * 8] * 8))
+@example(([[3] * 8] * 8, ZERO_8, [[2 ** 40] * 8] * 8, [[3] * 8] * 8))
 # and with the other: C_ij = -9 sum|B|, the lowest lane the bias reads back
-@example(([[3] * 8] * 8, [[-2 ** 40] * 8] * 8, [[3] * 8] * 8))
+@example(([[3] * 8] * 8, [[-2 ** 40] * 8] * 8, ZERO_8, [[3] * 8] * 8))
+@example(([[3] * 8] * 8, ZERO_8, [[-2 ** 40] * 8] * 8, [[3] * 8] * 8))
 def test_packed_compression_is_the_plain_product(uvb):
-    U, B, V = uvb
-    assert _compress(U, B, V, _lane_width(B)) == _int_matmul(_int_matmul(U, B), V)
+    U, B0, B1, V = uvb
+    lanes = _Lanes(B0, B1, len(U), _PRIME)
+    rows = lanes.compress(U, V)
+    assert row_lanes_below(rows, lanes, 2 * len(U), 2 * lanes.bias)
+    assert lanes.decode(rows) == (_int_matmul(_int_matmul(U, B0), V),
+                                  _int_matmul(_int_matmul(U, B1), V))
+
+
+@pytest.mark.parametrize("prime", [_PRIME, 5, 7, 11, 13])
+@pytest.mark.parametrize("rho", [1, 2, 8, 56])
+@pytest.mark.parametrize("size", [0, 10 ** 12])
+def test_every_lane_at_its_stated_bound_folds_below_q(prime, rho, size):
+    """Each fold site with every lane at its stated bound: the pivot row
+    before the inverse and X (2 bias + rho p q), the pivot row after it
+    (p q) and the recurrence (q + (rho+1) p q).  The folds keep each
+    residue and land below q, and the Hessenberg bound leaves the guard
+    bit of a lane clear."""
+    p, k = prime, prime.bit_length()
+    q = 2 << k
+    lanes = _Lanes([[size]], [[0]], rho, prime)
+    assert (lanes.k, lanes.c) == (k, (1 << k) - p)
+    assert lanes.bias % p == 0 and 9 * size < lanes.bias <= 9 * size + p
+    solve, poly = 2 * lanes.bias + rho * p * q, q + (rho + 1) * p * q
+    hess = q + rho * p * p + rho * p * (q + rho * p * p)
+    assert max(solve, hess, poly) < 1 << (lanes.w - 1)
+    for bound, times in ((solve, lanes.row_folds), (p * q, lanes.unit_folds),
+                         (poly, lanes.poly_folds)):
+        folded = _unpack(lanes.fold(_pack([bound] * 2 * rho, lanes.w), times), lanes.w, 2 * rho)
+        assert all(x < q and x % p == bound % p for x in folded)
 
 
 def test_prime_is_one_digit_and_prime():
@@ -771,8 +875,8 @@ def test_prime_is_one_digit_and_prime():
 
 def exact_gcd(drawn):
     g = None
-    for C0, C1 in drawn:
-        d = _pencil_exact(C0, C1)
+    for lanes, rows in drawn:
+        d = _pencil_exact(*lanes.decode(rows))
         if d:
             g = d if g is None else _poly_gcd(g, d)
     return g
@@ -856,7 +960,8 @@ def test_compress_line_matches_the_reference_loop(r, data, prime, seed):
     B0 = data.draw(int_matrices(r, r, -40, 40))
     B1 = data.draw(int_matrices(r, r, -40, 40))
     rng, ref = random.Random(seed), random.Random(seed)
-    assert (_compress_line(B0, B1, rho, rng, 6, prime)
+    certified, drawn = _compress_line(B0, B1, rho, rng, 6, prime)
+    assert ((certified, [lanes.decode(rows) for lanes, rows in drawn])
             == compress_line_reference(B0, B1, rho, ref, 6, prime))
     assert rng.random() == ref.random()
 

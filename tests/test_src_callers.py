@@ -13,7 +13,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "centinv"
 
 # perfbench/spans.py traces both, and a traced layer must exist; they leave
-# the package when the benchmark drops them (ROADMAP items 1 and 5(d))
+# the package when the benchmark drops them (ROADMAP items 1 and 3)
 ALLOWED = {"poisson_bracket", "evaluate"}
 
 
