@@ -6,9 +6,10 @@ the centraliser g_e (the map sending w_i to e^s.w_j and the other block
 generators to zero).  The trace-dual basis of g_f and the integer table
 of structure constants (``StructureTable``), read off matrix commutators,
 are built on first read, so a certificate that never reads them never
-builds them; a constant that is not an integer is refused.  A symplectic
-variant equips the space with an invariant skew form and cuts the
-centraliser down to its sigma-fixed part.
+builds them; a constant that is not an integer is refused.  The sp model
+equips the space with an invariant skew form, and its centraliser is the
+sigma-fixed part of the gl one: a ``StructureTable`` of its own over the
+sigma-fixed basis.
 
 Every matrix is sparse, a ``{(row, col): value}`` dict without zeros.
 The trace pairing of the xi basis with g_f is read from the entries'
@@ -16,8 +17,10 @@ positions and solved by one sparse elimination (``linalg.sparse_rref``);
 on gl its Gram matrix is a scaled permutation, so this costs one step per
 basis element.  The skew form J is a signed permutation, so
 sigma(x) = J x^T J relabels entries with signs.  The sigma-fixed basis is
-in reduced echelon form, so a bracket there is read off at the pivot
-positions alone, the same way as on gl.
+the reduced echelon form that ``sparse_rref`` returns for the rows
+x + sigma(x), so a bracket there is read off at the pivot positions alone,
+the same way as on gl.  The one check left at build time is ad(h)
+homogeneity: a basis row of two ad(h) weights is refused.
 """
 
 from __future__ import annotations
@@ -309,48 +312,6 @@ def build_gl_model(p: Partition) -> CentralizerModel:
     return CentralizerModel(p)
 
 
-class SubalgebraModel(StructureTable):
-    """A Lie subalgebra presented by coordinates inside an ambient model.
-
-    Exposes the same bracket interface as CentralizerModel so stabiliser
-    and index computations run unchanged on the symplectic centraliser.
-    The basis is given by sparse ambient coordinate rows ``{column: value}``
-    without zeros, in reduced echelon form: row t is 1 at its pivot
-    column, its least one, and 0 at every other pivot column.  So a
-    bracket is read off at the ambient positions of the pivots, and each
-    row must be ad(h) homogeneous; ValueError otherwise.
-    """
-
-    def __init__(self, ambient: CentralizerModel, coord_rows: list[dict], rank: int):
-        if sparse_rref(coord_rows) != coord_rows:
-            raise ValueError("subalgebra coordinate rows are not in reduced echelon form")
-        self.coords = coord_rows
-        self.dim = len(coord_rows)
-        self.rank = rank
-        self.labels = [f"u[{t + 1}]" for t in range(self.dim)]
-        self.var_names = tuple(f"u{t + 1}" for t in range(self.dim))
-        self.matrices = [ambient.matrix_from_coords(row) for row in coord_rows]
-        self.read_at = [ambient.read_at[min(row)] for row in coord_rows]
-        # holds for the sigma-fixed part: sigma fixes h, so it commutes with ad h
-        self.h_weights = [ambient.h_weights[min(row)] for row in coord_rows]
-        if any(ambient.h_weights[c] != w for row, w in zip(coord_rows, self.h_weights)
-               for c in row):
-            raise ValueError("a subalgebra coordinate row is not ad(h) homogeneous")
-        self.rho_weights = None
-
-    def restrict_dual(self, nums) -> tuple[int, ...]:
-        """Restrict a functional on the ambient algebra, the integer
-        coordinates ``nums``, to this subalgebra; ArithmeticError unless
-        every restricted coordinate is an integer."""
-        out = []
-        for row in self.coords:
-            value = sum(v * nums[c] for c, v in row.items())
-            if value.denominator != 1:
-                raise ArithmeticError(f"restricted coordinate {value} is not an integer")
-            out.append(int(value))
-        return tuple(out)
-
-
 def check_symplectic_form(J: dict, real: JordanRealization) -> None:
     """Raise ArithmeticError unless J is skew, J^2 = -Id and e, h, f are
     symplectic: x^T J + J x = 0, that is J x symmetric, J being skew."""
@@ -364,14 +325,21 @@ def check_symplectic_form(J: dict, real: JordanRealization) -> None:
             raise ArithmeticError(f"{name} is not symplectic for the form")
 
 
-class SymplecticModel:
-    """Skew form, involution and sigma-fixed centraliser for sp_{2n}.
+class SymplecticModel(StructureTable):
+    """The centraliser of e in sp_{2n}: the sigma-fixed part of the gl
+    centraliser ``gl``, with the skew form J and the involution sigma.
 
     The form is (e^s.w_i, e^t.w_{i'}) = (-1)^t eps_i delta_{s+t, d_i}
     with eps chosen so the Gram matrix J is skew; then J^2 = -Id, the
     whole sl2 triple is symplectic and sigma(x) = J x^T J fixes exactly
     the symplectic elements.  J has one entry per row, so with J^2 = -Id
     it is a signed permutation and sigma relabels entries with signs.
+
+    The basis u[1..r] is ``sigma_fixed_basis``, rows ``{column: value}`` of
+    gl coordinates as ``sparse_rref`` returns them: row t is 1 at its pivot
+    column, its least one, and 0 at every other pivot column, so ``read_at``
+    holds the gl positions of the pivots.  sigma fixes h, so each row should
+    have one ad(h) weight; ValueError otherwise.
     """
 
     def __init__(self, p: Partition):
@@ -379,8 +347,8 @@ class SymplecticModel:
         if p.n % 2:
             raise InvalidPartitionError("symplectic partition must have even size")
         self.partition = p
-        self.gl = build_gl_model(p)
-        real = self.gl.realization
+        self.gl = gl = build_gl_model(p)
+        real = gl.realization
         d = p.d
 
         self.pairing = pairing_map(p, ClassicalType.SP)
@@ -396,18 +364,26 @@ class SymplecticModel:
         self._col_of = {j: (i, v) for (i, j), v in J.items()}
 
         fixed_rows, odd_rows = [], []
-        for a, mat in enumerate(self.gl.matrices):
-            sig = self.gl.coords_of(self.sigma(mat))
+        for a, mat in enumerate(gl.matrices):
+            sig = gl.coords_of(self.sigma(mat))
             fixed_rows.append(_combination(((1, {a: 1}), (1, sig))))
             odd_rows.append(_combination(((1, {a: 1}), (-1, sig))))
-        self.sigma_fixed_basis = sparse_rref(fixed_rows)
+        self.sigma_fixed_basis = basis = sparse_rref(fixed_rows)
         self.odd_part_basis = sparse_rref(odd_rows)
         expected = dim_centralizer_so_sp(p, ClassicalType.SP)
-        if len(self.sigma_fixed_basis) != expected:
-            raise ArithmeticError(
-                f"fixed space has dim {len(self.sigma_fixed_basis)}, expected {expected}")
+        if len(basis) != expected:
+            raise ArithmeticError(f"fixed space has dim {len(basis)}, expected {expected}")
 
-        self.fixed = SubalgebraModel(self.gl, self.sigma_fixed_basis, rank=p.n // 2)
+        self.dim = len(basis)
+        self.rank = p.n // 2
+        self.labels = [f"u[{t + 1}]" for t in range(self.dim)]
+        self.var_names = tuple(f"u{t + 1}" for t in range(self.dim))
+        self.matrices = [gl.matrix_from_coords(row) for row in basis]
+        self.read_at = [gl.read_at[min(row)] for row in basis]
+        self.h_weights = [gl.h_weights[min(row)] for row in basis]
+        if any(gl.h_weights[c] != w for row, w in zip(basis, self.h_weights) for c in row):
+            raise ValueError("a sigma-fixed basis row is not ad(h) homogeneous")
+        self.rho_weights = None
 
     @cached_property
     def gf_dual(self) -> list[dict]:
@@ -418,7 +394,19 @@ class SymplecticModel:
                               for mat in map(self.gl.realization.gf_matrix, self.gl.xi))
         if len(gf_mats) != self.dim:
             raise ArithmeticError("g_f fixed space has unexpected dimension")
-        return trace_dual(self.fixed.matrices, gf_mats)
+        return trace_dual(self.matrices, gf_mats)
+
+    def restrict_dual(self, nums) -> tuple[int, ...]:
+        """Restrict a functional on the gl centraliser, the integer
+        coordinates ``nums``, to this one; ArithmeticError unless every
+        restricted coordinate is an integer."""
+        out = []
+        for row in self.sigma_fixed_basis:
+            value = sum(v * nums[c] for c, v in row.items())
+            if value.denominator != 1:
+                raise ArithmeticError(f"restricted coordinate {value} is not an integer")
+            out.append(int(value))
+        return tuple(out)
 
     def sigma(self, mat: dict) -> dict:
         """J mat^T J: the entry (i, j) moves to (a, b) with J[a, j] and
@@ -429,10 +417,6 @@ class SymplecticModel:
             b, sb = self._row_of[i]
             out[(a, b)] = sa * sb * v
         return out
-
-    @property
-    def dim(self) -> int:
-        return self.fixed.dim
 
 
 def build_sp_model(p: Partition) -> SymplecticModel:

@@ -277,11 +277,11 @@ def symplectic_minor_sums(sp: SymplecticModel, budget: int = 8) -> SliceRestrict
     if p.n > budget:
         raise BudgetExceededError(p.n, budget, "symplectic slice expansion")
     e, gf_dual = sp.gl.realization.e, sp.gf_dual
-    polys = principal_minor_sum_polys(_slice_entries(e, gf_dual, p.n), sp.fixed.var_names)
+    polys = principal_minor_sum_polys(_slice_entries(e, gf_dual, p.n), sp.var_names)
     for ell in range(1, p.n + 1, 2):
         if not polys[ell - 1].is_zero():
             raise ArithmeticError(f"odd minor sum {ell} does not vanish on the sp slice")
-    return _restriction(sp.fixed, e, gf_dual, p.n, list(range(2, p.n + 1, 2)), polys[1::2])
+    return _restriction(sp, e, gf_dual, p.n, list(range(2, p.n + 1, 2)), polys[1::2])
 
 
 # -- Poisson structure ------------------------------------------------------

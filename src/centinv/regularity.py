@@ -288,7 +288,7 @@ def build_beta_prime_sum(sp: SymplecticModel) -> BetaPrimeResult:
             "torus_exponent": exponent,
         })
     ambient = Functional(tuple(nums), "BETA_PRIME_SUM")
-    restricted = Functional(sp.fixed.restrict_dual(ambient.nums), "BETA_PRIME_SUM")
+    restricted = Functional(sp.restrict_dual(ambient.nums), "BETA_PRIME_SUM")
     return BetaPrimeResult(
         restricted=restricted,
         gamma_terms=gamma_terms,
@@ -298,12 +298,10 @@ def build_beta_prime_sum(sp: SymplecticModel) -> BetaPrimeResult:
     )
 
 
-def restrict_alpha_to_fixed(sp: SymplecticModel, a=None) -> Functional:
+def restrict_alpha_to_fixed(sp: SymplecticModel) -> Functional:
     """Block-scalar functional with a_{i'} = -a_i, restricted to the sp part."""
-    if a is None:
-        a = default_alpha_coefficients(sp)
-    alpha = build_alpha(sp.gl, a)
-    return Functional(sp.fixed.restrict_dual(alpha.nums), alpha.provenance)
+    alpha = build_alpha(sp.gl, default_alpha_coefficients(sp))
+    return Functional(sp.restrict_dual(alpha.nums), alpha.provenance)
 
 
 def vanishes_on_odd_part(sp: SymplecticModel, gamma: Functional) -> bool:

@@ -133,29 +133,25 @@ class PartitionContext:
     @cached_property
     def model(self):
         if self.cfg.algebra == "sp":
-            return self.sp.fixed
+            return build_sp_model(self.partition)
         return build_gl_model(self.partition)
-
-    @cached_property
-    def sp(self):
-        return build_sp_model(self.partition)
 
     @cached_property
     def slice(self):
         if self.cfg.algebra == "sp":
-            return symplectic_minor_sums(self.sp, budget=self.cfg.budget_n)
+            return symplectic_minor_sums(self.model, budget=self.cfg.budget_n)
         return principal_minor_sums(self.model, budget=self.cfg.budget_n)
 
     @cached_property
     def alpha(self) -> Functional:
         if self.cfg.algebra == "sp":
-            return restrict_alpha_to_fixed(self.sp)
+            return restrict_alpha_to_fixed(self.model)
         return build_alpha(self.model, default_alpha_coefficients(self.model))
 
     @cached_property
     def beta_prime(self) -> BetaPrimeResult:
         """The corrected subdiagonal functional of the sp model (k >= 2)."""
-        return build_beta_prime_sum(self.sp)
+        return build_beta_prime_sum(self.model)
 
     @cached_property
     def beta(self) -> Functional | None:
@@ -294,7 +290,7 @@ def cmd_stabilizers(ctx: PartitionContext) -> Certificate:
             witnesses["beta_stabilizer_dim"] = None
     else:
         witnesses["alpha_vanishes_on_odd_part"] = vanishes_on_odd_part(
-            ctx.sp, build_alpha(ctx.sp.gl, default_alpha_coefficients(ctx.sp)))
+            model, build_alpha(model.gl, default_alpha_coefficients(model)))
         ok = ok and witnesses["alpha_vanishes_on_odd_part"]
         if p.k >= 2:
             bp = ctx.beta_prime
@@ -302,7 +298,7 @@ def cmd_stabilizers(ctx: PartitionContext) -> Certificate:
             witnesses["beta_prime_vanishes_on_odd_part"] = bp.vanishes_on_odd_part
             witnesses["beta_prime_torus_exponents_ok"] = bp.torus_exponents_ok
             witnesses["beta_prime_nonzero"] = bp.nonzero
-            stab_beta = stabilizer_dim(bp.restricted, ctx.model)
+            stab_beta = stabilizer_dim(bp.restricted, model)
             witnesses["beta_stabilizer_dim"] = stab_beta
             ok = (ok and bp.vanishes_on_odd_part and bp.torus_exponents_ok
                   and bp.nonzero and stab_beta == model.rank)

@@ -116,7 +116,7 @@ def test_criterion_4_index():
         for p in partitions_of(2 * n, ClassicalType.SP):
             sp = build_sp_model(p)
             alpha = restrict_alpha_to_fixed(sp)
-            rep = index_report(sp.fixed, samples=5, seed=SEED, special=(alpha,))
+            rep = index_report(sp, samples=5, seed=SEED, special=(alpha,))
             ok &= rep.index_estimate == n
             ok &= rep.certificate_point is not None
             ok &= rep.certificate_point.provenance.startswith("ALPHA")
@@ -163,9 +163,9 @@ def test_criterion_6_singular_locus_codimension():
             alpha = restrict_alpha_to_fixed(sp)
             if p.k >= 2:
                 beta = build_beta_prime_sum(sp).restricted
-                scan = plane_regularity_scan(sp.fixed, alpha, beta, grid=7)
+                scan = plane_regularity_scan(sp, alpha, beta, grid=7)
                 ok &= scan.passed
-            probe = singular_locus_probe(sp.fixed, lines=10, seed=SEED)
+            probe = singular_locus_probe(sp, lines=10, seed=SEED)
             ok &= probe.all_clean
     assert report("6 (singular locus codimension probes)", ok)
 

@@ -27,9 +27,9 @@ from dense_oracle import (
     transpose,
 )
 
+from centinv import centralizer
 from centinv.centralizer import (
     JordanRealization,
-    SubalgebraModel,
     XiIndex,
     build_gl_model,
     build_sp_model,
@@ -250,7 +250,7 @@ def test_symplectic_model_invariants():
             for (j, s2), col2 in real.pos.items():
                 if J[col][col2]:
                     assert j == sp.pairing[i]
-        for mat in sp.fixed.matrices:
+        for mat in sp.matrices:
             mat = dense(mat, n)
             assert is_zero(add(matmul(transpose(mat), J), matmul(J, mat)))
         for row in sp.odd_part_basis:
@@ -294,9 +294,9 @@ def test_sparse_sp_build_matches_dense_oracle(n):
         sp, oracle = build_sp_model(p), DenseSpModel(p)
         assert sp.sigma_fixed_basis == sparse_rows(oracle.sigma_fixed_basis), p
         assert sp.odd_part_basis == sparse_rows(oracle.odd_part_basis), p
-        assert structure_of(sp.fixed) == oracle.fixed_structure, p
+        assert structure_of(sp) == oracle.fixed_structure, p
         assert [dense(m, n) for m in sp.gf_dual] == oracle.gf_dual, p
-        assert [dense(m, n) for m in sp.fixed.matrices] == oracle.fixed_matrices, p
+        assert [dense(m, n) for m in sp.matrices] == oracle.fixed_matrices, p
 
 
 TABLE_MODELS = ([f"gl {p}" for n in range(1, 6) for p in partitions_of(n)]
@@ -309,7 +309,7 @@ def model_and_oracle_structure(name: str):
     p = Partition.parse(parts)
     if kind == "gl":
         return build_gl_model(p), DenseGlModel(p).structure
-    return build_sp_model(p).fixed, DenseSpModel(p).fixed_structure
+    return build_sp_model(p), DenseSpModel(p).fixed_structure
 
 
 @pytest.mark.parametrize("name", TABLE_MODELS)
@@ -358,24 +358,11 @@ def test_lie_generators_of_gl_n(n, count):
     assert m.lie_generators == tuple(range(n + 1)) + tuple(range(2 * n, n * n, n))
 
 
-def test_subalgebra_rejects_dependent_rows():
-    sp = build_sp_model(Partition.parse("2,2"))
-    rows = sp.sigma_fixed_basis
-    with pytest.raises(ValueError):
-        SubalgebraModel(sp.gl, rows + [{c: 2 * x for c, x in rows[0].items()}], rank=2)
-
-
-def test_subalgebra_refuses_a_basis_out_of_echelon_form():
-    # the fixed part of 2,1,1 on its basis scaled by 1/5: the same span,
-    # but its brackets can no longer be read off at the pivot positions
-    sp = build_sp_model(Partition.parse("2,1,1"))
-    scaled = [{c: Fraction(x, 5) for c, x in row.items()} for row in sp.sigma_fixed_basis]
-    with pytest.raises(ValueError, match="echelon"):
-        SubalgebraModel(sp.gl, scaled, rank=2)
-
-
-def test_subalgebra_refuses_a_row_of_two_ad_h_weights():
-    sp = build_sp_model(Partition.parse("2,1,1"))
+def test_sp_model_refuses_a_fixed_row_of_two_ad_h_weights(monkeypatch):
+    """A sigma-fixed row planted with an entry of another ad(h) weight,
+    still in reduced echelon form, through the elimination the model calls."""
+    p = Partition.parse("2,1,1")
+    sp = build_sp_model(p)
     rows = [dict(row) for row in sp.sigma_fixed_basis]
     pivots = {min(row) for row in rows}
     weights = sp.gl.h_weights
@@ -384,8 +371,14 @@ def test_subalgebra_refuses_a_row_of_two_ad_h_weights():
                 if c not in pivots and weights[c] != weights[min(row)])
     rows[t][c] = 1
     assert sparse_rref(rows) == rows
+
+    def planted(vectors):
+        out = sparse_rref(vectors)
+        return rows if out == sp.sigma_fixed_basis else out
+
+    monkeypatch.setattr(centralizer, "sparse_rref", planted)
     with pytest.raises(ValueError, match="homogeneous"):
-        SubalgebraModel(sp.gl, rows, rank=2)
+        build_sp_model(p)
 
 
 def test_non_integer_structure_constants_are_refused(monkeypatch):
@@ -407,15 +400,15 @@ def test_degrees_never_builds_the_structure_rows():
 
 
 def test_sp_run_never_builds_the_ambient_table_or_dual():
-    """Every sp certificate reads the sigma-fixed table and the sp dual;
-    the ambient gl model keeps neither its own table nor its own dual."""
+    """Every sp certificate reads the sp model's own table and dual; the
+    gl model it is cut from keeps neither its own table nor its own dual."""
     p = Partition.parse("2,1,1")
     cfg = RunConfig(algebra="sp", all_commands=True, seed=7)
     ctx = PartitionContext(p, cfg)
     for name in commands_for(cfg, p):
         _COMMAND_TABLE[name](ctx)
-    assert "rows" in vars(ctx.sp.fixed) and "gf_dual" in vars(ctx.sp)
-    assert not {"rows", "gf_dual"} & set(vars(ctx.sp.gl))
+    assert {"rows", "gf_dual"} <= set(vars(ctx.model))
+    assert not {"rows", "gf_dual"} & set(vars(ctx.model.gl))
 
 
 def test_every_sp_model_up_to_2n_10_builds():
@@ -426,11 +419,10 @@ def test_every_sp_model_up_to_2n_10_builds():
     assert len(parts) == 52
     for p in parts:
         sp = build_sp_model(p)
-        fixed = sp.fixed
-        assert all(type(x) is int for row in fixed.rows for entries in row for _, x in entries)
+        assert all(type(x) is int for row in sp.rows for entries in row for _, x in entries)
         assert sparse_rref(sp.sigma_fixed_basis) == sp.sigma_fixed_basis, p
         assert {abs(x) for row in sp.sigma_fixed_basis for x in row.values()} == {1}, p
-        assert type(fixed.h_weights) is list and len(fixed.h_weights) == fixed.dim
+        assert type(sp.h_weights) is list and len(sp.h_weights) == sp.dim
 
 
 def test_flipped_form_sign_raises():

@@ -13,7 +13,7 @@ from centinv.runner import RunConfig, build_report
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 CASES = [("gl", "2,1"), ("gl", "2,2"), ("gl", "3,1"), ("gl", "3,2,1"), ("sp", "2,1,1"),
-         ("so", "5,3,2,2"), ("so", "3,1,1")]
+         ("sp", "3,3,2"), ("so", "5,3,2,2"), ("so", "3,1,1")]
 
 
 @pytest.mark.parametrize("algebra,parts", CASES)
@@ -32,7 +32,7 @@ def test_line_probes_match_golden():
     the number of compressions drawn, which the reports leave out; gl 1^7
     has the widest pencils here, rho = 42."""
     models = {f"gl {p}": build_gl_model(p) for n in range(1, 8) for p in partitions_of(n)}
-    models.update({f"sp {p}": build_sp_model(p).fixed
+    models.update({f"sp {p}": build_sp_model(p)
                    for n in range(1, 5) for p in partitions_of(2 * n, ClassicalType.SP)})
     got = {f"{name} seed {seed}": [[pr.certified, pr.singular_values, pr.minors_used, pr.detail]
                                    for pr in singular_locus_probe(model, lines=10, seed=seed).lines]

@@ -270,7 +270,7 @@ def _centrality_model(name):
         m = build_gl_model(Partition.parse(parts))
         return m, principal_minor_sums(m)
     sp = build_sp_model(Partition.parse(parts))
-    return sp.fixed, symplectic_minor_sums(sp)
+    return sp, symplectic_minor_sums(sp)
 
 
 def _perturbed(sr, m):
@@ -522,7 +522,7 @@ def test_symplectic_slice_odd_sums_vanish_and_degrees():
         sr = symplectic_minor_sums(sp)
         assert tuple(sr.degrees) == degrees_sp(p).degrees
         assert all(sr.kazhdan_homogeneous)
-        res = verify_centrality(sr, sp.fixed, seed=5)
+        res = verify_centrality(sr, sp, seed=5)
         assert res.passed
 
 
@@ -580,7 +580,7 @@ def test_slice_degrees_kazhdan_and_decode_match_the_oracles(name):
     p = Partition.parse(parts)
     if algebra == "sp":
         model = build_sp_model(p)
-        sr, weights, sizes = symplectic_minor_sums(model), model.fixed.h_weights, range(2, p.n + 1, 2)
+        sr, weights, sizes = symplectic_minor_sums(model), model.h_weights, range(2, p.n + 1, 2)
     else:
         model = build_gl_model(p)
         sr, weights, sizes = principal_minor_sums(model), model.h_weights, range(1, p.n + 1)
@@ -798,10 +798,10 @@ def test_faddeev_leverrier_matches_sympy_charpoly(Z):
 
 @functools.cache
 def bracket_model(name: str):
-    """The gl model, or the sp fixed part, named like "gl 3,2,1" or "sp 2,1,1"."""
+    """The gl or sp model named like "gl 3,2,1" or "sp 2,1,1"."""
     kind, parts = name.split()
     if kind == "sp":
-        return build_sp_model(Partition.parse(parts)).fixed
+        return build_sp_model(Partition.parse(parts))
     return build_gl_model(Partition.parse(parts))
 
 
@@ -1041,7 +1041,7 @@ def _slice_of(name):
     p = Partition.parse(parts)
     if algebra == "sp":
         sp = build_sp_model(p)
-        return _slice_entries(sp.gl.realization.e, sp.gf_dual, p.n), sp.fixed.var_names
+        return _slice_entries(sp.gl.realization.e, sp.gf_dual, p.n), sp.var_names
     m = build_gl_model(p)
     return _slice_entries(m.realization.e, m.gf_dual, p.n), m.var_names
 

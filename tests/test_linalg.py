@@ -275,7 +275,7 @@ def bracket_form_cases():
         for p in partitions_of(2 * n, ClassicalType.SP):
             sp = build_sp_model(p)
             beta = build_beta_prime_sum(sp).restricted if p.k >= 2 else None
-            yield sp.fixed, bracket_form_points(sp.fixed, restrict_alpha_to_fixed(sp), beta, rng)
+            yield sp, bracket_form_points(sp, restrict_alpha_to_fixed(sp), beta, rng)
 
 
 def test_bracket_form_rank_is_the_bareiss_rank():

@@ -271,10 +271,10 @@ def test_index_report_needs_samples():
 def test_index_report_sp():
     sp = build_sp_model(Partition.parse("2,1,1"))
     alpha = restrict_alpha_to_fixed(sp)
-    rep = index_report(sp.fixed, samples=20, seed=1, special=(alpha,))
+    rep = index_report(sp, samples=20, seed=1, special=(alpha,))
     assert rep.index_estimate == 2
     sp22 = build_sp_model(Partition.parse("2,2"))
-    rep = index_report(sp22.fixed, samples=20, seed=1,
+    rep = index_report(sp22, samples=20, seed=1,
                        special=(restrict_alpha_to_fixed(sp22),))
     assert rep.index_estimate == 2
 
@@ -382,7 +382,7 @@ def test_plane_scan_matches_the_per_point_scan_sp():
                 continue
             sp = build_sp_model(p)
             check_scan_against_per_point(
-                sp.fixed, restrict_alpha_to_fixed(sp),
+                sp, restrict_alpha_to_fixed(sp),
                 build_beta_prime_sum(sp).restricted, None)
 
 
@@ -400,7 +400,7 @@ def test_beta_prime_sum():
     assert res.vanishes_on_odd_part
     assert res.torus_exponents_ok
     assert len(res.gamma_terms) == 1  # only the unpaired top block needs a correction
-    assert stabilizer_dim(res.restricted, sp.fixed) == sp.fixed.rank
+    assert stabilizer_dim(res.restricted, sp) == sp.rank
     # all blocks unpaired (every d_i odd): every index below k contributes
     sp42 = build_sp_model(Partition.parse("4,2"))
     res42 = build_beta_prime_sum(sp42)
@@ -415,7 +415,7 @@ def test_sp_alpha_restriction_regular_up_to_8():
         for p in partitions_of(2 * n, ClassicalType.SP):
             sp = build_sp_model(p)
             alpha = restrict_alpha_to_fixed(sp)
-            assert stabilizer_dim(alpha, sp.fixed) == n, p
+            assert stabilizer_dim(alpha, sp) == n, p
 
 
 def test_differential_criterion_cases():
@@ -440,7 +440,7 @@ def test_choose_generators_takes_rank_many_initial_terms():
     sr = principal_minor_sums(m)
     assert choose_generators(sr, m) == list(range(m.rank))
     sp = build_sp_model(Partition.parse("2,2,1,1"))
-    assert choose_generators(symplectic_minor_sums(sp), sp.fixed) == [0, 1, 2]
+    assert choose_generators(symplectic_minor_sums(sp), sp) == [0, 1, 2]
     extra = copy.copy(sr)
     extra.full = sr.full + sr.full[-1:]
     with pytest.raises(ValueError):
@@ -475,7 +475,7 @@ def test_line_probe_abelian_trivial():
 def test_line_probe_confirms_a_real_singular_hit():
     # this seeded symplectic line genuinely meets the singular locus once
     sp = build_sp_model(Partition.parse("2,2,1,1"))
-    rep = singular_locus_probe(sp.fixed, lines=10, seed=7)
+    rep = singular_locus_probe(sp, lines=10, seed=7)
     assert not rep.all_clean
     hits = [pr for pr in rep.lines if pr.singular_values]
     assert len(hits) == 1
@@ -485,7 +485,7 @@ def test_line_probe_confirms_a_real_singular_hit():
 
 def test_line_probe_sp_clean():
     sp = build_sp_model(Partition.parse("2,1,1"))
-    rep = singular_locus_probe(sp.fixed, lines=10, seed=0)
+    rep = singular_locus_probe(sp, lines=10, seed=0)
     assert rep.all_clean
 
 
@@ -1001,8 +1001,8 @@ def check_integer_form(model, gammas):
 def test_integer_form_rank_on_symplectic_fixed_parts(parts):
     sp = build_sp_model(Partition.parse(parts))
     rng = random.Random(3)
-    gammas = rational_functionals(sp.fixed, rng) + [restrict_alpha_to_fixed(sp)]
-    check_integer_form(sp.fixed, gammas)
+    gammas = rational_functionals(sp, rng) + [restrict_alpha_to_fixed(sp)]
+    check_integer_form(sp, gammas)
 
 
 @pytest.mark.parametrize("parts", ["2,1", "3,2", "2,2,1"])
@@ -1027,10 +1027,10 @@ def test_stabilizer_dim_of_an_integer_multiple(name):
     algebra, parts = name.split()
     p = Partition.parse(parts)
     if algebra == "sp":
-        sp = build_sp_model(p)
-        model, points = sp.fixed, [restrict_alpha_to_fixed(sp)]
+        model = build_sp_model(p)
+        points = [restrict_alpha_to_fixed(model)]
         if p.k >= 2:
-            points.append(build_beta_prime_sum(sp).restricted)
+            points.append(build_beta_prime_sum(model).restricted)
     else:
         model = build_gl_model(p)
         points = [build_alpha(model, default_alpha_coefficients(model))]
@@ -1046,13 +1046,11 @@ def test_stabilizer_dim_of_an_integer_multiple(name):
 
 def planted_fixed_part(sp, nums):
     """A copy of sp whose first sigma-fixed row gains 1/2 at a coordinate
-    where the ambient point nums is odd."""
+    where the gl point nums is odd."""
     c = next(c for c, x in enumerate(nums) if x % 2)
-    fixed = copy.copy(sp.fixed)
-    fixed.coords = [dict(row) for row in sp.fixed.coords]
-    fixed.coords[0][c] = fixed.coords[0].get(c, 0) + Fraction(1, 2)
     planted = copy.copy(sp)
-    planted.fixed = fixed
+    rows = planted.sigma_fixed_basis = [dict(row) for row in sp.sigma_fixed_basis]
+    rows[0][c] = rows[0].get(c, 0) + Fraction(1, 2)
     return planted
 
 
@@ -1063,11 +1061,11 @@ def test_restrict_dual_refuses_a_non_integer_coordinate(monkeypatch):
     p = Partition.parse("2,1,1")
     sp = build_sp_model(p)
     alpha = build_alpha(sp.gl, default_alpha_coefficients(sp))
-    restricted = sp.fixed.restrict_dual(alpha.nums)
+    restricted = sp.restrict_dual(alpha.nums)
     assert type(restricted) is tuple and all(type(x) is int for x in restricted)
     planted = planted_fixed_part(sp, alpha.nums)
     with pytest.raises(ArithmeticError, match="not an integer"):
-        planted.fixed.restrict_dual(alpha.nums)
+        planted.restrict_dual(alpha.nums)
     with pytest.raises(ArithmeticError, match="not an integer"):
         restrict_alpha_to_fixed(planted)
     # through the runner the refusal is an internal ERROR certificate
