@@ -339,7 +339,9 @@ class SymplecticModel(StructureTable):
     gl coordinates as ``sparse_rref`` returns them: row t is 1 at its pivot
     column, its least one, and 0 at every other pivot column, so ``read_at``
     holds the gl positions of the pivots.  sigma fixes h, so each row should
-    have one ad(h) weight; ValueError otherwise.
+    have one ad(h) weight; ValueError otherwise.  ``odd_part_span`` keeps
+    the rows xi_a - sigma(xi_a), one per gl coordinate: they span the
+    sigma-odd part, which is all a check that a functional kills it needs.
     """
 
     def __init__(self, p: Partition):
@@ -369,7 +371,7 @@ class SymplecticModel(StructureTable):
             fixed_rows.append(_combination(((1, {a: 1}), (1, sig))))
             odd_rows.append(_combination(((1, {a: 1}), (-1, sig))))
         self.sigma_fixed_basis = basis = sparse_rref(fixed_rows)
-        self.odd_part_basis = sparse_rref(odd_rows)
+        self.odd_part_span = odd_rows
         expected = dim_centralizer_so_sp(p, ClassicalType.SP)
         if len(basis) != expected:
             raise ArithmeticError(f"fixed space has dim {len(basis)}, expected {expected}")

@@ -15,7 +15,13 @@ structural properties the rest of the toolkit certifies: Poisson
 centrality, monomial support, the signed-permutation expansion, and
 agreement with the top coefficient of the expansion of an invariant
 along the opposite nilpotent.  The brackets they need read the model's
-integer structure table ``rows``.
+integer structure table ``rows``.  The first three checks return what
+their certificates report, and ``runner`` derives the verdict:
+``verify_centrality`` gives (failing bracket, points probed, group
+failures), ``monomial_support_check`` the violations and
+``conjecture_explicit_check`` the ratios, ending in None at the first
+failure.  ``top_coefficient_crosscheck`` keeps its result type, since
+its pass on the zero nilpotent carries a detail.
 
 The gradient rows of all initial terms at an integer point nums come from
 ``jacobian_rows(sr, nums)`` by one of two routes, picked per call
@@ -347,14 +353,6 @@ def coadjoint_exp(model, a: int, gamma: list[int]) -> tuple[list[int], int]:
         den *= k
 
 
-@dataclass
-class CentralityResult:
-    passed: bool
-    failing: tuple | None          # (coordinate label, ell, bracket string)
-    group_points_checked: int
-    group_failures: list
-
-
 def _first_noncentral(sr: SliceRestriction, model, coords) -> tuple | None:
     """(label, ell, bracket) of the first nonzero {x_a, initial_ell}, ell
     outer and a in ``coords`` inner, or None."""
@@ -366,8 +364,12 @@ def _first_noncentral(sr: SliceRestriction, model, coords) -> tuple | None:
     return None
 
 
-def verify_centrality(sr: SliceRestriction, model, seed: int = 0) -> CentralityResult:
-    """Exact {x_a, initial_ell} = 0 for all a, ell, plus a group-level probe.
+def verify_centrality(sr: SliceRestriction, model, seed: int = 0) -> tuple[tuple | None, int, list]:
+    """Exact {x_a, initial_ell} = 0 for all a, ell, plus a group-level probe:
+    (failing, points probed, group failures).  ``failing`` is the first
+    nonzero bracket as (coordinate label, ell, bracket string), or None,
+    and a group failure is (coordinate label, ell).  A failing bracket
+    skips the probe: 0 points, no group failures.
 
     F -> {x, F} is a derivation and ad [x, y] = [ad x, ad y], so the x
     with {x, F} = 0 form a Lie subalgebra, and the brackets with the
@@ -384,8 +386,7 @@ def verify_centrality(sr: SliceRestriction, model, seed: int = 0) -> CentralityR
     returns it, and ``_value_changes`` scales by L^M.
     """
     if _first_noncentral(sr, model, model.lie_generators):
-        failing = _first_noncentral(sr, model, range(len(model.var_names)))
-        return CentralityResult(False, failing, 0, [])
+        return _first_noncentral(sr, model, range(len(model.var_names))), 0, []
 
     rng = random.Random(seed)
     group_failures: list = []
@@ -400,7 +401,7 @@ def verify_centrality(sr: SliceRestriction, model, seed: int = 0) -> CentralityR
             for ell, F in enumerate(sr.initial, start=1):
                 if _value_changes(F, gamma, moved, L):
                     group_failures.append((model.labels[a], ell))
-    return CentralityResult(not group_failures, None, checked, group_failures)
+    return None, checked, group_failures
 
 
 def _cleared_value(F: SparsePoly, vals: list[int], L: int) -> int:
@@ -424,18 +425,9 @@ def _value_changes(F: SparsePoly, gamma: list[int], moved: list[int], L: int) ->
 # -- monomial support -------------------------------------------------------
 
 
-@dataclass
-class MonomialSupportReport:
-    monomials_per_invariant: list[int]
-    violations: list[tuple]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def monomial_support_check(sr: SliceRestriction, model: CentralizerModel) -> MonomialSupportReport:
-    """Check every monomial of every initial term is a permutation monomial.
+def monomial_support_check(sr: SliceRestriction, model: CentralizerModel) -> list[tuple]:
+    """The violations (ell, monomial, reason) of: every monomial of every
+    initial term is a permutation monomial.
 
     Each monomial must be squarefree with pairwise distinct lower block
     indices I, upper indices permuting I, and ad(h) weight 2(ell - |I|).
@@ -465,7 +457,7 @@ def monomial_support_check(sr: SliceRestriction, model: CentralizerModel) -> Mon
                 violations.append((ell, exps, "upper indices are not a permutation"))
             if weight != 2 * (ell - k):
                 violations.append((ell, exps, f"weight {weight} != {2 * (ell - k)}"))
-    return MonomialSupportReport([len(F.terms) for F in sr.initial], violations)
+    return violations
 
 
 # -- signed permutation expansion -------------------------------------------
@@ -505,29 +497,21 @@ def signed_permutation_sum(model: CentralizerModel, ell: int, m: int) -> SparseP
     return SparsePoly(model.var_names, acc)
 
 
-@dataclass
-class ProportionalityResult:
-    passed: bool
-    ratios: list[Fraction | None]
-    first_failure: int | None
-
-
-def conjecture_explicit_check(sr: SliceRestriction, model: CentralizerModel) -> ProportionalityResult:
-    """Is each initial term proportional (nonzero ratio) to the signed sum?"""
+def conjecture_explicit_check(sr: SliceRestriction, model: CentralizerModel) -> list[Fraction | None]:
+    """The ratio of each initial term to its signed sum, while both are
+    nonzero and proportional; at the first term that is not, the list
+    ends in None, and that term is the len(ratios)-th."""
     ratios: list[Fraction | None] = []
     for ell, F in enumerate(sr.initial, start=1):
-        m = sr.degrees[ell - 1]
-        S = signed_permutation_sum(model, ell, m)
-        if S.is_zero() or F.is_zero():
-            return ProportionalityResult(False, ratios + [None], ell)
-        key0 = next(iter(S.terms))
-        if key0 not in F.terms:
-            return ProportionalityResult(False, ratios + [None], ell)
+        S = signed_permutation_sum(model, ell, sr.degrees[ell - 1])
+        key0 = next(iter(S.terms), None)
+        if F.is_zero() or key0 not in F.terms:
+            return ratios + [None]
         ratio = F.coefficient(key0) / S.coefficient(key0)
         if S.scalar_mul(ratio) != F:
-            return ProportionalityResult(False, ratios + [None], ell)
+            return ratios + [None]
         ratios.append(ratio)
-    return ProportionalityResult(True, ratios, None)
+    return ratios
 
 
 # -- expansion along the opposite nilpotent ---------------------------------

@@ -11,7 +11,8 @@ codimension off ``TransversalityCertificate.total_dim``.  Every stage of
 that peeling reads the partition's own slice: a prefix of the first m
 blocks is checked on the restriction to levels 1..m, with no model or
 slice of its own.  Setting coordinates to zero is ``SparsePoly.without``,
-which drops every term touching them.
+which drops every term touching them.  ``top_block_support_check``
+returns what differs, "" on a pass.
 """
 
 from __future__ import annotations
@@ -72,16 +73,11 @@ def _antidiag_monomial_key(model: CentralizerModel, shifts: tuple[int, ...]) -> 
     return key
 
 
-@dataclass
-class SupportCheckResult:
-    passed: bool
-    detail: str
-
-
 def top_block_support_check(model: CentralizerModel, sr: SliceRestriction,
-                            m: int | None = None) -> SupportCheckResult:
+                            m: int | None = None) -> str:
     """Restrictions of the top d_m+1 initial terms of the first m blocks
-    (default all k) live on level m exactly.
+    (default all k) live on level m exactly: "" when they do, else what
+    differs.
 
     For 0 <= q <= d_m the restriction to levels 1..m of initial term
     n_m - q, n_m = p_1 + ... + p_m, must be a sum over all shift patterns
@@ -96,13 +92,12 @@ def top_block_support_check(model: CentralizerModel, sr: SliceRestriction,
         for bars in vectors_with_total([range(q + 1)] * m, q):
             key = _antidiag_monomial_key(model, bars)
             if key is None:
-                return SupportCheckResult(False, f"missing factor at q={q}")
+                return f"missing factor at q={q}"
             expected.add(key)
         got = restricted[n_m - q - 1].terms.keys()
         if got != expected:
-            return SupportCheckResult(
-                False, f"support mismatch at q={q}: {len(got)} monomials, expected {len(expected)}")
-    return SupportCheckResult(True, "")
+            return f"support mismatch at q={q}: {len(got)} monomials, expected {len(expected)}"
+    return ""
 
 
 # -- component decomposition -------------------------------------------------
@@ -238,7 +233,7 @@ def transversality_certificate(model: CentralizerModel, sr: SliceRestriction,
 
         support_ok = None
         if m >= 2:
-            support_ok = top_block_support_check(model, sr, m).passed
+            support_ok = not top_block_support_check(model, sr, m)
             if not support_ok:
                 return TransversalityCertificate(
                     False, 0, stages, f"support check failed at block {m}")

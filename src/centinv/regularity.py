@@ -26,12 +26,19 @@ and the recurrence polynomials are folded, x -> (x & lo) +
 35 ((x >> 30) & hi), below q = 2^31; w covers the solve, 2 bias + rho p q,
 the Hessenberg step, q + rho p^2 + rho p (q + rho p^2), and the
 recurrence, q + (rho+1) p q.
+
+Each check returns the values its certificate reports, and
+``runner`` derives the verdict: ``alpha_stabilizer_basis_check`` gives
+(kernel dim, diagonal span), ``index_report`` the (gamma, stabiliser
+dim) pairs, ``plane_regularity_scan`` (failures, torus check),
+``differential_criterion`` (Jacobian rank, stabiliser dim) and
+``singular_locus_probe`` one ``LineProbe`` per line.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt
 
@@ -135,14 +142,9 @@ def stabilizer_dim(gamma: Functional, model) -> int:
     return model.dim - bracket_form_matrix(model, gamma).rank()
 
 
-@dataclass
-class StabilizerSpanResult:
-    passed: bool
-    kernel_dim: int
-
-
-def alpha_stabilizer_basis_check(model: CentralizerModel, a) -> StabilizerSpanResult:
-    """Kernel of B(alpha) must equal the span of the block-diagonal basis.
+def alpha_stabilizer_basis_check(model: CentralizerModel, a) -> tuple[int, bool]:
+    """(kernel dim of B(alpha), whether the kernel is the span of the
+    block-diagonal basis).
 
     Read from B(alpha) itself, with no kernel basis: every diagonal column
     is zero, which puts the diagonal span inside the kernel, and
@@ -154,58 +156,26 @@ def alpha_stabilizer_basis_check(model: CentralizerModel, a) -> StabilizerSpanRe
     B = bracket_form_matrix(model, alpha)
     kernel_dim = model.dim - B.rank()
     diag = [t for t, idx in enumerate(model.xi) if idx.i == idx.j]
-    passed = kernel_dim == len(diag) and not any(row[t] for row in B.rows for t in diag)
-    return StabilizerSpanResult(passed, kernel_dim)
-
-
-@dataclass
-class IndexReport:
-    sampled_max_rank: int
-    index_estimate: int
-    certificate_point: Functional | None
-    per_point: list[tuple[str, int]] = field(default_factory=list)
+    return kernel_dim, kernel_dim == len(diag) and not any(row[t] for row in B.rows for t in diag)
 
 
 def index_report(model, samples: int = 10, seed: int = 0,
-                 special: tuple[Functional, ...] = ()) -> IndexReport:
-    """Corank of the bracket form at the best of the sampled functionals."""
+                 special: tuple[Functional, ...] = ()) -> list[tuple[Functional, int]]:
+    """(gamma, stabiliser dim) at the special functionals, then at
+    ``samples`` random ones; the index is the least dimension."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = random.Random(seed)
-    r = model.dim
     points = list(special) + [random_functional(model, rng) for _ in range(samples)]
-    best_rank = 0
-    per_point = []
-    certificate = None
-    for gamma in points:
-        rk = bracket_form_matrix(model, gamma).rank()
-        stab = r - rk
-        per_point.append((gamma.provenance, stab))
-        if rk > best_rank:
-            best_rank = rk
-        if certificate is None and stab == model.rank:
-            certificate = gamma
-    return IndexReport(
-        sampled_max_rank=best_rank,
-        index_estimate=r - best_rank,
-        certificate_point=certificate,
-        per_point=per_point,
-    )
-
-
-@dataclass
-class PlaneScanResult:
-    passed: bool
-    failures: list[tuple[str, str, int]]
-    rho_eigenvector_check: bool | None
+    return [(gamma, model.dim - bracket_form_matrix(model, gamma).rank()) for gamma in points]
 
 
 def plane_regularity_scan(model, gamma1: Functional, gamma2: Functional,
-                          grid: int = 7) -> PlaneScanResult:
-    """Every nonzero point of the plane grid has minimal stabiliser dim.
-
-    On a gl model with the diagonal/subdiagonal pair this also verifies
-    the weighted torus action rescales them by t and 1 respectively.
+                          grid: int = 7) -> tuple[list[tuple[str, str, int]], bool | None]:
+    """(failures, torus check): the grid points (x, y, stab) off the minimal
+    stabiliser dim, and on a gl model with the diagonal/subdiagonal pair
+    whether the weighted torus action rescales them by t and 1
+    respectively (None elsewhere).
     """
     if bareiss([list(gamma1.nums), list(gamma2.nums)])[0] != 2:
         raise ValueError("plane scan needs two independent functionals")
@@ -237,7 +207,7 @@ def plane_regularity_scan(model, gamma1: Functional, gamma2: Functional,
         # exactly when its support has weight -1
         rho_ok = (all(weights[a] == 0 for a, x in enumerate(gamma1.nums) if x)
                   and all(weights[a] == -1 for a, x in enumerate(gamma2.nums) if x))
-    return PlaneScanResult(not failures, failures, rho_ok)
+    return failures, rho_ok
 
 
 @dataclass
@@ -305,24 +275,13 @@ def restrict_alpha_to_fixed(sp: SymplecticModel) -> Functional:
 
 
 def vanishes_on_odd_part(sp: SymplecticModel, gamma: Functional) -> bool:
-    """Whether a functional on the full centraliser kills its sigma-odd part."""
+    """Whether a functional on the full centraliser kills its sigma-odd
+    part: zero on each row of the spanning set ``sp.odd_part_span``."""
     return all(sum(v * gamma.nums[c] for c, v in row.items()) == 0
-               for row in sp.odd_part_basis)
+               for row in sp.odd_part_span)
 
 
 # -- differential criterion ---------------------------------------------------
-
-
-@dataclass
-class DifferentialCriterionResult:
-    jacobian_rank: int
-    stabilizer_dim: int
-    rank_full: bool
-    stabilizer_minimal: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.rank_full == self.stabilizer_minimal
 
 
 def choose_generators(sr: SliceRestriction, model) -> list[int]:
@@ -336,19 +295,13 @@ def choose_generators(sr: SliceRestriction, model) -> list[int]:
     return list(range(sr.count))
 
 
-def differential_criterion(sr: SliceRestriction, model,
-                           gamma: Functional) -> DifferentialCriterionResult:
-    """Full gradient rank at gamma must happen exactly at minimal stabiliser."""
+def differential_criterion(sr: SliceRestriction, model, gamma: Functional) -> tuple[int, int]:
+    """(Jacobian rank, stabiliser dim) at gamma: the criterion holds there
+    when the rank is full exactly when the stabiliser is minimal, both
+    ``model.rank``."""
     if 2 * sum(sr.degrees) != model.dim + model.rank:
         raise ValueError("degree sum does not certify a good system")
-    jac_rank = bareiss(jacobian_rows(sr, gamma.nums))[0]
-    stab = stabilizer_dim(gamma, model)
-    return DifferentialCriterionResult(
-        jacobian_rank=jac_rank,
-        stabilizer_dim=stab,
-        rank_full=jac_rank == model.rank,
-        stabilizer_minimal=stab == model.rank,
-    )
+    return bareiss(jacobian_rows(sr, gamma.nums))[0], stabilizer_dim(gamma, model)
 
 
 # -- singular locus line probes ----------------------------------------------
@@ -470,12 +423,6 @@ class LineProbe:
     singular_values: int | None
     minors_used: int
     detail: str
-
-
-@dataclass
-class LineProbeReport:
-    lines: list[LineProbe]
-    all_clean: bool
 
 
 def _pack(values: list[int], w: int) -> int:
@@ -696,8 +643,9 @@ def _compress_line(B0: list[list[int]], B1: list[list[int]], rho: int,
     return False, drawn
 
 
-def singular_locus_probe(model, lines: int = 10, seed: int = 0) -> LineProbeReport:
-    """Count singular parameter values on random lines in the dual space.
+def singular_locus_probe(model, lines: int = 10, seed: int = 0) -> list[LineProbe]:
+    """Count singular parameter values on random lines in the dual space,
+    one ``LineProbe`` per line.
 
     A parameter is singular when the bracket form drops below its generic
     rank rho; along a line those are the common roots of all rho x rho
@@ -778,8 +726,7 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0) -> LineProbeRepo
             probes.append(LineProbe(True, 0, used, ""))
         else:
             probes.append(_resolve_residual(gcd_poly, b_at, rho, used))
-    return LineProbeReport(probes, all(pr.certified and pr.singular_values == 0
-                                       for pr in probes))
+    return probes
 
 
 def _resolve_residual(gcd_poly: list[int], b_at, rho: int, used: int) -> LineProbe:

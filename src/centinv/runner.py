@@ -226,36 +226,35 @@ def cmd_degrees(ctx: PartitionContext) -> Certificate:
 
 
 def cmd_centrality(ctx: PartitionContext) -> Certificate:
-    res = verify_centrality(ctx.slice, ctx.model, seed=ctx.cfg.seed)
+    failing, checked, group_failures = verify_centrality(ctx.slice, ctx.model, seed=ctx.cfg.seed)
     witnesses = {
-        "group_points_checked": res.group_points_checked,
+        "group_points_checked": checked,
         "jacobian_generic_rank": initial_algebra_rank(ctx.slice, ctx.model, seed=ctx.cfg.seed),
         "expected_rank": ctx.model.rank,
     }
-    ok = res.passed and witnesses["jacobian_generic_rank"] == ctx.model.rank
-    if res.failing:
-        witnesses["failure"] = {
-            "coordinate": res.failing[0], "invariant": res.failing[1],
-            "bracket": res.failing[2],
-        }
-    if res.group_failures:
-        witnesses["group_failures"] = res.group_failures
+    ok = (not failing and not group_failures
+          and witnesses["jacobian_generic_rank"] == ctx.model.rank)
+    if failing:
+        witnesses["failure"] = dict(zip(("coordinate", "invariant", "bracket"), failing))
+    if group_failures:
+        witnesses["group_failures"] = group_failures
     return _cert(ctx, "poisson-centrality", ok, witnesses)
 
 
 def cmd_support(ctx: PartitionContext) -> Certificate:
-    report = monomial_support_check(ctx.slice, ctx.model)
-    witnesses = {"violations": report.violations,
-                 "monomials_per_invariant": report.monomials_per_invariant}
-    return _cert(ctx, "monomial-support", report.passed, witnesses)
+    violations = monomial_support_check(ctx.slice, ctx.model)
+    witnesses = {"violations": violations,
+                 "monomials_per_invariant": [len(F.terms) for F in ctx.slice.initial]}
+    return _cert(ctx, "monomial-support", not violations, witnesses)
 
 
 def cmd_conjecture(ctx: PartitionContext) -> Certificate:
-    res = conjecture_explicit_check(ctx.slice, ctx.model)
-    witnesses = {"ratios": [str(r) if r is not None else None for r in res.ratios]}
-    if res.first_failure is not None:
-        witnesses["first_failure"] = res.first_failure
-    return _cert(ctx, "signed-sum-proportionality", res.passed, witnesses)
+    ratios = conjecture_explicit_check(ctx.slice, ctx.model)
+    witnesses = {"ratios": ratios}
+    failed = ratios[-1] is None
+    if failed:
+        witnesses["first_failure"] = len(ratios)
+    return _cert(ctx, "signed-sum-proportionality", not failed, witnesses)
 
 
 def cmd_p0(ctx: PartitionContext) -> Certificate:
@@ -272,16 +271,16 @@ def cmd_stabilizers(ctx: PartitionContext) -> Certificate:
     witnesses: dict = {}
     if ctx.algebra == "gl":
         # B(alpha) at the default scalars, ranked once for both witnesses
-        span = alpha_stabilizer_basis_check(model, default_alpha_coefficients(model))
-        stab_alpha = span.kernel_dim
+        stab_alpha, diagonal_span = alpha_stabilizer_basis_check(
+            model, default_alpha_coefficients(model))
     else:
         stab_alpha = stabilizer_dim(ctx.alpha, model)
     witnesses["alpha_stabilizer_dim"] = stab_alpha
     witnesses["expected"] = model.rank
     ok = stab_alpha == model.rank
     if ctx.algebra == "gl":
-        witnesses["alpha_stabilizer_is_diagonal_span"] = span.passed
-        ok = ok and span.passed
+        witnesses["alpha_stabilizer_is_diagonal_span"] = diagonal_span
+        ok = ok and diagonal_span
         if p.k >= 2:
             stab_beta = stabilizer_dim(ctx.beta, model)
             witnesses["beta_stabilizer_dim"] = stab_beta
@@ -307,20 +306,21 @@ def cmd_stabilizers(ctx: PartitionContext) -> Certificate:
 
 def cmd_index(ctx: PartitionContext) -> Certificate:
     special = [ctx.alpha] + ([ctx.beta] if ctx.beta is not None else [])
-    rep = index_report(ctx.model, samples=ctx.cfg.index_samples,
-                       seed=ctx.cfg.seed, special=tuple(special))
-    ok = (rep.index_estimate == ctx.model.rank
-          and rep.certificate_point is not None
-          and rep.certificate_point.provenance.startswith("ALPHA"))
+    dims = index_report(ctx.model, samples=ctx.cfg.index_samples,
+                        seed=ctx.cfg.seed, special=tuple(special))
+    rank = ctx.model.rank
+    index = min(dim for _, dim in dims)
+    # the first point of minimal stabiliser certifies the index
+    point = next((gamma for gamma, dim in dims if dim == rank), None)
+    ok = index == rank and point is not None and point.provenance.startswith("ALPHA")
     witnesses = {
-        "index_estimate": rep.index_estimate,
-        "expected": ctx.model.rank,
-        "sampled_max_rank": rep.sampled_max_rank,
-        "vinberg_bound": ctx.model.rank,
-        "certificate_point": rep.certificate_point.provenance if rep.certificate_point else None,
-        "certificate_coords": ([str(c) for c in rep.certificate_point.nums]
-                               if rep.certificate_point else None),
-        "stabilizer_dims": [[tag, dim] for tag, dim in rep.per_point],
+        "index_estimate": index,
+        "expected": rank,
+        "sampled_max_rank": ctx.model.dim - index,
+        "vinberg_bound": rank,
+        "certificate_point": point.provenance if point else None,
+        "certificate_coords": [str(c) for c in point.nums] if point else None,
+        "stabilizer_dims": [[gamma.provenance, dim] for gamma, dim in dims],
     }
     return _cert(ctx, "index-equals-rank", ok, witnesses)
 
@@ -333,17 +333,18 @@ def cmd_diffcrit(ctx: PartitionContext) -> Certificate:
     points += [random_functional(model, rng) for _ in range(ctx.cfg.diffcrit_points)]
     failures = []
     for gamma in points:
-        res = differential_criterion(ctx.slice, model, gamma)
-        if not res.passed:
+        jacobian_rank, stab = differential_criterion(ctx.slice, model, gamma)
+        rank_full, stabilizer_minimal = jacobian_rank == model.rank, stab == model.rank
+        if rank_full != stabilizer_minimal:
             failures.append({
                 "point": gamma.provenance,
-                "jacobian_rank": res.jacobian_rank,
-                "stabilizer_dim": res.stabilizer_dim,
+                "jacobian_rank": jacobian_rank,
+                "stabilizer_dim": stab,
             })
-        if gamma.provenance.startswith("ALPHA") and not (res.rank_full and res.stabilizer_minimal):
+        if gamma.provenance.startswith("ALPHA") and not (rank_full and stabilizer_minimal):
             failures.append({"point": "ALPHA", "expected": "both sides true"})
         if gamma.provenance == "ZERO" and ctx.partition.k >= 2:
-            if res.rank_full or res.stabilizer_minimal:
+            if rank_full or stabilizer_minimal:
                 failures.append({"point": "ZERO", "expected": "both sides false"})
     witnesses = {"points_checked": len(points), "generators": gens,
                  "failures": failures}
@@ -359,30 +360,31 @@ def cmd_plane(ctx: PartitionContext) -> Certificate:
         ok = all(d == model.rank for d in dims)
         return _cert(ctx, "plane-regularity", ok,
                      {"single_block": True, "stabilizer_dims": dims})
-    scan = plane_regularity_scan(model, ctx.alpha, ctx.beta, grid=ctx.cfg.grid)
+    failures, rho_ok = plane_regularity_scan(model, ctx.alpha, ctx.beta, grid=ctx.cfg.grid)
     witnesses = {
         "grid": ctx.cfg.grid,
-        "failures": scan.failures,
-        "torus_eigenvector_check": scan.rho_eigenvector_check,
+        "failures": failures,
+        "torus_eigenvector_check": rho_ok,
     }
-    ok = scan.passed and scan.rho_eigenvector_check is not False
+    ok = not failures and rho_ok is not False
     return _cert(ctx, "plane-regularity", ok, witnesses)
 
 
 def cmd_lines(ctx: PartitionContext) -> Certificate:
-    rep = singular_locus_probe(ctx.model, lines=ctx.cfg.lines, seed=ctx.cfg.seed)
+    probes = singular_locus_probe(ctx.model, lines=ctx.cfg.lines, seed=ctx.cfg.seed)
     witnesses = {
         "lines": ctx.cfg.lines,
-        "singular_hits_per_line": [pr.singular_values for pr in rep.lines],
-        "certified": [pr.certified for pr in rep.lines],
-        "details": [pr.detail for pr in rep.lines if pr.detail],
+        "singular_hits_per_line": [pr.singular_values for pr in probes],
+        "certified": [pr.certified for pr in probes],
+        "details": [pr.detail for pr in probes if pr.detail],
     }
-    return _cert(ctx, "singular-lines-clean", rep.all_clean, witnesses)
+    clean = all(pr.certified and pr.singular_values == 0 for pr in probes)
+    return _cert(ctx, "singular-lines-clean", clean, witnesses)
 
 
 def cmd_nullcone(ctx: PartitionContext) -> Certificate:
     model = ctx.model
-    sup = top_block_support_check(model, ctx.slice)
+    support_detail = top_block_support_check(model, ctx.slice)
     comps = enumerate_components(ctx.partition)
     zero_ok = component_zero_locus_check(model, ctx.slice)
     cert = transversality_certificate(model, ctx.slice, seed=ctx.cfg.seed)
@@ -393,8 +395,8 @@ def cmd_nullcone(ctx: PartitionContext) -> Certificate:
     # total_dim 0 and reports both as 0
     n = cert.total_dim
     witnesses = {
-        "support_check": sup.passed,
-        "support_detail": sup.detail,
+        "support_check": not support_detail,
+        "support_detail": support_detail,
         "component_count": len(comps),
         "components": [list(c.shifts) for c in comps],
         "components_kill_restrictions": zero_ok,
@@ -405,7 +407,7 @@ def cmd_nullcone(ctx: PartitionContext) -> Certificate:
         "tangent_cone_dim": n * n - n,
     }
     return _cert(ctx, "nullcone-regular-sequence",
-                 sup.passed and zero_ok and cert.passed, witnesses)
+                 not support_detail and zero_ok and cert.passed, witnesses)
 
 
 def cmd_so_diagnostic(ctx: PartitionContext) -> Certificate:

@@ -35,6 +35,6 @@ def test_line_probes_match_golden():
     models.update({f"sp {p}": build_sp_model(p)
                    for n in range(1, 5) for p in partitions_of(2 * n, ClassicalType.SP)})
     got = {f"{name} seed {seed}": [[pr.certified, pr.singular_values, pr.minors_used, pr.detail]
-                                   for pr in singular_locus_probe(model, lines=10, seed=seed).lines]
+                                   for pr in singular_locus_probe(model, lines=10, seed=seed)]
            for name, model in models.items() for seed in (0, 7)}
     assert got == json.loads((GOLDEN_DIR / "line_probes.json").read_text())

@@ -154,19 +154,19 @@ def test_alpha_beta_stabilizers_all_partitions(n):
 def test_alpha_stabilizer_is_diagonal_span(parts):
     p = Partition.parse(parts)
     m = build_gl_model(p)
-    res = alpha_stabilizer_basis_check(m, default_alpha_coefficients(m))
-    assert res.passed
-    assert res.kernel_dim == p.n
+    kernel_dim, diagonal_span = alpha_stabilizer_basis_check(m, default_alpha_coefficients(m))
+    assert diagonal_span
+    assert kernel_dim == p.n
 
 
 def kernel_route(model, a):
-    """(passed, kernel_dim) of the alpha check through an explicit kernel
+    """(kernel_dim, passed) of the alpha check through an explicit kernel
     basis of B(alpha) (the dense oracle's): len(diag) vectors, each
     supported on the diagonal coordinates."""
     kern = kernel(exact_form(model, build_alpha(model, a)))
     diag = {t for t, idx in enumerate(model.xi) if idx.i == idx.j}
     inside = all(not v for vec in kern for c, v in enumerate(vec) if c not in diag)
-    return len(kern) == len(diag) and inside, len(kern)
+    return len(kern), len(kern) == len(diag) and inside
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -175,8 +175,7 @@ def test_alpha_stabilizer_check_matches_the_kernel_route(n):
         m = build_gl_model(p)
         default = default_alpha_coefficients(m)
         for a in (default, default[1:] + default[:1]):
-            res = alpha_stabilizer_basis_check(m, a)
-            assert (res.passed, res.kernel_dim) == kernel_route(m, a) == (True, n), (p, a)
+            assert alpha_stabilizer_basis_check(m, a) == kernel_route(m, a) == (n, True), (p, a)
 
 
 def with_brackets(model, edits):
@@ -205,8 +204,7 @@ def test_alpha_stabilizer_check_fails_on_planted_brackets():
     # [xi[1,2,0], xi[2,1,1]] = 0: B(alpha) = 0 and the kernel is everything
     oversized = with_brackets(m, {(u, v): {}})
     for model, dim in ((leaves, 3), (oversized, m.dim)):
-        res = alpha_stabilizer_basis_check(model, a)
-        assert (res.passed, res.kernel_dim) == kernel_route(model, a) == (False, dim)
+        assert alpha_stabilizer_basis_check(model, a) == kernel_route(model, a) == (dim, False)
 
 
 def test_alpha_stabilizer_check_needs_distinct_scalars():
@@ -249,17 +247,24 @@ def test_rho_eigenvalues_of_alpha_and_beta():
         assert rho_coords(m, beta, t) == beta.nums
 
 
+def index_of(dims):
+    """The index estimate of ``index_report``'s (gamma, stab) list."""
+    return min(stab for _, stab in dims)
+
+
 @pytest.mark.parametrize("parts", ["2,1", "4", "3,2"])
 def test_index_report_gl(parts):
     p = Partition.parse(parts)
     m = build_gl_model(p)
     alpha = build_alpha(m, default_alpha_coefficients(m))
     special = (alpha,) + ((build_beta(m),) if p.k >= 2 else ())
-    rep = index_report(m, samples=20, seed=1, special=special)
-    assert rep.index_estimate == p.n
-    assert rep.certificate_point is not None
-    assert rep.certificate_point.provenance.startswith("ALPHA")
-    assert rep.index_estimate >= m.rank
+    dims = index_report(m, samples=20, seed=1, special=special)
+    assert [gamma for gamma, _ in dims[:len(special)]] == list(special)
+    assert index_of(dims) == p.n
+    certificate_point = next((gamma for gamma, stab in dims if stab == m.rank), None)
+    assert certificate_point is not None
+    assert certificate_point.provenance.startswith("ALPHA")
+    assert index_of(dims) >= m.rank
 
 
 def test_index_report_needs_samples():
@@ -271,24 +276,22 @@ def test_index_report_needs_samples():
 def test_index_report_sp():
     sp = build_sp_model(Partition.parse("2,1,1"))
     alpha = restrict_alpha_to_fixed(sp)
-    rep = index_report(sp, samples=20, seed=1, special=(alpha,))
-    assert rep.index_estimate == 2
+    assert index_of(index_report(sp, samples=20, seed=1, special=(alpha,))) == 2
     sp22 = build_sp_model(Partition.parse("2,2"))
-    rep = index_report(sp22, samples=20, seed=1,
-                       special=(restrict_alpha_to_fixed(sp22),))
-    assert rep.index_estimate == 2
+    dims = index_report(sp22, samples=20, seed=1, special=(restrict_alpha_to_fixed(sp22),))
+    assert index_of(dims) == 2
 
 
 def test_plane_scan_gl():
     m = build_gl_model(Partition.parse("2,1"))
     alpha = build_alpha(m, default_alpha_coefficients(m))
     beta = build_beta(m)
-    scan = plane_regularity_scan(m, alpha, beta, grid=5)
-    assert scan.passed and scan.rho_eigenvector_check
+    failures, rho_ok = plane_regularity_scan(m, alpha, beta, grid=5)
+    assert not failures and rho_ok
     m32 = build_gl_model(Partition.parse("3,2"))
-    scan = plane_regularity_scan(
+    failures, _ = plane_regularity_scan(
         m32, build_alpha(m32, default_alpha_coefficients(m32)), build_beta(m32), grid=7)
-    assert scan.passed
+    assert not failures
 
 
 def per_point_failures(model, gamma1, gamma2, grid=7):
@@ -306,12 +309,11 @@ def per_point_failures(model, gamma1, gamma2, grid=7):
 
 
 def check_scan_against_per_point(model, gamma1, gamma2, rho_ok):
-    scan = plane_regularity_scan(model, gamma1, gamma2, grid=7)
-    failures = per_point_failures(model, gamma1, gamma2)
-    assert scan.failures == failures
-    assert scan.passed == (not failures)
-    assert scan.rho_eigenvector_check is rho_ok
-    return scan
+    """The scan's failures, checked against the per-point scan."""
+    failures, torus_ok = plane_regularity_scan(model, gamma1, gamma2, grid=7)
+    assert failures == per_point_failures(model, gamma1, gamma2)
+    assert torus_ok is rho_ok
+    return failures
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -329,9 +331,9 @@ def test_plane_scan_matches_the_per_point_scan_gl(n):
 
 def test_plane_scan_fails_exactly_on_the_alpha_line():
     m = build_gl_model(Partition.parse("1,1,1"))
-    scan = check_scan_against_per_point(m, build_alpha(m, [1, 1, 2]), build_beta(m), True)
-    assert not scan.passed
-    assert [(x, y) for x, y, _ in scan.failures] == [
+    failures = check_scan_against_per_point(m, build_alpha(m, [1, 1, 2]), build_beta(m), True)
+    assert failures
+    assert [(x, y) for x, y, _ in failures] == [
         ("-3", "0"), ("-2", "0"), ("-1", "0"), ("1", "0"), ("2", "0"), ("3", "0")]
 
 
@@ -342,8 +344,8 @@ def test_plane_scan_of_integer_multiples_fails_on_the_same_lines():
     m = build_gl_model(Partition.parse("1,1,1"))
     gamma1, gamma2 = build_alpha(m, [1, 2, 3]), build_alpha(m, [0, 1, 3])
     for c in (1, 2, 3, 6):
-        scan = check_scan_against_per_point(m, scaled(c, gamma1), scaled(c, gamma2), None)
-        assert sorted((int(x), int(y)) for x, y, _ in scan.failures) == [
+        failures = check_scan_against_per_point(m, scaled(c, gamma1), scaled(c, gamma2), None)
+        assert sorted((int(x), int(y)) for x, y, _ in failures) == [
             (-3, 2), (-3, 3), (-2, 1), (-2, 2), (-1, 1),
             (1, -1), (2, -2), (2, -1), (3, -3), (3, -2)]
 
@@ -369,9 +371,9 @@ def test_torus_check_matches_the_rho_scale_comparison():
                      (Functional(random_functional(m, rng).nums, alpha.provenance), beta)]
             for gamma1, gamma2 in pairs:
                 # a grid of one point holds only the origin: the torus check alone
-                scan = plane_regularity_scan(m, gamma1, gamma2, grid=1)
-                assert scan.rho_eigenvector_check is rho_scale_torus_check(m, gamma1, gamma2), p
-                verdicts.append(scan.rho_eigenvector_check)
+                _, rho_ok = plane_regularity_scan(m, gamma1, gamma2, grid=1)
+                assert rho_ok is rho_scale_torus_check(m, gamma1, gamma2), p
+                verdicts.append(rho_ok)
     assert True in verdicts and False in verdicts
 
 
@@ -423,16 +425,14 @@ def test_differential_criterion_cases():
     m = build_gl_model(p)
     sr = principal_minor_sums(m)
     alpha = build_alpha(m, default_alpha_coefficients(m))
-    res = differential_criterion(sr, m, alpha)
-    assert res.rank_full and res.stabilizer_minimal and res.passed
-    zero = zero_functional(m)
-    res0 = differential_criterion(sr, m, zero)
-    assert not res0.rank_full and not res0.stabilizer_minimal and res0.passed
-    assert res0.jacobian_rank == p.d[0] + 1
+    assert differential_criterion(sr, m, alpha) == (m.rank, m.rank)
+    jacobian_rank, stab = differential_criterion(sr, m, zero_functional(m))
+    assert jacobian_rank != m.rank and stab != m.rank
+    assert jacobian_rank == p.d[0] + 1
     rng = random.Random(17)
     for _ in range(20):
-        gamma = random_functional(m, rng)
-        assert differential_criterion(sr, m, gamma).passed
+        jacobian_rank, stab = differential_criterion(sr, m, random_functional(m, rng))
+        assert (jacobian_rank == m.rank) == (stab == m.rank)
 
 
 def test_choose_generators_takes_rank_many_initial_terms():
@@ -457,27 +457,32 @@ def test_differential_criterion_needs_good_degree_sum():
         differential_criterion(broken, m, zero_functional(m))
 
 
+def all_clean(probes):
+    """The verdict of ``runner.cmd_lines``: every line certified clean."""
+    return all(pr.certified and pr.singular_values == 0 for pr in probes)
+
+
 def test_line_probe_clean_small():
     for parts in ("2,1", "3,2", "2,2"):
         m = build_gl_model(Partition.parse(parts))
-        rep = singular_locus_probe(m, lines=10, seed=0)
-        assert rep.all_clean, parts
-        assert all(pr.singular_values == 0 for pr in rep.lines)
+        probes = singular_locus_probe(m, lines=10, seed=0)
+        assert all_clean(probes), parts
+        assert all(pr.singular_values == 0 for pr in probes)
 
 
 def test_line_probe_abelian_trivial():
     m = build_gl_model(Partition.parse("4"))
-    rep = singular_locus_probe(m, lines=10, seed=0)
-    assert rep.all_clean
-    assert all("abelian" in pr.detail for pr in rep.lines)
+    probes = singular_locus_probe(m, lines=10, seed=0)
+    assert all_clean(probes)
+    assert all("abelian" in pr.detail for pr in probes)
 
 
 def test_line_probe_confirms_a_real_singular_hit():
     # this seeded symplectic line genuinely meets the singular locus once
     sp = build_sp_model(Partition.parse("2,2,1,1"))
-    rep = singular_locus_probe(sp, lines=10, seed=7)
-    assert not rep.all_clean
-    hits = [pr for pr in rep.lines if pr.singular_values]
+    probes = singular_locus_probe(sp, lines=10, seed=7)
+    assert not all_clean(probes)
+    hits = [pr for pr in probes if pr.singular_values]
     assert len(hits) == 1
     assert hits[0].certified
     assert hits[0].singular_values == 1
@@ -485,8 +490,7 @@ def test_line_probe_confirms_a_real_singular_hit():
 
 def test_line_probe_sp_clean():
     sp = build_sp_model(Partition.parse("2,1,1"))
-    rep = singular_locus_probe(sp, lines=10, seed=0)
-    assert rep.all_clean
+    assert all_clean(singular_locus_probe(sp, lines=10, seed=0))
 
 
 @pytest.mark.parametrize("parts, scalars", [("2,2", [1, 1]), ("2,2,1", [1, 1, 2]),
@@ -508,9 +512,9 @@ def test_line_probe_never_certifies_a_line_in_the_singular_locus(parts, scalars,
     assert bracket_form_matrix(m, g1).rank() == 0
     drawn = iter([g0, g1] * 2)
     monkeypatch.setattr(reg, "random_functional", lambda model, rng: next(drawn))
-    rep = singular_locus_probe(m, lines=2, seed=0)
-    assert not rep.all_clean
-    for pr in rep.lines:
+    probes = singular_locus_probe(m, lines=2, seed=0)
+    assert not all_clean(probes)
+    for pr in probes:
         assert (pr.certified, pr.singular_values, pr.detail) == (
             False, None, "no usable compression found")
 
