@@ -8,6 +8,10 @@ be opened for writing (refused before the run), 3 some certificate is a
 resource ERROR (a symbolic budget refused a requested command) and none
 is an internal one, 4 some certificate is an internal ERROR (a command
 raised an ArithmeticError or ValueError).
+
+The parser passes on only the options given, so ``RunConfig`` states
+every default and least value; a value below it, or an empty command
+name in --commands ("" or "index,"), is a usage error.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import argparse
 import contextlib
 import json
 import sys
+from dataclasses import fields
 
 from .partitions import InvalidPartitionError, Partition
 from .runner import (
@@ -27,18 +32,22 @@ from .runner import (
     sweep_partitions,
 )
 
+# the options a RunConfig takes straight from the parsed arguments
+_FIELDS = {f.name for f in fields(RunConfig)}
+
 
 def _add_common(sub: argparse.ArgumentParser, with_commands: bool = True) -> None:
-    sub.add_argument("--seed", type=int, default=0, help="seed for all sampling")
-    sub.add_argument("--budget-n", type=int, default=8, dest="budget_n",
-                     help="largest n expanded symbolically (default 8)")
-    sub.add_argument("--p0-budget", type=int, default=4, dest="p0_budget",
-                     help="largest n for the full adjoint expansion (default 4)")
-    sub.add_argument("--grid", type=int, default=7, help="plane scan grid size")
-    sub.add_argument("--lines", type=int, default=10, help="random lines per probe")
-    sub.add_argument("--points", type=int, default=50, dest="diffcrit_points",
+    sub.add_argument("--seed", type=int, help="seed for all sampling")
+    sub.add_argument("--budget-n", type=int, dest="budget_n",
+                     help=f"largest n expanded symbolically (default {RunConfig.budget_n})")
+    sub.add_argument("--p0-budget", type=int, dest="p0_budget",
+                     help="largest n for the full adjoint expansion "
+                          f"(default {RunConfig.p0_budget})")
+    sub.add_argument("--grid", type=int, help="plane scan grid size")
+    sub.add_argument("--lines", type=int, help="random lines per probe")
+    sub.add_argument("--points", type=int, dest="diffcrit_points",
                      help="random points for the differential criterion")
-    sub.add_argument("--samples", type=int, default=10, dest="index_samples",
+    sub.add_argument("--samples", type=int, dest="index_samples",
                      help="random functionals for the index report")
     sub.add_argument("--format", choices=("json", "text"), default="text")
     sub.add_argument("--out", default=None, help="write the report to this path")
@@ -46,7 +55,8 @@ def _add_common(sub: argparse.ArgumentParser, with_commands: bool = True) -> Non
         group = sub.add_mutually_exclusive_group(required=True)
         group.add_argument("--all", action="store_true", dest="all_commands",
                            help="run every command applicable within the budgets")
-        group.add_argument("--commands", default=None,
+        # "" and "index," name an empty command, which commands_for refuses
+        group.add_argument("--commands", type=lambda text: text.split(","),
                            help="comma-separated command list")
 
 
@@ -56,56 +66,36 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact verification toolkit for centraliser invariants",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
+    # an option the user leaves out is not set, so RunConfig gives its default
+    given = argparse.SUPPRESS
 
-    verify = subs.add_parser("verify", help="run checks for one partition")
-    verify.add_argument("--type", choices=("gl", "sp"), default="gl")
+    verify = subs.add_parser("verify", help="run checks for one partition",
+                             argument_default=given)
+    verify.add_argument("--type", choices=("gl", "sp"), dest="algebra")
     verify.add_argument("--partition", required=True)
     _add_common(verify)
 
-    degrees = subs.add_parser("degrees", help="degree table of the initial components")
-    degrees.add_argument("--type", choices=("gl", "sp"), default="gl")
+    degrees = subs.add_parser("degrees", help="degree table of the initial components",
+                              argument_default=given)
+    degrees.add_argument("--type", choices=("gl", "sp"), dest="algebra")
     degrees.add_argument("--partition", required=True)
+    degrees.set_defaults(commands=["degrees"])
     _add_common(degrees, with_commands=False)
 
-    so = subs.add_parser("so-diagnostic",
-                         help="orthogonal minor-degree diagnostic")
+    so = subs.add_parser("so-diagnostic", help="orthogonal minor-degree diagnostic",
+                         argument_default=given)
     so.add_argument("--partition", required=True)
+    so.set_defaults(algebra="so", commands=["so-diagnostic"])
     _add_common(so, with_commands=False)
 
-    sweep = subs.add_parser("sweep", help="run checks over all partitions up to a bound")
-    sweep.add_argument("--type", choices=("gl", "sp", "so"), default="gl")
+    sweep = subs.add_parser("sweep", help="run checks over all partitions up to a bound",
+                            argument_default=given)
+    sweep.add_argument("--type", choices=("gl", "sp", "so"), dest="algebra")
     sweep.add_argument("--max-n", type=int, required=True, dest="max_n")
-    sweep.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers across partitions")
+    sweep.add_argument("--jobs", type=int, help="parallel workers across partitions")
     _add_common(sweep)
 
     return parser
-
-
-# the least value of each count option: below it the sampling options give
-# certificates no evidence, --max-n leaves nothing to sweep and --jobs no worker
-_MINIMA = (("--grid", "grid", 2), ("--lines", "lines", 1), ("--points", "diffcrit_points", 0),
-          ("--samples", "index_samples", 1), ("--max-n", "max_n", 1), ("--jobs", "jobs", 1))
-
-
-def _config_from(args: argparse.Namespace, algebra: str, commands: list[str],
-                 all_commands: bool, partitions: list[str],
-                 max_n: int | None = None, jobs: int = 1) -> RunConfig:
-    return RunConfig(
-        algebra=algebra,
-        partitions=partitions,
-        commands=commands,
-        all_commands=all_commands,
-        seed=args.seed,
-        budget_n=args.budget_n,
-        p0_budget=args.p0_budget,
-        grid=args.grid,
-        lines=args.lines,
-        diffcrit_points=args.diffcrit_points,
-        index_samples=args.index_samples,
-        max_n=max_n,
-        jobs=jobs,
-    )
 
 
 def _render_text(report: dict) -> str:
@@ -135,31 +125,14 @@ def render(report: dict, fmt: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        for flag, dest, least in _MINIMA:
-            if getattr(args, dest, least) < least:
-                raise UsageError(f"{flag} must be at least {least}")
-        if args.subcommand == "verify":
-            partitions = [Partition.parse(args.partition)]
-            commands = args.commands.split(",") if args.commands else []
-            cfg = _config_from(args, args.type, commands, args.all_commands,
-                               [str(p) for p in partitions])
-        elif args.subcommand == "degrees":
-            partitions = [Partition.parse(args.partition)]
-            cfg = _config_from(args, args.type, ["degrees"], False,
-                               [str(p) for p in partitions])
-        elif args.subcommand == "so-diagnostic":
-            partitions = [Partition.parse(args.partition)]
-            cfg = _config_from(args, "so", ["so-diagnostic"], False,
-                               [str(p) for p in partitions])
-        else:
-            commands = args.commands.split(",") if args.commands else []
-            cfg = _config_from(args, args.type, commands, args.all_commands,
-                               [], max_n=args.max_n, jobs=args.jobs)
+        cfg = RunConfig(**{k: v for k, v in vars(args).items() if k in _FIELDS})
+        if args.subcommand == "sweep":
             partitions = sweep_partitions(cfg)
-            cfg.partitions = [str(p) for p in partitions]
+        else:
+            partitions = [Partition.parse(args.partition)]
+        cfg.partitions = [str(p) for p in partitions]
         for p in partitions:
             commands_for(cfg, p)  # validate the partition and commands up front
         # an unwritable --out is refused before the run; opening it to append

@@ -34,7 +34,6 @@ of the gradient rows, so every rank is the same on either route.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -364,12 +363,12 @@ def _first_noncentral(sr: SliceRestriction, model, coords) -> tuple | None:
     return None
 
 
-def verify_centrality(sr: SliceRestriction, model, seed: int = 0) -> tuple[tuple | None, int, list]:
-    """Exact {x_a, initial_ell} = 0 for all a, ell, plus a group-level probe:
-    (failing, points probed, group failures).  ``failing`` is the first
-    nonzero bracket as (coordinate label, ell, bracket string), or None,
-    and a group failure is (coordinate label, ell).  A failing bracket
-    skips the probe: 0 points, no group failures.
+def verify_centrality(sr: SliceRestriction, model, points) -> tuple[tuple | None, int, list]:
+    """Exact {x_a, initial_ell} = 0 for all a, ell, plus a group-level probe
+    at ``points``: (failing, points probed, group failures).  ``failing``
+    is the first nonzero bracket as (coordinate label, ell, bracket
+    string), or None, and a group failure is (coordinate label, ell).  A
+    failing bracket skips the probe: 0 points, no group failures.
 
     F -> {x, F} is a derivation and ad [x, y] = [ad x, ad y], so the x
     with {x, F} = 0 form a Lie subalgebra, and the brackets with the
@@ -378,28 +377,25 @@ def verify_centrality(sr: SliceRestriction, model, seed: int = 0) -> tuple[tuple
     in the order (ell, a), so the failure is the first one in that order.
 
     Both read the model's structure rows: the brackets through
-    ``coordinate_bracket_with``, and the probe, which moves random integer
+    ``coordinate_bracket_with``, and the probe, which moves integer
     points by exp(-ad x)^T for up to three basis elements x of positive
     ad(h) weight (nilpotent, so ``coadjoint_exp`` is a finite rational
-    series), five points each, and compares the values of each initial
-    term on integers: the moved point is v / L as ``coadjoint_exp``
-    returns it, and ``_value_changes`` scales by L^M.
+    series), the i-th of them points[5i:5i + 5], and compares the values
+    of each initial term on integers: the moved point is v / L as
+    ``coadjoint_exp`` returns it, and ``_value_changes`` scales by L^M.
     """
     if _first_noncentral(sr, model, model.lie_generators):
         return _first_noncentral(sr, model, range(len(model.var_names))), 0, []
 
-    rng = random.Random(seed)
     group_failures: list = []
     checked = 0
     positive = [a for a, w in enumerate(model.h_weights) if w > 0]
-    r = len(model.var_names)
-    for a in positive[:3]:
-        for _ in range(5):
-            gamma = [rng.randint(-10, 10) for _ in range(r)]
-            moved, L = coadjoint_exp(model, a, gamma)
+    for i, a in enumerate(positive[:3]):
+        for gamma in points[5 * i:5 * i + 5]:
+            moved, L = coadjoint_exp(model, a, gamma.nums)
             checked += 1
             for ell, F in enumerate(sr.initial, start=1):
-                if _value_changes(F, gamma, moved, L):
+                if _value_changes(F, gamma.nums, moved, L):
                     group_failures.append((model.labels[a], ell))
     return None, checked, group_failures
 
@@ -742,12 +738,7 @@ def jacobian_rows(sr: SliceRestriction, nums) -> list[list[int]]:
     return evaluate_jacobian(sr.initial, nums)
 
 
-def initial_algebra_rank(sr: SliceRestriction, model, seed: int = 0) -> int:
+def initial_algebra_rank(sr: SliceRestriction, points) -> int:
     """Generic rank of the Jacobian of the initial terms (expected: rank),
-    the best of three random points."""
-    rng = random.Random(seed)
-    best = 0
-    for _ in range(3):
-        nums = [rng.randint(-10, 10) for _ in model.var_names]
-        best = max(best, bareiss(jacobian_rows(sr, nums))[0])
-    return best
+    the best over ``points``."""
+    return max((bareiss(jacobian_rows(sr, gamma.nums))[0] for gamma in points), default=0)

@@ -159,14 +159,9 @@ def alpha_stabilizer_basis_check(model: CentralizerModel, a) -> tuple[int, bool]
     return kernel_dim, kernel_dim == len(diag) and not any(row[t] for row in B.rows for t in diag)
 
 
-def index_report(model, samples: int = 10, seed: int = 0,
-                 special: tuple[Functional, ...] = ()) -> list[tuple[Functional, int]]:
-    """(gamma, stabiliser dim) at the special functionals, then at
-    ``samples`` random ones; the index is the least dimension."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = random.Random(seed)
-    points = list(special) + [random_functional(model, rng) for _ in range(samples)]
+def index_report(model, points) -> list[tuple[Functional, int]]:
+    """(gamma, stabiliser dim) at each of ``points``; the index is the
+    least dimension."""
     return [(gamma, model.dim - bracket_form_matrix(model, gamma).rank()) for gamma in points]
 
 

@@ -11,7 +11,7 @@ import multiprocessing
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from itertools import repeat
 
@@ -76,8 +76,16 @@ SO_COMMANDS = ("so-diagnostic",)
 SYMBOLIC_COMMANDS = {"centrality", "support", "conjecture", "diffcrit", "nullcone"}
 
 
+class UsageError(ValueError):
+    pass
+
+
 @dataclass
 class RunConfig:
+    """Every option of a run with its default and, for a count, the
+    ``least`` value that still gives evidence, something to sweep or a
+    worker; a smaller value is a UsageError.  ``max_n`` may be None."""
+
     algebra: str = "gl"
     partitions: list[str] = field(default_factory=list)
     commands: list[str] = field(default_factory=list)
@@ -85,19 +93,21 @@ class RunConfig:
     seed: int = 0
     budget_n: int = 8
     p0_budget: int = 4
-    grid: int = 7
-    lines: int = 10
-    diffcrit_points: int = 50
-    index_samples: int = 10
-    max_n: int | None = None
-    jobs: int = 1
+    grid: int = field(default=7, metadata={"least": 2})
+    lines: int = field(default=10, metadata={"least": 1})
+    diffcrit_points: int = field(default=50, metadata={"least": 0})
+    index_samples: int = field(default=10, metadata={"least": 1})
+    max_n: int | None = field(default=None, metadata={"least": 1})
+    jobs: int = field(default=1, metadata={"least": 1})
+
+    def __post_init__(self):
+        for f in fields(self):
+            least, value = f.metadata.get("least"), getattr(self, f.name)
+            if least is not None and value is not None and value < least:
+                raise UsageError(f"{f.name} must be at least {least}")
 
     def echo(self) -> dict:
         return asdict(self)
-
-
-class UsageError(ValueError):
-    pass
 
 
 def commands_for(cfg: RunConfig, p: Partition) -> list[str]:
@@ -120,11 +130,26 @@ def commands_for(cfg: RunConfig, p: Partition) -> list[str]:
 
 
 class PartitionContext:
-    """Lazily built shared state for one partition."""
+    """Lazily built shared state for one partition.
+
+    The sampled commands read prefixes of one sample of functionals: index
+    and diffcrit after alpha and beta or ZERO, the single-block plane 5
+    points, the group probe 15 and the Jacobian rank 3.  The line probe and
+    the null-cone search keep their own streams.
+    """
 
     def __init__(self, p: Partition, cfg: RunConfig):
         self.partition = p
         self.cfg = cfg
+        self._rng = random.Random(cfg.seed)
+        self._sample: list[Functional] = []
+
+    def sample(self, k: int) -> list[Functional]:
+        """The first k functionals ``random_functional`` draws from
+        ``Random(cfg.seed)``; only those no earlier request drew are drawn."""
+        while len(self._sample) < k:
+            self._sample.append(random_functional(self.model, self._rng))
+        return self._sample[:k]
 
     @property
     def algebra(self) -> str:
@@ -160,10 +185,6 @@ class PartitionContext:
         if self.cfg.algebra == "sp":
             return self.beta_prime.restricted
         return build_beta(self.model)
-
-    @cached_property
-    def generators(self) -> list[int]:
-        return choose_generators(self.slice, self.model)
 
 
 def _cert(ctx: PartitionContext, claim: str, ok: bool, witnesses: dict) -> Certificate:
@@ -226,10 +247,10 @@ def cmd_degrees(ctx: PartitionContext) -> Certificate:
 
 
 def cmd_centrality(ctx: PartitionContext) -> Certificate:
-    failing, checked, group_failures = verify_centrality(ctx.slice, ctx.model, seed=ctx.cfg.seed)
+    failing, checked, group_failures = verify_centrality(ctx.slice, ctx.model, ctx.sample(15))
     witnesses = {
         "group_points_checked": checked,
-        "jacobian_generic_rank": initial_algebra_rank(ctx.slice, ctx.model, seed=ctx.cfg.seed),
+        "jacobian_generic_rank": initial_algebra_rank(ctx.slice, ctx.sample(3)),
         "expected_rank": ctx.model.rank,
     }
     ok = (not failing and not group_failures
@@ -306,8 +327,7 @@ def cmd_stabilizers(ctx: PartitionContext) -> Certificate:
 
 def cmd_index(ctx: PartitionContext) -> Certificate:
     special = [ctx.alpha] + ([ctx.beta] if ctx.beta is not None else [])
-    dims = index_report(ctx.model, samples=ctx.cfg.index_samples,
-                        seed=ctx.cfg.seed, special=tuple(special))
+    dims = index_report(ctx.model, special + ctx.sample(ctx.cfg.index_samples))
     rank = ctx.model.rank
     index = min(dim for _, dim in dims)
     # the first point of minimal stabiliser certifies the index
@@ -327,10 +347,9 @@ def cmd_index(ctx: PartitionContext) -> Certificate:
 
 def cmd_diffcrit(ctx: PartitionContext) -> Certificate:
     model = ctx.model
-    gens = ctx.generators
-    rng = random.Random(ctx.cfg.seed)
+    gens = choose_generators(ctx.slice, model)
     points = [ctx.alpha, Functional((0,) * model.dim, "ZERO")]
-    points += [random_functional(model, rng) for _ in range(ctx.cfg.diffcrit_points)]
+    points += ctx.sample(ctx.cfg.diffcrit_points)
     failures = []
     for gamma in points:
         jacobian_rank, stab = differential_criterion(ctx.slice, model, gamma)
@@ -354,8 +373,7 @@ def cmd_diffcrit(ctx: PartitionContext) -> Certificate:
 def cmd_plane(ctx: PartitionContext) -> Certificate:
     model = ctx.model
     if ctx.partition.k < 2:
-        rng = random.Random(ctx.cfg.seed)
-        dims = [stabilizer_dim(random_functional(model, rng), model) for _ in range(5)]
+        dims = [stabilizer_dim(gamma, model) for gamma in ctx.sample(5)]
         dims.append(stabilizer_dim(Functional((0,) * model.dim, "ZERO"), model))
         ok = all(d == model.rank for d in dims)
         return _cert(ctx, "plane-regularity", ok,

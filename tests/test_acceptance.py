@@ -51,6 +51,13 @@ from math import comb
 SEED = 0
 
 
+def sample(model, k):
+    """The first k functionals ``random_functional`` draws from
+    ``Random(SEED)``, the points a run at SEED reads."""
+    rng = random.Random(SEED)
+    return [random_functional(model, rng) for _ in range(k)]
+
+
 def report(name: str, ok: bool) -> bool:
     print(f"criterion {name}: {'PASS' if ok else 'FAIL'}")
     return ok
@@ -76,7 +83,7 @@ def test_criterion_2_poisson_centrality_and_top_coefficient():
         for p in partitions_of(n):
             m = build_gl_model(p)
             sr = principal_minor_sums(m)
-            failing, _, group_failures = verify_centrality(sr, m, seed=SEED)
+            failing, _, group_failures = verify_centrality(sr, m, sample(m, 15))
             ok &= failing is None and not group_failures
             if n <= 4:
                 cross = top_coefficient_crosscheck(m, sr)
@@ -117,13 +124,13 @@ def test_criterion_4_index():
             special = [build_alpha(m, default_alpha_coefficients(m))]
             if p.k >= 2:
                 special.append(build_beta(m))
-            dims = index_report(m, samples=5, seed=SEED, special=tuple(special))
+            dims = index_report(m, special + sample(m, 5))
             ok &= index_certified_by_alpha(dims, n)
     for n in range(1, 5):
         for p in partitions_of(2 * n, ClassicalType.SP):
             sp = build_sp_model(p)
             alpha = restrict_alpha_to_fixed(sp)
-            dims = index_report(sp, samples=5, seed=SEED, special=(alpha,))
+            dims = index_report(sp, [alpha] + sample(sp, 5))
             ok &= index_certified_by_alpha(dims, n)
     assert report("4 (index = rank, gl n<=8 and sp 2n<=8)", ok)
 
@@ -137,8 +144,7 @@ def test_criterion_5_differential_criterion():
             sr = principal_minor_sums(m)
             alpha = build_alpha(m, default_alpha_coefficients(m))
             zero = Functional((0,) * m.dim, "ZERO")
-            rng = random.Random(SEED)
-            points = [alpha, zero] + [random_functional(m, rng) for _ in range(50)]
+            points = [alpha, zero] + sample(m, 50)
             for gamma in points:
                 jacobian_rank, stab = differential_criterion(sr, m, gamma)
                 ok &= (jacobian_rank == n) == (stab == n)

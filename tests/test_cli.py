@@ -5,6 +5,7 @@ import json
 import pytest
 
 from centinv.cli import main
+from centinv.runner import RunConfig, UsageError
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +70,34 @@ def test_option_without_evidence_is_usage_error(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "must be at least" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("option", [
+    {"lines": 0}, {"grid": 1}, {"grid": 0}, {"index_samples": 0}, {"max_n": 0}, {"jobs": 0},
+])
+def test_run_config_refuses_a_value_below_its_least(option):
+    # the bounds hold for a RunConfig built in code, not only on the command line
+    with pytest.raises(UsageError, match="must be at least"):
+        RunConfig(**option)
+
+
+def test_run_config_accepts_its_least_values():
+    cfg = RunConfig(grid=2, lines=1, diffcrit_points=0, index_samples=1, max_n=1, jobs=1)
+    assert cfg.diffcrit_points == 0
+    assert RunConfig(max_n=None).max_n is None
+    assert RunConfig().commands == []  # a context may be built with no command
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--partition", "2,1", "--commands", ""],
+    ["sweep", "--max-n", "3", "--commands", ""],
+    ["verify", "--partition", "2,1", "--commands", "index,"],
+])
+def test_commands_must_name_a_command(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "not available" in captured.err
     assert captured.out == ""
 
 

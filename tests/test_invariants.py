@@ -69,7 +69,12 @@ from centinv.invariants import (
 )
 from centinv.linalg import bareiss
 from centinv.partitions import ClassicalType, Partition, degrees_gl, partitions_of
-from centinv.regularity import build_alpha, default_alpha_coefficients, restrict_alpha_to_fixed
+from centinv.regularity import (
+    build_alpha,
+    default_alpha_coefficients,
+    random_functional,
+    restrict_alpha_to_fixed,
+)
 from centinv.runner import RunConfig, build_report
 from centinv.poly import _WIDTH, SparsePoly
 
@@ -230,10 +235,18 @@ def test_poisson_jacobi_on_random_quadratics(parts):
         assert poisson_bracket(P, P, m).is_zero()
 
 
+def sample(m, seed, k):
+    """The first k functionals ``random_functional`` draws from
+    ``Random(seed)``, the points a run at seed reads."""
+    rng = random.Random(seed)
+    return [random_functional(m, rng) for _ in range(k)]
+
+
 def centrality_verdict(sr, m, seed):
-    """(passed, failing) of ``verify_centrality``, the verdict as
-    ``runner.cmd_centrality`` reads it off the returned values."""
-    failing, _, group_failures = verify_centrality(sr, m, seed=seed)
+    """(passed, failing) of ``verify_centrality`` at the 15 points a run at
+    seed probes, the verdict as ``runner.cmd_centrality`` reads it off the
+    returned values."""
+    failing, _, group_failures = verify_centrality(sr, m, sample(m, seed, 15))
     return failing is None and not group_failures, failing
 
 
@@ -515,7 +528,7 @@ def test_top_coefficient_budget():
 def test_jacobian_generic_rank(parts, expected):
     m = build_gl_model(Partition.parse(parts))
     sr = principal_minor_sums(m)
-    assert initial_algebra_rank(sr, m, seed=1) == expected
+    assert initial_algebra_rank(sr, sample(m, 1, 3)) == expected
 
 
 def test_symplectic_slice_odd_sums_vanish_and_degrees():

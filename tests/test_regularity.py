@@ -12,6 +12,7 @@ import pytest
 from dense_oracle import kernel, rank, structure_of
 from hypothesis import assume, example, given, settings, strategies as st
 
+from centinv import runner
 from centinv.centralizer import XiIndex, build_gl_model, build_sp_model
 from centinv.invariants import principal_minor_sums, symplectic_minor_sums
 from centinv.partitions import ClassicalType, Partition, partitions_of
@@ -252,14 +253,21 @@ def index_of(dims):
     return min(stab for _, stab in dims)
 
 
+def sample(model, seed, k):
+    """The first k functionals ``random_functional`` draws from
+    ``Random(seed)``, the points a run at seed reads."""
+    rng = random.Random(seed)
+    return [random_functional(model, rng) for _ in range(k)]
+
+
 @pytest.mark.parametrize("parts", ["2,1", "4", "3,2"])
 def test_index_report_gl(parts):
     p = Partition.parse(parts)
     m = build_gl_model(p)
     alpha = build_alpha(m, default_alpha_coefficients(m))
-    special = (alpha,) + ((build_beta(m),) if p.k >= 2 else ())
-    dims = index_report(m, samples=20, seed=1, special=special)
-    assert [gamma for gamma, _ in dims[:len(special)]] == list(special)
+    special = [alpha] + ([build_beta(m)] if p.k >= 2 else [])
+    dims = index_report(m, special + sample(m, 1, 20))
+    assert [gamma for gamma, _ in dims[:len(special)]] == special
     assert index_of(dims) == p.n
     certificate_point = next((gamma for gamma, stab in dims if stab == m.rank), None)
     assert certificate_point is not None
@@ -267,19 +275,49 @@ def test_index_report_gl(parts):
     assert index_of(dims) >= m.rank
 
 
-def test_index_report_needs_samples():
-    m = build_gl_model(Partition.parse("2,1"))
-    with pytest.raises(ValueError):
-        index_report(m, samples=0)
-
-
 def test_index_report_sp():
     sp = build_sp_model(Partition.parse("2,1,1"))
     alpha = restrict_alpha_to_fixed(sp)
-    assert index_of(index_report(sp, samples=20, seed=1, special=(alpha,))) == 2
+    assert index_of(index_report(sp, [alpha] + sample(sp, 1, 20))) == 2
     sp22 = build_sp_model(Partition.parse("2,2"))
-    dims = index_report(sp22, samples=20, seed=1, special=(restrict_alpha_to_fixed(sp22),))
+    dims = index_report(sp22, [restrict_alpha_to_fixed(sp22)] + sample(sp22, 1, 20))
     assert index_of(dims) == 2
+
+
+def runner_draws(monkeypatch) -> list:
+    """The functionals ``runner`` draws from now on; the line probe draws
+    through the name in ``regularity`` and is not counted."""
+    drawn = []
+
+    def counted(model, rng):
+        drawn.append(random_functional(model, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(runner, "random_functional", counted)
+    return drawn
+
+
+def test_context_sample_is_one_stream_drawn_once(monkeypatch):
+    """``sample(k)`` is the first k draws of ``Random(seed)``; a larger
+    request draws only the new points, and a smaller one draws none."""
+    drawn = runner_draws(monkeypatch)
+    ctx = runner.PartitionContext(Partition.parse("3,1"), runner.RunConfig(seed=4))
+    first = ctx.sample(3)
+    assert first == sample(ctx.model, 4, 3) and len(drawn) == 3
+    longer = ctx.sample(7)
+    assert longer[:3] == first and longer == sample(ctx.model, 4, 7) and len(drawn) == 7
+    assert ctx.sample(2) == first[:2] and len(drawn) == 7
+
+
+def test_all_commands_draw_one_sample(monkeypatch):
+    """An all-commands gl run of 3,2,1 draws 50 functionals outside the line
+    probe, diffcrit's: index (10), the group probe (15) and the Jacobian
+    rank (3) read prefixes of them, where a stream each would draw 78."""
+    drawn = runner_draws(monkeypatch)
+    cfg = runner.RunConfig(all_commands=True, seed=7)
+    certs, _ = runner.run_partition(Partition.parse("3,2,1"), cfg)
+    assert all(c.status == "PASS" for c in certs)
+    assert len(drawn) == cfg.diffcrit_points == 50
 
 
 def test_plane_scan_gl():
