@@ -11,7 +11,9 @@ raised an ArithmeticError or ValueError).
 
 The parser passes on only the options given, so ``RunConfig`` states
 every default and least value; a value below it, or an empty command
-name in --commands ("" or "index,"), is a usage error.
+name in --commands ("" or "index,"), is a usage error.  The error names
+a value below its least by the flag that set it, where ``RunConfig``
+names the field.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ from .runner import (
 
 # the options a RunConfig takes straight from the parsed arguments
 _FIELDS = {f.name for f in fields(RunConfig)}
+# the flag that sets each RunConfig field with a least value
+_FLAGS = {"grid": "--grid", "lines": "--lines", "diffcrit_points": "--points",
+          "index_samples": "--samples", "max_n": "--max-n", "jobs": "--jobs"}
 
 
 def _add_common(sub: argparse.ArgumentParser, with_commands: bool = True) -> None:
@@ -139,7 +144,8 @@ def main(argv=None) -> int:
         # keeps an earlier report intact until this one is complete
         out = open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout)
     except (InvalidPartitionError, UsageError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        name, bound, least = str(exc).partition(" must be at least ")
+        print(f"error: {_FLAGS.get(name, name)}{bound}{least}", file=sys.stderr)
         return 2
 
     with out as fh:

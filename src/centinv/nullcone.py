@@ -7,12 +7,13 @@ component decomposition of the restricted zero locus and an explicit
 n-dimensional subspace meeting the null-cone only at the origin, which
 is exactly the codimension statement making the initial terms a regular
 sequence; ``runner.cmd_nullcone`` gives that argument where it reads the
-codimension off ``TransversalityCertificate.total_dim``.  Every stage of
-that peeling reads the partition's own slice: a prefix of the first m
-blocks is checked on the restriction to levels 1..m, with no model or
-slice of its own.  Setting coordinates to zero is ``SparsePoly.without``,
-which drops every term touching them.  ``top_block_support_check``
-returns what differs, "" on a pass.
+codimension off ``TransversalityCertificate.total_dim``.  Each stage of
+that peeling is the JSON-ready dict the certificate reports, and reads
+the partition's own slice: a prefix of the first m blocks is checked on
+the restriction to levels 1..m, with no model or slice of its own.
+Setting coordinates to zero is ``SparsePoly.without``, which drops every
+term touching them.  ``top_block_support_check`` returns what differs,
+"" on a pass.
 """
 
 from __future__ import annotations
@@ -150,24 +151,12 @@ def component_zero_locus_check(model: CentralizerModel, sr: SliceRestriction) ->
 
 
 @dataclass
-class StageWitness:
-    block: int
-    space_dim: int
-    basis: list[str]
-    subspace_rows: list[list[str]]
-    component_dets: list[tuple[str, str]]
-    attempts: int
-    used_fallback: bool
-    support_checked: bool | None
-
-
-@dataclass
 class TransversalityCertificate:
     """``total_dim`` is n on a pass and 0 on a failure; ``runner.cmd_nullcone``
     reads the codimension and the tangent-cone dimension off it."""
     passed: bool
     total_dim: int
-    stages: list[StageWitness] = field(default_factory=list)
+    stages: list[dict] = field(default_factory=list)
     conclusion: str = ""
 
 
@@ -196,7 +185,7 @@ def transversality_certificate(model: CentralizerModel, sr: SliceRestriction,
     """
     p = model.partition
     rng = random.Random(seed)
-    stages: list[StageWitness] = []
+    stages: list[dict] = []
     levels = antidiagonal_spaces(p)
     for m in range(p.k, 0, -1):
         sub = p.prefix(m)
@@ -223,9 +212,6 @@ def transversality_certificate(model: CentralizerModel, sr: SliceRestriction,
                 used_fallback = True
                 rows = [[(c + 1) ** t for c in range(len(space))] for t in range(want)]
                 dets = _component_dets(rows, cols_per_comp)
-                if dets is None:
-                    return TransversalityCertificate(
-                        False, 0, stages, f"no transversal subspace at block {m}")
         else:
             # single block: the whole level is transversal
             rows = [[int(c == t) for c in range(len(space))] for t in range(want)]
@@ -238,16 +224,16 @@ def transversality_certificate(model: CentralizerModel, sr: SliceRestriction,
                 return TransversalityCertificate(
                     False, 0, stages, f"support check failed at block {m}")
 
-        stages.append(StageWitness(
-            block=m,
-            space_dim=len(space),
-            basis=[idx.label() for idx in space],
-            subspace_rows=[[str(x) for x in row] for row in rows],
-            component_dets=[(str(c.shifts), str(d)) for c, d in zip(comps, dets)],
-            attempts=tries,
-            used_fallback=used_fallback,
-            support_checked=support_ok,
-        ))
+        stages.append({
+            "block": m,
+            "space_dim": len(space),
+            "basis": [idx.label() for idx in space],
+            "subspace_rows": [[str(x) for x in row] for row in rows],
+            "component_dets": [[str(c.shifts), str(d)] for c, d in zip(comps, dets)],
+            "attempts": tries,
+            "used_fallback": used_fallback,
+            "support_checked": support_ok,
+        })
 
     total = sum(d + 1 for d in p.d)
     assert total == p.n

@@ -2,12 +2,13 @@
 
 A partition lists Jordan block sizes of a nilpotent matrix, weakly
 decreasing.  All degree tables and centraliser dimensions in types A, B,
-C, D reduce to sums read off the Young diagram.
+C, D reduce to sums read off the Young diagram.  The orthogonal
+minor-degree diagnostic is a plain dict, the witnesses of its report row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import product
@@ -181,23 +182,13 @@ def degrees_sp(p: Partition) -> DegreeTable:
     return table
 
 
-@dataclass(frozen=True)
-class SODiagnostic:
-    dim_centralizer: int
-    rank: int
-    even_degree_sum: int
-    pfaffian_adjusted_sum: int
-    bound: int
-    verdict: str
-    lemma_flags: dict = field(compare=False)
-
-
-def so_good_system_diagnostic(p: Partition) -> SODiagnostic:
+def so_good_system_diagnostic(p: Partition) -> dict:
     """Compare the minor-generator degree sum with (dim g_e + rank) / 2.
 
     A shortfall means the minors (with the pfaffian replacing the top
     minor when n is even) cannot form a good generating system; it does
-    not rule out good systems built from modified generators.
+    not rule out good systems built from modified generators.  Returns
+    the witnesses of the so certificate, keyed as the report keys them.
     """
     check_valid_for(p, ClassicalType.SO)
     n = p.n
@@ -231,15 +222,15 @@ def so_good_system_diagnostic(p: Partition) -> SODiagnostic:
         and d[1] == d[0]
         and all(di % 2 == 0 for di in d[2:])
     )
-    return SODiagnostic(
-        dim_centralizer=dim,
-        rank=rank,
-        even_degree_sum=even_sum,
-        pfaffian_adjusted_sum=adjusted,
-        bound=bound,
-        verdict=verdict,
-        lemma_flags={"even_top_row": so1, "paired_top_rows": so2},
-    )
+    return {
+        "dim_centralizer": dim,
+        "rank": rank,
+        "even_degree_sum": even_sum,
+        "pfaffian_adjusted_sum": adjusted,
+        "bound": bound,
+        "verdict": verdict,
+        "lemma_flags": {"even_top_row": so1, "paired_top_rows": so2},
+    }
 
 
 def partitions_of(n: int, valid_for: ClassicalType = ClassicalType.GL) -> Iterator[Partition]:

@@ -1,8 +1,11 @@
 """Command orchestration: one partition, many certificates.
 
 Commands map onto module operations; dependencies (model, slice) are
-built lazily and shared.  A symbolic command above the budget yields a
-resource ERROR certificate while the rest of the run continues.
+built lazily and shared.  Each certificate is built as its report row, a
+JSON-ready dict with the claim, an exact PASS/FAIL/ERROR status and the
+witnesses, so ``build_report`` reports the rows as they are.  A symbolic
+command above the budget yields a resource ERROR row while the rest of
+the run continues.
 """
 
 from __future__ import annotations
@@ -12,11 +15,11 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 
 from . import __version__
-from .certificates import ERROR, FAIL, PASS, Certificate
 from .centralizer import build_gl_model, build_sp_model
 from .invariants import (
     BudgetExceededError,
@@ -75,6 +78,10 @@ SO_COMMANDS = ("so-diagnostic",)
 
 SYMBOLIC_COMMANDS = {"centrality", "support", "conjecture", "diffcrit", "nullcone"}
 
+PASS = "PASS"
+FAIL = "FAIL"
+ERROR = "ERROR"
+
 
 class UsageError(ValueError):
     pass
@@ -105,9 +112,6 @@ class RunConfig:
             least, value = f.metadata.get("least"), getattr(self, f.name)
             if least is not None and value is not None and value < least:
                 raise UsageError(f"{f.name} must be at least {least}")
-
-    def echo(self) -> dict:
-        return asdict(self)
 
 
 def commands_for(cfg: RunConfig, p: Partition) -> list[str]:
@@ -187,37 +191,45 @@ class PartitionContext:
         return build_beta(self.model)
 
 
-def _cert(ctx: PartitionContext, claim: str, ok: bool, witnesses: dict) -> Certificate:
-    return Certificate(
-        claim=claim,
-        status=PASS if ok else FAIL,
-        partition=str(ctx.partition),
-        algebra=ctx.algebra,
-        witnesses=witnesses,
-    )
+def jsonable(value):
+    """Recursively convert witnesses to JSON-safe values; rationals to 'p/q'."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return str(value)
 
 
-def _error(ctx: PartitionContext, claim: str, exc: Exception) -> Certificate:
+def _cert(ctx: PartitionContext, claim: str, ok: bool, witnesses: dict) -> dict:
+    """The certificate as its report row; tolerance is always exact."""
+    return {
+        "claim": claim,
+        "status": PASS if ok else FAIL,
+        "partition": str(ctx.partition),
+        "algebra": ctx.algebra,
+        "tolerance": "exact",
+        "witnesses": jsonable(witnesses),
+    }
+
+
+def _error(ctx: PartitionContext, claim: str, exc: Exception) -> dict:
     """ERROR certificate: a budget refusal is a resource error, any other
     exception an internal one."""
     if isinstance(exc, BudgetExceededError):
         kind, witnesses = "resource", {"reason": str(exc), "n": exc.n, "budget": exc.budget}
     else:
         kind, witnesses = "internal", {"reason": f"{type(exc).__name__}: {exc}"}
-    return Certificate(
-        claim=claim,
-        status=ERROR,
-        partition=str(ctx.partition),
-        algebra=ctx.algebra,
-        witnesses=witnesses,
-        error_kind=kind,
-    )
+    return {**_cert(ctx, claim, False, witnesses), "status": ERROR, "error_kind": kind}
 
 
 # -- individual commands -----------------------------------------------------
 
 
-def cmd_degrees(ctx: PartitionContext) -> Certificate:
+def cmd_degrees(ctx: PartitionContext) -> dict:
     p = ctx.partition
     if ctx.algebra == "sp":
         table = degrees_sp(p)
@@ -246,7 +258,7 @@ def cmd_degrees(ctx: PartitionContext) -> Certificate:
     return _cert(ctx, "degree-table", ok, witnesses)
 
 
-def cmd_centrality(ctx: PartitionContext) -> Certificate:
+def cmd_centrality(ctx: PartitionContext) -> dict:
     failing, checked, group_failures = verify_centrality(ctx.slice, ctx.model, ctx.sample(15))
     witnesses = {
         "group_points_checked": checked,
@@ -262,14 +274,14 @@ def cmd_centrality(ctx: PartitionContext) -> Certificate:
     return _cert(ctx, "poisson-centrality", ok, witnesses)
 
 
-def cmd_support(ctx: PartitionContext) -> Certificate:
+def cmd_support(ctx: PartitionContext) -> dict:
     violations = monomial_support_check(ctx.slice, ctx.model)
     witnesses = {"violations": violations,
                  "monomials_per_invariant": [len(F.terms) for F in ctx.slice.initial]}
     return _cert(ctx, "monomial-support", not violations, witnesses)
 
 
-def cmd_conjecture(ctx: PartitionContext) -> Certificate:
+def cmd_conjecture(ctx: PartitionContext) -> dict:
     ratios = conjecture_explicit_check(ctx.slice, ctx.model)
     witnesses = {"ratios": ratios}
     failed = ratios[-1] is None
@@ -278,7 +290,7 @@ def cmd_conjecture(ctx: PartitionContext) -> Certificate:
     return _cert(ctx, "signed-sum-proportionality", not failed, witnesses)
 
 
-def cmd_p0(ctx: PartitionContext) -> Certificate:
+def cmd_p0(ctx: PartitionContext) -> dict:
     res = top_coefficient_crosscheck(ctx.model, ctx.slice, budget=ctx.cfg.p0_budget)
     witnesses = {"scalars": {str(k): str(v) for k, v in res.scalars.items()}}
     if res.detail:
@@ -286,7 +298,7 @@ def cmd_p0(ctx: PartitionContext) -> Certificate:
     return _cert(ctx, "top-coefficient-crosscheck", res.passed, witnesses)
 
 
-def cmd_stabilizers(ctx: PartitionContext) -> Certificate:
+def cmd_stabilizers(ctx: PartitionContext) -> dict:
     p = ctx.partition
     model = ctx.model
     witnesses: dict = {}
@@ -325,7 +337,7 @@ def cmd_stabilizers(ctx: PartitionContext) -> Certificate:
     return _cert(ctx, "regular-functionals", ok, witnesses)
 
 
-def cmd_index(ctx: PartitionContext) -> Certificate:
+def cmd_index(ctx: PartitionContext) -> dict:
     special = [ctx.alpha] + ([ctx.beta] if ctx.beta is not None else [])
     dims = index_report(ctx.model, special + ctx.sample(ctx.cfg.index_samples))
     rank = ctx.model.rank
@@ -345,7 +357,7 @@ def cmd_index(ctx: PartitionContext) -> Certificate:
     return _cert(ctx, "index-equals-rank", ok, witnesses)
 
 
-def cmd_diffcrit(ctx: PartitionContext) -> Certificate:
+def cmd_diffcrit(ctx: PartitionContext) -> dict:
     model = ctx.model
     gens = choose_generators(ctx.slice, model)
     points = [ctx.alpha, Functional((0,) * model.dim, "ZERO")]
@@ -370,7 +382,7 @@ def cmd_diffcrit(ctx: PartitionContext) -> Certificate:
     return _cert(ctx, "differential-criterion", not failures, witnesses)
 
 
-def cmd_plane(ctx: PartitionContext) -> Certificate:
+def cmd_plane(ctx: PartitionContext) -> dict:
     model = ctx.model
     if ctx.partition.k < 2:
         dims = [stabilizer_dim(gamma, model) for gamma in ctx.sample(5)]
@@ -388,7 +400,7 @@ def cmd_plane(ctx: PartitionContext) -> Certificate:
     return _cert(ctx, "plane-regularity", ok, witnesses)
 
 
-def cmd_lines(ctx: PartitionContext) -> Certificate:
+def cmd_lines(ctx: PartitionContext) -> dict:
     probes = singular_locus_probe(ctx.model, lines=ctx.cfg.lines, seed=ctx.cfg.seed)
     witnesses = {
         "lines": ctx.cfg.lines,
@@ -400,7 +412,7 @@ def cmd_lines(ctx: PartitionContext) -> Certificate:
     return _cert(ctx, "singular-lines-clean", clean, witnesses)
 
 
-def cmd_nullcone(ctx: PartitionContext) -> Certificate:
+def cmd_nullcone(ctx: PartitionContext) -> dict:
     model = ctx.model
     support_detail = top_block_support_check(model, ctx.slice)
     comps = enumerate_components(ctx.partition)
@@ -419,7 +431,7 @@ def cmd_nullcone(ctx: PartitionContext) -> Certificate:
         "components": [list(c.shifts) for c in comps],
         "components_kill_restrictions": zero_ok,
         "transversal_dim": n,
-        "stages": [vars(st) for st in cert.stages],
+        "stages": cert.stages,
         "conclusion": cert.conclusion,
         "codimension": n,
         "tangent_cone_dim": n * n - n,
@@ -428,10 +440,10 @@ def cmd_nullcone(ctx: PartitionContext) -> Certificate:
                  not support_detail and zero_ok and cert.passed, witnesses)
 
 
-def cmd_so_diagnostic(ctx: PartitionContext) -> Certificate:
+def cmd_so_diagnostic(ctx: PartitionContext) -> dict:
     diag = so_good_system_diagnostic(ctx.partition)
     return _cert(ctx, "so-minor-degree-diagnostic",
-                 diag.verdict != "INCONSISTENT", vars(diag))
+                 diag["verdict"] != "INCONSISTENT", diag)
 
 
 _COMMAND_TABLE = {
@@ -450,10 +462,11 @@ _COMMAND_TABLE = {
 }
 
 
-def run_partition(p: Partition, cfg: RunConfig) -> tuple[list[Certificate], dict]:
-    """All requested certificates for one partition, plus timings."""
+def run_partition(p: Partition, cfg: RunConfig) -> tuple[list[dict], dict]:
+    """The report rows of all requested certificates for one partition,
+    plus timings."""
     ctx = PartitionContext(p, cfg)
-    certs: list[Certificate] = []
+    certs: list[dict] = []
     timings: dict[str, float] = {}
     for name in commands_for(cfg, p):
         start = time.perf_counter()
@@ -476,13 +489,13 @@ def build_report(cfg: RunConfig, partitions: list[Partition]) -> dict:
             results = list(pool.map(run_partition, partitions, repeat(cfg)))
     else:
         results = [run_partition(p, cfg) for p in partitions]
-    cert_rows = [c.to_json() for certs, _ in results for c in certs]
+    cert_rows = [c for certs, _ in results for c in certs]
     timing_rows = {str(p): timings for p, (_, timings) in zip(partitions, results)}
     statuses = [c["status"] for c in cert_rows]
     report = {
         "schema_version": 1,
         "tool": {"name": "centinv", "version": __version__},
-        "config": cfg.echo(),
+        "config": asdict(cfg),
         "certificates": cert_rows,
         "summary": {
             "pass": statuses.count(PASS),

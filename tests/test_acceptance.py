@@ -199,11 +199,11 @@ def test_criterion_7_symplectic_degrees():
 def test_criterion_8_so_diagnostic():
     """The 12-dimensional orthogonal example reproduces 18, 11 < 12 exactly."""
     diag = so_good_system_diagnostic(Partition.parse("5,3,2,2"))
-    ok = (diag.dim_centralizer == 18
-          and diag.even_degree_sum == 13
-          and diag.pfaffian_adjusted_sum == 11
-          and diag.bound == 12
-          and diag.verdict == "NO_GOOD_SYSTEM_FROM_MINORS")
+    ok = (diag["dim_centralizer"] == 18
+          and diag["even_degree_sum"] == 13
+          and diag["pfaffian_adjusted_sum"] == 11
+          and diag["bound"] == 12
+          and diag["verdict"] == "NO_GOOD_SYSTEM_FROM_MINORS")
     assert report("8 (orthogonal minor-degree diagnostic)", ok)
 
 

@@ -395,7 +395,7 @@ def test_degrees_never_builds_the_structure_rows():
     """The degree certificate reads the slice and its g_f dual only, so the
     bracket table is never formed on a gl model."""
     ctx = PartitionContext(Partition.parse("3,2,1"), RunConfig())
-    assert cmd_degrees(ctx).status == "PASS"
+    assert cmd_degrees(ctx)["status"] == "PASS"
     assert "gf_dual" in vars(ctx.model) and "rows" not in vars(ctx.model)
 
 

@@ -5,7 +5,13 @@ import json
 import pytest
 
 from centinv.cli import main
-from centinv.runner import RunConfig, UsageError
+from centinv.runner import (
+    RunConfig,
+    UsageError,
+    build_report,
+    run_partition,
+    sweep_partitions,
+)
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +77,24 @@ def test_option_without_evidence_is_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert "must be at least" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("message, argv", [
+    ("--points must be at least 0",
+     ["verify", "--partition", "2,1", "--commands", "diffcrit", "--points", "-1"]),
+    ("--samples must be at least 1",
+     ["verify", "--partition", "2,1", "--commands", "index", "--samples", "0"]),
+    ("--max-n must be at least 1", ["sweep", "--max-n", "0", "--all"]),
+    ("--grid must be at least 2",
+     ["verify", "--partition", "2,1", "--commands", "plane", "--grid", "1"]),
+    ("--lines must be at least 1",
+     ["verify", "--partition", "2,1", "--commands", "lines", "--lines", "0"]),
+    ("--jobs must be at least 1", ["sweep", "--max-n", "2", "--all", "--jobs", "0"]),
+], ids=["points", "samples", "max-n", "grid", "lines", "jobs"])
+def test_a_value_below_its_least_names_the_flag(capsys, message, argv):
+    # RunConfig names the field; the command line names the flag that set it
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("option", [
@@ -264,10 +288,27 @@ def test_error_certificates_keep_their_kind_and_witnesses(monkeypatch):
     cfg = runner.RunConfig(partitions=["3,3,3"], commands=["centrality", "index"], budget_n=8)
     certs, _ = runner.run_partition(Partition.parse("3,3,3"), cfg)
     common = {"status": "ERROR", "partition": "3,3,3", "algebra": "gl", "tolerance": "exact"}
-    assert [c.to_json() for c in certs] == [
+    assert certs == [
         {"claim": "centrality", **common, "error_kind": "resource",
          "witnesses": {"reason": "slice expansion needs n=9 but the budget is 8",
                        "n": 9, "budget": 8}},
         {"claim": "index", **common, "error_kind": "internal",
          "witnesses": {"reason": "ArithmeticError: table is not antisymmetric"}},
     ]
+
+
+@pytest.mark.parametrize("options", [
+    {"algebra": "gl", "max_n": 4, "all_commands": True},
+    {"algebra": "sp", "max_n": 2, "all_commands": True},
+    {"algebra": "so", "max_n": 5, "all_commands": True},
+    {"algebra": "gl", "max_n": 3, "commands": ["degrees", "centrality"], "budget_n": 2},
+], ids=["gl", "sp", "so", "resource-error"])
+def test_certificates_are_built_as_their_report_rows(options):
+    """run_partition returns JSON rows, and the report holds them as they are."""
+    cfg = RunConfig(seed=7, **options)
+    partitions = sweep_partitions(cfg)
+    rows = [row for p in partitions for row in run_partition(p, cfg)[0]]
+    assert all(json.loads(json.dumps(row)) == row for row in rows)
+    assert build_report(cfg, partitions)["certificates"] == rows
+    errors = [row["error_kind"] for row in rows if row["status"] == "ERROR"]
+    assert errors == (["resource"] * 3 if "budget_n" in options else [])

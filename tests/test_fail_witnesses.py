@@ -37,7 +37,7 @@ def with_initial(ctx, ell, poly):
 
 
 def certificate(ctx, command):
-    return runner._COMMAND_TABLE[command](ctx).to_json()
+    return runner._COMMAND_TABLE[command](ctx)
 
 
 def fail(claim, parts, witnesses, algebra="gl"):

@@ -9,7 +9,6 @@ import pytest
 from poly_oracle import from_fractions, to_fractions, variable
 
 from centinv import runner
-from centinv.certificates import FAIL, PASS
 from centinv.centralizer import XiIndex, build_gl_model
 from centinv.invariants import principal_minor_sums
 from centinv.nullcone import (
@@ -23,7 +22,7 @@ from centinv.nullcone import (
 )
 from centinv.partitions import Partition, partitions_of, vectors_with_total
 from centinv.poly import _WIDTH, SparsePoly
-from centinv.runner import RunConfig, run_partition
+from centinv.runner import FAIL, PASS, RunConfig, run_partition
 
 
 def test_antidiagonal_spaces_cover_everything():
@@ -114,27 +113,33 @@ def test_transversality_certificate(parts):
     assert cert.passed
     assert cert.total_dim == p.n
     for stage in cert.stages:
-        assert all(d != "0" for _, d in stage.component_dets)
-        assert stage.support_checked is (True if stage.block >= 2 else None)
+        assert all(d != "0" for _, d in stage["component_dets"])
+        assert stage["support_checked"] is (True if stage["block"] >= 2 else None)
     [nc] = run_partition(p, RunConfig(commands=["nullcone"], seed=11))[0]
-    assert nc.status == PASS
-    assert (nc.witnesses["codimension"], nc.witnesses["tangent_cone_dim"]) == \
+    assert nc["status"] == PASS
+    assert (nc["witnesses"]["codimension"], nc["witnesses"]["tangent_cone_dim"]) == \
         (p.n, p.n * p.n - p.n)
 
 
 def test_transversality_vandermonde_fallback():
-    # zero random attempts forces the deterministic construction
-    m = build_gl_model(Partition.parse("2,2"))
-    cert = transversality_certificate(m, principal_minor_sums(m), seed=0, attempts=0)
-    assert cert.passed
-    assert any(st.used_fallback for st in cert.stages if st.component_dets)
+    # zero random attempts forces the deterministic construction: each
+    # component minor of its rows (c + 1)^t is a square Vandermonde matrix on
+    # distinct nodes, so every multi-block partition passes through it
+    for n in range(1, 9):
+        for p in partitions_of(n):
+            m = build_gl_model(p)
+            cert = transversality_certificate(m, principal_minor_sums(m), seed=0, attempts=0)
+            assert cert.passed and cert.total_dim == p.n, p
+            assert all(st["used_fallback"] == bool(st["component_dets"])
+                       for st in cert.stages), p
+            assert any(st["used_fallback"] for st in cert.stages) == (p.k >= 2), p
 
 
 def test_nullcone_command_fails_without_a_transversality_certificate(monkeypatch):
     missing = TransversalityCertificate(False, 0, [], "missing")
     monkeypatch.setattr(runner, "transversality_certificate", lambda *a, **k: missing)
     certs, _ = run_partition(Partition.parse("2,1"), RunConfig(commands=["nullcone"]))
-    [cert] = [c.to_json() for c in certs]
+    [cert] = certs
     w = cert["witnesses"]
     assert cert["status"] == FAIL
     assert (w["transversal_dim"], w["codimension"], w["tangent_cone_dim"]) == (0, 0, 0)
@@ -273,5 +278,5 @@ def test_transversality_reads_prefix_stages_from_the_given_slice():
     cert = transversality_certificate(m, _planted(sr, n_2, terms), seed=11)
     assert not cert.passed
     assert cert.conclusion == "support check failed at block 2"
-    assert [st.block for st in cert.stages] == [3]
+    assert [st["block"] for st in cert.stages] == [3]
     assert transversality_certificate(m, sr, seed=11).passed

@@ -116,21 +116,21 @@ def test_pairing_consecutive():
 
 def test_so_diagnostic_example():
     diag = so_good_system_diagnostic(Partition.parse("5,3,2,2"))
-    assert diag.dim_centralizer == 18
-    assert diag.even_degree_sum == 13
-    assert diag.pfaffian_adjusted_sum == 11
-    assert diag.bound == 12
-    assert diag.verdict == "NO_GOOD_SYSTEM_FROM_MINORS"
-    assert not diag.lemma_flags["even_top_row"]
+    assert diag["dim_centralizer"] == 18
+    assert diag["even_degree_sum"] == 13
+    assert diag["pfaffian_adjusted_sum"] == 11
+    assert diag["bound"] == 12
+    assert diag["verdict"] == "NO_GOOD_SYSTEM_FROM_MINORS"
+    assert not diag["lemma_flags"]["even_top_row"]
 
 
 def test_so_diagnostic_good_cases():
     diag = so_good_system_diagnostic(Partition.parse("3,1,1"))
-    assert diag.lemma_flags["even_top_row"]
-    assert diag.pfaffian_adjusted_sum == diag.bound
-    assert diag.verdict == "GOOD_SYSTEM_FROM_MINORS"
+    assert diag["lemma_flags"]["even_top_row"]
+    assert diag["pfaffian_adjusted_sum"] == diag["bound"]
+    assert diag["verdict"] == "GOOD_SYSTEM_FROM_MINORS"
     ones = so_good_system_diagnostic(Partition(tuple([1] * 5)))
-    assert ones.verdict == "GOOD_SYSTEM_FROM_MINORS"
+    assert ones["verdict"] == "GOOD_SYSTEM_FROM_MINORS"
 
 
 def test_even_top_row_hypotheses_force_equality():
@@ -138,9 +138,9 @@ def test_even_top_row_hypotheses_force_equality():
     for n in range(2, 13):
         for p in partitions_of(n, ClassicalType.SO):
             diag = so_good_system_diagnostic(p)
-            if diag.lemma_flags["even_top_row"]:
+            if diag["lemma_flags"]["even_top_row"]:
                 hits += 1
-                assert diag.pfaffian_adjusted_sum == diag.bound, p
+                assert diag["pfaffian_adjusted_sum"] == diag["bound"], p
     assert hits > 10
 
 

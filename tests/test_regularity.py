@@ -316,7 +316,7 @@ def test_all_commands_draw_one_sample(monkeypatch):
     drawn = runner_draws(monkeypatch)
     cfg = runner.RunConfig(all_commands=True, seed=7)
     certs, _ = runner.run_partition(Partition.parse("3,2,1"), cfg)
-    assert all(c.status == "PASS" for c in certs)
+    assert all(c["status"] == "PASS" for c in certs)
     assert len(drawn) == cfg.diffcrit_points == 50
 
 
@@ -1113,7 +1113,7 @@ def test_restrict_dual_refuses_a_non_integer_coordinate(monkeypatch):
     # through the runner the refusal is an internal ERROR certificate
     monkeypatch.setattr(runner, "build_sp_model", lambda q: planted)
     certs, _ = run_partition(p, RunConfig(algebra="sp", commands=["stabilizers"]))
-    [cert] = [c.to_json() for c in certs]
+    [cert] = certs
     assert (cert["claim"], cert["status"], cert["error_kind"]) == (
         "stabilizers", "ERROR", "internal")
     assert re.fullmatch(r"ArithmeticError: restricted coordinate -?\d+/2 is not an integer",
