@@ -14,11 +14,12 @@ weights are read off the packed keys in C) are the distinguished elements of S(g
 structural properties the rest of the toolkit certifies: Poisson
 centrality, monomial support, the signed-permutation expansion, and
 agreement with the top coefficient of the expansion of an invariant
-along the opposite nilpotent.  The brackets they need read the model's
-integer structure table ``rows``.  The first three checks return what
-their certificates report, and ``runner`` derives the verdict:
-``verify_centrality`` gives (failing bracket, points probed, group
-failures), ``monomial_support_check`` the violations and
+along the opposite nilpotent.  The signed sums are read off e_m(Y) for
+the k x k block matrix Y of the coordinates (``signed_sums``).  The
+brackets they need read the model's integer structure table ``rows``.
+The first three checks return what their certificates report, and
+``runner`` derives the verdict: ``verify_centrality`` gives (failing
+bracket, points probed, group failures), ``monomial_support_check`` the violations and
 ``conjecture_explicit_check`` the ratios, ending in None at the first
 failure.  ``top_coefficient_crosscheck`` keeps its result type, since
 its pass on the zero nilpotent carries a detail.
@@ -37,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations
 from math import comb, lcm
 from operator import mul
 
@@ -47,10 +47,8 @@ from .centralizer import (
     _combination,
     _sparse_commutator,
     trace_dual,
-    xi_shift_range,
 )
 from .linalg import bareiss, sparse_rref
-from .partitions import vectors_with_total
 from .poly import SparsePoly, _MASK, _MAX_EXP, _WIDTH, _accumulate_product, _key_degree
 
 
@@ -95,8 +93,8 @@ def _minors(A: list[list[dict]], rows: range, viable: set | None = None) -> dict
 
 
 def _by_power(terms: dict, shift: int) -> dict[int, dict]:
-    """Split a term dict by the power of t, the lane from ``shift`` on,
-    into {power: term dict without t}."""
+    """Split a term dict by the power of its top lane, the lane from
+    ``shift`` on, into {power: term dict without it}."""
     out: dict[int, dict] = {}
     for k, c in terms.items():
         power = k >> shift
@@ -459,47 +457,35 @@ def monomial_support_check(sr: SliceRestriction, model: CentralizerModel) -> lis
 # -- signed permutation expansion -------------------------------------------
 
 
-def _permutation_sign(perm: tuple[int, ...]) -> int:
-    """sgn of a permutation of range(m): (-1)^(m - number of cycles)."""
-    seen, parity = set(), len(perm)
-    for i in perm:
-        if i not in seen:
-            parity -= 1
-            while i not in seen:
-                seen.add(i)
-                i = perm[i]
-    return -1 if parity & 1 else 1
+def signed_sums(model: CentralizerModel) -> list[dict[int, dict]]:
+    """[{power of q: term dict}] of e_0(Y), ..., e_k(Y) by one
+    ``char_poly_terms`` call, Y_ij = sum_s x[i, j, s] q^s over the
+    coordinates, q the lane after them and t the next.
 
-
-def signed_permutation_sum(model: CentralizerModel, ell: int, m: int) -> SparsePoly:
-    """Sum of sgn(sigma) * prod xi_i^{sigma(i), s_i} over supports of size m.
-
-    Runs over subsets I of blocks with |I| = m, permutations sigma of I,
-    and shift vectors with total ell - m, all factors admissible; the
-    sign is (-1)^(m - number of cycles of sigma).
+    e_m(Y) sums sgn(sigma) prod Y_{i, sigma(i)} over m-block supports I
+    and permutations sigma of I; expanding the products gives every
+    admissible (I, sigma, shifts) once, so its q^(l - m) part is the signed
+    sum of degree m in S^l.  A key has degree at most sum_i (1 + d_i) = n
+    in the coordinates, q and t, far below ``_MAX_EXP``.
     """
-    p = model.partition
-    blocks = range(1, p.k + 1)
-    shift_range = {(i, j): xi_shift_range(p, i, j) for i in blocks for j in blocks}
-    lane = {(x.i, x.j, x.s): 1 << (_WIDTH * a) for a, x in enumerate(model.xi)}
-    signed = [(perm, _permutation_sign(perm)) for perm in permutations(range(m))]
-    acc: dict[int, int] = {}
-    for I in combinations(blocks, m):
-        for perm, sign in signed:
-            pairs = [(I[t], I[perm[t]]) for t in range(m)]
-            for shifts in vectors_with_total([shift_range[ij] for ij in pairs], ell - m):
-                key = sum(lane[i, j, s] for (i, j), s in zip(pairs, shifts))
-                acc[key] = acc.get(key, 0) + sign
-    return SparsePoly(model.var_names, acc)
+    shift = _WIDTH * len(model.xi)
+    k, q_key = model.partition.k, 1 << shift
+    Y: list[list[dict]] = [[{} for _ in range(k)] for _ in range(k)]
+    for a, x in enumerate(model.xi):
+        Y[x.i - 1][x.j - 1][(1 << (_WIDTH * a)) + x.s * q_key] = 1
+    return [_by_power(e, shift) for e in char_poly_terms(Y, q_key << _WIDTH)]
 
 
 def conjecture_explicit_check(sr: SliceRestriction, model: CentralizerModel) -> list[Fraction | None]:
     """The ratio of each initial term to its signed sum, while both are
     nonzero and proportional; at the first term that is not, the list
-    ends in None, and that term is the len(ratios)-th."""
+    ends in None, and that term is the len(ratios)-th.  Its signed sum of
+    degree m is the q^(l - m) part of e_m(Y), empty for m > k."""
     ratios: list[Fraction | None] = []
+    table = signed_sums(model)
     for ell, F in enumerate(sr.initial, start=1):
-        S = signed_permutation_sum(model, ell, sr.degrees[ell - 1])
+        m = sr.degrees[ell - 1]
+        S = SparsePoly(model.var_names, table[m].get(ell - m) if m < len(table) else None)
         key0 = next(iter(S.terms), None)
         if F.is_zero() or key0 not in F.terms:
             return ratios + [None]

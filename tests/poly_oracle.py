@@ -6,14 +6,18 @@ polynomials by name, by exponents or by plain ``{key: Fraction}``
 coefficient maps, which is the reference format the integer form is
 checked against.  ``char_poly_terms`` and ``minor_sum_polys`` expand
 det(t Id - M) in one subset pass over the columns, the reference for the
-Laplace split of ``centinv.invariants.char_poly_terms``.  Every result
+Laplace split of ``centinv.invariants.char_poly_terms``, and
+``signed_sum_by_recursion`` enumerates the signed permutation sums that
+``centinv.invariants.signed_sums`` reads off one such expansion.  Every result
 goes through the ``SparsePoly`` constructor, so the canonical form is the
 package's own.
 """
 
 from fractions import Fraction
+from itertools import combinations, permutations
 from math import lcm
 
+from centinv.centralizer import XiIndex
 from centinv.poly import (
     _MASK,
     _MAX_EXP,
@@ -196,3 +200,50 @@ def minor_sum_polys(entries, variables) -> list:
                 for ent in row] for row in entries]
     sums = char_poly_buckets(cleared, 1 << (_WIDTH * len(variables)))
     return [SparsePoly(variables, sums[ell], D ** ell) for ell in range(1, n + 1)]
+
+
+def perm_sign(perm) -> int:
+    """sgn of a permutation of range(m): -1 per cycle of even length."""
+    sign, seen = 1, [False] * len(perm)
+    for i in range(len(perm)):
+        j, clen = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            clen += 1
+        if clen and clen % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def signed_sum_by_recursion(model, ell, m) -> SparsePoly:
+    """The signed sum of sgn(sigma) * prod xi[i, sigma(i), s_i] over supports
+    I of m blocks, permutations sigma of I and admissible shifts with total
+    ell - m, built by a pruned recursion over the shifts."""
+    d = model.partition.d
+    acc = {}
+    for I in combinations(range(1, model.partition.k + 1), m):
+        for perm in permutations(range(m)):
+            sign = perm_sign(perm)
+            ranges = [(I[t], I[perm[t]], max(d[I[perm[t]] - 1] - d[I[t] - 1], 0),
+                       d[I[perm[t]] - 1]) for t in range(m)]
+            lo = [sum(r[2] for r in ranges[t:]) for t in range(m + 1)]
+            hi = [sum(r[3] for r in ranges[t:]) for t in range(m + 1)]
+
+            def rec(t, remaining, key):
+                if t == m:
+                    c = acc.get(key, Fraction(0)) + sign
+                    if c:
+                        acc[key] = c
+                    else:
+                        acc.pop(key, None)
+                    return
+                i, j, low, high = ranges[t]
+                for s in range(low, high + 1):
+                    if lo[t + 1] <= remaining - s <= hi[t + 1]:
+                        a = model.index[XiIndex(i, j, s)]
+                        rec(t + 1, remaining - s, key + (1 << (_WIDTH * a)))
+
+            if lo[0] <= ell - m <= hi[0]:
+                rec(0, ell - m, 0)
+    return from_fractions(model.var_names, acc)

@@ -86,6 +86,40 @@ def test_conjecture_stops_at_the_first_failure():
     })
 
 
+def test_conjecture_fails_on_a_zero_initial_term():
+    ctx = context("2,1")
+    with_initial(ctx, 1, from_fractions(ctx.model.var_names, {}))
+    assert certificate(ctx, "conjecture") == fail("signed-sum-proportionality", "2,1", {
+        "ratios": [None],
+        "first_failure": 1,
+    })
+
+
+def test_conjecture_fails_on_the_same_support_out_of_proportion():
+    # -x2*x5 + x3*x4 is -1 times its signed sum; doubling one coefficient
+    # keeps the support and breaks the proportion
+    ctx = context("2,1")
+    x = {name: variable(ctx.model.var_names, name) for name in ctx.model.var_names}
+    with_initial(ctx, 3, x["x3"] * x["x4"] + x["x3"] * x["x4"] - x["x2"] * x["x5"])
+    assert certificate(ctx, "conjecture") == fail("signed-sum-proportionality", "2,1", {
+        "ratios": ["1", "-1", None],
+        "first_failure": 3,
+    })
+
+
+def test_conjecture_fails_when_the_degree_exceeds_the_block_count():
+    # a signed sum over m = 3 > k = 2 blocks is empty, so no cubic term matches it
+    ctx = context("2,1")
+    x = {name: variable(ctx.model.var_names, name) for name in ctx.model.var_names}
+    initial = list(ctx.slice.initial)
+    initial[2] = x["x2"] * x["x3"] * x["x5"]
+    ctx.slice = dataclasses.replace(ctx.slice, initial=initial, degrees=[1, 1, 3])
+    assert certificate(ctx, "conjecture") == fail("signed-sum-proportionality", "2,1", {
+        "ratios": ["1", "-1", None],
+        "first_failure": 3,
+    })
+
+
 def test_diffcrit_reports_per_point_alpha_and_zero_failures():
     # linear initial terms have full Jacobian rank everywhere, zero included,
     # and alpha = Id on gl_2 has the whole algebra as its stabiliser

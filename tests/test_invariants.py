@@ -46,7 +46,6 @@ from centinv.invariants import (
     _exact_div,
     _faddeev_leverrier,
     _kazhdan_check,
-    _permutation_sign,
     _slice_entries,
     _slice_matrix_cheaper,
     _value_changes,
@@ -61,7 +60,7 @@ from centinv.invariants import (
     poisson_bracket,
     principal_minor_sum_polys,
     principal_minor_sums,
-    signed_permutation_sum,
+    signed_sums,
     slice_matrix_rows,
     symplectic_minor_sums,
     top_coefficient_crosscheck,
@@ -408,69 +407,27 @@ def test_signed_sum_proportionality(parts):
 
 def test_signed_sum_for_two_blocks_by_hand():
     m = build_gl_model(Partition.parse("2,1"))
-    S = signed_permutation_sum(m, ell=3, m=2)
+    # the signed sum of degree m = 2 in S^3 is the q^1 part of e_2(Y)
+    S = SparsePoly(m.var_names, signed_sums(m)[2][1])
     names = m.var_names
     x = {lab: variable(names, lab) for lab in names}
     assert S == x["x2"] * x["x5"] - x["x3"] * x["x4"]
 
 
-def _signed_sum_by_recursion(model, ell, m):
-    """Reference: the signed sum built by a pruned recursion over the
-    shifts, with the sign from the cycle type of sigma."""
-    from itertools import combinations, permutations
-
-    def perm_sign(perm):
-        sign, seen = 1, [False] * len(perm)
-        for i in range(len(perm)):
-            j, clen = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                clen += 1
-            if clen and clen % 2 == 0:
-                sign = -sign
-        return sign
-
-    d = model.partition.d
-    acc = {}
-    for I in combinations(range(1, model.partition.k + 1), m):
-        for perm in permutations(range(m)):
-            sign = perm_sign(perm)
-            ranges = [(I[t], I[perm[t]], max(d[I[perm[t]] - 1] - d[I[t] - 1], 0),
-                       d[I[perm[t]] - 1]) for t in range(m)]
-            lo = [sum(r[2] for r in ranges[t:]) for t in range(m + 1)]
-            hi = [sum(r[3] for r in ranges[t:]) for t in range(m + 1)]
-
-            def rec(t, remaining, key):
-                if t == m:
-                    c = acc.get(key, Fraction(0)) + sign
-                    if c:
-                        acc[key] = c
-                    else:
-                        acc.pop(key, None)
-                    return
-                i, j, low, high = ranges[t]
-                for s in range(low, high + 1):
-                    if lo[t + 1] <= remaining - s <= hi[t + 1]:
-                        a = model.index[XiIndex(i, j, s)]
-                        rec(t + 1, remaining - s, key + (1 << (_WIDTH * a)))
-
-            if lo[0] <= ell - m <= hi[0]:
-                rec(0, ell - m, 0)
-    return from_fractions(model.var_names, acc)
-
-
 def test_signed_sum_matches_the_recursive_reference():
-    # every gl partition with n <= 6, every ell and 1 <= m <= min(ell, k);
-    # the term order is compared too, since it is the report's order
+    # every gl partition with n <= 6, every ell and 0 <= m <= n, m = 0 and
+    # m > k included; the terms are compared as a dict, since a ratio of
+    # proportional polynomials does not depend on the key it is read at
     for n in range(1, 7):
         for p in partitions_of(n):
             model = build_gl_model(p)
+            table = signed_sums(model)
             for ell in range(1, n + 1):
-                for m in range(1, min(ell, p.k) + 1):
-                    got = signed_permutation_sum(model, ell, m)
-                    want = _signed_sum_by_recursion(model, ell, m)
-                    assert list(got.terms.items()) == list(want.terms.items()), (p, ell, m)
+                for m in range(n + 1):
+                    got = SparsePoly(model.var_names,
+                                     table[m].get(ell - m) if m < len(table) else None)
+                    want = poly_oracle.signed_sum_by_recursion(model, ell, m)
+                    assert (got.terms, got.den) == (want.terms, want.den), (p, ell, m)
 
 
 def test_permutation_sign_is_the_inversion_parity():
@@ -479,7 +436,7 @@ def test_permutation_sign_is_the_inversion_parity():
     for m in range(9):
         for perm in permutations(range(m)):
             inversions = sum(a > b for a, b in combinations(perm, 2))
-            assert _permutation_sign(perm) == (-1) ** inversions, perm
+            assert poly_oracle.perm_sign(perm) == (-1) ** inversions, perm
 
 
 @pytest.mark.parametrize("parts", ["2", "2,1", "2,2", "3,1", "2,1,1"])
