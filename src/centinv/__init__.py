@@ -10,4 +10,4 @@ centrality, index, regularity of linear functions, null-cone geometry).
 
 __version__ = "0.1.0"
 
-from .partitions import Partition, ClassicalType, DegreeTable  # noqa: F401
+from .partitions import Partition, ClassicalType  # noqa: F401

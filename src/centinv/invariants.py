@@ -17,12 +17,11 @@ agreement with the top coefficient of the expansion of an invariant
 along the opposite nilpotent.  The signed sums are read off e_m(Y) for
 the k x k block matrix Y of the coordinates (``signed_sums``).  The
 brackets they need read the model's integer structure table ``rows``.
-The first three checks return what their certificates report, and
-``runner`` derives the verdict: ``verify_centrality`` gives (failing
-bracket, points probed, group failures), ``monomial_support_check`` the violations and
+Each check returns what its certificate reports, and ``runner`` derives
+the verdict: ``verify_centrality`` gives (failing bracket, points
+probed, group failures), ``monomial_support_check`` the violations,
 ``conjecture_explicit_check`` the ratios, ending in None at the first
-failure.  ``top_coefficient_crosscheck`` keeps its result type, since
-its pass on the zero nilpotent carries a detail.
+failure, and ``top_coefficient_crosscheck`` (passed, scalars, detail).
 
 The gradient rows of all initial terms at an integer point nums come from
 ``jacobian_rows(sr, nums)`` by one of two routes, picked per call
@@ -499,21 +498,18 @@ def conjecture_explicit_check(sr: SliceRestriction, model: CentralizerModel) -> 
 # -- expansion along the opposite nilpotent ---------------------------------
 
 
-@dataclass
-class TopCoefficientResult:
-    passed: bool
-    scalars: dict[int, Fraction]
-    detail: str
-
-
 def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
-                               budget: int = 4) -> TopCoefficientResult:
-    """Compare initial terms with top coefficients along the f direction.
+                               budget: int = 4) -> tuple[bool, dict[int, Fraction], str]:
+    """Compare initial terms with top coefficients along the f direction:
+    (passed, the scalar of each term matched so far, detail).
 
     Expands the minor sums over all of gl_n in coordinates adapted to
     the splitting  K.f  +  g_e  +  (e-orthogonal part of [f, gl_n]);
     the leading coefficient in the f coordinate must involve only the
     centraliser coordinates and match the slice route up to a scalar.
+    The detail names the first mismatch; a pass leaves it empty, except
+    on the zero nilpotent, where the slice is the whole algebra and the
+    check is the identity.
     """
     p = model.partition
     n = p.n
@@ -528,10 +524,9 @@ def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
         scalars = {}
         for ell in range(1, n + 1):
             if sr.full[ell - 1] != sr.initial[ell - 1]:
-                return TopCoefficientResult(False, scalars,
-                                            f"minor sum {ell} is not homogeneous")
+                return False, scalars, f"minor sum {ell} is not homogeneous"
             scalars[ell] = Fraction(1)
-        return TopCoefficientResult(True, scalars, "zero nilpotent: identity check")
+        return True, scalars, "zero nilpotent: identity check"
 
     basis_mats = [real.f] + list(model.matrices)
     # complement: e-orthogonal part of the image of ad f
@@ -563,23 +558,21 @@ def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
         K = P.max_exponent("zf")
         p0 = P.coefficient_of("zf", K)
         if K != ell - sr.degrees[ell - 1]:
-            return TopCoefficientResult(False, scalars,
-                                        f"f-degree {K} at minor sum {ell}")
+            return False, scalars, f"f-degree {K} at minor sum {ell}"
         # the coefficient of zf^K has no zf (lane r), so a key with a
         # lane from r on holds a w coordinate
         if any(k >> (_WIDTH * r) for k in p0.terms):
-            return TopCoefficientResult(False, scalars,
-                                        f"top coefficient of {ell} leaves the centraliser")
+            return False, scalars, f"top coefficient of {ell} leaves the centraliser"
         reduced = SparsePoly(model.var_names, p0.terms, p0.den)
         F = sr.initial[ell - 1]
         key0 = next(iter(F.terms))
         if key0 not in reduced.terms:
-            return TopCoefficientResult(False, scalars, f"support mismatch at {ell}")
+            return False, scalars, f"support mismatch at {ell}"
         ratio = reduced.coefficient(key0) / F.coefficient(key0)
         if F.scalar_mul(ratio) != reduced:
-            return TopCoefficientResult(False, scalars, f"not proportional at {ell}")
+            return False, scalars, f"not proportional at {ell}"
         scalars[ell] = ratio
-    return TopCoefficientResult(True, scalars, "")
+    return True, scalars, ""
 
 
 # -- algebraic independence --------------------------------------------------

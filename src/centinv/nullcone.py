@@ -7,8 +7,10 @@ component decomposition of the restricted zero locus and an explicit
 n-dimensional subspace meeting the null-cone only at the origin, which
 is exactly the codimension statement making the initial terms a regular
 sequence; ``runner.cmd_nullcone`` gives that argument where it reads the
-codimension off ``TransversalityCertificate.total_dim``.  Each stage of
-that peeling is the JSON-ready dict the certificate reports, and reads
+codimension n off a pass of ``transversality_certificate``, which returns
+(stages, failure).  A component is its shift tuple, and ``vanishing``
+lists the coordinates it kills.  Each stage of that peeling is the
+JSON-ready dict the certificate reports, and reads
 the partition's own slice: a prefix of the first m blocks is checked on
 the restriction to levels 1..m, with no model or slice of its own.
 Setting coordinates to zero is ``SparsePoly.without``, which drops every
@@ -19,7 +21,6 @@ term touching them.  ``top_block_support_check`` returns what differs,
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from math import comb
 
 # build_gl_model is not called here; it stays imported because the
@@ -104,21 +105,17 @@ def top_block_support_check(model: CentralizerModel, sr: SliceRestriction,
 # -- component decomposition -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Component:
-    shifts: tuple[int, ...]
-
-    def vanishing(self, p: Partition) -> list[XiIndex]:
-        d = p.d
-        out = []
-        for i, s_i in enumerate(self.shifts, start=1):
-            for t in range(s_i):
-                out.append(XiIndex(p.k + 1 - i, i, d[i - 1] - t))
-        return out
+def vanishing(p: Partition, shifts: tuple[int, ...]) -> list[XiIndex]:
+    """The coordinates the component of the given shifts kills: the top
+    s_i of block column i on the top antidiagonal."""
+    d = p.d
+    return [XiIndex(p.k + 1 - i, i, d[i - 1] - t)
+            for i, s_i in enumerate(shifts, start=1) for t in range(s_i)]
 
 
-def enumerate_components(p: Partition) -> list[Component]:
-    """Components of the restricted zero locus on the top antidiagonal.
+def enumerate_components(p: Partition) -> list[tuple[int, ...]]:
+    """Components of the restricted zero locus on the top antidiagonal, as
+    their shift tuples.
 
     They are indexed by the shift patterns of total d_k + 1; a single
     block means the null-cone is just the origin and there are none.
@@ -126,7 +123,7 @@ def enumerate_components(p: Partition) -> list[Component]:
     if p.k < 2:
         return []
     dk = p.d[-1]
-    comps = [Component(bars) for bars in vectors_with_total([range(dk + 2)] * p.k, dk + 1)]
+    comps = list(vectors_with_total([range(dk + 2)] * p.k, dk + 1))
     assert len(comps) == comb(dk + p.k, p.k - 1)
     return comps
 
@@ -139,8 +136,8 @@ def component_zero_locus_check(model: CentralizerModel, sr: SliceRestriction) ->
         return True
     restricted = restrict_to_V(sr, model)
     dk = p.d[-1]
-    for comp in enumerate_components(p):
-        killed = [model.index[idx] for idx in comp.vanishing(p)]
+    for shifts in enumerate_components(p):
+        killed = [model.index[idx] for idx in vanishing(p, shifts)]
         for q in range(dk + 1):
             if not restricted[p.n - q - 1].without(killed).is_zero():
                 return False
@@ -150,20 +147,12 @@ def component_zero_locus_check(model: CentralizerModel, sr: SliceRestriction) ->
 # -- transversal subspace ----------------------------------------------------
 
 
-@dataclass
-class TransversalityCertificate:
-    """``total_dim`` is n on a pass and 0 on a failure; ``runner.cmd_nullcone``
-    reads the codimension and the tangent-cone dimension off it."""
-    passed: bool
-    total_dim: int
-    stages: list[dict] = field(default_factory=list)
-    conclusion: str = ""
-
-
 def transversality_certificate(model: CentralizerModel, sr: SliceRestriction,
                                seed: int = 0,
-                               attempts: int = 100) -> TransversalityCertificate:
-    """Find W = sum of W_m with W_m inside level m meeting no component.
+                               attempts: int = 100) -> tuple[list[dict], str]:
+    """Find W = sum of W_m with W_m inside level m meeting no component:
+    (stages, failure), the failure "" on a pass, where W has dimension
+    sum (d_m + 1) = n.
 
     Peels the last block: at stage m a (d_m + 1)-dimensional subspace of
     level m must meet every component of the stage-m decomposition only
@@ -195,8 +184,8 @@ def transversality_certificate(model: CentralizerModel, sr: SliceRestriction,
         want = dm + 1
         comps = enumerate_components(sub)
         cols_per_comp = []
-        for comp in comps:
-            cols = [pos[idx] for idx in comp.vanishing(sub)]
+        for shifts in comps:
+            cols = [pos[idx] for idx in vanishing(sub, shifts)]
             assert len(cols) == want
             cols_per_comp.append(cols)
 
@@ -221,29 +210,19 @@ def transversality_certificate(model: CentralizerModel, sr: SliceRestriction,
         if m >= 2:
             support_ok = not top_block_support_check(model, sr, m)
             if not support_ok:
-                return TransversalityCertificate(
-                    False, 0, stages, f"support check failed at block {m}")
+                return stages, f"support check failed at block {m}"
 
         stages.append({
             "block": m,
             "space_dim": len(space),
             "basis": [idx.label() for idx in space],
             "subspace_rows": [[str(x) for x in row] for row in rows],
-            "component_dets": [[str(c.shifts), str(d)] for c, d in zip(comps, dets)],
+            "component_dets": [[str(shifts), str(d)] for shifts, d in zip(comps, dets)],
             "attempts": tries,
             "used_fallback": used_fallback,
             "support_checked": support_ok,
         })
-
-    total = sum(d + 1 for d in p.d)
-    assert total == p.n
-    return TransversalityCertificate(
-        True, total, stages,
-        conclusion=(
-            f"an {p.n}-dimensional subspace meets the null-cone only at 0, so the "
-            f"null-cone has codimension {p.n} and the {p.n} initial terms form a "
-            "regular sequence"),
-    )
+    return stages, ""
 
 
 def _component_dets(rows: list[list[int]],

@@ -142,44 +142,27 @@ def dim_centralizer_so_sp(p: Partition, t: ClassicalType) -> int:
     return total // 2
 
 
-@dataclass(frozen=True)
-class DegreeTable:
-    """Degrees of the initial slice components, one per basic invariant."""
-
-    degrees: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.degrees)
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(d) for d in self.degrees) + ")"
-
-
-def degrees_gl(p: Partition) -> DegreeTable:
-    """Degree of the ell-th initial component, read off the Young diagram.
+def degrees_gl(p: Partition) -> tuple[int, ...]:
+    """Degrees of the initial slice components, one per basic invariant:
+    the ell-th is read off the Young diagram.
 
     deg = min { s : ell <= parts[1] + ... + parts[s] }; the degree sum
     equals (dim_centralizer_gl + n) / 2.
     """
-    degrees = []
-    for s, part in enumerate(p.parts, start=1):
-        degrees.extend([s] * part)
-    table = DegreeTable(tuple(degrees))
+    degrees = tuple(s for s, part in enumerate(p.parts, start=1) for _ in range(part))
     assert len(degrees) == p.n
-    assert 2 * table.total == dim_centralizer_gl(p) + p.n
-    return table
+    assert 2 * sum(degrees) == dim_centralizer_gl(p) + p.n
+    return degrees
 
 
-def degrees_sp(p: Partition) -> DegreeTable:
+def degrees_sp(p: Partition) -> tuple[int, ...]:
     """Even-index subsequence of the gl table (partition of 2n, type C)."""
     check_valid_for(p, t=ClassicalType.SP)
     if p.n % 2:
         raise InvalidPartitionError("symplectic partition must have even size")
-    full = degrees_gl(p).degrees
-    table = DegreeTable(tuple(full[2 * j - 1] for j in range(1, p.n // 2 + 1)))
-    assert 2 * table.total == dim_centralizer_so_sp(p, ClassicalType.SP) + p.n // 2
-    return table
+    degrees = degrees_gl(p)[1::2]
+    assert 2 * sum(degrees) == dim_centralizer_so_sp(p, ClassicalType.SP) + p.n // 2
+    return degrees
 
 
 def so_good_system_diagnostic(p: Partition) -> dict:
@@ -194,7 +177,7 @@ def so_good_system_diagnostic(p: Partition) -> dict:
     n = p.n
     rank = n // 2
     # the gl degrees at the even indices 2, 4, ..., 2 * (n // 2)
-    even_sum = sum(degrees_gl(p).degrees[1::2])
+    even_sum = sum(degrees_gl(p)[1::2])
     adjusted = even_sum
     if n % 2 == 0:
         # the top minor restricts to the square of the pfaffian

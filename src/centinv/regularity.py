@@ -30,9 +30,13 @@ recurrence, q + (rho+1) p q.
 Each check returns the values its certificate reports, and
 ``runner`` derives the verdict: ``alpha_stabilizer_basis_check`` gives
 (kernel dim, diagonal span), ``index_report`` the (gamma, stabiliser
-dim) pairs, ``plane_regularity_scan`` (failures, torus check),
+dim) pairs, ``plane_regularity_scan`` the failing grid points,
+``torus_eigenvector_check`` its bool, ``build_beta_prime_sum``
+(restricted functional, correction terms, checks),
 ``differential_criterion`` (Jacobian rank, stabiliser dim) and
-``singular_locus_probe`` one ``LineProbe`` per line.
+``singular_locus_probe`` one (certified, singular values, compressions
+used, detail) tuple per line.  No check reads a point's ``provenance``,
+the label that witnesses print.
 """
 
 from __future__ import annotations
@@ -166,12 +170,9 @@ def index_report(model, points) -> list[tuple[Functional, int]]:
 
 
 def plane_regularity_scan(model, gamma1: Functional, gamma2: Functional,
-                          grid: int = 7) -> tuple[list[tuple[str, str, int]], bool | None]:
-    """(failures, torus check): the grid points (x, y, stab) off the minimal
-    stabiliser dim, and on a gl model with the diagonal/subdiagonal pair
-    whether the weighted torus action rescales them by t and 1
-    respectively (None elsewhere).
-    """
+                          grid: int = 7) -> list[tuple[str, str, int]]:
+    """The grid points (x, y, stab) of the plane off the minimal stabiliser
+    dim."""
     if bareiss([list(gamma1.nums), list(gamma2.nums)])[0] != 2:
         raise ValueError("plane scan needs two independent functionals")
     half = grid // 2
@@ -193,29 +194,28 @@ def plane_regularity_scan(model, gamma1: Functional, gamma2: Functional,
             stab = stab_of[dx, dy]
             if stab != model.rank:
                 failures.append((str(x), str(y), stab))
-    rho_ok = None
+    return failures
+
+
+def torus_eigenvector_check(model, alpha: Functional, beta: Functional) -> bool | None:
+    """Whether the weighted torus action rho(t) of a gl model scales alpha
+    by t and fixes beta; None on a model without ``rho_weights``.
+
+    rho(t) scales the coordinate of weight w by t^(1 + w): alpha is scaled
+    by t exactly when its support has weight 0, beta fixed exactly when its
+    support has weight -1.
+    """
     weights = model.rho_weights
-    if (weights is not None
-            and gamma1.provenance.startswith("ALPHA") and gamma2.provenance == "BETA"):
-        # rho(t) scales the coordinate of weight w by t^(1 + w): gamma1 is
-        # scaled by t exactly when its support has weight 0, gamma2 fixed
-        # exactly when its support has weight -1
-        rho_ok = (all(weights[a] == 0 for a, x in enumerate(gamma1.nums) if x)
-                  and all(weights[a] == -1 for a, x in enumerate(gamma2.nums) if x))
-    return failures, rho_ok
+    if weights is None:
+        return None
+    return (all(weights[a] == 0 for a, x in enumerate(alpha.nums) if x)
+            and all(weights[a] == -1 for a, x in enumerate(beta.nums) if x))
 
 
-@dataclass
-class BetaPrimeResult:
-    restricted: Functional              # beta + beta' restricted to the fixed subalgebra
-    gamma_terms: list[dict]
-    vanishes_on_odd_part: bool
-    torus_exponents_ok: bool
-    nonzero: bool
-
-
-def build_beta_prime_sum(sp: SymplecticModel) -> BetaPrimeResult:
-    """The corrected subdiagonal functional for the symplectic centraliser.
+def build_beta_prime_sum(sp: SymplecticModel) -> tuple[Functional, list[dict], dict[str, bool]]:
+    """The corrected subdiagonal functional for the symplectic centraliser:
+    (beta + beta' restricted to the fixed subalgebra, the correction terms,
+    the checks keyed as the report keys them).
 
     For every i < k whose partner is not i+1 a correction supported on
     xi[i', (i+1)', d_{i+1}] is added so the sum kills the sigma-odd part;
@@ -253,14 +253,12 @@ def build_beta_prime_sum(sp: SymplecticModel) -> BetaPrimeResult:
             "torus_exponent": exponent,
         })
     ambient = Functional(tuple(nums), "BETA_PRIME_SUM")
-    restricted = Functional(sp.restrict_dual(ambient.nums), "BETA_PRIME_SUM")
-    return BetaPrimeResult(
-        restricted=restricted,
-        gamma_terms=gamma_terms,
-        vanishes_on_odd_part=vanishes_on_odd_part(sp, ambient),
-        torus_exponents_ok=torus_ok,
-        nonzero=not ambient.is_zero(),
-    )
+    checks = {
+        "beta_prime_vanishes_on_odd_part": vanishes_on_odd_part(sp, ambient),
+        "beta_prime_torus_exponents_ok": torus_ok,
+        "beta_prime_nonzero": not ambient.is_zero(),
+    }
+    return Functional(sp.restrict_dual(ambient.nums), "BETA_PRIME_SUM"), gamma_terms, checks
 
 
 def restrict_alpha_to_fixed(sp: SymplecticModel) -> Functional:
@@ -410,14 +408,6 @@ def _rational_roots(c: list[int]) -> tuple[list[Fraction], bool]:
         if s * s == disc:
             roots += [Fraction(-a1 + s, 2 * a2), Fraction(-a1 - s, 2 * a2)]
     return sorted(set(roots)), True
-
-
-@dataclass
-class LineProbe:
-    certified: bool
-    singular_values: int | None
-    minors_used: int
-    detail: str
 
 
 def _pack(values: list[int], w: int) -> int:
@@ -638,9 +628,11 @@ def _compress_line(B0: list[list[int]], B1: list[list[int]], rho: int,
     return False, drawn
 
 
-def singular_locus_probe(model, lines: int = 10, seed: int = 0) -> list[LineProbe]:
-    """Count singular parameter values on random lines in the dual space,
-    one ``LineProbe`` per line.
+def singular_locus_probe(model, lines: int = 10,
+                         seed: int = 0) -> list[tuple[bool, int | None, int, str]]:
+    """Count singular parameter values on random lines in the dual space:
+    one (certified, singular values, compressions used, detail) tuple per
+    line, where a certified line has an integer count.
 
     A parameter is singular when the bracket form drops below its generic
     rank rho; along a line those are the common roots of all rho x rho
@@ -684,11 +676,11 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0) -> list[LineProb
     rng = random.Random(seed)
     r = model.dim
     rho = r - model.rank
-    probes: list[LineProbe] = []
+    probes = []
     for _ in range(lines):
         if rho == 0:
             # abelian bracket form: every linear function is regular
-            probes.append(LineProbe(True, 0, 0, "abelian: empty singular locus"))
+            probes.append((True, 0, 0, "abelian: empty singular locus"))
             continue
         g0 = random_functional(model, rng)
         for _ in range(11):
@@ -696,7 +688,7 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0) -> list[LineProb
             if bareiss([list(g0.nums), list(g1.nums)])[0] == 2:
                 break
         else:
-            probes.append(LineProbe(False, None, 0, "degenerate direction"))
+            probes.append((False, None, 0, "degenerate direction"))
             continue
         B0 = bracket_form_matrix(model, g0).rows
         B1 = bracket_form_matrix(model, g1).rows
@@ -708,7 +700,7 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0) -> list[LineProb
         clean, drawn = _compress_line(B0, B1, rho, rng, budget=12)
         used = len(drawn)
         if clean:
-            probes.append(LineProbe(True, 0, used, ""))
+            probes.append((True, 0, used, ""))
             continue
         gcd_poly: list[int] | None = None
         for lanes, rows in drawn:
@@ -716,15 +708,16 @@ def singular_locus_probe(model, lines: int = 10, seed: int = 0) -> list[LineProb
             if dpoly:
                 gcd_poly = dpoly if gcd_poly is None else _poly_gcd(gcd_poly, dpoly)
         if gcd_poly is None:
-            probes.append(LineProbe(False, None, used, "no usable compression found"))
+            probes.append((False, None, used, "no usable compression found"))
         elif len(gcd_poly) == 1:
-            probes.append(LineProbe(True, 0, used, ""))
+            probes.append((True, 0, used, ""))
         else:
             probes.append(_resolve_residual(gcd_poly, b_at, rho, used))
     return probes
 
 
-def _resolve_residual(gcd_poly: list[int], b_at, rho: int, used: int) -> LineProbe:
+def _resolve_residual(gcd_poly: list[int], b_at, rho: int,
+                      used: int) -> tuple[bool, int, int, str]:
     """Classify the roots of a stabilised nonconstant compression gcd.
 
     The true minor gcd divides the residual, so the singular parameters
@@ -736,12 +729,9 @@ def _resolve_residual(gcd_poly: list[int], b_at, rho: int, used: int) -> LinePro
     degree = len(sf) - 1
     roots, complete = _rational_roots(sf)
     if not complete or len(roots) != degree:
-        return LineProbe(False, degree, used,
-                         "residual has unresolved (irrational) root candidates")
+        return False, degree, used, "residual has unresolved (irrational) root candidates"
     for t in roots:
         if pfaffian_rank(b_at(t.numerator, t.denominator)) >= rho:
-            return LineProbe(False, degree, used,
-                             f"spurious shared factor at t={t}; add compressions")
-    return LineProbe(True, len(roots), used,
-                     "singular parameters confirmed at t in "
-                     + "{" + ", ".join(str(t) for t in roots) + "}")
+            return False, degree, used, f"spurious shared factor at t={t}; add compressions"
+    return (True, len(roots), used,
+            "singular parameters confirmed at t in {" + ", ".join(str(t) for t in roots) + "}")

@@ -49,7 +49,6 @@ from .partitions import (
     so_good_system_diagnostic,
 )
 from .regularity import (
-    BetaPrimeResult,
     Functional,
     alpha_stabilizer_basis_check,
     build_alpha,
@@ -64,6 +63,7 @@ from .regularity import (
     restrict_alpha_to_fixed,
     singular_locus_probe,
     stabilizer_dim,
+    torus_eigenvector_check,
     vanishes_on_odd_part,
 )
 
@@ -178,8 +178,9 @@ class PartitionContext:
         return build_alpha(self.model, default_alpha_coefficients(self.model))
 
     @cached_property
-    def beta_prime(self) -> BetaPrimeResult:
-        """The corrected subdiagonal functional of the sp model (k >= 2)."""
+    def beta_prime(self) -> tuple[Functional, list[dict], dict[str, bool]]:
+        """The corrected subdiagonal functional of the sp model (k >= 2),
+        its correction terms and its checks."""
         return build_beta_prime_sum(self.model)
 
     @cached_property
@@ -187,7 +188,7 @@ class PartitionContext:
         if self.partition.k < 2:
             return None
         if self.cfg.algebra == "sp":
-            return self.beta_prime.restricted
+            return self.beta_prime[0]
         return build_beta(self.model)
 
 
@@ -232,19 +233,19 @@ def _error(ctx: PartitionContext, claim: str, exc: Exception) -> dict:
 def cmd_degrees(ctx: PartitionContext) -> dict:
     p = ctx.partition
     if ctx.algebra == "sp":
-        table = degrees_sp(p)
+        degrees = degrees_sp(p)
         dim = dim_centralizer_so_sp(p, ClassicalType.SP)
         rank = p.n // 2
     else:
-        table = degrees_gl(p)
+        degrees = degrees_gl(p)
         dim = dim_centralizer_gl(p)
         rank = p.n
     witnesses = {
-        "degrees": list(table.degrees),
-        "degree_sum": table.total,
+        "degrees": degrees,
+        "degree_sum": sum(degrees),
         "dim_centralizer": dim,
         "rank": rank,
-        "sum_identity": 2 * table.total == dim + rank,
+        "sum_identity": 2 * sum(degrees) == dim + rank,
     }
     ok = witnesses["sum_identity"]
     if p.n <= ctx.cfg.budget_n:
@@ -252,7 +253,7 @@ def cmd_degrees(ctx: PartitionContext) -> dict:
         witnesses["symbolic_degrees"] = symbolic
         witnesses["symbolic_checked"] = True
         witnesses["kazhdan_homogeneous"] = all(ctx.slice.kazhdan_homogeneous)
-        ok = ok and tuple(symbolic) == table.degrees and witnesses["kazhdan_homogeneous"]
+        ok = ok and tuple(symbolic) == degrees and witnesses["kazhdan_homogeneous"]
     else:
         witnesses["symbolic_checked"] = False
     return _cert(ctx, "degree-table", ok, witnesses)
@@ -291,11 +292,12 @@ def cmd_conjecture(ctx: PartitionContext) -> dict:
 
 
 def cmd_p0(ctx: PartitionContext) -> dict:
-    res = top_coefficient_crosscheck(ctx.model, ctx.slice, budget=ctx.cfg.p0_budget)
-    witnesses = {"scalars": {str(k): str(v) for k, v in res.scalars.items()}}
-    if res.detail:
-        witnesses["detail"] = res.detail
-    return _cert(ctx, "top-coefficient-crosscheck", res.passed, witnesses)
+    passed, scalars, detail = top_coefficient_crosscheck(
+        ctx.model, ctx.slice, budget=ctx.cfg.p0_budget)
+    witnesses = {"scalars": {str(k): str(v) for k, v in scalars.items()}}
+    if detail:
+        witnesses["detail"] = detail
+    return _cert(ctx, "top-coefficient-crosscheck", passed, witnesses)
 
 
 def cmd_stabilizers(ctx: PartitionContext) -> dict:
@@ -325,15 +327,10 @@ def cmd_stabilizers(ctx: PartitionContext) -> dict:
             model, build_alpha(model.gl, default_alpha_coefficients(model)))
         ok = ok and witnesses["alpha_vanishes_on_odd_part"]
         if p.k >= 2:
-            bp = ctx.beta_prime
-            witnesses["beta_prime_terms"] = bp.gamma_terms
-            witnesses["beta_prime_vanishes_on_odd_part"] = bp.vanishes_on_odd_part
-            witnesses["beta_prime_torus_exponents_ok"] = bp.torus_exponents_ok
-            witnesses["beta_prime_nonzero"] = bp.nonzero
-            stab_beta = stabilizer_dim(bp.restricted, model)
-            witnesses["beta_stabilizer_dim"] = stab_beta
-            ok = (ok and bp.vanishes_on_odd_part and bp.torus_exponents_ok
-                  and bp.nonzero and stab_beta == model.rank)
+            beta, terms, checks = ctx.beta_prime
+            stab_beta = stabilizer_dim(beta, model)
+            witnesses.update(beta_prime_terms=terms, **checks, beta_stabilizer_dim=stab_beta)
+            ok = ok and all(checks.values()) and stab_beta == model.rank
     return _cert(ctx, "regular-functionals", ok, witnesses)
 
 
@@ -344,7 +341,7 @@ def cmd_index(ctx: PartitionContext) -> dict:
     index = min(dim for _, dim in dims)
     # the first point of minimal stabiliser certifies the index
     point = next((gamma for gamma, dim in dims if dim == rank), None)
-    ok = index == rank and point is not None and point.provenance.startswith("ALPHA")
+    ok = index == rank and point is ctx.alpha
     witnesses = {
         "index_estimate": index,
         "expected": rank,
@@ -360,8 +357,8 @@ def cmd_index(ctx: PartitionContext) -> dict:
 def cmd_diffcrit(ctx: PartitionContext) -> dict:
     model = ctx.model
     gens = choose_generators(ctx.slice, model)
-    points = [ctx.alpha, Functional((0,) * model.dim, "ZERO")]
-    points += ctx.sample(ctx.cfg.diffcrit_points)
+    zero = Functional((0,) * model.dim, "ZERO")
+    points = [ctx.alpha, zero] + ctx.sample(ctx.cfg.diffcrit_points)
     failures = []
     for gamma in points:
         jacobian_rank, stab = differential_criterion(ctx.slice, model, gamma)
@@ -372,9 +369,9 @@ def cmd_diffcrit(ctx: PartitionContext) -> dict:
                 "jacobian_rank": jacobian_rank,
                 "stabilizer_dim": stab,
             })
-        if gamma.provenance.startswith("ALPHA") and not (rank_full and stabilizer_minimal):
+        if gamma is ctx.alpha and not (rank_full and stabilizer_minimal):
             failures.append({"point": "ALPHA", "expected": "both sides true"})
-        if gamma.provenance == "ZERO" and ctx.partition.k >= 2:
+        if gamma is zero and ctx.partition.k >= 2:
             if rank_full or stabilizer_minimal:
                 failures.append({"point": "ZERO", "expected": "both sides false"})
     witnesses = {"points_checked": len(points), "generators": gens,
@@ -390,7 +387,8 @@ def cmd_plane(ctx: PartitionContext) -> dict:
         ok = all(d == model.rank for d in dims)
         return _cert(ctx, "plane-regularity", ok,
                      {"single_block": True, "stabilizer_dims": dims})
-    failures, rho_ok = plane_regularity_scan(model, ctx.alpha, ctx.beta, grid=ctx.cfg.grid)
+    failures = plane_regularity_scan(model, ctx.alpha, ctx.beta, grid=ctx.cfg.grid)
+    rho_ok = torus_eigenvector_check(model, ctx.alpha, ctx.beta)
     witnesses = {
         "grid": ctx.cfg.grid,
         "failures": failures,
@@ -401,14 +399,16 @@ def cmd_plane(ctx: PartitionContext) -> dict:
 
 
 def cmd_lines(ctx: PartitionContext) -> dict:
-    probes = singular_locus_probe(ctx.model, lines=ctx.cfg.lines, seed=ctx.cfg.seed)
+    certified, hits, _, details = zip(
+        *singular_locus_probe(ctx.model, lines=ctx.cfg.lines, seed=ctx.cfg.seed))
     witnesses = {
         "lines": ctx.cfg.lines,
-        "singular_hits_per_line": [pr.singular_values for pr in probes],
-        "certified": [pr.certified for pr in probes],
-        "details": [pr.detail for pr in probes if pr.detail],
+        "singular_hits_per_line": hits,
+        "certified": certified,
+        "details": [detail for detail in details if detail],
     }
-    clean = all(pr.certified and pr.singular_values == 0 for pr in probes)
+    # a certified line has an integer count
+    clean = all(certified) and not any(hits)
     return _cert(ctx, "singular-lines-clean", clean, witnesses)
 
 
@@ -417,27 +417,30 @@ def cmd_nullcone(ctx: PartitionContext) -> dict:
     support_detail = top_block_support_check(model, ctx.slice)
     comps = enumerate_components(ctx.partition)
     zero_ok = component_zero_locus_check(model, ctx.slice)
-    cert = transversality_certificate(model, ctx.slice, seed=ctx.cfg.seed)
-    # a pass gives the null-cone codimension n = total_dim, the number of
-    # initial terms, so they form a regular sequence, and the tangent cone at
-    # the nilpotent inside the full nilpotent variety has dimension
-    # (n^2 - r) + (r - n) = n^2 - n, r = sum_i (2i - 1) p_i; a failure has
-    # total_dim 0 and reports both as 0
-    n = cert.total_dim
+    stages, failure = transversality_certificate(model, ctx.slice, seed=ctx.cfg.seed)
+    # a pass gives the null-cone codimension n, the number of initial terms,
+    # so they form a regular sequence, and the tangent cone at the nilpotent
+    # inside the full nilpotent variety has dimension
+    # (n^2 - r) + (r - n) = n^2 - n, r = sum_i (2i - 1) p_i; a failure
+    # reports both as 0
+    n = 0 if failure else ctx.partition.n
     witnesses = {
         "support_check": not support_detail,
         "support_detail": support_detail,
         "component_count": len(comps),
-        "components": [list(c.shifts) for c in comps],
+        "components": comps,
         "components_kill_restrictions": zero_ok,
         "transversal_dim": n,
-        "stages": cert.stages,
-        "conclusion": cert.conclusion,
+        "stages": stages,
+        "conclusion": failure or (
+            f"an {n}-dimensional subspace meets the null-cone only at 0, so the "
+            f"null-cone has codimension {n} and the {n} initial terms form a "
+            "regular sequence"),
         "codimension": n,
         "tangent_cone_dim": n * n - n,
     }
     return _cert(ctx, "nullcone-regular-sequence",
-                 not support_detail and zero_ok and cert.passed, witnesses)
+                 not support_detail and zero_ok and not failure, witnesses)
 
 
 def cmd_so_diagnostic(ctx: PartitionContext) -> dict:

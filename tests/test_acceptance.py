@@ -44,6 +44,7 @@ from centinv.regularity import (
     restrict_alpha_to_fixed,
     singular_locus_probe,
     stabilizer_dim,
+    torus_eigenvector_check,
 )
 from centinv.runner import RunConfig, build_report, sweep_partitions
 from math import comb
@@ -70,8 +71,7 @@ def test_criterion_1_degree_formula():
         for p in partitions_of(n):
             m = build_gl_model(p)
             sr = principal_minor_sums(m)
-            table = degrees_gl(p)
-            ok &= tuple(sr.degrees) == table.degrees
+            ok &= tuple(sr.degrees) == degrees_gl(p)
             ok &= 2 * sum(sr.degrees) == dim_centralizer_gl(p) + n
     assert report("1 (degree formula, n<=6)", ok)
 
@@ -86,8 +86,8 @@ def test_criterion_2_poisson_centrality_and_top_coefficient():
             failing, _, group_failures = verify_centrality(sr, m, sample(m, 15))
             ok &= failing is None and not group_failures
             if n <= 4:
-                cross = top_coefficient_crosscheck(m, sr)
-                ok &= cross.passed and all(v != 0 for v in cross.scalars.values())
+                passed, scalars, _ = top_coefficient_crosscheck(m, sr)
+                ok &= passed and all(v != 0 for v in scalars.values())
     assert report("2 (poisson centrality + top-coefficient route)", ok)
 
 
@@ -156,7 +156,7 @@ def test_criterion_5_differential_criterion():
 
 
 def all_clean(probes):
-    return all(pr.certified and pr.singular_values == 0 for pr in probes)
+    return all(certified and hits == 0 for certified, hits, _, _ in probes)
 
 
 def test_criterion_6_singular_locus_codimension():
@@ -167,17 +167,17 @@ def test_criterion_6_singular_locus_codimension():
             m = build_gl_model(p)
             if p.k >= 2:
                 alpha = build_alpha(m, default_alpha_coefficients(m))
-                failures, rho_ok = plane_regularity_scan(m, alpha, build_beta(m), grid=7)
-                ok &= not failures and rho_ok
+                beta = build_beta(m)
+                ok &= not plane_regularity_scan(m, alpha, beta, grid=7)
+                ok &= torus_eigenvector_check(m, alpha, beta)
             ok &= all_clean(singular_locus_probe(m, lines=10, seed=SEED))
     for n in range(1, 4):
         for p in partitions_of(2 * n, ClassicalType.SP):
             sp = build_sp_model(p)
             alpha = restrict_alpha_to_fixed(sp)
             if p.k >= 2:
-                beta = build_beta_prime_sum(sp).restricted
-                failures, _ = plane_regularity_scan(sp, alpha, beta, grid=7)
-                ok &= not failures
+                beta = build_beta_prime_sum(sp)[0]
+                ok &= not plane_regularity_scan(sp, alpha, beta, grid=7)
             ok &= all_clean(singular_locus_probe(sp, lines=10, seed=SEED))
     assert report("6 (singular locus codimension probes)", ok)
 
@@ -187,12 +187,12 @@ def test_criterion_7_symplectic_degrees():
     ok = True
     for n in (2, 3, 4):
         minimal = Partition(tuple([2] + [1] * (2 * n - 2)))
-        ok &= degrees_sp(minimal).degrees == tuple(range(1, 2 * n, 2))
+        ok &= degrees_sp(minimal) == tuple(range(1, 2 * n, 2))
     for n in range(1, 5):
         for p in partitions_of(2 * n, ClassicalType.SP):
             sp = build_sp_model(p)
             sr = symplectic_minor_sums(sp)
-            ok &= tuple(sr.degrees) == degrees_sp(p).degrees
+            ok &= tuple(sr.degrees) == degrees_sp(p)
     assert report("7 (symplectic degrees, 2n<=8)", ok)
 
 
@@ -219,8 +219,8 @@ def test_criterion_9_null_cone():
             ok &= not top_block_support_check(m, sr)
             ok &= len(enumerate_components(p)) == comb(p.d[-1] + p.k, p.k - 1)
             ok &= component_zero_locus_check(m, sr)
-            cert = transversality_certificate(m, sr, seed=SEED)
-            ok &= cert.passed and cert.total_dim == n
+            stages, failure = transversality_certificate(m, sr, seed=SEED)
+            ok &= not failure and sum(len(st["subspace_rows"]) for st in stages) == n
     assert report("9 (null-cone geometry, n<=6)", ok)
 
 

@@ -3,10 +3,11 @@
 Each test caches a planted slice, model or functional in a
 ``PartitionContext`` and compares the certificate's JSON with a literal:
 every FAIL branch a command writes (the centrality ``failure``, support
-violations, the conjecture's ``first_failure``, the diffcrit per-point,
-``ALPHA`` and ``ZERO`` entries, an index without an ALPHA certificate
-point, plane grid failures, the null-cone ``support_detail``, the
-diagonal-span and line-probe verdicts) keeps its exact shape.
+violations, the conjecture's ``first_failure``, the p0 ``detail``, the
+diffcrit per-point, ``ALPHA`` and ``ZERO`` entries, an index without an
+ALPHA certificate point, plane grid failures and the torus check, the
+null-cone ``support_detail``, the diagonal-span, the sp beta' witnesses
+and the line-probe verdicts) keeps its exact shape.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ from centinv.centralizer import XiIndex
 from centinv.nullcone import antidiagonal_spaces
 from centinv.partitions import Partition
 from centinv.poly import _WIDTH
-from centinv.regularity import build_alpha
+from centinv.regularity import Functional, build_alpha
 from centinv.runner import PartitionContext, RunConfig
 
 
@@ -120,6 +121,18 @@ def test_conjecture_fails_when_the_degree_exceeds_the_block_count():
     })
 
 
+def test_p0_names_the_first_term_out_of_proportion():
+    # doubling x3*x4 in -x2*x5 + x3*x4 keeps its support, so the top
+    # coefficient along f matches it term by term but not up to one scalar
+    ctx = context("2,1")
+    x = {name: variable(ctx.model.var_names, name) for name in ctx.model.var_names}
+    with_initial(ctx, 3, x["x3"] * x["x4"] + x["x3"] * x["x4"] - x["x2"] * x["x5"])
+    assert certificate(ctx, "p0") == fail("top-coefficient-crosscheck", "2,1", {
+        "scalars": {"1": "1", "2": "1"},
+        "detail": "not proportional at 3",
+    })
+
+
 def test_diffcrit_reports_per_point_alpha_and_zero_failures():
     # linear initial terms have full Jacobian rank everywhere, zero included,
     # and alpha = Id on gl_2 has the whole algebra as its stabiliser
@@ -211,6 +224,36 @@ def test_stabilizers_fail_off_the_diagonal_span():
         "expected": 3,
         "alpha_stabilizer_is_diagonal_span": False,
         "beta_stabilizer_dim": 3,
+    })
+
+
+def test_sp_stabilizers_report_beta_prime_beside_a_singular_beta():
+    # [u[2], u[5]] = 0 drops the only entry of B(beta + beta') in its row:
+    # beta' keeps its three checks while its stabiliser grows to 4
+    ctx = context("2,1,1", "sp")
+    ctx.model = with_brackets(ctx.model, {(1, 4): {}})
+    assert certificate(ctx, "stabilizers") == fail("regular-functionals", "2,1,1", {
+        "alpha_stabilizer_dim": 2,
+        "expected": 2,
+        "alpha_vanishes_on_odd_part": True,
+        "beta_prime_terms": [{"i": 1, "coordinate": "xi[1,3,0]", "coefficient": "-1",
+                              "torus_exponent": 3}],
+        "beta_prime_vanishes_on_odd_part": True,
+        "beta_prime_torus_exponents_ok": True,
+        "beta_prime_nonzero": True,
+        "beta_stabilizer_dim": 4,
+    }, algebra="sp")
+
+
+def test_plane_fails_the_torus_check_on_a_diagonal_beta():
+    # beta on xi[1,1,1] and xi[2,2,0], both of rho-weight 0: every grid
+    # point is regular, but rho(t) scales beta by t instead of fixing it
+    ctx = context("2,1", grid=5)
+    ctx.beta = Functional((0, 3, 0, 0, -1), "BETA")
+    assert certificate(ctx, "plane") == fail("plane-regularity", "2,1", {
+        "grid": 5,
+        "failures": [],
+        "torus_eigenvector_check": False,
     })
 
 

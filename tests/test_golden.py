@@ -29,14 +29,14 @@ def test_report_matches_golden(algebra, parts):
 
 
 def test_line_probes_match_golden():
-    """Every LineProbe of gl n <= 7 and sp 2n <= 8 at seeds 0 and 7, with
+    """Every line probe of gl n <= 7 and sp 2n <= 8 at seeds 0 and 7, with
     the number of compressions drawn, which the reports leave out; gl 1^7
     has the widest pencils here, rho = 42."""
     models = {f"gl {p}": build_gl_model(p) for n in range(1, 8) for p in partitions_of(n)}
     models.update({f"sp {p}": build_sp_model(p)
                    for n in range(1, 5) for p in partitions_of(2 * n, ClassicalType.SP)})
-    got = {f"{name} seed {seed}": [[pr.certified, pr.singular_values, pr.minors_used, pr.detail]
-                                   for pr in singular_locus_probe(model, lines=10, seed=seed)]
+    got = {f"{name} seed {seed}": [list(probe) for probe in
+                                   singular_locus_probe(model, lines=10, seed=seed)]
            for name, model in models.items() for seed in (0, 7)}
     assert got == json.loads((GOLDEN_DIR / "line_probes.json").read_text())
 

@@ -274,7 +274,7 @@ def bracket_form_cases():
     for n in range(1, 4):
         for p in partitions_of(2 * n, ClassicalType.SP):
             sp = build_sp_model(p)
-            beta = build_beta_prime_sum(sp).restricted if p.k >= 2 else None
+            beta = build_beta_prime_sum(sp)[0] if p.k >= 2 else None
             yield sp, bracket_form_points(sp, restrict_alpha_to_fixed(sp), beta, rng)
 
 

@@ -12,13 +12,13 @@ from centinv import runner
 from centinv.centralizer import XiIndex, build_gl_model
 from centinv.invariants import principal_minor_sums
 from centinv.nullcone import (
-    TransversalityCertificate,
     antidiagonal_spaces,
     component_zero_locus_check,
     enumerate_components,
     restrict_to_V,
     top_block_support_check,
     transversality_certificate,
+    vanishing,
 )
 from centinv.partitions import Partition, partitions_of, vectors_with_total
 from centinv.poly import _WIDTH, SparsePoly
@@ -90,12 +90,12 @@ def test_components_have_admissible_vanishing_sets():
     p = Partition.parse("3,2,2")
     from centinv.centralizer import enumerate_xi
     valid = set(enumerate_xi(p))
-    for comp in enumerate_components(p):
-        assert sum(comp.shifts) == p.d[-1] + 1
-        vanishing = comp.vanishing(p)
-        assert len(vanishing) == p.d[-1] + 1
-        assert all(idx in valid for idx in vanishing)
-        assert all(idx.i + idx.j == p.k + 1 for idx in vanishing)
+    for shifts in enumerate_components(p):
+        assert sum(shifts) == p.d[-1] + 1
+        killed = vanishing(p, shifts)
+        assert len(killed) == p.d[-1] + 1
+        assert all(idx in valid for idx in killed)
+        assert all(idx.i + idx.j == p.k + 1 for idx in killed)
 
 
 @pytest.mark.parametrize("parts", ["2,1", "2,2", "3,2", "2,2,1", "4,3"])
@@ -105,14 +105,19 @@ def test_components_kill_restricted_invariants(parts):
     assert component_zero_locus_check(m, sr)
 
 
+def subspace_dim(stages):
+    """The dimension of W: each stage adds the rows of its W_m."""
+    return sum(len(st["subspace_rows"]) for st in stages)
+
+
 @pytest.mark.parametrize("parts", ["2,1", "4", "2,2", "3,2,1", "2,2,2"])
 def test_transversality_certificate(parts):
     p = Partition.parse(parts)
     m = build_gl_model(p)
-    cert = transversality_certificate(m, principal_minor_sums(m), seed=11)
-    assert cert.passed
-    assert cert.total_dim == p.n
-    for stage in cert.stages:
+    stages, failure = transversality_certificate(m, principal_minor_sums(m), seed=11)
+    assert failure == ""
+    assert subspace_dim(stages) == p.n
+    for stage in stages:
         assert all(d != "0" for _, d in stage["component_dets"])
         assert stage["support_checked"] is (True if stage["block"] >= 2 else None)
     [nc] = run_partition(p, RunConfig(commands=["nullcone"], seed=11))[0]
@@ -128,16 +133,16 @@ def test_transversality_vandermonde_fallback():
     for n in range(1, 9):
         for p in partitions_of(n):
             m = build_gl_model(p)
-            cert = transversality_certificate(m, principal_minor_sums(m), seed=0, attempts=0)
-            assert cert.passed and cert.total_dim == p.n, p
+            stages, failure = transversality_certificate(
+                m, principal_minor_sums(m), seed=0, attempts=0)
+            assert failure == "" and subspace_dim(stages) == p.n, p
             assert all(st["used_fallback"] == bool(st["component_dets"])
-                       for st in cert.stages), p
-            assert any(st["used_fallback"] for st in cert.stages) == (p.k >= 2), p
+                       for st in stages), p
+            assert any(st["used_fallback"] for st in stages) == (p.k >= 2), p
 
 
 def test_nullcone_command_fails_without_a_transversality_certificate(monkeypatch):
-    missing = TransversalityCertificate(False, 0, [], "missing")
-    monkeypatch.setattr(runner, "transversality_certificate", lambda *a, **k: missing)
+    monkeypatch.setattr(runner, "transversality_certificate", lambda *a, **k: ([], "missing"))
     certs, _ = run_partition(Partition.parse("2,1"), RunConfig(commands=["nullcone"]))
     [cert] = certs
     w = cert["witnesses"]
@@ -157,14 +162,14 @@ def test_support_components_and_restrictions_are_consistent():
     # monomials of the restricted top invariant
     dk = p.d[-1]
     top_bars = set(vectors_with_total([range(dk + 1)] * p.k, dk))
-    for comp in enumerate_components(p):
+    for shifts in enumerate_components(p):
         parents = set()
         for i in range(p.k):
-            if comp.shifts[i] > 0:
-                parent = list(comp.shifts)
+            if shifts[i] > 0:
+                parent = list(shifts)
                 parent[i] -= 1
                 parents.add(tuple(parent))
-        assert parents & top_bars, comp
+        assert parents & top_bars, shifts
 
 
 # -- prefix stages on the partition's own slice -------------------------------
@@ -226,16 +231,16 @@ def test_component_check_fails_on_a_term_avoiding_a_vanishing_set():
     p = Partition.parse("3,2")
     m = build_gl_model(p)
     sr = principal_minor_sums(m)
-    comp = enumerate_components(p)[0]
+    shifts = enumerate_components(p)[0]
     top = antidiagonal_spaces(p)[p.k - 1]
-    idx = next(idx for idx in top if idx not in comp.vanishing(p))
+    idx = next(idx for idx in top if idx not in vanishing(p, shifts))
     top_term = sr.initial[p.n - 1]
     key = _key(m, idx, idx)
     assert key not in top_term.terms
     bad = _planted(sr, p.n, {**to_fractions(top_term), key: Fraction(1)})
     assert not component_zero_locus_check(m, bad)
     # a planted term touching every vanishing set is still killed
-    touching = _key(m, *(c.vanishing(p)[0] for c in enumerate_components(p)))
+    touching = _key(m, *(vanishing(p, c)[0] for c in enumerate_components(p)))
     assert component_zero_locus_check(m, _planted(sr, p.n, {**to_fractions(top_term), touching: 1}))
 
 
@@ -275,8 +280,7 @@ def test_transversality_reads_prefix_stages_from_the_given_slice():
     idx = XiIndex(1, 2, p.d[1])
     assert idx.i + idx.j == 3  # level 2, kept by the stage-2 restriction
     terms = {**to_fractions(sr.initial[n_2 - 1]), _key(m, idx, idx): Fraction(1)}
-    cert = transversality_certificate(m, _planted(sr, n_2, terms), seed=11)
-    assert not cert.passed
-    assert cert.conclusion == "support check failed at block 2"
-    assert [st["block"] for st in cert.stages] == [3]
-    assert transversality_certificate(m, sr, seed=11).passed
+    stages, failure = transversality_certificate(m, _planted(sr, n_2, terms), seed=11)
+    assert failure == "support check failed at block 2"
+    assert [st["block"] for st in stages] == [3]
+    assert transversality_certificate(m, sr, seed=11)[1] == ""

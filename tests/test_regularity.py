@@ -32,6 +32,7 @@ from centinv.regularity import (
     restrict_alpha_to_fixed,
     singular_locus_probe,
     stabilizer_dim,
+    torus_eigenvector_check,
 )
 from centinv.linalg import bareiss
 from centinv.regularity import (
@@ -324,12 +325,11 @@ def test_plane_scan_gl():
     m = build_gl_model(Partition.parse("2,1"))
     alpha = build_alpha(m, default_alpha_coefficients(m))
     beta = build_beta(m)
-    failures, rho_ok = plane_regularity_scan(m, alpha, beta, grid=5)
-    assert not failures and rho_ok
+    assert not plane_regularity_scan(m, alpha, beta, grid=5)
+    assert torus_eigenvector_check(m, alpha, beta)
     m32 = build_gl_model(Partition.parse("3,2"))
-    failures, _ = plane_regularity_scan(
+    assert not plane_regularity_scan(
         m32, build_alpha(m32, default_alpha_coefficients(m32)), build_beta(m32), grid=7)
-    assert not failures
 
 
 def per_point_failures(model, gamma1, gamma2, grid=7):
@@ -347,10 +347,11 @@ def per_point_failures(model, gamma1, gamma2, grid=7):
 
 
 def check_scan_against_per_point(model, gamma1, gamma2, rho_ok):
-    """The scan's failures, checked against the per-point scan."""
-    failures, torus_ok = plane_regularity_scan(model, gamma1, gamma2, grid=7)
+    """The scan's failures, checked against the per-point scan, and the
+    torus check of the pair."""
+    failures = plane_regularity_scan(model, gamma1, gamma2, grid=7)
     assert failures == per_point_failures(model, gamma1, gamma2)
-    assert torus_ok is rho_ok
+    assert torus_eigenvector_check(model, gamma1, gamma2) is rho_ok
     return failures
 
 
@@ -378,11 +379,12 @@ def test_plane_scan_fails_exactly_on_the_alpha_line():
 def test_plane_scan_of_integer_multiples_fails_on_the_same_lines():
     # on gl_3 a diagonal point is singular where two entries agree; for
     # x diag(1, 2, 3) + y diag(0, 1, 3) that is y = -x, y = -2x/3 and
-    # y = -x/2, and the scan of (c gamma1, c gamma2) fails on the same lines
+    # y = -x/2, and the scan of (c gamma1, c gamma2) fails on the same lines;
+    # gamma2 is diagonal, so rho(t) scales it instead of fixing it
     m = build_gl_model(Partition.parse("1,1,1"))
     gamma1, gamma2 = build_alpha(m, [1, 2, 3]), build_alpha(m, [0, 1, 3])
     for c in (1, 2, 3, 6):
-        failures = check_scan_against_per_point(m, scaled(c, gamma1), scaled(c, gamma2), None)
+        failures = check_scan_against_per_point(m, scaled(c, gamma1), scaled(c, gamma2), False)
         assert sorted((int(x), int(y)) for x, y, _ in failures) == [
             (-3, 2), (-3, 3), (-2, 1), (-2, 2), (-1, 1),
             (1, -1), (2, -2), (2, -1), (3, -3), (3, -2)]
@@ -404,12 +406,10 @@ def test_torus_check_matches_the_rho_scale_comparison():
                 continue
             m = build_gl_model(p)
             alpha, beta = build_alpha(m, default_alpha_coefficients(m)), build_beta(m)
-            pairs = [(alpha, beta),
-                     (alpha, Functional(random_functional(m, rng).nums, "BETA")),
-                     (Functional(random_functional(m, rng).nums, alpha.provenance), beta)]
+            pairs = [(alpha, beta), (alpha, random_functional(m, rng)),
+                     (random_functional(m, rng), beta)]
             for gamma1, gamma2 in pairs:
-                # a grid of one point holds only the origin: the torus check alone
-                _, rho_ok = plane_regularity_scan(m, gamma1, gamma2, grid=1)
+                rho_ok = torus_eigenvector_check(m, gamma1, gamma2)
                 assert rho_ok is rho_scale_torus_check(m, gamma1, gamma2), p
                 verdicts.append(rho_ok)
     assert True in verdicts and False in verdicts
@@ -423,7 +423,7 @@ def test_plane_scan_matches_the_per_point_scan_sp():
             sp = build_sp_model(p)
             check_scan_against_per_point(
                 sp, restrict_alpha_to_fixed(sp),
-                build_beta_prime_sum(sp).restricted, None)
+                build_beta_prime_sum(sp)[0], None)
 
 
 def test_plane_scan_rejects_dependent_pair():
@@ -435,17 +435,17 @@ def test_plane_scan_rejects_dependent_pair():
 
 def test_beta_prime_sum():
     sp = build_sp_model(Partition.parse("2,1,1"))
-    res = build_beta_prime_sum(sp)
-    assert res.nonzero
-    assert res.vanishes_on_odd_part
-    assert res.torus_exponents_ok
-    assert len(res.gamma_terms) == 1  # only the unpaired top block needs a correction
-    assert stabilizer_dim(res.restricted, sp) == sp.rank
+    beta, terms, checks = build_beta_prime_sum(sp)
+    assert checks["beta_prime_nonzero"]
+    assert checks["beta_prime_vanishes_on_odd_part"]
+    assert checks["beta_prime_torus_exponents_ok"]
+    assert len(terms) == 1  # only the unpaired top block needs a correction
+    assert stabilizer_dim(beta, sp) == sp.rank
     # all blocks unpaired (every d_i odd): every index below k contributes
     sp42 = build_sp_model(Partition.parse("4,2"))
-    res42 = build_beta_prime_sum(sp42)
-    assert len(res42.gamma_terms) == 1
-    assert res42.vanishes_on_odd_part
+    _, terms42, checks42 = build_beta_prime_sum(sp42)
+    assert len(terms42) == 1
+    assert checks42["beta_prime_vanishes_on_odd_part"]
     with pytest.raises(ValueError):
         build_beta_prime_sum(build_sp_model(Partition.parse("4")))
 
@@ -497,7 +497,7 @@ def test_differential_criterion_needs_good_degree_sum():
 
 def all_clean(probes):
     """The verdict of ``runner.cmd_lines``: every line certified clean."""
-    return all(pr.certified and pr.singular_values == 0 for pr in probes)
+    return all(certified and hits == 0 for certified, hits, _, _ in probes)
 
 
 def test_line_probe_clean_small():
@@ -505,14 +505,14 @@ def test_line_probe_clean_small():
         m = build_gl_model(Partition.parse(parts))
         probes = singular_locus_probe(m, lines=10, seed=0)
         assert all_clean(probes), parts
-        assert all(pr.singular_values == 0 for pr in probes)
+        assert all(hits == 0 for _, hits, _, _ in probes)
 
 
 def test_line_probe_abelian_trivial():
     m = build_gl_model(Partition.parse("4"))
     probes = singular_locus_probe(m, lines=10, seed=0)
     assert all_clean(probes)
-    assert all("abelian" in pr.detail for pr in probes)
+    assert all("abelian" in detail for _, _, _, detail in probes)
 
 
 def test_line_probe_confirms_a_real_singular_hit():
@@ -520,10 +520,9 @@ def test_line_probe_confirms_a_real_singular_hit():
     sp = build_sp_model(Partition.parse("2,2,1,1"))
     probes = singular_locus_probe(sp, lines=10, seed=7)
     assert not all_clean(probes)
-    hits = [pr for pr in probes if pr.singular_values]
+    hits = [(certified, count) for certified, count, _, _ in probes if count]
     assert len(hits) == 1
-    assert hits[0].certified
-    assert hits[0].singular_values == 1
+    assert hits[0] == (True, 1)
 
 
 def test_line_probe_sp_clean():
@@ -552,9 +551,8 @@ def test_line_probe_never_certifies_a_line_in_the_singular_locus(parts, scalars,
     monkeypatch.setattr(reg, "random_functional", lambda model, rng: next(drawn))
     probes = singular_locus_probe(m, lines=2, seed=0)
     assert not all_clean(probes)
-    for pr in probes:
-        assert (pr.certified, pr.singular_values, pr.detail) == (
-            False, None, "no usable compression found")
+    for certified, hits, _, detail in probes:
+        assert (certified, hits, detail) == (False, None, "no usable compression found")
 
 
 # -- the integer univariate helpers of the line probe ---------------------------
@@ -1072,7 +1070,7 @@ def test_stabilizer_dim_of_an_integer_multiple(name):
         model = build_sp_model(p)
         points = [restrict_alpha_to_fixed(model)]
         if p.k >= 2:
-            points.append(build_beta_prime_sum(model).restricted)
+            points.append(build_beta_prime_sum(model)[0])
     else:
         model = build_gl_model(p)
         points = [build_alpha(model, default_alpha_coefficients(model))]
@@ -1142,6 +1140,6 @@ def planted_J(sp, entry, value):
 @pytest.mark.parametrize("value", [2, -2, None])
 def test_beta_prime_sum_refuses_a_J_entry_other_than_a_sign(entry, value):
     sp = build_sp_model(Partition.parse("2,1,1"))
-    assert len(build_beta_prime_sum(sp).gamma_terms) == 1
+    assert len(build_beta_prime_sum(sp)[1]) == 1
     with pytest.raises(ArithmeticError, match="not 1 or -1"):
         build_beta_prime_sum(planted_J(sp, entry, value))
