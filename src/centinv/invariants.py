@@ -21,7 +21,10 @@ Each check returns what its certificate reports, and ``runner`` derives
 the verdict: ``verify_centrality`` gives (failing bracket, points
 probed, group failures), ``monomial_support_check`` the violations,
 ``conjecture_explicit_check`` the ratios, ending in None at the first
-failure, and ``top_coefficient_crosscheck`` (passed, scalars, detail).
+failure, ``kazhdan_homogeneous`` one flag per minor sum, and
+``top_coefficient_crosscheck`` (passed, scalars, detail).  No expansion
+here takes a budget: ``runner`` refuses a partition above its budget
+before it asks for one.
 
 The gradient rows of all initial terms at an integer point nums come from
 ``jacobian_rows(sr, nums)`` by one of two routes, picked per call
@@ -49,15 +52,6 @@ from .centralizer import (
 )
 from .linalg import bareiss, sparse_rref
 from .poly import SparsePoly, _MASK, _MAX_EXP, _WIDTH, _accumulate_product, _key_degree
-
-
-class BudgetExceededError(RuntimeError):
-    """Symbolic stage refused: dimension above the configured budget."""
-
-    def __init__(self, n: int, budget: int, what: str = "symbolic expansion"):
-        super().__init__(f"{what} needs n={n} but the budget is {budget}")
-        self.n = n
-        self.budget = budget
 
 
 # -- characteristic polynomial over sparse-poly entries -------------------
@@ -192,11 +186,9 @@ class SliceRestriction:
     ``minor_sizes`` are ``full``; ``jacobian_rows`` reads them.
     """
 
-    var_names: tuple[str, ...]
     full: list[SparsePoly]
     initial: list[SparsePoly]
     degrees: list[int]
-    kazhdan_homogeneous: list[bool]
     e: dict
     gf_dual: list[dict]
     n: int
@@ -246,44 +238,42 @@ def _kazhdan_check(poly: SparsePoly, initial: SparsePoly, weights, expected: int
     return set(map(sum, zip(*sums))) <= {target}
 
 
-def _restriction(table, e: dict, gf_dual: list[dict], n: int, sizes: list[int],
+def kazhdan_homogeneous(sr: SliceRestriction, model) -> list[bool]:
+    """Whether each minor sum of ``sr`` is homogeneous of its size in the
+    Kazhdan grading of the coordinates of ``model``."""
+    return [_kazhdan_check(q, q0, model.h_weights, ell)
+            for ell, q, q0 in zip(sr.minor_sizes, sr.full, sr.initial)]
+
+
+def _restriction(e: dict, gf_dual: list[dict], n: int, sizes: list[int],
                  polys: list[SparsePoly]) -> SliceRestriction:
     """The minor sums ``polys`` of the sizes ``sizes`` on the slice
-    e + sum_a x_a gf_dual[a] in the coordinates of ``table``, with their
-    initial terms; each size is also its sum's Kazhdan degree."""
+    e + sum_a x_a gf_dual[a], with their initial terms; each size is also
+    its sum's Kazhdan degree."""
     initial = [q.lowest_degree_component() for q in polys]
-    kazh = [_kazhdan_check(q, q0, table.h_weights, ell)
-            for ell, q, q0 in zip(sizes, polys, initial)]
-    return SliceRestriction(var_names=table.var_names, full=polys, initial=initial,
+    return SliceRestriction(full=polys, initial=initial,
                             degrees=[q.total_degree() for q in initial],
-                            kazhdan_homogeneous=kazh, e=e, gf_dual=gf_dual, n=n,
-                            minor_sizes=sizes)
+                            e=e, gf_dual=gf_dual, n=n, minor_sizes=sizes)
 
 
-def principal_minor_sums(model: CentralizerModel, budget: int = 8) -> SliceRestriction:
+def principal_minor_sums(model: CentralizerModel) -> SliceRestriction:
     """Expand the n minor sums on e + g_f in the trace-dual coordinates."""
-    p = model.partition
-    if p.n > budget:
-        raise BudgetExceededError(p.n, budget, "slice expansion")
-    e, gf_dual = model.realization.e, model.gf_dual
-    polys = principal_minor_sum_polys(_slice_entries(e, gf_dual, p.n), model.var_names)
-    return _restriction(model, e, gf_dual, p.n, list(range(1, p.n + 1)), polys)
+    n, e, gf_dual = model.partition.n, model.realization.e, model.gf_dual
+    polys = principal_minor_sum_polys(_slice_entries(e, gf_dual, n), model.var_names)
+    return _restriction(e, gf_dual, n, list(range(1, n + 1)), polys)
 
 
-def symplectic_minor_sums(sp: SymplecticModel, budget: int = 8) -> SliceRestriction:
+def symplectic_minor_sums(sp: SymplecticModel) -> SliceRestriction:
     """Even minor sums on the symplectic slice e + (g_f cap sp).
 
     The odd minor sums must vanish identically there; this is asserted.
     """
-    p = sp.partition
-    if p.n > budget:
-        raise BudgetExceededError(p.n, budget, "symplectic slice expansion")
-    e, gf_dual = sp.gl.realization.e, sp.gf_dual
-    polys = principal_minor_sum_polys(_slice_entries(e, gf_dual, p.n), sp.var_names)
-    for ell in range(1, p.n + 1, 2):
+    n, e, gf_dual = sp.partition.n, sp.gl.realization.e, sp.gf_dual
+    polys = principal_minor_sum_polys(_slice_entries(e, gf_dual, n), sp.var_names)
+    for ell in range(1, n + 1, 2):
         if not polys[ell - 1].is_zero():
             raise ArithmeticError(f"odd minor sum {ell} does not vanish on the sp slice")
-    return _restriction(sp, e, gf_dual, p.n, list(range(2, p.n + 1, 2)), polys[1::2])
+    return _restriction(e, gf_dual, n, list(range(2, n + 1, 2)), polys[1::2])
 
 
 # -- Poisson structure ------------------------------------------------------
@@ -498,8 +488,8 @@ def conjecture_explicit_check(sr: SliceRestriction, model: CentralizerModel) -> 
 # -- expansion along the opposite nilpotent ---------------------------------
 
 
-def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
-                               budget: int = 4) -> tuple[bool, dict[int, Fraction], str]:
+def top_coefficient_crosscheck(model: CentralizerModel,
+                               sr: SliceRestriction) -> tuple[bool, dict[int, Fraction], str]:
     """Compare initial terms with top coefficients along the f direction:
     (passed, the scalar of each term matched so far, detail).
 
@@ -511,10 +501,7 @@ def top_coefficient_crosscheck(model: CentralizerModel, sr: SliceRestriction,
     on the zero nilpotent, where the slice is the whole algebra and the
     check is the identity.
     """
-    p = model.partition
-    n = p.n
-    if n > budget:
-        raise BudgetExceededError(n, budget, "full adjoint expansion")
+    n = model.partition.n
     real = model.realization
     r = model.dim
 

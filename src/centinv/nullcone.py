@@ -33,19 +33,12 @@ from .partitions import Partition, vectors_with_total
 from .poly import _WIDTH, SparsePoly
 
 
-def antidiagonal_spaces(p: Partition) -> list[list[XiIndex]]:
+def antidiagonal_spaces(model: CentralizerModel) -> list[list[XiIndex]]:
     """Bases of levels 1..2k-1 (entry m - 1 is level m); level m holds the
-    indices with i + j = m + 1."""
-    d = p.d
-    spaces = []
-    for m in range(1, 2 * p.k):
-        basis = []
-        for i in range(max(1, m + 1 - p.k), min(p.k, m) + 1):
-            j = m + 1 - i
-            lo = max(d[j - 1] - d[i - 1], 0)
-            for s in range(lo, d[j - 1] + 1):
-                basis.append(XiIndex(i, j, s))
-        spaces.append(basis)
+    indices with i + j = m + 1, in the order of ``model.xi``."""
+    spaces: list[list[XiIndex]] = [[] for _ in range(2 * model.partition.k - 1)]
+    for idx in model.xi:
+        spaces[idx.i + idx.j - 2].append(idx)
     return spaces
 
 
@@ -148,8 +141,7 @@ def component_zero_locus_check(model: CentralizerModel, sr: SliceRestriction) ->
 
 
 def transversality_certificate(model: CentralizerModel, sr: SliceRestriction,
-                               seed: int = 0,
-                               attempts: int = 100) -> tuple[list[dict], str]:
+                               seed: int, attempts: int = 100) -> tuple[list[dict], str]:
     """Find W = sum of W_m with W_m inside level m meeting no component:
     (stages, failure), the failure "" on a pass, where W has dimension
     sum (d_m + 1) = n.
@@ -175,7 +167,7 @@ def transversality_certificate(model: CentralizerModel, sr: SliceRestriction,
     p = model.partition
     rng = random.Random(seed)
     stages: list[dict] = []
-    levels = antidiagonal_spaces(p)
+    levels = antidiagonal_spaces(model)
     for m in range(p.k, 0, -1):
         sub = p.prefix(m)
         space = levels[m - 1]

@@ -170,7 +170,7 @@ def index_report(model, points) -> list[tuple[Functional, int]]:
 
 
 def plane_regularity_scan(model, gamma1: Functional, gamma2: Functional,
-                          grid: int = 7) -> list[tuple[str, str, int]]:
+                          grid: int) -> list[tuple[str, str, int]]:
     """The grid points (x, y, stab) of the plane off the minimal stabiliser
     dim."""
     if bareiss([list(gamma1.nums), list(gamma2.nums)])[0] != 2:
@@ -628,8 +628,8 @@ def _compress_line(B0: list[list[int]], B1: list[list[int]], rho: int,
     return False, drawn
 
 
-def singular_locus_probe(model, lines: int = 10,
-                         seed: int = 0) -> list[tuple[bool, int | None, int, str]]:
+def singular_locus_probe(model, lines: int,
+                         seed: int) -> list[tuple[bool, int | None, int, str]]:
     """Count singular parameter values on random lines in the dual space:
     one (certified, singular values, compressions used, detail) tuple per
     line, where a certified line has an integer count.

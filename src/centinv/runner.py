@@ -3,9 +3,9 @@
 Commands map onto module operations; dependencies (model, slice) are
 built lazily and shared.  Each certificate is built as its report row, a
 JSON-ready dict with the claim, an exact PASS/FAIL/ERROR status and the
-witnesses, so ``build_report`` reports the rows as they are.  A symbolic
-command above the budget yields a resource ERROR row while the rest of
-the run continues.
+witnesses, so ``build_report`` reports the rows as they are.  Only
+here are budgets applied: a command above a budget it reads yields a
+resource ERROR row while the rest of the run continues.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from itertools import repeat
 from . import __version__
 from .centralizer import build_gl_model, build_sp_model
 from .invariants import (
-    BudgetExceededError,
     conjecture_explicit_check,
     initial_algebra_rank,
+    kazhdan_homogeneous,
     monomial_support_check,
     principal_minor_sums,
     symplectic_minor_sums,
@@ -76,7 +76,8 @@ SP_COMMANDS = (
 )
 SO_COMMANDS = ("so-diagnostic",)
 
-SYMBOLIC_COMMANDS = {"centrality", "support", "conjecture", "diffcrit", "nullcone"}
+# the commands that read the slice
+SYMBOLIC_COMMANDS = {"centrality", "support", "conjecture", "p0", "diffcrit", "nullcone"}
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -85,6 +86,15 @@ ERROR = "ERROR"
 
 class UsageError(ValueError):
     pass
+
+
+class BudgetExceededError(RuntimeError):
+    """Symbolic stage refused: dimension above the configured budget."""
+
+    def __init__(self, n: int, budget: int, what: str):
+        super().__init__(f"{what} needs n={n} but the budget is {budget}")
+        self.n = n
+        self.budget = budget
 
 
 @dataclass
@@ -119,12 +129,10 @@ def commands_for(cfg: RunConfig, p: Partition) -> list[str]:
     base = {"gl": GL_COMMANDS, "sp": SP_COMMANDS, "so": SO_COMMANDS}[cfg.algebra]
     check_valid_for(p, ClassicalType(cfg.algebra))
     if cfg.all_commands:
-        chosen = list(base)
-        if cfg.algebra == "gl" and p.n > cfg.p0_budget and "p0" in chosen:
-            chosen.remove("p0")
-        if p.n > cfg.budget_n:
-            chosen = [c for c in chosen if c not in SYMBOLIC_COMMANDS]
-        return chosen
+        # a command runs only when every budget it reads covers n
+        return [c for c in base
+                if (c not in SYMBOLIC_COMMANDS or p.n <= cfg.budget_n)
+                and (c != "p0" or p.n <= cfg.p0_budget)]
     unknown = [c for c in cfg.commands if c not in base]
     if unknown:
         raise UsageError(
@@ -167,9 +175,12 @@ class PartitionContext:
 
     @cached_property
     def slice(self):
-        if self.cfg.algebra == "sp":
-            return symplectic_minor_sums(self.model, budget=self.cfg.budget_n)
-        return principal_minor_sums(self.model, budget=self.cfg.budget_n)
+        sp = self.cfg.algebra == "sp"
+        if self.partition.n > self.cfg.budget_n:
+            raise BudgetExceededError(
+                self.partition.n, self.cfg.budget_n,
+                "symplectic slice expansion" if sp else "slice expansion")
+        return symplectic_minor_sums(self.model) if sp else principal_minor_sums(self.model)
 
     @cached_property
     def alpha(self) -> Functional:
@@ -252,7 +263,7 @@ def cmd_degrees(ctx: PartitionContext) -> dict:
         symbolic = list(ctx.slice.degrees)
         witnesses["symbolic_degrees"] = symbolic
         witnesses["symbolic_checked"] = True
-        witnesses["kazhdan_homogeneous"] = all(ctx.slice.kazhdan_homogeneous)
+        witnesses["kazhdan_homogeneous"] = all(kazhdan_homogeneous(ctx.slice, ctx.model))
         ok = ok and tuple(symbolic) == degrees and witnesses["kazhdan_homogeneous"]
     else:
         witnesses["symbolic_checked"] = False
@@ -292,9 +303,12 @@ def cmd_conjecture(ctx: PartitionContext) -> dict:
 
 
 def cmd_p0(ctx: PartitionContext) -> dict:
-    passed, scalars, detail = top_coefficient_crosscheck(
-        ctx.model, ctx.slice, budget=ctx.cfg.p0_budget)
-    witnesses = {"scalars": {str(k): str(v) for k, v in scalars.items()}}
+    sr = ctx.slice  # the slice refusal comes first
+    n, budget = ctx.partition.n, ctx.cfg.p0_budget
+    if n > budget:
+        raise BudgetExceededError(n, budget, "full adjoint expansion")
+    passed, scalars, detail = top_coefficient_crosscheck(ctx.model, sr)
+    witnesses = {"scalars": scalars}
     if detail:
         witnesses["detail"] = detail
     return _cert(ctx, "top-coefficient-crosscheck", passed, witnesses)

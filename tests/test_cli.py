@@ -181,6 +181,17 @@ def test_all_skips_over_budget_symbolics(capsys):
     assert "poisson-centrality" in out
 
 
+@pytest.mark.parametrize("budget_n,p0_budget", [(3, 4), (4, 6), (2, 5), (5, 3)])
+def test_all_runs_a_command_only_within_every_budget_it_reads(budget_n, p0_budget):
+    """p0 reads the slice as well as the full adjoint expansion, so --all
+    leaves it out above either budget and refuses nothing."""
+    cfg = RunConfig(max_n=5, all_commands=True, budget_n=budget_n, p0_budget=p0_budget, seed=7)
+    rows = [row for p in sweep_partitions(cfg) for row in run_partition(p, cfg)[0]]
+    assert [(r["partition"], r["claim"]) for r in rows if r["status"] == "ERROR"] == []
+    assert {r["partition"] for r in rows if r["claim"] == "top-coefficient-crosscheck"} == {
+        str(p) for p in sweep_partitions(cfg) if p.n <= min(budget_n, p0_budget)}
+
+
 def test_json_format(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, _ = run_cli(capsys, "verify", "--type", "gl", "--partition", "2,1",

@@ -195,7 +195,7 @@ def test_plane_lists_the_singular_grid_points():
 def test_nullcone_reports_the_support_detail():
     ctx = context("3,2")
     m, p = ctx.model, ctx.partition
-    idx = antidiagonal_spaces(p)[p.k - 1][0]
+    idx = antidiagonal_spaces(m)[p.k - 1][0]
     terms = {**to_fractions(ctx.slice.initial[p.n - 1]), 2 << (_WIDTH * m.index[idx]): Fraction(1)}
     with_initial(ctx, p.n, from_fractions(m.var_names, terms))
     assert certificate(ctx, "nullcone") == fail("nullcone-regular-sequence", "3,2", {

@@ -41,7 +41,6 @@ from poly_oracle import (
 from centinv.centralizer import XiIndex, build_gl_model, build_sp_model
 from centinv import invariants
 from centinv.invariants import (
-    BudgetExceededError,
     _cleared_value,
     _exact_div,
     _faddeev_leverrier,
@@ -56,6 +55,7 @@ from centinv.invariants import (
     evaluate_jacobian,
     initial_algebra_rank,
     jacobian_rows,
+    kazhdan_homogeneous,
     monomial_support_check,
     poisson_bracket,
     principal_minor_sum_polys,
@@ -74,7 +74,7 @@ from centinv.regularity import (
     random_functional,
     restrict_alpha_to_fixed,
 )
-from centinv.runner import RunConfig, build_report
+from centinv.runner import BudgetExceededError, PartitionContext, RunConfig, build_report, cmd_p0
 from centinv.poly import _WIDTH, SparsePoly
 
 
@@ -147,7 +147,7 @@ def test_frozen_values_for_two_block_partition():
     assert sr.initial[1] == -x["x2"]
     assert sr.initial[2] == -x["x2"] * x["x5"] + x["x3"] * x["x4"]
     assert sr.degrees == [1, 1, 2]
-    assert all(sr.kazhdan_homogeneous)
+    assert all(kazhdan_homogeneous(sr, m))
 
 
 def test_initial_term_quadratic_coefficients_nonzero():
@@ -172,7 +172,7 @@ def test_symbolic_degrees_match_table(n):
         m = build_gl_model(p)
         sr = principal_minor_sums(m)
         assert tuple(sr.degrees) == degrees_gl(p), p
-        assert all(sr.kazhdan_homogeneous), p
+        assert all(kazhdan_homogeneous(sr, m)), p
 
 
 def test_regular_case_single_coordinates():
@@ -188,10 +188,14 @@ def test_regular_case_single_coordinates():
 
 
 def test_budget_refusal():
-    m = build_gl_model(Partition.parse("3,2"))
+    ctx = PartitionContext(Partition.parse("3,2"), RunConfig(budget_n=4))
     with pytest.raises(BudgetExceededError) as err:
-        principal_minor_sums(m, budget=4)
+        ctx.slice
     assert err.value.n == 5 and err.value.budget == 4
+    assert str(err.value) == "slice expansion needs n=5 but the budget is 4"
+    ctx = PartitionContext(Partition.parse("2,2"), RunConfig(algebra="sp", budget_n=2))
+    with pytest.raises(BudgetExceededError, match="^symplectic slice expansion needs n=4 "):
+        ctx.slice
 
 
 def test_poisson_bracket_on_coordinates_is_structure_constants():
@@ -475,10 +479,15 @@ def test_top_coefficient_leaving_the_centraliser_is_refused(parts, monkeypatch):
 
 
 def test_top_coefficient_budget():
-    m = build_gl_model(Partition.parse("3,2"))
-    sr = principal_minor_sums(m)
-    with pytest.raises(BudgetExceededError):
-        top_coefficient_crosscheck(m, sr, budget=4)
+    ctx = PartitionContext(Partition.parse("3,2"), RunConfig(p0_budget=4))
+    with pytest.raises(BudgetExceededError) as err:
+        cmd_p0(ctx)
+    assert err.value.n == 5 and err.value.budget == 4
+    assert str(err.value) == "full adjoint expansion needs n=5 but the budget is 4"
+    # above both budgets the slice refusal comes first
+    ctx = PartitionContext(Partition.parse("3,2"), RunConfig(budget_n=4, p0_budget=4))
+    with pytest.raises(BudgetExceededError, match="^slice expansion needs n=5"):
+        cmd_p0(ctx)
 
 
 @pytest.mark.parametrize("parts,expected", [("2,1", 3), ("4", 4), ("3,1", 4)])
@@ -496,7 +505,7 @@ def test_symplectic_slice_odd_sums_vanish_and_degrees():
         sp = build_sp_model(p)
         sr = symplectic_minor_sums(sp)
         assert tuple(sr.degrees) == degrees_sp(p)
-        assert all(sr.kazhdan_homogeneous)
+        assert all(kazhdan_homogeneous(sr, sp))
         assert centrality_verdict(sr, sp, seed=5)[0]
 
 
@@ -559,7 +568,7 @@ def test_slice_degrees_kazhdan_and_decode_match_the_oracles(name):
         model = build_gl_model(p)
         sr, weights, sizes = principal_minor_sums(model), model.h_weights, range(1, p.n + 1)
     for F, low, d, kazh, size in zip(sr.full, sr.initial, sr.degrees,
-                                     sr.kazhdan_homogeneous, sizes, strict=True):
+                                     kazhdan_homogeneous(sr, model), sizes, strict=True):
         want = poly_oracle.lowest_degree_component(F)
         assert low == want
         assert d == low.total_degree() == poly_oracle.total_degree(want)
@@ -659,7 +668,7 @@ def route_points(name: str, randoms: int) -> list[list[int]]:
     """ALPHA, ZERO, then ``randoms`` integer points and as many with some
     zero coordinates."""
     sr, alpha = route_case(name)
-    r = len(sr.var_names)
+    r = len(alpha.nums)
     rng = random.Random(name)
     points = [list(alpha.nums), [0] * r]
     for _ in range(randoms):

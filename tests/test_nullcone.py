@@ -28,13 +28,14 @@ from centinv.runner import FAIL, PASS, RunConfig, run_partition
 def test_antidiagonal_spaces_cover_everything():
     for parts in ("2,1", "3,2,2", "4,1"):
         p = Partition.parse(parts)
-        spaces = antidiagonal_spaces(p)
+        spaces = antidiagonal_spaces(build_gl_model(p))
         assert len(spaces) == 2 * p.k - 1
         from centinv.centralizer import enumerate_xi
         allidx = [idx for basis in spaces for idx in basis]
         assert sorted(allidx) == sorted(enumerate_xi(p))
         for level, basis in enumerate(spaces, start=1):
             assert all(idx.i + idx.j == level + 1 for idx in basis)
+            assert basis == sorted(basis)  # by i, then s
 
 
 def test_restriction_for_two_blocks():
@@ -219,7 +220,7 @@ def _planted(sr, ell, terms):
     """sr with initial term ell replaced by one holding the given
     {key: rational coefficient} terms."""
     initial = list(sr.initial)
-    initial[ell - 1] = from_fractions(sr.var_names, terms)
+    initial[ell - 1] = from_fractions(sr.initial[ell - 1].variables, terms)
     return replace(sr, initial=initial)
 
 
@@ -232,7 +233,7 @@ def test_component_check_fails_on_a_term_avoiding_a_vanishing_set():
     m = build_gl_model(p)
     sr = principal_minor_sums(m)
     shifts = enumerate_components(p)[0]
-    top = antidiagonal_spaces(p)[p.k - 1]
+    top = antidiagonal_spaces(m)[p.k - 1]
     idx = next(idx for idx in top if idx not in vanishing(p, shifts))
     top_term = sr.initial[p.n - 1]
     key = _key(m, idx, idx)
@@ -248,7 +249,7 @@ def test_support_check_reports_an_extra_monomial():
     p = Partition.parse("3,2")
     m = build_gl_model(p)
     sr = principal_minor_sums(m)
-    idx = antidiagonal_spaces(p)[p.k - 1][0]
+    idx = antidiagonal_spaces(m)[p.k - 1][0]
     terms = to_fractions(sr.initial[p.n - 1])
     terms[_key(m, idx, idx)] = Fraction(1)
     assert top_block_support_check(m, _planted(sr, p.n, terms)) == "support mismatch at q=0: 2 monomials, expected 1"
