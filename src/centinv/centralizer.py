@@ -33,7 +33,6 @@ from math import factorial, gcd
 from .linalg import _subtract, sparse_inverse, sparse_rref
 from .partitions import (
     ClassicalType,
-    InvalidPartitionError,
     Partition,
     check_valid_for,
     dim_centralizer_so_sp,
@@ -346,8 +345,6 @@ class SymplecticModel(StructureTable):
 
     def __init__(self, p: Partition):
         check_valid_for(p, ClassicalType.SP)
-        if p.n % 2:
-            raise InvalidPartitionError("symplectic partition must have even size")
         self.partition = p
         self.gl = gl = build_gl_model(p)
         real = gl.realization

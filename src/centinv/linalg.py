@@ -10,7 +10,7 @@ principal submatrices, with about half the bits of the Bareiss minors at
 the same depth; every division is exact by the Pfaffian form of
 Sylvester's identity.  Row spaces and inverses go through one sparse
 reduced row echelon form on rows given as ``{column: value}`` dicts,
-which touches only nonzero entries.
+which combines only nonzero entries.
 """
 
 from __future__ import annotations
@@ -100,12 +100,11 @@ def sparse_rref(rows: Iterable[Mapping[int, Fraction]]) -> list[dict[int, Fracti
     zeros in every other row's pivot column; this is the unique reduced
     form of the row space.  Rows are inserted one at a time: a new row is
     reduced by the stored rows at its pivot columns, its least column
-    becomes its pivot, and that column is cleared from the stored rows
-    that hold it (``holders`` indexes them).  Only nonzero entries are
-    touched, so a monomial matrix costs one step per row.
+    becomes its pivot, and that column is cleared from every stored row
+    that holds it, found by one scan of them.  Only nonzero entries are
+    combined, so a monomial matrix costs one step per row.
     """
     basis: dict[int, dict] = {}
-    holders: dict[int, set[int]] = {}
     for row in rows:
         v = {c: x for c, x in row.items() if x}
         for q in [c for c in v if c in basis]:
@@ -116,26 +115,21 @@ def sparse_rref(rows: Iterable[Mapping[int, Fraction]]) -> list[dict[int, Fracti
         if v[p] != 1:
             inv = 1 / Fraction(v[p])
             v = {c: x * inv for c, x in v.items()}
-        for q in list(holders.get(p, ())):
-            _subtract(basis[q], basis[q][p], v, holders, q)
+        for stored in basis.values():
+            if p in stored:
+                _subtract(stored, stored[p], v)
         basis[p] = v
-        for c in v:
-            holders.setdefault(c, set()).add(p)
     return [basis[p] for p in sorted(basis)]
 
 
-def _subtract(target: dict, factor, row: dict, holders=None, owner=None) -> None:
-    """target -= factor * row, dropping zeros; keeps ``holders`` in step."""
+def _subtract(target: dict, factor, row: dict) -> None:
+    """target -= factor * row, dropping zeros."""
     for c, x in row.items():
         y = target.get(c, 0) - factor * x
         if y:
-            if holders is not None and c not in target:
-                holders.setdefault(c, set()).add(owner)
             target[c] = y
         else:
             del target[c]
-            if holders is not None:
-                holders[c].discard(owner)
 
 
 def sparse_inverse(rows: list[Mapping[int, Fraction]]) -> list[dict[int, Fraction]]:

@@ -54,18 +54,14 @@ def restrict_to_V(sr: SliceRestriction, model: CentralizerModel,
 # -- the top-block support --------------------------------------------------
 
 
-def _antidiag_monomial_key(model: CentralizerModel, shifts: tuple[int, ...]) -> int | None:
-    """Packed key of prod_i xi[m+1-i, i, d_i - s_i] for m = len(shifts), or
-    None when a factor dies."""
+def _antidiag_monomial_key(model: CentralizerModel, shifts: tuple[int, ...]) -> int:
+    """Packed key of prod_i xi[m+1-i, i, d_i - s_i] for m = len(shifts).
+    Each factor exists when s_i <= min(d_i, d_{m+1-i}), which holds for
+    s_i <= d_m."""
     d = model.partition.d
     m = len(shifts)
-    key = 0
-    for i, s_i in enumerate(shifts, start=1):
-        a = model.index.get(XiIndex(m + 1 - i, i, d[i - 1] - s_i))
-        if a is None:
-            return None
-        key += 1 << (_WIDTH * a)
-    return key
+    return sum(1 << (_WIDTH * model.index[XiIndex(m + 1 - i, i, d[i - 1] - s_i)])
+               for i, s_i in enumerate(shifts, start=1))
 
 
 def top_block_support_check(model: CentralizerModel, sr: SliceRestriction,
@@ -83,12 +79,8 @@ def top_block_support_check(model: CentralizerModel, sr: SliceRestriction,
     restricted = restrict_to_V(sr, model, m)
     n_m = sum(p.parts[:m])
     for q in range(p.d[m - 1] + 1):
-        expected = set()
-        for bars in vectors_with_total([range(q + 1)] * m, q):
-            key = _antidiag_monomial_key(model, bars)
-            if key is None:
-                return f"missing factor at q={q}"
-            expected.add(key)
+        expected = {_antidiag_monomial_key(model, bars)
+                    for bars in vectors_with_total([range(q + 1)] * m, q)}
         got = restricted[n_m - q - 1].terms.keys()
         if got != expected:
             return f"support mismatch at q={q}: {len(got)} monomials, expected {len(expected)}"

@@ -158,8 +158,6 @@ def degrees_gl(p: Partition) -> tuple[int, ...]:
 def degrees_sp(p: Partition) -> tuple[int, ...]:
     """Even-index subsequence of the gl table (partition of 2n, type C)."""
     check_valid_for(p, t=ClassicalType.SP)
-    if p.n % 2:
-        raise InvalidPartitionError("symplectic partition must have even size")
     degrees = degrees_gl(p)[1::2]
     assert 2 * sum(degrees) == dim_centralizer_so_sp(p, ClassicalType.SP) + p.n // 2
     return degrees

@@ -7,7 +7,8 @@ numerators) = 1), so equal polynomials have equal ``terms`` and ``den``.
 The integer kernels read the numerators (``factored_terms``); a rational
 coefficient is ``coefficient(key)``.  Monomials are packed into a single
 integer, 16 bits of exponent per variable, so that monomial
-multiplication is integer addition.  Total degrees stay below
+multiplication is integer addition; variable i of ``variables`` (no
+name repeats) has bits 16i to 16i + 15.  Total degrees stay below
 ``_MAX_EXP``, which makes the degree of a key its residue modulo
 2^16 - 1, read for all terms by one C-level ``map``.  The zero
 polynomial has an empty term map and ``den`` 1.
@@ -27,21 +28,9 @@ _MAX_EXP = 1 << (_WIDTH - 1)
 # a big-endian key's bytes give its lanes top lane first
 _BIG_ENDIAN = sys.byteorder == "big"
 
-_INDEX_CACHE: dict[tuple[str, ...], dict[str, int]] = {}
-
 
 class VariableMismatchError(ValueError):
     """Raised for unknown variables or incompatible variable sets."""
-
-
-def _index_map(variables: tuple[str, ...]) -> dict[str, int]:
-    m = _INDEX_CACHE.get(variables)
-    if m is None:
-        m = {name: i for i, name in enumerate(variables)}
-        if len(m) != len(variables):
-            raise VariableMismatchError("duplicate variable names")
-        _INDEX_CACHE[variables] = m
-    return m
 
 
 def _key_degree(key: int) -> int:
@@ -102,7 +91,6 @@ class SparsePoly:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_deg", None)
         object.__setattr__(self, "_factors", None)
-        _index_map(self.variables)
 
     def __setattr__(self, *a):  # pragma: no cover - guard only
         raise AttributeError("SparsePoly is immutable")
@@ -144,10 +132,9 @@ class SparsePoly:
 
     def _shift(self, name: str) -> int:
         """Bit offset of a variable's lane; unknown names are refused."""
-        idx = _index_map(self.variables).get(name)
-        if idx is None:
+        if name not in self.variables:
             raise VariableMismatchError(f"unknown variable {name!r}")
-        return _WIDTH * idx
+        return _WIDTH * self.variables.index(name)
 
     def max_exponent(self, name: str) -> int:
         shift = self._shift(name)
@@ -233,12 +220,8 @@ class SparsePoly:
 
     def evaluate(self, point: Mapping[str, object]) -> Fraction:
         """Evaluate at a full point; missing variables are reported by name."""
-        idx = _index_map(self.variables)
-        values: dict[int, Fraction] = {}
-        for name, value in point.items():
-            if name not in idx:
-                raise VariableMismatchError(f"unknown variable {name!r}")
-            values[idx[name]] = Fraction(value)
+        values = {self._shift(name) // _WIDTH: Fraction(value)
+                  for name, value in point.items()}
         total = 0
         for k, c in self.terms.items():
             term = c

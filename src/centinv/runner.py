@@ -1,11 +1,12 @@
 """Command orchestration: one partition, many certificates.
 
-Commands map onto module operations; dependencies (model, slice) are
-built lazily and shared.  Each certificate is built as its report row, a
-JSON-ready dict with the claim, an exact PASS/FAIL/ERROR status and the
-witnesses, so ``build_report`` reports the rows as they are.  Only
-here are budgets applied: a command above a budget it reads yields a
-resource ERROR row while the rest of the run continues.
+``COMMANDS`` gives each command its check, its algebras and the budgets
+it reads; dependencies (model, slice) are built lazily and shared.  Each
+certificate is built as its report row, a JSON-ready dict with the
+claim, an exact PASS/FAIL/ERROR status and the witnesses, so
+``build_report`` reports the rows as they are.  Only here are budgets
+applied: a command above a budget it reads yields a resource ERROR row
+while the rest of the run continues.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .centralizer import build_gl_model, build_sp_model
@@ -67,18 +69,6 @@ from .regularity import (
     vanishes_on_odd_part,
 )
 
-GL_COMMANDS = (
-    "degrees", "centrality", "support", "conjecture", "p0",
-    "stabilizers", "index", "diffcrit", "plane", "lines", "nullcone",
-)
-SP_COMMANDS = (
-    "degrees", "centrality", "stabilizers", "index", "diffcrit", "plane", "lines",
-)
-SO_COMMANDS = ("so-diagnostic",)
-
-# the commands that read the slice
-SYMBOLIC_COMMANDS = {"centrality", "support", "conjecture", "p0", "diffcrit", "nullcone"}
-
 PASS = "PASS"
 FAIL = "FAIL"
 ERROR = "ERROR"
@@ -122,23 +112,6 @@ class RunConfig:
             least, value = f.metadata.get("least"), getattr(self, f.name)
             if least is not None and value is not None and value < least:
                 raise UsageError(f"{f.name} must be at least {least}")
-
-
-def commands_for(cfg: RunConfig, p: Partition) -> list[str]:
-    """Commands to run on p; a partition invalid for the type is refused."""
-    base = {"gl": GL_COMMANDS, "sp": SP_COMMANDS, "so": SO_COMMANDS}[cfg.algebra]
-    check_valid_for(p, ClassicalType(cfg.algebra))
-    if cfg.all_commands:
-        # a command runs only when every budget it reads covers n
-        return [c for c in base
-                if (c not in SYMBOLIC_COMMANDS or p.n <= cfg.budget_n)
-                and (c != "p0" or p.n <= cfg.p0_budget)]
-    unknown = [c for c in cfg.commands if c not in base]
-    if unknown:
-        raise UsageError(
-            f"command(s) {unknown} not available for type {cfg.algebra}; "
-            f"choose from {list(base)}")
-    return [c for c in base if c in cfg.commands]
 
 
 class PartitionContext:
@@ -463,20 +436,43 @@ def cmd_so_diagnostic(ctx: PartitionContext) -> dict:
                  diag["verdict"] != "INCONSISTENT", diag)
 
 
-_COMMAND_TABLE = {
-    "degrees": cmd_degrees,
-    "centrality": cmd_centrality,
-    "support": cmd_support,
-    "conjecture": cmd_conjecture,
-    "p0": cmd_p0,
-    "stabilizers": cmd_stabilizers,
-    "index": cmd_index,
-    "diffcrit": cmd_diffcrit,
-    "plane": cmd_plane,
-    "lines": cmd_lines,
-    "nullcone": cmd_nullcone,
-    "so-diagnostic": cmd_so_diagnostic,
+class Command(NamedTuple):
+    check: Callable[[PartitionContext], dict]
+    algebras: tuple[str, ...]
+    budgets: tuple[str, ...] = ()  # the RunConfig budgets it reads
+
+
+# every command in the order it runs; budget_n bounds the slice expansion
+# and p0_budget the full adjoint expansion
+COMMANDS = {
+    "degrees": Command(cmd_degrees, ("gl", "sp")),
+    "centrality": Command(cmd_centrality, ("gl", "sp"), ("budget_n",)),
+    "support": Command(cmd_support, ("gl",), ("budget_n",)),
+    "conjecture": Command(cmd_conjecture, ("gl",), ("budget_n",)),
+    "p0": Command(cmd_p0, ("gl",), ("budget_n", "p0_budget")),
+    "stabilizers": Command(cmd_stabilizers, ("gl", "sp")),
+    "index": Command(cmd_index, ("gl", "sp")),
+    "diffcrit": Command(cmd_diffcrit, ("gl", "sp"), ("budget_n",)),
+    "plane": Command(cmd_plane, ("gl", "sp")),
+    "lines": Command(cmd_lines, ("gl", "sp")),
+    "nullcone": Command(cmd_nullcone, ("gl",), ("budget_n",)),
+    "so-diagnostic": Command(cmd_so_diagnostic, ("so",)),
 }
+
+
+def commands_for(cfg: RunConfig, p: Partition) -> list[str]:
+    """Commands to run on p in table order; refuses p if invalid for the type."""
+    check_valid_for(p, ClassicalType(cfg.algebra))
+    base = [name for name, c in COMMANDS.items() if cfg.algebra in c.algebras]
+    if cfg.all_commands:
+        # a command runs only when every budget it reads covers n
+        return [name for name in base
+                if all(p.n <= getattr(cfg, b) for b in COMMANDS[name].budgets)]
+    unknown = [c for c in cfg.commands if c not in base]
+    if unknown:
+        raise UsageError(f"command(s) {unknown} not available for type "
+                         f"{cfg.algebra}; choose from {base}")
+    return [c for c in base if c in cfg.commands]
 
 
 def run_partition(p: Partition, cfg: RunConfig) -> tuple[list[dict], dict]:
@@ -488,7 +484,7 @@ def run_partition(p: Partition, cfg: RunConfig) -> tuple[list[dict], dict]:
     for name in commands_for(cfg, p):
         start = time.perf_counter()
         try:
-            certs.append(_COMMAND_TABLE[name](ctx))
+            certs.append(COMMANDS[name].check(ctx))
         except (BudgetExceededError, ArithmeticError, ValueError) as exc:
             # a budget refusal or a violated construction invariant is itself
             # a reportable outcome
@@ -539,12 +535,6 @@ def exit_code(report: dict) -> int:
 def sweep_partitions(cfg: RunConfig) -> list[Partition]:
     if cfg.max_n is None:
         raise UsageError("sweep needs --max-n")
-    out: list[Partition] = []
-    for n in range(1, cfg.max_n + 1):
-        if cfg.algebra == "sp":
-            out.extend(partitions_of(2 * n, ClassicalType.SP))
-        elif cfg.algebra == "so":
-            out.extend(partitions_of(n, ClassicalType.SO))
-        else:
-            out.extend(partitions_of(n))
-    return out
+    sp = cfg.algebra == "sp"
+    return [p for n in range(1, cfg.max_n + 1)
+            for p in partitions_of(2 * n if sp else n, ClassicalType(cfg.algebra))]

@@ -25,7 +25,6 @@ from centinv.poly import (
     SparsePoly,
     VariableMismatchError,
     _accumulate_product,
-    _index_map,
     _key_degree,
 )
 
@@ -52,17 +51,14 @@ def constant(variables, value) -> SparsePoly:
 
 
 def variable(variables, name: str) -> SparsePoly:
-    idx = _index_map(tuple(variables)).get(name)
-    if idx is None:
-        raise VariableMismatchError(f"unknown variable {name!r}")
-    return SparsePoly(variables, {1 << (_WIDTH * idx): 1})
+    return from_exponents(variables, [({name: 1}, 1)])
 
 
 def from_exponents(variables, entries) -> SparsePoly:
     """Sum of coefficient * monomial over (exponents by name, coefficient)
     entries; an exponent or total degree from ``_MAX_EXP`` on is refused."""
     variables = tuple(variables)
-    idx = _index_map(variables)
+    idx = {name: i for i, name in enumerate(variables)}
     terms: dict[int, Fraction] = {}
     for exps, coeff in entries:
         key = deg = 0

@@ -46,7 +46,7 @@ from centinv.partitions import (
     partitions_of,
 )
 from centinv.regularity import build_alpha, default_alpha_coefficients
-from centinv.runner import _COMMAND_TABLE, PartitionContext, RunConfig, cmd_degrees, commands_for
+from centinv.runner import COMMANDS, PartitionContext, RunConfig, cmd_degrees, commands_for
 
 
 def test_sl2_relations():
@@ -406,7 +406,7 @@ def test_sp_run_never_builds_the_ambient_table_or_dual():
     cfg = RunConfig(algebra="sp", all_commands=True, seed=7)
     ctx = PartitionContext(p, cfg)
     for name in commands_for(cfg, p):
-        _COMMAND_TABLE[name](ctx)
+        COMMANDS[name].check(ctx)
     assert {"rows", "gf_dual"} <= set(vars(ctx.model))
     assert not {"rows", "gf_dual"} & set(vars(ctx.model.gl))
 

@@ -5,10 +5,12 @@ import json
 import pytest
 
 from centinv.cli import main
+from centinv.partitions import Partition
 from centinv.runner import (
     RunConfig,
     UsageError,
     build_report,
+    commands_for,
     run_partition,
     sweep_partitions,
 )
@@ -59,6 +61,24 @@ def test_unknown_command_is_usage_error(capsys):
                  "--commands", "nullcone"])
     assert code == 2
     assert "not available" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algebra,available", [
+    ("gl", ["degrees", "centrality", "support", "conjecture", "p0", "stabilizers",
+            "index", "diffcrit", "plane", "lines", "nullcone"]),
+    ("sp", ["degrees", "centrality", "stabilizers", "index", "diffcrit", "plane", "lines"]),
+    ("so", ["so-diagnostic"]),
+], ids=["gl", "sp", "so"])
+def test_commands_of_a_type_run_in_table_order(algebra, available):
+    """--all within every budget runs the type's commands in table order,
+    and an unknown name is refused with that list."""
+    p = Partition.parse("2,2")
+    assert commands_for(RunConfig(algebra=algebra, all_commands=True), p) == available
+    assert commands_for(RunConfig(algebra=algebra, commands=available[::-1]), p) == available
+    with pytest.raises(UsageError) as err:
+        commands_for(RunConfig(algebra=algebra, commands=["nope"]), p)
+    assert str(err.value) == (f"command(s) ['nope'] not available for type {algebra}; "
+                              f"choose from {available}")
 
 
 @pytest.mark.parametrize("argv", [
@@ -156,7 +176,8 @@ def broken_index(monkeypatch):
     def broken(ctx):
         raise ArithmeticError("table is not antisymmetric")
 
-    monkeypatch.setitem(runner._COMMAND_TABLE, "index", broken)
+    monkeypatch.setitem(runner.COMMANDS, "index",
+                        runner.COMMANDS["index"]._replace(check=broken))
 
 
 def test_internal_error_exits_4(capsys, broken_index):
@@ -181,15 +202,35 @@ def test_all_skips_over_budget_symbolics(capsys):
     assert "poisson-centrality" in out
 
 
-@pytest.mark.parametrize("budget_n,p0_budget", [(3, 4), (4, 6), (2, 5), (5, 3)])
-def test_all_runs_a_command_only_within_every_budget_it_reads(budget_n, p0_budget):
+@pytest.mark.parametrize("algebra,max_n,budget_n,p0_budget", [
+    pytest.param("gl", 5, 3, 4, id="3-4"),
+    pytest.param("gl", 5, 4, 6, id="4-6"),
+    pytest.param("gl", 5, 2, 5, id="2-5"),
+    pytest.param("gl", 5, 5, 3, id="5-3"),
+    pytest.param("sp", 3, 4, 4, id="sp-4-4"),
+    pytest.param("sp", 3, 2, 1, id="sp-2-1"),
+    pytest.param("sp", 3, 6, 1, id="sp-6-1"),
+])
+def test_all_runs_a_command_only_within_every_budget_it_reads(algebra, max_n, budget_n,
+                                                              p0_budget):
     """p0 reads the slice as well as the full adjoint expansion, so --all
-    leaves it out above either budget and refuses nothing."""
-    cfg = RunConfig(max_n=5, all_commands=True, budget_n=budget_n, p0_budget=p0_budget, seed=7)
-    rows = [row for p in sweep_partitions(cfg) for row in run_partition(p, cfg)[0]]
+    leaves it out above either budget; centrality and diffcrit read the
+    slice alone, on sp as on gl, and the p0 budget does not touch them.
+    Nothing is refused."""
+    cfg = RunConfig(algebra=algebra, max_n=max_n, all_commands=True, budget_n=budget_n,
+                    p0_budget=p0_budget, seed=7)
+    partitions = sweep_partitions(cfg)
+    rows = [row for p in partitions for row in run_partition(p, cfg)[0]]
     assert [(r["partition"], r["claim"]) for r in rows if r["status"] == "ERROR"] == []
-    assert {r["partition"] for r in rows if r["claim"] == "top-coefficient-crosscheck"} == {
-        str(p) for p in sweep_partitions(cfg) if p.n <= min(budget_n, p0_budget)}
+
+    def run_on(claim):
+        return {r["partition"] for r in rows if r["claim"] == claim}
+
+    assert run_on("top-coefficient-crosscheck") == {
+        str(p) for p in partitions if algebra == "gl" and p.n <= min(budget_n, p0_budget)}
+    assert run_on("poisson-centrality") == run_on("differential-criterion") == {
+        str(p) for p in partitions if p.n <= budget_n}
+    assert run_on("degree-table") == run_on("index-equals-rank") == {str(p) for p in partitions}
 
 
 def test_json_format(capsys, tmp_path):
@@ -290,12 +331,12 @@ def test_error_certificates_keep_their_kind_and_witnesses(monkeypatch):
     """A budget refusal is a resource ERROR with n and the budget; any
     ArithmeticError/ValueError of a command an internal ERROR with its type."""
     import centinv.runner as runner
-    from centinv.partitions import Partition
 
     def broken(ctx):
         raise ArithmeticError("table is not antisymmetric")
 
-    monkeypatch.setitem(runner._COMMAND_TABLE, "index", broken)
+    monkeypatch.setitem(runner.COMMANDS, "index",
+                        runner.COMMANDS["index"]._replace(check=broken))
     cfg = runner.RunConfig(partitions=["3,3,3"], commands=["centrality", "index"], budget_n=8)
     certs, _ = runner.run_partition(Partition.parse("3,3,3"), cfg)
     common = {"status": "ERROR", "partition": "3,3,3", "algebra": "gl", "tolerance": "exact"}

@@ -38,7 +38,7 @@ def with_initial(ctx, ell, poly):
 
 
 def certificate(ctx, command):
-    return runner._COMMAND_TABLE[command](ctx)
+    return runner.COMMANDS[command].check(ctx)
 
 
 def fail(claim, parts, witnesses, algebra="gl"):

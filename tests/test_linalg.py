@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dense_oracle import apply, det, identity, inverse, kernel, matmul, rank, rref, zeros
+from dense_oracle import sparse_rows as to_sparse
 
 from centinv.centralizer import build_gl_model, build_sp_model
 from centinv.linalg import (
@@ -153,6 +154,40 @@ def test_sparse_rref_matches_dense_gauss_jordan(case):
     assert to_dense(reduced, nc) == expected[:len(pivots)]
     assert [min(row) for row in reduced] == pivots
     assert all(0 not in row.values() for row in reduced)
+
+
+@st.composite
+def row_sequences(draw):
+    """Sparse rational rows with repeated rows and rows dependent on earlier
+    ones, as drawn or sorted by their least column: decreasing puts every
+    new pivot left of the earlier ones, increasing lets earlier rows hold
+    each new pivot column, which must then be cleared from them."""
+    nc = draw(st.integers(1, 8))
+    entry = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    rows: list[dict] = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(("fresh", "repeat", "combination"))) if rows else "fresh"
+        if kind == "fresh":
+            row = draw(st.dictionaries(st.integers(0, nc - 1), entry, max_size=nc))
+        elif kind == "repeat":
+            row = dict(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            ca, cb = draw(entry), draw(entry)
+            row = {c: ca * a.get(c, 0) + cb * b.get(c, 0) for c in {*a, *b}}
+        rows.append(row)
+    order = draw(st.sampled_from((0, 1, -1)))
+    if order:
+        rows.sort(key=lambda row: order * min((c for c, x in row.items() if x), default=-1))
+    return rows, nc
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_sequences())
+def test_sparse_rref_is_the_dense_rref_as_sparse_rows(case):
+    rows, nc = case
+    expected, pivots = rref(to_dense(rows, nc)) if rows else ([], [])
+    assert sparse_rref(rows) == to_sparse(expected[:len(pivots)])
 
 
 matrix_rows = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(lambda shape: st.lists(

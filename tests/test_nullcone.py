@@ -1,6 +1,5 @@
 """Null-cone restrictions, components and the transversal subspace."""
 
-import copy
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -12,6 +11,7 @@ from centinv import runner
 from centinv.centralizer import XiIndex, build_gl_model
 from centinv.invariants import principal_minor_sums
 from centinv.nullcone import (
+    _antidiag_monomial_key,
     antidiagonal_spaces,
     component_zero_locus_check,
     enumerate_components,
@@ -265,12 +265,21 @@ def test_support_check_reports_a_zero_coefficient():
     assert top_block_support_check(m, _planted(sr, p.n, terms)) == "support mismatch at q=0: 0 monomials, expected 1"
 
 
-def test_support_check_reports_a_missing_factor():
-    p = Partition.parse("3,2")
-    m = copy.copy(build_gl_model(p))
-    sr = principal_minor_sums(m)
-    m.index = {idx: a for idx, a in m.index.items() if idx != XiIndex(2, 1, p.d[0])}
-    assert top_block_support_check(m, sr) == "missing factor at q=0"
+def test_every_antidiagonal_factor_is_a_coordinate():
+    """The support check reads prod_i xi[m+1-i, i, d_i - s_i] for every m <= k
+    and every shift pattern of total q <= d_m; each factor is a coordinate,
+    as s_i <= d_m <= min(d_i, d_{m+1-i})."""
+    for n in range(1, 9):
+        for p in partitions_of(n):
+            model = build_gl_model(p)
+            for m in range(1, p.k + 1):
+                for q in range(p.d[m - 1] + 1):
+                    for shifts in vectors_with_total([range(q + 1)] * m, q):
+                        factors = [XiIndex(m + 1 - i, i, p.d[i - 1] - s)
+                                   for i, s in enumerate(shifts, start=1)]
+                        assert all(f in model.index for f in factors), (str(p), m, shifts)
+                        assert _antidiag_monomial_key(model, shifts) == sum(
+                            1 << (_WIDTH * model.index[f]) for f in factors)
 
 
 def test_transversality_reads_prefix_stages_from_the_given_slice():

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+from centinv.centralizer import build_sp_model
 from centinv.partitions import (
     ClassicalType,
     InvalidPartitionError,
@@ -101,6 +102,19 @@ def test_degrees_sp_sum_identity():
     for n in range(1, 7):
         for p in partitions_of(2 * n, ClassicalType.SP):
             assert 2 * sum(degrees_sp(p)) == dim_centralizer_so_sp(p, ClassicalType.SP) + n
+
+
+def test_no_partition_of_odd_size_is_valid_for_sp():
+    """An sp-valid partition has its odd parts in pairs, so its size is even."""
+    for n in range(1, 12, 2):
+        assert not any(is_valid_for(p, ClassicalType.SP) for p in partitions_of(n))
+
+
+@pytest.mark.parametrize("text", ["3", "2,1"])
+@pytest.mark.parametrize("build", [build_sp_model, degrees_sp])
+def test_odd_size_is_refused_by_the_sp_rule(build, text):
+    with pytest.raises(InvalidPartitionError, match="invalid for sp: every odd part"):
+        build(Partition.parse(text))
 
 
 def test_pairing_consecutive():
