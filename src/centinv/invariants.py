@@ -50,7 +50,7 @@ from .centralizer import (
     _sparse_commutator,
     trace_dual,
 )
-from .linalg import bareiss, sparse_rref
+from .linalg import sparse_rref
 from .poly import SparsePoly, _MASK, _MAX_EXP, _WIDTH, _accumulate_product, _key_degree
 
 
@@ -301,21 +301,45 @@ def poisson_bracket(P: SparsePoly, Q: SparsePoly, model) -> SparsePoly:
     return out
 
 
-def coordinate_bracket_with(model, a: int, Q: SparsePoly) -> SparsePoly:
-    """{x_a, Q} = sum_b dQ/dx_b * [xi_a, xi_b] in one pass over Q's terms.
-
-    Runs on the integer structure rows ``model.rows`` and Q's numerators
-    (over ``Q.den``), so the integer sum is the numerator of {x_a, Q} over
-    Q.den.
-    """
-    row = model.rows[a]
-    acc: dict[int, int] = {}
+def term_index(Q: SparsePoly) -> dict[int, tuple[list[int], list[int]]]:
+    """{b: (keys, weights)} over the variables x_b of Q: the keys of Q's
+    terms that contain x_b, Q's own key objects, and for each the weight
+    e * numerator, e the exponent of x_b, so that e * numerator * x^key / x_b
+    is the term's part of dQ/dx_b.  Read off ``factored_terms`` once."""
+    index: dict[int, tuple[list[int], list[int]]] = {}
     for key, (factors, coeff, _) in zip(Q.terms, Q.factored_terms()):
         for b, e in factors:
-            base, w = key - (1 << (_WIDTH * b)), e * coeff
-            for c, v in row[b]:
-                k = base + (1 << (_WIDTH * c))
-                acc[k] = acc.get(k, 0) + w * v
+            entry = index.get(b)
+            if entry is None:
+                entry = index[b] = ([], [])
+            entry[0].append(key)
+            entry[1].append(coeff if e == 1 else e * coeff)
+    return index
+
+
+def coordinate_bracket_with(model, a: int, Q: SparsePoly,
+                            index: dict[int, tuple[list[int], list[int]]]) -> SparsePoly:
+    """{x_a, Q} = sum_b dQ/dx_b * [xi_a, xi_b], ``index`` being Q's
+    ``term_index``.
+
+    Only the b with a nonempty ``model.rows[a][b]`` are visited, and each
+    entry (c, v) of it adds x_c / x_b, the key step 2^(16c) - 2^(16b),
+    to every indexed key of x_b with weight times v.  Runs on the integer
+    structure rows and Q's numerators (over ``Q.den``), so the integer sum
+    is the numerator of {x_a, Q} over Q.den.
+    """
+    acc: dict[int, int] = {}
+    get = acc.get
+    for b, entries in enumerate(model.rows[a]):
+        if not entries or b not in index:
+            continue
+        keys, weights = index[b]
+        base = 1 << (_WIDTH * b)
+        for c, v in entries:
+            step = (1 << (_WIDTH * c)) - base
+            for key, w in zip(keys, weights):
+                k = key + step
+                acc[k] = get(k, 0) + w * v
     return SparsePoly(model.var_names, acc, Q.den)
 
 
@@ -339,15 +363,27 @@ def coadjoint_exp(model, a: int, gamma: list[int]) -> tuple[list[int], int]:
         den *= k
 
 
-def _first_noncentral(sr: SliceRestriction, model, coords) -> tuple | None:
-    """(label, ell, bracket) of the first nonzero {x_a, initial_ell}, ell
-    outer and a in ``coords`` inner, or None."""
-    for ell, F in enumerate(sr.initial, start=1):
-        for a in coords:
-            br = coordinate_bracket_with(model, a, F)
-            if not br.is_zero():
-                return model.labels[a], ell, str(br)
+def _first_nonzero_bracket(model, F: SparsePoly, index, coords) -> tuple | None:
+    """(a, {x_a, F}) at the first a in ``coords`` whose bracket with F is
+    nonzero, or None; ``index`` is F's ``term_index``."""
+    for a in coords:
+        br = coordinate_bracket_with(model, a, F, index)
+        if not br.is_zero():
+            return a, br
     return None
+
+
+def _noncentral_coordinate(model, F: SparsePoly) -> tuple | None:
+    """(a, {x_a, F}) at the first coordinate a whose bracket with F is
+    nonzero, or None.
+
+    F is indexed once (``term_index``) and bracketed with the Lie
+    generators; only a nonzero bracket among them sends every coordinate,
+    in order, through the same index.  The index lives only for this call.
+    """
+    index = term_index(F)
+    return (_first_nonzero_bracket(model, F, index, model.lie_generators)
+            and _first_nonzero_bracket(model, F, index, range(len(model.var_names))))
 
 
 def verify_centrality(sr: SliceRestriction, model, points) -> tuple[tuple | None, int, list]:
@@ -361,7 +397,10 @@ def verify_centrality(sr: SliceRestriction, model, points) -> tuple[tuple | None
     with {x, F} = 0 form a Lie subalgebra, and the brackets with the
     coordinates ``model.lie_generators`` prove centrality for every
     coordinate.  If one of them is nonzero, every coordinate is rescanned
-    in the order (ell, a), so the failure is the first one in that order.
+    for that term (``_noncentral_coordinate``, on one ``term_index`` of the
+    term).  The earlier terms commute with the generators, hence with
+    every coordinate, so the failure is the first one in the order
+    (ell, a).
 
     Both read the model's structure rows: the brackets through
     ``coordinate_bracket_with``, and the probe, which moves integer
@@ -371,8 +410,10 @@ def verify_centrality(sr: SliceRestriction, model, points) -> tuple[tuple | None
     of each initial term on integers: the moved point is v / L as
     ``coadjoint_exp`` returns it, and ``_value_changes`` scales by L^M.
     """
-    if _first_noncentral(sr, model, model.lie_generators):
-        return _first_noncentral(sr, model, range(len(model.var_names))), 0, []
+    for ell, F in enumerate(sr.initial, start=1):
+        found = _noncentral_coordinate(model, F)
+        if found:
+            return (model.labels[found[0]], ell, str(found[1])), 0, []
 
     group_failures: list = []
     checked = 0
@@ -704,7 +745,7 @@ def jacobian_rows(sr: SliceRestriction, nums) -> list[list[int]]:
     return evaluate_jacobian(sr.initial, nums)
 
 
-def initial_algebra_rank(sr: SliceRestriction, points) -> int:
+def initial_algebra_rank(jacobian_rank, points) -> int:
     """Generic rank of the Jacobian of the initial terms (expected: rank),
-    the best over ``points``."""
-    return max((bareiss(jacobian_rows(sr, gamma.nums))[0] for gamma in points), default=0)
+    the best of ``jacobian_rank`` over ``points``."""
+    return max(map(jacobian_rank, points), default=0)

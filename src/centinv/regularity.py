@@ -12,12 +12,11 @@ model's integer structure rows and gamma give the integer rows of a
 ``RatMatrix``, marked skew.  Ranks and the line probe read those rows.
 Every rank of a bracket form, here and at the rational roots of the line
 probe, is the Pfaffian elimination ``linalg.pfaffian_rank``, exact by
-the Pfaffian form of Sylvester's identity; Jacobian ranks, compressions
-and their determinants stay on ``bareiss``.
-The Jacobian rows read the same integers
-(``invariants.jacobian_rows(sr, nums)``, which picks the term
-expansion or the slice-matrix route per call), one row for each of the
-rank-many initial terms.
+the Pfaffian form of Sylvester's identity; compressions and their
+determinants stay on ``bareiss``.  The checks that read the rank at a
+point take it from a callable, ``stab`` for the stabiliser dimension and
+``jacobian_rank`` for the Jacobian of the initial terms, so
+``runner.PartitionContext`` ranks each point once per partition.
 
 The line probe certifies modulo p = 2^30 - 35, or else over Z
 (``singular_locus_probe``), building, solving and Hessenberg-reducing
@@ -48,7 +47,7 @@ from math import comb, gcd, isqrt
 
 from .centralizer import CentralizerModel, SymplecticModel, XiIndex
 from .linalg import RatMatrix, bareiss, pfaffian_rank
-from .invariants import SliceRestriction, jacobian_rows
+from .invariants import SliceRestriction
 
 
 @dataclass(frozen=True)
@@ -146,31 +145,35 @@ def stabilizer_dim(gamma: Functional, model) -> int:
     return model.dim - bracket_form_matrix(model, gamma).rank()
 
 
-def alpha_stabilizer_basis_check(model: CentralizerModel, a) -> tuple[int, bool]:
+def alpha_stabilizer_basis_check(model: CentralizerModel, a, stab) -> tuple[int, bool]:
     """(kernel dim of B(alpha), whether the kernel is the span of the
-    block-diagonal basis).
+    block-diagonal basis); ``stab`` gives the kernel dim.
 
     Read from B(alpha) itself, with no kernel basis: every diagonal column
     is zero, which puts the diagonal span inside the kernel, and
-    dim - rank = len(diag), which makes the two equal.
+    dim - rank = len(diag), which makes the two equal.  Column t holds
+    alpha([xi_s, xi_t]), read off the structure rows of the upper triangle
+    as ``bracket_form_matrix`` reads them.
     """
     alpha = build_alpha(model, a)
     if len(set(a)) != len(a) or not all(a):
         raise ValueError("block scalars must be distinct and nonzero")
-    B = bracket_form_matrix(model, alpha)
-    kernel_dim = model.dim - B.rank()
+    kernel_dim = stab(alpha)
+    table, nums = model.rows, alpha.nums
     diag = [t for t, idx in enumerate(model.xi) if idx.i == idx.j]
-    return kernel_dim, kernel_dim == len(diag) and not any(row[t] for row in B.rows for t in diag)
+    nonzero = any(sum(v * nums[c] for c, v in table[min(s, t)][max(s, t)])
+                  for t in diag for s in range(model.dim) if s != t)
+    return kernel_dim, kernel_dim == len(diag) and not nonzero
 
 
-def index_report(model, points) -> list[tuple[Functional, int]]:
-    """(gamma, stabiliser dim) at each of ``points``; the index is the
-    least dimension."""
-    return [(gamma, model.dim - bracket_form_matrix(model, gamma).rank()) for gamma in points]
+def index_report(stab, points) -> list[tuple[Functional, int]]:
+    """(gamma, stab(gamma)) at each of ``points``; the index is the least
+    stabiliser dimension."""
+    return [(gamma, stab(gamma)) for gamma in points]
 
 
 def plane_regularity_scan(model, gamma1: Functional, gamma2: Functional,
-                          grid: int) -> list[tuple[str, str, int]]:
+                          grid: int, stab) -> list[tuple[str, str, int]]:
     """The grid points (x, y, stab) of the plane off the minimal stabiliser
     dim."""
     if bareiss([list(gamma1.nums), list(gamma2.nums)])[0] != 2:
@@ -178,22 +181,19 @@ def plane_regularity_scan(model, gamma1: Functional, gamma2: Functional,
     half = grid // 2
     coords = range(-half, grid - half)
     failures = []
-    # B(c gamma) = c B(gamma): one rank per primitive direction, sign
-    # normalised
-    stab_of: dict[tuple[int, int], int] = {}
+    # B(c gamma) = c B(gamma): each point is read at its primitive
+    # direction, sign normalised, so a direction is one point of ``stab``
+    # and (1, 0), (0, 1) are gamma1 and gamma2 themselves
     for x in coords:
         for y in coords:
             if x == 0 and y == 0:
                 continue
             g = gcd(x, y) if (x, y) > (0, 0) else -gcd(x, y)
             dx, dy = x // g, y // g
-            if (dx, dy) not in stab_of:
-                point = Functional(tuple(dx * a + dy * b
-                                         for a, b in zip(gamma1.nums, gamma2.nums)))
-                stab_of[dx, dy] = stabilizer_dim(point, model)
-            stab = stab_of[dx, dy]
-            if stab != model.rank:
-                failures.append((str(x), str(y), stab))
+            dim = stab(Functional(tuple(dx * a + dy * b
+                                        for a, b in zip(gamma1.nums, gamma2.nums))))
+            if dim != model.rank:
+                failures.append((str(x), str(y), dim))
     return failures
 
 
@@ -288,13 +288,14 @@ def choose_generators(sr: SliceRestriction, model) -> list[int]:
     return list(range(sr.count))
 
 
-def differential_criterion(sr: SliceRestriction, model, gamma: Functional) -> tuple[int, int]:
-    """(Jacobian rank, stabiliser dim) at gamma: the criterion holds there
-    when the rank is full exactly when the stabiliser is minimal, both
-    ``model.rank``."""
+def differential_criterion(sr: SliceRestriction, model, gamma: Functional,
+                           jacobian_rank, stab) -> tuple[int, int]:
+    """(jacobian_rank(gamma), stab(gamma)): the criterion holds at gamma
+    when the Jacobian rank of the initial terms is full exactly when the
+    stabiliser is minimal, both ``model.rank``."""
     if 2 * sum(sr.degrees) != model.dim + model.rank:
         raise ValueError("degree sum does not certify a good system")
-    return bareiss(jacobian_rows(sr, gamma.nums))[0], stabilizer_dim(gamma, model)
+    return jacobian_rank(gamma), stab(gamma)
 
 
 # -- singular locus line probes ----------------------------------------------

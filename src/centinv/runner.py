@@ -1,7 +1,8 @@
 """Command orchestration: one partition, many certificates.
 
 ``COMMANDS`` gives each command its check, its algebras and the budgets
-it reads; dependencies (model, slice) are built lazily and shared.  Each
+it reads; dependencies (model, slice) are built lazily and shared, and
+each point's ranks are computed once per partition.  Each
 certificate is built as its report row, a JSON-ready dict with the
 claim, an exact PASS/FAIL/ERROR status and the witnesses, so
 ``build_report`` reports the rows as they are.  Only here are budgets
@@ -26,6 +27,7 @@ from .centralizer import build_gl_model, build_sp_model
 from .invariants import (
     conjecture_explicit_check,
     initial_algebra_rank,
+    jacobian_rows,
     kazhdan_homogeneous,
     monomial_support_check,
     principal_minor_sums,
@@ -33,6 +35,7 @@ from .invariants import (
     top_coefficient_crosscheck,
     verify_centrality,
 )
+from .linalg import bareiss
 from .nullcone import (
     component_zero_locus_check,
     enumerate_components,
@@ -121,6 +124,16 @@ class PartitionContext:
     and diffcrit after alpha and beta or ZERO, the single-block plane 5
     points, the group probe 15 and the Jacobian rank 3.  The line probe and
     the null-cone search keep their own streams.
+
+    Each point is ranked once: ``stabilizer_dim`` and ``jacobian_rank``
+    keep every value in a dict keyed by the point's integers ``nums``,
+    made with the context and dropped with it, and every check that ranks
+    a point reads them.  So alpha, beta, ZERO, the sample points that
+    index, diffcrit, the single-block plane and centrality share, and the
+    plane directions (1, 0) and (0, 1), which are alpha and beta, are each
+    ranked once per partition, and a new context ranks again.  The model
+    and the slice are fixed for the context's life, so a value never goes
+    stale.
     """
 
     def __init__(self, p: Partition, cfg: RunConfig):
@@ -128,6 +141,8 @@ class PartitionContext:
         self.cfg = cfg
         self._rng = random.Random(cfg.seed)
         self._sample: list[Functional] = []
+        self.stabilizer_dims: dict[tuple[int, ...], int] = {}
+        self.jacobian_ranks: dict[tuple[int, ...], int] = {}
 
     def sample(self, k: int) -> list[Functional]:
         """The first k functionals ``random_functional`` draws from
@@ -136,9 +151,30 @@ class PartitionContext:
             self._sample.append(random_functional(self.model, self._rng))
         return self._sample[:k]
 
+    def stabilizer_dim(self, gamma: Functional) -> int:
+        """dim g_e - rank B(gamma), ranked at the first request for gamma.nums."""
+        dim = self.stabilizer_dims.get(gamma.nums)
+        if dim is None:
+            dim = self.stabilizer_dims[gamma.nums] = stabilizer_dim(gamma, self.model)
+        return dim
+
+    def jacobian_rank(self, gamma: Functional) -> int:
+        """Rank of the Jacobian of the initial terms at gamma, ranked at the
+        first request for gamma.nums."""
+        rank = self.jacobian_ranks.get(gamma.nums)
+        if rank is None:
+            rank = self.jacobian_ranks[gamma.nums] = bareiss(
+                jacobian_rows(self.slice, gamma.nums))[0]
+        return rank
+
     @property
     def algebra(self) -> str:
         return self.cfg.algebra
+
+    @property
+    def slice_within_budget(self) -> bool:
+        """Whether ``budget_n`` covers n, so that the slice may be expanded."""
+        return self.partition.n <= self.cfg.budget_n
 
     @cached_property
     def model(self):
@@ -149,7 +185,7 @@ class PartitionContext:
     @cached_property
     def slice(self):
         sp = self.cfg.algebra == "sp"
-        if self.partition.n > self.cfg.budget_n:
+        if not self.slice_within_budget:
             raise BudgetExceededError(
                 self.partition.n, self.cfg.budget_n,
                 "symplectic slice expansion" if sp else "slice expansion")
@@ -232,7 +268,7 @@ def cmd_degrees(ctx: PartitionContext) -> dict:
         "sum_identity": 2 * sum(degrees) == dim + rank,
     }
     ok = witnesses["sum_identity"]
-    if p.n <= ctx.cfg.budget_n:
+    if ctx.slice_within_budget:
         symbolic = list(ctx.slice.degrees)
         witnesses["symbolic_degrees"] = symbolic
         witnesses["symbolic_checked"] = True
@@ -247,7 +283,7 @@ def cmd_centrality(ctx: PartitionContext) -> dict:
     failing, checked, group_failures = verify_centrality(ctx.slice, ctx.model, ctx.sample(15))
     witnesses = {
         "group_points_checked": checked,
-        "jacobian_generic_rank": initial_algebra_rank(ctx.slice, ctx.sample(3)),
+        "jacobian_generic_rank": initial_algebra_rank(ctx.jacobian_rank, ctx.sample(3)),
         "expected_rank": ctx.model.rank,
     }
     ok = (not failing and not group_failures
@@ -292,11 +328,11 @@ def cmd_stabilizers(ctx: PartitionContext) -> dict:
     model = ctx.model
     witnesses: dict = {}
     if ctx.algebra == "gl":
-        # B(alpha) at the default scalars, ranked once for both witnesses
+        # alpha at the default scalars, which is ctx.alpha
         stab_alpha, diagonal_span = alpha_stabilizer_basis_check(
-            model, default_alpha_coefficients(model))
+            model, default_alpha_coefficients(model), ctx.stabilizer_dim)
     else:
-        stab_alpha = stabilizer_dim(ctx.alpha, model)
+        stab_alpha = ctx.stabilizer_dim(ctx.alpha)
     witnesses["alpha_stabilizer_dim"] = stab_alpha
     witnesses["expected"] = model.rank
     ok = stab_alpha == model.rank
@@ -304,7 +340,7 @@ def cmd_stabilizers(ctx: PartitionContext) -> dict:
         witnesses["alpha_stabilizer_is_diagonal_span"] = diagonal_span
         ok = ok and diagonal_span
         if p.k >= 2:
-            stab_beta = stabilizer_dim(ctx.beta, model)
+            stab_beta = ctx.stabilizer_dim(ctx.beta)
             witnesses["beta_stabilizer_dim"] = stab_beta
             ok = ok and stab_beta == model.rank
         else:
@@ -315,7 +351,7 @@ def cmd_stabilizers(ctx: PartitionContext) -> dict:
         ok = ok and witnesses["alpha_vanishes_on_odd_part"]
         if p.k >= 2:
             beta, terms, checks = ctx.beta_prime
-            stab_beta = stabilizer_dim(beta, model)
+            stab_beta = ctx.stabilizer_dim(beta)
             witnesses.update(beta_prime_terms=terms, **checks, beta_stabilizer_dim=stab_beta)
             ok = ok and all(checks.values()) and stab_beta == model.rank
     return _cert(ctx, "regular-functionals", ok, witnesses)
@@ -323,7 +359,7 @@ def cmd_stabilizers(ctx: PartitionContext) -> dict:
 
 def cmd_index(ctx: PartitionContext) -> dict:
     special = [ctx.alpha] + ([ctx.beta] if ctx.beta is not None else [])
-    dims = index_report(ctx.model, special + ctx.sample(ctx.cfg.index_samples))
+    dims = index_report(ctx.stabilizer_dim, special + ctx.sample(ctx.cfg.index_samples))
     rank = ctx.model.rank
     index = min(dim for _, dim in dims)
     # the first point of minimal stabiliser certifies the index
@@ -348,7 +384,8 @@ def cmd_diffcrit(ctx: PartitionContext) -> dict:
     points = [ctx.alpha, zero] + ctx.sample(ctx.cfg.diffcrit_points)
     failures = []
     for gamma in points:
-        jacobian_rank, stab = differential_criterion(ctx.slice, model, gamma)
+        jacobian_rank, stab = differential_criterion(
+            ctx.slice, model, gamma, ctx.jacobian_rank, ctx.stabilizer_dim)
         rank_full, stabilizer_minimal = jacobian_rank == model.rank, stab == model.rank
         if rank_full != stabilizer_minimal:
             failures.append({
@@ -369,12 +406,13 @@ def cmd_diffcrit(ctx: PartitionContext) -> dict:
 def cmd_plane(ctx: PartitionContext) -> dict:
     model = ctx.model
     if ctx.partition.k < 2:
-        dims = [stabilizer_dim(gamma, model) for gamma in ctx.sample(5)]
-        dims.append(stabilizer_dim(Functional((0,) * model.dim, "ZERO"), model))
+        points = ctx.sample(5) + [Functional((0,) * model.dim, "ZERO")]
+        dims = [ctx.stabilizer_dim(gamma) for gamma in points]
         ok = all(d == model.rank for d in dims)
         return _cert(ctx, "plane-regularity", ok,
                      {"single_block": True, "stabilizer_dims": dims})
-    failures = plane_regularity_scan(model, ctx.alpha, ctx.beta, grid=ctx.cfg.grid)
+    failures = plane_regularity_scan(model, ctx.alpha, ctx.beta, ctx.cfg.grid,
+                                     ctx.stabilizer_dim)
     rho_ok = torus_eigenvector_check(model, ctx.alpha, ctx.beta)
     witnesses = {
         "grid": ctx.cfg.grid,

@@ -47,6 +47,7 @@ from centinv.regularity import (
     torus_eigenvector_check,
 )
 from centinv.runner import RunConfig, build_report, sweep_partitions
+from test_regularity import fresh_jacobian_rank, fresh_stab
 from math import comb
 
 SEED = 0
@@ -100,7 +101,7 @@ def test_criterion_3_regular_functionals():
             coeffs = default_alpha_coefficients(m)
             alpha = build_alpha(m, coeffs)
             ok &= stabilizer_dim(alpha, m) == n
-            _, diagonal_span = alpha_stabilizer_basis_check(m, coeffs)
+            _, diagonal_span = alpha_stabilizer_basis_check(m, coeffs, fresh_stab(m))
             ok &= diagonal_span
             if p.k >= 2:
                 ok &= stabilizer_dim(build_beta(m), m) == n
@@ -124,13 +125,13 @@ def test_criterion_4_index():
             special = [build_alpha(m, default_alpha_coefficients(m))]
             if p.k >= 2:
                 special.append(build_beta(m))
-            dims = index_report(m, special + sample(m, 5))
+            dims = index_report(fresh_stab(m), special + sample(m, 5))
             ok &= index_certified_by_alpha(dims, n)
     for n in range(1, 5):
         for p in partitions_of(2 * n, ClassicalType.SP):
             sp = build_sp_model(p)
             alpha = restrict_alpha_to_fixed(sp)
-            dims = index_report(sp, [alpha] + sample(sp, 5))
+            dims = index_report(fresh_stab(sp), [alpha] + sample(sp, 5))
             ok &= index_certified_by_alpha(dims, n)
     assert report("4 (index = rank, gl n<=8 and sp 2n<=8)", ok)
 
@@ -145,12 +146,13 @@ def test_criterion_5_differential_criterion():
             alpha = build_alpha(m, default_alpha_coefficients(m))
             zero = Functional((0,) * m.dim, "ZERO")
             points = [alpha, zero] + sample(m, 50)
+            ranks = fresh_jacobian_rank(sr), fresh_stab(m)
             for gamma in points:
-                jacobian_rank, stab = differential_criterion(sr, m, gamma)
+                jacobian_rank, stab = differential_criterion(sr, m, gamma, *ranks)
                 ok &= (jacobian_rank == n) == (stab == n)
-            ok &= differential_criterion(sr, m, alpha) == (n, n)
+            ok &= differential_criterion(sr, m, alpha, *ranks) == (n, n)
             if p.k >= 2:
-                jacobian_rank, stab = differential_criterion(sr, m, zero)
+                jacobian_rank, stab = differential_criterion(sr, m, zero, *ranks)
                 ok &= jacobian_rank != n and stab != n
     assert report("5 (differential criterion, n<=6)", ok)
 
@@ -168,7 +170,7 @@ def test_criterion_6_singular_locus_codimension():
             if p.k >= 2:
                 alpha = build_alpha(m, default_alpha_coefficients(m))
                 beta = build_beta(m)
-                ok &= not plane_regularity_scan(m, alpha, beta, grid=7)
+                ok &= not plane_regularity_scan(m, alpha, beta, 7, fresh_stab(m))
                 ok &= torus_eigenvector_check(m, alpha, beta)
             ok &= all_clean(singular_locus_probe(m, lines=10, seed=SEED))
     for n in range(1, 4):
@@ -177,7 +179,7 @@ def test_criterion_6_singular_locus_codimension():
             alpha = restrict_alpha_to_fixed(sp)
             if p.k >= 2:
                 beta = build_beta_prime_sum(sp)[0]
-                ok &= not plane_regularity_scan(sp, alpha, beta, grid=7)
+                ok &= not plane_regularity_scan(sp, alpha, beta, 7, fresh_stab(sp))
             ok &= all_clean(singular_locus_probe(sp, lines=10, seed=SEED))
     assert report("6 (singular locus codimension probes)", ok)
 

@@ -63,6 +63,7 @@ from centinv.invariants import (
     signed_sums,
     slice_matrix_rows,
     symplectic_minor_sums,
+    term_index,
     top_coefficient_crosscheck,
     verify_centrality,
 )
@@ -74,8 +75,16 @@ from centinv.regularity import (
     random_functional,
     restrict_alpha_to_fixed,
 )
-from centinv.runner import BudgetExceededError, PartitionContext, RunConfig, build_report, cmd_p0
+from centinv.runner import (
+    BudgetExceededError,
+    PartitionContext,
+    RunConfig,
+    build_report,
+    cmd_degrees,
+    cmd_p0,
+)
 from centinv.poly import _WIDTH, SparsePoly
+from test_regularity import fresh_jacobian_rank
 
 
 def slice_entry_polys(model):
@@ -198,6 +207,25 @@ def test_budget_refusal():
         ctx.slice
 
 
+@pytest.mark.parametrize("budget_n,within", [(5, True), (4, False)])
+def test_slice_and_degrees_read_one_budget_property(monkeypatch, budget_n, within):
+    """``PartitionContext.slice_within_budget`` decides both whether the
+    slice is expanded and whether degrees checks its table symbolically;
+    turning the property over turns both."""
+    for flip in (False, True):
+        if flip:
+            monkeypatch.setattr(PartitionContext, "slice_within_budget", not within)
+        ctx = PartitionContext(Partition.parse("3,2"), RunConfig(budget_n=budget_n))
+        expanded = within != flip
+        assert ctx.slice_within_budget is expanded
+        assert cmd_degrees(ctx)["witnesses"]["symbolic_checked"] is expanded
+        if expanded:
+            assert ctx.slice.degrees == list(degrees_gl(ctx.partition))
+        else:
+            with pytest.raises(BudgetExceededError):
+                ctx.slice
+
+
 def test_poisson_bracket_on_coordinates_is_structure_constants():
     m = build_gl_model(Partition.parse("2,1"))
     names = m.var_names
@@ -280,8 +308,9 @@ def _full_scan_failure(sr, m):
     """The first nonzero {x_a, initial_ell} over every coordinate a, ell
     outer: the witness of the scan without generators."""
     for ell, F in enumerate(sr.initial, start=1):
+        index = term_index(F)
         for a in range(m.dim):
-            br = coordinate_bracket_with(m, a, F)
+            br = coordinate_bracket_with(m, a, F, index)
             if not br.is_zero():
                 return m.labels[a], ell, str(br)
     return None
@@ -494,7 +523,7 @@ def test_top_coefficient_budget():
 def test_jacobian_generic_rank(parts, expected):
     m = build_gl_model(Partition.parse(parts))
     sr = principal_minor_sums(m)
-    assert initial_algebra_rank(sr, sample(m, 1, 3)) == expected
+    assert initial_algebra_rank(fresh_jacobian_rank(sr), sample(m, 1, 3)) == expected
 
 
 def test_symplectic_slice_odd_sums_vanish_and_degrees():
@@ -802,9 +831,12 @@ def reference_coordinate_bracket(model, a: int, Q: SparsePoly) -> SparsePoly:
     return out
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(["gl 2,1", "gl 3,2,1", "sp 2,1,1"]), st.data())
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from(["gl 2,1", "gl 3,2,1", "gl 1,1,1,1", "gl 2,2,1", "sp 2,1,1", "sp 2,2"]),
+       st.data())
 def test_coordinate_bracket_matches_fraction_reference(name, data):
+    """The indexed bracket against the Fraction reference, with exponents
+    up to 3, so that a weight e * numerator differs from the numerator."""
     model = bracket_model(name)
     names = model.var_names
     a = data.draw(st.integers(0, model.dim - 1), label="a")
@@ -815,7 +847,7 @@ def test_coordinate_bracket_matches_fraction_reference(name, data):
     Q = from_exponents(names, terms)
     expected = reference_coordinate_bracket(model, a, Q)
     assume(not expected.is_zero())
-    got = coordinate_bracket_with(model, a, Q)
+    got = coordinate_bracket_with(model, a, Q, term_index(Q))
     assert got == expected
     assert str(got) == str(expected)
 

@@ -1,6 +1,7 @@
 """Regular functionals, stabilisers, index and singular-locus probes."""
 
 import copy
+import functools
 import random
 import re
 from dataclasses import fields
@@ -12,9 +13,9 @@ import pytest
 from dense_oracle import kernel, rank, structure_of
 from hypothesis import assume, example, given, settings, strategies as st
 
-from centinv import runner
+from centinv import invariants, regularity, runner
 from centinv.centralizer import XiIndex, build_gl_model, build_sp_model
-from centinv.invariants import principal_minor_sums, symplectic_minor_sums
+from centinv.invariants import jacobian_rows, principal_minor_sums, symplectic_minor_sums
 from centinv.partitions import ClassicalType, Partition, partitions_of
 from centinv.regularity import (
     Functional,
@@ -34,7 +35,7 @@ from centinv.regularity import (
     stabilizer_dim,
     torus_eigenvector_check,
 )
-from centinv.linalg import bareiss
+from centinv.linalg import RatMatrix, bareiss
 from centinv.regularity import (
     _PRIME,
     _Lanes,
@@ -58,6 +59,20 @@ from centinv.regularity import (
 
 def zero_functional(model):
     return Functional((0,) * model.dim, "ZERO")
+
+
+def fresh_stab(model):
+    """``stabilizer_dim`` on model as the one-argument callable the checks
+    read, ranking every point anew (a run reads
+    ``PartitionContext.stabilizer_dim``)."""
+    return functools.partial(stabilizer_dim, model=model)
+
+
+def fresh_jacobian_rank(sr):
+    """The Jacobian rank of the initial terms of sr as the callable the
+    checks read, ranking every point anew (a run reads
+    ``PartitionContext.jacobian_rank``)."""
+    return lambda gamma: bareiss(jacobian_rows(sr, gamma.nums))[0]
 
 
 def cleared(values, provenance="EXPLICIT"):
@@ -156,7 +171,7 @@ def test_alpha_beta_stabilizers_all_partitions(n):
 def test_alpha_stabilizer_is_diagonal_span(parts):
     p = Partition.parse(parts)
     m = build_gl_model(p)
-    kernel_dim, diagonal_span = alpha_stabilizer_basis_check(m, default_alpha_coefficients(m))
+    kernel_dim, diagonal_span = alpha_stabilizer_basis_check(m, default_alpha_coefficients(m), fresh_stab(m))
     assert diagonal_span
     assert kernel_dim == p.n
 
@@ -177,7 +192,7 @@ def test_alpha_stabilizer_check_matches_the_kernel_route(n):
         m = build_gl_model(p)
         default = default_alpha_coefficients(m)
         for a in (default, default[1:] + default[:1]):
-            assert alpha_stabilizer_basis_check(m, a) == kernel_route(m, a) == (n, True), (p, a)
+            assert alpha_stabilizer_basis_check(m, a, fresh_stab(m)) == kernel_route(m, a) == (n, True), (p, a)
 
 
 def with_brackets(model, edits):
@@ -206,13 +221,13 @@ def test_alpha_stabilizer_check_fails_on_planted_brackets():
     # [xi[1,2,0], xi[2,1,1]] = 0: B(alpha) = 0 and the kernel is everything
     oversized = with_brackets(m, {(u, v): {}})
     for model, dim in ((leaves, 3), (oversized, m.dim)):
-        assert alpha_stabilizer_basis_check(model, a) == kernel_route(model, a) == (dim, False)
+        assert alpha_stabilizer_basis_check(model, a, fresh_stab(model)) == kernel_route(model, a) == (dim, False)
 
 
 def test_alpha_stabilizer_check_needs_distinct_scalars():
     m = build_gl_model(Partition.parse("2,1"))
     with pytest.raises(ValueError):
-        alpha_stabilizer_basis_check(m, [1, 1])
+        alpha_stabilizer_basis_check(m, [1, 1], fresh_stab(m))
 
 
 def test_alpha_with_signed_scalars():
@@ -267,7 +282,7 @@ def test_index_report_gl(parts):
     m = build_gl_model(p)
     alpha = build_alpha(m, default_alpha_coefficients(m))
     special = [alpha] + ([build_beta(m)] if p.k >= 2 else [])
-    dims = index_report(m, special + sample(m, 1, 20))
+    dims = index_report(fresh_stab(m), special + sample(m, 1, 20))
     assert [gamma for gamma, _ in dims[:len(special)]] == special
     assert index_of(dims) == p.n
     certificate_point = next((gamma for gamma, stab in dims if stab == m.rank), None)
@@ -279,9 +294,9 @@ def test_index_report_gl(parts):
 def test_index_report_sp():
     sp = build_sp_model(Partition.parse("2,1,1"))
     alpha = restrict_alpha_to_fixed(sp)
-    assert index_of(index_report(sp, [alpha] + sample(sp, 1, 20))) == 2
+    assert index_of(index_report(fresh_stab(sp), [alpha] + sample(sp, 1, 20))) == 2
     sp22 = build_sp_model(Partition.parse("2,2"))
-    dims = index_report(sp22, [restrict_alpha_to_fixed(sp22)] + sample(sp22, 1, 20))
+    dims = index_report(fresh_stab(sp22), [restrict_alpha_to_fixed(sp22)] + sample(sp22, 1, 20))
     assert index_of(dims) == 2
 
 
@@ -321,15 +336,84 @@ def test_all_commands_draw_one_sample(monkeypatch):
     assert len(drawn) == cfg.diffcrit_points == 50
 
 
+def ranked_run(monkeypatch, p, algebra):
+    """Every command of an all-commands run on one ``PartitionContext``,
+    with ``RatMatrix.rank`` and ``jacobian_rows`` (under every name a
+    module holds it by) counted: (context, rank calls, Jacobian calls,
+    the nums of every point read through the context's two rank
+    callables)."""
+    calls = {"rank": 0, "jacobian": 0}
+    reads = {"stab": [], "jacobian": []}
+    rank_of, rows_of = RatMatrix.rank, jacobian_rows
+    stab_of, jacobian_rank_of = (runner.PartitionContext.stabilizer_dim,
+                                 runner.PartitionContext.jacobian_rank)
+
+    def counted_rank(self):
+        calls["rank"] += 1
+        return rank_of(self)
+
+    def counted_rows(sr, nums):
+        calls["jacobian"] += 1
+        return rows_of(sr, nums)
+
+    def read_stab(self, gamma):
+        reads["stab"].append(gamma.nums)
+        return stab_of(self, gamma)
+
+    def read_jacobian(self, gamma):
+        reads["jacobian"].append(gamma.nums)
+        return jacobian_rank_of(self, gamma)
+
+    monkeypatch.setattr(RatMatrix, "rank", counted_rank)
+    for module in (runner, invariants, regularity):
+        if hasattr(module, "jacobian_rows"):
+            monkeypatch.setattr(module, "jacobian_rows", counted_rows)
+    monkeypatch.setattr(runner.PartitionContext, "stabilizer_dim", read_stab)
+    monkeypatch.setattr(runner.PartitionContext, "jacobian_rank", read_jacobian)
+    cfg = runner.RunConfig(algebra=algebra, all_commands=True, seed=7)
+    ctx = runner.PartitionContext(p, cfg)
+    for name in runner.commands_for(cfg, p):
+        assert runner.COMMANDS[name].check(ctx)["status"] == "PASS" or name == "lines"
+    monkeypatch.undo()
+    return ctx, calls["rank"], calls["jacobian"], reads
+
+
+MEMO_PARTITIONS = ([("gl", p) for n in range(1, 6) for p in partitions_of(n)]
+                   + [("sp", p) for n in range(1, 4)
+                      for p in partitions_of(2 * n, ClassicalType.SP)])
+
+
+@pytest.mark.parametrize("algebra,p", MEMO_PARTITIONS, ids=lambda x: str(x))
+def test_each_point_is_ranked_once_per_context(monkeypatch, algebra, p):
+    """A point read twice through ``PartitionContext`` is ranked once: the
+    rank and Jacobian calls are the distinct points read, each kept value
+    is the fresh rank, and a second context of the partition ranks
+    everything again, so nothing outlives a context."""
+    ctx, ranks, jacobians, reads = ranked_run(monkeypatch, p, algebra)
+    assert ranks == len(set(reads["stab"])) == len(ctx.stabilizer_dims)
+    assert jacobians == len(set(reads["jacobian"])) == len(ctx.jacobian_ranks)
+    # alpha is read by stabilizers, index and diffcrit at least
+    assert len(reads["stab"]) > len(set(reads["stab"]))
+    # centrality's three Jacobian points are among diffcrit's
+    assert len(reads["jacobian"]) >= len(set(reads["jacobian"])) + 3
+    for nums, dim in ctx.stabilizer_dims.items():
+        assert dim == stabilizer_dim(Functional(nums), ctx.model), nums
+    for nums, rank_ in ctx.jacobian_ranks.items():
+        assert rank_ == bareiss(jacobian_rows(ctx.slice, nums))[0], nums
+    again = ranked_run(monkeypatch, p, algebra)
+    assert again[1:] == (ranks, jacobians, reads)
+
+
 def test_plane_scan_gl():
     m = build_gl_model(Partition.parse("2,1"))
     alpha = build_alpha(m, default_alpha_coefficients(m))
     beta = build_beta(m)
-    assert not plane_regularity_scan(m, alpha, beta, grid=5)
+    assert not plane_regularity_scan(m, alpha, beta, 5, fresh_stab(m))
     assert torus_eigenvector_check(m, alpha, beta)
     m32 = build_gl_model(Partition.parse("3,2"))
     assert not plane_regularity_scan(
-        m32, build_alpha(m32, default_alpha_coefficients(m32)), build_beta(m32), grid=7)
+        m32, build_alpha(m32, default_alpha_coefficients(m32)), build_beta(m32), 7,
+        fresh_stab(m32))
 
 
 def per_point_failures(model, gamma1, gamma2, grid=7):
@@ -349,7 +433,7 @@ def per_point_failures(model, gamma1, gamma2, grid=7):
 def check_scan_against_per_point(model, gamma1, gamma2, rho_ok):
     """The scan's failures, checked against the per-point scan, and the
     torus check of the pair."""
-    failures = plane_regularity_scan(model, gamma1, gamma2, grid=7)
+    failures = plane_regularity_scan(model, gamma1, gamma2, 7, fresh_stab(model))
     assert failures == per_point_failures(model, gamma1, gamma2)
     assert torus_eigenvector_check(model, gamma1, gamma2) is rho_ok
     return failures
@@ -430,7 +514,8 @@ def test_plane_scan_rejects_dependent_pair():
     m = build_gl_model(Partition.parse("2,1"))
     alpha = build_alpha(m, default_alpha_coefficients(m))
     with pytest.raises(ValueError):
-        plane_regularity_scan(m, alpha, Functional(tuple(2 * x for x in alpha.nums)), grid=5)
+        plane_regularity_scan(m, alpha, Functional(tuple(2 * x for x in alpha.nums)), 5,
+                              fresh_stab(m))
 
 
 def test_beta_prime_sum():
@@ -463,13 +548,14 @@ def test_differential_criterion_cases():
     m = build_gl_model(p)
     sr = principal_minor_sums(m)
     alpha = build_alpha(m, default_alpha_coefficients(m))
-    assert differential_criterion(sr, m, alpha) == (m.rank, m.rank)
-    jacobian_rank, stab = differential_criterion(sr, m, zero_functional(m))
+    ranks = fresh_jacobian_rank(sr), fresh_stab(m)
+    assert differential_criterion(sr, m, alpha, *ranks) == (m.rank, m.rank)
+    jacobian_rank, stab = differential_criterion(sr, m, zero_functional(m), *ranks)
     assert jacobian_rank != m.rank and stab != m.rank
     assert jacobian_rank == p.d[0] + 1
     rng = random.Random(17)
     for _ in range(20):
-        jacobian_rank, stab = differential_criterion(sr, m, random_functional(m, rng))
+        jacobian_rank, stab = differential_criterion(sr, m, random_functional(m, rng), *ranks)
         assert (jacobian_rank == m.rank) == (stab == m.rank)
 
 
@@ -492,7 +578,8 @@ def test_differential_criterion_needs_good_degree_sum():
     sr = principal_minor_sums(m)
     broken = dataclasses.replace(sr, degrees=[1, 1, 1])
     with pytest.raises(ValueError):
-        differential_criterion(broken, m, zero_functional(m))
+        differential_criterion(broken, m, zero_functional(m), fresh_jacobian_rank(broken),
+                               fresh_stab(m))
 
 
 def all_clean(probes):
