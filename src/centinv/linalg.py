@@ -1,7 +1,11 @@
 """Exact linear algebra over the integers and the rationals.
 
-A dense matrix (``RatMatrix``) holds integer rows.  Ranks and
-determinants come from two fraction-free elimination kernels on them.
+A dense matrix (``RatMatrix``) holds integer rows and runs no check on
+them: each builder makes its entries integers (``regularity.Functional``
+refuses a non-integer point, ``StructureTable.rows`` a non-integer
+structure constant, and ``nullcone._component_dets`` takes integer
+rows).  Ranks and determinants come from two fraction-free elimination
+kernels on them.
 ``bareiss`` (Sylvester's identity for minors) gives determinants and the
 rank of every matrix that is not marked skew.  ``pfaffian_rank`` gives the rank of a
 skew-symmetric one, the bracket form B(gamma): it pivots on two rows at
@@ -16,8 +20,6 @@ which combines only nonzero entries.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import gcd
 from typing import Iterable, Mapping
 
 
@@ -145,28 +147,21 @@ def sparse_inverse(rows: list[Mapping[int, Fraction]]) -> list[dict[int, Fractio
 
 
 class RatMatrix:
-    """A rows x cols matrix of the integer ``rows``.
-
-    The constructor takes ownership of the row lists and does not copy
-    them.  A non-integer entry is a TypeError (from the gcd), ragged rows
-    a ValueError.
-
-    ``skew`` is False here; the builder of a skew-symmetric matrix
-    (``regularity.bracket_form_matrix``) sets it, and ``rank`` then runs
-    ``pfaffian_rank`` on the upper triangle.  Every other rank and every
-    determinant runs ``bareiss``.  The content is not tested for skewness.
+    """A rows x cols matrix of the integer ``rows``, of equal length,
+    stored as given: no copy, and no type or shape check (the builders
+    make every entry an int; see the module docstring).  ``skew=True``
+    makes a skew-symmetric matrix (``regularity.bracket_form_matrix``),
+    whose ``rank`` is ``pfaffian_rank`` on the upper triangle; every other
+    rank and every determinant runs ``bareiss``.  Skewness is not tested.
     """
 
     __slots__ = ("rows", "nrows", "ncols", "skew")
 
-    def __init__(self, rows: list[list[int]]):
-        gcd(*chain.from_iterable(rows))
+    def __init__(self, rows: list[list[int]], skew: bool = False):
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = len(rows[0]) if rows else 0
-        if any(len(r) != self.ncols for r in rows):
-            raise ValueError("ragged rows")
-        self.skew = False
+        self.skew = skew
 
     def rank(self) -> int:
         """Exact rank, that of the integer rows; the rows are not changed."""

@@ -9,7 +9,7 @@ of B(gamma) or of the Jacobian of homogeneous terms, which no positive
 scaling of gamma changes, so a rational point is read at an integer
 multiple.  ``bracket_form_matrix`` is the one builder of B(gamma): the
 model's integer structure rows and gamma give the integer rows of a
-``RatMatrix``, marked skew.  Ranks and the line probe read those rows.
+``RatMatrix`` made skew.  Ranks and the line probe read those rows.
 Every rank of a bracket form, here and at the rational roots of the line
 probe, is the Pfaffian elimination ``linalg.pfaffian_rank``, exact by
 the Pfaffian form of Sylvester's identity; compressions and their
@@ -70,21 +70,15 @@ class Functional:
 
 
 def default_alpha_coefficients(model) -> list[int]:
-    """Distinct nonzero block scalars; paired blocks get opposite signs."""
-    p = model.partition
-    if isinstance(model, SymplecticModel):
-        pairing = model.pairing
-        values: dict[int, int] = {}
-        nxt = 1
-        for i in range(1, p.k + 1):
-            ip = pairing[i]
-            if ip == i or i < ip:
-                values[i] = nxt
-                nxt += 1
-            if ip != i and i < ip:
-                values[ip] = -values[i]
-        return [values[i] for i in range(1, p.k + 1)]
-    return list(range(1, p.k + 1))
+    """Nonzero block scalars, one per block in order: the second block of
+    a sigma-pair negates the first, and every other block takes the next
+    positive integer, so a gl model gets 1, 2, ..., k."""
+    pairing = model.pairing if isinstance(model, SymplecticModel) else {}
+    a: list[int] = []
+    for i in range(1, model.partition.k + 1):
+        ip = pairing.get(i, i)
+        a.append(-a[ip - 1] if ip < i else max(a, default=0) + 1)
+    return a
 
 
 def build_alpha(model: CentralizerModel, a) -> Functional:
@@ -118,10 +112,11 @@ def bracket_form_matrix(model, gamma: Functional) -> RatMatrix:
     """B(gamma)_{ab} = gamma([xi_a, xi_b]); skew-symmetric.
 
     Every B(gamma) is made here: the integer structure rows ``model.rows``
-    and the integer gamma give the integer rows of B(gamma).  The matrix
-    is marked ``skew``, so its rank is the fraction-free Pfaffian
-    elimination ``linalg.pfaffian_rank``, not ``bareiss``: its entries are
-    Pfaffians of principal submatrices, and each division is exact.
+    and the integer gamma give the integer rows of B(gamma), so the
+    ``RatMatrix`` needs no check of its own.  It is made ``skew``, so its
+    rank is the fraction-free Pfaffian elimination
+    ``linalg.pfaffian_rank``, not ``bareiss``: its entries are Pfaffians
+    of principal submatrices, and each division is exact.
     """
     nums = gamma.nums
     table = model.rows
@@ -135,9 +130,7 @@ def bracket_form_matrix(model, gamma: Functional) -> RatMatrix:
             if v:
                 rows[a][b] = v
                 rows[b][a] = -v
-    form = RatMatrix(rows)
-    form.skew = True
-    return form
+    return RatMatrix(rows, skew=True)
 
 
 def stabilizer_dim(gamma: Functional, model) -> int:
@@ -145,19 +138,17 @@ def stabilizer_dim(gamma: Functional, model) -> int:
     return model.dim - bracket_form_matrix(model, gamma).rank()
 
 
-def alpha_stabilizer_basis_check(model: CentralizerModel, a, stab) -> tuple[int, bool]:
+def alpha_stabilizer_basis_check(model, alpha: Functional, stab) -> tuple[int, bool]:
     """(kernel dim of B(alpha), whether the kernel is the span of the
-    block-diagonal basis); ``stab`` gives the kernel dim.
+    block-diagonal basis) at the point alpha; ``stab`` gives the kernel dim.
 
     Read from B(alpha) itself, with no kernel basis: every diagonal column
     is zero, which puts the diagonal span inside the kernel, and
     dim - rank = len(diag), which makes the two equal.  Column t holds
     alpha([xi_s, xi_t]), read off the structure rows of the upper triangle
-    as ``bracket_form_matrix`` reads them.
+    as ``bracket_form_matrix`` reads them.  Both answers are exact at every
+    alpha, whatever its block scalars.
     """
-    alpha = build_alpha(model, a)
-    if len(set(a)) != len(a) or not all(a):
-        raise ValueError("block scalars must be distinct and nonzero")
     kernel_dim = stab(alpha)
     table, nums = model.rows, alpha.nums
     diag = [t for t, idx in enumerate(model.xi) if idx.i == idx.j]
@@ -231,7 +222,6 @@ def build_beta_prime_sum(sp: SymplecticModel) -> tuple[Functional, list[dict], d
     d = p.d
     real = gl.realization
     gamma_terms = []
-    torus_ok = True
     for i in range(1, p.k):
         ip = sp.pairing[i]
         inext = sp.pairing[i + 1]
@@ -245,17 +235,14 @@ def build_beta_prime_sum(sp: SymplecticModel) -> tuple[Functional, list[dict], d
         a = gl.index[idx]
         coeff = -num * den  # -num / den, den being 1 or -1
         nums[a] += coeff
-        exponent = 1 + gl.rho_weights[a]
-        if exponent < 2:
-            torus_ok = False
         gamma_terms.append({
             "i": i, "coordinate": idx.label(), "coefficient": str(coeff),
-            "torus_exponent": exponent,
+            "torus_exponent": 1 + gl.rho_weights[a],
         })
     ambient = Functional(tuple(nums), "BETA_PRIME_SUM")
     checks = {
         "beta_prime_vanishes_on_odd_part": vanishes_on_odd_part(sp, ambient),
-        "beta_prime_torus_exponents_ok": torus_ok,
+        "beta_prime_torus_exponents_ok": all(t["torus_exponent"] >= 2 for t in gamma_terms),
         "beta_prime_nonzero": not ambient.is_zero(),
     }
     return Functional(sp.restrict_dual(ambient.nums), "BETA_PRIME_SUM"), gamma_terms, checks

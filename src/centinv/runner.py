@@ -123,7 +123,10 @@ class PartitionContext:
     The sampled commands read prefixes of one sample of functionals: index
     and diffcrit after alpha and beta or ZERO, the single-block plane 5
     points, the group probe 15 and the Jacobian rank 3.  The line probe and
-    the null-cone search keep their own streams.
+    the null-cone search each start a fresh ``Random(cfg.seed)``, and the
+    line probe draws its first line's two points as ``sample`` does, so
+    line 1 of every ``lines`` certificate runs through ``sample(2)``
+    (ROADMAP item 2 removes that draw).
 
     Each point is ranked once: ``stabilizer_dim`` and ``jacobian_rank``
     keep every value in a dict keyed by the point's integers ``nums``,
@@ -324,36 +327,28 @@ def cmd_p0(ctx: PartitionContext) -> dict:
 
 
 def cmd_stabilizers(ctx: PartitionContext) -> dict:
-    p = ctx.partition
-    model = ctx.model
-    witnesses: dict = {}
+    model, rank = ctx.model, ctx.model.rank
+    stab_alpha = ctx.stabilizer_dim(ctx.alpha)
+    witnesses: dict = {"alpha_stabilizer_dim": stab_alpha, "expected": rank}
     if ctx.algebra == "gl":
-        # alpha at the default scalars, which is ctx.alpha
-        stab_alpha, diagonal_span = alpha_stabilizer_basis_check(
-            model, default_alpha_coefficients(model), ctx.stabilizer_dim)
+        key = "alpha_stabilizer_is_diagonal_span"
+        alpha_ok = alpha_stabilizer_basis_check(model, ctx.alpha, ctx.stabilizer_dim)[1]
     else:
-        stab_alpha = ctx.stabilizer_dim(ctx.alpha)
-    witnesses["alpha_stabilizer_dim"] = stab_alpha
-    witnesses["expected"] = model.rank
-    ok = stab_alpha == model.rank
-    if ctx.algebra == "gl":
-        witnesses["alpha_stabilizer_is_diagonal_span"] = diagonal_span
-        ok = ok and diagonal_span
-        if p.k >= 2:
-            stab_beta = ctx.stabilizer_dim(ctx.beta)
-            witnesses["beta_stabilizer_dim"] = stab_beta
-            ok = ok and stab_beta == model.rank
-        else:
-            witnesses["beta_stabilizer_dim"] = None
-    else:
-        witnesses["alpha_vanishes_on_odd_part"] = vanishes_on_odd_part(
-            model, build_alpha(model.gl, default_alpha_coefficients(model)))
-        ok = ok and witnesses["alpha_vanishes_on_odd_part"]
-        if p.k >= 2:
-            beta, terms, checks = ctx.beta_prime
-            stab_beta = ctx.stabilizer_dim(beta)
-            witnesses.update(beta_prime_terms=terms, **checks, beta_stabilizer_dim=stab_beta)
-            ok = ok and all(checks.values()) and stab_beta == model.rank
+        key = "alpha_vanishes_on_odd_part"
+        ambient = build_alpha(model.gl, default_alpha_coefficients(model))  # alpha unrestricted
+        alpha_ok = vanishes_on_odd_part(model, ambient)
+    witnesses[key] = alpha_ok
+    checks: dict[str, bool] = {}
+    if ctx.beta is not None:
+        if ctx.algebra == "sp":
+            _, terms, checks = ctx.beta_prime
+            witnesses.update(beta_prime_terms=terms, **checks)
+        witnesses["beta_stabilizer_dim"] = ctx.stabilizer_dim(ctx.beta)
+    elif ctx.algebra == "gl":
+        witnesses["beta_stabilizer_dim"] = None
+    # one block has no beta, and then nothing to check of it
+    ok = (stab_alpha == rank and alpha_ok and all(checks.values())
+          and witnesses.get("beta_stabilizer_dim") in (None, rank))
     return _cert(ctx, "regular-functionals", ok, witnesses)
 
 

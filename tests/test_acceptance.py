@@ -98,10 +98,9 @@ def test_criterion_3_regular_functionals():
     for n in range(1, 9):
         for p in partitions_of(n):
             m = build_gl_model(p)
-            coeffs = default_alpha_coefficients(m)
-            alpha = build_alpha(m, coeffs)
+            alpha = build_alpha(m, default_alpha_coefficients(m))
             ok &= stabilizer_dim(alpha, m) == n
-            _, diagonal_span = alpha_stabilizer_basis_check(m, coeffs, fresh_stab(m))
+            _, diagonal_span = alpha_stabilizer_basis_check(m, alpha, fresh_stab(m))
             ok &= diagonal_span
             if p.k >= 2:
                 ok &= stabilizer_dim(build_beta(m), m) == n

@@ -16,7 +16,7 @@ from fractions import Fraction
 from poly_oracle import from_fractions, to_fractions, variable
 from test_regularity import with_brackets
 
-from centinv import runner
+from centinv import partitions, runner
 from centinv.centralizer import XiIndex
 from centinv.nullcone import antidiagonal_spaces
 from centinv.partitions import Partition
@@ -44,6 +44,30 @@ def certificate(ctx, command):
 def fail(claim, parts, witnesses, algebra="gl"):
     return {"claim": claim, "status": "FAIL", "partition": parts, "algebra": algebra,
             "tolerance": "exact", "witnesses": witnesses}
+
+
+def test_degrees_fail_the_sum_identity_on_a_planted_dimension(monkeypatch):
+    # dim g_e two too large breaks 2 sum(d) = dim g_e + rk: the run reports
+    # a FAIL row, under plain python as under -O, and carries on
+    true_dim = partitions.dim_centralizer_gl
+
+    def planted(p):
+        return true_dim(p) + 2
+
+    monkeypatch.setattr(partitions, "dim_centralizer_gl", planted)
+    monkeypatch.setattr(runner, "dim_centralizer_gl", planted)
+    cfg = RunConfig(partitions=["2,1"], commands=["degrees"], seed=7)
+    certs, _ = runner.run_partition(Partition.parse("2,1"), cfg)
+    assert certs == [fail("degree-table", "2,1", {
+        "degrees": [1, 1, 2],
+        "degree_sum": 4,
+        "dim_centralizer": 7,
+        "rank": 3,
+        "sum_identity": False,
+        "symbolic_degrees": [1, 1, 2],
+        "symbolic_checked": True,
+        "kazhdan_homogeneous": True,
+    })]
 
 
 def test_centrality_names_the_first_noncentral_bracket():

@@ -171,7 +171,8 @@ def test_alpha_beta_stabilizers_all_partitions(n):
 def test_alpha_stabilizer_is_diagonal_span(parts):
     p = Partition.parse(parts)
     m = build_gl_model(p)
-    kernel_dim, diagonal_span = alpha_stabilizer_basis_check(m, default_alpha_coefficients(m), fresh_stab(m))
+    alpha = build_alpha(m, default_alpha_coefficients(m))
+    kernel_dim, diagonal_span = alpha_stabilizer_basis_check(m, alpha, fresh_stab(m))
     assert diagonal_span
     assert kernel_dim == p.n
 
@@ -192,7 +193,8 @@ def test_alpha_stabilizer_check_matches_the_kernel_route(n):
         m = build_gl_model(p)
         default = default_alpha_coefficients(m)
         for a in (default, default[1:] + default[:1]):
-            assert alpha_stabilizer_basis_check(m, a, fresh_stab(m)) == kernel_route(m, a) == (n, True), (p, a)
+            assert (alpha_stabilizer_basis_check(m, build_alpha(m, a), fresh_stab(m))
+                    == kernel_route(m, a) == (n, True)), (p, a)
 
 
 def with_brackets(model, edits):
@@ -221,13 +223,19 @@ def test_alpha_stabilizer_check_fails_on_planted_brackets():
     # [xi[1,2,0], xi[2,1,1]] = 0: B(alpha) = 0 and the kernel is everything
     oversized = with_brackets(m, {(u, v): {}})
     for model, dim in ((leaves, 3), (oversized, m.dim)):
-        assert alpha_stabilizer_basis_check(model, a, fresh_stab(model)) == kernel_route(model, a) == (dim, False)
+        assert (alpha_stabilizer_basis_check(model, build_alpha(model, a), fresh_stab(model))
+                == kernel_route(model, a) == (dim, False))
 
 
-def test_alpha_stabilizer_check_needs_distinct_scalars():
-    m = build_gl_model(Partition.parse("2,1"))
-    with pytest.raises(ValueError):
-        alpha_stabilizer_basis_check(m, [1, 1], fresh_stab(m))
+def test_alpha_stabilizer_check_is_exact_at_equal_scalars():
+    # equal scalars are no refusal: the answer is exact at every alpha. On
+    # 2,1 the kernel is still the diagonal span; on 2,2, alpha = (1, 1) is
+    # central, so B(alpha) = 0 and the kernel is all of g_e
+    for parts, expected in (("2,1", (3, True)), ("2,2", (8, False))):
+        m = build_gl_model(Partition.parse(parts))
+        alpha = build_alpha(m, [1, 1])
+        assert (alpha_stabilizer_basis_check(m, alpha, fresh_stab(m))
+                == kernel_route(m, [1, 1]) == expected), parts
 
 
 def test_alpha_with_signed_scalars():

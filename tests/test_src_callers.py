@@ -8,6 +8,9 @@ imported name.  Dunder methods are called by the language and are exempt.
 """
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "centinv"
@@ -35,3 +38,25 @@ def test_every_definition_in_src_is_referenced_there():
               if name not in referenced and name not in ALLOWED
               and not (name.startswith("__") and name.endswith("__"))}
     assert not unused, f"defined in src/ but never referenced there: {unused}"
+
+
+def test_every_traced_layer_exists(monkeypatch):
+    """Each ``LAYERS`` entry of ``perfbench/spans.py`` names a key of its
+    owner's ``vars()``, where ``Recorder.install`` reads it, so deleting or
+    renaming a traced function fails here and not only under ``--trace``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    # dataclasses reads the module of LayerStats back from sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    assert spans.LAYERS
+    missing = []
+    for module, qualname, _, _ in spans.LAYERS:
+        owner = importlib.import_module(f"{spans.PACKAGE}.{module}")
+        *path_parts, attr = qualname.split(".")
+        for part in path_parts:
+            owner = getattr(owner, part)
+        if attr not in vars(owner):
+            missing.append(f"{module}.{qualname}")
+    assert not missing, f"traced layers missing from src/: {missing}"
