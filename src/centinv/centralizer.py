@@ -73,11 +73,8 @@ class JordanRealization:
     def __init__(self, p: Partition):
         self.partition = p
         self.n = p.n
-        self.basis_labels: list[tuple[int, int]] = []
-        for i, di in enumerate(p.d, start=1):
-            for j in range(di + 1):
-                self.basis_labels.append((i, j))
-        self.pos = {lab: t for t, lab in enumerate(self.basis_labels)}
+        labels = [(i, j) for i, di in enumerate(p.d, start=1) for j in range(di + 1)]
+        self.pos = {lab: t for t, lab in enumerate(labels)}
         d = p.d
         self.e: dict[tuple[int, int], int] = {}
         self.h: dict[tuple[int, int], int] = {}

@@ -194,10 +194,6 @@ class SliceRestriction:
     n: int
     minor_sizes: list[int]
 
-    @property
-    def count(self) -> int:
-        return len(self.full)
-
     @cached_property
     def cleared_duals(self) -> tuple[int, list[dict]]:
         """(L, [L * gf_dual[a]]): L the lcm of the denominators, entries int."""

@@ -123,15 +123,11 @@ def dim_centralizer_gl(p: Partition) -> int:
     return sum((2 * i - 1) * part for i, part in enumerate(p.parts, start=1))
 
 
-def count_even_d(p: Partition) -> int:
-    return sum(1 for di in p.d if di % 2 == 0)
-
-
 def dim_centralizer_so_sp(p: Partition, t: ClassicalType) -> int:
     """Centraliser dimension inside so_n or sp_n (n = sum of parts)."""
     check_valid_for(p, t)
     full = dim_centralizer_gl(p)
-    evens = count_even_d(p)
+    evens = sum(1 for di in p.d if di % 2 == 0)
     if t is ClassicalType.SP:
         total = full + evens
     elif t is ClassicalType.SO:
@@ -150,9 +146,7 @@ def degrees_gl(p: Partition) -> tuple[int, ...]:
     equals (dim_centralizer_gl + n) / 2, which ``runner.cmd_degrees``
     checks as ``sum_identity``.
     """
-    degrees = tuple(s for s, part in enumerate(p.parts, start=1) for _ in range(part))
-    assert len(degrees) == p.n
-    return degrees
+    return tuple(s for s, part in enumerate(p.parts, start=1) for _ in range(part))
 
 
 def degrees_sp(p: Partition) -> tuple[int, ...]:

@@ -66,8 +66,9 @@ def _accumulate_product(acc: dict, terms: dict, factor: dict, parity: int) -> No
 
 
 class SparsePoly:
-    """Immutable sparse polynomial over an ordered variable tuple: integer
-    numerators ``terms`` over the denominator ``den``."""
+    """Sparse polynomial over an ordered variable tuple: integer numerators
+    ``terms`` over the denominator ``den``.  No method changes a polynomial
+    after construction; only the degree and factor caches are filled."""
 
     __slots__ = ("variables", "terms", "den", "_deg", "_factors")
 
@@ -86,14 +87,11 @@ class SparsePoly:
         if g != 1:
             terms = {k: c // g for k, c in terms.items()}
             den //= g
-        object.__setattr__(self, "variables", tuple(variables))
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_deg", None)
-        object.__setattr__(self, "_factors", None)
-
-    def __setattr__(self, *a):  # pragma: no cover - guard only
-        raise AttributeError("SparsePoly is immutable")
+        self.variables = tuple(variables)
+        self.terms = terms
+        self.den = den
+        self._deg = None
+        self._factors = None
 
     # -- inspection -----------------------------------------------------
 
@@ -103,8 +101,7 @@ class SparsePoly:
     def total_degree(self) -> int:
         """Max monomial degree; the zero polynomial reports -1."""
         if self._deg is None:
-            d = max(map(_MASK.__rmod__, self.terms), default=-1)
-            object.__setattr__(self, "_deg", d)
+            self._deg = max(map(_MASK.__rmod__, self.terms), default=-1)
         return self._deg
 
     def decode(self, key: int) -> tuple[int, ...]:
@@ -127,7 +124,7 @@ class SparsePoly:
                     exps = exps[::-1]
                 out.append((tuple(zip(compress(lanes, exps), compress(exps, exps))),
                             coeff, key % _MASK))
-            object.__setattr__(self, "_factors", out)
+            self._factors = out
         return self._factors
 
     def _shift(self, name: str) -> int:
@@ -210,12 +207,12 @@ class SparsePoly:
             return self
         degrees = set(map(_MASK.__rmod__, self.terms))
         low = min(degrees)
-        object.__setattr__(self, "_deg", max(degrees))
+        self._deg = max(degrees)
         if low == self._deg:
             return self
         part = SparsePoly(self.variables, dict(compress(
             self.terms.items(), map(low.__eq__, map(_MASK.__rmod__, self.terms)))), self.den)
-        object.__setattr__(part, "_deg", low)
+        part._deg = low
         return part
 
     def evaluate(self, point: Mapping[str, object]) -> Fraction:

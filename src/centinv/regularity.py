@@ -18,13 +18,10 @@ point take it from a callable, ``stab`` for the stabiliser dimension and
 ``jacobian_rank`` for the Jacobian of the initial terms, so
 ``runner.PartitionContext`` ranks each point once per partition.
 
-The line probe certifies modulo p = 2^30 - 35, or else over Z
-(``singular_locus_probe``), building, solving and Hessenberg-reducing
-each compression in one w-bit lane layout per line.  Pivot rows, X
-and the recurrence polynomials are folded, x -> (x & lo) +
-35 ((x >> 30) & hi), below q = 2^31; w covers the solve, 2 bias + rho p q,
-the Hessenberg step, q + rho p^2 + rho p (q + rho p^2), and the
-recurrence, q + (rho+1) p q.
+The line probe certifies modulo p = 2^30 - 35, or else over Z,
+building, solving and Hessenberg-reducing each compression in one w-bit
+lane layout per line; ``singular_locus_probe`` derives the lane width w
+and the fold bounds.
 
 Each check returns the values its certificate reports, and
 ``runner`` derives the verdict: ``alpha_stabilizer_basis_check`` gives
@@ -270,9 +267,10 @@ def choose_generators(sr: SliceRestriction, model) -> list[int]:
     The slice gives exactly ind g_e = ``model.rank`` of them, the family of
     the criterion; any other count is a ValueError.
     """
-    if sr.count != model.rank:
-        raise ValueError(f"{sr.count} initial terms for an index of {model.rank}")
-    return list(range(sr.count))
+    count = len(sr.full)
+    if count != model.rank:
+        raise ValueError(f"{count} initial terms for an index of {model.rank}")
+    return list(range(count))
 
 
 def differential_criterion(sr: SliceRestriction, model, gamma: Functional,
@@ -628,9 +626,8 @@ def singular_locus_probe(model, lines: int,
     U, V is a Z-combination of those minors (Cauchy-Binet), hence
     divisible by their gcd, so a constant gcd of a few compressions
     certifies that no parameter value is singular.  B0 and B1 are the
-    integer rows of ``bracket_form_matrix`` at g0 and g1; at a rational
-    t = num/d the integer matrix d B0 + num B1 is a positive multiple of a
-    point of the line, so it has that point's rank.
+    integer rows of ``bracket_form_matrix`` at g0 and g1, and
+    ``_resolve_residual`` ranks a nonconstant gcd's rational roots.
 
     The gcd is taken modulo p = 2^30 - 35, one 30-bit CPython digit.
     Soundness holds for every prime (a smaller one sends about 1/p of the
@@ -661,15 +658,13 @@ def singular_locus_probe(model, lines: int,
     singular locus makes every D_j vanish and ends as "no usable
     compression found".
     """
+    rho = model.dim - model.rank
+    if rho == 0:
+        # abelian bracket form: every linear function is regular
+        return [(True, 0, 0, "abelian: empty singular locus")] * lines
     rng = random.Random(seed)
-    r = model.dim
-    rho = r - model.rank
     probes = []
     for _ in range(lines):
-        if rho == 0:
-            # abelian bracket form: every linear function is regular
-            probes.append((True, 0, 0, "abelian: empty singular locus"))
-            continue
         g0 = random_functional(model, rng)
         for _ in range(11):
             g1 = random_functional(model, rng)
@@ -680,11 +675,6 @@ def singular_locus_probe(model, lines: int,
             continue
         B0 = bracket_form_matrix(model, g0).rows
         B1 = bracket_form_matrix(model, g1).rows
-
-        def b_at(num: int, den: int = 1) -> list[list[int]]:
-            """den * B(num / den) in integer rows."""
-            return [[den * x + num * y for x, y in zip(r0, r1)] for r0, r1 in zip(B0, B1)]
-
         clean, drawn = _compress_line(B0, B1, rho, rng, budget=12)
         used = len(drawn)
         if clean:
@@ -700,17 +690,21 @@ def singular_locus_probe(model, lines: int,
         elif len(gcd_poly) == 1:
             probes.append((True, 0, used, ""))
         else:
-            probes.append(_resolve_residual(gcd_poly, b_at, rho, used))
+            probes.append(_resolve_residual(gcd_poly, B0, B1, rho, used))
     return probes
 
 
-def _resolve_residual(gcd_poly: list[int], b_at, rho: int,
-                      used: int) -> tuple[bool, int, int, str]:
-    """Classify the roots of a stabilised nonconstant compression gcd.
+def _resolve_residual(gcd_poly: list[int], B0: list[list[int]], B1: list[list[int]],
+                      rho: int, used: int) -> tuple[bool, int, int, str]:
+    """Classify the roots of a stabilised nonconstant compression gcd of
+    the pencil B0 + t B1 of generic rank rho.
 
     The true minor gcd divides the residual, so the singular parameters
-    are among its roots; exact rank tests at the rational roots decide
-    them, and a fully decided residual is an exact count.
+    are among its roots.  Each rational root t = num/den is ranked on
+    the integer rows den B0 + num B1, a positive multiple of B(t), so of
+    its rank; a root of full rank rho is a spurious shared factor, and a
+    residual whose roots are all rational and all of lower rank is an
+    exact count.
     """
     deriv = [i * x for i, x in enumerate(gcd_poly)][1:]
     sf = _poly_div_exact(gcd_poly, _poly_gcd(gcd_poly, deriv))
@@ -719,7 +713,9 @@ def _resolve_residual(gcd_poly: list[int], b_at, rho: int,
     if not complete or len(roots) != degree:
         return False, degree, used, "residual has unresolved (irrational) root candidates"
     for t in roots:
-        if pfaffian_rank(b_at(t.numerator, t.denominator)) >= rho:
+        num, den = t.numerator, t.denominator
+        if pfaffian_rank([[den * x + num * y for x, y in zip(r0, r1)]
+                          for r0, r1 in zip(B0, B1)]) >= rho:
             return False, degree, used, f"spurious shared factor at t={t}; add compressions"
     return (True, len(roots), used,
             "singular parameters confirmed at t in {" + ", ".join(str(t) for t in roots) + "}")

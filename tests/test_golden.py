@@ -1,7 +1,9 @@
 """Golden reports: fixed (config, seed) pairs must reproduce exactly."""
 
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,40 @@ def test_sampled_sweep_matches_its_digest(options, passes, digest):
     assert report["summary"] == {"pass": passes, "fail": 0, "error": 0}
     text = json.dumps(report, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def bench_run(monkeypatch):
+    """``perfbench/run.py`` loaded by path.  It is registered while it runs,
+    as its dataclasses need, and it and the two sibling modules it imports
+    by name are dropped from ``sys.modules`` afterwards."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)
+    try:
+        spec.loader.exec_module(run)
+        yield run
+    finally:
+        for name in ("hostspeed", "spans"):
+            sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("workload", ["gl-sweep", "slice-expand", "sp-sweep"])
+def test_benchmark_reports_match_their_reference_digests(bench_run, workload):
+    """Each benchmark workload's report hashes to the digest in
+    ``perfbench/reference``.  The config is built as ``run.setup`` builds
+    it, but on the ``centinv`` already imported: ``setup`` re-imports it,
+    which would give later tests a second copy of every class."""
+    w = bench_run.WORKLOADS[workload]
+    cfg = RunConfig(algebra=w.algebra, commands=list(w.commands),
+                    all_commands=not w.commands, seed=bench_run.CERT_SEED,
+                    max_n=w.max_n, jobs=1)
+    parts = sweep_partitions(cfg)
+    cfg.partitions = [str(p) for p in parts]
+    report = build_report(cfg, parts)
+    assert bench_run.canonical_digest(report, cfg.partitions) == \
+        bench_run.load_reference(w)["digest"]

@@ -51,6 +51,7 @@ from centinv.regularity import (
     _poly_gcd,
     _primitive,
     _rational_roots,
+    _resolve_residual,
     _solve_mod,
     _trim,
     _unpack,
@@ -720,6 +721,22 @@ def test_rational_roots_flags_what_it_cannot_decide():
     assert _rational_roots([1, 0, 1]) == ([], True)          # t^2 + 1: no real root
     assert _rational_roots([-2, 0, 0, 1]) == ([], False)     # t^3 - 2: cubic left over
     assert _rational_roots([65, -1]) == ([Fraction(65)], True)
+
+
+# B(t) = (1 - t) [[0, 1], [-1, 0]]: rank 2 except at t = 1
+_J = [[0, 1], [-1, 0]]
+_MINUS_J = [[0, -1], [1, 0]]
+
+
+@pytest.mark.parametrize("gcd_poly, want", [
+    ([-1, 1], (True, 1, 3, "singular parameters confirmed at t in {1}")),
+    ([-2, 1], (False, 1, 3, "spurious shared factor at t=2; add compressions")),
+    ([-2, 0, 1], (False, 2, 3, "residual has unresolved (irrational) root candidates")),
+    # roots 1/2 and 1: the rational, non-integer one is ranked first
+    ([1, -3, 2], (False, 2, 3, "spurious shared factor at t=1/2; add compressions")),
+])
+def test_resolve_residual_reaches_every_outcome(gcd_poly, want):
+    assert _resolve_residual(gcd_poly, _J, _MINUS_J, 2, 3) == want
 
 
 # -- the modular compressions of the line probe ---------------------------------
