@@ -7,7 +7,7 @@ pass, 1 some check failed, 2 usage error or an --out path that cannot
 be opened for writing (refused before the run), 3 some certificate is a
 resource ERROR (a symbolic budget refused a requested command) and none
 is an internal one, 4 some certificate is an internal ERROR (a command
-raised an ArithmeticError or ValueError).
+raised any other exception).
 
 The parser passes on only the options given, so ``RunConfig`` states
 every default and least value; a value below it, or an empty command

@@ -359,29 +359,6 @@ def coadjoint_exp(model, a: int, gamma: list[int]) -> tuple[list[int], int]:
         den *= k
 
 
-def _first_nonzero_bracket(model, F: SparsePoly, index, coords) -> tuple | None:
-    """(a, {x_a, F}) at the first a in ``coords`` whose bracket with F is
-    nonzero, or None; ``index`` is F's ``term_index``."""
-    for a in coords:
-        br = coordinate_bracket_with(model, a, F, index)
-        if not br.is_zero():
-            return a, br
-    return None
-
-
-def _noncentral_coordinate(model, F: SparsePoly) -> tuple | None:
-    """(a, {x_a, F}) at the first coordinate a whose bracket with F is
-    nonzero, or None.
-
-    F is indexed once (``term_index``) and bracketed with the Lie
-    generators; only a nonzero bracket among them sends every coordinate,
-    in order, through the same index.  The index lives only for this call.
-    """
-    index = term_index(F)
-    return (_first_nonzero_bracket(model, F, index, model.lie_generators)
-            and _first_nonzero_bracket(model, F, index, range(len(model.var_names))))
-
-
 def verify_centrality(sr: SliceRestriction, model, points) -> tuple[tuple | None, int, list]:
     """Exact {x_a, initial_ell} = 0 for all a, ell, plus a group-level probe
     at ``points``: (failing, points probed, group failures).  ``failing``
@@ -392,10 +369,10 @@ def verify_centrality(sr: SliceRestriction, model, points) -> tuple[tuple | None
     F -> {x, F} is a derivation and ad [x, y] = [ad x, ad y], so the x
     with {x, F} = 0 form a Lie subalgebra, and the brackets with the
     coordinates ``model.lie_generators`` prove centrality for every
-    coordinate.  If one of them is nonzero, every coordinate is rescanned
-    for that term (``_noncentral_coordinate``, on one ``term_index`` of the
-    term).  The earlier terms commute with the generators, hence with
-    every coordinate, so the failure is the first one in the order
+    coordinate.  Each term is indexed once (``term_index``); only a
+    nonzero bracket with a generator rescans every coordinate from 0 on
+    the same index.  The earlier terms commute with the generators, hence
+    with every coordinate, so the failure is the first one in the order
     (ell, a).
 
     Both read the model's structure rows: the brackets through
@@ -407,9 +384,14 @@ def verify_centrality(sr: SliceRestriction, model, points) -> tuple[tuple | None
     ``coadjoint_exp`` returns it, and ``_value_changes`` scales by L^M.
     """
     for ell, F in enumerate(sr.initial, start=1):
-        found = _noncentral_coordinate(model, F)
-        if found:
-            return (model.labels[found[0]], ell, str(found[1])), 0, []
+        index = term_index(F)
+        if all(coordinate_bracket_with(model, a, F, index).is_zero()
+               for a in model.lie_generators):
+            continue
+        for a in range(len(model.var_names)):
+            br = coordinate_bracket_with(model, a, F, index)
+            if not br.is_zero():
+                return (model.labels[a], ell, str(br)), 0, []
 
     group_failures: list = []
     checked = 0

@@ -212,8 +212,6 @@ def build_beta_prime_sum(sp: SymplecticModel) -> tuple[Functional, list[dict], d
     here other than 1 or -1 is an ArithmeticError.
     """
     p = sp.partition
-    if p.k < 2:
-        raise ValueError("the subdiagonal functional needs at least two blocks")
     gl = sp.gl
     nums = list(build_beta(gl).nums)
     d = p.d
@@ -293,11 +291,7 @@ def _trim(c: list) -> list:
 
 
 def _primitive(c: list[int]) -> list[int]:
-    g = 0
-    for x in c:
-        g = gcd(g, x)
-        if g == 1:
-            break
+    g = gcd(*c)
     if g > 1:
         c = [x // g for x in c]
     if c and c[-1] < 0:

@@ -122,21 +122,22 @@ class PartitionContext:
 
     The sampled commands read prefixes of one sample of functionals: index
     and diffcrit after alpha and beta or ZERO, the single-block plane 5
-    points, the group probe 15 and the Jacobian rank 3.  The line probe and
-    the null-cone search each start a fresh ``Random(cfg.seed)``, and the
-    line probe draws its first line's two points as ``sample`` does, so
-    line 1 of every ``lines`` certificate runs through ``sample(2)``
-    (ROADMAP item 2 removes that draw).  The sampled counts count draws:
-    diffcrit's ``points_checked``, index's ``stabilizer_dims`` and the
-    single-block plane's ``stabilizer_dims`` list every draw, and draws
-    repeat on the smallest models (at gl ``1`` and seed 7, 52 points hold
-    16 distinct values); ROADMAP item 3 removes most of these samples.
+    points and the group probe 15; centrality's Jacobian rank reads alpha.
+    The line probe and the null-cone search each start a fresh
+    ``Random(cfg.seed)``, and the line probe draws its first line's two
+    points as ``sample`` does, so line 1 of every ``lines`` certificate
+    runs through ``sample(2)`` (ROADMAP item 2 removes that draw).  The
+    sampled counts count draws: diffcrit's ``points_checked``, index's
+    ``stabilizer_dims`` and the single-block plane's ``stabilizer_dims``
+    list every draw, and draws repeat on the smallest models (at gl ``1``
+    and seed 7, 52 points hold 16 distinct values); ROADMAP item 3 removes
+    most of these samples.
 
     Each point is ranked once: ``stabilizer_dim`` and ``jacobian_rank``
     keep every value in a dict keyed by the point's integers ``nums``,
     made with the context and dropped with it, and every check that ranks
     a point reads them.  So alpha, beta, ZERO, the sample points that
-    index, diffcrit, the single-block plane and centrality share, and the
+    index, diffcrit and the single-block plane share, and the
     plane directions (1, 0) and (0, 1), which are alpha and beta, are each
     ranked once per partition, and a new context ranks again.  The model
     and the slice are fixed for the context's life, so a value never goes
@@ -284,7 +285,7 @@ def cmd_centrality(ctx: PartitionContext) -> dict:
     failing, checked, group_failures = verify_centrality(ctx.slice, ctx.model, ctx.sample(15))
     witnesses = {
         "group_points_checked": checked,
-        "jacobian_generic_rank": initial_algebra_rank(ctx.jacobian_rank, ctx.sample(3)),
+        "jacobian_generic_rank": initial_algebra_rank(ctx.jacobian_rank, [ctx.alpha]),
         "expected_rank": ctx.model.rank,
     }
     ok = (not failing and not group_failures
@@ -516,9 +517,9 @@ def run_partition(p: Partition, cfg: RunConfig) -> tuple[list[dict], dict]:
         start = time.perf_counter()
         try:
             certs.append(COMMANDS[name].check(ctx))
-        except (BudgetExceededError, ArithmeticError, ValueError) as exc:
-            # a budget refusal or a violated construction invariant is itself
-            # a reportable outcome
+        except Exception as exc:
+            # a budget refusal or a crash is itself a reportable outcome,
+            # which _error tells apart
             certs.append(_error(ctx, name, exc))
         timings[name] = time.perf_counter() - start
     return certs, timings

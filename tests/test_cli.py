@@ -329,24 +329,51 @@ def test_parallel_sweep_matches_serial(tmp_path, capsys):
 
 def test_error_certificates_keep_their_kind_and_witnesses(monkeypatch):
     """A budget refusal is a resource ERROR with n and the budget; any
-    ArithmeticError/ValueError of a command an internal ERROR with its type."""
+    other exception of a command an internal ERROR with its type."""
+    import centinv.runner as runner
+
+    cfg = runner.RunConfig(partitions=["3,3,3"], commands=["centrality", "index"], budget_n=8)
+    common = {"status": "ERROR", "partition": "3,3,3", "algebra": "gl", "tolerance": "exact"}
+    for exc, reason in [
+        (ArithmeticError("table is not antisymmetric"),
+         "ArithmeticError: table is not antisymmetric"),
+        (KeyError("planted"), "KeyError: 'planted'"),
+        (AssertionError("planted"), "AssertionError: planted"),
+    ]:
+        def broken(ctx, exc=exc):
+            raise exc
+
+        monkeypatch.setitem(runner.COMMANDS, "index",
+                            runner.COMMANDS["index"]._replace(check=broken))
+        certs, _ = runner.run_partition(Partition.parse("3,3,3"), cfg)
+        assert certs == [
+            {"claim": "centrality", **common, "error_kind": "resource",
+             "witnesses": {"reason": "slice expansion needs n=9 but the budget is 8",
+                           "n": 9, "budget": 8}},
+            {"claim": "index", **common, "error_kind": "internal",
+             "witnesses": {"reason": reason}},
+        ]
+
+
+def test_a_crash_inside_a_command_exits_4_and_keeps_the_report(capsys, monkeypatch):
+    """A command that raises an exception no check names (here a KeyError)
+    gives an internal ERROR row and exit 4, not the FAIL code 1, and the
+    rows of the other commands stay in the report."""
     import centinv.runner as runner
 
     def broken(ctx):
-        raise ArithmeticError("table is not antisymmetric")
+        raise KeyError("planted")
 
     monkeypatch.setitem(runner.COMMANDS, "index",
                         runner.COMMANDS["index"]._replace(check=broken))
-    cfg = runner.RunConfig(partitions=["3,3,3"], commands=["centrality", "index"], budget_n=8)
-    certs, _ = runner.run_partition(Partition.parse("3,3,3"), cfg)
-    common = {"status": "ERROR", "partition": "3,3,3", "algebra": "gl", "tolerance": "exact"}
-    assert certs == [
-        {"claim": "centrality", **common, "error_kind": "resource",
-         "witnesses": {"reason": "slice expansion needs n=9 but the budget is 8",
-                       "n": 9, "budget": 8}},
-        {"claim": "index", **common, "error_kind": "internal",
-         "witnesses": {"reason": "ArithmeticError: table is not antisymmetric"}},
-    ]
+    code = main(["verify", "--partition", "2,1", "--commands", "degrees,index",
+                 "--format", "json"])
+    assert code == 4
+    report = json.loads(capsys.readouterr().out)
+    assert [(c["claim"], c["status"], c.get("error_kind"))
+            for c in report["certificates"]] == [
+        ("degree-table", "PASS", None), ("index", "ERROR", "internal")]
+    assert report["certificates"][1]["witnesses"] == {"reason": "KeyError: 'planted'"}
 
 
 @pytest.mark.parametrize("options", [

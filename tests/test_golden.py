@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from recheck import FAIL, recheck
 
 from centinv.centralizer import build_gl_model, build_sp_model
 from centinv.partitions import ClassicalType, Partition, partitions_of
@@ -28,6 +29,43 @@ def test_report_matches_golden(algebra, parts):
     name = f"{algebra}_{parts.replace(',', '_')}.json"
     golden = json.loads((GOLDEN_DIR / name).read_text())
     assert json.dumps(report, sort_keys=True) == json.dumps(golden, sort_keys=True)
+
+
+@pytest.mark.parametrize("algebra,parts", CASES)
+def test_golden_rows_recheck_to_their_status(algebra, parts):
+    """Each golden row's status is the one its own witnesses give."""
+    name = f"{algebra}_{parts.replace(',', '_')}.json"
+    rows = json.loads((GOLDEN_DIR / name).read_text())["certificates"]
+    assert [recheck(row) for row in rows] == [row["status"] for row in rows]
+
+
+# (claim, witness key, a value that must turn the gl 3,1 golden row's
+# PASS into a FAIL under the re-checker)
+BROKEN_WITNESSES = [
+    ("degree-table", "symbolic_degrees", [1, 1, 2, 2]),
+    ("poisson-centrality", "jacobian_generic_rank", 3),
+    ("poisson-centrality", "failure", {"coordinate": "xi[1,1,0]", "invariant": 2}),
+    ("monomial-support", "violations", [[2, "x1*x2", "repeated row"]]),
+    ("signed-sum-proportionality", "ratios", ["1", "-1", None]),
+    ("top-coefficient-crosscheck", "scalars", {"1": "1", "2": "1"}),
+    ("regular-functionals", "beta_stabilizer_dim", 6),
+    ("regular-functionals", "alpha_stabilizer_is_diagonal_span", False),
+    ("index-equals-rank", "stabilizer_dims", [["BETA", 4], ["ALPHA(1,2)", 4]]),
+    ("differential-criterion", "failures", [{"point": "ZERO", "expected": "both sides false"}]),
+    ("plane-regularity", "torus_eigenvector_check", False),
+    ("singular-lines-clean", "singular_hits_per_line", [0] * 9 + [1]),
+    ("nullcone-regular-sequence", "codimension", 0),
+]
+
+
+@pytest.mark.parametrize("claim,key,value", BROKEN_WITNESSES,
+                         ids=[f"{c} {k}" for c, k, _ in BROKEN_WITNESSES])
+def test_recheck_fails_a_row_whose_witnesses_refute_it(claim, key, value):
+    rows = json.loads((GOLDEN_DIR / "gl_3_1.json").read_text())["certificates"]
+    row = next(row for row in rows if row["claim"] == claim)
+    assert recheck(row) == row["status"] != FAIL
+    broken = {**row, "witnesses": {**row["witnesses"], key: value}}
+    assert recheck(broken) == FAIL
 
 
 def test_line_probes_match_golden():
@@ -108,3 +146,8 @@ def test_benchmark_reports_match_their_reference_digests(bench_run, workload):
     report = build_report(cfg, parts)
     assert bench_run.canonical_digest(report, cfg.partitions) == \
         bench_run.load_reference(w)["digest"]
+    rows = report["certificates"]
+    assert [recheck(row) for row in rows] == [row["status"] for row in rows]
+    # the one FAIL is sp 2,2,1,1's sampled line through the singular locus
+    assert [(row["partition"], row["claim"]) for row in rows if row["status"] == FAIL] == \
+        ([("2,2,1,1", "singular-lines-clean")] if workload == "sp-sweep" else [])

@@ -336,8 +336,8 @@ def test_context_sample_is_one_stream_drawn_once(monkeypatch):
 
 def test_all_commands_draw_one_sample(monkeypatch):
     """An all-commands gl run of 3,2,1 draws 50 functionals outside the line
-    probe, diffcrit's: index (10), the group probe (15) and the Jacobian
-    rank (3) read prefixes of them, where a stream each would draw 78."""
+    probe, diffcrit's: index (10) and the group probe (15) read prefixes of
+    them, where a stream each would draw 75."""
     drawn = runner_draws(monkeypatch)
     cfg = runner.RunConfig(all_commands=True, seed=7)
     certs, _ = runner.run_partition(Partition.parse("3,2,1"), cfg)
@@ -403,14 +403,34 @@ def test_each_point_is_ranked_once_per_context(monkeypatch, algebra, p):
     assert jacobians == len(set(reads["jacobian"])) == len(ctx.jacobian_ranks)
     # alpha is read by stabilizers, index and diffcrit at least
     assert len(reads["stab"]) > len(set(reads["stab"]))
-    # centrality's three Jacobian points are among diffcrit's
-    assert len(reads["jacobian"]) >= len(set(reads["jacobian"])) + 3
+    # centrality's one Jacobian point, alpha, is diffcrit's first
+    assert len(reads["jacobian"]) >= len(set(reads["jacobian"])) + 1
     for nums, dim in ctx.stabilizer_dims.items():
         assert dim == stabilizer_dim(Functional(nums), ctx.model), nums
     for nums, rank_ in ctx.jacobian_ranks.items():
         assert rank_ == bareiss(jacobian_rows(ctx.slice, nums))[0], nums
     again = ranked_run(monkeypatch, p, algebra)
     assert again[1:] == (ranks, jacobians, reads)
+
+
+@pytest.mark.parametrize("algebra,parts", [("gl", "3,2,1"), ("sp", "2,2,1,1")])
+def test_centrality_ranks_the_jacobian_at_alpha_alone(monkeypatch, algebra, parts):
+    """Independence is read at alpha: ``cmd_centrality`` asks the Jacobian
+    rank of alpha's nums and nothing else, and reports that rank."""
+    reads = []
+    jacobian_rank_of = runner.PartitionContext.jacobian_rank
+
+    def read_jacobian(self, gamma):
+        reads.append(gamma.nums)
+        return jacobian_rank_of(self, gamma)
+
+    monkeypatch.setattr(runner.PartitionContext, "jacobian_rank", read_jacobian)
+    ctx = runner.PartitionContext(Partition.parse(parts), runner.RunConfig(algebra=algebra))
+    cert = runner.cmd_centrality(ctx)
+    assert reads == [ctx.alpha.nums]
+    assert cert["status"] == "PASS"
+    assert cert["witnesses"]["jacobian_generic_rank"] == ctx.jacobian_rank(ctx.alpha) \
+        == ctx.model.rank
 
 
 def test_plane_scan_gl():
